@@ -25,10 +25,19 @@ let out_file =
 
 let domains_opt =
   let doc =
-    "Fan independent work across N domains (default: $(b,UTC_DOMAINS) or 1). The pool's \
-     partition/merge is deterministic, so every result is bit-identical to serial."
+    "Fan independent work across N >= 1 domains (default: $(b,UTC_DOMAINS) if set, else the \
+     machine's recommended domain count). The pool's partition/merge is deterministic, so every \
+     result is bit-identical to serial."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 (* [--domains] resizes the process-wide pool, so the belief filter and
    planner inside each run pick it up too. *)

@@ -1,30 +1,5 @@
+open Utc_net
 module Engine = Utc_sim.Engine
-module Rng = Utc_sim.Rng
-
-type drop_reason =
-  | Tail_drop
-  | Stochastic_loss
-  | Gate_closed
-
-let pp_drop_reason ppf reason =
-  let text =
-    match reason with
-    | Tail_drop -> "tail_drop"
-    | Stochastic_loss -> "stochastic_loss"
-    | Gate_closed -> "gate_closed"
-  in
-  Format.pp_print_string ppf text
-
-type callbacks = {
-  deliver : Flow.t -> Packet.t -> unit;
-  on_drop : node_id:int -> reason:drop_reason -> Packet.t -> unit;
-}
-
-let callbacks ?deliver ?on_drop () =
-  {
-    deliver = Option.value deliver ~default:(fun _ _ -> ());
-    on_drop = Option.value on_drop ~default:(fun ~node_id:_ ~reason:_ _ -> ());
-  }
 
 (* --- fixed-point class state ---
 
@@ -83,43 +58,27 @@ type config = {
 let default_config =
   { dt = 0.01; max_window_pkts = 4096.0; rtt_floor = 1e-3; fg_smoothing = 0.25 }
 
-(* --- per-node state ---
+(* --- per-hop state ---
 
-   The packet half mirrors Utc_elements.Runtime exactly; the fluid half
-   is only ever non-zero on background-path stations, and every foreground
-   expression reading it reduces to the runtime's expression when it is
-   zero. *)
+   The fluid half of each station on the background path; the packets
+   are Runtime's, which reaches this state through the station's
+   [coupling]. *)
 
-type station_state = {
-  queue : Packet.t Queue.t;
-  mutable queued_bits : int;
-  mutable busy : bool;
-  (* fluid side *)
-  mutable on_path : bool;
+type hop = {
+  hop_id : int;
+  hop_rate_bps : float;
+  hop_cap_bits : int option;
   mutable fq_bits : float;  (** background fluid backlog, bits *)
   mutable bg_depart_bps : float;  (** background departure rate, last tick *)
-  mutable bg_loss : float;  (** background overflow loss prob, last tick *)
   mutable fg_bits_acc : int;  (** foreground bits arrived since last tick *)
   mutable fg_rate_bps : float;  (** EWMA foreground arrival rate *)
 }
-
-type nstate =
-  | SStation of station_state
-  | SGate of { mutable connected : bool }
-  | SEither of { mutable on_first : bool }
-  | SMultipath of { mutable next_first : bool }
-  | SStateless
-
-type hop = { hop_id : int; hop_rate_bps : float; hop_cap_bits : int option }
 
 type class_state = { n_flows : int; mutable w_fix : int }
 
 type t = {
   engine : Engine.t;
-  compiled : Compiled.t;
-  states : nstate array;
-  rngs : Rng.t array;
-  cb : callbacks;
+  runtime : Runtime.t;
   config : config;
   (* background *)
   pkt_bits : int;
@@ -148,10 +107,25 @@ let trace_path compiled ~flow ~entry =
       | Deliver -> (List.rev hops, delay, survive)
       | To id -> (
         match Compiled.node compiled id with
-        | Station { capacity_bits; rate_bps; next } ->
-          walk next
-            ({ hop_id = id; hop_rate_bps = rate_bps; hop_cap_bits = capacity_bits } :: hops)
-            delay survive (steps + 1)
+        | Station { capacity_bits; rate_bps; discipline = Fifo; next } ->
+          let hop =
+            {
+              hop_id = id;
+              hop_rate_bps = rate_bps;
+              hop_cap_bits = capacity_bits;
+              fq_bits = 0.0;
+              bg_depart_bps = 0.0;
+              fg_bits_acc = 0;
+              fg_rate_bps = 0.0;
+            }
+          in
+          walk next (hop :: hops) delay survive (steps + 1)
+        | Station { discipline = (Arq _ | Red | Codel) as d; _ } ->
+          invalid_arg
+            (Format.asprintf
+               "Fluid.build: background path crosses node %d, a %a station; the fluid \
+                population models FIFO stations only"
+               id Topology.pp_discipline d)
         | Delay { seconds; next } -> walk next hops (delay +. seconds) survive (steps + 1)
         | Loss { rate; next } -> walk next hops delay (survive *. (1.0 -. rate)) (steps + 1)
         | Jitter { seconds; probability; next } ->
@@ -172,158 +146,35 @@ let trace_path compiled ~flow ~entry =
   in
   walk entry [] 0.0 1.0 0
 
-(* --- foreground packet interpreter (mirrors Runtime bit for bit when
-   the fluid terms are zero) --- *)
+(* --- the coupling ---
 
-let drop t ~node_id ~reason pkt = t.cb.on_drop ~node_id ~reason pkt
+   What a coupled station's foreground packets see of the fluid: the
+   tail-drop admission test charges the fluid backlog against free buffer
+   space, a packet entering service first waits out the fluid backlog at
+   the full line rate, and service runs at the residual rate the
+   background departure process leaves. Both service terms are exactly
+   zero when the population is empty, collapsing the expression to
+   Runtime's own [bits / rate]. *)
 
-let station t id =
-  match t.states.(id) with
-  | SStation s -> s
-  | SGate _ | SEither _ | SMultipath _ | SStateless -> assert false
-
-(* Fluid bits currently charged against a station's tail-drop headroom. *)
-let fluid_headroom_bits s = if s.on_path then int_of_float (Float.ceil s.fq_bits) else 0
-
-let rec arrive t link pkt =
-  match (link : Compiled.link) with
-  | Deliver -> t.cb.deliver pkt.Packet.flow pkt
-  | To id -> (
-    match Compiled.node t.compiled id with
-    | Station { capacity_bits; rate_bps; next } ->
-      station_arrive t id capacity_bits rate_bps next pkt
-    | Delay { seconds; next } ->
-      let prio = Evprio.arrival pkt.Packet.flow in
-      ignore (Engine.schedule_after ~prio t.engine ~delay:seconds (fun () -> arrive t next pkt))
-    | Loss { rate; next } ->
-      if Rng.bernoulli t.rngs.(id) ~p:rate then drop t ~node_id:id ~reason:Stochastic_loss pkt
-      else arrive t next pkt
-    | Jitter { seconds; probability; next } ->
-      if Rng.bernoulli t.rngs.(id) ~p:probability then begin
-        let prio = Evprio.arrival pkt.Packet.flow in
-        ignore (Engine.schedule_after ~prio t.engine ~delay:seconds (fun () -> arrive t next pkt))
-      end
-      else arrive t next pkt
-    | Gate { kind = _; next } -> (
-      match t.states.(id) with
-      | SGate g ->
-        if g.connected then arrive t next pkt else drop t ~node_id:id ~reason:Gate_closed pkt
-      | SStation _ | SEither _ | SMultipath _ | SStateless -> assert false)
-    | Either { first; second; _ } -> (
-      match t.states.(id) with
-      | SEither e -> arrive t (if e.on_first then first else second) pkt
-      | SStation _ | SGate _ | SMultipath _ | SStateless -> assert false)
-    | Divert { routes; otherwise } ->
-      let rec route = function
-        | [] -> arrive t otherwise pkt
-        | (flow, target) :: rest ->
-          if Flow.equal flow pkt.Packet.flow then arrive t target pkt else route rest
-      in
-      route routes
-    | Multipath { policy; first; second } -> (
-      match t.states.(id), policy with
-      | SMultipath m, `Round_robin ->
-        let target = if m.next_first then first else second in
-        m.next_first <- not m.next_first;
-        arrive t target pkt
-      | SMultipath _, `Random p ->
-        arrive t (if Rng.bernoulli t.rngs.(id) ~p then first else second) pkt
-      | (SStation _ | SGate _ | SEither _ | SStateless), _ -> assert false))
-
-and station_arrive t id capacity_bits rate_bps next pkt =
-  let s = station t id in
-  s.fg_bits_acc <- s.fg_bits_acc + pkt.Packet.bits;
-  if (not s.busy) && Queue.is_empty s.queue then start_service t id s rate_bps next pkt
-  else begin
-    let fits =
-      match capacity_bits with
-      | None -> true
-      | Some cap -> s.queued_bits + pkt.Packet.bits + fluid_headroom_bits s <= cap
-    in
-    if fits then begin
-      Queue.push pkt s.queue;
-      s.queued_bits <- s.queued_bits + pkt.Packet.bits
-    end
-    else drop t ~node_id:id ~reason:Tail_drop pkt
-  end
-
-and start_service t id s rate_bps next pkt =
-  s.busy <- true;
-  (* Residual capacity: the background departure process occupies its
-     share of the wire; the fluid backlog ahead of a packet entering an
-     idle station is waited out at the full line rate. Both terms are
-     exactly zero when the population is empty, collapsing the expression
-     to the direct runtime's [bits / rate]. *)
-  let fg_rate =
-    if s.on_path && s.bg_depart_bps > 0.0 then
-      Float.max (rate_bps -. s.bg_depart_bps) (0.01 *. rate_bps)
-    else rate_bps
-  in
-  let fluid_wait = if s.on_path && s.fq_bits > 0.0 then s.fq_bits /. rate_bps else 0.0 in
-  let service_time = fluid_wait +. (float_of_int pkt.Packet.bits /. fg_rate) in
-  let complete () =
-    s.busy <- false;
-    let () =
-      match Queue.take_opt s.queue with
-      | None -> ()
-      | Some head ->
-        s.queued_bits <- s.queued_bits - head.Packet.bits;
-        start_service t id s rate_bps next head
-    in
-    arrive t next pkt
-  in
-  ignore (Engine.schedule_after ~prio:Evprio.service_complete t.engine ~delay:service_time complete)
-
-let start_gate t id kind =
-  match t.states.(id) with
-  | SGate g -> (
-    match (kind : Compiled.gate_kind) with
-    | Memoryless { mean_time_to_switch; _ } ->
-      let rec toggle () =
-        g.connected <- not g.connected;
-        schedule_next ()
-      and schedule_next () =
-        let delay = Rng.exponential t.rngs.(id) ~mean:mean_time_to_switch in
-        ignore (Engine.schedule_after ~prio:Evprio.gate_toggle t.engine ~delay toggle)
-      in
-      schedule_next ()
-    | Periodic { interval; _ } ->
-      let rec toggle k () =
-        g.connected <- not g.connected;
-        schedule_next (k + 1)
-      and schedule_next k =
-        ignore
-          (Engine.schedule ~prio:Evprio.gate_toggle t.engine ~at:(float_of_int k *. interval)
-             (toggle k))
-      in
-      schedule_next 1)
-  | SStation _ | SEither _ | SMultipath _ | SStateless -> assert false
-
-let start_either t id mean_time_to_switch =
-  match t.states.(id) with
-  | SEither e ->
-    let rec toggle () =
-      e.on_first <- not e.on_first;
-      schedule_next ()
-    and schedule_next () =
-      let delay = Rng.exponential t.rngs.(id) ~mean:mean_time_to_switch in
-      ignore (Engine.schedule_after ~prio:Evprio.gate_toggle t.engine ~delay toggle)
-    in
-    schedule_next ()
-  | SStation _ | SGate _ | SMultipath _ | SStateless -> assert false
-
-let start_pinger t (p : Compiled.pinger) =
-  let prio = Evprio.arrival p.flow in
-  let rec emit k () =
-    let pkt = Packet.make ~bits:p.size_bits ~flow:p.flow ~seq:k ~sent_at:(Engine.now t.engine) () in
-    arrive t p.entry pkt;
-    schedule_next (k + 1)
-  and schedule_next k =
-    ignore (Engine.schedule ~prio t.engine ~at:(float_of_int k /. p.rate_pps) (emit k))
-  in
-  schedule_next 0
+let coupling hop =
+  {
+    Runtime.arrived = (fun bits -> hop.fg_bits_acc <- hop.fg_bits_acc + bits);
+    held_bits = (fun () -> int_of_float (Float.ceil hop.fq_bits));
+    service_time =
+      (fun ~bits ~rate_bps ->
+        let fg_rate =
+          if hop.bg_depart_bps > 0.0 then
+            Float.max (rate_bps -. hop.bg_depart_bps) (0.01 *. rate_bps)
+          else rate_bps
+        in
+        let fluid_wait = if hop.fq_bits > 0.0 then hop.fq_bits /. rate_bps else 0.0 in
+        fluid_wait +. (float_of_int bits /. fg_rate));
+  }
 
 (* --- the integrator --- *)
+
+(* Foreground packet bits queued at a hop's station. *)
+let fg_queue_bits t hop = Runtime.queue_bits t.runtime ~node_id:hop.hop_id
 
 (* One fixed step: EWMA the foreground rates, read the population RTT off
    the queues, form the exact aggregate offered rate, thin it hop by hop
@@ -334,28 +185,26 @@ let start_pinger t (p : Compiled.pinger) =
    whole run; the per-hop iterator closures must stay allocation-free. *)
 let tick t =
   (* The integrator phase of the hybrid backend, attributed separately
-     from the packet-mirror phase (see [inject]). *)
+     from the packet phase (see [inject]). *)
   Utc_obs.Metrics.span ~name:"fluid.tick" ~now:(fun () -> Engine.now t.engine) @@ fun () ->
   let cfg = t.config in
   let dt = cfg.dt in
   (* foreground arrival rates *)
   List.iter
     (fun hop ->
-      let s = station t hop.hop_id in
-      let sample = float_of_int s.fg_bits_acc /. dt in
-      s.fg_bits_acc <- 0;
-      s.fg_rate_bps <-
+      let sample = float_of_int hop.fg_bits_acc /. dt in
+      hop.fg_bits_acc <- 0;
+      hop.fg_rate_bps <-
         (if t.steps = 0 then sample
-         else ((1.0 -. cfg.fg_smoothing) *. s.fg_rate_bps) +. (cfg.fg_smoothing *. sample)))
+         else ((1.0 -. cfg.fg_smoothing) *. hop.fg_rate_bps) +. (cfg.fg_smoothing *. sample)))
     t.hops;
   (* population RTT: propagation + queueing (fluid and foreground bits)
      + per-hop transmission time *)
   let rtt =
     List.fold_left
       (fun acc hop ->
-        let s = station t hop.hop_id in
         acc
-        +. ((s.fq_bits +. float_of_int s.queued_bits +. float_of_int t.pkt_bits)
+        +. ((hop.fq_bits +. float_of_int (fg_queue_bits t hop) +. float_of_int t.pkt_bits)
             /. hop.hop_rate_bps))
       (cfg.rtt_floor +. t.base_delay)
       t.hops
@@ -380,20 +229,17 @@ let tick t =
   let rate_in = ref offered_bps in
   List.iter
     (fun hop ->
-      let s = station t hop.hop_id in
-      let resid = Float.max (hop.hop_rate_bps -. s.fg_rate_bps) (0.05 *. hop.hop_rate_bps) in
+      let resid = Float.max (hop.hop_rate_bps -. hop.fg_rate_bps) (0.05 *. hop.hop_rate_bps) in
       let arr = !rate_in in
-      let depart = Float.min resid (arr +. (s.fq_bits /. dt)) in
-      let fq' = Float.max 0.0 (s.fq_bits +. ((arr -. depart) *. dt)) in
+      let depart = Float.min resid (arr +. (hop.fq_bits /. dt)) in
+      let fq' = Float.max 0.0 (hop.fq_bits +. ((arr -. depart) *. dt)) in
       let headroom =
         match hop.hop_cap_bits with
         | None -> Float.infinity
-        | Some cap -> Float.max 0.0 (float_of_int cap -. float_of_int s.queued_bits)
+        | Some cap -> Float.max 0.0 (float_of_int cap -. float_of_int (fg_queue_bits t hop))
       in
-      let fq'', lost = if fq' > headroom then (headroom, fq' -. headroom) else (fq', 0.0) in
-      s.fq_bits <- fq'';
-      s.bg_depart_bps <- depart;
-      s.bg_loss <- (if arr *. dt > 0.0 then Float.min 1.0 (lost /. (arr *. dt)) else 0.0);
+      hop.fq_bits <- Float.min fq' headroom;
+      hop.bg_depart_bps <- depart;
       rate_in := depart)
     t.hops;
   let goodput_bps = !rate_in *. t.survive in
@@ -459,34 +305,8 @@ let build ?(config = default_config) engine compiled cb ~(background : populatio
       invalid_arg "Fluid.build: background population flow has no Endpoint source"
   in
   let hops, base_delay, survive = trace_path compiled ~flow:background.pop_flow ~entry in
-  let count = Compiled.node_count compiled in
-  let states =
-    Array.init count (fun id ->
-        match Compiled.node compiled id with
-        | Station _ ->
-          SStation
-            {
-              queue = Queue.create ();
-              queued_bits = 0;
-              busy = false;
-              on_path = false;
-              fq_bits = 0.0;
-              bg_depart_bps = 0.0;
-              bg_loss = 0.0;
-              fg_bits_acc = 0;
-              fg_rate_bps = 0.0;
-            }
-        | Gate { kind = Memoryless { initially_connected; _ }; _ }
-        | Gate { kind = Periodic { initially_connected; _ }; _ } ->
-          SGate { connected = initially_connected }
-        | Either { initially_first; _ } -> SEither { on_first = initially_first }
-        | Multipath _ -> SMultipath { next_first = true }
-        | Delay _ | Loss _ | Jitter _ | Divert _ -> SStateless)
-  in
-  (* Identical RNG split order to Runtime.build, so the foreground packet
-     trajectory is bit-for-bit the direct backend's at zero background. *)
-  let root = Engine.rng engine in
-  let rngs = Array.init count (fun _ -> Rng.split root) in
+  let runtime = Runtime.build engine compiled cb in
+  List.iter (fun hop -> Runtime.couple runtime ~node_id:hop.hop_id (coupling hop)) hops;
   let classes =
     Array.of_list
       (List.map
@@ -497,10 +317,7 @@ let build ?(config = default_config) engine compiled cb ~(background : populatio
   let t =
     {
       engine;
-      compiled;
-      states;
-      rngs;
-      cb;
+      runtime;
       config;
       pkt_bits = background.pkt_bits;
       total_flows;
@@ -516,35 +333,22 @@ let build ?(config = default_config) engine compiled cb ~(background : populatio
       last_goodput_bps = 0.0;
     }
   in
-  List.iter
-    (fun hop ->
-      let s = station t hop.hop_id in
-      s.on_path <- true)
-    t.hops;
-  Array.iteri
-    (fun id n ->
-      match (n : Compiled.node) with
-      | Gate { kind; _ } -> start_gate t id kind
-      | Either { mean_time_to_switch; _ } -> start_either t id mean_time_to_switch
-      | Station _ | Delay _ | Loss _ | Jitter _ | Divert _ | Multipath _ -> ())
-    compiled.Compiled.nodes;
-  List.iter (start_pinger t) compiled.Compiled.pingers;
   (* An empty population schedules no ticks: the engine's event stream is
      then exactly the direct runtime's. *)
   if total_flows > 0 then start_ticks t;
   t
 
 let inject t flow pkt =
-  (* The packet-mirror phase: the synchronous part of a foreground
-     packet's walk (later hops continue via scheduled arrivals). *)
+  (* The packet phase: the synchronous part of a foreground packet's walk
+     through Runtime (later hops continue via scheduled arrivals). *)
   Utc_obs.Metrics.span ~name:"fluid.inject"
     ~now:(fun () -> Engine.now t.engine)
-    (fun () -> arrive t (Compiled.entry t.compiled flow) pkt)
-let compiled t = t.compiled
+    (fun () -> Runtime.inject t.runtime flow pkt)
+
+let runtime t = t.runtime
 let background_flows t = t.total_flows
 let steps t = t.steps
 let path_stations t = List.map (fun hop -> hop.hop_id) t.hops
-let fg_queue_bits t ~node_id = (station t node_id).queued_bits
 
 type agg = {
   at : float;
@@ -574,7 +378,7 @@ let sample t =
     delivered_bits = t.delivered_bits;
     loss_prob = t.last_loss_prob;
     rtt = t.last_rtt;
-    queue_bits = List.map (fun hop -> (hop.hop_id, (station t hop.hop_id).fq_bits)) t.hops;
+    queue_bits = List.map (fun hop -> (hop.hop_id, hop.fq_bits)) t.hops;
   }
 
 let class_states t = Array.to_list (Array.map (fun c -> (c.n_flows, c.w_fix)) t.classes)

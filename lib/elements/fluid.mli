@@ -1,35 +1,37 @@
-(** Mean-field fluid interpreter: the third backend over the element AST.
+(** Mean-field fluid backend: a fluid background population coupled to
+    packet-accurate foreground traffic.
 
-    The direct runtime ([Utc_elements.Runtime]) executes every packet of
-    every flow; the belief-state interpreter ([Utc_model]) forks on
-    nondeterminism. Both cap out at hundreds of senders. This backend
-    follows the mean-field limit of interacting TCP populations (McDonald
-    & Reynier; Graham, Robert & Verloop): a large {e background}
-    population of AIMD flows evolves as per-class aggregate window/rate
-    state driven by a fixed-step deterministic integrator, while a
-    handful of {e foreground} sources stay packet-accurate against the
-    aggregate queue process.
+    The direct runtime ({!Runtime}) executes every packet of every flow;
+    the belief-state interpreter ([Utc_model]) forks on nondeterminism.
+    Both cap out at hundreds of senders. This backend follows the
+    mean-field limit of interacting TCP populations (McDonald & Reynier;
+    Graham, Robert & Verloop): a large {e background} population of AIMD
+    flows evolves as per-class aggregate window/rate state driven by a
+    fixed-step deterministic integrator, while a handful of
+    {e foreground} sources stay packet-accurate: their packets run
+    through {!Runtime}, over the same compiled network.
 
     {2 Hybrid coupling}
 
     Background and foreground meet at the stations of the background
-    path, through the queue-occupancy / loss-probability interface:
+    path. Each such station is coupled ({!Runtime.couple}) through three
+    terms:
 
-    - foreground packets see the fluid backlog: the tail-drop admission
-      test charges the station's fluid queue against its capacity, a
-      packet entering an idle station waits out the fluid backlog
-      ([q_fluid / rate]), and service runs at the residual rate left by
-      the background departure process;
-    - the background sees the foreground: each station's measured
-      foreground arrival rate (EWMA over integrator steps) is subtracted
-      from the capacity available to the fluid population, and real
-      foreground queue bits consume tail-drop headroom and add queueing
-      delay to the population RTT.
+    - the station reports each foreground packet's bits to the
+      integrator, which keeps an EWMA foreground arrival rate per station
+      and subtracts it from the capacity available to the population;
+    - the admission test charges the station's fluid backlog against its
+      free buffer space;
+    - a packet entering service first waits out the fluid backlog
+      ([q_fluid / rate]), then is served at the residual rate the
+      background departure process leaves.
+
+    The background also sees the real foreground queue bits: they consume
+    tail-drop headroom and add queueing delay to the population RTT.
 
     Every coupling term vanishes when the population is empty, so with
-    zero background flows this interpreter degenerates to the direct
-    runtime {e bit for bit} (same per-node RNG split order, same event
-    priorities, same float expressions on the packet path).
+    zero background flows this backend is the direct runtime {e bit for
+    bit}.
 
     {2 Determinism}
 
@@ -44,30 +46,12 @@
 
     {2 Scope (v1)}
 
-    The background path may traverse [Station], [Delay], [Loss],
-    [Jitter] (as its mean extra delay) and [Divert] elements;
-    [Gate]/[Either]/[Multipath] on the {e background} path are rejected
-    at build time. Foreground packets support the full element language,
-    exactly as the direct runtime does. Fault overrides
-    ([set_rate_override]) are not available on this backend. *)
-
-type drop_reason =
-  | Tail_drop
-  | Stochastic_loss
-  | Gate_closed
-
-val pp_drop_reason : Format.formatter -> drop_reason -> unit
-
-type callbacks = {
-  deliver : Flow.t -> Packet.t -> unit;
-  on_drop : node_id:int -> reason:drop_reason -> Packet.t -> unit;
-}
-
-val callbacks :
-  ?deliver:(Flow.t -> Packet.t -> unit) ->
-  ?on_drop:(node_id:int -> reason:drop_reason -> Packet.t -> unit) ->
-  unit ->
-  callbacks
+    The background path may traverse FIFO [Station], [Delay], [Loss],
+    [Jitter] (as its mean extra delay) and [Divert] elements; ARQ, RED
+    and CoDel stations and [Gate]/[Either]/[Multipath] on the
+    {e background} path are rejected at build time. Foreground packets
+    support the full element language, exactly as the direct runtime
+    does. *)
 
 (** {1 The background population} *)
 
@@ -77,7 +61,7 @@ type pop_class = {
 }
 
 type population = {
-  pop_flow : Flow.t;
+  pop_flow : Utc_net.Flow.t;
       (** Endpoint whose compiled entry the population traverses. *)
   pkt_bits : int;  (** Background segment size. *)
   pop_classes : pop_class list;
@@ -96,12 +80,12 @@ val population :
   ?pkt_bits:int ->
   ?classes:int ->
   ?init_window_pkts:float ->
-  flow:Flow.t ->
+  flow:Utc_net.Flow.t ->
   flows:int ->
   unit ->
   population
 (** Homogeneous population of [flows] flows balanced over [classes]
-    (default 1) equal classes, packet size {!Packet.default_bits},
+    (default 1) equal classes, packet size {!Utc_net.Packet.default_bits},
     initial window 1 packet. *)
 
 (** {1 Integrator configuration} *)
@@ -124,19 +108,26 @@ val default_config : config
 type t
 
 val build :
-  ?config:config -> Utc_sim.Engine.t -> Compiled.t -> callbacks -> background:population -> t
-(** Walks the background path from the population's entry, allocates
-    hybrid station state, seeds the integrator and schedules its ticks
-    (none when the population is empty). Raises [Invalid_argument] if
-    the population flow has no [Endpoint] entry, a population bound is
+  ?config:config ->
+  Utc_sim.Engine.t ->
+  Utc_net.Compiled.t ->
+  Runtime.callbacks ->
+  background:population ->
+  t
+(** Walks the background path from the population's entry, builds the
+    {!Runtime} for the foreground, couples each background-path station
+    to the integrator, seeds the integrator and schedules its ticks (none
+    when the population is empty). Raises [Invalid_argument] if the
+    population flow has no [Endpoint] entry, a population bound is
     exceeded, [dt <= 0], or the background path crosses an unsupported
-    element. *)
+    element (the message names a non-FIFO station's node). *)
 
-val inject : t -> Flow.t -> Packet.t -> unit
-(** Inject a foreground packet at the entry of [flow], exactly as
-    {!Utc_elements.Runtime.inject} does on the direct backend. *)
+val inject : t -> Utc_net.Flow.t -> Utc_net.Packet.t -> unit
+(** {!Runtime.inject} on the foreground runtime, under the
+    [fluid.inject] profiler span. *)
 
-val compiled : t -> Compiled.t
+val runtime : t -> Runtime.t
+(** The runtime carrying the foreground packets. *)
 
 (** {1 Aggregate observables} *)
 
@@ -161,9 +152,6 @@ val steps : t -> int  (** Integrator ticks executed so far. *)
 
 val path_stations : t -> int list
 (** Node ids of the stations on the background path, in path order. *)
-
-val fg_queue_bits : t -> node_id:int -> int
-(** Foreground (packet) bits queued at a station. *)
 
 (** {1 Fixed-point introspection (tests)} *)
 

@@ -30,10 +30,47 @@ let callbacks ?deliver ?on_drop ?on_queue () =
     on_queue = Option.value on_queue ~default:(fun ~node_id:_ ~bits:_ ~packets:_ -> ());
   }
 
+type coupling = {
+  arrived : int -> unit;
+  held_bits : unit -> int;
+  service_time : bits:int -> rate_bps:float -> float;
+}
+
+(* ARQ (link-layer retransmission): [abandoned] marks the packet in
+   service as lost after [arq_max_tries] failed attempts. *)
+type arq_state = {
+  try_loss : float;
+  per_try_overhead : float;
+  mutable abandoned : bool;
+}
+
+type red_state = {
+  mutable avg_bits : float;
+  mutable since_last_drop : int; (* RED's "count" for spacing early drops *)
+  mutable idle_since : float; (* when the station last went idle *)
+}
+
+type codel_state = {
+  enqueued_at : float Queue.t; (* arrival times, parallel to the station queue *)
+  mutable first_above_time : float option;
+  mutable dropping : bool;
+  mutable drop_next : float;
+  mutable recent_drops : int; (* "count": drops in the current dropping state *)
+}
+
+type discipline_state =
+  | DFifo
+  | DArq of arq_state
+  | DRed of red_state
+  | DCodel of codel_state
+
 type station_state = {
   queue : Packet.t Queue.t;
   mutable queued_bits : int;
   mutable busy : bool;
+  mutable transmissions : int;
+  disc : discipline_state;
+  mutable coupling : coupling option;
 }
 
 type nstate =
@@ -87,6 +124,139 @@ let note_queue t ~node_id ~bits ~packets =
   Utc_obs.Metrics.observe queue_bits_h (float_of_int bits);
   t.cb.on_queue ~node_id ~bits ~packets
 
+(* --- station disciplines --- *)
+
+let held_bits s =
+  match s.coupling with
+  | Some c -> c.held_bits ()
+  | None -> 0
+
+let arq_max_tries = 100
+
+(* Attempts until the first success; after [arq_max_tries] failures the
+   packet still occupies the link for every attempt, then is lost. *)
+let arq_tries t id a =
+  let rec attempt n =
+    if n > arq_max_tries then begin
+      a.abandoned <- true;
+      arq_max_tries
+    end
+    else if Rng.bernoulli t.rngs.(id) ~p:a.try_loss then attempt (n + 1)
+    else n
+  in
+  attempt 1
+
+let take_abandoned s =
+  match s.disc with
+  | DArq a when a.abandoned ->
+    a.abandoned <- false;
+    true
+  | DArq _ | DFifo | DRed _ | DCodel _ -> false
+
+let red_weight = 0.002
+let red_max_probability = 0.1
+
+(* RED's arrival test: update the averaged queue, then tail-drop, drop
+   above the upper threshold (75 % of capacity), or drop between the
+   thresholds with a probability that rises with the average and with
+   the count of packets since the last drop. *)
+let red_rejects t id s capacity_bits rate_bps pkt =
+  match s.disc, capacity_bits with
+  | DRed r, Some cap ->
+    let occupancy = s.queued_bits in
+    (* While the station was idle the average decays as if empty packets
+       had been transmitted: the idle period over the mean transmission
+       time. *)
+    if not s.busy then begin
+      let mean_tx = float_of_int Packet.default_bits /. rate_bps in
+      let m = (Engine.now t.engine -. r.idle_since) /. mean_tx in
+      r.avg_bits <- r.avg_bits *. ((1.0 -. red_weight) ** m)
+    end
+    else
+      r.avg_bits <- ((1.0 -. red_weight) *. r.avg_bits) +. (red_weight *. float_of_int occupancy);
+    let min_threshold = cap / 4 and max_threshold = cap * 3 / 4 in
+    if occupancy + pkt.Packet.bits > cap then true
+    else if r.avg_bits >= float_of_int max_threshold then begin
+      r.since_last_drop <- 0;
+      true
+    end
+    else if r.avg_bits > float_of_int min_threshold then begin
+      r.since_last_drop <- r.since_last_drop + 1;
+      let span = float_of_int (max_threshold - min_threshold) in
+      let base = red_max_probability *. ((r.avg_bits -. float_of_int min_threshold) /. span) in
+      let scaled = base /. Float.max 1e-9 (1.0 -. (float_of_int r.since_last_drop *. base)) in
+      let p = Float.min 1.0 (Float.max 0.0 scaled) in
+      if Rng.bernoulli t.rngs.(id) ~p then begin
+        r.since_last_drop <- 0;
+        true
+      end
+      else false
+    end
+    else begin
+      r.since_last_drop <- -1;
+      false
+    end
+  | (DFifo | DArq _ | DRed _ | DCodel _), _ -> false
+
+let went_idle t s =
+  match s.disc with
+  | DRed r -> r.idle_since <- Engine.now t.engine
+  | DFifo | DArq _ | DCodel _ -> ()
+
+let codel_target = 0.005
+let codel_interval = 0.1
+let codel_control_law count = codel_interval /. sqrt (float_of_int count)
+
+(* A packet reaching an idle station has zero sojourn, which resets
+   CoDel's above-target clock. *)
+let codel_idle_arrival s =
+  match s.disc with
+  | DCodel c ->
+    c.first_above_time <- None;
+    c.dropping <- false
+  | DFifo | DArq _ | DRed _ -> ()
+
+let codel_stamp t s =
+  match s.disc with
+  | DCodel c -> Queue.push (Engine.now t.engine) c.enqueued_at
+  | DFifo | DArq _ | DRed _ -> ()
+
+(* CoDel's dequeue test for the head just taken, per the pseudocode: a
+   sojourn below target (or a nearly empty queue) resets the above-target
+   clock; staying above target for a full interval enters the dropping
+   state, whose drops accelerate with their count. *)
+let codel_drops t s =
+  match s.disc with
+  | DCodel c -> (
+    let now = Engine.now t.engine in
+    let sojourn = now -. Queue.take c.enqueued_at in
+    if sojourn < codel_target || s.queued_bits <= Packet.default_bits then begin
+      c.first_above_time <- None;
+      c.dropping <- false;
+      false
+    end
+    else
+      match c.first_above_time with
+      | None ->
+        c.first_above_time <- Some (now +. codel_interval);
+        false
+      | Some first_above ->
+        if c.dropping then
+          if now >= c.drop_next then begin
+            c.recent_drops <- c.recent_drops + 1;
+            c.drop_next <- now +. codel_control_law c.recent_drops;
+            true
+          end
+          else false
+        else if now >= first_above then begin
+          c.dropping <- true;
+          c.recent_drops <- 1;
+          c.drop_next <- now +. codel_control_law 1;
+          true
+        end
+        else false)
+  | DFifo | DArq _ | DRed _ -> false
+
 (* Packet arrivals are processed synchronously: an event at time t whose
    consequence is an arrival elsewhere at the same t continues inline, so
    the canonical order of Evprio only has to arbitrate between events that
@@ -97,7 +267,8 @@ let rec arrive t link pkt =
   | Deliver -> t.cb.deliver pkt.Packet.flow pkt
   | To id -> (
     match Compiled.node t.compiled id with
-    | Station { capacity_bits; rate_bps; next } -> station_arrive t id capacity_bits rate_bps next pkt
+    | Station { capacity_bits; rate_bps; discipline = _; next } ->
+      station_arrive t id capacity_bits rate_bps next pkt
     | Delay { seconds; next } ->
       let prio = Evprio.arrival pkt.Packet.flow in
       ignore (Engine.schedule_after ~prio t.engine ~delay:seconds (fun () -> arrive t next pkt))
@@ -139,16 +310,24 @@ let rec arrive t link pkt =
 and station_arrive t id capacity_bits rate_bps next pkt =
   match t.states.(id) with
   | SStation s ->
-    if (not s.busy) && Queue.is_empty s.queue then start_service t id s rate_bps next pkt
+    (match s.coupling with
+    | Some c -> c.arrived pkt.Packet.bits
+    | None -> ());
+    if red_rejects t id s capacity_bits rate_bps pkt then drop t ~node_id:id ~reason:Tail_drop pkt
+    else if (not s.busy) && Queue.is_empty s.queue then begin
+      codel_idle_arrival s;
+      start_service t id s rate_bps next pkt
+    end
     else begin
       let fits =
         match capacity_bits with
         | None -> true
-        | Some cap -> s.queued_bits + pkt.Packet.bits <= cap
+        | Some cap -> s.queued_bits + pkt.Packet.bits + held_bits s <= cap
       in
       if fits then begin
         Queue.push pkt s.queue;
         s.queued_bits <- s.queued_bits + pkt.Packet.bits;
+        codel_stamp t s;
         note_queue t ~node_id:id ~bits:s.queued_bits ~packets:(Queue.length s.queue)
       end
       else drop t ~node_id:id ~reason:Tail_drop pkt
@@ -157,7 +336,20 @@ and station_arrive t id capacity_bits rate_bps next pkt =
 
 and start_service t id s rate_bps next pkt =
   s.busy <- true;
-  let service_time = float_of_int pkt.Packet.bits /. effective_rate t id rate_bps in
+  let tries =
+    match s.disc with
+    | DArq a -> arq_tries t id a
+    | DFifo | DRed _ | DCodel _ -> 1
+  in
+  s.transmissions <- s.transmissions + tries;
+  let rate = effective_rate t id rate_bps in
+  let service_time =
+    match s.disc, s.coupling with
+    | DArq a, _ ->
+      float_of_int tries *. ((float_of_int pkt.Packet.bits /. rate) +. a.per_try_overhead)
+    | (DFifo | DRed _ | DCodel _), None -> float_of_int pkt.Packet.bits /. rate
+    | (DFifo | DRed _ | DCodel _), Some c -> c.service_time ~bits:pkt.Packet.bits ~rate_bps:rate
+  in
   (* On completion the next service starts BEFORE the served packet is
      forwarded: forwarding can reach a receiver whose sender synchronously
      injects a new packet back into this station, and that packet must see
@@ -165,17 +357,24 @@ and start_service t id s rate_bps next pkt =
      order. *)
   let complete () =
     s.busy <- false;
-    let () =
-      match Queue.take_opt s.queue with
-      | None -> ()
-      | Some head ->
-        s.queued_bits <- s.queued_bits - head.Packet.bits;
-        note_queue t ~node_id:id ~bits:s.queued_bits ~packets:(Queue.length s.queue);
-        start_service t id s rate_bps next head
-    in
-    arrive t next pkt
+    let lost = take_abandoned s in
+    serve_next t id s rate_bps next;
+    if lost then drop t ~node_id:id ~reason:Stochastic_loss pkt else arrive t next pkt
   in
   ignore (Engine.schedule_after ~prio:Evprio.service_complete t.engine ~delay:service_time complete)
+
+(* Take the queue head into service; CoDel may drop heads first. *)
+and serve_next t id s rate_bps next =
+  match Queue.take_opt s.queue with
+  | None -> went_idle t s
+  | Some head ->
+    s.queued_bits <- s.queued_bits - head.Packet.bits;
+    note_queue t ~node_id:id ~bits:s.queued_bits ~packets:(Queue.length s.queue);
+    if codel_drops t s then begin
+      drop t ~node_id:id ~reason:Tail_drop head;
+      serve_next t id s rate_bps next
+    end
+    else start_service t id s rate_bps next head
 
 let start_gate t id kind =
   match t.states.(id) with
@@ -236,7 +435,32 @@ let build engine compiled cb =
   let states =
     Array.init count (fun id ->
         match Compiled.node compiled id with
-        | Station _ -> SStation { queue = Queue.create (); queued_bits = 0; busy = false }
+        | Station { discipline; _ } ->
+          let disc =
+            match (discipline : Topology.discipline) with
+            | Fifo -> DFifo
+            | Arq { try_loss; per_try_overhead } ->
+              DArq { try_loss; per_try_overhead; abandoned = false }
+            | Red -> DRed { avg_bits = 0.0; since_last_drop = -1; idle_since = 0.0 }
+            | Codel ->
+              DCodel
+                {
+                  enqueued_at = Queue.create ();
+                  first_above_time = None;
+                  dropping = false;
+                  drop_next = 0.0;
+                  recent_drops = 0;
+                }
+          in
+          SStation
+            {
+              queue = Queue.create ();
+              queued_bits = 0;
+              busy = false;
+              transmissions = 0;
+              disc;
+              coupling = None;
+            }
         | Gate { kind = Memoryless { initially_connected; _ }; _ }
         | Gate { kind = Periodic { initially_connected; _ }; _ } ->
           SGate { connected = initially_connected }
@@ -268,7 +492,6 @@ let build engine compiled cb =
   t
 
 let inject t flow pkt = arrive t (Compiled.entry t.compiled flow) pkt
-let entry_node t flow = { Node.push = (fun pkt -> inject t flow pkt) }
 let compiled t = t.compiled
 
 let set_rate_override t ~node_id rate =
@@ -297,9 +520,16 @@ let station_state t ~node_id =
   | SStation s -> s
   | SGate _ | SEither _ | SMultipath _ | SStateless -> invalid_arg "Runtime: node is not a station"
 
+let couple t ~node_id coupling =
+  let s = station_state t ~node_id in
+  match s.disc with
+  | DFifo -> s.coupling <- Some coupling
+  | DArq _ | DRed _ | DCodel _ -> invalid_arg "Runtime.couple: station is not FIFO"
+
 let queue_bits t ~node_id = (station_state t ~node_id).queued_bits
 let queue_packets t ~node_id = Queue.length (station_state t ~node_id).queue
 let in_service t ~node_id = (station_state t ~node_id).busy
+let transmissions t ~node_id = (station_state t ~node_id).transmissions
 
 let gate_connected t ~node_id =
   match t.states.(node_id) with

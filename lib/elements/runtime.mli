@@ -5,14 +5,22 @@
     stream split off the engine's generator (so adding an element never
     perturbs another's draws). Pingers self-schedule their isochronous
     emissions starting at time 0; gates and [Either] elements self-schedule
-    their switching.
+    their switching. Stations run every
+    {!Utc_net.Topology.discipline}: FIFO, ARQ, RED and CoDel. This is
+    the repository's one packet interpreter of the real network; the
+    mean-field backend ({!Fluid}) drives its foreground packets through
+    it.
 
     Simultaneous events follow the canonical order of {!Utc_net.Evprio},
     which the belief-state interpreter ([Utc_model]) mirrors. *)
 
 type drop_reason =
-  | Tail_drop  (** Arrived at a full station queue. *)
-  | Stochastic_loss  (** Killed by a [Loss] element. *)
+  | Tail_drop
+      (** Dropped by a station's queue management: tail drop at a full
+          queue, and also every RED and CoDel drop. *)
+  | Stochastic_loss
+      (** Killed by a [Loss] element, or abandoned by an ARQ station
+          after its last retransmission failed. *)
   | Gate_closed  (** Arrived at a disconnected gate. *)
 
 val pp_drop_reason : Format.formatter -> drop_reason -> unit
@@ -44,9 +52,6 @@ val inject : t -> Utc_net.Flow.t -> Utc_net.Packet.t -> unit
     engine's current time.
     @raise Not_found if the flow has no endpoint entry. *)
 
-val entry_node : t -> Utc_net.Flow.t -> Node.t
-(** The endpoint entry as a {!Node.t}, for wiring senders. *)
-
 val compiled : t -> Utc_net.Compiled.t
 (** The compiled network this runtime executes. *)
 
@@ -68,6 +73,26 @@ val set_loss_override : t -> node_id:int -> float option -> unit
     @raise Invalid_argument if the node is not a loss element or the
     probability is outside [0, 1]. *)
 
+(** {1 Coupling to a fluid population}
+
+    The hybrid mean-field backend ({!Fluid}) shares a FIFO station
+    between packets and a fluid background through three terms. All
+    three are zero for an uncoupled station. *)
+
+type coupling = {
+  arrived : int -> unit;  (** Called with the bits of every packet arriving at the station. *)
+  held_bits : unit -> int;
+      (** Fluid bits charged against the station's free buffer space. *)
+  service_time : bits:int -> rate_bps:float -> float;
+      (** Service time of a packet entering service at the current
+          (possibly overridden) rate: fluid wait plus the packet at the
+          rate the fluid leaves. Replaces [bits / rate_bps]. *)
+}
+
+val couple : t -> node_id:int -> coupling -> unit
+(** Couple a station; replaces any earlier coupling.
+    @raise Invalid_argument if the node is not a FIFO station. *)
+
 (** {1 Introspection (tests and instrumentation)} *)
 
 val queue_bits : t -> node_id:int -> int
@@ -77,6 +102,10 @@ val queue_bits : t -> node_id:int -> int
 val queue_packets : t -> node_id:int -> int
 
 val in_service : t -> node_id:int -> bool
+
+val transmissions : t -> node_id:int -> int
+(** Transmission attempts a station has started: one per packet served,
+    plus every ARQ retry. *)
 
 val gate_connected : t -> node_id:int -> bool
 (** @raise Invalid_argument if the node is not a gate. *)

@@ -13,7 +13,7 @@ type 'p result = {
 }
 
 let run_family ?(seed = 17) ?(duration = 120.0) ~name ~prior ~model ~truth ~truth_params () =
-  let wall_start = Utc_sim.Wallclock.now () in
+  let wall_start = Utc_obs.Obs_clock.now () in
   let seeds =
     List.map
       (fun (p, w) ->
@@ -60,7 +60,7 @@ let run_family ?(seed = 17) ?(duration = 120.0) ~name ~prior ~model ~truth ~trut
     map_is_truth;
     rejected_updates = Utc_core.Isender.rejected_updates isender;
     late_rate = float_of_int late_sends /. half;
-    wall_seconds = Utc_sim.Wallclock.elapsed_since wall_start;
+    wall_seconds = Utc_obs.Obs_clock.elapsed_since wall_start;
   }
 
 (* --- two chained queues --- *)

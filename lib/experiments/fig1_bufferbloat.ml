@@ -1,5 +1,6 @@
 open Utc_net
 module Engine = Utc_sim.Engine
+module Runtime = Utc_elements.Runtime
 
 type config = {
   rate_bps : float;
@@ -38,26 +39,33 @@ type result = {
 let run config =
   let engine = Engine.create ~seed:config.seed () in
   let sender_cell = ref None in
-  (* Data path: TCP -> ARQ link (deep buffer, hidden radio loss) ->
-     propagation delay -> receiver; ACKs return instantly. *)
-  let to_receiver =
-    Utc_elements.Node.of_fn (fun pkt ->
-        ignore
-          (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine
-             ~delay:config.prop_delay (fun () ->
-               match !sender_cell with
-               | Some sender -> Utc_tcp.Sender.on_delivery sender pkt
-               | None -> ())))
+  (* Data path: TCP -> one ARQ station (deep buffer, hidden radio loss)
+     -> propagation delay -> receiver; ACKs return instantly. The delay
+     lives in the delivery callback: as a [Delay] node it would take the
+     station's place as the first consumer of the engine's generator. *)
+  let truth =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared =
+        Topology.station ~capacity_bits:config.buffer_bits
+          ~discipline:
+            (Arq { try_loss = config.try_loss; per_try_overhead = config.per_try_overhead })
+          ~rate_bps:config.rate_bps ();
+    }
   in
-  let arq =
-    Utc_elements.Arq.create engine ~rate_bps:config.rate_bps ~try_loss:config.try_loss
-      ~per_try_overhead:config.per_try_overhead ~capacity_bits:config.buffer_bits
-      ~next:to_receiver ()
+  let deliver _ pkt =
+    ignore
+      (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine
+         ~delay:config.prop_delay (fun () ->
+           match !sender_cell with
+           | Some sender -> Utc_tcp.Sender.on_delivery sender pkt
+           | None -> ()))
   in
+  let runtime = Runtime.build engine (Compiled.compile_exn truth) (Runtime.callbacks ~deliver ()) in
   let queue_max = ref 0 in
   let inject pkt =
-    (Utc_elements.Arq.node arq).Utc_elements.Node.push pkt;
-    queue_max := Stdlib.max !queue_max (Utc_elements.Arq.queued_bits arq)
+    Runtime.inject runtime Flow.Primary pkt;
+    queue_max := Stdlib.max !queue_max (Runtime.queue_bits runtime ~node_id:0)
   in
   let sender_config = { Utc_tcp.Sender.default_config with make_cc = config.make_cc } in
   let sender = Utc_tcp.Sender.create engine sender_config ~inject in
@@ -71,7 +79,7 @@ let run config =
     delivered = Utc_tcp.Sender.delivered sender;
     retransmissions = Utc_tcp.Sender.retransmissions sender;
     timeouts = Utc_tcp.Sender.timeouts sender;
-    link_transmissions = Utc_elements.Arq.transmissions arq;
+    link_transmissions = Runtime.transmissions runtime ~node_id:0;
     queue_max_bits = !queue_max;
   }
 

@@ -5,9 +5,10 @@
     multiple seconds because the link hides stochastic loss behind link-layer
     retransmission and carries a bufferbloat-sized queue that a TCP
     download keeps full. We reproduce the mechanism in simulation: a Reno
-    download through an ARQ link ({!Utc_elements.Arq}) with a deep
-    tail-drop buffer and a propagation delay, and plot the sender's
-    per-ACK RTT samples over time. *)
+    download through one ARQ station (an [Arq] {!Utc_net.Topology.discipline}
+    run by {!Utc_elements.Runtime}) with a deep tail-drop buffer and a
+    propagation delay, and plot the sender's per-ACK RTT samples over
+    time. *)
 
 type config = {
   rate_bps : float;  (** Link bottleneck rate. *)

@@ -87,7 +87,7 @@ let run_labels () =
   | Some r -> [ ("run", r) ]
 
 let run config =
-  let wall_start = Utc_sim.Wallclock.now () in
+  let wall_start = Utc_obs.Obs_clock.now () in
   let labels = run_labels () in
   let entropy_g = Utc_obs.Metrics.labeled entropy_gf labels in
   let size_g = Utc_obs.Metrics.labeled size_gf labels in
@@ -190,7 +190,7 @@ let run config =
     samples = List.rev !samples;
     final_posterior = Belief.posterior (Utc_core.Isender.belief isender);
     rejected_updates = Utc_core.Isender.rejected_updates isender;
-    wall_seconds = Utc_sim.Wallclock.elapsed_since wall_start;
+    wall_seconds = Utc_obs.Obs_clock.elapsed_since wall_start;
   }
 
 (* Whole runs fan across the pool, so each run journals into a private

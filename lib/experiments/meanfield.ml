@@ -1,5 +1,7 @@
 open Utc_net
 module Engine = Utc_sim.Engine
+module Fluid = Utc_elements.Fluid
+module Runtime = Utc_elements.Runtime
 module Metrics = Utc_obs.Metrics
 module Sink = Utc_obs.Sink
 
@@ -145,27 +147,18 @@ let run ?(config = default_config) () =
       | None -> ())
     | Primary | Cross | Aux _ -> ()
   in
-  let on_drop ~node_id ~reason pkt =
-    (match pkt.Packet.flow with
+  (* Runtime journals the drop itself; this only counts it per flow. *)
+  let on_drop ~node_id:_ ~reason:_ pkt =
+    match pkt.Packet.flow with
     | Flow.Aux i when i >= 0 && i < n -> drop_counts.(i) <- drop_counts.(i) + 1
-    | Flow.Primary | Flow.Cross | Flow.Aux _ -> ());
-    if Sink.enabled () then
-      Sink.record
-        ~flow:(Flow.to_string pkt.Packet.flow)
-        ~at:(Engine.now engine)
-        (Utc_obs.Event.Packet_drop
-           {
-             node = string_of_int node_id;
-             reason = Format.asprintf "%a" Fluid.pp_drop_reason reason;
-             seq = pkt.Packet.seq;
-           })
+    | Flow.Primary | Flow.Cross | Flow.Aux _ -> ()
   in
   let background = Fluid.population ~flow:Flow.Cross ~flows:config.background ~classes:config.classes () in
   let fluid =
     Fluid.build
       ~config:{ Fluid.default_config with dt = config.dt }
       engine compiled
-      (Fluid.callbacks ~deliver ~on_drop ())
+      (Runtime.callbacks ~deliver ~on_drop ())
       ~background
   in
   List.iteri
@@ -189,9 +182,10 @@ let run ?(config = default_config) () =
   ignore
     (Engine.schedule ~prio:sample_prio engine ~at:half_at (fun () ->
          half_delivered := (Fluid.sample fluid).Fluid.delivered_bits));
+  let fg_queue_bits node_id = Runtime.queue_bits (Fluid.runtime fluid) ~node_id in
   let total_queue_bits (agg : Fluid.agg) =
     List.fold_left
-      (fun acc (id, q) -> acc +. q +. float_of_int (Fluid.fg_queue_bits fluid ~node_id:id))
+      (fun acc (id, q) -> acc +. q +. float_of_int (fg_queue_bits id))
       0.0 agg.Fluid.queue_bits
   in
   let rec sample_at k =
@@ -209,7 +203,7 @@ let run ?(config = default_config) () =
                (fun (id, q) ->
                  Metrics.set_gauge
                    (Metrics.labeled (Lazy.force agg_queue_gf) [ ("station", string_of_int id) ])
-                   (q +. float_of_int (Fluid.fg_queue_bits fluid ~node_id:id)))
+                   (q +. float_of_int (fg_queue_bits id)))
                agg.Fluid.queue_bits;
              Metrics.incr (Lazy.force agg_samples_c);
              if at >= half_at then begin
@@ -335,14 +329,14 @@ let packet_truth ?(seed = 1) ?(duration = 120.0) ?(foreground = 0) ~topo ~backgr
   let engine = Engine.create ~seed () in
   let receiver = Utc_core.Receiver.create engine in
   let compiled = Compiled.compile_exn truth_topo in
-  let runtime = Utc_elements.Runtime.build engine compiled (Utc_core.Receiver.callbacks receiver) in
+  let runtime = Runtime.build engine compiled (Utc_core.Receiver.callbacks receiver) in
   let tcps =
     List.map
       (fun flow ->
         let tcp =
           Utc_tcp.Sender.create engine
             { Utc_tcp.Sender.default_config with flow }
-            ~inject:(fun pkt -> Utc_elements.Runtime.inject runtime flow pkt)
+            ~inject:(fun pkt -> Runtime.inject runtime flow pkt)
         in
         Utc_core.Receiver.subscribe receiver flow (fun _ pkt -> Utc_tcp.Sender.on_delivery tcp pkt);
         tcp)
@@ -424,7 +418,7 @@ type bench_row = {
 let bench ?(duration = 60.0) ?(ns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
   List.map
     (fun n ->
-      let started = Utc_sim.Wallclock.now () in
+      let started = Utc_obs.Obs_clock.now () in
       let s =
         run
           ~config:
@@ -433,7 +427,7 @@ let bench ?(duration = 60.0) ?(ns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
       in
       {
         b_n = n;
-        b_wall_s = Utc_sim.Wallclock.elapsed_since started;
+        b_wall_s = Utc_obs.Obs_clock.elapsed_since started;
         b_ticks = s.ticks;
         b_goodput_bps = s.bg_goodput_bps;
       })

@@ -1,7 +1,7 @@
 (** Mean-field experiment: the fluid backend at population scale, plus
     its referee.
 
-    [run] drives {!Utc_net.Fluid}: a background population of AIMD flows
+    [run] drives {!Utc_elements.Fluid}: a background population of AIMD flows
     integrated as aggregate per-class window state, with a handful of
     packet-accurate foreground Reno senders coupled through the shared
     queues. Per-flow foreground accounting is published through the same
@@ -52,7 +52,7 @@ type summary = {
   m_classes : int;
   m_foreground : int;
   m_duration : float;
-  final : Utc_net.Fluid.agg;  (** Aggregate state at the end of the run. *)
+  final : Utc_elements.Fluid.agg;  (** Aggregate state at the end of the run. *)
   bg_goodput_bps : float;
       (** Steady-state background goodput: delivered bits over the second
           half of the run divided by its length. *)

@@ -1,6 +1,6 @@
 module Metrics = Utc_obs.Metrics
 module Sink = Utc_obs.Sink
-module Wallclock = Utc_sim.Wallclock
+module Obs_clock = Utc_obs.Obs_clock
 module Priors = Utc_inference.Priors
 
 type report = {
@@ -23,9 +23,9 @@ type report = {
 }
 
 let timed f =
-  let start = Wallclock.now () in
+  let start = Obs_clock.now () in
   let v = f () in
-  (v, Wallclock.elapsed_since start)
+  (v, Obs_clock.elapsed_since start)
 
 let best_of n f =
   let rec go best k =

@@ -3,7 +3,7 @@ module Belief = Utc_inference.Belief
 module Priors = Utc_inference.Priors
 module Forward = Utc_model.Forward
 module Mstate = Utc_model.Mstate
-module Wallclock = Utc_sim.Wallclock
+module Obs_clock = Utc_obs.Obs_clock
 open Utc_net
 
 type entry = {
@@ -27,9 +27,9 @@ type report = {
 }
 
 let timed f =
-  let start = Wallclock.now () in
+  let start = Obs_clock.now () in
   let v = f () in
-  (v, Wallclock.elapsed_since start)
+  (v, Obs_clock.elapsed_since start)
 
 (* One workload, three schedules. The serial run both sets the reference
    fingerprint and primes the workload's cost handle (per-item cost =

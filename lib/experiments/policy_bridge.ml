@@ -58,7 +58,7 @@ type comparison = {
 }
 
 let run_sender ?decide ~seed ~duration ~alpha () =
-  let wall_start = Utc_sim.Wallclock.now () in
+  let wall_start = Utc_obs.Obs_clock.now () in
   let belief =
     Belief.create
       (Utc_inference.Priors.seeds ~config:Forward.default_config
@@ -93,7 +93,7 @@ let run_sender ?decide ~seed ~duration ~alpha () =
   ( Utc_core.Isender.sent_count isender,
     Utc_core.Receiver.throughput receiver Flow.Primary ~since:0.0 ~until:duration,
     cross_drops,
-    Utc_sim.Wallclock.elapsed_since wall_start )
+    Utc_obs.Obs_clock.elapsed_since wall_start )
 
 let compare_on_fig3 ?(seed = 1) ?(duration = 200.0) ?(alpha = 1.0) () =
   let solution =

@@ -262,21 +262,37 @@ type aqm_row = {
   aqm_drops : int;
 }
 
-let tcp_through ~seed ~duration ~make_station =
+(* Reno through one station of the given discipline at the Figure 1
+   bottleneck, with the propagation delay in the delivery callback as in
+   [Fig1_bufferbloat.run]. *)
+let tcp_through ~seed ~duration ~discipline =
   let engine = Engine.create ~seed () in
   let sender_cell = ref None in
   let prop_delay = 0.03 in
-  let to_receiver =
-    Utc_elements.Node.of_fn (fun pkt ->
-        ignore
-          (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine ~delay:prop_delay
-             (fun () ->
-               match !sender_cell with
-               | Some sender -> Utc_tcp.Sender.on_delivery sender pkt
-               | None -> ())))
+  let truth =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared = Topology.station ~capacity_bits:3_000_000 ~discipline ~rate_bps:1_000_000.0 ();
+    }
   in
-  let station, drops = make_station engine to_receiver in
-  let sender = Utc_tcp.Sender.create engine Utc_tcp.Sender.default_config ~inject:station.Utc_elements.Node.push in
+  let deliver _ pkt =
+    ignore
+      (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine ~delay:prop_delay
+         (fun () ->
+           match !sender_cell with
+           | Some sender -> Utc_tcp.Sender.on_delivery sender pkt
+           | None -> ()))
+  in
+  let drops = ref 0 in
+  let on_drop ~node_id:_ ~reason:_ _ = incr drops in
+  let runtime =
+    Utc_elements.Runtime.build engine (Compiled.compile_exn truth)
+      (Utc_elements.Runtime.callbacks ~deliver ~on_drop ())
+  in
+  let sender =
+    Utc_tcp.Sender.create engine Utc_tcp.Sender.default_config
+      ~inject:(Utc_elements.Runtime.inject runtime Flow.Primary)
+  in
   sender_cell := Some sender;
   Utc_tcp.Sender.start sender;
   Engine.run ~until:duration engine;
@@ -289,40 +305,14 @@ let tcp_through ~seed ~duration ~make_station =
   ( float_of_int (Utc_tcp.Sender.delivered sender * Packet.default_bits) /. duration,
     mean_rtt,
     p95_rtt,
-    drops () )
+    !drops )
 
 let tcp_under_aqm ?(seed = 9) ?(duration = 200.0) () =
-  let rate_bps = 1_000_000.0 in
-  let capacity_bits = 3_000_000 in
-  let taildrop engine next =
-    let arq =
-      Utc_elements.Arq.create engine ~rate_bps ~try_loss:0.0 ~capacity_bits ~next ()
-    in
-    (Utc_elements.Arq.node arq, fun () -> Utc_elements.Arq.drops arq)
-  in
-  let red engine next =
-    let t =
-      Utc_elements.Aqm.red engine ~rate_bps
-        ~params:(Utc_elements.Aqm.default_red ~capacity_bits)
-        ~next ()
-    in
-    (Utc_elements.Aqm.node t, fun () -> Utc_elements.Aqm.drops t)
-  in
-  let codel engine next =
-    let t =
-      Utc_elements.Aqm.codel engine ~rate_bps
-        ~params:(Utc_elements.Aqm.default_codel ~capacity_bits)
-        ~next ()
-    in
-    (Utc_elements.Aqm.node t, fun () -> Utc_elements.Aqm.drops t)
-  in
   List.map
-    (fun (discipline, make_station) ->
-      let throughput_bps, mean_rtt, p95_rtt, aqm_drops =
-        tcp_through ~seed ~duration ~make_station
-      in
-      { discipline; throughput_bps; mean_rtt; p95_rtt; aqm_drops })
-    [ ("tail-drop", taildrop); ("RED", red); ("CoDel", codel) ]
+    (fun (label, discipline) ->
+      let throughput_bps, mean_rtt, p95_rtt, aqm_drops = tcp_through ~seed ~duration ~discipline in
+      { discipline = label; throughput_bps; mean_rtt; p95_rtt; aqm_drops })
+    [ ("tail-drop", Topology.Fifo); ("RED", Topology.Red); ("CoDel", Topology.Codel) ]
 
 let pp_share ppf share =
   Format.fprintf ppf

@@ -66,7 +66,9 @@ type aqm_row = {
 }
 
 val tcp_under_aqm : ?seed:int -> ?duration:float -> unit -> aqm_row list
-(** Reno through tail-drop / RED / CoDel at the Figure 1 bottleneck. *)
+(** Reno through tail-drop / RED / CoDel at the Figure 1 bottleneck: one
+    1 Mbit/s, 3 Mbit station with the [Fifo], [Red] or [Codel]
+    discipline, run by {!Utc_elements.Runtime}. *)
 
 val pp_share : Format.formatter -> share -> unit
 val pp_many : Format.formatter -> many -> unit

@@ -51,7 +51,13 @@ let prepare config compiled =
          guard is needed. *)
       let v =
         match Compiled.node compiled id with
-        | Station _ -> false
+        | Station { discipline = Fifo; _ } -> false
+        | Station { discipline = (Arq _ | Red | Codel) as d; _ } ->
+          invalid_arg
+            (Format.asprintf
+               "Forward.prepare: node %d is a %a station; the belief interpreter models FIFO \
+                stations only"
+               id Topology.pp_discipline d)
         | Delay { next; _ } | Loss { next; _ } | Jitter { next; _ } | Gate { next; _ } ->
           link_queue_free next
         | Either { first; second; _ } -> link_queue_free first && link_queue_free second
@@ -110,7 +116,7 @@ let rec arrive p branch link (mpkt : Mstate.mpkt) =
     [ { branch with deliveries_rev = d :: branch.deliveries_rev } ]
   | To id -> (
     match Compiled.node p.compiled id with
-    | Station { capacity_bits; rate_bps; next = _ } -> (
+    | Station { capacity_bits; rate_bps; discipline = _; next = _ } -> (
       let s = Mstate.station branch.state id in
       match s.in_service with
       | None when Fqueue.is_empty s.queue ->

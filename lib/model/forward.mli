@@ -52,7 +52,10 @@ type outcome = {
 type prepared
 
 val prepare : config -> Utc_net.Compiled.t -> prepared
-(** Precomputes per-node analysis (last-mile losses); reuse across runs. *)
+(** Precomputes per-node analysis (last-mile losses); reuse across runs.
+    @raise Invalid_argument naming the node if the network has a station
+    whose discipline is not [Fifo]: ARQ, RED and CoDel run only in the
+    ground-truth runtime. *)
 
 val config_of : prepared -> config
 val compiled_of : prepared -> Utc_net.Compiled.t

@@ -7,7 +7,12 @@ type gate_kind =
   | Periodic of { interval : float; initially_connected : bool }
 
 type node =
-  | Station of { capacity_bits : int option; rate_bps : float; next : link }
+  | Station of {
+      capacity_bits : int option;
+      rate_bps : float;
+      discipline : Topology.discipline;
+      next : link;
+    }
   | Delay of { seconds : float; next : link }
   | Loss of { rate : float; next : link }
   | Jitter of { seconds : float; probability : float; next : link }
@@ -44,9 +49,9 @@ let rec compile_element builder elt next =
        normalize), it is the identity: instant drain never queues. *)
     next
   | Topology.Throughput { rate_bps } ->
-    alloc builder (Station { capacity_bits = None; rate_bps; next })
-  | Topology.Station { capacity_bits; rate_bps } ->
-    alloc builder (Station { capacity_bits; rate_bps; next })
+    alloc builder (Station { capacity_bits = None; rate_bps; discipline = Fifo; next })
+  | Topology.Station { capacity_bits; rate_bps; discipline } ->
+    alloc builder (Station { capacity_bits; rate_bps; discipline; next })
   | Topology.Delay { seconds } -> alloc builder (Delay { seconds; next })
   | Topology.Loss { rate } -> alloc builder (Loss { rate; next })
   | Topology.Jitter { seconds; probability } -> alloc builder (Jitter { seconds; probability; next })
@@ -116,12 +121,13 @@ let pp_link ppf = function
   | Deliver -> Format.fprintf ppf "->deliver"
 
 let pp_node ppf = function
-  | Station { capacity_bits; rate_bps; next } ->
+  | Station { capacity_bits; rate_bps; discipline; next } ->
     let cap ppf = function
       | None -> Format.fprintf ppf "inf"
       | Some c -> Format.fprintf ppf "%db" c
     in
-    Format.fprintf ppf "Station(%a,%gbps)%a" cap capacity_bits rate_bps pp_link next
+    Format.fprintf ppf "Station(%a,%gbps%a)%a" cap capacity_bits rate_bps
+      Topology.pp_station_discipline discipline pp_link next
   | Delay { seconds; next } -> Format.fprintf ppf "Delay(%gs)%a" seconds pp_link next
   | Loss { rate; next } -> Format.fprintf ppf "Loss(%g)%a" rate pp_link next
   | Jitter { seconds; probability; next } ->

@@ -15,7 +15,12 @@ type gate_kind =
   | Periodic of { interval : float; initially_connected : bool }
 
 type node =
-  | Station of { capacity_bits : int option; rate_bps : float; next : link }
+  | Station of {
+      capacity_bits : int option;
+      rate_bps : float;
+      discipline : Topology.discipline;
+      next : link;
+    }
   | Delay of { seconds : float; next : link }
   | Loss of { rate : float; next : link }
   | Jitter of { seconds : float; probability : float; next : link }

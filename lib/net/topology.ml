@@ -1,7 +1,13 @@
+type discipline =
+  | Fifo
+  | Arq of { try_loss : float; per_try_overhead : float }
+  | Red
+  | Codel
+
 type element =
   | Buffer of { capacity_bits : int }
   | Throughput of { rate_bps : float }
-  | Station of { capacity_bits : int option; rate_bps : float }
+  | Station of { capacity_bits : int option; rate_bps : float; discipline : discipline }
   | Delay of { seconds : float }
   | Loss of { rate : float }
   | Jitter of { seconds : float; probability : float }
@@ -31,7 +37,8 @@ type t = { sources : source list; shared : element }
 let series elements = Series elements
 let buffer ~capacity_bits = Buffer { capacity_bits }
 let throughput ~rate_bps = Throughput { rate_bps }
-let station ?capacity_bits ~rate_bps () = Station { capacity_bits; rate_bps }
+let station ?capacity_bits ?(discipline = Fifo) ~rate_bps () =
+  Station { capacity_bits; rate_bps; discipline }
 let delay ~seconds = Delay { seconds }
 let loss ~rate = Loss { rate }
 let jitter ~seconds ~probability = Jitter { seconds; probability }
@@ -76,13 +83,17 @@ let rec validate_element elt =
     else ok
   | Throughput { rate_bps } ->
     if rate_bps <= 0.0 then fail "Throughput rate must be positive (got %g)" rate_bps else ok
-  | Station { capacity_bits; rate_bps } ->
+  | Station { capacity_bits; rate_bps; discipline } -> (
     if rate_bps <= 0.0 then fail "Station rate must be positive (got %g)" rate_bps
-    else begin
-      match capacity_bits with
-      | Some c when c <= 0 -> fail "Station capacity must be positive (got %d)" c
-      | Some _ | None -> ok
-    end
+    else
+      match capacity_bits, discipline with
+      | Some c, _ when c <= 0 -> fail "Station capacity must be positive (got %d)" c
+      | _, Arq { try_loss; _ } when try_loss < 0.0 || try_loss >= 1.0 ->
+        fail "ARQ per-try loss must be in [0, 1) (got %g)" try_loss
+      | _, Arq { per_try_overhead; _ } when per_try_overhead < 0.0 ->
+        fail "ARQ per-try overhead must be non-negative (got %g)" per_try_overhead
+      | None, Red -> fail "RED station needs a capacity"
+      | _, (Fifo | Arq _ | Red | Codel) -> ok)
   | Delay { seconds } ->
     if seconds < 0.0 then fail "Delay must be non-negative (got %g)" seconds else ok
   | Loss { rate } ->
@@ -184,9 +195,10 @@ let rec flatten = function
    (instant drain, never fills, never drops) is the identity and vanishes. *)
 let rec fuse = function
   | Buffer { capacity_bits } :: Throughput { rate_bps } :: rest ->
-    Station { capacity_bits = Some capacity_bits; rate_bps } :: fuse rest
+    Station { capacity_bits = Some capacity_bits; rate_bps; discipline = Fifo } :: fuse rest
   | Buffer _ :: rest -> fuse rest
-  | Throughput { rate_bps } :: rest -> Station { capacity_bits = None; rate_bps } :: fuse rest
+  | Throughput { rate_bps } :: rest ->
+    Station { capacity_bits = None; rate_bps; discipline = Fifo } :: fuse rest
   | elt :: rest -> normalize_element elt :: fuse rest
   | [] -> []
 
@@ -221,12 +233,25 @@ let normalize t =
 
 (* --- pretty-printing --- *)
 
+let pp_discipline ppf = function
+  | Fifo -> Format.fprintf ppf "fifo"
+  | Arq { try_loss; per_try_overhead } ->
+    Format.fprintf ppf "arq(p=%g,+%gs)" try_loss per_try_overhead
+  | Red -> Format.fprintf ppf "red"
+  | Codel -> Format.fprintf ppf "codel"
+
+(* FIFO stations print as they always have; other disciplines append. *)
+let pp_station_discipline ppf = function
+  | Fifo -> ()
+  | d -> Format.fprintf ppf ",%a" pp_discipline d
+
 let rec pp_element ppf = function
   | Buffer { capacity_bits } -> Format.fprintf ppf "Buffer(%db)" capacity_bits
   | Throughput { rate_bps } -> Format.fprintf ppf "Throughput(%gbps)" rate_bps
-  | Station { capacity_bits = None; rate_bps } -> Format.fprintf ppf "Station(inf,%gbps)" rate_bps
-  | Station { capacity_bits = Some c; rate_bps } ->
-    Format.fprintf ppf "Station(%db,%gbps)" c rate_bps
+  | Station { capacity_bits = None; rate_bps; discipline } ->
+    Format.fprintf ppf "Station(inf,%gbps%a)" rate_bps pp_station_discipline discipline
+  | Station { capacity_bits = Some c; rate_bps; discipline } ->
+    Format.fprintf ppf "Station(%db,%gbps%a)" c rate_bps pp_station_discipline discipline
   | Delay { seconds } -> Format.fprintf ppf "Delay(%gs)" seconds
   | Loss { rate } -> Format.fprintf ppf "Loss(%g)" rate
   | Jitter { seconds; probability } -> Format.fprintf ppf "Jitter(%gs,p=%g)" seconds probability

@@ -10,15 +10,41 @@
     ground-truth runtime ([Utc_elements]) and the deterministic forking
     belief-state interpreter ([Utc_model]). *)
 
+(** How a station serves its queue. Every discipline drains at the
+    station's rate and tail-drops an arrival that would overfill its
+    capacity; [Fifo] does nothing more, and the others add:
+
+    - [Arq]: link-layer retransmission hiding radio loss (§1, §2). Each
+      attempt fails independently with [try_loss], and the link retries
+      up to 100 times, so a packet occupies the link for
+      [tries * (bits / rate + per_try_overhead)] and is lost only after
+      100 failed attempts.
+    - [Red]: random early detection (Floyd & Jacobson 1993) at fixed
+      settings: thresholds at 25 % and 75 % of capacity, drop probability
+      0.1 at the upper threshold, averaging weight 0.002. Needs a
+      capacity.
+    - [Codel]: CoDel (Nichols & Jacobson 2012) at a 5 ms target and a
+      100 ms interval, dropping at dequeue while the standing sojourn
+      time stays above target.
+
+    AQM is the element the paper's §3.5 names as missing. Only the
+    ground-truth runtime executes [Arq], [Red] and [Codel]; the
+    belief-state interpreter models [Fifo] stations only. *)
+type discipline =
+  | Fifo
+  | Arq of { try_loss : float; per_try_overhead : float }
+  | Red
+  | Codel
+
 type element =
   | Buffer of { capacity_bits : int }
       (** Tail-drop queue: an arriving packet that does not fit is dropped. *)
   | Throughput of { rate_bps : float }
       (** Link serving one packet at a time at [rate_bps]. *)
-  | Station of { capacity_bits : int option; rate_bps : float }
-      (** Fused [Buffer]+[Throughput]: FIFO with optional tail-drop capacity
-          drained at [rate_bps]. Produced by {!normalize}; may also be used
-          directly. *)
+  | Station of { capacity_bits : int option; rate_bps : float; discipline : discipline }
+      (** Fused [Buffer]+[Throughput]: a queue with optional tail-drop
+          capacity drained at [rate_bps] under [discipline]. {!normalize}
+          produces [Fifo] stations; a station may also be used directly. *)
   | Delay of { seconds : float }  (** Fixed propagation delay. *)
   | Loss of { rate : float }
       (** Independent stochastic loss of each packet with probability
@@ -71,7 +97,9 @@ type t = { sources : source list; shared : element }
 val series : element list -> element
 val buffer : capacity_bits:int -> element
 val throughput : rate_bps:float -> element
-val station : ?capacity_bits:int -> rate_bps:float -> unit -> element
+val station : ?capacity_bits:int -> ?discipline:discipline -> rate_bps:float -> unit -> element
+(** [discipline] defaults to [Fifo]. *)
+
 val delay : seconds:float -> element
 val loss : rate:float -> element
 val jitter : seconds:float -> probability:float -> element
@@ -101,9 +129,11 @@ val figure2 :
 
 val validate : t -> (unit, string) result
 (** Checks parameter ranges: positive rates, capacities and intervals,
-    probabilities within [0, 1], at least one source, no duplicate source
-    flows, packets of a pinger fit its buffers, and [Series] non-emptiness
-    is not required (an empty series is the identity). *)
+    probabilities within [0, 1], an ARQ per-try loss within [0, 1) and a
+    non-negative per-try overhead, a capacity on every RED station, at
+    least one source, no duplicate source flows, packets of a pinger fit
+    its buffers, and [Series] non-emptiness is not required (an empty
+    series is the identity). *)
 
 val normalize : t -> t
 (** Rewrites [Series (... Buffer; Throughput ...)] adjacencies into fused
@@ -111,6 +141,12 @@ val normalize : t -> t
     station, and flattens nested [Series]. A bare [Buffer] (no throughput
     limit behind it) never fills and is dropped. Normalization is
     idempotent and preserves semantics. *)
+
+val pp_discipline : Format.formatter -> discipline -> unit
+
+val pp_station_discipline : Format.formatter -> discipline -> unit
+(** The suffix a station's rendering carries: nothing for [Fifo],
+    [",red"] and the like otherwise. *)
 
 val pp_element : Format.formatter -> element -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,9 @@
 (** The process's single raw wall-clock reader.
 
     Everything else in the repository that needs wall time — the
-    {!Metrics.span} profiler here, benchmark timing via
-    [Utc_sim.Wallclock] (a delegate of this module) — goes through this
-    one auditable entry point; the determinism linter (rule R2) forbids
+    {!Metrics.span} profiler here, benchmark and experiment timing in
+    [Utc_experiments] — calls this one auditable entry point; the
+    determinism linter (rule R2) forbids
     [Unix.gettimeofday]/[Unix.time]/[Sys.time] everywhere else in [lib/].
 
     Wall-clock values are profiling data only. They must never feed packet

@@ -1,5 +1,5 @@
-(* Tests for the ground-truth interpreter and the extension elements
-   (AQM, scheduling, ARQ). *)
+(* Tests for the ground-truth interpreter, including its station
+   disciplines (ARQ, RED, CoDel). *)
 open Utc_net
 module Engine = Utc_sim.Engine
 module Runtime = Utc_elements.Runtime
@@ -226,204 +226,192 @@ let queue_introspection () =
   Alcotest.(check int) "bits" 24_000 (Runtime.queue_bits runtime ~node_id:0);
   Alcotest.(check bool) "in service" true (Runtime.in_service runtime ~node_id:0)
 
-(* --- Fifo_server --- *)
+(* --- Station disciplines --- *)
 
-let fifo_server_basic () =
-  let engine = Engine.create () in
-  let out = ref [] in
-  let next = Utc_elements.Node.of_fn (fun pkt -> out := (Engine.now engine, pkt.Packet.seq) :: !out) in
-  let server = Utc_elements.Fifo_server.create engine ~rate_bps:12_000.0 ~next () in
-  ignore
-    (Engine.schedule engine ~at:0.0 (fun () ->
-         Utc_elements.Fifo_server.push server (Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:0.0 ());
-         Utc_elements.Fifo_server.push server (Packet.make ~flow:Flow.Primary ~seq:1 ~sent_at:0.0 ())));
-  Engine.run engine;
-  Alcotest.(check bool) "serialized" true (List.rev !out = [ (1.0, 0); (2.0, 1) ])
+let station ?capacity_bits discipline ~rate_bps =
+  net (Topology.station ?capacity_bits ~discipline ~rate_bps ())
 
-let fifo_server_dequeue_drop () =
-  let engine = Engine.create () in
-  let out = ref 0 in
-  let next = Utc_elements.Node.of_fn (fun _ -> incr out) in
-  let on_dequeue pkt ~enqueued_at:_ = if pkt.Packet.seq mod 2 = 0 then `Drop else `Forward in
-  let server = Utc_elements.Fifo_server.create engine ~rate_bps:12_000.0 ~next ~on_dequeue () in
-  ignore
-    (Engine.schedule engine ~at:0.0 (fun () ->
-         for seq = 0 to 5 do
-           Utc_elements.Fifo_server.push server (Packet.make ~flow:Flow.Primary ~seq ~sent_at:0.0 ())
-         done));
-  Engine.run engine;
-  Alcotest.(check int) "odd seqs forwarded" 3 !out
-
-(* --- AQM --- *)
-
-let flood station_push engine ~rate ~n =
-  for i = 0 to n - 1 do
-    ignore
-      (Engine.schedule ~prio:1 engine
-         ~at:(float_of_int i /. rate)
-         (fun () -> station_push (Packet.make ~flow:Flow.Primary ~seq:i ~sent_at:0.0 ())))
+(* Packets of seq [0..n-1] arriving every [1/rate] seconds. *)
+let flood runtime engine ~rate ~n =
+  for seq = 0 to n - 1 do
+    send runtime engine ~at:(float_of_int seq /. rate) ~seq ()
   done
 
 let red_drops_under_load () =
-  let engine = Engine.create ~seed:2 () in
-  let delivered = ref 0 in
-  let next = Utc_elements.Node.of_fn (fun _ -> incr delivered) in
-  let params = Utc_elements.Aqm.default_red ~capacity_bits:120_000 in
-  let red = Utc_elements.Aqm.red engine ~rate_bps:12_000.0 ~params ~next () in
+  let engine, runtime, deliveries, drops =
+    build ~seed:2 (station ~capacity_bits:120_000 Topology.Red ~rate_bps:12_000.0)
+  in
   (* Offered load 3x capacity. *)
-  flood (Utc_elements.Aqm.node red).Utc_elements.Node.push engine ~rate:3.0 ~n:300;
+  flood runtime engine ~rate:3.0 ~n:300;
   Engine.run engine;
-  Alcotest.(check int) "conservation" 300 (!delivered + Utc_elements.Aqm.drops red);
-  Alcotest.(check bool) "drops happened" true (Utc_elements.Aqm.drops red > 50);
-  Alcotest.(check bool) "some delivered" true (!delivered > 50)
+  let delivered = List.length (deliveries ()) and dropped = List.length (drops ()) in
+  Alcotest.(check int) "conservation" 300 (delivered + dropped);
+  Alcotest.(check bool) "drops happened" true (dropped > 50);
+  Alcotest.(check bool) "some delivered" true (delivered > 50);
+  List.iter
+    (fun (_, reason, _) ->
+      Alcotest.(check string) "AQM drops report as tail drops" "tail_drop"
+        (Format.asprintf "%a" Runtime.pp_drop_reason reason))
+    (drops ())
 
 let red_no_drops_light_load () =
-  let engine = Engine.create ~seed:2 () in
-  let next = Utc_elements.Node.sink in
-  let params = Utc_elements.Aqm.default_red ~capacity_bits:120_000 in
-  let red = Utc_elements.Aqm.red engine ~rate_bps:12_000.0 ~params ~next () in
-  flood (Utc_elements.Aqm.node red).Utc_elements.Node.push engine ~rate:0.5 ~n:100;
+  let engine, runtime, _, drops =
+    build ~seed:2 (station ~capacity_bits:120_000 Topology.Red ~rate_bps:12_000.0)
+  in
+  flood runtime engine ~rate:0.5 ~n:100;
   Engine.run engine;
-  Alcotest.(check int) "no drops" 0 (Utc_elements.Aqm.drops red)
+  Alcotest.(check int) "no drops" 0 (List.length (drops ()))
 
 let codel_controls_sojourn () =
-  let engine = Engine.create ~seed:2 () in
-  let sojourns = ref [] in
-  let next =
-    Utc_elements.Node.of_fn (fun pkt ->
-        sojourns := (Engine.now engine -. pkt.Packet.sent_at) :: !sojourns)
+  let engine, runtime, deliveries, drops =
+    build ~seed:2 (station ~capacity_bits:1_200_000 Topology.Codel ~rate_bps:120_000.0)
   in
-  let params = Utc_elements.Aqm.default_codel ~capacity_bits:1_200_000 in
-  let codel = Utc_elements.Aqm.codel engine ~rate_bps:120_000.0 ~params ~next () in
-  (* 1.5x overload for 60 s; packets stamped with their push time. *)
-  for i = 0 to 899 do
-    let at = float_of_int i /. 15.0 in
-    ignore
-      (Engine.schedule ~prio:1 engine ~at (fun () ->
-           (Utc_elements.Aqm.node codel).Utc_elements.Node.push
-             (Packet.make ~flow:Flow.Primary ~seq:i ~sent_at:at ())))
-  done;
+  (* 1.5x overload for 60 s; packets stamped with their arrival time. *)
+  flood runtime engine ~rate:15.0 ~n:900;
   Engine.run engine;
-  Alcotest.(check bool) "codel drops" true (Utc_elements.Aqm.drops codel > 0);
+  Alcotest.(check bool) "codel drops" true (List.length (drops ()) > 0);
   (* Late sojourns should be pulled down near the target, far below the
      multi-second tail-drop delay the same load would build. *)
-  let late = List.filteri (fun i _ -> i < List.length !sojourns / 2) !sojourns in
+  let sojourns = List.map (fun (t, _, seq) -> t -. (float_of_int seq /. 15.0)) (deliveries ()) in
+  let late = List.filteri (fun i _ -> i >= List.length sojourns / 2) sojourns in
   let mean = List.fold_left ( +. ) 0.0 late /. float_of_int (List.length late) in
   if mean > 1.0 then Alcotest.failf "codel mean sojourn too high: %g" mean
 
-(* --- Sched --- *)
-
-let priority_scheduling () =
-  let engine = Engine.create () in
-  let out = ref [] in
-  let next = Utc_elements.Node.of_fn (fun pkt -> out := (pkt.Packet.flow, pkt.Packet.seq) :: !out) in
-  let station =
-    Utc_elements.Sched.priority engine ~rate_bps:12_000.0 ~capacity_bits:240_000 ~next ()
-  in
-  ignore
-    (Engine.schedule engine ~at:0.0 (fun () ->
-         (* One cross packet grabs the server; then queue two of each. *)
-         let push flow seq =
-           (Utc_elements.Sched.node station).Utc_elements.Node.push
-             (Packet.make ~flow ~seq ~sent_at:0.0 ())
-         in
-         push Flow.Cross 0;
-         push Flow.Cross 1;
-         push Flow.Cross 2;
-         push Flow.Primary 0;
-         push Flow.Primary 1));
-  Engine.run engine;
-  Alcotest.(check bool) "primary preempts queue order" true
-    (List.rev !out
-    = [ (Flow.Cross, 0); (Flow.Primary, 0); (Flow.Primary, 1); (Flow.Cross, 1); (Flow.Cross, 2) ])
-
-let drr_fairness () =
-  let engine = Engine.create () in
-  let served = Hashtbl.create 4 in
-  let next =
-    Utc_elements.Node.of_fn (fun pkt ->
-        let flow = pkt.Packet.flow in
-        Hashtbl.replace served flow (1 + Option.value ~default:0 (Hashtbl.find_opt served flow)))
-  in
-  let station = Utc_elements.Sched.drr engine ~rate_bps:120_000.0 ~capacity_bits:10_000_000 ~next () in
-  ignore
-    (Engine.schedule engine ~at:0.0 (fun () ->
-         for seq = 0 to 199 do
-           (Utc_elements.Sched.node station).Utc_elements.Node.push
-             (Packet.make ~flow:Flow.Primary ~seq ~sent_at:0.0 ())
-         done;
-         for seq = 0 to 199 do
-           (Utc_elements.Sched.node station).Utc_elements.Node.push
-             (Packet.make ~flow:Flow.Cross ~seq ~sent_at:0.0 ())
-         done));
-  (* Serve for half the total service time, then compare shares. *)
-  Engine.run ~until:20.0 engine;
-  let primary = Option.value ~default:0 (Hashtbl.find_opt served Flow.Primary) in
-  let cross = Option.value ~default:0 (Hashtbl.find_opt served Flow.Cross) in
-  Alcotest.(check bool) "both served" true (primary > 50 && cross > 50);
-  if abs (primary - cross) > 2 then Alcotest.failf "unfair: %d vs %d" primary cross
-
-(* --- ARQ --- *)
+let arq ~try_loss = Topology.Arq { try_loss; per_try_overhead = 0.0 }
 
 let arq_hides_loss () =
-  let engine = Engine.create ~seed:3 () in
-  let delivered = ref 0 in
-  let next = Utc_elements.Node.of_fn (fun _ -> incr delivered) in
-  let arq = Utc_elements.Arq.create engine ~rate_bps:12_000.0 ~try_loss:0.4 ~next () in
+  let engine, runtime, deliveries, _ = build ~seed:3 (station (arq ~try_loss:0.4) ~rate_bps:12_000.0) in
   for i = 0 to 199 do
-    ignore
-      (Engine.schedule ~prio:1 engine ~at:(float_of_int i *. 2.0) (fun () ->
-           (Utc_elements.Arq.node arq).Utc_elements.Node.push
-             (Packet.make ~flow:Flow.Primary ~seq:i ~sent_at:0.0 ())))
+    send runtime engine ~at:(float_of_int i *. 2.0) ~seq:i ()
   done;
   Engine.run engine;
-  Alcotest.(check int) "all delivered despite 40% radio loss" 200 !delivered;
+  Alcotest.(check int) "all delivered despite 40% radio loss" 200 (List.length (deliveries ()));
   (* Mean tries = 1/(1-0.4) = 1.67. *)
-  let per = float_of_int (Utc_elements.Arq.transmissions arq) /. 200.0 in
-  if Float.abs (per -. 1.0 /. 0.6) > 0.15 then Alcotest.failf "tries per packet off: %g" per
+  let per = float_of_int (Runtime.transmissions runtime ~node_id:0) /. 200.0 in
+  if Float.abs (per -. (1.0 /. 0.6)) > 0.15 then Alcotest.failf "tries per packet off: %g" per
+
+(* Delivery and drop log with times as raw bits, for bit-identity. *)
+let exact_log topology =
+  let engine, runtime, deliveries, drops = build ~seed:4 topology in
+  flood runtime engine ~rate:1.5 ~n:200;
+  Engine.run engine;
+  ( List.map (fun (t, _, seq) -> (Int64.bits_of_float t, seq)) (deliveries ()),
+    List.map (fun (t, _, seq) -> (Int64.bits_of_float t, seq)) (drops ()) )
 
 let arq_zero_loss_is_station () =
-  let engine = Engine.create () in
-  let out = ref [] in
-  let next = Utc_elements.Node.of_fn (fun pkt -> out := (Engine.now engine, pkt.Packet.seq) :: !out) in
-  let arq = Utc_elements.Arq.create engine ~rate_bps:12_000.0 ~try_loss:0.0 ~next () in
-  ignore
-    (Engine.schedule engine ~at:0.0 (fun () ->
-         (Utc_elements.Arq.node arq).Utc_elements.Node.push
-           (Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:0.0 ())));
-  Engine.run engine;
-  Alcotest.(check bool) "plain service time" true (List.rev !out = [ (1.0, 0) ])
+  (* Overloaded, so the comparison covers queueing and tail drops too. *)
+  let fifo_d, fifo_dr = exact_log (station ~capacity_bits:60_000 Topology.Fifo ~rate_bps:12_000.0) in
+  let arq_d, arq_dr = exact_log (station ~capacity_bits:60_000 (arq ~try_loss:0.0) ~rate_bps:12_000.0) in
+  let log_t = Alcotest.(list (pair int64 int)) in
+  Alcotest.check log_t "deliveries bit-identical" fifo_d arq_d;
+  Alcotest.check log_t "drops bit-identical" fifo_dr arq_dr;
+  if List.length fifo_dr = 0 then Alcotest.fail "the comparison never tail-dropped"
 
 let arq_abandons_after_max_tries () =
-  let engine = Engine.create ~seed:3 () in
-  let delivered = ref 0 in
-  let next = Utc_elements.Node.of_fn (fun _ -> incr delivered) in
-  let arq = Utc_elements.Arq.create engine ~rate_bps:12_000.0 ~try_loss:0.9 ~max_tries:2 ~next () in
-  for i = 0 to 499 do
-    ignore
-      (Engine.schedule ~prio:1 engine ~at:(float_of_int i *. 10.0) (fun () ->
-           (Utc_elements.Arq.node arq).Utc_elements.Node.push
-             (Packet.make ~flow:Flow.Primary ~seq:i ~sent_at:0.0 ())))
+  (* 1 ms per attempt; the link retries 100 times. *)
+  let engine, runtime, deliveries, drops =
+    build ~seed:3 (station (arq ~try_loss:0.99) ~rate_bps:12_000_000.0)
+  in
+  let n = 1000 in
+  for i = 0 to n - 1 do
+    send runtime engine ~at:(float_of_int i *. 0.1) ~seq:i ()
   done;
   Engine.run engine;
-  Alcotest.(check int) "conservation" 500 (!delivered + Utc_elements.Arq.drops arq);
-  (* P(success within 2 tries) = 1 - 0.9^2 = 0.19. *)
-  let rate = float_of_int !delivered /. 500.0 in
-  if Float.abs (rate -. 0.19) > 0.06 then Alcotest.failf "success rate off: %g" rate
+  let delivered = List.length (deliveries ()) in
+  Alcotest.(check int) "conservation" n (delivered + List.length (drops ()));
+  List.iter
+    (fun (_, reason, _) ->
+      Alcotest.(check string) "abandonment reports as stochastic loss" "stochastic_loss"
+        (Format.asprintf "%a" Runtime.pp_drop_reason reason))
+    (drops ());
+  (* P(success within 100 tries) = 1 - 0.99^100 = 0.634. *)
+  let rate = float_of_int delivered /. float_of_int n in
+  if Float.abs (rate -. 0.634) > 0.06 then Alcotest.failf "success rate off: %g" rate
 
-let node_helpers () =
-  let engine = Engine.create () in
-  let collector, collected = Utc_elements.Node.collector engine in
-  let seen = ref 0 in
-  let tapped = Utc_elements.Node.tap (fun _ -> incr seen) collector in
-  ignore
-    (Engine.schedule engine ~at:2.0 (fun () ->
-         tapped.Utc_elements.Node.push (Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:0.0 ())));
-  Engine.run engine;
-  Alcotest.(check int) "tap saw it" 1 !seen;
-  match collected () with
-  | [ (2.0, pkt) ] -> Alcotest.(check int) "collector stamped arrival" 0 pkt.Packet.seq
-  | _ -> Alcotest.fail "collector mismatch"
+let discipline_validation () =
+  let rejects name discipline ?capacity_bits () =
+    match Topology.validate (station ?capacity_bits discipline ~rate_bps:12_000.0) with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s accepted" name
+  in
+  rejects "ARQ try loss 1" (Topology.Arq { try_loss = 1.0; per_try_overhead = 0.0 }) ();
+  rejects "negative ARQ try loss" (Topology.Arq { try_loss = -0.1; per_try_overhead = 0.0 }) ();
+  rejects "negative per-try overhead" (Topology.Arq { try_loss = 0.1; per_try_overhead = -0.01 }) ();
+  rejects "RED without a capacity" Topology.Red ();
+  match Topology.validate (station (arq ~try_loss:0.0) ~rate_bps:12_000.0) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "zero-loss ARQ rejected: %s" msg
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec scan i = i + n <= String.length hay && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
+
+(* The belief interpreter and the fluid population model FIFO stations
+   only; both refuse the other disciplines by node. *)
+let non_fifo_rejected () =
+  let topology =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Cross ];
+      shared =
+        Topology.series
+          [
+            Topology.station ~capacity_bits:96_000 ~rate_bps:12_000.0 ();
+            Topology.station ~capacity_bits:96_000 ~discipline:Topology.Red ~rate_bps:12_000.0 ();
+          ];
+    }
+  in
+  let compiled = Compiled.compile_exn topology in
+  let expect_node name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a RED station" name
+    | exception Invalid_argument msg ->
+      if not (contains msg "node 0" && contains msg "red") then
+        Alcotest.failf "%s message does not name the node: %s" name msg
+  in
+  expect_node "Forward.prepare" (fun () ->
+      ignore (Utc_model.Forward.prepare Utc_model.Forward.default_config compiled));
+  expect_node "Fluid.build" (fun () ->
+      ignore
+        (Utc_elements.Fluid.build (Engine.create ()) compiled (Runtime.callbacks ())
+           ~background:(Utc_elements.Fluid.population ~flow:Flow.Cross ~flows:10 ())));
+  let runtime = Runtime.build (Engine.create ()) compiled (Runtime.callbacks ()) in
+  Alcotest.check_raises "couple refuses a RED station"
+    (Invalid_argument "Runtime.couple: station is not FIFO") (fun () ->
+      Runtime.couple runtime ~node_id:0
+        { Runtime.arrived = ignore; held_bits = (fun () -> 0); service_time = (fun ~bits:_ ~rate_bps:_ -> 0.0) })
+
+(* Packet conservation at any instant: every injected packet has been
+   delivered or dropped, or is queued or in service. *)
+let conservation_prop (name, discipline) =
+  QCheck.Test.make ~name:(name ^ " station conserves packets") ~count:50
+    QCheck.(
+      triple small_nat
+        (list_of_size Gen.(int_range 1 60) (float_bound_inclusive 2.0))
+        (float_bound_inclusive 1.0))
+    (fun (seed, gaps, horizon) ->
+      let engine, runtime, deliveries, drops =
+        build ~seed (station ~capacity_bits:60_000 discipline ~rate_bps:12_000.0)
+      in
+      let injected = ref 0 in
+      let last =
+        List.fold_left
+          (fun at gap ->
+            let at = at +. gap in
+            ignore
+              (Engine.schedule ~prio:(Evprio.arrival Flow.Primary) engine ~at (fun () ->
+                   incr injected;
+                   Runtime.inject runtime Flow.Primary
+                     (Packet.make ~flow:Flow.Primary ~seq:!injected ~sent_at:at ())));
+            at)
+          0.0 gaps
+      in
+      Engine.run ~until:(horizon *. last) engine;
+      let in_service = if Runtime.in_service runtime ~node_id:0 then 1 else 0 in
+      !injected
+      = List.length (deliveries ()) + List.length (drops ())
+        + Runtime.queue_packets runtime ~node_id:0
+        + in_service)
 
 let suite =
   [
@@ -442,18 +430,23 @@ let suite =
     ("either switches", `Quick, either_switches);
     ("gate introspection", `Quick, gate_introspection);
     ("queue introspection", `Quick, queue_introspection);
-    ("fifo server basic", `Quick, fifo_server_basic);
-    ("fifo server dequeue drop", `Quick, fifo_server_dequeue_drop);
     ("red drops under load", `Quick, red_drops_under_load);
     ("red light load", `Quick, red_no_drops_light_load);
     ("codel controls sojourn", `Quick, codel_controls_sojourn);
-    ("priority scheduling", `Quick, priority_scheduling);
-    ("drr fairness", `Quick, drr_fairness);
     ("arq hides loss", `Quick, arq_hides_loss);
     ("arq zero loss", `Quick, arq_zero_loss_is_station);
     ("arq abandons", `Quick, arq_abandons_after_max_tries);
-    ("node helpers", `Quick, node_helpers);
+    ("discipline validation", `Quick, discipline_validation);
+    ("non-fifo stations rejected by node", `Quick, non_fifo_rejected);
   ]
+  @ List.map
+      (fun d -> QCheck_alcotest.to_alcotest (conservation_prop d))
+      [
+        ("fifo", Topology.Fifo);
+        ("arq", Topology.Arq { try_loss = 0.5; per_try_overhead = 0.1 });
+        ("red", Topology.Red);
+        ("codel", Topology.Codel);
+      ]
 
 (* --- Multipath (S3.5 extension) --- *)
 

@@ -6,6 +6,7 @@
 
 open Utc_net
 module Engine = Utc_sim.Engine
+module Fluid = Utc_elements.Fluid
 module Meanfield = Utc_experiments.Meanfield
 module Metrics = Utc_obs.Metrics
 module Sink = Utc_obs.Sink
@@ -123,7 +124,7 @@ let fluid_fingerprint ~n ~partition =
       pop_classes = List.map (fun flows -> { Fluid.flows; init_window_pkts = 1.0 }) partition;
     }
   in
-  let fluid = Fluid.build engine compiled (Fluid.callbacks ()) ~background in
+  let fluid = Fluid.build engine compiled (Utc_elements.Runtime.callbacks ()) ~background in
   Engine.run ~until:20.0 engine;
   let agg = Fluid.sample fluid in
   let bits = Int64.bits_of_float in

@@ -87,7 +87,7 @@ let normalize_fuses_buffer_throughput () =
     Topology.series [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:12_000.0 ]
   in
   match normalized shared with
-  | Topology.Station { capacity_bits = Some 96_000; rate_bps } ->
+  | Topology.Station { capacity_bits = Some 96_000; rate_bps; discipline = Fifo } ->
     Alcotest.(check (float 0.0)) "rate kept" 12_000.0 rate_bps
   | other -> Alcotest.failf "expected fused station, got %a" Topology.pp_element other
 
@@ -275,12 +275,14 @@ let run_runtime_boundary ~seed ~until =
   Engine.run ~until engine;
   log
 
+module Fluid = Utc_elements.Fluid
+
 let run_fluid_boundary ~seed ~until ~background_flows =
   let engine = Engine.create ~seed () in
   let compiled = Compiled.compile_exn boundary_topology in
   let log = { deliveries = []; drops = [] } in
   let cb =
-    Fluid.callbacks
+    Utc_elements.Runtime.callbacks
       ~deliver:(fun flow pkt ->
         log.deliveries <-
           ( Int64.bits_of_float (Engine.now engine),
@@ -292,7 +294,7 @@ let run_fluid_boundary ~seed ~until ~background_flows =
         log.drops <-
           ( Int64.bits_of_float (Engine.now engine),
             node_id,
-            Format.asprintf "%a" Fluid.pp_drop_reason reason,
+            Format.asprintf "%a" Utc_elements.Runtime.pp_drop_reason reason,
             pkt.Packet.seq )
           :: log.drops)
       ()
@@ -352,7 +354,7 @@ let fluid_survives_tiny_rate_links () =
   let fluid =
     Fluid.build engine
       (Compiled.compile_exn topo)
-      (Fluid.callbacks ())
+      (Utc_elements.Runtime.callbacks ())
       ~background:(Fluid.population ~flow:Flow.Cross ~flows:100 ())
   in
   Engine.run ~until:5.0 engine;
@@ -367,7 +369,7 @@ let fluid_survives_tiny_rate_links () =
 
 let expect_invalid_build name topo ~background =
   let engine = Engine.create ~seed:1 () in
-  match Fluid.build engine (Compiled.compile_exn topo) (Fluid.callbacks ()) ~background with
+  match Fluid.build engine (Compiled.compile_exn topo) (Utc_elements.Runtime.callbacks ()) ~background with
   | (_ : Fluid.t) -> Alcotest.failf "%s should be rejected" name
   | exception Invalid_argument _ -> ()
 
@@ -406,7 +408,7 @@ let fluid_build_validation () =
       ~config:{ Fluid.default_config with dt = 0.0 }
       engine
       (Compiled.compile_exn plain)
-      (Fluid.callbacks ())
+      (Utc_elements.Runtime.callbacks ())
       ~background:(Fluid.population ~flow:Flow.Cross ~flows:10 ())
   with
   | (_ : Fluid.t) -> Alcotest.fail "dt = 0 should be rejected"

@@ -1,13 +1,12 @@
-(* Tests for the deterministic telemetry layer (lib/obs) and the
-   ring-buffered Trace: registry semantics, journal bounds, exporters,
-   and the cross-domain byte-identity the determinism contract promises. *)
+(* Tests for the deterministic telemetry layer (lib/obs): registry
+   semantics, journal bounds, exporters, and the cross-domain
+   byte-identity the determinism contract promises. *)
 
 module Metrics = Utc_obs.Metrics
 module Sink = Utc_obs.Sink
 module Event = Utc_obs.Event
 module Export = Utc_obs.Export
 module Profile = Utc_obs.Profile
-module Trace = Utc_sim.Trace
 module Pool = Utc_parallel.Pool
 module Harness = Utc_experiments.Harness
 module Scalability = Utc_experiments.Scalability
@@ -459,37 +458,6 @@ let series_extraction () =
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "margin series" [ (2.0, 0.5) ]
     (List.assoc "planner.margin" series)
 
-(* --- ring-buffered Trace --- *)
-
-let trace_ring_buffer () =
-  let t = Trace.create ~capacity:3 ~name:"ring" () in
-  Alcotest.(check (option int)) "capacity visible" (Some 3) (Trace.capacity t);
-  for i = 0 to 9 do
-    Trace.record t ~time:(float_of_int i) (float_of_int (10 * i))
-  done;
-  Alcotest.(check int) "length is bounded" 3 (Trace.length t);
-  Alcotest.(check int) "recorded counts everything" 10 (Trace.recorded t);
-  Alcotest.(check int) "dropped is the difference" 7 (Trace.dropped t);
-  Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "newest window in order"
-    [ (7.0, 70.0); (8.0, 80.0); (9.0, 90.0) ]
-    (Trace.samples t);
-  Alcotest.(check (option (pair (float 0.0) (float 0.0)))) "last is newest" (Some (9.0, 90.0))
-    (Trace.last t);
-  Trace.record_event t ~time:0.5 "drop";
-  Alcotest.(check int) "events counted separately" 1 (List.length (Trace.events t));
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
-      ignore (Trace.create ~capacity:0 ~name:"bad" ()))
-
-let trace_unbounded_default () =
-  let t = Trace.create ~name:"unbounded" () in
-  Alcotest.(check (option int)) "no capacity" None (Trace.capacity t);
-  for i = 0 to 99 do
-    Trace.record t ~time:(float_of_int i) 1.0
-  done;
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped t);
-  Alcotest.(check int) "all retained" 100 (Trace.length t)
-
 (* --- cross-domain byte-identity ---
 
    The journal and the deterministic snapshot for a harness run must be
@@ -609,8 +577,6 @@ let suite =
     ("chrome span slices and orphans", `Quick, chrome_span_slices_and_orphans);
     ("chrome run tracks", `Quick, chrome_run_tracks);
     ("series extraction", `Quick, series_extraction);
-    ("trace ring buffer", `Quick, trace_ring_buffer);
-    ("trace unbounded default", `Quick, trace_unbounded_default);
     QCheck_alcotest.to_alcotest ~long:false journal_domain_invariance;
     QCheck_alcotest.to_alcotest ~long:false sweep_domain_invariance;
   ]

@@ -1,5 +1,5 @@
 (* Tests for the discrete-event substrate: time, RNG, heap, engine,
-   persistent queue, traces. *)
+   persistent queue. *)
 open Utc_sim
 
 let check_float = Alcotest.(check (float 1e-12))
@@ -330,21 +330,6 @@ let fqueue_model_prop =
       && Utc_sim.Fqueue.length !q = List.length !model
       && Utc_sim.Fqueue.peek !q = (match !model with [] -> None | m :: _ -> Some m))
 
-(* --- Trace --- *)
-
-let trace_records () =
-  let t = Trace.create ~name:"rtt" () in
-  Trace.record t ~time:1.0 0.5;
-  Trace.record t ~time:2.0 0.7;
-  Trace.record_event t ~time:1.5 "drop";
-  Alcotest.(check int) "length" 2 (Trace.length t);
-  Alcotest.(check bool) "samples" true (Trace.samples t = [ (1.0, 0.5); (2.0, 0.7) ]);
-  Alcotest.(check bool) "last" true (Trace.last t = Some (2.0, 0.7));
-  Alcotest.(check bool) "events" true (Trace.events t = [ (1.5, "drop", 1.0) ]);
-  Alcotest.(check bool) "between" true (Trace.between t ~lo:1.5 ~hi:2.5 = [ (2.0, 0.7) ]);
-  Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Trace.length t)
-
 let suite =
   [
     ("timebase units", `Quick, timebase_units);
@@ -378,7 +363,6 @@ let suite =
     ("engine step", `Quick, engine_step);
     ("fqueue fifo", `Quick, fqueue_fifo);
     QCheck_alcotest.to_alcotest fqueue_model_prop;
-    ("trace records", `Quick, trace_records);
   ]
 
 (* --- additional edge cases --- *)

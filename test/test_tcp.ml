@@ -107,26 +107,31 @@ let vegas_grows_when_uncongested () =
 
 (* A clean path: rate-limited station + propagation delay, no loss. *)
 let clean_path engine ~rate_bps ~capacity_bits ~prop ~sender_cell =
-  let to_receiver =
-    Utc_elements.Node.of_fn (fun pkt ->
-        ignore
-          (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine ~delay:prop
-             (fun () ->
-               match !sender_cell with
-               | Some sender -> Sender.on_delivery sender pkt
-               | None -> ())))
+  let deliver _ pkt =
+    ignore
+      (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine ~delay:prop (fun () ->
+           match !sender_cell with
+           | Some sender -> Sender.on_delivery sender pkt
+           | None -> ()))
   in
-  let arq =
-    Utc_elements.Arq.create engine ~rate_bps ~try_loss:0.0 ~capacity_bits ~next:to_receiver ()
+  let truth =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared = Topology.station ~capacity_bits ~rate_bps ();
+    }
   in
-  Utc_elements.Arq.node arq
+  let runtime =
+    Utc_elements.Runtime.build engine (Compiled.compile_exn truth)
+      (Utc_elements.Runtime.callbacks ~deliver ())
+  in
+  Utc_elements.Runtime.inject runtime Flow.Primary
 
 let run_sender ?(duration = 60.0) ?(config = Sender.default_config) ~rate_bps ~capacity_bits
     ~prop () =
   let engine = Engine.create ~seed:6 () in
   let sender_cell = ref None in
-  let node = clean_path engine ~rate_bps ~capacity_bits ~prop ~sender_cell in
-  let sender = Sender.create engine config ~inject:node.Utc_elements.Node.push in
+  let inject = clean_path engine ~rate_bps ~capacity_bits ~prop ~sender_cell in
+  let sender = Sender.create engine config ~inject in
   sender_cell := Some sender;
   Sender.start sender;
   Engine.run ~until:duration engine;

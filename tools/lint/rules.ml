@@ -46,7 +46,7 @@ let check_r2 (src : Source.t) =
     flag_tokens src ~rule:"R2" ~tokens:wall_clock_tokens ~message:(fun token ->
         Printf.sprintf
           "wall-clock read (%s) in lib/: simulated code must be a pure function of the seed; \
-           benchmark timing goes through Utc_sim.Wallclock"
+           benchmark timing goes through Utc_obs.Obs_clock"
           token)
 
 (* --- R3 no-polymorphic-compare --- *)
@@ -302,8 +302,8 @@ let all =
       id = "R2";
       name = "no-wall-clock";
       doc =
-        "Unix.gettimeofday/Unix.time/Sys.time are forbidden in lib/ outside the \
-         Utc_sim.Wallclock shim.";
+        "Unix.gettimeofday/Unix.time/Sys.time are forbidden in lib/ outside \
+         Utc_obs.Obs_clock.";
       check = check_r2;
     };
     {

@@ -12,7 +12,7 @@
       [Random.self_init]).  All randomness must flow through the seeded,
       splittable [Utc_sim.Rng].
     - [R2] no-wall-clock: [Unix.gettimeofday]/[Unix.time]/[Sys.time] inside
-      [lib/].  Benchmark timing goes through the [Utc_sim.Wallclock] shim,
+      [lib/].  Benchmark timing goes through [Utc_obs.Obs_clock],
       the single allowlisted reader.
     - [R3] no-polymorphic-compare: [Stdlib.compare] anywhere, and a bare
       [compare] passed to a [List]/[Array] sort function.  Polymorphic
