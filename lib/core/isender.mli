@@ -48,6 +48,10 @@ type 'p decider =
     transmit or sleep. The default is {!Planner.decide} with the config's
     planner; a precomputed policy (§3.3) can be substituted. *)
 
+val default_decider : config -> 'p decider
+(** The decider {!create} uses when given none: {!Planner.decide} with the
+    config's planner and a gross-utility cache of its own. *)
+
 val create :
   ?decide:'p decider ->
   ?reseed:(now:Utc_sim.Timebase.t -> 'p Utc_inference.Belief.t -> 'p Utc_inference.Belief.t) ->

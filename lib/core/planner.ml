@@ -5,7 +5,6 @@ module Utility = Utc_utility.Utility
 type config = {
   delays : float list;
   horizon : float;
-  rollout : int;
   top_hyps : int;
   utility : Utility.config;
   tie_epsilon : float;
@@ -15,40 +14,10 @@ let default_config =
   {
     delays = [ 0.0; 0.25; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0; 8.0; 12.0; 20.0; 32.0 ];
     horizon = 15.0;
-    rollout = 0;
     top_hyps = 64;
     utility = Utility.default;
     tie_epsilon = 1e-3;
   }
-
-(* Belief-expected service time at the first station of each hypothesis'
-   model; 1 s when the family has no station. *)
-let expected_service belief =
-  let hyps = Belief.top belief ~n:64 in
-  let z = Utc_inference.Logw.logsumexp (List.map (fun h -> h.Belief.logw) hyps) in
-  let rate =
-    List.fold_left
-      (fun acc (h : _ Belief.hypothesis) ->
-        let compiled = Forward.compiled_of h.Belief.prepared in
-        let station_rate =
-          match Utc_net.Compiled.station_ids compiled with
-          | station :: _ -> (
-            match Utc_net.Compiled.node compiled station with
-            | Utc_net.Compiled.Station { rate_bps; _ } -> rate_bps
-            | Utc_net.Compiled.Delay _ | Utc_net.Compiled.Loss _ | Utc_net.Compiled.Jitter _
-            | Utc_net.Compiled.Gate _ | Utc_net.Compiled.Either _ | Utc_net.Compiled.Divert _
-            | Utc_net.Compiled.Multipath _ ->
-              0.0)
-          | [] -> 0.0
-        in
-        acc +. (exp (h.Belief.logw -. z) *. station_rate))
-      0.0 hyps
-  in
-  if rate > 0.0 then float_of_int Utc_net.Packet.default_bits /. rate else 1.0
-
-let suggest_delays belief =
-  let service = expected_service belief in
-  0.0 :: List.map (fun m -> m *. service) [ 0.5; 1.0; 1.5; 2.0; 2.5; 3.33; 5.0; 8.0; 12.0; 20.0; 32.0 ]
 
 type decision =
   | Send_now
@@ -74,7 +43,11 @@ type evaluation = {
    wakeup the packet sequence numbers of candidates advance every
    iteration, so candidates 1..n can never be re-requested — keying all
    of them would hash the (params, state) encoding once per rollout for
-   lookups that cannot hit, which costs more than the sweep saves. *)
+   lookups that cannot hit, which costs more than the sweep saves.
+
+   Only hypotheses whose baseline forks use the cache: the others are
+   priced off one traced baseline (see [gross_utilities]), which is cheaper
+   than a lookup's digest. *)
 type cache = {
   table : (string, float) Hashtbl.t;
   lock : Mutex.t;  (* pooled pricing may probe from several domains *)
@@ -98,8 +71,8 @@ let add_float buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
 (* Shared key prefix for every strategy priced against one hypothesis in
    one decision — parameters, exact model state, decision time, horizon —
    collapsed to a 16-byte digest so per-strategy keys stay short however
-   large the marshaled state is. Computed once per hypothesis per
-   decision, in the serial prologue. *)
+   large the marshaled state is. Computed once per forking hypothesis
+   per decision. *)
 let hyp_digest ~now ~t_end (hyp : _ Belief.hypothesis) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (Marshal.to_string hyp.Belief.params []);
@@ -143,24 +116,6 @@ let validate config =
     if config.horizon <= 0.0 then invalid_arg "Planner: horizon must be positive"
   | [] | _ :: _ -> invalid_arg "Planner: delays must start with 0 and be positive afterwards"
 
-let smallest_positive delays =
-  match List.filter (fun d -> d > 0.0) delays with
-  | [] -> 1.0
-  | d :: _ -> d
-
-(* Candidate strategy [d]: the next packet at [now + d], plus [rollout]
-   further packets at the same spacing, clipped to the horizon. *)
-let strategy_sends config ~now ~make_packet d ~t_end =
-  let spacing = Float.max d (smallest_positive config.delays) in
-  let rec build k acc =
-    if k > config.rollout then List.rev acc
-    else begin
-      let at = now +. d +. (float_of_int k *. spacing) in
-      if at > t_end then List.rev acc else build (k + 1) ((at, make_packet at) :: acc)
-    end
-  in
-  build 0 []
-
 let decisions_c = Utc_obs.Metrics.counter "core.planner.decisions"
 
 (* Serial telemetry, after the pooled pricing has merged: the journal
@@ -187,6 +142,80 @@ let record_decision ~now ~evaluations decision =
 
 let price_cost = Utc_parallel.Pool.Cost.make ~label:"planner.price"
 
+(* [Utility.of_outcomes] of one outcome of weight [logw] whose
+   deliveries' left-folded utility is [sum]. *)
+let single_outcome ~logw sum = 0.0 +. (exp logw *. sum)
+
+(* A resumed candidate's deliveries are the baseline's first [prefix],
+   its own [fresh] ones, then the baseline's from [suffix] on, so its
+   gross utility adds the baseline's own terms around the fresh ones in
+   the order [Utility.of_outcomes] folds them: bit for bit a full
+   rollout. *)
+(* lint:hotpath -- runs for every (hypothesis x delay) pair of a decision
+   whose planning model does not fork *)
+let gross_utilities config ~now ~until prepared state ~pending sends =
+  match Forward.trace prepared state ~sends:pending ~until with
+  | None -> None
+  | Some trace ->
+    let terms = Array.map (Utility.of_delivery config.utility ~now) (Forward.trace_deliveries trace) in
+    let m = Array.length terms in
+    let partial = Array.make (m + 1) 0.0 in
+    for k = 0 to m - 1 do
+      partial.(k + 1) <- partial.(k) +. terms.(k)
+    done;
+    let gross send =
+      match Forward.resume trace send with
+      | Forward.Single { logw; prefix; fresh; suffix } ->
+        let acc = ref partial.(prefix) in
+        List.iter (fun d -> acc := !acc +. Utility.of_delivery config.utility ~now d) fresh; (* lint:allow R11 -- fold over this candidate's fresh deliveries *)
+        for k = suffix to m - 1 do
+          acc := !acc +. terms.(k)
+        done;
+        single_outcome ~logw !acc
+      | Forward.Forked outcomes -> Utility.of_outcomes config.utility ~now outcomes
+    in
+    Some (single_outcome ~logw:(Forward.trace_logw trace) partial.(m), Array.map gross sends)
+
+(* Full per-candidate rollouts, for a hypothesis whose baseline forks:
+   each candidate is a [Forward.run] of its own, and the cache serves
+   the baseline. *)
+let price_forking config ?cache ~now ~t_end ~weight (hyp : _ Belief.hypothesis) prepared
+    ~pending sends =
+  let utility_of sends =
+    Utility.of_outcomes config.utility ~now
+      (Forward.run prepared hyp.Belief.state ~sends ~until:t_end)
+  in
+  let digest =
+    match cache with
+    | None -> ""
+    | Some _ -> hyp_digest ~now ~t_end hyp
+  in
+  (* Only the baseline is worth probing: within a burst the sender's
+     pending list at wakeup k+1 is exactly candidate 0's send list at
+     wakeup k, so baseline rollouts replay from the candidate-0 entries
+     stored one decision earlier. *)
+  let baseline =
+    match cache with
+    | None -> utility_of pending
+    | Some c -> (
+      let key = strategy_key ~digest pending in
+      match cache_find c key with
+      | Some utility -> utility
+      | None ->
+        let utility = utility_of pending in
+        cache_store c key utility;
+        utility)
+  in
+  Array.mapi
+    (fun i send ->
+      let sends = pending @ [ send ] in
+      let utility = utility_of sends in
+      (match cache with
+      | Some c when i = 0 -> cache_store c (strategy_key ~digest sends) utility
+      | Some _ | None -> ());
+      weight *. (utility -. baseline))
+    sends
+
 (* lint:hotpath -- the EU sweep prices every (hypothesis x delay) pair
    per decision; ROADMAP hot-path program tracks its allocations *)
 let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
@@ -211,15 +240,12 @@ let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
     let candidates = Array.of_list config.delays in
     let n = Array.length candidates in
     (* Serial prologue, before the pool fan: the memoized plan variant
-       mutates the shared [prepared] record and the cache key digest
-       marshals hypothesis state — neither belongs inside a pooled job. *)
+       mutates the shared [prepared] record, which no pooled job may do.
+       Candidate [d] sends one packet at [now + d], the same for every
+       hypothesis. *)
     let hyps = Array.of_list hyps in
     let plans = Array.map (fun (h : _ Belief.hypothesis) -> Forward.plan_variant h.Belief.prepared) hyps in
-    let digests =
-      match cache with
-      | None -> [||]
-      | Some _ -> Array.map (hyp_digest ~now ~t_end) hyps
-    in
+    let sends = Array.map (fun d -> (now +. d, make_packet (now +. d))) candidates in
     (* Per-hypothesis rollouts are independent of each other; fan them
        across the pool and reduce the per-candidate contributions in
        hypothesis index order, so the accumulated expected utilities add
@@ -228,35 +254,13 @@ let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
       let hyp = hyps.(i) in
       let weight = exp (hyp.Belief.logw -. z) in
       let prepared = plans.(i) in
-      let utility_of sends = (* lint:allow R11 -- closure over this hypothesis' prepared model and state *)
-        let outcomes = Forward.run prepared hyp.Belief.state ~sends ~until:t_end in
-        Utility.of_outcomes config.utility ~now outcomes
-      in
-      (* Only the baseline is worth probing: within a burst the sender's
-         pending list at wakeup k+1 is exactly candidate 0's send list at
-         wakeup k (rollout packets included), so baseline rollouts replay
-         from the candidate-0 entries stored one decision earlier. *)
-      let baseline =
-        match cache with
-        | None -> utility_of pending
-        | Some c -> (
-          let key = strategy_key ~digest:digests.(i) pending in
-          match cache_find c key with
-          | Some utility -> utility
-          | None ->
-            let utility = utility_of pending in
-            cache_store c key utility;
-            utility)
-      in
-      Array.map
-        (fun d -> (* lint:allow R11 -- per-candidate send list; bounded by #delays *)
-          let sends = pending @ strategy_sends config ~now ~make_packet d ~t_end in
-          let utility = utility_of sends in
-          (match cache with
-          | Some c when d = 0.0 -> cache_store c (strategy_key ~digest:digests.(i) sends) utility
-          | Some _ | None -> ());
-          weight *. (utility -. baseline))
-        candidates
+      match gross_utilities config ~now ~until:t_end prepared hyp.Belief.state ~pending sends with
+      | Some (baseline, utilities) ->
+        for k = 0 to n - 1 do
+          utilities.(k) <- weight *. (utilities.(k) -. baseline)
+        done;
+        utilities
+      | None -> price_forking config ?cache ~now ~t_end ~weight hyp prepared ~pending sends
     in
     let net = Array.make n 0.0 in
     (* The EU sweep itself, attributed separately from candidate pick and

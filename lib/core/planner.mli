@@ -6,14 +6,22 @@
     configuration, and picks the strategy with the highest expected
     utility.
 
-    Pricing a strategy [d]: inject the next packet at [now + d] (plus, if
-    rollout is enabled, further packets at the same spacing) into each of
-    the belief's heaviest hypotheses, run the forking simulator to a
+    Pricing a strategy [d]: inject the next packet at [now + d] into each
+    of the belief's heaviest hypotheses, run the forking simulator to a
     common horizon, and take the expected utility of all deliveries in the
     window, minus the no-send baseline. Gates are frozen in their current
     state during planning (certainty-equivalent over the gate process —
     the mixture across hypotheses still carries gate uncertainty); loss is
     handled in expectation.
+
+    A hypothesis whose baseline does not fork is priced off one recorded
+    baseline ({!Utc_model.Forward.trace}): each candidate resumes from the
+    baseline's state at its send and rejoins the baseline once the two
+    states converge ({!Utc_model.Forward.resume}), and its gross utility
+    adds the baseline's per-delivery utilities around its own in the
+    order a full rollout folds them, so every evaluation is bit-identical
+    to pricing each candidate with a full {!Utc_model.Forward.run}. A
+    hypothesis whose baseline forks is priced with full runs.
 
     Tie-breaking prefers the {e latest} candidate within [tie_epsilon] of
     the best, which is what makes the sender fill residual capacity rather
@@ -26,9 +34,6 @@ type config = {
   delays : float list;
       (** Candidate extra delays, ascending, first must be [0.]. *)
   horizon : float;  (** Simulated seconds past the last candidate. *)
-  rollout : int;
-      (** Extra future sends assumed after the decided one (0 = price a
-          single decision, the paper's formulation). *)
   top_hyps : int;  (** Hypotheses used (heaviest first, renormalized). *)
   utility : Utc_utility.Utility.config;
   tie_epsilon : float;
@@ -36,14 +41,8 @@ type config = {
 }
 
 val default_config : config
-(** Delays 0..32 s on a rough geometric grid, 15 s horizon, no rollout,
-    64 hypotheses, default utility, [tie_epsilon = 1e-3]. *)
-
-val suggest_delays : 'p Utc_inference.Belief.t -> float list
-(** Candidate delays scaled to the belief: multiples of the expected
-    bottleneck service time, from 0 to 32 service times ("every delay up
-    to the slowest rate the ISender could optimally send"). Use when the
-    link timescale is not known a priori. *)
+(** Delays 0..32 s on a rough geometric grid, 15 s horizon, 64
+    hypotheses, default utility, [tie_epsilon = 1e-3]. *)
 
 type decision =
   | Send_now
@@ -66,8 +65,11 @@ type cache
     a burst the pending list at wakeup [k+1] is exactly candidate 0's
     send list at wakeup [k], so baseline rollouts replay from the
     previous decision while the other candidates (whose sequence numbers
-    advance every iteration) are never re-requested. Thread-safe;
-    bounded by [capacity] entries (reset wholesale on overflow). *)
+    advance every iteration) are never re-requested. Only hypotheses
+    whose baseline forks consult it: the shared-baseline pricing above
+    is cheaper than a lookup, so a decision over models that never fork
+    while planning leaves {!cache_stats} unchanged. Thread-safe; bounded
+    by [capacity] entries (reset wholesale on overflow). *)
 
 val make_cache : ?capacity:int -> unit -> cache
 (** Default capacity 8192 gross utilities. *)
@@ -79,6 +81,22 @@ val price_cost : Utc_parallel.Pool.Cost.t
 (** The adaptive cost handle behind the per-hypothesis pricing fan
     (label ["planner.price"]); exposed for the parallel benchmark and
     tests. *)
+
+val gross_utilities :
+  config ->
+  now:Utc_sim.Timebase.t ->
+  until:Utc_sim.Timebase.t ->
+  Utc_model.Forward.prepared ->
+  Utc_model.Mstate.t ->
+  pending:(Utc_sim.Timebase.t * Utc_net.Packet.t) list ->
+  (Utc_sim.Timebase.t * Utc_net.Packet.t) array ->
+  (float * float array) option
+(** One hypothesis' shared-baseline pricing, as {!decide} runs it:
+    [Some (baseline, utilities)] where [baseline] is the gross utility of
+    [pending] alone and [utilities.(i)] that of [pending] followed by
+    [sends.(i)], each equal bit for bit to {!Utc_utility.Utility.of_outcomes}
+    over the matching {!Utc_model.Forward.run} to [until]; [None] when the
+    baseline forks. *)
 
 val decide :
   ?pool:Utc_parallel.Pool.t ->
@@ -94,6 +112,7 @@ val decide :
     sent at [at]. Returns the decision and the per-candidate evaluations
     (for logging and the experiment traces). If no candidate nets positive
     utility the decision is to sleep until the last candidate.
+    [make_packet] is called once per candidate.
 
     Per-hypothesis rollouts fan across [pool] (default:
     {!Utc_parallel.Pool.default}) under an adaptive cost handle — small

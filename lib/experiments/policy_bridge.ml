@@ -55,6 +55,8 @@ type comparison = {
   policy_cross_drops : int;
   planner_wall : float;
   policy_wall : float;
+  planner_decide_wall : float;
+  policy_decide_wall : float;
 }
 
 let run_sender ?decide ~seed ~duration ~alpha () =
@@ -73,9 +75,17 @@ let run_sender ?decide ~seed ~duration ~alpha () =
   in
   let utility = Utc_utility.Utility.make ~alpha ~cross_discounted:true () in
   let planner = { Planner.default_config with utility; delays = Harness.paper_delays } in
+  let config = { Utc_core.Isender.default_config with planner } in
+  let decide = Option.value decide ~default:(Utc_core.Isender.default_decider config) in
+  let decide_wall = ref 0.0 in
+  let timed belief ~now ~pending ~make_packet =
+    let start = Utc_obs.Obs_clock.now () in
+    let decision = decide belief ~now ~pending ~make_packet in
+    decide_wall := !decide_wall +. Utc_obs.Obs_clock.elapsed_since start;
+    decision
+  in
   let isender =
-    Utc_core.Isender.create ?decide engine
-      { Utc_core.Isender.default_config with planner }
+    Utc_core.Isender.create ~decide:timed engine config
       ~belief
       ~inject:(fun pkt -> Utc_elements.Runtime.inject runtime Flow.Primary pkt)
   in
@@ -93,17 +103,18 @@ let run_sender ?decide ~seed ~duration ~alpha () =
   ( Utc_core.Isender.sent_count isender,
     Utc_core.Receiver.throughput receiver Flow.Primary ~since:0.0 ~until:duration,
     cross_drops,
-    Utc_obs.Obs_clock.elapsed_since wall_start )
+    Utc_obs.Obs_clock.elapsed_since wall_start,
+    !decide_wall )
 
 let compare_on_fig3 ?(seed = 1) ?(duration = 200.0) ?(alpha = 1.0) () =
   let solution =
     Utc_pomdp.Sender_mdp.solve { Utc_pomdp.Sender_mdp.default with Utc_pomdp.Sender_mdp.alpha }
   in
   let threshold = Utc_pomdp.Sender_mdp.send_threshold solution in
-  let planner_sent, planner_goodput_bps, planner_cross_drops, planner_wall =
+  let planner_sent, planner_goodput_bps, planner_cross_drops, planner_wall, planner_decide_wall =
     run_sender ~seed ~duration ~alpha ()
   in
-  let policy_sent, policy_goodput_bps, policy_cross_drops, policy_wall =
+  let policy_sent, policy_goodput_bps, policy_cross_drops, policy_wall, policy_decide_wall =
     run_sender ~decide:(decider ~threshold) ~seed ~duration ~alpha ()
   in
   {
@@ -116,18 +127,20 @@ let compare_on_fig3 ?(seed = 1) ?(duration = 200.0) ?(alpha = 1.0) () =
     policy_cross_drops;
     planner_wall;
     policy_wall;
+    planner_decide_wall;
+    policy_decide_wall;
   }
 
 let pp_report ppf c =
   Format.fprintf ppf
     "Precomputed policy vs online planner on the S4 network (same belief filter)@.@.";
   Format.fprintf ppf "offline policy: send while expected occupancy < %d@.@." c.threshold;
-  Format.fprintf ppf "%-18s %10s %14s %12s %10s@." "sender" "sent" "goodput(bps)" "cross-drops"
-    "wall(s)";
-  Format.fprintf ppf "%-18s %10d %14.0f %12d %10.2f@." "online planner" c.planner_sent
-    c.planner_goodput_bps c.planner_cross_drops c.planner_wall;
-  Format.fprintf ppf "%-18s %10d %14.0f %12d %10.2f@." "offline policy" c.policy_sent
-    c.policy_goodput_bps c.policy_cross_drops c.policy_wall;
+  Format.fprintf ppf "%-18s %10s %14s %12s %10s %10s@." "sender" "sent" "goodput(bps)"
+    "cross-drops" "wall(s)" "decide(s)";
+  Format.fprintf ppf "%-18s %10d %14.0f %12d %10.2f %10.3f@." "online planner" c.planner_sent
+    c.planner_goodput_bps c.planner_cross_drops c.planner_wall c.planner_decide_wall;
+  Format.fprintf ppf "%-18s %10d %14.0f %12d %10.2f %10.3f@." "offline policy" c.policy_sent
+    c.policy_goodput_bps c.policy_cross_drops c.policy_wall c.policy_decide_wall;
   Format.fprintf ppf
     "@.(S3.3: \"the sender's algorithm need not be executed in real time\" -@.";
   Format.fprintf ppf

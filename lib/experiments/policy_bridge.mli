@@ -30,7 +30,11 @@ type comparison = {
   planner_cross_drops : int;
   policy_cross_drops : int;
   planner_wall : float;
-  policy_wall : float;  (** The headline: table lookups vs simulation. *)
+  policy_wall : float;  (** Whole runs, belief filter included. *)
+  planner_decide_wall : float;
+  policy_decide_wall : float;
+      (** The headline: wall seconds inside each sender's decider, table
+          lookups vs simulation. *)
 }
 
 val compare_on_fig3 : ?seed:int -> ?duration:float -> ?alpha:float -> unit -> comparison

@@ -303,7 +303,9 @@ let handle_epoch p branch id =
       ~at:(Tb.add state.Mstate.now p.config.epoch)
       ~prio:Evprio.gate_toggle (Mstate.Gate_epoch id)
   in
-  if not p.config.fork_gates then [ { branch with state = reschedule branch.state } ]
+  (* A frozen gate consumes its epoch: rescheduling a no-op would only
+     shift later sequence numbers, which never reorders other events. *)
+  if not p.config.fork_gates then [ branch ]
   else begin
     (* Exact two-state Markov marginal over one epoch: the state differs
        with probability (1 - e^{-2 epoch / mtts}) / 2. *)
@@ -350,17 +352,33 @@ let drop_lightest work =
       else true)
     work
 
-let run ?(until_prio = max_int) p state ~sends ~until =
-  let inject st (at, pkt) =
+let beyond ~until_prio ~until (ev : Mstate.event) =
+  Tb.( >. ) ev.Mstate.time until
+  || (Tb.( >=. ) ev.Mstate.time until && ev.Mstate.prio >= until_prio)
+
+let rec inject p ~until st = function
+  | [] -> st
+  | (at, pkt) :: sends ->
     if Tb.( <. ) at st.Mstate.now then invalid_arg "Forward.run: send before state time"
     else if Tb.( >. ) at until then invalid_arg "Forward.run: send after until"
     else begin
       let entry = Compiled.entry p.compiled pkt.Packet.flow in
-      Mstate.insert st ~at ~prio:(Evprio.arrival pkt.Packet.flow)
-        (Mstate.Arrive (entry, { Mstate.pkt; survive_p = 1.0 }))
+      let st =
+        Mstate.insert st ~at ~prio:(Evprio.arrival pkt.Packet.flow)
+          (Mstate.Arrive (entry, { Mstate.pkt; survive_p = 1.0 }))
+      in
+      inject p ~until st sends
     end
-  in
-  let state = List.fold_left inject state sends in
+
+(* The branches [branch] becomes by handling [ev], the head of its
+   pending events, whose tail is [remaining]. *)
+let handle_next p branch (ev : Mstate.event) remaining =
+  handle p
+    { branch with state = { branch.state with Mstate.pending = remaining; now = ev.Mstate.time } }
+    ev.Mstate.ev
+
+(* Depth-first over the branches in [work], in order. *)
+let explore p ~until_prio ~until work =
   let finished = ref [] in
   let finish branch =
     finished :=
@@ -371,8 +389,8 @@ let run ?(until_prio = max_int) p state ~sends ~until =
       }
       :: !finished
   in
-  let work = ref [ { state; logw = 0.0; deliveries_rev = [] } ] in
-  let work_count = ref 1 in
+  let work = ref work in
+  let work_count = ref (List.length !work) in
   let finished_count = ref 0 in
   let rec loop () =
     match !work with
@@ -386,16 +404,12 @@ let run ?(until_prio = max_int) p state ~sends ~until =
           finish branch;
           incr finished_count
         | ev :: remaining ->
-          if
-            Tb.( >. ) ev.Mstate.time until
-            || (Tb.( >=. ) ev.Mstate.time until && ev.Mstate.prio >= until_prio)
-          then begin
+          if beyond ~until_prio ~until ev then begin
             finish branch;
             incr finished_count
           end
           else begin
-            let st = { branch.state with Mstate.pending = remaining; now = ev.Mstate.time } in
-            let conts = handle p { branch with state = st } ev.Mstate.ev in
+            let conts = handle_next p branch ev remaining in
             work := conts @ !work;
             work_count := !work_count + List.length conts;
             while !work_count > 0 && !work_count + !finished_count > p.config.max_branches do
@@ -408,3 +422,157 @@ let run ?(until_prio = max_int) p state ~sends ~until =
   in
   loop ();
   List.rev !finished
+
+let run ?(until_prio = max_int) p state ~sends ~until =
+  let state = inject p ~until state sends in
+  explore p ~until_prio ~until [ { state; logw = 0.0; deliveries_rev = [] } ]
+
+(* --- shared-prefix pricing --- *)
+
+(* One step of a single-branch run: the branch just before it processes
+   its next event, or (last step) where it stopped. *)
+type step = {
+  before : branch;
+  delivered : int;  (* deliveries made before this step *)
+}
+
+type trace = {
+  t_prepared : prepared;
+  start : Tb.t;
+  t_until : Tb.t;
+  reserved : int;  (* the event sequence number a candidate send takes *)
+  steps : step list;  (* in processing order; the last is where the run stopped *)
+  t_logw : float;
+  t_deliveries : delivery array;
+}
+
+let trace_deliveries t = t.t_deliveries
+let trace_logw t = t.t_logw
+
+(* Floats compare by their bits: a rejoin must be exact. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Handle the branch's next event if it is due by [until]: [None] when
+   the branch is done, a list of two or more when it forks. *)
+let advance p ~until branch =
+  match branch.state.Mstate.pending with
+  | ev :: remaining when not (beyond ~until_prio:max_int ~until ev) ->
+    Some (handle_next p branch ev remaining)
+  | [] | _ :: _ -> None
+
+(* Deliveries [later] holds on top of [earlier], its own tail. *)
+let rec added ~earlier later =
+  if later == earlier then 0
+  else
+    match later with
+    | _ :: tail -> 1 + added ~earlier tail
+    | [] -> 0
+
+let trace p state ~sends ~until =
+  let state = inject p ~until state sends in
+  (* Reserve the sequence number [pending @ [candidate]] gives the
+     candidate, so every later event numbers as in the candidate's run. *)
+  let reserved = state.Mstate.next_seq in
+  let state = { state with Mstate.next_seq = reserved + 1 } in
+  let rec go branch delivered steps =
+    let steps = { before = branch; delivered } :: steps in
+    match advance p ~until branch with
+    | None -> Some (branch, steps)
+    | Some [ next ] ->
+      go next (delivered + added ~earlier:branch.deliveries_rev next.deliveries_rev) steps
+    | Some ([] | _ :: _ :: _) -> None
+  in
+  match go { state; logw = 0.0; deliveries_rev = [] } 0 [] with
+  | None -> None
+  | Some (last, steps) ->
+    Some
+      {
+        t_prepared = p;
+        start = state.Mstate.now;
+        t_until = until;
+        reserved;
+        steps = List.rev steps;
+        t_logw = last.logw;
+        t_deliveries = Array.of_list (List.rev last.deliveries_rev);
+      }
+
+type resumed =
+  | Single of { logw : float; prefix : int; fresh : delivery list; suffix : int }
+  | Forked of outcome list
+
+let precedes ~time ~prio ~seq (ev : Mstate.event) =
+  let c = Tb.compare time ev.Mstate.time in
+  if c <> 0 then c < 0
+  else begin
+    let c = Int.compare prio ev.Mstate.prio in
+    if c <> 0 then c < 0 else seq < ev.Mstate.seq
+  end
+
+(* The steps from the one at which a send keyed [(time, prio, reserved)]
+   comes due: the first whose next event sorts after it, or the stop. *)
+let rec checkpoint t ~time ~prio steps =
+  match steps with
+  | step :: (_ :: _ as rest) -> (
+    match step.before.state.Mstate.pending with
+    | ev :: _ when precedes ~time ~prio ~seq:t.reserved ev -> steps
+    | [] | _ :: _ -> checkpoint t ~time ~prio rest)
+  | [ _ ] | [] -> steps
+
+(* The steps from the first one that has processed every event at or
+   before [now]. *)
+let rec catch_up ~now steps =
+  match steps with
+  | step :: (_ :: _ as rest) -> (
+    match step.before.state.Mstate.pending with
+    | ev :: _ when Tb.( <=. ) ev.Mstate.time now -> catch_up ~now rest
+    | [] | _ :: _ -> steps)
+  | [ _ ] | [] -> steps
+
+let resume t (at, pkt) =
+  let p = t.t_prepared and until = t.t_until in
+  if Tb.( <. ) at t.start then invalid_arg "Forward.resume: send before state time"
+  else if Tb.( >. ) at until then invalid_arg "Forward.resume: send after until";
+  let prio = Evprio.arrival pkt.Packet.flow in
+  let steps = checkpoint t ~time:at ~prio t.steps in
+  let from = List.hd steps in
+  let prefix = from.delivered in
+  let single branch ~logw ~suffix =
+    Single { logw; prefix; fresh = List.rev branch.deliveries_rev; suffix }
+  in
+  (* On a fork, rerun the forking event under [explore] with the whole
+     delivery history: from here on this is exactly [run]'s search. *)
+  let fork branch =
+    let rec history i acc = if i = prefix then acc else history (i + 1) (t.t_deliveries.(i) :: acc) in
+    let deliveries_rev = branch.deliveries_rev @ history 0 [] in
+    Forked (explore p ~until_prio:max_int ~until [ { branch with deliveries_rev } ])
+  in
+  (* Step the candidate. At each time boundary, compare it with the
+     baseline where the baseline has processed the same instants; once
+     they converge, the rest of the candidate's run is the baseline's. *)
+  let rec go branch steps =
+    match branch.state.Mstate.pending with
+    | ev :: remaining when not (beyond ~until_prio:max_int ~until ev) -> (
+      let boundary = Tb.( >. ) ev.Mstate.time branch.state.Mstate.now in
+      let steps = if boundary then catch_up ~now:branch.state.Mstate.now steps else steps in
+      match steps with
+      | step :: _
+        when boundary
+             && same_float branch.logw step.before.logw
+             && Mstate.converged branch.state step.before.state ->
+        single branch ~logw:t.t_logw ~suffix:step.delivered
+      | [] | _ :: _ -> (
+        match handle_next p branch ev remaining with
+        | [ next ] -> go next steps
+        | [] | _ :: _ :: _ -> fork branch))
+    | [] | _ :: _ -> single branch ~logw:branch.logw ~suffix:(Array.length t.t_deliveries)
+  in
+  let entry = Compiled.entry p.compiled pkt.Packet.flow in
+  let state =
+    Mstate.insert_reserved from.before.state ~seq:t.reserved ~at ~prio
+      (Mstate.Arrive (entry, { Mstate.pkt; survive_p = 1.0 }))
+  in
+  let start = { state; logw = from.before.logw; deliveries_rev = [] } in
+  (* The send itself comes first; the states cannot converge before it. *)
+  match advance p ~until start with
+  | Some [ next ] -> go next steps
+  | Some ([] | _ :: _ :: _) | None -> fork start

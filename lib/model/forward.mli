@@ -17,7 +17,9 @@
     - Memoryless gates and [Either]s fork at decision epochs of [epoch]
       seconds with the exact two-state Markov flip probability
       [(1 - exp (-2 epoch / mtts)) / 2]; with [fork_gates = false] they
-      are frozen in their current state (certainty-equivalent planning).
+      are frozen in their current state (certainty-equivalent planning),
+      and a frozen gate's pending epoch event is consumed, not
+      rescheduled: it would change nothing but later sequence numbers.
     - [Jitter] forks per packet.
     - Periodic gates are deterministic and never fork. *)
 
@@ -85,3 +87,57 @@ val run :
     not yet processed stay pending.
     @raise Invalid_argument on a send before [state.now] or after
     [until]. *)
+
+(** {1 Shared-prefix pricing}
+
+    The planner prices many candidate sends against one baseline: runs
+    with sends [pending @ [candidate]] that match the [pending]-only run
+    up to the candidate's send and, once the candidate's packet has left
+    and its effects have drained, match it again. A {!trace} records the
+    baseline once; {!resume} runs a candidate from the baseline's state
+    at its send and hands back to the baseline as soon as the two
+    converge. Both step with {!run}'s own event handlers, and the result
+    is exactly what {!run} returns for [pending @ [candidate]]. *)
+
+type trace
+(** A single-branch run of the baseline sends, with the persistent state
+    and the delivery count before each event. *)
+
+val trace :
+  prepared ->
+  Mstate.t ->
+  sends:(Utc_sim.Timebase.t * Utc_net.Packet.t) list ->
+  until:Utc_sim.Timebase.t ->
+  trace option
+(** Runs [sends] like [run] (every event at [until] is processed), after
+    reserving the event sequence number that [run] would give one more
+    send appended to [sends], so every same-instant tie in a resumed run
+    breaks as in [run]. [None] if the run forks.
+    @raise Invalid_argument as [run]. *)
+
+val trace_deliveries : trace -> delivery array
+(** The baseline's deliveries, in [run]'s order. *)
+
+val trace_logw : trace -> float
+(** The baseline branch's log-weight: [run] returns one outcome with the
+    trace's deliveries and this weight. *)
+
+type resumed =
+  | Single of { logw : float; prefix : int; fresh : delivery list; suffix : int }
+      (** One outcome of weight [logw] whose deliveries are the trace's
+          first [prefix], then [fresh], then the trace's from index
+          [suffix] on. *)
+  | Forked of outcome list  (** The candidate forked: [run]'s outcomes. *)
+
+val resume : trace -> Utc_sim.Timebase.t * Utc_net.Packet.t -> resumed
+(** [resume t send] is [run] with the traced sends followed by [send]. It
+    starts from the baseline state just before the first event that
+    sorts after [send]'s key [(time, Evprio.arrival flow, reserved)] and steps
+    the candidate alone. At each time boundary (its next event is later
+    than the last one it handled) it compares its state with the
+    baseline's at the same boundary: when node states, pending events
+    (sequence numbers ignored, see {!Mstate.converged}) and log-weights
+    are equal, the baseline's remaining deliveries are the candidate's.
+    If the candidate forks, the search continues as in [run].
+    @raise Invalid_argument on a send before the traced state's time or
+    after [until]. *)

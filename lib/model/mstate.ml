@@ -41,13 +41,19 @@ let event_le a b =
     if c <> 0 then c < 0 else a.seq <= b.seq
   end
 
+let place event pending =
+  let rec go = function
+    | [] -> [ event ]
+    | head :: tail -> if event_le head event then head :: go tail else event :: head :: tail
+  in
+  go pending
+
 let insert t ~at ~prio ev =
   let event = { time = at; prio; seq = t.next_seq; ev } in
-  let rec place = function
-    | [] -> [ event ]
-    | head :: tail -> if event_le head event then head :: place tail else event :: head :: tail
-  in
-  { t with pending = place t.pending; next_seq = t.next_seq + 1 }
+  { t with pending = place event t.pending; next_seq = t.next_seq + 1 }
+
+let insert_reserved t ~seq ~at ~prio ev =
+  { t with pending = place { time = at; prio; seq; ev } t.pending }
 
 let set_node t id nstate =
   let nodes = Array.copy t.nodes in
@@ -130,6 +136,68 @@ let initial ?(prefill = []) ~epoch compiled =
         (Complete id)
   in
   List.fold_left prefill_station !t prefill
+
+(* --- convergence --- *)
+
+(* Floats compare by their bits, so "converged" means bit-identical. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_packet (a : Packet.t) (b : Packet.t) =
+  a == b
+  || a.Packet.seq = b.Packet.seq
+     && Flow.equal a.Packet.flow b.Packet.flow
+     && a.Packet.bits = b.Packet.bits
+     && same_float a.Packet.sent_at b.Packet.sent_at
+
+let same_mpkt a b = a == b || (same_packet a.pkt b.pkt && same_float a.survive_p b.survive_p)
+
+let same_link (a : Compiled.link) (b : Compiled.link) =
+  match a, b with
+  | To x, To y -> x = y
+  | Deliver, Deliver -> true
+  | To _, Deliver | Deliver, To _ -> false
+
+let same_pev a b =
+  match a, b with
+  | Arrive (la, ma), Arrive (lb, mb) -> same_link la lb && same_mpkt ma mb
+  | Complete x, Complete y | Gate_epoch x, Gate_epoch y -> x = y
+  | Pinger_emit (i, k), Pinger_emit (j, l) | Gate_toggle (i, k), Gate_toggle (j, l) ->
+    i = j && k = l
+  | (Arrive _ | Complete _ | Pinger_emit _ | Gate_epoch _ | Gate_toggle _), _ -> false
+
+let same_station a b =
+  a == b
+  || a.queued_bits = b.queued_bits
+     && (match a.in_service, b.in_service with
+        | None, None -> true
+        | Some (ma, ta), Some (mb, tb) -> same_float ta tb && same_mpkt ma mb
+        | Some _, None | None, Some _ -> false)
+     && Fqueue.equal same_mpkt a.queue b.queue
+
+let same_nstate a b =
+  a == b
+  ||
+  match a, b with
+  | MStation x, MStation y -> same_station x y
+  | MGate x, MGate y -> Bool.equal x.connected y.connected
+  | MEither x, MEither y -> Bool.equal x.on_first y.on_first
+  | MMultipath x, MMultipath y -> Bool.equal x.next_first y.next_first
+  | MStateless, MStateless -> true
+  | (MStation _ | MGate _ | MEither _ | MMultipath _ | MStateless), _ -> false
+
+let converged a b =
+  let rec same_pending xs ys =
+    xs == ys
+    ||
+    match xs, ys with
+    | [], [] -> true
+    | x :: xs, y :: ys ->
+      same_float x.time y.time && x.prio = y.prio && same_pev x.ev y.ev && same_pending xs ys
+    | [], _ :: _ | _ :: _, [] -> false
+  in
+  let n = Array.length a.nodes in
+  let rec same_nodes i = i >= n || (same_nstate a.nodes.(i) b.nodes.(i) && same_nodes (i + 1)) in
+  Array.length b.nodes = n && same_pending a.pending b.pending && same_nodes 0
 
 (* --- canonical form --- *)
 

@@ -56,6 +56,11 @@ val initial :
 val insert : t -> at:Utc_sim.Timebase.t -> prio:int -> pev -> t
 (** Insert a future event (keeps [pending] sorted). *)
 
+val insert_reserved : t -> seq:int -> at:Utc_sim.Timebase.t -> prio:int -> pev -> t
+(** Insert a future event under a sequence number set aside earlier
+    (below [next_seq], held by no pending event); [next_seq] is
+    unchanged. *)
+
 val set_node : t -> int -> nstate -> t
 
 val station : t -> int -> station
@@ -66,6 +71,13 @@ val station_bits : t -> int -> int
     reasons about. *)
 
 val gate_connected : t -> int -> bool
+
+val converged : t -> t -> bool
+(** The two states hold bit-identical node states and the same pending
+    events in the same order, ignoring [now] and event sequence numbers.
+    Every event either state inserts from here on takes a sequence number
+    above all of its pending ones, so two converged states process the
+    same events in the same order from here on. *)
 
 val canonical : t -> string
 (** A byte string equal for two states exactly when they are

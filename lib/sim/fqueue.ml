@@ -27,3 +27,11 @@ let to_list t = t.front @ List.rev t.back
 let fold f acc t =
   let acc = List.fold_left f acc t.front in
   List.fold_left f acc (List.rev t.back)
+
+let equal eq a b =
+  a == b
+  || a.length = b.length
+     &&
+     match a.back, b.back with
+     | [], [] -> List.equal eq a.front b.front
+     | _ :: _, _ | _, _ :: _ -> List.equal eq (to_list a) (to_list b)

@@ -28,3 +28,7 @@ val to_list : 'a t -> 'a list
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Front-to-back fold. *)
+
+val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
+(** Same elements front to back under the given equality, whatever the
+    internal front/back split. *)

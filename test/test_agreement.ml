@@ -342,3 +342,278 @@ let multipath_suite =
   ]
 
 let suite = suite @ multipath_suite
+
+(* --- shared-prefix pricing: trace/resume equals full runs, bit for bit --- *)
+
+module Planner = Utc_core.Planner
+module Belief = Utc_inference.Belief
+module Utility = Utc_utility.Utility
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_delivery (a : Forward.delivery) (b : Forward.delivery) =
+  same_float a.Forward.time b.Forward.time
+  && Packet.equal a.Forward.packet b.Forward.packet
+  && a.Forward.packet.Packet.bits = b.Forward.packet.Packet.bits
+  && same_float a.Forward.packet.Packet.sent_at b.Forward.packet.Packet.sent_at
+  && same_float a.Forward.survive_p b.Forward.survive_p
+
+(* An outcome as what pricing reads of it: weight and deliveries. *)
+let results outcomes =
+  List.map (fun (o : Forward.outcome) -> (o.Forward.logw, o.Forward.deliveries)) outcomes
+
+let same_results =
+  List.equal (fun (la, da) (lb, db) -> same_float la lb && List.equal same_delivery da db)
+
+(* [resume]'s answer as the results [run] would give. *)
+let resumed_results trace = function
+  | Forward.Forked outcomes -> results outcomes
+  | Forward.Single { logw; prefix; fresh; suffix } ->
+    let base = Array.to_list (Forward.trace_deliveries trace) in
+    [
+      ( logw,
+        List.filteri (fun i _ -> i < prefix) base @ fresh @ List.filteri (fun i _ -> i >= suffix) base
+      );
+    ]
+
+(* Elements whose runs fork: a loss in front of a queue, per-packet
+   jitter, and a memoryless gate (forks only with gate forking on). *)
+let gen_forking_element =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 1,
+          map
+            (fun rate ->
+              Topology.series
+                [
+                  Topology.loss ~rate;
+                  Topology.buffer ~capacity_bits:48_000;
+                  Topology.throughput ~rate_bps:12_000.0;
+                ])
+            (oneofl [ 0.1; 0.4 ]) );
+        (1, map (fun probability -> Topology.jitter ~seconds:0.3 ~probability) (oneofl [ 0.2; 0.5 ]));
+        (1, map (fun m -> Topology.intermittent ~mean_time_to_switch:m ()) (oneofl [ 3.0; 20.0 ]));
+      ])
+
+(* Times on a 0.05 s grid, so sends tie with pinger emissions, delayed
+   arrivals and each other. *)
+let gen_grid ~count ~below =
+  QCheck.Gen.(
+    map
+      (fun ts -> List.sort_uniq compare (List.map (fun t -> Float.round (t *. 20.0) /. 20.0) ts))
+      (list_size count (float_bound_exclusive below)))
+
+let gen_pricing_case =
+  QCheck.Gen.(
+    let* depth = int_range 1 3 in
+    let* elements = list_size (return depth) (frequency [ (3, gen_element); (1, gen_forking_element) ]) in
+    let* with_pinger = bool in
+    let* pinger_rate = oneofl [ 0.3; 0.5 ] in
+    let* warmup = gen_grid ~count:(int_range 0 4) ~below:4.0 in
+    let* pending = gen_grid ~count:(int_range 0 3) ~below:2.0 in
+    let* delays = gen_grid ~count:(int_range 1 5) ~below:6.0 in
+    let* plan = bool in
+    let sources =
+      Topology.endpoint Flow.Primary
+      ::
+      (if with_pinger then [ Topology.pinger ~flow:Flow.Cross ~rate_pps:pinger_rate () ] else [])
+    in
+    let delays = 0.0 :: List.filter (fun d -> d > 0.0) delays in
+    return ({ Topology.sources; shared = Topology.series elements }, warmup, pending, delays, plan))
+
+let arbitrary_pricing_case =
+  QCheck.make gen_pricing_case ~print:(fun (topology, warmup, pending, delays, plan) ->
+      Format.asprintf "%a, warm-up sends %a, pending at now+%a, delays %a, %s" Topology.pp topology
+        Fmt.(Dump.list float)
+        warmup
+        Fmt.(Dump.list float)
+        pending
+        Fmt.(Dump.list float)
+        delays
+        (if plan then "plan variant" else "filter model"))
+
+let pricing_now = 4.0
+
+(* A hypothesis state at [pricing_now]: the first outcome of a warm-up
+   run of the filter model. *)
+let pricing_state compiled filter warmup =
+  let state = Mstate.initial ~epoch:Forward.default_config.Forward.epoch compiled in
+  match Forward.run filter state ~sends:(primary_sends (List.mapi (fun i t -> (t, i)) warmup)) ~until:pricing_now with
+  | o :: _ -> o.Forward.state
+  | [] -> state
+
+let trace_resume_prop =
+  QCheck.Test.make ~name:"trace/resume equals a full run per candidate" ~count:150
+    arbitrary_pricing_case
+    (fun (topology, warmup, pending, delays, plan) ->
+      QCheck.assume (Topology.validate topology = Ok ());
+      let compiled = Compiled.compile_exn topology in
+      let filter = Forward.prepare Forward.default_config compiled in
+      let prepared = if plan then Forward.plan_variant filter else filter in
+      let state = pricing_state compiled filter warmup in
+      let pending =
+        primary_sends (List.mapi (fun i t -> (pricing_now +. t, 100 + i)) pending)
+      in
+      let until = pricing_now +. 6.0 +. 10.0 in
+      let send d =
+        let at = pricing_now +. d in
+        (at, Packet.make ~flow:Flow.Primary ~seq:200 ~sent_at:at ())
+      in
+      let full sends = Forward.run prepared state ~sends ~until in
+      match Forward.trace prepared state ~sends:pending ~until with
+      | None -> List.length (full pending) > 1
+      | Some trace ->
+        (match full pending with
+        | [ o ] ->
+          same_float o.Forward.logw (Forward.trace_logw trace)
+          && List.equal same_delivery o.Forward.deliveries
+               (Array.to_list (Forward.trace_deliveries trace))
+        | _ -> false)
+        && List.for_all
+             (fun d ->
+               same_results
+                 (results (full (pending @ [ send d ])))
+                 (resumed_results trace (Forward.resume trace (send d))))
+             delays)
+
+(* The planner's side: every candidate's gross utility off the trace is
+   [Utility.of_outcomes] over the full run, bit for bit; where the
+   baseline forks, [decide] falls back to full runs and still returns
+   the reference evaluations. *)
+let planner_gross_prop =
+  QCheck.Test.make ~name:"shared-baseline gross utilities equal full runs bit for bit" ~count:120
+    arbitrary_pricing_case
+    (fun (topology, warmup, pending, delays, _) ->
+      QCheck.assume (Topology.validate topology = Ok ());
+      let compiled = Compiled.compile_exn topology in
+      let filter = Forward.prepare Forward.default_config compiled in
+      let plan = Forward.plan_variant filter in
+      let state = pricing_state compiled filter warmup in
+      let now = pricing_now in
+      let pending = primary_sends (List.mapi (fun i t -> (now +. t, 100 + i)) pending) in
+      let config =
+        {
+          Planner.default_config with
+          Planner.delays;
+          horizon = 10.0;
+          utility = Utility.make ~alpha:1.5 ~latency_penalty:0.01 ~cross_discounted:true ();
+        }
+      in
+      let t_end = now +. List.fold_left Float.max 0.0 delays +. config.Planner.horizon in
+      let make_packet at = Packet.make ~flow:Flow.Primary ~seq:200 ~sent_at:at () in
+      let sends = Array.of_list (List.map (fun d -> (now +. d, make_packet (now +. d))) delays) in
+      let reference sends =
+        Utility.of_outcomes config.Planner.utility ~now (Forward.run plan state ~sends ~until:t_end)
+      in
+      let gross_ok =
+        match Planner.gross_utilities config ~now ~until:t_end plan state ~pending sends with
+        | None -> List.length (Forward.run plan state ~sends:pending ~until:t_end) > 1
+        | Some (baseline, utilities) ->
+          same_float baseline (reference pending)
+          && Array.for_all2 (fun send u -> same_float u (reference (pending @ [ send ]))) sends utilities
+      in
+      let belief = Belief.create [ ((), 1.0, filter, state) ] in
+      let _, evaluations = Planner.decide config ~belief ~now ~pending ~make_packet in
+      let base = reference pending in
+      let expected =
+        Array.to_list (Array.map (fun send -> 0.0 +. (1.0 *. (reference (pending @ [ send ]) -. base))) sends)
+      in
+      gross_ok
+      && List.equal same_float expected
+           (List.map (fun (e : Planner.evaluation) -> e.Planner.net_utility) evaluations))
+
+(* The tie the reserved sequence number exists for: a pending packet
+   leaves a delay at exactly the candidate's send time, and both reach
+   the station at that instant. In [run] the candidate was injected
+   before the delayed arrival was created, so it is served first. *)
+let reserved_seq_tie () =
+  let topology =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared =
+        Topology.series
+          [
+            Topology.multipath ~first:(Topology.delay ~seconds:1.0) ~second:(Topology.series []) ();
+            Topology.buffer ~capacity_bits:96_000;
+            Topology.throughput ~rate_bps:12_000.0;
+          ];
+    }
+  in
+  let compiled = Compiled.compile_exn topology in
+  let prepared = Forward.prepare Forward.default_config compiled in
+  let state = Mstate.initial ~epoch:1.0 compiled in
+  let pending = primary_sends [ (0.0, 0) ] in
+  let send = (1.0, Packet.make ~flow:Flow.Primary ~seq:1 ~sent_at:1.0 ()) in
+  let reference = Forward.run prepared state ~sends:(pending @ [ send ]) ~until:10.0 in
+  let trace =
+    match Forward.trace prepared state ~sends:pending ~until:10.0 with
+    | Some trace -> trace
+    | None -> Alcotest.fail "a deterministic baseline must trace"
+  in
+  let resumed = resumed_results trace (Forward.resume trace send) in
+  (match reference with
+  | [ o ] ->
+    Alcotest.(check (list (pair int (float 0.0))))
+      "the candidate wins the tie"
+      [ (1, 2.0); (0, 3.0) ]
+      (List.map
+         (fun (d : Forward.delivery) -> (d.Forward.packet.Packet.seq, d.Forward.time))
+         o.Forward.deliveries)
+  | _ -> Alcotest.fail "expected one outcome");
+  Alcotest.(check bool) "resume breaks the tie as run does" true
+    (same_results (results reference) resumed)
+
+(* Epoch elision: a frozen gate consumes its epoch events, and its
+   deliveries are those of a forking-gate run whose gate cannot flip. *)
+let frozen_gate_elision () =
+  let topology gate =
+    {
+      Topology.sources =
+        [ Topology.endpoint Flow.Primary; Topology.pinger ~flow:Flow.Cross ~rate_pps:0.5 () ];
+      shared =
+        Topology.series
+          [ gate; Topology.buffer ~capacity_bits:48_000; Topology.throughput ~rate_bps:12_000.0 ];
+    }
+  in
+  let sends = primary_sends [ (0.5, 0); (1.0, 1); (2.0, 2); (7.5, 3) ] in
+  let run ~fork_gates gate =
+    let compiled = Compiled.compile_exn (topology gate) in
+    let config = { Forward.default_config with Forward.fork_gates } in
+    Forward.run (Forward.prepare config compiled) (Mstate.initial ~epoch:1.0 compiled) ~sends
+      ~until:20.0
+  in
+  let epochs (o : Forward.outcome) =
+    List.length
+      (List.filter
+         (fun (e : Mstate.event) ->
+           match e.Mstate.ev with
+           | Mstate.Gate_epoch _ -> true
+           | Mstate.Arrive _ | Mstate.Complete _ | Mstate.Pinger_emit _ | Mstate.Gate_toggle _ ->
+             false)
+         o.Forward.state.Mstate.pending)
+  in
+  List.iter
+    (fun initially_connected ->
+      let frozen = run ~fork_gates:false (Topology.intermittent ~initially_connected ~mean_time_to_switch:5.0 ()) in
+      let cannot_flip =
+        run ~fork_gates:true
+          (Topology.intermittent ~initially_connected ~mean_time_to_switch:Float.infinity ())
+      in
+      match frozen, cannot_flip with
+      | [ f ], [ r ] ->
+        Alcotest.(check bool) "same deliveries and weight" true (same_results (results [ f ]) (results [ r ]));
+        Alcotest.(check int) "the reference keeps its epoch" 1 (epochs r);
+        Alcotest.(check int) "the frozen gate consumed its epochs" 0 (epochs f)
+      | _ -> Alcotest.fail "expected one outcome each")
+    [ true; false ]
+
+let shared_pricing_suite =
+  [
+    ("reserved seq tie", `Quick, reserved_seq_tie);
+    ("frozen gate epoch elision", `Quick, frozen_gate_elision);
+    QCheck_alcotest.to_alcotest trace_resume_prop;
+    QCheck_alcotest.to_alcotest planner_gross_prop;
+  ]
+
+let suite = suite @ shared_pricing_suite

@@ -260,23 +260,6 @@ let suite =
     ("isender under loss", `Quick, isender_under_loss_keeps_consistency);
   ]
 
-(* --- suggest_delays --- *)
-
-let suggest_delays_scales_with_belief () =
-  let fast = Belief.create [ seed_of { rate = 120_000.0; fill = 0 } 1.0 ] in
-  let slow = Belief.create [ seed_of { rate = 12_000.0; fill = 0 } 1.0 ] in
-  let fast_delays = Planner.suggest_delays fast in
-  let slow_delays = Planner.suggest_delays slow in
-  Alcotest.(check (float 0.0)) "starts at zero" 0.0 (List.hd fast_delays);
-  (* Service times 0.1 s vs 1 s: the grids scale by 10x. *)
-  Alcotest.(check (float 1e-9)) "scaling" 10.0 (List.nth slow_delays 2 /. List.nth fast_delays 2);
-  (* The suggested grid is a valid planner configuration. *)
-  let config = { Planner.default_config with Planner.delays = slow_delays } in
-  let decision, _ = Planner.decide config ~belief:slow ~now:0.0 ~pending:[] ~make_packet in
-  Alcotest.(check bool) "usable" true (decision = Planner.Send_now)
-
-let suite = suite @ [ ("suggest delays scales", `Quick, suggest_delays_scales_with_belief) ]
-
 (* --- Recovery ladder (pure transitions) --- *)
 
 module Recovery = Utc_core.Recovery

@@ -429,16 +429,41 @@ let adaptive_golden_identity () =
 
 (* --- planner gross-utility cache --- *)
 
-let planner_cache_identity () =
+(* A family whose planning runs fork: cross traffic crosses a loss in
+   front of the queue, so every baseline splits at the next emission and
+   the planner prices these hypotheses with full runs and the cache. *)
+let forking_family () =
+  List.map
+    (fun rate ->
+      let topology =
+        {
+          Topology.sources =
+            [ Topology.endpoint Flow.Primary; Topology.pinger ~flow:Flow.Cross ~rate_pps:0.5 () ];
+          shared =
+            Topology.series
+              [
+                Topology.loss ~rate:0.1;
+                Topology.buffer ~capacity_bits:96_000;
+                Topology.throughput ~rate_bps:rate;
+              ];
+        }
+      in
+      let compiled = Compiled.compile_exn topology in
+      (rate, 1.0, Forward.prepare Forward.default_config compiled, Mstate.initial ~epoch:1.0 compiled))
+    [ 6_000.0; 12_000.0; 24_000.0 ]
+
+let cached_decide family =
   let belief =
     Pool.with_pool ~domains:1 (fun pool ->
-        Belief.advance ~pool (Belief.create (small_family ())) ~sends:[] ~now:0.5 ())
+        Belief.advance ~pool (Belief.create family) ~sends:[] ~now:0.5 ())
   in
   let make_packet at = Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:at () in
-  let decide ?cache () =
+  fun ?cache () ->
     Pool.with_pool ~domains:1 (fun pool ->
         Planner.decide ~pool ?cache planner_config ~belief ~now:0.5 ~pending:[] ~make_packet)
-  in
+
+let planner_cache_identity () =
+  let decide = cached_decide (forking_family ()) in
   let reference = decide () in
   let cache = Planner.make_cache () in
   Alcotest.(check bool) "first cached decision matches uncached" true
@@ -457,6 +482,15 @@ let planner_cache_identity () =
   let tiny = Planner.make_cache ~capacity:1 () in
   Alcotest.(check bool) "capacity-bounded cache matches uncached" true
     (decide ~cache:tiny () = reference)
+
+(* Hypotheses whose planning runs do not fork are priced off a traced
+   baseline and never touch the cache. *)
+let planner_single_branch_skips_cache () =
+  let decide = cached_decide (small_family ()) in
+  let reference = decide () in
+  let cache = Planner.make_cache () in
+  Alcotest.(check bool) "cached decision matches uncached" true (decide ~cache () = reference);
+  Alcotest.(check (pair int int)) "no lookups" (0, 0) (Planner.cache_stats cache)
 
 (* --- qcheck: the pool is List.map, bit for bit --- *)
 
@@ -549,6 +583,7 @@ let suite =
     ("adaptive decision ladder", `Quick, adaptive_decision_ladder);
     ("adaptive golden identity", `Slow, adaptive_golden_identity);
     ("planner cache identity", `Quick, planner_cache_identity);
+    ("planner single-branch skips cache", `Quick, planner_single_branch_skips_cache);
     ("rng stream determinism", `Quick, rng_stream_determinism);
     ("rng streams pool-invariant", `Quick, rng_streams_pool_invariant);
     QCheck_alcotest.to_alcotest map_list_prop;
