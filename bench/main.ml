@@ -180,6 +180,19 @@ let bench_canonical () =
   let state = Utc_model.Mstate.initial ~epoch:1.0 compiled in
   fun () -> ignore (Utc_model.Mstate.canonical state)
 
+let bench_hash () =
+  let compiled = Lazy.force fig2_compiled in
+  let state = Utc_model.Mstate.initial ~epoch:1.0 compiled in
+  fun () -> ignore (Utc_model.Mstate.hash state)
+
+(* Against a second, physically distinct build of the same state, so
+   the comparison walks every node and event. *)
+let bench_equal () =
+  let compiled = Lazy.force fig2_compiled in
+  let state = Utc_model.Mstate.initial ~epoch:1.0 compiled in
+  let twin = Utc_model.Mstate.initial ~epoch:1.0 compiled in
+  fun () -> ignore (Utc_model.Mstate.equal state twin)
+
 let small_belief () =
   let prior = List.filteri (fun i _ -> i mod 37 = 0) (Utc_inference.Priors.paper_prior ()) in
   Utc_inference.Belief.create
@@ -253,6 +266,8 @@ let run_kernels () =
         test "kernel/rng.bits64" bench_rng;
         test "kernel/pheap.100" bench_pheap;
         test "kernel/mstate.canonical" bench_canonical;
+        test "kernel/mstate.hash" bench_hash;
+        test "kernel/mstate.equal" bench_equal;
         test "kernel/forward.window-10s" bench_forward_window;
         test "kernel/belief.update" bench_belief_update;
         test "kernel/planner.decide" bench_planner_decide;

@@ -4,39 +4,44 @@ module Mstate = Utc_model.Mstate
 module Forward = Utc_model.Forward
 module Planner = Utc_core.Planner
 
+(* The bottleneck of a hypothesis' model: its first station at or after
+   node [id], or -1 if there is none. *)
+let rec first_station compiled id =
+  if id >= Compiled.node_count compiled then -1
+  else
+    match Compiled.node compiled id with
+    | Compiled.Station _ -> id
+    | Compiled.Delay _ | Compiled.Loss _ | Compiled.Jitter _ | Compiled.Gate _ | Compiled.Either _
+    | Compiled.Divert _ | Compiled.Multipath _ ->
+      first_station compiled (id + 1)
+
 (* Expected bottleneck occupancy (packets) under the belief: queue plus
    in-service bits of the first station of each hypothesis, weighted. *)
 let expected_occupancy belief =
-  let hyps = Belief.support belief in
-  List.fold_left
-    (fun acc (h : _ Belief.hypothesis) ->
-      let compiled = Forward.compiled_of h.Belief.prepared in
-      match Compiled.station_ids compiled with
-      | station :: _ ->
+  Belief.fold belief ~init:0.0 ~f:(fun acc (h : _ Belief.hypothesis) ->
+      let station = first_station (Forward.compiled_of h.Belief.prepared) 0 in
+      if station < 0 then acc
+      else begin
         let bits = Mstate.station_bits h.Belief.state station in
         acc +. (exp h.Belief.logw *. (float_of_int bits /. float_of_int Packet.default_bits))
-      | [] -> acc)
-    0.0 hyps
+      end)
 
 (* Belief-mean service time of one packet at the bottleneck. *)
 let expected_service belief =
-  let hyps = Belief.support belief in
   let rate =
-    List.fold_left
-      (fun acc (h : _ Belief.hypothesis) ->
+    Belief.fold belief ~init:0.0 ~f:(fun acc (h : _ Belief.hypothesis) ->
         let compiled = Forward.compiled_of h.Belief.prepared in
+        let station = first_station compiled 0 in
         let station_rate =
-          match Compiled.station_ids compiled with
-          | station :: _ -> (
+          if station < 0 then 0.0
+          else
             match Compiled.node compiled station with
             | Compiled.Station { rate_bps; _ } -> rate_bps
             | Compiled.Delay _ | Compiled.Loss _ | Compiled.Jitter _ | Compiled.Gate _
             | Compiled.Either _ | Compiled.Divert _ | Compiled.Multipath _ ->
-              0.0)
-          | [] -> 0.0
+              0.0
         in
         acc +. (exp h.Belief.logw *. station_rate))
-      0.0 hyps
   in
   if rate > 0.0 then float_of_int Packet.default_bits /. rate else 1.0
 

@@ -152,13 +152,11 @@ let score ~tick ~floor ~offset ~acks (deliveries : Forward.delivery list) =
     | None -> raise Rejected
   in
   try
-    let matched = Hashtbl.create 8 in
     let delivery_ll acc (d : Forward.delivery) =
       match List.find_opt (fun a -> a.seq = d.packet.Packet.seq) acks with
       | Some a ->
         (* Even at the wrong time, the delivery accounts for the ACK's
            existence; a floored mismatch is one violation, not two. *)
-        Hashtbl.replace matched a.seq ();
         if Tb.close ~tol:tick a.time (d.time +. offset) then begin
           if d.survive_p <= 0.0 then penalize acc else acc +. log d.survive_p
         end
@@ -170,11 +168,8 @@ let score ~tick ~floor ~offset ~acks (deliveries : Forward.delivery list) =
         if loss_p <= 0.0 then penalize acc else acc +. log loss_p
     in
     let ll = List.fold_left delivery_ll 0.0 deliveries in
-    let ll =
-      List.fold_left
-        (fun acc a -> if Hashtbl.mem matched a.seq then acc else penalize acc)
-        ll acks
-    in
+    let delivered a = List.exists (fun (d : Forward.delivery) -> d.packet.Packet.seq = a.seq) deliveries in
+    let ll = List.fold_left (fun acc a -> if delivered a then acc else penalize acc) ll acks in
     Some ll
   with Rejected -> None
 
@@ -255,6 +250,121 @@ let cap t s =
    never influences a posterior. *)
 let expand_cost = Utc_parallel.Pool.Cost.make ~label:"belief.expand"
 
+(* --- compaction --- *)
+
+(* A surviving fork of one parent, with the hash its compaction slot is
+   found by. *)
+type 'p fork = {
+  params : 'p;
+  prepared : Forward.prepared;
+  state : Mstate.t;
+  logw : float;
+  awaiting : Forward.delivery list;
+  hash : int;
+}
+
+let structural_hash x = Hashtbl.hash x (* lint:allow R4 -- the hash only picks a probe slot; slots keep first-seen order *)
+
+let fork_hash ~params_hash state awaiting =
+  Mstate.hash state + (params_hash * 31) + (structural_hash awaiting * 961)
+
+(* Every fork of a parent shares its params, so physical identity
+   settles nearly every comparison; the bytes are compared only for
+   seeds built apart with equal values. *)
+let same_params a b = a == b || String.equal (Marshal.to_string a []) (Marshal.to_string b [])
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_delivery (a : Forward.delivery) (b : Forward.delivery) =
+  same_float a.time b.time
+  && same_float a.survive_p b.survive_p
+  && (a.packet == b.packet
+     || a.packet.Packet.seq = b.packet.Packet.seq
+        && Flow.equal a.packet.Packet.flow b.packet.Packet.flow
+        && a.packet.Packet.bits = b.packet.Packet.bits
+        && same_float a.packet.Packet.sent_at b.packet.Packet.sent_at)
+
+(* The compaction identity: equal params, [Mstate.equal] states and
+   bit-identical awaiting deliveries, cheapest test first. *)
+let same_fork (a : _ fork) (b : _ fork) =
+  a.hash = b.hash
+  && same_params a.params b.params
+  && Mstate.equal a.state b.state
+  && List.equal same_delivery a.awaiting b.awaiting
+
+(* One step's compaction table. Slot [k] holds the first-seen fork of
+   its class in [forks.(k)] and, in [logw.(k)], the log-weights of every
+   fork absorbed into it, folded in absorption order. [index] is an
+   open-addressing table of slot numbers plus one (0 is empty), probed
+   linearly from a fork's hash and kept at most half full; it only finds
+   slots, so its layout never reaches a posterior. *)
+type 'p slots = {
+  mutable forks : 'p fork array;
+  mutable logw : float array;
+  mutable count : int;
+  mutable index : int array;
+}
+
+(* Sized from the parent store: a step usually keeps about as many
+   hypotheses as it started with. *)
+let slots_create n =
+  let size = ref 16 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  { forks = [||]; logw = [||]; count = 0; index = Array.make !size 0 }
+
+let slots_grow slots (f : _ fork) =
+  let capacity = max (Array.length slots.index / 2) (2 * slots.count) in
+  let forks = Array.make capacity f in
+  Array.blit slots.forks 0 forks 0 slots.count;
+  let logw = Array.make capacity 0.0 in
+  Array.blit slots.logw 0 logw 0 slots.count;
+  slots.forks <- forks;
+  slots.logw <- logw
+
+let reindex slots =
+  let index = Array.make (2 * Array.length slots.index) 0 in
+  let mask = Array.length index - 1 in
+  for k = 0 to slots.count - 1 do
+    let j = ref (slots.forks.(k).hash land mask) in
+    while index.(!j) > 0 do
+      j := (!j + 1) land mask
+    done;
+    index.(!j) <- k + 1
+  done;
+  slots.index <- index
+
+(* lint:hotpath -- runs once per surviving fork *)
+let absorb slots (f : _ fork) =
+  let index = slots.index in
+  let mask = Array.length index - 1 in
+  let j = ref (f.hash land mask) in
+  while index.(!j) > 0 && not (same_fork slots.forks.(index.(!j) - 1) f) do
+    j := (!j + 1) land mask
+  done;
+  let k = index.(!j) - 1 in
+  if k >= 0 then slots.logw.(k) <- Logw.logsumexp2 slots.logw.(k) f.logw
+  else begin
+    if slots.count = Array.length slots.forks then slots_grow slots f;
+    slots.forks.(slots.count) <- f;
+    slots.logw.(slots.count) <- f.logw;
+    slots.count <- slots.count + 1;
+    index.(!j) <- slots.count;
+    if 2 * slots.count > Array.length index then reindex slots
+  end
+
+let store_of_slots slots =
+  let n = slots.count in
+  let forks = slots.forks in
+  {
+    params = Array.init n (fun k -> forks.(k).params);
+    prepared = Array.init n (fun k -> forks.(k).prepared);
+    states = Array.init n (fun k -> forks.(k).state);
+    logw = Array.sub slots.logw 0 n;
+    awaiting = Array.init n (fun k -> forks.(k).awaiting);
+  }
+
 (* lint:hotpath -- expand/score/compact runs per hypothesis per tick;
    ROADMAP hot-path program tracks its allocations *)
 let step ?pool t ~sends ~acks ~now ~now_prio ~condition =
@@ -271,6 +381,7 @@ let step ?pool t ~sends ~acks ~now ~now_prio ~condition =
     let hyp_logw = s.logw.(i) in
     let hyp_awaiting = s.awaiting.(i) in
     let offset = t.obs_offset hyp_params in
+    let params_hash = structural_hash hyp_params in
     let outcomes = Forward.run ?until_prio:now_prio hyp_prepared s.states.(i) ~sends ~until:now in
     let keep (o : Forward.outcome) = (* lint:allow R11 -- per-hypothesis outcome scorer closes over offset and acks *)
       (* Only primary deliveries are observable; those whose (offset)
@@ -293,41 +404,20 @@ let step ?pool t ~sends ~acks ~now ~now_prio ~condition =
       | Some ll ->
         let logw = hyp_logw +. o.logw +. ll in
         if logw = neg_infinity then None
-        else
-          Some { params = hyp_params; prepared = hyp_prepared; state = o.state; logw; awaiting } (* lint:allow R11 -- the surviving fork IS the posterior hypothesis record *)
+        else begin
+          let hash = fork_hash ~params_hash o.state awaiting in
+          Some { params = hyp_params; prepared = hyp_prepared; state = o.state; logw; awaiting; hash } (* lint:allow R11 -- the surviving fork IS the posterior hypothesis record *)
+        end
     in
     List.filter_map keep outcomes
   in
   (* Compact on the fly: expanding thousands of hypotheses that each may
      fork hundreds of ways must not materialize the whole product before
      merging (under model misspecification the forking is at its worst
-     exactly when every branch survives unconditioned). Each table slot
-     keeps the first-seen fork record plus a mutable merged log-weight,
-     so absorbing a duplicate fork is a float write, not a record copy;
-     the insertion-order key journal is a plain growable array. *)
-  let table : (string, 'a hypothesis * float ref) Hashtbl.t = Hashtbl.create 1024 in
-  let order = ref (Array.make 256 "") in
-  let order_n = ref 0 in
-  let push key =
-    if !order_n = Array.length !order then begin
-      let bigger = Array.make (2 * !order_n) "" in
-      Array.blit !order 0 bigger 0 !order_n;
-      order := bigger
-    end;
-    !order.(!order_n) <- key;
-    incr order_n
-  in
-  let absorb (h : 'a hypothesis) =
-    let key =
-      Marshal.to_string h.params [] ^ Mstate.canonical h.state (* lint:allow R11 -- compaction key: canonical bytes are what gets hashed *)
-      ^ Marshal.to_string h.awaiting []
-    in
-    match Hashtbl.find_opt table key with
-    | None ->
-      Hashtbl.replace table key (h, ref h.logw);
-      push key
-    | Some (_, merged) -> merged := Logw.logsumexp2 !merged h.logw
-  in
+     exactly when every branch survives unconditioned). Absorbing a
+     duplicate fork is a float write into its slot. *)
+  let slots = slots_create n in
+  let absorb f = absorb slots f in
   (* Hypotheses are independent — each owns its state and the only shared
      input is the read-only store — so [expand] fans across the pool. The
      merge ([absorb]) stays serial and in index order, which makes the
@@ -364,14 +454,7 @@ let step ?pool t ~sends ~acks ~now ~now_prio ~condition =
   Utc_obs.Metrics.span ~name:"compact"
     ~now:(fun () -> now)
     (fun () ->
-      let keys = !order in
-      let recs =
-        Array.init !order_n (fun k ->
-            let h, merged = Hashtbl.find table keys.(k) in
-            if !merged = h.logw then h else { h with logw = !merged }) (* lint:allow R11 -- one record per duplicated fork; unique forks are reused as-is *)
-      in
-      let st = store_of_array recs in
-      let st = prune_store ~min_weight:t.min_weight st in
+      let st = prune_store ~min_weight:t.min_weight (store_of_slots slots) in
       let st = normalize_store st in
       let st = normalize_store (cap t st) in
       { t with store = sort_store st; now })
@@ -529,6 +612,13 @@ let reseed t ~seeds ?(keep = 0.0) ~now () =
   result
 
 let support t = List.init (store_size t.store) (hyp_at t.store)
+
+let fold t ~init ~f =
+  let acc = ref init in
+  for i = 0 to store_size t.store - 1 do
+    acc := f !acc (hyp_at t.store i)
+  done;
+  !acc
 
 let top t ~n = List.init (min n (store_size t.store)) (hyp_at t.store)
 

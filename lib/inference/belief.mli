@@ -10,6 +10,13 @@
     renormalized, and configurations that converged to identical states
     are compacted back into one.
 
+    Compaction merges two outcomes of a step when their parameters are
+    equal (the same value, or values that marshal to the same bytes),
+    their states are {!Utc_model.Mstate.equal}, and their awaiting
+    deliveries are bit-identical. The merged hypothesis is the first
+    such outcome in hypothesis order, carrying the log-sum of all their
+    weights, added in that order.
+
     Cap policies bound the set: [`Top_k] keeps the heaviest hypotheses
     (deterministic; small bias), [`Resample] is a bounded particle filter
     with systematic resampling (unbiased; the scalable alternative the
@@ -135,6 +142,10 @@ val reseed :
 
 val support : 'p t -> 'p hypothesis list
 (** Heaviest first. *)
+
+val fold : 'p t -> init:'a -> f:('a -> 'p hypothesis -> 'a) -> 'a
+(** Folds [f] over the hypotheses in {!support}'s order without building
+    the list. *)
 
 val top : 'p t -> n:int -> 'p hypothesis list
 

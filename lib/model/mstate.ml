@@ -199,6 +199,53 @@ let converged a b =
   let rec same_nodes i = i >= n || (same_nstate a.nodes.(i) b.nodes.(i) && same_nodes (i + 1)) in
   Array.length b.nodes = n && same_pending a.pending b.pending && same_nodes 0
 
+let equal a b = same_float a.now b.now && converged a b
+
+(* --- structural hash --- *)
+
+(* [hash] reads a subset of what [equal] compares, so equal states hash
+   equal; nothing here allocates. Each step folds the high bits back
+   down, because callers index power-of-two tables by the low bits and
+   float times often differ only in their high bits. *)
+let mix h x =
+  let h = (h lxor x) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+let float_bits x = Int64.to_int (Int64.bits_of_float x)
+
+(* Packet identity: every packet has the same size, so its flow and
+   sequence number are what tell two queues apart. *)
+let packet_hash m = mix (Flow.hash m.pkt.Packet.flow) m.pkt.Packet.seq
+
+let hash_node h = function
+  | MStation s ->
+    let h = mix h s.queued_bits in
+    let h =
+      match s.in_service with
+      | None -> mix h 0
+      | Some (m, completion) -> mix (mix h (float_bits completion)) (packet_hash m)
+    in
+    (* A sum, so the queue's front/back split cannot change it. *)
+    mix h (Fqueue.sum packet_hash s.queue)
+  | MGate g -> mix h (Bool.to_int g.connected)
+  | MEither e -> mix h (Bool.to_int e.on_first)
+  | MMultipath m -> mix h (Bool.to_int m.next_first)
+  | MStateless -> h
+
+let hash_pev h = function
+  | Arrive (To id, m) -> mix (mix (mix h 0) id) (packet_hash m)
+  | Arrive (Deliver, m) -> mix (mix h 1) (packet_hash m)
+  | Complete id -> mix (mix h 2) id
+  | Pinger_emit (i, k) -> mix (mix (mix h 3) i) k
+  | Gate_epoch id -> mix (mix h 4) id
+  | Gate_toggle (id, k) -> mix (mix (mix h 5) id) k
+
+let rec hash_pending h = function
+  | [] -> h
+  | e :: rest -> hash_pending (hash_pev (mix (mix h (float_bits e.time)) e.prio) e.ev) rest
+
+let hash t = hash_pending (Array.fold_left hash_node (float_bits t.now) t.nodes) t.pending
+
 (* --- canonical form --- *)
 
 type canon_station = {

@@ -4,8 +4,9 @@
     hypothesis holds an immutable snapshot: per-node states, the pending
     future events (packets in flight, the next pinger emission, gate
     epochs), and the hypothesis' current time. Forking a configuration is
-    O(1) sharing; {!canonical} gives a key under which configurations that
-    have converged back to the same state compact into one (paper §3.2). *)
+    O(1) sharing; {!equal} and {!hash} give the identity under which
+    configurations that have converged back to the same state compact
+    into one (paper §3.2). *)
 
 type mpkt = { pkt : Utc_net.Packet.t; survive_p : float }
 (** A packet in flight, carrying the probability that it survived the
@@ -79,10 +80,28 @@ val converged : t -> t -> bool
     above all of its pending ones, so two converged states process the
     same events in the same order from here on. *)
 
+val equal : t -> t -> bool
+(** [converged] and the same [now], bit for bit: the identity under
+    which the belief filter compacts configurations (paper §3.2). Which
+    float boxes the two states happen to share plays no part. *)
+
+val hash : t -> int
+(** Agrees with {!equal}: [equal a b] implies [hash a = hash b]. It
+    covers [now], node scalars, the packet in service and its
+    completion time, each pending event's time, priority and tag, and
+    the flow and sequence number of every queued or in-flight packet.
+    A queue contributes a sum over its packets, so queues holding the
+    same packets hash equal whatever their push/pop histories.
+    Allocates nothing. *)
+
 val canonical : t -> string
-(** A byte string equal for two states exactly when they are
-    observationally identical: event sequence numbers are renumbered in
-    order and queues flattened, so histories that converged compare
-    equal. *)
+(** A byte string equal for two states when they are observationally
+    identical: event sequence numbers are renumbered in order and queues
+    flattened, so histories that converged compare equal. The bytes also
+    record which float boxes the state shares (an in-service completion
+    time and its [Complete] event's time may or may not be one box), so
+    two states can satisfy {!equal} with different strings. It serves as
+    the planner cache's digest, as the parallel benchmark's fingerprint
+    and in tests; compaction uses {!equal} and {!hash}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -28,6 +28,12 @@ let fold f acc t =
   let acc = List.fold_left f acc t.front in
   List.fold_left f acc (List.rev t.back)
 
+let rec sum_list f acc = function
+  | [] -> acc
+  | x :: rest -> sum_list f (acc + f x) rest
+
+let sum f t = sum_list f (sum_list f 0 t.front) t.back
+
 let equal eq a b =
   a == b
   || a.length = b.length

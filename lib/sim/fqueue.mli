@@ -29,6 +29,11 @@ val to_list : 'a t -> 'a list
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Front-to-back fold. *)
 
+val sum : ('a -> int) -> 'a t -> int
+(** [sum f q] adds [f x] over the elements. A sum does not depend on
+    the order it visits them in, so it reads the front/back split as it
+    stands and allocates nothing. *)
+
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 (** Same elements front to back under the given equality, whatever the
     internal front/back split. *)

@@ -617,3 +617,140 @@ let shared_pricing_suite =
   ]
 
 let suite = suite @ shared_pricing_suite
+
+(* --- compaction identity --- *)
+
+(* On the outcomes of several runs from one warm state, [Mstate.equal]
+   holds exactly when the canonical strings agree, and equal states hash
+   equal. Every pair is compared, so each run contributes its first 48
+   outcomes. *)
+let state_identity_prop =
+  QCheck.Test.make ~name:"Mstate.equal agrees with canonical and hash on run outcomes" ~count:150
+    arbitrary_pricing_case
+    (fun (topology, warmup, pending, delays, plan) ->
+      QCheck.assume (Topology.validate topology = Ok ());
+      let compiled = Compiled.compile_exn topology in
+      let filter = Forward.prepare Forward.default_config compiled in
+      let prepared = if plan then Forward.plan_variant filter else filter in
+      let state = pricing_state compiled filter warmup in
+      let pending =
+        primary_sends (List.mapi (fun i t -> (pricing_now +. t, 100 + i)) pending)
+      in
+      let candidate d =
+        let at = pricing_now +. d in
+        [ (at, Packet.make ~flow:Flow.Primary ~seq:200 ~sent_at:at ()) ]
+      in
+      let states =
+        List.concat_map
+          (fun sends ->
+            List.map
+              (fun (o : Forward.outcome) -> (o.Forward.state, Mstate.canonical o.Forward.state))
+              (List.filteri
+                 (fun i _ -> i < 48)
+                 (Forward.run prepared state ~sends ~until:(pricing_now +. 8.0))))
+          (pending :: List.map (fun d -> pending @ candidate d) delays)
+      in
+      List.for_all
+        (fun (a, ca) ->
+          List.for_all
+            (fun (b, cb) ->
+              let equal = Mstate.equal a b in
+              Bool.equal equal (String.equal ca cb)
+              && ((not equal) || Mstate.hash a = Mstate.hash b))
+            states)
+        states)
+
+type compaction_params = { id : int; offset : float }
+
+let gen_compaction_case =
+  QCheck.Gen.(
+    let gen_topology =
+      let* depth = int_range 1 3 in
+      let* elements =
+        list_size (return depth) (frequency [ (1, gen_element); (1, gen_forking_element) ])
+      in
+      let* with_pinger = bool in
+      let sources =
+        Topology.endpoint Flow.Primary
+        :: (if with_pinger then [ Topology.pinger ~flow:Flow.Cross ~rate_pps:0.5 () ] else [])
+      in
+      return { Topology.sources; shared = Topology.series elements }
+    in
+    let* topologies = list_size (int_range 1 3) gen_topology in
+    let* offsets = list_size (return (List.length topologies)) (oneofl [ 0.1; 0.5; 1.2 ]) in
+    let* sends = gen_grid ~count:(int_range 1 5) ~below:4.0 in
+    return (List.combine topologies offsets, sends))
+
+let arbitrary_compaction_case =
+  QCheck.make gen_compaction_case ~print:(fun (seeds, sends) ->
+      Format.asprintf "seeds %a, sends %a"
+        Fmt.(Dump.list (Dump.pair Topology.pp float))
+        seeds
+        Fmt.(Dump.list float)
+        sends)
+
+(* [Belief.advance] keeps one hypothesis per distinct byte key
+   [(Marshal params, canonical state, Marshal awaiting)] among its
+   parents' run outcomes. Seed 0 appears twice, under params equal by
+   value but physically distinct, so its forks merge only by value. *)
+let belief_compaction_prop =
+  QCheck.Test.make ~name:"belief compaction keeps one hypothesis per byte key" ~count:100
+    arbitrary_compaction_case
+    (fun (seeds, sends) ->
+      QCheck.assume (List.for_all (fun (t, _) -> Topology.validate t = Ok ()) seeds);
+      let now = 5.0 in
+      let tick = 1e-6 in
+      let seed id (topology, offset) =
+        let compiled = Compiled.compile_exn topology in
+        ( { id; offset },
+          1.0,
+          Forward.prepare Forward.default_config compiled,
+          Mstate.initial ~epoch:Forward.default_config.Forward.epoch compiled )
+      in
+      let seeds = List.mapi seed seeds in
+      let p0, w0, prepared0, state0 = List.hd seeds in
+      let twin = { p0 with id = p0.id } in
+      assert (twin != p0);
+      let seeds = seeds @ [ (twin, w0, prepared0, state0) ] in
+      let sends = primary_sends (List.mapi (fun i t -> (t, i)) sends) in
+      let key params state awaiting =
+        Marshal.to_string params [] ^ Mstate.canonical state ^ Marshal.to_string awaiting []
+      in
+      let expected =
+        List.concat_map
+          (fun (params, _, prepared, state) ->
+            List.filter_map
+              (fun (o : Forward.outcome) ->
+                if o.Forward.logw = neg_infinity then None
+                else begin
+                  let awaiting =
+                    List.filter
+                      (fun (d : Forward.delivery) ->
+                        Flow.equal d.Forward.packet.Packet.flow Flow.Primary
+                        && d.Forward.time +. params.offset > now +. tick)
+                      o.Forward.deliveries
+                  in
+                  Some (key params o.Forward.state awaiting)
+                end)
+              (Forward.run prepared state ~sends ~until:now))
+          seeds
+      in
+      let belief =
+        Belief.create ~min_weight:0.0 ~max_hyps:max_int ~obs_offset:(fun p -> p.offset) seeds
+      in
+      let advanced = Belief.advance belief ~sends ~now () in
+      let kept =
+        List.map
+          (fun (h : _ Belief.hypothesis) -> key h.Belief.params h.Belief.state h.Belief.awaiting)
+          (Belief.support advanced)
+      in
+      let expected = List.sort_uniq String.compare expected in
+      List.length kept = List.length expected && List.sort String.compare kept = expected)
+
+let compaction_suite =
+  [
+    QCheck_alcotest.to_alcotest state_identity_prop;
+    QCheck_alcotest.to_alcotest belief_compaction_prop;
+  ]
+
+let suite = suite @ compaction_suite

@@ -205,6 +205,45 @@ let compaction_merges_forks () =
   let belief = Belief.advance belief ~sends:[ send ~at:0.0 ~seq:0 ] ~now:5.0 () in
   Alcotest.(check int) "compacted" 1 (Belief.size belief)
 
+let compaction_ignores_float_sharing () =
+  (* Two copies of a prefilled state: in one, the packet in service and
+     its [Complete] event hold their completion time in one float box;
+     in the other, in two boxes with the same bits, as [Belief.reseed]'s
+     anchor builds states. The canonical bytes record the sharing and
+     tell the two apart; [Mstate.equal] does not, so compaction merges
+     them. *)
+  let p = { rate = 12_000.0; fill = 2 } in
+  let _, _, prepared, state = seed_of p 1.0 in
+  let s = Mstate.station state 0 in
+  let m, completion =
+    match s.Mstate.in_service with
+    | Some service -> service
+    | None -> Alcotest.fail "prefilled station is idle"
+  in
+  let with_times ~service ~event =
+    {
+      (Mstate.set_node state 0 (Mstate.MStation { s with Mstate.in_service = Some (m, service) })) with
+      Mstate.pending =
+        List.map
+          (fun (e : Mstate.event) ->
+            match e.Mstate.ev with
+            | Mstate.Complete _ -> { e with Mstate.time = event }
+            | Mstate.Arrive _ | Mstate.Pinger_emit _ | Mstate.Gate_epoch _ | Mstate.Gate_toggle _ -> e)
+          state.Mstate.pending;
+    }
+  in
+  let shared = with_times ~service:completion ~event:completion in
+  let separate =
+    with_times ~service:completion ~event:(Int64.float_of_bits (Int64.bits_of_float completion))
+  in
+  Alcotest.(check bool) "canonical bytes differ" false
+    (String.equal (Mstate.canonical shared) (Mstate.canonical separate));
+  Alcotest.(check bool) "equal" true (Mstate.equal shared separate);
+  Alcotest.(check int) "same hash" (Mstate.hash shared) (Mstate.hash separate);
+  let belief = Belief.create [ (p, 1.0, prepared, shared); (p, 1.0, prepared, separate) ] in
+  let belief = Belief.advance belief ~sends:[] ~now:0.5 () in
+  Alcotest.(check int) "merged" 1 (Belief.size belief)
+
 let top_k_cap () =
   let seeds = List.init 20 (fun i -> seed_of { rate = 1_000.0 *. float_of_int (i + 1); fill = 0 } 1.0) in
   let belief = Belief.create ~max_hyps:5 seeds in
@@ -292,6 +331,7 @@ let suite =
     ("loss likelihood weighting", `Quick, loss_likelihood_weighting);
     ("fork and likelihood agree", `Quick, fork_and_likelihood_agree);
     ("compaction merges forks", `Quick, compaction_merges_forks);
+    ("compaction ignores float sharing", `Quick, compaction_ignores_float_sharing);
     ("top-k cap", `Quick, top_k_cap);
     ("resample cap", `Quick, resample_cap);
     ("marginal and mean", `Quick, marginal_and_mean);

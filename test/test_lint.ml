@@ -381,7 +381,10 @@ let r11_detects () =
         \  done\n") ];
   check_rules "list cell built per element of an iterator" [ "R11" ]
     [ ("bin/hp.ml",
-       "(* lint:hotpath *)\nlet f xs = List.map (fun x -> [ x ]) xs\n") ]
+       "(* lint:hotpath *)\nlet f xs = List.map (fun x -> [ x ]) xs\n") ];
+  check_rules "serialisation per element of an iterator" [ "R11" ]
+    [ ("bin/hp.ml",
+       "(* lint:hotpath *)\nlet keys xs = List.map (fun x -> Marshal.to_string x []) xs\n") ]
 
 let r11_negatives () =
   check_rules "unannotated functions may allocate" []
@@ -405,7 +408,15 @@ let r11_negatives () =
         \  for i = 0 to n - 1 do\n\
         \    buf.(i) <- i * i\n\
         \  done;\n\
-        \  buf\n" ) ]
+        \  buf\n" ) ];
+  check_rules "serialisation outside the loop is fine" []
+    [ ("bin/hp.ml",
+       "(* lint:hotpath *)\n\
+        let f x n =\n\
+        \  let key = Marshal.to_string x [] in\n\
+        \  for _ = 1 to n do\n\
+        \    ignore (String.length key)\n\
+        \  done\n" ) ]
 
 let r11_justification () =
   check_rules "an inline justification keeps the inventory clean" []

@@ -223,6 +223,37 @@ let canonical_distinguishes_live_state () =
   Alcotest.(check bool) "different canonical" false
     (Mstate.canonical state = Mstate.canonical prefilled)
 
+let queue_history_hash () =
+  (* The same three queued packets behind one in service, reached by
+     three push/pop histories with different front/back splits. *)
+  let module Fqueue = Utc_sim.Fqueue in
+  let _, compiled = prepare (station 12_000.0 96_000) in
+  let packets = List.init 4 (fun i -> Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:0.0 ()) in
+  let prefilled = Mstate.initial ~prefill:[ (0, packets) ] ~epoch:1.0 compiled in
+  let s = Mstate.station prefilled 0 in
+  let queued = Fqueue.to_list s.Mstate.queue in
+  let with_queue queue = Mstate.set_node prefilled 0 (Mstate.MStation { s with Mstate.queue }) in
+  let push_all q ms = List.fold_left (fun q m -> Fqueue.push m q) q ms in
+  let first = List.hd queued in
+  let popped =
+    match Fqueue.pop (Fqueue.of_list [ first; first ]) with
+    | Some (_, q) -> q
+    | None -> Alcotest.fail "queue is empty"
+  in
+  let states =
+    [ prefilled; with_queue (push_all Fqueue.empty queued); with_queue (push_all popped (List.tl queued)) ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check bool) "equal" true (Mstate.equal a b);
+          Alcotest.(check int) "same hash" (Mstate.hash a) (Mstate.hash b))
+        states)
+    states;
+  let shorter = with_queue (Fqueue.of_list (List.tl queued)) in
+  Alcotest.(check bool) "a shorter queue differs" false (Mstate.equal prefilled shorter)
+
 let branch_cap_enforced () =
   (* Ten jitter elements in series fork 2^10 ways; cap at 64. *)
   let config = { Forward.default_config with max_branches = 64 } in
@@ -256,6 +287,7 @@ let suite =
     ("sends validation", `Quick, sends_validation);
     ("canonical compaction", `Quick, canonical_compaction_after_convergence);
     ("canonical distinguishes state", `Quick, canonical_distinguishes_live_state);
+    ("queue history does not change the hash", `Quick, queue_history_hash);
     ("branch cap", `Quick, branch_cap_enforced);
     ("mstate pp", `Quick, mstate_pp_smoke);
   ]

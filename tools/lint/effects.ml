@@ -53,6 +53,10 @@ let hof_names =
 
 let pool_entry_names = [ "Pool.map_list"; "Pool.map_array"; "Harness.run_many" ]
 
+(* Serialisers build a fresh byte image of their argument per call. *)
+let serialisers =
+  [ "Marshal.to_string"; "Marshal.to_bytes"; "Marshal.to_buffer"; "Marshal.to_channel" ]
+
 (* Constructors whose result is freshly allocated, hence provably
    unshared when bound locally. *)
 let fresh_ctor_names =
@@ -472,6 +476,7 @@ and walk_apply ctx env ~in_loop ~line path args =
   then record_alloc ctx ~line ("list append (" ^ sfx1 ^ ")");
   if in_loop && (sfx1 = "^" || sfx2 = "String.concat") then
     record_alloc ctx ~line "string concat (^)";
+  if in_loop && List.mem sfx2 serialisers then record_alloc ctx ~line ("serialisation (" ^ sfx2 ^ ")");
   (* The call itself. *)
   record_call ctx env ~line path args;
   (* Pool job closures: walk with the job accumulator active. *)

@@ -20,8 +20,8 @@ let all =
       id = "R11";
       name = "hotpath-alloc";
       doc =
-        "(* lint:hotpath *) functions must not allocate closures/lists/@ in \
-         loop context";
+        "(* lint:hotpath *) functions must not allocate closures/lists/@/^ or \
+         serialise with Marshal.to_* in loop context";
     };
     {
       id = "R12";

@@ -21,9 +21,10 @@
       and are not re-flagged here.
     - [R11] hotpath-alloc: a function annotated [(* lint:hotpath *)]
       must not allocate closures, list cells, [@]/[List.append],
-      string concatenation, or record/array literals in loop context
-      (a [for]/[while] body, a local [let rec], its own recursion, or
-      a closure handed to a known iterator).
+      string concatenation, or record/array literals, nor serialise
+      with [Marshal.to_string]/[to_bytes]/[to_buffer]/[to_channel], in
+      loop context (a [for]/[while] body, a local [let rec], its own
+      recursion, or a closure handed to a known iterator).
     - [R12] no-swallowed-exceptions: [try ... with _ ->] discards the
       exception it catches — match something, or bind and re-raise.
 
