@@ -227,6 +227,20 @@ let bench_ground_truth_loop () =
   ignore runtime;
   Utc_sim.Engine.run ~until:100.0 engine
 
+(* The last endpoint of a 256-endpoint network: the entry table's cost
+   must not grow with the number of flows. *)
+let bench_entry_256 () =
+  let flows = List.init 256 (fun i -> Flow.Aux i) in
+  let compiled =
+    Compiled.compile_exn
+      {
+        Topology.sources = List.map Topology.endpoint flows;
+        shared = Topology.throughput ~rate_bps:12_000.0;
+      }
+  in
+  let last = Flow.Aux 255 in
+  fun () -> ignore (Compiled.entry compiled last)
+
 let bench_rng () =
   let rng = Utc_sim.Rng.create ~seed:1 in
   fun () -> ignore (Utc_sim.Rng.bits64 rng)
@@ -253,6 +267,7 @@ let bench_util () = fun () -> ignore (Utc_utility.Discount.geometric_sum ~kappa:
 let bench_ablate_scaled () = fun () -> ignore (E.Ablations.loss_mode ~duration:8.0 ())
 let bench_aqm_scaled () = fun () -> ignore (E.Versus.tcp_under_aqm ~duration:10.0 ())
 let bench_versus_scaled () = fun () -> ignore (E.Versus.isender_vs_tcp ~duration:20.0 ())
+let bench_reno256_scaled () = fun () -> ignore (E.Versus.many_senders ~senders:256 ~duration:20.0 ())
 let bench_skew_scaled () = fun () -> ignore (E.Skew.run ~duration:20.0 ())
 let bench_faults_scaled () = fun () -> ignore (E.Ext_faults.run_rate_flap ~duration:60.0 ())
 let bench_pomdp () = fun () -> ignore (Utc_pomdp.Sender_mdp.solve Utc_pomdp.Sender_mdp.default)
@@ -272,6 +287,7 @@ let run_kernels () =
         test "kernel/belief.update" bench_belief_update;
         test "kernel/planner.decide" bench_planner_decide;
         test "kernel/ground-truth.100s" bench_ground_truth_loop;
+        test "kernel/compiled.entry-256" bench_entry_256;
         test "fig1/reno-20s" bench_fig1_scaled;
         test "fig2/agreement" bench_fig2_check;
         test "fig3/alpha1-20s" bench_fig3_scaled;
@@ -281,6 +297,7 @@ let run_kernels () =
         test "ablate/loss-8s" bench_ablate_scaled;
         test "aqm/10s" bench_aqm_scaled;
         test "versus/20s" bench_versus_scaled;
+        test "versus/reno256-20s" bench_reno256_scaled;
         test "skew/20s" bench_skew_scaled;
         test "faults/rate-flap-60s" bench_faults_scaled;
         test "pomdp/solve" bench_pomdp;
@@ -311,15 +328,19 @@ let run_kernels () =
     (fun (name, ns) -> Format.printf "%-28s %16s@." name (humanize ns))
     (List.sort (fun (a, _) (b, _) -> String.compare a b) !rows)
 
+let usage () =
+  Format.printf "usage: main.exe [reports|kernels|%s]@." (String.concat "|" (List.map fst reports))
+
 let () =
   let args = Array.to_list Sys.argv in
   match args with
   | _ :: "kernels" :: _ -> run_kernels ()
   | _ :: "reports" :: _ -> List.iter (fun (_, f) -> f ()) reports
-  | _ :: name :: _ when List.mem_assoc name reports -> (List.assoc name reports) ()
   | [ _ ] ->
     List.iter (fun (_, f) -> f ()) reports;
     run_kernels ()
-  | _ ->
-    Format.printf "usage: main.exe [reports|kernels|%s]@."
-      (String.concat "|" (List.map fst reports))
+  | _ :: name :: _ -> (
+    match List.find_opt (fun (report, _) -> String.equal report name) reports with
+    | Some (_, f) -> f ()
+    | None -> usage ())
+  | [] -> usage ()

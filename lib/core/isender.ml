@@ -124,10 +124,11 @@ let transmit t now =
   t.sent <- (now, pkt.Packet.seq) :: t.sent;
   t.sent_n <- t.sent_n + 1;
   Utc_obs.Metrics.incr sends_c;
-  Utc_obs.Sink.record
-    ~flow:(Flow.to_string pkt.Packet.flow)
-    ~at:now
-    (Utc_obs.Event.Packet_send { seq = pkt.Packet.seq; bits = pkt.Packet.bits });
+  if Utc_obs.Sink.enabled () then
+    Utc_obs.Sink.record
+      ~flow:(Flow.to_string pkt.Packet.flow)
+      ~at:now
+      (Utc_obs.Event.Packet_send { seq = pkt.Packet.seq; bits = pkt.Packet.bits });
   Log.debug (fun m -> m "t=%a send seq=%d" Tb.pp now pkt.Packet.seq);
   t.inject pkt
 
@@ -281,10 +282,11 @@ let on_ack t pkt =
     t.acked <- (now, pkt.Packet.seq) :: t.acked;
     t.acked_n <- t.acked_n + 1;
     Utc_obs.Metrics.incr acks_c;
-    Utc_obs.Sink.record
-      ~flow:(Flow.to_string pkt.Packet.flow)
-      ~at:now
-      (Utc_obs.Event.Packet_ack { seq = pkt.Packet.seq });
+    if Utc_obs.Sink.enabled () then
+      Utc_obs.Sink.record
+        ~flow:(Flow.to_string pkt.Packet.flow)
+        ~at:now
+        (Utc_obs.Event.Packet_ack { seq = pkt.Packet.seq });
     (* Batch all same-instant ACKs into one wakeup, after every network
        event of this instant. *)
     match t.wakeup_at with

@@ -2,35 +2,65 @@ open Utc_net
 module Engine = Utc_sim.Engine
 module Runtime = Utc_elements.Runtime
 
+type subscriber = Utc_sim.Timebase.t -> Packet.t -> unit
+
+(* Per-flow state lives in arrays indexed by [Flow.rank], all of one
+   length, grown together the first time a flow past their end is
+   delivered or subscribed to. *)
 type t = {
   engine : Engine.t;
-  mutable deliveries : (Utc_sim.Timebase.t * Packet.t) list; (* newest first *)
+  mutable subscribers : subscriber list array; (* subscription order *)
+  mutable logs : (Utc_sim.Timebase.t * Packet.t) list array; (* newest first *)
+  mutable counts : int array;
   mutable drops : (Utc_sim.Timebase.t * int * Runtime.drop_reason * Packet.t) list;
   mutable queue_traces : (int * (Utc_sim.Timebase.t * int)) list; (* newest first *)
-  subscribers : (Flow.t, (Utc_sim.Timebase.t -> Packet.t -> unit) list ref) Hashtbl.t;
 }
 
 let create engine =
-  {
-    engine;
-    deliveries = [];
-    drops = [];
-    queue_traces = [];
-    subscribers = Hashtbl.create 4;
-  }
+  { engine; subscribers = [||]; logs = [||]; counts = [||]; drops = []; queue_traces = [] }
+
+(* The rank of [flow], with the arrays grown to hold it. *)
+let slot t flow =
+  let rank = Flow.rank flow in
+  if rank < 0 then
+    invalid_arg (Format.asprintf "Receiver: flow %a has no rank" Flow.pp flow);
+  let length = Array.length t.counts in
+  if rank >= length then begin
+    let grown = Int.max (rank + 1) (2 * length) in
+    let grow arr fill =
+      let next = Array.make grown fill in
+      Array.blit arr 0 next 0 length;
+      next
+    in
+    t.subscribers <- grow t.subscribers [];
+    t.logs <- grow t.logs [];
+    t.counts <- grow t.counts 0
+  end;
+  rank
+
+(* The rank of [flow] if the arrays hold it; -1 otherwise. *)
+let held t flow =
+  let rank = Flow.rank flow in
+  if rank < Array.length t.counts then rank else -1
 
 let subscribe t flow f =
-  match Hashtbl.find_opt t.subscribers flow with
-  | Some subs -> subs := f :: !subs
-  | None -> Hashtbl.replace t.subscribers flow (ref [ f ])
+  let rank = slot t flow in
+  t.subscribers.(rank) <- t.subscribers.(rank) @ [ f ]
+
+let rec notify now pkt = function
+  | [] -> ()
+  | f :: rest ->
+    f now pkt;
+    notify now pkt rest
 
 let callbacks t =
   let deliver flow pkt =
     let now = Engine.now t.engine in
-    t.deliveries <- (now, pkt) :: t.deliveries;
-    match Hashtbl.find_opt t.subscribers flow with
-    | None -> ()
-    | Some subs -> List.iter (fun f -> f now pkt) (List.rev !subs)
+    let logged = slot t pkt.Packet.flow in
+    t.logs.(logged) <- (now, pkt) :: t.logs.(logged);
+    t.counts.(logged) <- t.counts.(logged) + 1;
+    let subscribed = held t flow in
+    if subscribed >= 0 then notify now pkt t.subscribers.(subscribed)
   in
   let on_drop ~node_id ~reason pkt =
     t.drops <- (Engine.now t.engine, node_id, reason, pkt) :: t.drops
@@ -40,14 +70,15 @@ let callbacks t =
   in
   Runtime.callbacks ~deliver ~on_drop ~on_queue ()
 
-let deliveries t flow =
-  List.rev
-    (List.filter (fun (_, pkt) -> Flow.equal pkt.Packet.flow flow) t.deliveries)
+let log t flow =
+  let rank = held t flow in
+  if rank < 0 then [] else t.logs.(rank)
+
+let deliveries t flow = List.rev (log t flow)
 
 let delivered_count t flow =
-  List.fold_left
-    (fun acc (_, pkt) -> if Flow.equal pkt.Packet.flow flow then acc + 1 else acc)
-    0 t.deliveries
+  let rank = held t flow in
+  if rank < 0 then 0 else t.counts.(rank)
 
 let drops t = List.rev t.drops
 
@@ -64,13 +95,10 @@ let throughput t flow ~since ~until =
     let bits =
       List.fold_left
         (fun acc (time, pkt) ->
-          if
-            Flow.equal pkt.Packet.flow flow
-            && Utc_sim.Timebase.( >=. ) time since
-            && Utc_sim.Timebase.( <=. ) time until
-          then acc + pkt.Packet.bits
+          if Utc_sim.Timebase.( >=. ) time since && Utc_sim.Timebase.( <=. ) time until then
+            acc + pkt.Packet.bits
           else acc)
-        0 t.deliveries
+        0 (log t flow)
     in
     float_of_int bits /. span
   end

@@ -5,7 +5,13 @@
     produces the {!Utc_elements.Runtime.callbacks} for a ground-truth
     network, records all deliveries, drops and queue-occupancy changes,
     and lets senders subscribe to their flow's deliveries — the instant,
-    lossless acknowledgment path of the paper's preliminary setup. *)
+    lossless acknowledgment path of the paper's preliminary setup.
+
+    Subscribers, delivery logs and delivery counts are kept per flow, in
+    arrays indexed by {!Utc_net.Flow.rank}. A delivery costs one index
+    whatever the number of flows, and the per-flow queries cost
+    O(that flow's deliveries), not O(every delivery). Every flow a
+    {!Utc_net.Topology.validate}d network delivers has a rank. *)
 
 type t
 
@@ -15,12 +21,17 @@ val callbacks : t -> Utc_elements.Runtime.callbacks
 (** Pass to {!Utc_elements.Runtime.build}. *)
 
 val subscribe : t -> Utc_net.Flow.t -> (Utc_sim.Timebase.t -> Utc_net.Packet.t -> unit) -> unit
-(** Called synchronously on each delivery of the flow (the wake-up). *)
+(** Called synchronously on each delivery of the flow (the wake-up),
+    after the delivery is logged. Several subscribers to one flow run in
+    subscription order.
+    @raise Invalid_argument if the flow has no {!Utc_net.Flow.rank} (so
+    do the {!callbacks}' [deliver] on a packet of such a flow). *)
 
 val deliveries : t -> Utc_net.Flow.t -> (Utc_sim.Timebase.t * Utc_net.Packet.t) list
-(** Oldest first. *)
+(** Oldest first; O(the flow's deliveries). *)
 
 val delivered_count : t -> Utc_net.Flow.t -> int
+(** O(1). *)
 
 val drops :
   t ->
@@ -31,4 +42,6 @@ val queue_trace : t -> node_id:int -> (Utc_sim.Timebase.t * int) list
 (** Queued bits over time at a station, oldest first. *)
 
 val throughput : t -> Utc_net.Flow.t -> since:Utc_sim.Timebase.t -> until:Utc_sim.Timebase.t -> float
-(** Delivered bits per second of the flow over a window. *)
+(** Delivered bits per second of the flow over the closed window
+    [\[since, until\]]; 0 for an empty or reversed window. O(the flow's
+    deliveries). *)

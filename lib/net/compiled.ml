@@ -25,7 +25,7 @@ type pinger = { flow : Flow.t; rate_pps : float; size_bits : int; entry : link }
 
 type t = {
   nodes : node array;
-  entries : (Flow.t * link) list;
+  entries : link option array;
   pingers : pinger list;
 }
 
@@ -80,18 +80,29 @@ let compile topology =
     let topology = Topology.normalize topology in
     let builder = { acc = []; count = 0 } in
     let shared_entry = compile_element builder topology.Topology.shared Deliver in
-    let compile_source (entries, pingers) source =
+    (* Validation gave every source flow a rank, so the table covers the
+       endpoints' ranks and nothing else. *)
+    let table_size =
+      List.fold_left
+        (fun size source ->
+          match source with
+          | Topology.Endpoint { flow; _ } -> Int.max size (Flow.rank flow + 1)
+          | Topology.Pinger _ -> size)
+        0 topology.Topology.sources
+    in
+    let entries = Array.make table_size None in
+    let compile_source pingers source =
       match source with
       | Topology.Endpoint { flow; access } ->
-        let entry = compile_element builder access shared_entry in
-        ((flow, entry) :: entries, pingers)
+        entries.(Flow.rank flow) <- Some (compile_element builder access shared_entry);
+        pingers
       | Topology.Pinger { flow; rate_pps; size_bits; access } ->
         let entry = compile_element builder access shared_entry in
-        (entries, { flow; rate_pps; size_bits; entry } :: pingers)
+        { flow; rate_pps; size_bits; entry } :: pingers
     in
-    let entries, pingers = List.fold_left compile_source ([], []) topology.Topology.sources in
+    let pingers = List.fold_left compile_source [] topology.Topology.sources in
     let nodes = Array.of_list (List.rev builder.acc) in
-    Ok { nodes; entries = List.rev entries; pingers = List.rev pingers }
+    Ok { nodes; entries; pingers = List.rev pingers }
 
 let compile_exn topology =
   match compile topology with
@@ -99,9 +110,12 @@ let compile_exn topology =
   | Error msg -> invalid_arg ("Compiled.compile: " ^ msg)
 
 let entry t flow =
-  match List.assoc_opt flow t.entries with
-  | Some link -> link
-  | None -> raise Not_found
+  let rank = Flow.rank flow in
+  if rank < 0 || rank >= Array.length t.entries then raise Not_found
+  else
+    match t.entries.(rank) with
+    | Some link -> link
+    | None -> raise Not_found
 
 let node t id = t.nodes.(id)
 let node_count t = Array.length t.nodes
@@ -160,8 +174,11 @@ let pp_node ppf = function
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Array.iteri (fun id n -> Format.fprintf ppf "%d: %a@," id pp_node n) t.nodes;
-  let pp_entry ppf (flow, link) = Format.fprintf ppf "entry %a %a@," Flow.pp flow pp_link link in
-  List.iter (pp_entry ppf) t.entries;
+  let pp_entry rank = function
+    | Some link -> Format.fprintf ppf "entry %a %a@," Flow.pp (Flow.of_rank rank) pp_link link
+    | None -> ()
+  in
+  Array.iteri pp_entry t.entries;
   let pp_pinger ppf (p : pinger) =
     Format.fprintf ppf "pinger %a %gpps %db %a@," Flow.pp p.flow p.rate_pps p.size_bits pp_link
       p.entry

@@ -33,7 +33,10 @@ type pinger = { flow : Flow.t; rate_pps : float; size_bits : int; entry : link }
 
 type t = private {
   nodes : node array;
-  entries : (Flow.t * link) list;  (** Entry link of each [Endpoint] source. *)
+  entries : link option array;
+      (** Entry link of each [Endpoint] source, at its flow's {!Flow.rank};
+          [None] at a rank no endpoint has. The table ends at the largest
+          endpoint rank, so its length follows the largest [Aux] id. *)
   pingers : pinger list;
 }
 
@@ -44,7 +47,9 @@ val compile_exn : Topology.t -> t
 (** @raise Invalid_argument on a validation error. *)
 
 val entry : t -> Flow.t -> link
-(** Entry link for an endpoint flow.
+(** Entry link for an endpoint flow: one {!Flow.rank} and one array read,
+    so the cost does not grow with the number of flows. The runtime
+    calls it for every injected packet.
     @raise Not_found if the flow has no [Endpoint] source. *)
 
 val node : t -> int -> node
@@ -55,3 +60,5 @@ val station_ids : t -> int list
 (** Ids of all [Station] nodes, in id order; instrumentation targets. *)
 
 val pp : Format.formatter -> t -> unit
+(** Nodes in id order, then endpoint entries in rank order, then
+    pingers in source order. *)

@@ -164,9 +164,14 @@ let validate t =
       | [] -> None
       | f :: rest -> if List.exists (Flow.equal f) rest then Some f else dup rest
     in
-    match dup flows with
-    | Some f -> fail "duplicate source for flow %a" Flow.pp f
-    | None -> (
+    match dup flows, List.find_opt (fun f -> Flow.rank f < 0) flows with
+    | Some f, _ -> fail "duplicate source for flow %a" Flow.pp f
+    | None, Some f ->
+      fail
+        "source flow %a cannot index a flow table: Aux ids must be non-negative and below \
+         Sys.max_array_length - 2"
+        Flow.pp f
+    | None, None -> (
       let validate_source = function
         | Endpoint { access; _ } -> validate_element access
         | Pinger { rate_pps; size_bits; access; _ } ->

@@ -131,9 +131,10 @@ val validate : t -> (unit, string) result
 (** Checks parameter ranges: positive rates, capacities and intervals,
     probabilities within [0, 1], an ARQ per-try loss within [0, 1) and a
     non-negative per-try overhead, a capacity on every RED station, at
-    least one source, no duplicate source flows, packets of a pinger fit
-    its buffers, and [Series] non-emptiness is not required (an empty
-    series is the identity). *)
+    least one source, no duplicate source flows, a {!Flow.rank} for every
+    source flow (so no negative [Aux] id: entry tables and receivers index
+    by it), packets of a pinger fit its buffers, and [Series]
+    non-emptiness is not required (an empty series is the identity). *)
 
 val normalize : t -> t
 (** Rewrites [Series (... Buffer; Throughput ...)] adjacencies into fused

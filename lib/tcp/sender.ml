@@ -111,10 +111,11 @@ let transmit t seq ~retransmission =
   t.sent_log <- (now, seq) :: t.sent_log;
   let pkt = Packet.make ~bits:t.config.bits ~flow:t.config.flow ~seq ~sent_at:now () in
   Utc_obs.Metrics.incr sends_c;
-  Utc_obs.Sink.record
-    ~flow:(Flow.to_string t.config.flow)
-    ~at:now
-    (Utc_obs.Event.Packet_send { seq; bits = t.config.bits });
+  if Utc_obs.Sink.enabled () then
+    Utc_obs.Sink.record
+      ~flow:(Flow.to_string t.config.flow)
+      ~at:now
+      (Utc_obs.Event.Packet_send { seq; bits = t.config.bits });
   t.inject pkt
 
 let cancel_timer t =
@@ -138,10 +139,11 @@ and on_timeout t =
     Utc_obs.Metrics.span ~name:"tcp.on_timeout" ~now:(fun () -> Engine.now t.engine) @@ fun () ->
     t.timeouts <- t.timeouts + 1;
     Utc_obs.Metrics.incr timeouts_c;
-    Utc_obs.Sink.record
-      ~flow:(Flow.to_string t.config.flow)
-      ~at:(Engine.now t.engine)
-      (Utc_obs.Event.Timeout { seq = t.high_ack });
+    if Utc_obs.Sink.enabled () then
+      Utc_obs.Sink.record
+        ~flow:(Flow.to_string t.config.flow)
+        ~at:(Engine.now t.engine)
+        (Utc_obs.Event.Timeout { seq = t.high_ack });
     Rto.on_timeout t.rto;
     t.cc.Cc.on_timeout ~now:(Engine.now t.engine);
     t.in_recovery <- false;
@@ -170,10 +172,11 @@ let on_ack t ack =
   let now = Engine.now t.engine in
   if ack > t.high_ack then begin
     let newly_acked = ack - t.high_ack in
-    Utc_obs.Sink.record
-      ~flow:(Flow.to_string t.config.flow)
-      ~at:now
-      (Utc_obs.Event.Packet_ack { seq = ack });
+    if Utc_obs.Sink.enabled () then
+      Utc_obs.Sink.record
+        ~flow:(Flow.to_string t.config.flow)
+        ~at:now
+        (Utc_obs.Event.Packet_ack { seq = ack });
     (* Karn: sample RTT only from never-retransmitted segments. *)
     let rtt_sample =
       match Hashtbl.find_opt t.segs (ack - 1) with

@@ -135,6 +135,125 @@ let receiver_queue_and_drops () =
   Alcotest.(check bool) "queue trace nonempty" true
     (Receiver.queue_trace receiver ~node_id:0 <> [])
 
+(* A multi-flow run with tail drops: four endpoints and a pinger share a
+   three-packet station. A wrapping [deliver] records every delivery;
+   the receiver's per-flow queries must equal reference folds over that
+   record. Aux 9 is an endpoint that never sends, Aux 200 only a
+   subscription; Aux 3 and Cross are delivered with no subscriber. *)
+let receiver_flow_queries () =
+  let engine = Engine.create ~seed:3 () in
+  let receiver = Receiver.create engine in
+  let endpoints = Flow.[ Aux 3; Primary; Aux 0; Aux 9 ] in
+  let topology =
+    {
+      Topology.sources =
+        List.map Topology.endpoint endpoints
+        @ [ Topology.pinger ~flow:Flow.Cross ~rate_pps:3.0 ~size_bits:4_000 () ];
+      shared =
+        Topology.series
+          [ Topology.buffer ~capacity_bits:36_000; Topology.throughput ~rate_bps:48_000.0 ];
+    }
+  in
+  let recorded = ref [] in
+  let cb = Receiver.callbacks receiver in
+  let deliver flow pkt =
+    recorded := (Engine.now engine, flow, pkt) :: !recorded;
+    cb.Utc_elements.Runtime.deliver flow pkt
+  in
+  let runtime =
+    Utc_elements.Runtime.build engine (Compiled.compile_exn topology)
+      { cb with Utc_elements.Runtime.deliver }
+  in
+  Receiver.subscribe receiver (Flow.Aux 200) (fun _ _ -> Alcotest.fail "aux200 never delivers");
+  Receiver.subscribe receiver (Flow.Aux 9) (fun _ _ -> Alcotest.fail "aux9 never sends");
+  let order = ref [] in
+  Receiver.subscribe receiver Flow.Primary (fun _ pkt -> order := (1, pkt.Packet.seq) :: !order);
+  Receiver.subscribe receiver Flow.Primary (fun _ pkt -> order := (2, pkt.Packet.seq) :: !order);
+  let heard_aux0 = ref [] in
+  Receiver.subscribe receiver (Flow.Aux 0) (fun t pkt -> heard_aux0 := (t, pkt) :: !heard_aux0);
+  List.iteri
+    (fun k (flow, bits) ->
+      for j = 0 to 29 do
+        let at = (0.1 *. float_of_int k) +. (0.4 *. float_of_int j) in
+        ignore
+          (Engine.schedule ~prio:(Evprio.arrival flow) engine ~at (fun () ->
+               Utc_elements.Runtime.inject runtime flow (Packet.make ~bits ~flow ~seq:j ~sent_at:at ())))
+      done)
+    Flow.[ (Primary, 12_000); (Aux 0, 8_000); (Aux 3, 6_000) ];
+  Engine.run ~until:14.0 engine;
+  let tail_drops =
+    List.length
+      (List.filter
+         (fun (_, _, reason, _) -> reason = Utc_elements.Runtime.Tail_drop)
+         (Receiver.drops receiver))
+  in
+  Alcotest.(check bool) (Printf.sprintf "tail drops happened (%d)" tail_drops) true (tail_drops > 0);
+  let recorded = List.rev !recorded in
+  List.iter
+    (fun (_, flow, pkt) ->
+      if not (Flow.equal flow pkt.Packet.flow) then Alcotest.fail "deliver got another flow")
+    recorded;
+  let same_log a b =
+    List.equal (fun (t, p) (t', p') -> Float.equal t t' && Packet.equal p p') a b
+  in
+  List.iter
+    (fun flow ->
+      let name = Flow.to_string flow in
+      let reference =
+        List.filter_map
+          (fun (t, _, pkt) -> if Flow.equal pkt.Packet.flow flow then Some (t, pkt) else None)
+          recorded
+      in
+      Alcotest.(check bool) (name ^ " deliveries") true
+        (same_log reference (Receiver.deliveries receiver flow));
+      Alcotest.(check int) (name ^ " count") (List.length reference)
+        (Receiver.delivered_count receiver flow);
+      let times = List.map fst reference in
+      let first, last =
+        match times with
+        | [] -> (1.0, 2.0)
+        | t :: _ -> (t, List.fold_left Float.max t times)
+      in
+      List.iter
+        (fun (since, until) ->
+          let span = until -. since in
+          let bits =
+            List.fold_left
+              (fun acc (t, pkt) -> if t >= since && t <= until then acc + pkt.Packet.bits else acc)
+              0 reference
+          in
+          let expected = if span <= 0.0 then 0.0 else float_of_int bits /. span in
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s throughput over [%g, %g]" name since until)
+            expected
+            (Receiver.throughput receiver flow ~since ~until))
+        [
+          (0.0, 14.0);
+          (2.0, 5.5);
+          (first, last);
+          (first, first);
+          (100.0, 200.0);
+          (5.5, 2.0);
+        ])
+    Flow.[ Primary; Cross; Aux 0; Aux 3; Aux 9; Aux 200; Aux 1; Aux 5_000 ];
+  List.iter
+    (fun flow ->
+      if Receiver.delivered_count receiver flow = 0 then
+        Alcotest.failf "%s should have deliveries" (Flow.to_string flow))
+    Flow.[ Primary; Cross; Aux 0; Aux 3 ];
+  Alcotest.(check bool) "aux0 subscriber heard its deliveries" true
+    (same_log (Receiver.deliveries receiver (Flow.Aux 0)) (List.rev !heard_aux0));
+  let expected_order =
+    List.concat_map
+      (fun (_, pkt) -> [ (1, pkt.Packet.seq); (2, pkt.Packet.seq) ])
+      (Receiver.deliveries receiver Flow.Primary)
+  in
+  Alcotest.(check (list (pair int int))) "primary subscribers run in subscription order"
+    expected_order (List.rev !order);
+  Alcotest.check_raises "a flow without a rank cannot subscribe"
+    (Invalid_argument "Receiver: flow aux-1 has no rank") (fun () ->
+      Receiver.subscribe receiver (Flow.Aux (-1)) (fun _ _ -> ()))
+
 (* --- ISender end-to-end --- *)
 
 let run_isender ?(duration = 60.0) ?(config = Isender.default_config) ~seeds ~truth () =
@@ -187,6 +306,42 @@ let isender_acks_recorded () =
     (Receiver.delivered_count receiver Flow.Primary)
     (List.length (Isender.acked isender));
   Alcotest.(check bool) "evaluations exposed" true (Isender.last_evaluations isender <> [])
+
+(* The ISender journals every send and ACK, with its flow, exactly when
+   the sink is on; the run is the same either way. *)
+let isender_journal_follows_the_sink () =
+  let module Sink = Utc_obs.Sink in
+  let run ~enabled =
+    let was_enabled = Sink.enabled () in
+    let handle = Sink.create () in
+    if enabled then Sink.enable () else Sink.disable ();
+    let isender, _ =
+      Fun.protect
+        ~finally:(fun () -> if was_enabled then Sink.enable () else Sink.disable ())
+        (fun () ->
+          Sink.with_run ~run:"isender" handle (fun () ->
+              run_isender ~duration:20.0
+                ~seeds:[ seed_of { rate = 12_000.0; fill = 0 } 1.0 ]
+                ~truth:(topology { rate = 12_000.0; fill = 0 })
+                ()))
+    in
+    (isender, Sink.events_of handle)
+  in
+  let isender, events = run ~enabled:true in
+  let quiet, silent = run ~enabled:false in
+  Alcotest.(check int) "sink off records nothing" 0 (List.length silent);
+  Alcotest.(check int) "same run either way" (Isender.sent_count quiet) (Isender.sent_count isender);
+  let count keep =
+    List.length
+      (List.filter
+         (fun (r : Sink.recorded) -> r.Sink.flow = Some "primary" && keep r.Sink.event)
+         events)
+  in
+  let sends = count (function Utc_obs.Event.Packet_send _ -> true | _ -> false) in
+  let acks = count (function Utc_obs.Event.Packet_ack _ -> true | _ -> false) in
+  Alcotest.(check bool) "it sent" true (sends > 0);
+  Alcotest.(check int) "one packet_send per send" (Isender.sent_count isender) sends;
+  Alcotest.(check int) "one packet_ack per ack" (Isender.acked_count isender) acks
 
 let isender_wakeup_hook_runs () =
   let seeds = [ seed_of { rate = 12_000.0; fill = 0 } 1.0 ] in
@@ -253,10 +408,12 @@ let suite =
     ("planner empty belief", `Quick, planner_empty_belief_sleeps);
     ("receiver routes and counts", `Quick, receiver_routes_and_counts);
     ("receiver queue and drops", `Quick, receiver_queue_and_drops);
+    ("receiver per-flow queries match a delivery record", `Quick, receiver_flow_queries);
     ("isender tracks link speed", `Quick, isender_tracks_link_speed);
     ("isender tentative start", `Quick, isender_tentative_start);
     ("isender acks recorded", `Quick, isender_acks_recorded);
     ("isender wakeup hook", `Quick, isender_wakeup_hook_runs);
+    ("isender journal follows the sink", `Quick, isender_journal_follows_the_sink);
     ("isender under loss", `Quick, isender_under_loss_keeps_consistency);
   ]
 

@@ -83,7 +83,14 @@ let r3_detects () =
   check_rules "structural <> [] before a connective" [ "R3" ]
     [ ("bin/x.ml", "let g xs ok = xs <> [] && ok\n") ];
   check_rules "structural = [] before ||" [ "R3" ]
-    [ ("bin/x.ml", "let h xs ok = xs = []\n  || ok\n") ]
+    [ ("bin/x.ml", "let h xs ok = xs = []\n  || ok\n") ];
+  let lib_file code = [ ("lib/net/x.ml", code); ("lib/net/x.mli", "") ] in
+  check_rules "List.assoc" [ "R3" ] (lib_file "let v = List.assoc flow table\n");
+  check_rules "List.assoc_opt" [ "R3" ] (lib_file "let v = List.assoc_opt flow table\n");
+  check_rules "List.mem_assoc is one finding" [ "R3" ]
+    (lib_file "let b = List.mem_assoc flow table\n");
+  check_rules "List.remove_assoc" [ "R3" ] (lib_file "let t = List.remove_assoc flow table\n");
+  check_rules "List.mem" [ "R3" ] (lib_file "let b = List.mem flow flows\n")
 
 let r3_negatives () =
   check_rules "explicit comparator" []
@@ -97,7 +104,14 @@ let r3_negatives () =
   check_rules "match pattern [] is fine" []
     [ ("bin/x.ml", "let f = function [] -> 0 | _ :: _ -> 1\n") ];
   check_rules "composed operators are not bare equality" []
-    [ ("bin/x.ml", "let f r ok = r := []; !r >= [] && ok\n") ]
+    [ ("bin/x.ml", "let f r ok = r := []; !r >= [] && ok\n") ];
+  let lib_file code = [ ("lib/net/x.ml", code); ("lib/net/x.mli", "") ] in
+  check_rules "physical-equality lookups" []
+    (lib_file "let v = List.assq key table\nlet b = List.memq key keys\n");
+  check_rules "lookup with an explicit equality" []
+    (lib_file "let v = List.find_opt (fun (f, _) -> Flow.equal f flow) table\n");
+  check_rules "list lookups outside lib/" []
+    [ ("bench/x.ml", "let f = List.assoc name reports\nlet b = List.mem name names\n") ]
 
 (* --- R4 no-hash-order-dependence --- *)
 

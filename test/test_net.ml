@@ -11,6 +11,72 @@ let flow_identity () =
     (compare (Flow.compare Flow.Primary Flow.Cross) 0);
   Alcotest.(check string) "to_string" "aux3" (Flow.to_string (Flow.Aux 3))
 
+(* Negative Aux ids sit next to the ranks of Primary and Cross, where an
+   offset-based order or hash would collide. *)
+let flow_sample =
+  Flow.
+    [
+      Primary; Cross; Aux 0; Aux 1; Aux 2; Aux 255; Aux (-1); Aux (-2); Aux (-3); Aux min_int;
+      Aux (max_int - 2);
+    ]
+
+let flow_order_and_hash_agree_with_equal () =
+  let sign c = Int.compare c 0 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let name = Format.asprintf "%a vs %a" Flow.pp a Flow.pp b in
+          Alcotest.(check bool) (name ^ ": compare = 0 iff equal") (Flow.equal a b)
+            (Flow.compare a b = 0);
+          Alcotest.(check int) (name ^ ": antisymmetric") (sign (Flow.compare a b))
+            (-sign (Flow.compare b a));
+          Alcotest.(check bool) (name ^ ": hash = iff equal") (Flow.equal a b)
+            (Flow.hash a = Flow.hash b);
+          let packet flow = Packet.make ~flow ~seq:4 ~sent_at:0.0 () in
+          Alcotest.(check bool) (name ^ ": packets compare = 0 iff equal") (Flow.equal a b)
+            (Packet.compare (packet a) (packet b) = 0))
+        flow_sample)
+    flow_sample;
+  (* Transitive: a sort puts every pair in the order compare gives it. *)
+  let sorted = List.sort Flow.compare flow_sample in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j && Flow.compare a b >= 0 then
+            Alcotest.failf "%a sorted before %a but not below it" Flow.pp a Flow.pp b)
+        sorted)
+    sorted;
+  (* The values for Primary, Cross and non-negative Aux ids are pinned:
+     probe orders and planner cache keys are built from them. *)
+  Alcotest.(check (list int)) "hashes" [ 0; 1; 2; 3; 4; 257 ]
+    (List.map Flow.hash Flow.[ Primary; Cross; Aux 0; Aux 1; Aux 2; Aux 255 ]);
+  Alcotest.(check (list int)) "compares" [ -1; 1; -1; 1; -1; 1; 0 ]
+    Flow.
+      [
+        compare Primary Cross;
+        compare Cross Primary;
+        compare Cross (Aux 0);
+        compare (Aux 0) Primary;
+        compare (Aux 3) (Aux 7);
+        compare (Aux 7) (Aux 3);
+        compare (Aux 5) (Aux 5);
+      ]
+
+let flow_rank_roundtrip () =
+  List.iter
+    (fun flow ->
+      let rank = Flow.rank flow in
+      match flow with
+      | Flow.Aux n when n < 0 || n >= Sys.max_array_length - 2 ->
+        Alcotest.(check int) (Flow.to_string flow ^ " has no rank") (-1) rank
+      | Flow.Primary | Flow.Cross | Flow.Aux _ ->
+        Alcotest.(check bool) "of_rank inverts rank" true (Flow.equal flow (Flow.of_rank rank)))
+    flow_sample;
+  Alcotest.(check (list int)) "dense ranks" [ 0; 1; 2; 257 ]
+    (List.map Flow.rank Flow.[ Primary; Cross; Aux 0; Aux 255 ])
+
 let packet_basics () =
   let pkt = Packet.make ~flow:Flow.Primary ~seq:5 ~sent_at:1.25 () in
   Alcotest.(check int) "default size" 12_000 pkt.Packet.bits;
@@ -68,6 +134,37 @@ let validation_rejects_bad_parameters () =
             routes = [ (Flow.Cross, Topology.Deliver); (Flow.Cross, Topology.Deliver) ];
             otherwise = Topology.Deliver;
           }))
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
+  n = 0 || at 0
+
+(* A flow the rank-indexed tables cannot hold is an [Error] naming it,
+   not an exception, whichever kind of source carries it. *)
+let validation_rejects_unranked_flows () =
+  let check name sources flow =
+    match Topology.validate { Topology.sources; shared = Topology.Deliver } with
+    | Ok () -> Alcotest.failf "%s should be invalid" name
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %s" name msg (Flow.to_string flow))
+        true
+        (contains msg (Flow.to_string flow))
+  in
+  check "negative aux endpoint"
+    [ Topology.endpoint Flow.Primary; Topology.endpoint (Flow.Aux (-1)) ]
+    (Flow.Aux (-1));
+  check "aux id past the array limit" [ Topology.endpoint (Flow.Aux max_int) ] (Flow.Aux max_int);
+  check "negative aux pinger"
+    [ Topology.endpoint Flow.Primary; Topology.pinger ~flow:(Flow.Aux (-2)) ~rate_pps:1.0 () ]
+    (Flow.Aux (-2));
+  match
+    Compiled.compile
+      { Topology.sources = [ Topology.endpoint (Flow.Aux (-3)) ]; shared = Topology.Deliver }
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "compile should refuse a negative aux endpoint"
 
 let validation_accepts_figure2 () =
   let t =
@@ -192,10 +289,56 @@ let compile_diverter_links () =
   let compiled = Compiled.compile_exn (net shared) in
   Alcotest.(check int) "divert + delay" 2 (Compiled.node_count compiled)
 
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
-  n = 0 || at 0
+(* 256 endpoints listed out of rank order plus a pinger. Even ids enter
+   through a delay of their own id in seconds, odd ids straight into the
+   shared station, so each flow's expected entry is known. *)
+let compile_entry_256 () =
+  let ids = List.init 256 (fun i -> (i * 97) mod 256) in
+  let endpoint i =
+    if i mod 2 = 0 then Topology.endpoint ~access:(Topology.delay ~seconds:(float_of_int i)) (Flow.Aux i)
+    else Topology.endpoint (Flow.Aux i)
+  in
+  let compiled =
+    Compiled.compile_exn
+      {
+        Topology.sources =
+          List.map endpoint ids
+          @ [ Topology.pinger ~access:(Topology.delay ~seconds:0.5) ~flow:Flow.Cross ~rate_pps:1.0 () ];
+        shared = Topology.series [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:1e6 ];
+      }
+  in
+  let station =
+    match Compiled.station_ids compiled with
+    | [ id ] -> id
+    | _ -> Alcotest.fail "expected one station"
+  in
+  List.iter
+    (fun i ->
+      let flow = Flow.Aux i in
+      match Compiled.entry compiled flow, i mod 2 = 0 with
+      | Compiled.To id, true -> (
+        match Compiled.node compiled id with
+        | Compiled.Delay { seconds; next = Compiled.To next } ->
+          Alcotest.(check (float 0.0)) (Flow.to_string flow ^ " delay") (float_of_int i) seconds;
+          Alcotest.(check int) (Flow.to_string flow ^ " delay feeds the station") station next
+        | _ -> Alcotest.failf "%s should enter through its delay" (Flow.to_string flow))
+      | Compiled.To id, false ->
+        Alcotest.(check int) (Flow.to_string flow ^ " enters the station") station id
+      | Compiled.Deliver, _ -> Alcotest.failf "%s should not deliver directly" (Flow.to_string flow))
+    ids;
+  Alcotest.(check int) "the table ends at the last endpoint" 258
+    (Array.length compiled.Compiled.entries);
+  List.iter
+    (fun flow ->
+      Alcotest.check_raises (Flow.to_string flow ^ " has no endpoint") Not_found (fun () ->
+          ignore (Compiled.entry compiled flow)))
+    Flow.[ Cross; Primary; Aux 256; Aux 1_000_000; Aux (-1); Aux max_int ];
+  match compiled.Compiled.pingers with
+  | [ { Compiled.flow = Flow.Cross; entry = Compiled.To id; _ } ] -> (
+    match Compiled.node compiled id with
+    | Compiled.Delay { seconds = 0.5; _ } -> ()
+    | _ -> Alcotest.fail "pinger should enter through its delay")
+  | _ -> Alcotest.fail "expected the Cross pinger"
 
 let topology_pp_smoke () =
   let t =
@@ -417,9 +560,12 @@ let fluid_build_validation () =
 let suite =
   [
     ("flow identity", `Quick, flow_identity);
+    ("flow order and hash agree with equal", `Quick, flow_order_and_hash_agree_with_equal);
+    ("flow rank roundtrip", `Quick, flow_rank_roundtrip);
     ("packet basics", `Quick, packet_basics);
     ("evprio order", `Quick, evprio_order);
     ("validation rejects bad parameters", `Quick, validation_rejects_bad_parameters);
+    ("validation rejects unranked flows", `Quick, validation_rejects_unranked_flows);
     ("validation accepts figure2", `Quick, validation_accepts_figure2);
     ("normalize fuses buffer+throughput", `Quick, normalize_fuses_buffer_throughput);
     ("normalize bare throughput", `Quick, normalize_bare_throughput);
@@ -431,6 +577,7 @@ let suite =
     ("compile rejects invalid", `Quick, compile_rejects_invalid);
     ("compile empty series", `Quick, compile_empty_series_is_wire);
     ("compile entry missing", `Quick, compile_entry_missing);
+    ("compile entry 256 endpoints", `Quick, compile_entry_256);
     ("compile diverter", `Quick, compile_diverter_links);
     ("pp smoke", `Quick, topology_pp_smoke);
     ("fluid degenerates to runtime at zero background", `Quick, fluid_degenerates_to_runtime);

@@ -276,11 +276,60 @@ let sender_traces_nonempty () =
     (let times = List.map fst (Sender.sent sender) in
      List.sort compare times = times)
 
+module Sink = Utc_obs.Sink
+module Event = Utc_obs.Event
+
+(* [f ()] with the sink on or off, recording into a private handle; the
+   events that handle received. *)
+let journal ~enabled f =
+  let was_enabled = Sink.enabled () in
+  let handle = Sink.create () in
+  if enabled then Sink.enable () else Sink.disable ();
+  let result =
+    Fun.protect
+      ~finally:(fun () -> if was_enabled then Sink.enable () else Sink.disable ())
+      (fun () -> Sink.with_run ~run:"sender" handle f)
+  in
+  (result, Sink.events_of handle)
+
+(* Every send, new cumulative ACK and timeout is journaled, with its
+   flow, when the sink is on; nothing is when it is off, and the run is
+   the same either way. *)
+let sender_journal_follows_the_sink () =
+  let run () = run_sender ~rate_bps:120_000.0 ~capacity_bits:24_000 ~prop:0.02 ~duration:30.0 () in
+  let sender, events = journal ~enabled:true run in
+  let quiet, silent = journal ~enabled:false run in
+  Alcotest.(check int) "sink off records nothing" 0 (List.length silent);
+  Alcotest.(check int) "same run either way" (Sender.sent_count quiet) (Sender.sent_count sender);
+  Alcotest.(check bool) "the run timed out" true (Sender.timeouts sender > 0);
+  let primary = List.filter (fun (r : Sink.recorded) -> r.Sink.flow = Some "primary") events in
+  let sends, acks, timeouts =
+    List.fold_left
+      (fun (sends, acks, timeouts) (r : Sink.recorded) ->
+        match r.Sink.event with
+        | Event.Packet_send _ -> (sends + 1, acks, timeouts)
+        | Event.Packet_ack { seq } -> (sends, seq :: acks, timeouts)
+        | Event.Timeout _ -> (sends, acks, timeouts + 1)
+        | _ -> (sends, acks, timeouts))
+      (0, [], 0) primary
+  in
+  Alcotest.(check int) "one packet_send per transmission" (Sender.sent_count sender) sends;
+  Alcotest.(check int) "one timeout event per timeout" (Sender.timeouts sender) timeouts;
+  match acks with
+  | [] -> Alcotest.fail "no packet_ack events"
+  | last :: _ ->
+    Alcotest.(check int) "last packet_ack is the cumulative ACK" (Sender.delivered sender) last;
+    let ascending = List.rev acks in
+    Alcotest.(check (list int)) "packet_ack seqs strictly increase"
+      (List.sort_uniq Int.compare ascending)
+      ascending
+
 let tcp_extra_suite =
   [
     ("cubic timeout", `Quick, cubic_timeout_collapses);
     ("newreno backlog", `Quick, newreno_backlog_exact);
     ("sender traces", `Quick, sender_traces_nonempty);
+    ("sender journal follows the sink", `Quick, sender_journal_follows_the_sink);
   ]
 
 let suite = suite @ tcp_extra_suite

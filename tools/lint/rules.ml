@@ -62,6 +62,24 @@ let sort_functions =
     "Array.fast_sort";
   ]
 
+(* The Stdlib list lookups compare keys (or elements) with polymorphic
+   equality. [Textscan.find_token] matches whole identifiers, so
+   [List.mem_assoc] is one finding and [List.memq] and [List.assq]
+   (physical equality) pass. Only [lib/] is checked: a lookup there runs
+   inside the simulation, once per packet or hypothesis, where structural
+   equality is slow on any key and wrong on floats and abstract types. *)
+let list_lookups =
+  [ "List.assoc"; "List.assoc_opt"; "List.mem_assoc"; "List.remove_assoc"; "List.mem" ]
+
+let check_r3_list_lookups (src : Source.t) =
+  if not (in_lib src.Source.path) then []
+  else
+    flag_tokens src ~rule:"R3" ~tokens:list_lookups ~message:(fun token ->
+        Printf.sprintf
+          "%s compares with polymorphic equality: use List.find_opt/List.exists with a \
+           type-specific equality, or index by key"
+          token)
+
 (* [xs = []] / [xs <> []] in a condition is structural (polymorphic)
    equality in disguise. It happens to terminate on lists, but it is the
    same bug family R3 exists for — one abstract type in the elements and
@@ -138,7 +156,7 @@ let check_r3 (src : Source.t) =
                | _ -> None))
       sort_functions
   in
-  stdlib_compare @ sort_sites @ check_r3_empty_list src code
+  stdlib_compare @ sort_sites @ check_r3_empty_list src code @ check_r3_list_lookups src
 
 (* --- R4 no-hash-order-dependence --- *)
 
@@ -310,8 +328,9 @@ let all =
       id = "R3";
       name = "no-polymorphic-compare";
       doc =
-        "Stdlib.compare, bare `compare` at sort call sites, and structural `= []` / `<> []` \
-         in conditions are forbidden; use type-specific comparators and list patterns.";
+        "Stdlib.compare, bare `compare` at sort call sites, structural `= []` / `<> []` in \
+         conditions, and (in lib/) List.assoc/assoc_opt/mem_assoc/remove_assoc/mem are \
+         forbidden; use type-specific comparators, list patterns and explicit equalities.";
       check = check_r3;
     };
     {

@@ -14,10 +14,14 @@
     - [R2] no-wall-clock: [Unix.gettimeofday]/[Unix.time]/[Sys.time] inside
       [lib/].  Benchmark timing goes through [Utc_obs.Obs_clock],
       the single allowlisted reader.
-    - [R3] no-polymorphic-compare: [Stdlib.compare] anywhere, and a bare
-      [compare] passed to a [List]/[Array] sort function.  Polymorphic
-      compare on floats or [Timebase.t] keys silently depends on
-      representation; use [Float.compare]/[Timebase.compare]/etc.
+    - [R3] no-polymorphic-compare: [Stdlib.compare] anywhere, a bare
+      [compare] passed to a [List]/[Array] sort function, structural
+      [= []]/[<> []] in a condition, and, inside [lib/], the list lookups
+      [List.assoc], [List.assoc_opt], [List.mem_assoc], [List.remove_assoc]
+      and [List.mem].  Polymorphic compare on floats or [Timebase.t] keys
+      silently depends on representation; use
+      [Float.compare]/[Timebase.compare]/etc., and look keys up with an
+      explicit equality or an index.
     - [R4] no-hash-order-dependence: [Hashtbl.iter]/[Hashtbl.fold] whose
       surrounding code (a 20-line window) shows no intervening sort, and
       any use of [Hashtbl.hash] (an ambient tie-breaker).
