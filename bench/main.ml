@@ -96,12 +96,7 @@ let report_scale () =
 
 let report_parallel () =
   section "Parallel execution - domain pool vs serial, bit-equality attestation";
-  let domains =
-    match Utc_parallel.Pool.default_domains () with
-    | 1 -> 2 (* no UTC_DOMAINS: still exercise a real pool *)
-    | n -> n
-  in
-  let report = E.Par_bench.run ~domains () in
+  let report = E.Par_bench.run () in
   E.Par_bench.pp_report Format.std_formatter report;
   E.Par_bench.write_json ~path:"BENCH_parallel.json" report;
   Format.printf "wrote BENCH_parallel.json@.";
@@ -111,7 +106,7 @@ let report_parallel () =
     | _ :: _ -> true
   in
   if (not report.E.Par_bench.all_identical) || regressed then begin
-    Format.printf "parallel benchmark FAILED: divergence or adaptive-path regression@.";
+    Format.printf "parallel benchmark FAILED: divergence or pooled-sweep regression@.";
     exit 1
   end
 

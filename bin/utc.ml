@@ -25,9 +25,10 @@ let out_file =
 
 let domains_opt =
   let doc =
-    "Fan independent work across N >= 1 domains (default: $(b,UTC_DOMAINS) if set, else the \
-     machine's recommended domain count). The pool's partition/merge is deterministic, so every \
-     result is bit-identical to serial."
+    "Fan whole runs ($(b,sweep), $(b,trace sweep), $(b,parallel)) across N >= 1 domains, capped \
+     at the machine's recommended domain count (default: $(b,UTC_DOMAINS) if set, else that \
+     count). Commands that run one simulation ignore it. The pool's partition/merge is \
+     deterministic, so every result is bit-identical to serial."
   in
   let positive_int =
     let parse s =
@@ -39,8 +40,8 @@ let domains_opt =
   in
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
 
-(* [--domains] resizes the process-wide pool, so the belief filter and
-   planner inside each run pick it up too. *)
+(* [--domains] resizes the process-wide pool that [Harness.run_many]
+   fans whole runs across. *)
 let resolve_pool domains =
   (match domains with
   | Some n -> Utc_parallel.Pool.set_default_domains n
@@ -402,12 +403,7 @@ let parallel_cmd =
     Arg.(value & opt string "BENCH_parallel.json" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let run () seed duration domains out =
-    let domains =
-      match domains with
-      | Some n -> n
-      | None -> Utc_parallel.Pool.default_domains ()
-    in
-    let report = E.Par_bench.run ~domains ~seed ~duration () in
+    let report = E.Par_bench.run ?domains ~seed ~duration () in
     E.Par_bench.pp_report Format.std_formatter report;
     E.Par_bench.write_json ~path:out report;
     Format.printf "wrote %s@." out;
@@ -421,9 +417,9 @@ let parallel_cmd =
   let info =
     Cmd.info "parallel"
       ~doc:
-        "Serial vs multi-domain wall time for the belief filter, planner and harness sweep, \
-         with a bit-equality attestation; exits non-zero on any divergence or when the \
-         adaptive scheduler makes an entry slower than serial."
+        "Serial vs pooled wall time for a sweep of whole harness runs, with a bit-equality \
+         attestation; exits non-zero on any divergence or when the pool makes the sweep slower \
+         than serial."
   in
   Cmd.v info Term.(const run $ logs_term $ seed $ duration 30.0 $ domains_opt $ out)
 
@@ -770,4 +766,10 @@ let main_cmd =
       sweep_cmd;
       scale_cmd; parallel_cmd; trace_cmd; metrics_cmd; profile_cmd; top_cmd; obsbench_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+(* A bad UTC_DOMAINS is a usage error, like a bad --domains. *)
+let () =
+  match Utc_parallel.Pool.default_domains () with
+  | _ -> exit (Cmd.eval main_cmd)
+  | exception Invalid_argument msg ->
+    Format.eprintf "utc: %s@." msg;
+    exit Cmd.Exit.cli_error

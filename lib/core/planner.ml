@@ -50,7 +50,7 @@ type evaluation = {
    than a lookup's digest. *)
 type cache = {
   table : (string, float) Hashtbl.t;
-  lock : Mutex.t;  (* pooled pricing may probe from several domains *)
+  lock : Mutex.t;  (* a caller may share one cache across domains *)
   capacity : int;
   mutable hits : int;
   mutable misses : int;
@@ -118,8 +118,7 @@ let validate config =
 
 let decisions_c = Utc_obs.Metrics.counter "core.planner.decisions"
 
-(* Serial telemetry, after the pooled pricing has merged: the journal
-   entry is a function of the deterministic net-utility vector only. *)
+(* The journal entry is a function of the net-utility vector only. *)
 let record_decision ~now ~evaluations decision =
   Utc_obs.Metrics.incr decisions_c;
   if Utc_obs.Sink.enabled () then begin
@@ -139,8 +138,6 @@ let record_decision ~now ~evaluations decision =
       (Utc_obs.Event.Planner_decide
          { action; delay; margin; candidates = List.length evaluations })
   end
-
-let price_cost = Utc_parallel.Pool.Cost.make ~label:"planner.price"
 
 (* [Utility.of_outcomes] of one outcome of weight [logw] whose
    deliveries' left-folded utility is [sum]. *)
@@ -218,16 +215,11 @@ let price_forking config ?cache ~now ~t_end ~weight (hyp : _ Belief.hypothesis) 
 
 (* lint:hotpath -- the EU sweep prices every (hypothesis x delay) pair
    per decision; ROADMAP hot-path program tracks its allocations *)
-let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
+let decide ?cache config ~belief ~now ~pending ~make_packet =
   validate config;
   Utc_obs.Metrics.span ~name:"planner.decide"
     ~now:(fun () -> now)
     (fun () ->
-  let pool =
-    match pool with
-    | Some pool -> pool
-    | None -> Utc_parallel.Pool.default ()
-  in
   let hyps = Belief.top belief ~n:config.top_hyps in
   let max_delay = List.fold_left Float.max 0.0 config.delays in
   match hyps with
@@ -239,17 +231,11 @@ let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
     let t_end = now +. max_delay +. config.horizon in
     let candidates = Array.of_list config.delays in
     let n = Array.length candidates in
-    (* Serial prologue, before the pool fan: the memoized plan variant
-       mutates the shared [prepared] record, which no pooled job may do.
-       Candidate [d] sends one packet at [now + d], the same for every
+    (* Candidate [d] sends one packet at [now + d], the same for every
        hypothesis. *)
     let hyps = Array.of_list hyps in
     let plans = Array.map (fun (h : _ Belief.hypothesis) -> Forward.plan_variant h.Belief.prepared) hyps in
     let sends = Array.map (fun d -> (now +. d, make_packet (now +. d))) candidates in
-    (* Per-hypothesis rollouts are independent of each other; fan them
-       across the pool and reduce the per-candidate contributions in
-       hypothesis index order, so the accumulated expected utilities add
-       in exactly the serial order (bit-identical for any pool size). *)
     let price i =
       let hyp = hyps.(i) in
       let weight = exp (hyp.Belief.logw -. z) in
@@ -264,16 +250,13 @@ let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
     in
     let net = Array.make n 0.0 in
     (* The EU sweep itself, attributed separately from candidate pick and
-       decision recording. Entered/exited on the calling domain only. *)
+       decision recording. Each hypothesis' contribution is added into
+       [net] as it is priced, in hypothesis index order. *)
     Utc_obs.Metrics.span ~name:"price"
       ~now:(fun () -> now)
       (fun () ->
-        let contributions =
-          Utc_parallel.Pool.map_array ~cost:price_cost pool ~f:price
-            (Array.init (Array.length hyps) Fun.id)
-        in
-        for h = 0 to Array.length contributions - 1 do
-          let contribution = contributions.(h) in
+        for h = 0 to Array.length hyps - 1 do
+          let contribution = price h in
           for i = 0 to n - 1 do
             net.(i) <- net.(i) +. contribution.(i)
           done

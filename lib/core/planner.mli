@@ -77,11 +77,6 @@ val make_cache : ?capacity:int -> unit -> cache
 val cache_stats : cache -> int * int
 (** [(hits, misses)] since creation. *)
 
-val price_cost : Utc_parallel.Pool.Cost.t
-(** The adaptive cost handle behind the per-hypothesis pricing fan
-    (label ["planner.price"]); exposed for the parallel benchmark and
-    tests. *)
-
 val gross_utilities :
   config ->
   now:Utc_sim.Timebase.t ->
@@ -99,7 +94,6 @@ val gross_utilities :
     baseline forks. *)
 
 val decide :
-  ?pool:Utc_parallel.Pool.t ->
   ?cache:cache ->
   config ->
   belief:'p Utc_inference.Belief.t ->
@@ -114,8 +108,6 @@ val decide :
     utility the decision is to sleep until the last candidate.
     [make_packet] is called once per candidate.
 
-    Per-hypothesis rollouts fan across [pool] (default:
-    {!Utc_parallel.Pool.default}) under an adaptive cost handle — small
-    sweeps run serially — and merge in hypothesis index order; the
-    decision and evaluations are bit-identical for every pool size, with
-    or without [cache]. *)
+    Hypotheses are priced in index order, each one's contribution added
+    into the per-candidate sums as it is priced; the decision and
+    evaluations are bit-identical with or without [cache]. *)

@@ -198,9 +198,7 @@ let run config =
    absorbs them into the process journal in run-index order. The
    concatenated journal is therefore byte-identical at any domain
    count. The [with_run] binding rides the job closure, so it lands on
-   whichever domain executes the run (nested pool drains included). *)
-let run_cost = Utc_parallel.Pool.Cost.make ~label:"harness.run"
-
+   whichever domain executes the run. *)
 let run_many ?pool configs =
   let pool =
     match pool with
@@ -212,7 +210,7 @@ let run_many ?pool configs =
     List.mapi (fun i config -> (i, config, Utc_obs.Sink.create ~capacity ())) configs
   in
   let results =
-    Utc_parallel.Pool.map_list ~cost:run_cost pool
+    Utc_parallel.Pool.map_list pool
       ~f:(fun (i, config, sink) ->
         Utc_obs.Sink.with_run ~run:(string_of_int i) sink (fun () -> run config))
       jobs

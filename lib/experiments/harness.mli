@@ -67,10 +67,6 @@ val run_many : ?pool:Utc_parallel.Pool.t -> config list -> result list
     bit-identical to mapping {!run} serially — only [wall_seconds]
     depends on the schedule. *)
 
-val run_cost : Utc_parallel.Pool.Cost.t
-(** The adaptive cost handle behind {!run_many}'s fan-out (label
-    ["harness.run"]); exposed for the parallel benchmark and tests. *)
-
 val throughput : result -> flow:Utc_net.Flow.t -> since:float -> until:float -> float
 (** Delivered bits per second within a window. *)
 

@@ -1,56 +1,45 @@
-(** Serial-vs-parallel benchmark with a bit-equality attestation and a
-    no-regression grade for the adaptive scheduler.
+(** Serial-vs-pooled benchmark of the one fan the repo has, with a
+    bit-equality attestation and a no-regression grade.
 
-    Times the three pool-backed layers — one {!Utc_inference.Belief}
-    conditioning window over the full paper prior, one
-    {!Utc_core.Planner.decide} over the heaviest hypotheses, and a
-    (seed, α) sweep of whole {!Harness} runs — under three schedules:
-    serial (one domain), forced (an [N]-domain [Fixed] pool that always
-    engages), and auto (an [N]-domain [Adaptive] pool running the shipped
-    cost-model decision, primed from the measured serial run). Results
-    must be bit-identical across all three (everything except wall time).
-    The report feeds [BENCH_parallel.json] (CI artifact) and the
-    EXPERIMENTS.md speedup table.
+    Times a (seed, α) sweep of whole {!Harness} runs twice: on an
+    explicit 1-domain pool (serial), and on the default pool, which is
+    the pool [--domains N] gives every command. Results must be
+    bit-identical (everything except wall time). The report feeds
+    [BENCH_parallel.json] (CI artifact) and the EXPERIMENTS.md speedup
+    table.
 
-    [speedup] grades the shipped path: serial over auto wall time when
-    the cost model engaged the pool, and exactly 1.0 when it fell back
-    (the schedules are identical by construction, so timer noise is not
-    reported as a slowdown). An entry with [speedup < 1.0] means the
-    adaptive scheduler made a run slower — the regression this benchmark
-    exists to catch. [forced_speedup] is informational: what unconditional
-    engagement costs or buys on this machine. *)
+    [speedup] is serial over pooled wall time, and exactly 1.0 when the
+    default pool has one domain (the schedules are then identical, so
+    timer noise is not reported as a slowdown). An entry with
+    [speedup < 1.0] means the pool made the sweep slower — the
+    regression this benchmark exists to catch. *)
 
 type entry = {
   label : string;
-  work_items : int;  (** Independent units fanned across the pool. *)
-  serial_seconds : float;
-  forced_seconds : float;  (** [Fixed] pool: always engages. *)
-  auto_seconds : float;  (** [Adaptive] pool: measured decision. *)
-  engaged : bool;  (** Did the cost model engage the pool? *)
-  reason : string;  (** Decision reason (e.g. ["below-threshold"]). *)
+  work_items : int;  (** Independent runs fanned across the pool. *)
+  serial_seconds : float;  (** On a 1-domain pool. *)
+  pooled_seconds : float;  (** On the default pool. *)
   speedup : float;
-      (** [serial /. auto] when engaged; exactly [1.0] on fallback. *)
-  forced_speedup : float;  (** [serial /. forced], informational. *)
-  bit_identical : bool;  (** Serial, forced and auto results all agree. *)
+      (** [serial /. pooled]; exactly [1.0] on a 1-domain default pool. *)
+  bit_identical : bool;  (** Serial and pooled results agree. *)
 }
 
 type report = {
-  domains : int;
+  pool_domains : int;  (** Size of the default pool the sweep fanned on. *)
   recommended_domains : int;
   entries : entry list;
   all_identical : bool;
 }
 
 val run : ?domains:int -> ?seed:int -> ?duration:float -> unit -> report
-(** [domains] defaults to {!Utc_parallel.Pool.default_domains} (the
-    [UTC_DOMAINS] environment, or the machine's recommended domain count
-    when unset); [seed] (default 7) and [duration] (default 30 s) shape
-    the harness sweep. *)
+(** [domains], when given, resizes the default pool first
+    ({!Utc_parallel.Pool.set_default_domains}, so at most the machine's
+    recommended count); [seed] (default 7) and [duration] (default 30 s)
+    shape the harness sweep. *)
 
 val regressions : report -> entry list
-(** Entries where the shipped adaptive path lost to serial
-    ([speedup < 1.0]) or any schedule changed the result
-    ([bit_identical = false]). Empty on a healthy machine. *)
+(** Entries where the pool lost to serial ([speedup < 1.0]) or changed
+    the result ([bit_identical = false]). Empty on a healthy machine. *)
 
 val to_json : report -> string
 

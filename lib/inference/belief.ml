@@ -244,12 +244,6 @@ let cap t s =
     | `Resample rng -> systematic_resample rng ~n:t.max_hyps s
   end
 
-(* Per-call-site cost handle for the pool's serial-fallback model: the
-   expand fan only engages the domains when a window's estimated cost
-   clears the measured dispatch overhead. Scheduling state only — it
-   never influences a posterior. *)
-let expand_cost = Utc_parallel.Pool.Cost.make ~label:"belief.expand"
-
 (* --- compaction --- *)
 
 (* A surviving fork of one parent, with the hash its compaction slot is
@@ -367,12 +361,7 @@ let store_of_slots slots =
 
 (* lint:hotpath -- expand/score/compact runs per hypothesis per tick;
    ROADMAP hot-path program tracks its allocations *)
-let step ?pool t ~sends ~acks ~now ~now_prio ~condition =
-  let pool =
-    match pool with
-    | Some pool -> pool
-    | None -> Utc_parallel.Pool.default ()
-  in
+let step t ~sends ~acks ~now ~now_prio ~condition =
   let s = t.store in
   let n = store_size s in
   let expand i =
@@ -418,39 +407,12 @@ let step ?pool t ~sends ~acks ~now ~now_prio ~condition =
      duplicate fork is a float write into its slot. *)
   let slots = slots_create n in
   let absorb f = absorb slots f in
-  (* Hypotheses are independent — each owns its state and the only shared
-     input is the read-only store — so [expand] fans across the pool. The
-     merge ([absorb]) stays serial and in index order, which makes the
-     posterior bit-identical to the serial path for any domain count.
-     Fanning window by window keeps the compaction incremental: only one
-     window's forks are materialized at a time, and the pool's cost model
-     (via [expand_cost]) keeps sub-threshold windows on the serial
-     path. *)
-  (* The expand/compact phase spans enter and exit on the calling domain
-     only — never inside the pooled [expand] closures, whose execution
-     domain is schedule-dependent — so the span tree stays deterministic. *)
   Utc_obs.Metrics.span ~name:"expand"
     ~now:(fun () -> now)
     (fun () ->
-      if Utc_parallel.Pool.domains pool <= 1 then
-        for i = 0 to n - 1 do
-          List.iter absorb (expand i)
-        done
-      else begin
-        let window = Utc_parallel.Pool.domains pool * 8 in
-        let lo = ref 0 in
-        while !lo < n do
-          let len = min window (n - !lo) in
-          let base = !lo in
-          let batch = Array.make len 0 in
-          for k = 0 to len - 1 do
-            batch.(k) <- base + k
-          done;
-          Array.iter (List.iter absorb)
-            (Utc_parallel.Pool.map_array ~cost:expand_cost pool ~f:expand batch);
-          lo := base + len
-        done
-      end);
+      for i = 0 to n - 1 do
+        List.iter absorb (expand i)
+      done);
   Utc_obs.Metrics.span ~name:"compact"
     ~now:(fun () -> now)
     (fun () ->
@@ -487,10 +449,8 @@ let ess t =
   done;
   if !sum_sq <= 0.0 then 0.0 else 1.0 /. !sum_sq
 
-(* Telemetry is recorded at the serial boundary of [update]/[reseed] —
-   never inside [expand], which fans across the pool — so the journal is
-   byte-identical at any domain count. Entropy and ESS are only computed
-   when the sink is live. *)
+(* Telemetry is recorded at the boundary of [update]/[reseed]. Entropy
+   and ESS are only computed when the sink is live. *)
 let updates_c = Utc_obs.Metrics.counter "inference.belief.updates"
 let rejected_c = Utc_obs.Metrics.counter "inference.belief.all_rejected"
 let reseeds_c = Utc_obs.Metrics.counter "inference.belief.reseeds"
@@ -514,23 +474,23 @@ let record_update t status =
          })
 
 (* lint:hotpath *)
-let update ?pool t ~sends ~acks ~now ?now_prio () =
+let update t ~sends ~acks ~now ?now_prio () =
   Utc_obs.Metrics.span ~name:"belief.update"
     ~now:(fun () -> now)
     (fun () ->
       let result =
-        let conditioned = step ?pool t ~sends ~acks ~now ~now_prio ~condition:true in
+        let conditioned = step t ~sends ~acks ~now ~now_prio ~condition:true in
         if store_size conditioned.store > 0 then (conditioned, Consistent)
         else begin
-          let unconditioned = step ?pool t ~sends ~acks:[] ~now ~now_prio ~condition:false in
+          let unconditioned = step t ~sends ~acks:[] ~now ~now_prio ~condition:false in
           (unconditioned, All_rejected)
         end
       in
       record_update (fst result) (snd result);
       result)
 
-let advance ?pool t ~sends ~now ?now_prio () =
-  step ?pool t ~sends ~acks:[] ~now ~now_prio ~condition:false
+let advance t ~sends ~now ?now_prio () =
+  step t ~sends ~acks:[] ~now ~now_prio ~condition:false
 
 (* Shift a hypothesis state (typically Mstate.initial, at time 0) so its
    history restarts at [now]: its clock, every pending event, and any

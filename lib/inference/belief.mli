@@ -81,7 +81,6 @@ type update_status =
           conditioning so the sender can keep operating. *)
 
 val update :
-  ?pool:Utc_parallel.Pool.t ->
   'p t ->
   sends:(Utc_sim.Timebase.t * Utc_net.Packet.t) list ->
   acks:ack list ->
@@ -95,19 +94,9 @@ val update :
     [tick] contributes its survival likelihood, a predicted delivery with
     no ACK contributes its loss likelihood, and an outcome that predicts a
     wrong time — or misses an observed ACK, or has no loss to blame a
-    missing ACK on — is removed.
-
-    Per-hypothesis stepping and scoring fan across [pool] (default:
-    {!Utc_parallel.Pool.default}); log-weights merge in hypothesis index
-    order, so the result is bit-identical for every pool size. *)
-
-val expand_cost : Utc_parallel.Pool.Cost.t
-(** The adaptive cost handle behind the per-hypothesis expansion fan
-    (label ["belief.expand"]); exposed for the parallel benchmark and
-    tests. *)
+    missing ACK on — is removed. *)
 
 val advance :
-  ?pool:Utc_parallel.Pool.t ->
   'p t ->
   sends:(Utc_sim.Timebase.t * Utc_net.Packet.t) list ->
   now:Utc_sim.Timebase.t ->

@@ -76,9 +76,9 @@ let prepare config compiled =
    that variant is an O(nodes) [prepare] that used to run once per
    hypothesis per decision. Memoize it on the filter's [prepared] — the
    analysis is a pure function of [(config, compiled)], so the memo only
-   saves work, never changes a result. Callers fill the memo from the
-   serial section of a decision (never inside a pool job), so the
-   unsynchronized mutable field is written by one domain at a time. *)
+   saves work, never changes a result. Each [prepared] belongs to one
+   run, whose planner fills the memo serially, so the unsynchronized
+   mutable field is written by one domain at a time. *)
 let plan_variant p =
   match p.config.fork_gates with
   | false -> p

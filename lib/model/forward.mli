@@ -66,8 +66,8 @@ val plan_variant : prepared -> prepared
 (** The [fork_gates = false] variant of this model (certainty-equivalent
     planning over the gate process), memoized on first use so repeated
     decisions share one analysis. Returns the argument itself when gate
-    forking is already off. Not thread-safe: call from the serial section
-    of a decision, never inside a pooled job. *)
+    forking is already off. Not thread-safe: a [prepared] belongs to one
+    run, and only that run's domain may call this on it. *)
 
 val run :
   ?until_prio:int ->

@@ -12,66 +12,12 @@
    calling domain is never idle. Nested maps (a worker whose job itself
    calls [map]) are supported for the same reason: the nested caller
    drains the shared queue, so every chunk it waits on is either run by
-   itself or already executing on another domain.
-
-   An [Adaptive] pool additionally carries a measured cost model: a
-   one-time calibration of per-chunk dispatch/merge overhead, and
-   per-call-site [Cost] handles holding an EWMA of the serial per-item
-   cost. A map whose estimated parallel saving does not clear the
-   dispatch overhead runs the bit-identical serial path instead — the
-   decision only moves work between schedules, never changes a result. *)
+   itself or already executing on another domain. *)
 
 type job = unit -> unit
 
-type policy =
-  | Fixed
-  | Adaptive
-
-module Cost = struct
-  type decision = {
-    engaged : bool;
-    reason : string;
-    work_items : int;
-    estimated_ns : float;
-    threshold_ns : float;
-  }
-
-  type t = {
-    label : string;
-    per_item_ns : float Atomic.t; (* nan until first measurement *)
-    last : decision option Atomic.t;
-  }
-
-  let make ~label = { label; per_item_ns = Atomic.make Float.nan; last = Atomic.make None }
-  let label t = t.label
-  let per_item_ns t = Atomic.get t.per_item_ns
-  let last_decision t = Atomic.get t.last
-  let prime t ~per_item_ns = Atomic.set t.per_item_ns per_item_ns
-
-  let forget t =
-    Atomic.set t.per_item_ns Float.nan;
-    Atomic.set t.last None
-
-  (* A heavily-smoothed estimate tracks drifting workloads (a belief
-     whose hypothesis count grows) without thrashing the decision. *)
-  let ewma_gain = 0.3
-
-  let observe t ~items ~elapsed_ns =
-    if items > 0 && elapsed_ns >= 0.0 then begin
-      let per = elapsed_ns /. float_of_int items in
-      let prev = Atomic.get t.per_item_ns in
-      let next = if Float.is_nan prev then per else prev +. (ewma_gain *. (per -. prev)) in
-      Atomic.set t.per_item_ns next
-    end
-
-  let note t decision = Atomic.set t.last (Some decision)
-end
-
 type t = {
   domains : int;
-  policy : policy;
-  effective : int; (* parallelism the decision model may actually use *)
-  mutable overhead_ns : float; (* measured per-chunk dispatch/merge cost *)
   mutex : Mutex.t;
   work_ready : Condition.t;
   queue : job Queue.t;
@@ -80,16 +26,6 @@ type t = {
 }
 
 let domains t = t.domains
-let policy t = t.policy
-let effective_domains t = t.effective
-let overhead_ns t = t.overhead_ns
-
-(* Scheduling cost is wall time by definition; this is the one place the
-   parallel layer reads a clock, and it never feeds a simulated result —
-   only the serial/parallel schedule choice, whose outputs are
-   bit-identical either way. *)
-let clock_ns () = Unix.gettimeofday () *. 1e9 (* lint:allow R2 -- cost-model calibration clock; affects schedule only, never results *)
-
 let recommended () = Domain.recommended_domain_count ()
 
 let next_job t =
@@ -125,13 +61,11 @@ let steal_job t =
   Mutex.unlock t.mutex;
   job
 
-(* The parallel machinery proper: always engages the pool. [map_array]
-   layers the adaptive decision on top. The caller dispatches chunks
-   [0 .. chunks-2] and runs the *last* chunk — the short one when [chunk]
-   does not divide [n] — itself, first: dispatched work starts flowing to
-   the workers immediately and the caller is never the domain holding the
-   longest remainder (which would serialize small maps behind a full
-   chunk). *)
+(* The caller dispatches chunks [0 .. chunks-2] and runs the *last*
+   chunk — the short one when [chunk] does not divide [n] — itself,
+   first: dispatched work starts flowing to the workers immediately and
+   the caller is never the domain holding the longest remainder (which
+   would serialize small maps behind a full chunk). *)
 let pooled_map t ~chunk ~f arr =
   let n = Array.length arr in
   let results = Array.make n None in
@@ -196,53 +130,11 @@ let pooled_map t ~chunk ~f arr =
       | None -> assert false)
     results
 
-(* --- cost model --- *)
-
-(* Engaging the pool must buy more than it costs, with margin: the time a
-   parallel run saves over serial is at best [est * (1 - 1/eff)], and it
-   pays [overhead] per chunk for dispatch and merge. The safety factor
-   absorbs estimate noise — a misprediction toward serial costs a little
-   latency, one toward parallel costs a regression. *)
-let decision_safety = 2.0
-
-let would_engage ~eff ~overhead_ns ~per_item_ns ~items ~chunks =
-  eff > 1
-  && (not (Float.is_nan per_item_ns))
-  && (not (Float.is_nan overhead_ns))
-  && items > 1
-  &&
-  let estimated = per_item_ns *. float_of_int items in
-  let saved = estimated *. (1.0 -. (1.0 /. float_of_int eff)) in
-  saved > decision_safety *. overhead_ns *. float_of_int chunks
-
-(* Per-chunk dispatch/merge overhead, measured once per pool by timing
-   no-op chunks through the real queue machinery (several rounds, best
-   round kept: calibration wants the floor, not a scheduling hiccup). *)
-let calibrate t =
-  let items = t.domains * 16 in
-  let arr = Array.make items 0 in
-  let best = ref Float.infinity in
-  for _ = 1 to 3 do
-    let start = clock_ns () in
-    ignore (pooled_map t ~chunk:1 ~f:(fun x -> x) arr : int array);
-    let elapsed = clock_ns () -. start in
-    if elapsed < !best then best := elapsed
-  done;
-  t.overhead_ns <- Float.max 1.0 (!best /. float_of_int items)
-
-let create ?(policy = Fixed) ~domains () =
+let create ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  let effective =
-    match policy with
-    | Fixed -> domains
-    | Adaptive -> min domains (recommended ())
-  in
   let t =
     {
       domains;
-      policy;
-      effective;
-      overhead_ns = Float.nan;
       mutex = Mutex.create ();
       work_ready = Condition.create ();
       queue = Queue.create ();
@@ -251,9 +143,6 @@ let create ?(policy = Fixed) ~domains () =
     }
   in
   t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  (match policy with
-  | Adaptive when domains > 1 && effective > 1 -> calibrate t
-  | Adaptive | Fixed -> ());
   t
 
 let shutdown t =
@@ -265,20 +154,11 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join workers
 
-let with_pool ?policy ~domains f =
-  let t = create ?policy ~domains () in
+let with_pool ~domains f =
+  let t = create ~domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let serial_observing cost ~f arr =
-  match cost with
-  | None -> Array.map f arr
-  | Some c ->
-    let start = clock_ns () in
-    let result = Array.map f arr in
-    Cost.observe c ~items:(Array.length arr) ~elapsed_ns:(clock_ns () -. start);
-    result
-
-let map_array ?chunk ?cost t ~f arr =
+let map_array ?chunk t ~f arr =
   let n = Array.length arr in
   let chunk =
     match chunk with
@@ -287,124 +167,55 @@ let map_array ?chunk ?cost t ~f arr =
     | None -> max 1 ((n + t.domains - 1) / t.domains)
   in
   if n = 0 then [||]
-  else if t.domains = 1 || n <= chunk then
-    (match t.policy with
-    | Adaptive -> serial_observing cost ~f arr
-    | Fixed -> Array.map f arr)
-  else begin
-    match (t.policy, cost) with
-    | Fixed, _ | Adaptive, None -> pooled_map t ~chunk ~f arr
-    | Adaptive, Some c ->
-      let chunks = (n + chunk - 1) / chunk in
-      let per_item_ns = Cost.per_item_ns c in
-      let estimated_ns =
-        if Float.is_nan per_item_ns then Float.nan else per_item_ns *. float_of_int n
-      in
-      let threshold_ns =
-        if Float.is_nan t.overhead_ns then Float.nan
-        else decision_safety *. t.overhead_ns *. float_of_int chunks
-      in
-      if t.effective <= 1 then begin
-        Cost.note c
-          {
-            Cost.engaged = false;
-            reason = "single-domain";
-            work_items = n;
-            estimated_ns;
-            threshold_ns;
-          };
-        serial_observing cost ~f arr
-      end
-      else if Float.is_nan per_item_ns then begin
-        (* Cold site: run serial once to learn the per-item cost; every
-           later call decides from the stored estimate. *)
-        Cost.note c
-          {
-            Cost.engaged = false;
-            reason = "cold-calibration";
-            work_items = n;
-            estimated_ns;
-            threshold_ns;
-          };
-        serial_observing cost ~f arr
-      end
-      else if
-        would_engage ~eff:t.effective ~overhead_ns:t.overhead_ns ~per_item_ns ~items:n ~chunks
-      then begin
-        Cost.note c
-          {
-            Cost.engaged = true;
-            reason = "profitable";
-            work_items = n;
-            estimated_ns;
-            threshold_ns;
-          };
-        pooled_map t ~chunk ~f arr
-      end
-      else begin
-        Cost.note c
-          {
-            Cost.engaged = false;
-            reason = "below-threshold";
-            work_items = n;
-            estimated_ns;
-            threshold_ns;
-          };
-        serial_observing cost ~f arr
-      end
-  end
+  else if t.domains = 1 || n <= chunk then Array.map f arr
+  else pooled_map t ~chunk ~f arr
 
-let map_list ?chunk ?cost t ~f items =
+let map_list ?chunk t ~f items =
   match items with
   | [] -> []
   | [ x ] -> [ f x ]
-  | _ :: _ :: _ -> Array.to_list (map_array ?chunk ?cost t ~f (Array.of_list items))
+  | _ :: _ :: _ -> Array.to_list (map_array ?chunk t ~f (Array.of_list items))
 
 (* --- default pool, sized by UTC_DOMAINS --- *)
 
-(* No UTC_DOMAINS: size the pool to what the hardware recommends — the
-   Adaptive policy keeps sub-threshold maps on the serial path, so spare
-   domains cost nothing when the work is too fine to split. *)
+(* More domains than the hardware recommends only oversubscribe it: four
+   domains on a 2-CPU host ran the harness sweep slower than serial.
+   OCaml 5.1 also refuses to spawn past 128 domains. *)
+let capped domains = min domains (recommended ())
+
 let env_domains () =
   match Sys.getenv_opt "UTC_DOMAINS" with
   | None -> recommended ()
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
+    | Some n when n >= 1 -> capped n
+    | Some _ | None ->
+      invalid_arg (Printf.sprintf "UTC_DOMAINS must be a positive integer, got %S" s))
 
 let default_mutex = Mutex.create ()
 let default_pool = ref None
 
 let default () =
-  Mutex.lock default_mutex;
-  let pool =
-    match !default_pool with
-    | Some pool -> pool
-    | None ->
-      let pool = create ~policy:Adaptive ~domains:(env_domains ()) () in
-      default_pool := Some pool;
-      pool
-  in
-  Mutex.unlock default_mutex;
-  pool
+  Mutex.protect default_mutex (fun () ->
+      match !default_pool with
+      | Some pool -> pool
+      | None ->
+        let pool = create ~domains:(env_domains ()) () in
+        default_pool := Some pool;
+        pool)
 
 let set_default_domains domains =
   if domains < 1 then invalid_arg "Pool.set_default_domains: domains must be >= 1";
-  Mutex.lock default_mutex;
-  let previous = !default_pool in
-  default_pool := Some (create ~policy:Adaptive ~domains ());
-  Mutex.unlock default_mutex;
-  match previous with
-  | Some pool -> shutdown pool
-  | None -> ()
+  let previous =
+    Mutex.protect default_mutex (fun () ->
+        let previous = !default_pool in
+        default_pool := Some (create ~domains:(capped domains) ());
+        previous)
+  in
+  Option.iter shutdown previous
 
 let default_domains () =
-  Mutex.lock default_mutex;
-  let n =
-    match !default_pool with
-    | Some pool -> pool.domains
-    | None -> env_domains ()
-  in
-  Mutex.unlock default_mutex;
-  n
+  Mutex.protect default_mutex (fun () ->
+      match !default_pool with
+      | Some pool -> pool.domains
+      | None -> env_domains ())

@@ -1,158 +1,78 @@
-(** Fixed-size domain pool with deterministic partition/merge and a
-    measured serial-fallback cost model.
+(** Fixed-size domain pool with deterministic partition/merge.
 
-    The simulator's reproducibility bar is bit-equality: running a belief
-    update or an experiment sweep on [n] domains must produce exactly the
-    serial answer. This pool guarantees it structurally — work items are
-    chunked by {e index} (contiguous ranges, never work-stealing order),
-    each result is written to its own slot, and the merge reads the slots
-    back in index order. Provided [f] is a pure function of its argument
-    (no shared mutable state, no domain identity — rule R7 of the
-    determinism linter), [map_list pool ~f xs = List.map f xs], bit for
-    bit, for every pool size.
+    The simulator's reproducibility bar is bit-equality: running an
+    experiment sweep on [n] domains must produce exactly the serial
+    answer. This pool guarantees it structurally — work items are chunked
+    by {e index} (contiguous ranges, never work-stealing order), each
+    result is written to its own slot, and the merge reads the slots back
+    in index order. Provided [f] is a pure function of its argument (no
+    shared mutable state, no domain identity — rule R7 of the determinism
+    linter), [map_list pool ~f xs = List.map f xs], bit for bit, for every
+    pool size.
 
     A pool of [domains = n] spawns [n - 1] worker domains; the calling
     domain runs chunks itself while waiting. [domains = 1] never spawns
-    and degrades to the plain serial map. Nested maps (an [f] that itself
-    maps on the same pool) are supported.
+    and degrades to the plain serial map. A map of two or more items on a
+    pool of more than one domain always fans. Nested maps (an [f] that
+    itself maps on the same pool) are supported.
 
-    Dispatching a chunk is not free, and below a work threshold the pool
-    {e loses} wall time. An {!Adaptive} pool therefore measures its own
-    per-chunk dispatch/merge overhead once (at creation) and, for call
-    sites that carry a {!Cost} handle, estimates each map's serial cost
-    from an EWMA of past runs; maps whose predicted parallel saving does
-    not clear the overhead with margin run the bit-identical serial path
-    instead. The decision is a deterministic function of
-    [(work_items, estimated_cost)] given the stored calibration — and it
-    is unobservable in results either way, only in wall time. *)
+    The repo's only fan is whole runs ([Harness.run_many],
+    the CLI sweeps): the belief filter and the planner run serially,
+    one wakeup after another, as the paper's sender does. *)
 
 type t
 
-(** [Fixed] always engages the pool machinery (the pre-cost-model
-    behavior; what equivalence tests and forced benchmarks want).
-    [Adaptive] caps useful parallelism at the hardware's recommended
-    domain count and falls back to serial below the measured
-    profitability threshold. *)
-type policy =
-  | Fixed
-  | Adaptive
-
-(** Per-call-site cost handle: owns the EWMA estimate of the site's
-    serial per-item cost and records the last scheduling decision, so
-    benchmarks can report {e why} a map ran where it did. Shareable
-    across domains (all state is atomic); create one per logical site,
-    not per call. *)
-module Cost : sig
-  type t
-
-  type decision = {
-    engaged : bool;  (** Whether the pool machinery was used. *)
-    reason : string;
-        (** ["profitable"], ["below-threshold"], ["cold-calibration"]
-            (first call at a site: runs serial and learns the per-item
-            cost), or ["single-domain"] (effective parallelism is 1, e.g.
-            a 4-domain pool on a 1-CPU machine). *)
-    work_items : int;
-    estimated_ns : float;  (** Estimated serial cost of the whole map. *)
-    threshold_ns : float;  (** Overhead bar the estimate was held to. *)
-  }
-
-  val make : label:string -> t
-  val label : t -> string
-
-  val per_item_ns : t -> float
-  (** Current EWMA estimate; [nan] until the first measured run. *)
-
-  val last_decision : t -> decision option
-  (** The decision taken by the most recent adaptive [map_*] call that
-      received this handle; [None] before the first. *)
-
-  val prime : t -> per_item_ns:float -> unit
-  (** Seed the estimate (benchmarks that just measured the serial cost;
-      tests pinning the decision function). *)
-
-  val forget : t -> unit
-  (** Drop the estimate back to cold and clear the last decision. *)
-end
-
-val create : ?policy:policy -> domains:int -> unit -> t
-(** [domains >= 1] is the total parallelism, counting the caller.
-    [policy] defaults to [Fixed]. An [Adaptive] pool with more than one
-    usable domain calibrates its dispatch overhead at creation (a few
-    no-op rounds through the queue machinery).
+val create : domains:int -> unit -> t
+(** [domains >= 1] is the total parallelism, counting the caller; the
+    pool has exactly that many domains.
     @raise Invalid_argument if [domains < 1]. *)
 
 val domains : t -> int
 
-val policy : t -> policy
-
-val effective_domains : t -> int
-(** Parallelism the cost model may actually engage:
-    [min domains (recommended ())] for [Adaptive], [domains] for
-    [Fixed]. *)
-
-val overhead_ns : t -> float
-(** Measured per-chunk dispatch/merge overhead; [nan] when the pool
-    never calibrated (Fixed policy, or effective parallelism 1). *)
-
 val shutdown : t -> unit
 (** Joins the worker domains. The pool must not be used afterwards. *)
 
-val with_pool : ?policy:policy -> domains:int -> (t -> 'a) -> 'a
+val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [create], run, then [shutdown] (also on exception). *)
 
-val map_list : ?chunk:int -> ?cost:Cost.t -> t -> f:('a -> 'b) -> 'a list -> 'b list
+val map_list : ?chunk:int -> t -> f:('a -> 'b) -> 'a list -> 'b list
 (** Deterministic parallel map: equals [List.map f] bit-for-bit for pure
-    [f], independent of [domains], [chunk], and the cost model's
-    schedule choice. [chunk] (default [ceil (n / domains)]) is the
-    contiguous work-unit size; smaller chunks balance uneven work at
-    slightly more synchronization. The caller dispatches every chunk but
-    the last and runs that last — possibly short — chunk itself first,
-    so small remainders never serialize a map behind the dispatching
-    domain. If any [f] raises, the exception of the lowest-indexed
-    failing chunk is re-raised after all chunks settle.
-
-    On an [Adaptive] pool, [cost] enables the serial fallback: the map
-    runs serially when the estimated saving does not clear the measured
-    dispatch overhead (and serial runs update the estimate). Without
-    [cost], or on a [Fixed] pool, the pool machinery always engages.
+    [f], independent of [domains] and [chunk]. [chunk] (default
+    [ceil (n / domains)]) is the contiguous work-unit size; smaller chunks
+    balance uneven work at slightly more synchronization. The caller
+    dispatches every chunk but the last and runs that last — possibly
+    short — chunk itself first, so small remainders never serialize a map
+    behind the dispatching domain. If any [f] raises, the exception of
+    the lowest-indexed failing chunk is re-raised after all chunks
+    settle.
     @raise Invalid_argument if [chunk < 1]. *)
 
-val map_array : ?chunk:int -> ?cost:Cost.t -> t -> f:('a -> 'b) -> 'a array -> 'b array
+val map_array : ?chunk:int -> t -> f:('a -> 'b) -> 'a array -> 'b array
 (** [map_list] over arrays. *)
-
-val would_engage :
-  eff:int -> overhead_ns:float -> per_item_ns:float -> items:int -> chunks:int -> bool
-(** The pure decision function: engage iff the estimated serial cost
-    [per_item_ns * items], discounted by the best-case parallel saving
-    [(1 - 1/eff)], exceeds twice the per-chunk overhead times [chunks]
-    (the safety factor absorbs estimate noise). [nan] estimates and
-    [eff <= 1] never engage. Exposed so tests can pin the threshold
-    boundary exactly. *)
 
 (** {1 Default pool}
 
-    The process-wide pool, sized by the [UTC_DOMAINS] environment
-    variable and created with the [Adaptive] policy. When [UTC_DOMAINS]
-    is unset the pool takes the hardware's recommended domain count —
-    safe because the cost model keeps sub-threshold maps serial.
-    [Belief.update] and [Planner.decide] use it when no explicit pool is
-    passed, so inference parallelizes exactly when it pays — with, by
-    the contract above, bit-identical results. *)
+    The process-wide pool that [Harness.run_many] and the
+    CLI's [--domains] use. Its size is the [UTC_DOMAINS] environment
+    variable, or {!set_default_domains}'s argument, or else
+    {!recommended}, and never more than {!recommended}: extra domains
+    only oversubscribe the hardware. *)
 
 val default : unit -> t
-(** The shared pool, created on first use from [UTC_DOMAINS]. *)
+(** The shared pool, created on first use from [UTC_DOMAINS].
+    @raise Invalid_argument, naming the variable, if [UTC_DOMAINS] is set
+    but not a positive integer. *)
 
 val set_default_domains : int -> unit
-(** Replace the default pool (the [--domains] CLI flag) with an
-    [Adaptive] pool of that size. Shuts the previous default down.
+(** Replace the default pool (the [--domains] CLI flag) with one of
+    [min n (recommended ())] domains. Shuts the previous default down.
     @raise Invalid_argument if the argument is [< 1]. *)
 
 val default_domains : unit -> int
-(** Size the default pool has, or would be created with. *)
+(** Size the default pool has, or would be created with.
+    @raise Invalid_argument as {!default} does. *)
 
 val recommended : unit -> int
 (** The runtime's recommended domain count for this machine. A hardware
-    inventory: it may cap how much parallelism the [Adaptive] schedule
-    uses, but — like every cost-model input — it must never influence a
-    simulated result, only where and when work runs. *)
+    inventory: it caps the default pool's size, but it must never
+    influence a simulated result, only where and when work runs. *)

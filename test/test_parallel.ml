@@ -1,7 +1,7 @@
-(* Golden-trace equivalence for the domain pool: belief updates, planner
-   decisions and harness sweeps must be bit-identical to serial for every
-   pool size. The serial baseline is always an explicit 1-domain pool so
-   the suite proves the same thing under UTC_DOMAINS=4. *)
+(* The domain pool fans whole runs only: a harness sweep must be
+   bit-identical to serial for every pool size, and the pool must really
+   run items concurrently. The serial baseline is always an explicit
+   1-domain pool so the suite proves the same thing under UTC_DOMAINS=4. *)
 open Utc_net
 module Pool = Utc_parallel.Pool
 module Belief = Utc_inference.Belief
@@ -12,257 +12,9 @@ module Planner = Utc_core.Planner
 module Harness = Utc_experiments.Harness
 module Scalability = Utc_experiments.Scalability
 module Rng = Utc_sim.Rng
+module Obs_clock = Utc_obs.Obs_clock
 
 let pool_sizes = [ 1; 2; 4 ]
-
-(* --- fingerprints: every bit that matters, nothing that doesn't --- *)
-
-let hyp_fingerprint (h : _ Belief.hypothesis) =
-  (h.Belief.params, Int64.bits_of_float h.Belief.logw, Mstate.canonical h.Belief.state)
-
-let belief_fingerprint belief = List.map hyp_fingerprint (Belief.support belief)
-
-let check_belief_equal name serial pooled =
-  let (sb, ss) = serial and (pb, ps) = pooled in
-  Alcotest.(check bool) (name ^ ": same update status") true (ss = ps);
-  Alcotest.(check bool) (name ^ ": bit-identical posterior") true
-    (belief_fingerprint sb = belief_fingerprint pb)
-
-(* --- the agreement topologies as belief scenarios ---
-
-   Each golden scenario takes one of test_agreement's topologies, builds a
-   3-hypothesis belief over it (the topology itself plus two extra-delay
-   variants), and conditions on the ACKs the undelayed variant actually
-   produces. The posterior then exercises removal, renormalization and
-   compaction; its fingerprint must not move with the pool size. *)
-
-let primary_sends times =
-  List.map (fun (at, seq) -> (at, Packet.make ~flow:Flow.Primary ~seq ~sent_at:at ())) times
-
-let variant_seeds topology =
-  List.map
-    (fun extra_delay ->
-      let t =
-        if extra_delay = 0.0 then topology
-        else
-          {
-            topology with
-            Topology.shared =
-              Topology.series [ Topology.delay ~seconds:extra_delay; topology.Topology.shared ];
-          }
-      in
-      let compiled = Compiled.compile_exn t in
-      ( extra_delay,
-        1.0,
-        Forward.prepare Forward.default_config compiled,
-        Mstate.initial ~epoch:Forward.default_config.Forward.epoch compiled ))
-    [ 0.0; 0.25; 0.5 ]
-
-(* ACKs as observed under the undelayed topology: its primary deliveries. *)
-let acks_of topology ~sends ~until =
-  let compiled = Compiled.compile_exn topology in
-  let prepared = Forward.prepare Forward.default_config compiled in
-  let state = Mstate.initial ~epoch:Forward.default_config.Forward.epoch compiled in
-  match Forward.run prepared state ~sends ~until with
-  | [ outcome ] ->
-    List.filter_map
-      (fun (d : Forward.delivery) ->
-        if d.Forward.packet.Packet.flow = Flow.Primary then
-          Some { Belief.seq = d.Forward.packet.Packet.seq; time = d.Forward.time }
-        else None)
-      outcome.Forward.deliveries
-  | outcomes -> Alcotest.failf "expected a deterministic topology, got %d outcomes" (List.length outcomes)
-
-let golden_topologies =
-  [
-    ( "figure2 squarewave",
-      Topology.figure2 ~link_bps:12_000.0 ~buffer_bits:96_000 ~loss_rate:0.0 ~pinger_pps:0.7
-        ~cross_gate:(Topology.squarewave ~interval:100.0 ()),
-      [ (0.5, 0); (3.0, 1); (3.1, 2); (5.0, 3) ],
-      12.0 );
-    ( "tie at pinger emission",
-      Topology.figure2 ~link_bps:12_000.0 ~buffer_bits:96_000 ~loss_rate:0.0 ~pinger_pps:0.5
-        ~cross_gate:(Topology.series []),
-      [ (2.0, 0); (4.0, 1); (6.0, 2) ],
-      15.0 );
-    ( "multi-station chain",
-      {
-        Topology.sources = [ Topology.endpoint Flow.Primary ];
-        shared =
-          Topology.series
-            [
-              Topology.buffer ~capacity_bits:48_000;
-              Topology.throughput ~rate_bps:24_000.0;
-              Topology.delay ~seconds:0.05;
-              Topology.buffer ~capacity_bits:24_000;
-              Topology.throughput ~rate_bps:12_000.0;
-            ];
-      },
-      List.init 8 (fun i -> (0.2 *. float_of_int i, i)),
-      20.0 );
-    ( "diverter paths",
-      {
-        Topology.sources =
-          [ Topology.endpoint Flow.Primary; Topology.pinger ~flow:Flow.Cross ~rate_pps:0.4 () ];
-        shared =
-          Topology.Diverter
-            {
-              routes = [ (Flow.Cross, Topology.delay ~seconds:0.7) ];
-              otherwise =
-                Topology.series
-                  [ Topology.buffer ~capacity_bits:60_000; Topology.throughput ~rate_bps:12_000.0 ];
-            };
-      },
-      [ (0.3, 0); (1.1, 1); (1.2, 2) ],
-      10.0 );
-    ( "buffer overflow",
-      {
-        Topology.sources = [ Topology.endpoint Flow.Primary ];
-        shared =
-          Topology.series
-            [ Topology.buffer ~capacity_bits:24_000; Topology.throughput ~rate_bps:12_000.0 ];
-      },
-      List.init 10 (fun i -> (0.05 *. float_of_int i, i)),
-      15.0 );
-  ]
-
-let run_update ~domains belief ~sends ~acks ~now =
-  Pool.with_pool ~domains (fun pool -> Belief.update ~pool belief ~sends ~acks ~now ())
-
-let golden_topology_updates () =
-  List.iter
-    (fun (name, topology, times, now) ->
-      let sends = primary_sends times in
-      let acks = acks_of topology ~sends ~until:now in
-      let serial = run_update ~domains:1 (Belief.create (variant_seeds topology)) ~sends ~acks ~now in
-      List.iter
-        (fun domains ->
-          let pooled =
-            run_update ~domains (Belief.create (variant_seeds topology)) ~sends ~acks ~now
-          in
-          check_belief_equal (Printf.sprintf "%s @ %d domains" name domains) serial pooled)
-        pool_sizes)
-    golden_topologies
-
-(* --- the fig2 composition over (a thinning of) the paper prior --- *)
-
-let fig2_seeds () =
-  Priors.seeds ~config:Forward.default_config (Scalability.thin 32 (Priors.paper_prior ()))
-
-let fig2_sends = primary_sends [ (0.5, 0); (2.0, 1); (3.5, 2) ]
-let fig2_acks = [ { Belief.seq = 0; time = 1.5 }; { Belief.seq = 1; time = 3.0 } ]
-
-let golden_fig2_update () =
-  let run ~domains =
-    run_update ~domains (Belief.create (fig2_seeds ())) ~sends:fig2_sends ~acks:fig2_acks ~now:5.0
-  in
-  let serial = run ~domains:1 in
-  Alcotest.(check bool) "the window conditioned something" true (Belief.size (fst serial) > 0);
-  List.iter
-    (fun domains ->
-      check_belief_equal (Printf.sprintf "fig2 prior @ %d domains" domains) serial (run ~domains))
-    pool_sizes
-
-(* --- reseed decisions survive the pool --- *)
-
-type params = { rate : float; fill : int }
-
-let seed_of p weight =
-  let topology =
-    {
-      Topology.sources = [ Topology.endpoint Flow.Primary ];
-      shared =
-        Topology.series
-          [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:p.rate ];
-    }
-  in
-  let compiled = Compiled.compile_exn topology in
-  let prefill =
-    if p.fill = 0 then []
-    else
-      [
-        ( List.hd (Compiled.station_ids compiled),
-          List.init p.fill (fun i -> Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:0.0 ()) );
-      ]
-  in
-  ( p,
-    weight,
-    Forward.prepare Forward.default_config compiled,
-    Mstate.initial ~prefill ~epoch:1.0 compiled )
-
-let small_family () =
-  List.map
-    (fun p -> seed_of p 1.0)
-    [
-      { rate = 6_000.0; fill = 0 };
-      { rate = 12_000.0; fill = 0 };
-      { rate = 12_000.0; fill = 2 };
-      { rate = 24_000.0; fill = 0 };
-    ]
-
-let golden_reseed_cycle () =
-  (* Collapse, reseed, condition again — the whole cycle under each pool
-     size must match the serial trace, including which fresh hypothesis
-     wins. *)
-  let cycle ~domains =
-    Pool.with_pool ~domains (fun pool ->
-        let belief = Belief.create (small_family ()) in
-        let belief, s1 =
-          Belief.update ~pool belief
-            ~sends:(primary_sends [ (0.0, 0) ])
-            ~acks:[ { Belief.seq = 0; time = 1.0 } ]
-            ~now:1.0 ()
-        in
-        let belief = Belief.advance ~pool belief ~sends:[] ~now:10.0 () in
-        let fresh = [ seed_of { rate = 6_000.0; fill = 0 } 1.0; seed_of { rate = 24_000.0; fill = 0 } 3.0 ] in
-        let belief = Belief.reseed belief ~seeds:fresh ~now:10.0 () in
-        let belief, s2 =
-          Belief.update ~pool belief
-            ~sends:(primary_sends [ (10.0, 1) ])
-            ~acks:[ { Belief.seq = 1; time = 10.5 } ]
-            ~now:10.5 ()
-        in
-        (belief_fingerprint belief, s1, s2))
-  in
-  let serial = cycle ~domains:1 in
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "reseed cycle @ %d domains" domains)
-        true
-        (cycle ~domains = serial))
-    pool_sizes
-
-(* --- planner decisions --- *)
-
-let planner_config =
-  {
-    Planner.default_config with
-    Planner.delays = [ 0.0; 0.4; 1.2; 2.4 ];
-    horizon = 5.0;
-    top_hyps = 12;
-  }
-
-let golden_planner_decisions () =
-  let decide ~domains =
-    Pool.with_pool ~domains (fun pool ->
-        let belief =
-          Belief.create
-            (Priors.seeds ~config:Forward.default_config (Scalability.thin 64 (Priors.paper_prior ())))
-        in
-        let belief = Belief.advance ~pool belief ~sends:[] ~now:0.5 () in
-        Planner.decide ~pool planner_config ~belief ~now:0.5 ~pending:[]
-          ~make_packet:(fun at -> Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:at ()))
-  in
-  let serial = decide ~domains:1 in
-  Alcotest.(check bool) "planner produced evaluations" true (snd serial <> []);
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "planner decision @ %d domains" domains)
-        true
-        (decide ~domains = serial))
-    pool_sizes
 
 (* --- harness sweeps --- *)
 
@@ -323,111 +75,76 @@ let pool_exception_propagation () =
         (List.init 10 succ)
         (Pool.map_list pool ~f:succ (List.init 10 Fun.id)))
 
-(* --- adaptive cost model --- *)
+(* Every equivalence test passes on a pool that silently runs serial;
+   this one needs both items of a two-item map in flight at once. The
+   deadline only keeps a serial pool from hanging the suite. *)
+let pool_runs_items_concurrently () =
+  Pool.with_pool ~domains:2 (fun pool ->
+      let arrived = Atomic.make 0 in
+      let deadline = Obs_clock.now () +. 5.0 in
+      let meet () =
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 && Obs_clock.now () < deadline do
+          ()
+        done;
+        Atomic.get arrived
+      in
+      Alcotest.(check (list int)) "each item saw the other arrive" [ 2; 2 ]
+        (Pool.map_list pool ~f:meet [ (); () ]))
 
-let cost_model_threshold () =
-  (* The decision inequality at its exact boundary: with eff = 2 the
-     saving is half the estimate, so per_item = 1000 ns over 4 items
-     saves exactly the 2.0 * 1000 * 1 threshold — and a tie must stay
-     serial (misprediction toward parallel is the expensive direction). *)
-  let overhead_ns = 1000.0 in
-  Alcotest.(check bool) "exactly at threshold stays serial" false
-    (Pool.would_engage ~eff:2 ~overhead_ns ~per_item_ns:1000.0 ~items:4 ~chunks:1);
-  Alcotest.(check bool) "just above threshold engages" true
-    (Pool.would_engage ~eff:2 ~overhead_ns ~per_item_ns:1001.0 ~items:4 ~chunks:1);
-  Alcotest.(check bool) "just below threshold stays serial" false
-    (Pool.would_engage ~eff:2 ~overhead_ns ~per_item_ns:999.0 ~items:4 ~chunks:1);
-  (* More chunks raise the bar: the same work split finer pays more
-     dispatch overhead. *)
-  Alcotest.(check bool) "same work, more chunks, stays serial" false
-    (Pool.would_engage ~eff:2 ~overhead_ns ~per_item_ns:1001.0 ~items:4 ~chunks:2);
-  (* Degenerate inputs can never engage. *)
-  Alcotest.(check bool) "cold estimate never engages" false
-    (Pool.would_engage ~eff:8 ~overhead_ns ~per_item_ns:Float.nan ~items:1000 ~chunks:4);
-  Alcotest.(check bool) "unknown overhead never engages" false
-    (Pool.would_engage ~eff:8 ~overhead_ns:Float.nan ~per_item_ns:1e9 ~items:1000 ~chunks:4);
-  Alcotest.(check bool) "single effective domain never engages" false
-    (Pool.would_engage ~eff:1 ~overhead_ns ~per_item_ns:1e9 ~items:1000 ~chunks:4);
-  Alcotest.(check bool) "single item never engages" false
-    (Pool.would_engage ~eff:4 ~overhead_ns ~per_item_ns:1e9 ~items:1 ~chunks:1)
-
-let adaptive_decision_ladder () =
-  (* Whatever branch the cost model picks — cold learning pass, primed
-     fallback, primed engagement (where the machine has parallelism) —
-     the result is the plain map, and the recorded decision matches the
-     branch. *)
-  let xs = List.init 57 Fun.id in
-  let f x = (x * 2654435761) lxor (x lsr 4) in
-  let expected = List.map f xs in
-  let cost = Pool.Cost.make ~label:"test.adaptive" in
-  Pool.with_pool ~policy:Pool.Adaptive ~domains:4 (fun pool ->
-      Alcotest.(check bool) "policy" true (Pool.policy pool = Pool.Adaptive);
-      Pool.Cost.forget cost;
-      Alcotest.(check (list int)) "cold pass" expected (Pool.map_list ~cost pool ~f xs);
-      Alcotest.(check bool) "cold pass learned a cost" false
-        (Float.is_nan (Pool.Cost.per_item_ns cost));
-      Pool.Cost.prime cost ~per_item_ns:1.0;
-      Alcotest.(check (list int)) "cheap pass" expected (Pool.map_list ~chunk:8 ~cost pool ~f xs);
-      (match Pool.Cost.last_decision cost with
-      | Some d -> Alcotest.(check bool) "cheap work falls back" false d.Pool.Cost.engaged
-      | None -> Alcotest.fail "no decision recorded for the cheap pass");
-      Pool.Cost.prime cost ~per_item_ns:1e9;
-      Alcotest.(check (list int)) "expensive pass" expected
-        (Pool.map_list ~chunk:8 ~cost pool ~f xs);
-      match Pool.Cost.last_decision cost with
-      | Some d ->
-        Alcotest.(check bool) "engages exactly when the machine has parallelism"
-          (Pool.effective_domains pool > 1)
-          d.Pool.Cost.engaged
-      | None -> Alcotest.fail "no decision recorded for the expensive pass")
-
-(* The shipped cost handles, primed to force each branch: the adaptive
-   path must reproduce the serial fingerprints bit for bit whether it
-   falls back or engages. *)
-let adaptive_golden_identity () =
-  let serial_belief =
-    run_update ~domains:1 (Belief.create (fig2_seeds ())) ~sends:fig2_sends ~acks:fig2_acks
-      ~now:5.0
-  in
-  let make_packet at = Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:at () in
-  let decide pool =
-    let belief = Belief.create (small_family ()) in
-    let belief = Belief.advance ~pool belief ~sends:[] ~now:0.5 () in
-    Planner.decide ~pool planner_config ~belief ~now:0.5 ~pending:[] ~make_packet
-  in
-  let sweep_configs =
-    let prior = Scalability.thin 64 (Priors.paper_prior ()) in
-    List.map
-      (fun alpha -> { Harness.default with Harness.seed = 5; duration = 8.0; alpha; prior })
-      [ 1.0; 2.5 ]
-  in
-  let sweep pool = List.map strip (Harness.run_many ~pool sweep_configs) in
-  let serial_planner = Pool.with_pool ~domains:1 decide in
-  let serial_sweep = Pool.with_pool ~domains:1 sweep in
-  let handles = [ Belief.expand_cost; Planner.price_cost; Harness.run_cost ] in
-  List.iter
-    (fun (branch, per_item_ns) ->
-      List.iter (fun c -> Pool.Cost.prime c ~per_item_ns) handles;
-      Pool.with_pool ~policy:Pool.Adaptive ~domains:4 (fun pool ->
-          check_belief_equal
-            (Printf.sprintf "fig2 update, adaptive %s" branch)
-            serial_belief
-            (Belief.update ~pool
-               (Belief.create (fig2_seeds ()))
-               ~sends:fig2_sends ~acks:fig2_acks ~now:5.0 ());
-          Alcotest.(check bool)
-            (Printf.sprintf "planner decision, adaptive %s" branch)
-            true
-            (decide pool = serial_planner);
-          Alcotest.(check bool)
-            (Printf.sprintf "harness sweep, adaptive %s" branch)
-            true
-            (sweep pool = serial_sweep)))
-    [ ("fallback", 1.0); ("engaged", 1e9) ];
-  (* Leave the shipped handles cold for whatever runs next. *)
-  List.iter Pool.Cost.forget handles
+let default_pool_capped () =
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_domains 1)
+    (fun () ->
+      Pool.set_default_domains (Pool.recommended () + 2);
+      Alcotest.(check int) "default pool capped at the recommended count" (Pool.recommended ())
+        (Pool.default_domains ()))
 
 (* --- planner gross-utility cache --- *)
+
+let planner_config =
+  {
+    Planner.default_config with
+    Planner.delays = [ 0.0; 0.4; 1.2; 2.4 ];
+    horizon = 5.0;
+    top_hyps = 12;
+  }
+
+(* A single-queue family: its planning runs never fork. *)
+type params = { rate : float; fill : int }
+
+let seed_of p weight =
+  let topology =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared =
+        Topology.series
+          [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:p.rate ];
+    }
+  in
+  let compiled = Compiled.compile_exn topology in
+  let prefill =
+    if p.fill = 0 then []
+    else
+      [
+        ( List.hd (Compiled.station_ids compiled),
+          List.init p.fill (fun i -> Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:0.0 ()) );
+      ]
+  in
+  ( p,
+    weight,
+    Forward.prepare Forward.default_config compiled,
+    Mstate.initial ~prefill ~epoch:1.0 compiled )
+
+let small_family () =
+  List.map
+    (fun p -> seed_of p 1.0)
+    [
+      { rate = 6_000.0; fill = 0 };
+      { rate = 12_000.0; fill = 0 };
+      { rate = 12_000.0; fill = 2 };
+      { rate = 24_000.0; fill = 0 };
+    ]
 
 (* A family whose planning runs fork: cross traffic crosses a loss in
    front of the queue, so every baseline splits at the next emission and
@@ -453,14 +170,9 @@ let forking_family () =
     [ 6_000.0; 12_000.0; 24_000.0 ]
 
 let cached_decide family =
-  let belief =
-    Pool.with_pool ~domains:1 (fun pool ->
-        Belief.advance ~pool (Belief.create family) ~sends:[] ~now:0.5 ())
-  in
+  let belief = Belief.advance (Belief.create family) ~sends:[] ~now:0.5 () in
   let make_packet at = Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:at () in
-  fun ?cache () ->
-    Pool.with_pool ~domains:1 (fun pool ->
-        Planner.decide ~pool ?cache planner_config ~belief ~now:0.5 ~pending:[] ~make_packet)
+  fun ?cache () -> Planner.decide ?cache planner_config ~belief ~now:0.5 ~pending:[] ~make_packet
 
 let planner_cache_identity () =
   let decide = cached_decide (forking_family ()) in
@@ -500,31 +212,6 @@ let map_list_prop =
     (fun (xs, domains, chunk) ->
       let f x = (x * 7919) lxor (x lsl 3) in
       Pool.with_pool ~domains (fun pool -> Pool.map_list ~chunk pool ~f xs) = List.map f xs)
-
-let random_belief_prop =
-  (* Random windows over the small family: serial and pooled posteriors
-     are structurally equal whatever the observations mean. *)
-  QCheck.Test.make ~name:"random belief window is pool-size invariant" ~count:15
-    QCheck.(
-      triple
-        (list_of_size Gen.(int_range 1 6) (float_bound_exclusive 3.0))
-        bool (int_range 2 4))
-    (fun (raw_times, ack_first, domains) ->
-      let times =
-        List.sort_uniq Float.compare
-          (List.map (fun t -> Float.round (t *. 10.0) /. 10.0) raw_times)
-      in
-      let sends = primary_sends (List.mapi (fun i t -> (t, i)) times) in
-      let acks =
-        if ack_first then [ { Belief.seq = 0; time = List.hd times +. 1.0 } ] else []
-      in
-      let run ~domains =
-        let belief, status =
-          run_update ~domains (Belief.create (small_family ())) ~sends ~acks ~now:4.0
-        in
-        (belief_fingerprint belief, status)
-      in
-      run ~domains = run ~domains:1)
 
 (* --- Rng split streams --- *)
 
@@ -572,20 +259,14 @@ let rng_streams_pool_invariant () =
 
 let suite =
   [
-    ("golden topology updates", `Quick, golden_topology_updates);
-    ("golden fig2 prior update", `Quick, golden_fig2_update);
-    ("golden reseed cycle", `Quick, golden_reseed_cycle);
-    ("golden planner decisions", `Quick, golden_planner_decisions);
     ("golden harness sweep", `Slow, golden_harness_sweep);
     ("pool basics", `Quick, pool_basics);
     ("pool exception propagation", `Quick, pool_exception_propagation);
-    ("cost model threshold boundary", `Quick, cost_model_threshold);
-    ("adaptive decision ladder", `Quick, adaptive_decision_ladder);
-    ("adaptive golden identity", `Slow, adaptive_golden_identity);
+    ("pool runs items concurrently", `Quick, pool_runs_items_concurrently);
+    ("default pool capped at recommended", `Quick, default_pool_capped);
     ("planner cache identity", `Quick, planner_cache_identity);
     ("planner single-branch skips cache", `Quick, planner_single_branch_skips_cache);
     ("rng stream determinism", `Quick, rng_stream_determinism);
     ("rng streams pool-invariant", `Quick, rng_streams_pool_invariant);
     QCheck_alcotest.to_alcotest map_list_prop;
-    QCheck_alcotest.to_alcotest random_belief_prop;
   ]
