@@ -188,13 +188,30 @@ let bench_equal () =
   let twin = Utc_model.Mstate.initial ~epoch:1.0 compiled in
   fun () -> ignore (Utc_model.Mstate.equal state twin)
 
-let small_belief () =
-  let prior = List.filteri (fun i _ -> i mod 37 = 0) (Utc_inference.Priors.paper_prior ()) in
+let belief_of prior =
   Utc_inference.Belief.create
     (Utc_inference.Priors.seeds ~config:Utc_model.Forward.default_config prior)
 
-let bench_belief_update () =
-  let belief = small_belief () in
+(* Every 37th cell of the paper prior. No two of them are loss-rate
+   variants of one cell, so no two share a run: the control for the
+   fig3-prior kernels below. *)
+let small_belief () =
+  belief_of (List.filteri (fun i _ -> i mod 37 = 0) (Utc_inference.Priors.paper_prior ()))
+
+(* The 140 cells of the fig3 benchmark's prior (fullness and buffer
+   pinned to the truth's): the five loss rates of each remaining cell
+   share dynamics, so the belief and the planner share their runs. *)
+let fig3_belief () =
+  let truth = Utc_inference.Priors.paper_truth in
+  belief_of
+    (Utc_inference.Priors.uniform
+       (List.filter_map
+          (fun ((p : Utc_inference.Priors.fig2_params), _) ->
+            if p.initial_packets = 0 && p.buffer_bits = truth.buffer_bits then Some p else None)
+          (Utc_inference.Priors.paper_prior ())))
+
+let bench_belief_update make_belief () =
+  let belief = make_belief () in
   let sends = [ (0.5, Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:0.5 ()) ] in
   fun () ->
     ignore
@@ -202,8 +219,8 @@ let bench_belief_update () =
          ~acks:[ { Utc_inference.Belief.seq = 0; time = 1.5 } ]
          ~now:2.0 ())
 
-let bench_planner_decide () =
-  let belief = small_belief () in
+let bench_planner_decide make_belief () =
+  let belief = make_belief () in
   let belief = Utc_inference.Belief.advance belief ~sends:[] ~now:0.5 () in
   let make_packet at = Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:at () in
   fun () ->
@@ -279,8 +296,10 @@ let run_kernels () =
         test "kernel/mstate.hash" bench_hash;
         test "kernel/mstate.equal" bench_equal;
         test "kernel/forward.window-10s" bench_forward_window;
-        test "kernel/belief.update" bench_belief_update;
-        test "kernel/planner.decide" bench_planner_decide;
+        test "kernel/belief.update" (bench_belief_update small_belief);
+        test "kernel/planner.decide" (bench_planner_decide small_belief);
+        test "kernel/belief.update-fig3-prior" (bench_belief_update fig3_belief);
+        test "kernel/planner.decide-fig3-prior" (bench_planner_decide fig3_belief);
         test "kernel/ground-truth.100s" bench_ground_truth_loop;
         test "kernel/compiled.entry-256" bench_entry_256;
         test "fig1/reno-20s" bench_fig1_scaled;
@@ -304,7 +323,7 @@ let run_kernels () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
   let results = Analyze.all ols instance raw in
   section "Kernel timings (Bechamel, monotonic clock)";
-  Format.printf "%-28s %16s@." "benchmark" "per run";
+  Format.printf "%-34s %16s@." "benchmark" "per run";
   let rows = ref [] in
   Hashtbl.iter
     (fun name result ->
@@ -320,7 +339,7 @@ let run_kernels () =
     else Printf.sprintf "%8.0f ns" ns
   in
   List.iter
-    (fun (name, ns) -> Format.printf "%-28s %16s@." name (humanize ns))
+    (fun (name, ns) -> Format.printf "%-34s %16s@." name (humanize ns))
     (List.sort (fun (a, _) (b, _) -> String.compare a b) !rows)
 
 let usage () =

@@ -143,35 +143,61 @@ let record_decision ~now ~evaluations decision =
    deliveries' left-folded utility is [sum]. *)
 let single_outcome ~logw sum = 0.0 +. (exp logw *. sum)
 
-(* A resumed candidate's deliveries are the baseline's first [prefix],
-   its own [fresh] ones, then the baseline's from [suffix] on, so its
-   gross utility adds the baseline's own terms around the fresh ones in
-   the order [Utility.of_outcomes] folds them: bit for bit a full
+(* A candidate's gross utility under [model], from its resumed run and
+   the baseline's delivery [terms] under [model] with their running sums
+   [partial]. A resumed candidate's deliveries are the baseline's first
+   [prefix], its own [fresh] ones, then the baseline's from [suffix] on,
+   so its gross utility adds the baseline's own terms around the fresh
+   ones in the order [Utility.of_outcomes] folds them: bit for bit a full
    rollout. *)
 (* lint:hotpath -- runs for every (hypothesis x delay) pair of a decision
    whose planning model does not fork *)
-let gross_utilities config ~now ~until prepared state ~pending sends =
-  match Forward.trace prepared state ~sends:pending ~until with
+let gross config ~now model (terms, partial) = function
+  | Forward.Single { logw; prefix; fresh; suffix } ->
+    let acc = ref partial.(prefix) in
+    List.iter (fun d -> acc := !acc +. Utility.of_delivery config.utility model ~now d) fresh; (* lint:allow R11 -- fold over this candidate's fresh deliveries *)
+    for k = suffix to Array.length terms - 1 do
+      acc := !acc +. terms.(k)
+    done;
+    single_outcome ~logw !acc
+  | Forward.Forked outcomes -> Utility.of_outcomes config.utility model ~now outcomes
+
+(* lint:hotpath -- runs for every group of hypotheses of a decision
+   whose planning model does not fork *)
+let gross_utilities config ~now ~until models state ~pending sends =
+  match Forward.trace models.(0) state ~sends:pending ~until with
   | None -> None
   | Some trace ->
-    let terms = Array.map (Utility.of_delivery config.utility ~now) (Forward.trace_deliveries trace) in
-    let m = Array.length terms in
-    let partial = Array.make (m + 1) 0.0 in
-    for k = 0 to m - 1 do
-      partial.(k + 1) <- partial.(k) +. terms.(k)
-    done;
-    let gross send =
-      match Forward.resume trace send with
-      | Forward.Single { logw; prefix; fresh; suffix } ->
-        let acc = ref partial.(prefix) in
-        List.iter (fun d -> acc := !acc +. Utility.of_delivery config.utility ~now d) fresh; (* lint:allow R11 -- fold over this candidate's fresh deliveries *)
-        for k = suffix to m - 1 do
-          acc := !acc +. terms.(k)
-        done;
-        single_outcome ~logw !acc
-      | Forward.Forked outcomes -> Utility.of_outcomes config.utility ~now outcomes
+    let deliveries = Forward.trace_deliveries trace in
+    let m = Array.length deliveries in
+    let baseline_terms model =
+      let terms = Array.map (Utility.of_delivery config.utility model ~now) deliveries in
+      let partial = Array.make (m + 1) 0.0 in
+      for k = 0 to m - 1 do
+        partial.(k + 1) <- partial.(k) +. terms.(k)
+      done;
+      (terms, partial)
     in
-    Some (single_outcome ~logw:(Forward.trace_logw trace) partial.(m), Array.map gross sends)
+    let baselines = Array.map baseline_terms models in
+    let utilities = Array.map (fun _ -> Array.make (Array.length sends) 0.0) models in
+    (* Each candidate is resumed once and priced under every model before
+       the next, so its run dies young. *)
+    for k = 0 to Array.length sends - 1 do
+      let resumed = Forward.resume trace sends.(k) in
+      for j = 0 to Array.length models - 1 do
+        utilities.(j).(k) <- gross config ~now models.(j) baselines.(j) resumed
+      done
+    done;
+    let logw = Forward.trace_logw trace in
+    Some (Array.mapi (fun j (_, partial) -> (single_outcome ~logw partial.(m), utilities.(j))) baselines)
+
+(* One hypothesis' contribution to each candidate's net utility,
+   [weight * (utility - baseline)], written over [utilities]. *)
+let weigh ~weight ~baseline utilities =
+  for k = 0 to Array.length utilities - 1 do
+    utilities.(k) <- weight *. (utilities.(k) -. baseline)
+  done;
+  utilities
 
 (* Full per-candidate rollouts, for a hypothesis whose baseline forks:
    each candidate is a [Forward.run] of its own, and the cache serves
@@ -179,7 +205,7 @@ let gross_utilities config ~now ~until prepared state ~pending sends =
 let price_forking config ?cache ~now ~t_end ~weight (hyp : _ Belief.hypothesis) prepared
     ~pending sends =
   let utility_of sends =
-    Utility.of_outcomes config.utility ~now
+    Utility.of_outcomes config.utility prepared ~now
       (Forward.run prepared hyp.Belief.state ~sends ~until:t_end)
   in
   let digest =
@@ -234,29 +260,53 @@ let decide ?cache config ~belief ~now ~pending ~make_packet =
     (* Candidate [d] sends one packet at [now + d], the same for every
        hypothesis. *)
     let hyps = Array.of_list hyps in
+    let count = Array.length hyps in
     let plans = Array.map (fun (h : _ Belief.hypothesis) -> Forward.plan_variant h.Belief.prepared) hyps in
     let sends = Array.map (fun d -> (now +. d, make_packet (now +. d))) candidates in
-    let price i =
-      let hyp = hyps.(i) in
-      let weight = exp (hyp.Belief.logw -. z) in
-      let prepared = plans.(i) in
-      match gross_utilities config ~now ~until:t_end prepared hyp.Belief.state ~pending sends with
-      | Some (baseline, utilities) ->
-        for k = 0 to n - 1 do
-          utilities.(k) <- weight *. (utilities.(k) -. baseline)
-        done;
-        utilities
-      | None -> price_forking config ?cache ~now ~t_end ~weight hyp prepared ~pending sends
+    let weight h = exp (hyps.(h).Belief.logw -. z) in
+    (* [kept.(h)]: hypothesis [h]'s contribution, priced with its group. *)
+    let kept = Array.make count None in
+    let price_group members =
+      match
+        gross_utilities config ~now ~until:t_end
+          (Array.map (fun h -> plans.(h)) members)
+          hyps.(members.(0)).Belief.state ~pending sends
+      with
+      | Some priced ->
+        Array.iteri
+          (fun j (baseline, utilities) ->
+            kept.(members.(j)) <- Some (weigh ~weight:(weight members.(j)) ~baseline utilities))
+          priced
+      | None -> ()
     in
     let net = Array.make n 0.0 in
     (* The EU sweep itself, attributed separately from candidate pick and
-       decision recording. Each hypothesis' contribution is added into
-       [net] as it is priced, in hypothesis index order. *)
+       decision recording. Hypotheses whose planning models share dynamics
+       from equal states form a group (a hypothesis that shares with none
+       is a group of one), priced off one trace at its first member; only
+       the members' contributions outlive the trace. Contributions are
+       added into [net] in index order. A hypothesis whose group's
+       baseline forks is priced with full runs at its turn. *)
     Utc_obs.Metrics.span ~name:"price"
       ~now:(fun () -> now)
       (fun () ->
-        for h = 0 to Array.length hyps - 1 do
-          let contribution = price h in
+        let first =
+          Forward.representatives plans (Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.state) hyps)
+        in
+        (* [groups.(r)]: the members of the group whose first member is
+           [r], in index order; empty for every other index. *)
+        let groups = Array.make count [] in
+        for h = count - 1 downto 0 do
+          groups.(first.(h)) <- h :: groups.(first.(h)) (* lint:allow R11 -- one cell per hypothesis per decision, listing each group's members *)
+        done;
+        for h = 0 to count - 1 do
+          if first.(h) = h then price_group (Array.of_list groups.(h));
+          let contribution =
+            match kept.(h) with
+            | Some contribution -> contribution
+            | None ->
+              price_forking config ?cache ~now ~t_end ~weight:(weight h) hyps.(h) plans.(h) ~pending sends
+          in
           for i = 0 to n - 1 do
             net.(i) <- net.(i) +. contribution.(i)
           done

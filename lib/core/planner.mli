@@ -23,6 +23,17 @@
     to pricing each candidate with a full {!Utc_model.Forward.run}. A
     hypothesis whose baseline forks is priced with full runs.
 
+    Hypotheses whose planning models share dynamics
+    ({!Utc_model.Forward.shares_dynamics}: they differ at most in the
+    rates of last-mile losses) and whose states are
+    {!Utc_model.Mstate.equal} share that work too: the first of them in
+    index order traces the baseline and resumes each candidate once, and
+    every member prices each resumed run with its own loss rates
+    ({!Utc_utility.Utility.of_delivery}) and weight before the next
+    candidate is resumed ({!gross_utilities}). A hypothesis that shares
+    with none is a group of one. Only the members' contributions outlive
+    the group's trace, so one trace is alive at a time.
+
     Tie-breaking prefers the {e latest} candidate within [tie_epsilon] of
     the best, which is what makes the sender fill residual capacity rather
     than stand in the queue: delaying until the queue drains costs
@@ -81,17 +92,21 @@ val gross_utilities :
   config ->
   now:Utc_sim.Timebase.t ->
   until:Utc_sim.Timebase.t ->
-  Utc_model.Forward.prepared ->
+  Utc_model.Forward.prepared array ->
   Utc_model.Mstate.t ->
   pending:(Utc_sim.Timebase.t * Utc_net.Packet.t) list ->
   (Utc_sim.Timebase.t * Utc_net.Packet.t) array ->
-  (float * float array) option
-(** One hypothesis' shared-baseline pricing, as {!decide} runs it:
-    [Some (baseline, utilities)] where [baseline] is the gross utility of
-    [pending] alone and [utilities.(i)] that of [pending] followed by
-    [sends.(i)], each equal bit for bit to {!Utc_utility.Utility.of_outcomes}
-    over the matching {!Utc_model.Forward.run} to [until]; [None] when the
-    baseline forks. *)
+  (float * float array) array option
+(** Shared-baseline pricing of one group of hypotheses, as {!decide}
+    runs it: [models] share dynamics
+    ({!Utc_model.Forward.shares_dynamics}) and start from [state]. The
+    baseline is traced and each of [sends] resumed once, under
+    [models.(0)]; [Some priced] where [priced.(j) = (baseline, utilities)]
+    under [models.(j)], [baseline] being the gross utility of [pending]
+    alone and [utilities.(i)] that of [pending] followed by [sends.(i)],
+    each equal bit for bit to {!Utc_utility.Utility.of_outcomes} over the
+    matching {!Utc_model.Forward.run} of [models.(j)] to [until]; [None]
+    when the baseline forks. *)
 
 val decide :
   ?cache:cache ->
@@ -109,5 +124,7 @@ val decide :
     [make_packet] is called once per candidate.
 
     Hypotheses are priced in index order, each one's contribution added
-    into the per-candidate sums as it is priced; the decision and
-    evaluations are bit-identical with or without [cache]. *)
+    into the per-candidate sums in that order (a group that shares a
+    baseline is priced at its first member); the decision and
+    evaluations are bit-identical with or without [cache], and to
+    pricing every hypothesis alone. *)

@@ -143,8 +143,9 @@ let create ?(tick = 1e-6) ?(min_weight = 1e-9) ?(max_hyps = 20_000) ?(cap_policy
    With a likelihood floor [floor = Some f], each violation contributes
    [log f] instead of killing the outcome: one impossible ACK dents the
    posterior rather than zeroing it, so a transiently misspecified belief
-   degrades gracefully instead of collapsing. *)
-let score ~tick ~floor ~offset ~acks (deliveries : Forward.delivery list) =
+   degrades gracefully instead of collapsing. Survival probabilities are
+   the hypothesis' own, read off each delivery's trail by [model]. *)
+let score ~tick ~floor ~offset ~acks model (deliveries : Forward.delivery list) =
   let exception Rejected in
   let penalize acc =
     match floor with
@@ -158,13 +159,14 @@ let score ~tick ~floor ~offset ~acks (deliveries : Forward.delivery list) =
         (* Even at the wrong time, the delivery accounts for the ACK's
            existence; a floored mismatch is one violation, not two. *)
         if Tb.close ~tol:tick a.time (d.time +. offset) then begin
-          if d.survive_p <= 0.0 then penalize acc else acc +. log d.survive_p
+          let survive_p = Forward.survive_p model d in
+          if survive_p <= 0.0 then penalize acc else acc +. log survive_p
         end
         else penalize acc
       | None ->
         (* Acknowledgment was due by now but never arrived: the packet
            must have been lost at a last-mile loss element. *)
-        let loss_p = 1.0 -. d.survive_p in
+        let loss_p = 1.0 -. Forward.survive_p model d in
         if loss_p <= 0.0 then penalize acc else acc +. log loss_p
     in
     let ll = List.fold_left delivery_ll 0.0 deliveries in
@@ -271,7 +273,7 @@ let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let same_delivery (a : Forward.delivery) (b : Forward.delivery) =
   same_float a.time b.time
-  && same_float a.survive_p b.survive_p
+  && List.equal Int.equal a.trail b.trail
   && (a.packet == b.packet
      || a.packet.Packet.seq = b.packet.Packet.seq
         && Flow.equal a.packet.Packet.flow b.packet.Packet.flow
@@ -364,6 +366,29 @@ let store_of_slots slots =
 let step t ~sends ~acks ~now ~now_prio ~condition =
   let s = t.store in
   let n = store_size s in
+  (* Hypotheses whose models share dynamics and whose states are equal
+     share one run: [first.(i)] runs it, and keeps its outcomes until
+     [last.(first.(i))] has scored them. *)
+  let run i = Forward.run ?until_prio:now_prio s.prepared.(i) s.states.(i) ~sends ~until:now in
+  let first = Forward.representatives s.prepared s.states in
+  let last = Array.init n Fun.id in
+  for i = 0 to n - 1 do
+    last.(first.(i)) <- i
+  done;
+  let shared = Array.make n [] in
+  let outcomes_of i =
+    let r = first.(i) in
+    if r = i then begin
+      let outcomes = run i in
+      if last.(i) > i then shared.(i) <- outcomes;
+      outcomes
+    end
+    else begin
+      let outcomes = shared.(r) in
+      if last.(r) = i then shared.(r) <- [];
+      outcomes
+    end
+  in
   let expand i =
     let hyp_params = s.params.(i) in
     let hyp_prepared = s.prepared.(i) in
@@ -371,7 +396,7 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
     let hyp_awaiting = s.awaiting.(i) in
     let offset = t.obs_offset hyp_params in
     let params_hash = structural_hash hyp_params in
-    let outcomes = Forward.run ?until_prio:now_prio hyp_prepared s.states.(i) ~sends ~until:now in
+    let outcomes = outcomes_of i in
     let keep (o : Forward.outcome) = (* lint:allow R11 -- per-hypothesis outcome scorer closes over offset and acks *)
       (* Only primary deliveries are observable; those whose (offset)
          acknowledgment is due by now are scored, the rest carry over. *)
@@ -386,7 +411,8 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
           (hyp_awaiting @ observable)
       in
       let ll =
-        if condition then score ~tick:t.tick ~floor:t.ll_floor ~offset ~acks due else Some 0.0
+        if condition then score ~tick:t.tick ~floor:t.ll_floor ~offset ~acks hyp_prepared due
+        else Some 0.0
       in
       match ll with
       | None -> None
@@ -493,8 +519,9 @@ let advance t ~sends ~now ?now_prio () =
   step t ~sends ~acks:[] ~now ~now_prio ~condition:false
 
 (* Shift a hypothesis state (typically Mstate.initial, at time 0) so its
-   history restarts at [now]: its clock, every pending event, and any
-   in-service completion move together, preserving all relative timing. *)
+   history restarts at [now]: its clock, the origin its pingers and
+   periodic gates count from, every pending event, and any in-service
+   completion move together, preserving all relative timing. *)
 let anchor now (state : Mstate.t) =
   let shift = now -. state.Mstate.now in
   if shift = 0.0 then state
@@ -518,7 +545,7 @@ let anchor now (state : Mstate.t) =
         (fun (e : Mstate.event) -> { e with Mstate.time = e.Mstate.time +. shift })
         state.Mstate.pending
     in
-    { state with Mstate.now; nodes; pending }
+    { state with Mstate.now; origin = state.Mstate.origin +. shift; nodes; pending }
   end
 
 let reseed t ~seeds ?(keep = 0.0) ~now () =

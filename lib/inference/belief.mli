@@ -10,12 +10,23 @@
     renormalized, and configurations that converged to identical states
     are compacted back into one.
 
+    Hypotheses whose models share dynamics
+    ({!Utc_model.Forward.shares_dynamics}: they differ at most in the
+    rates of last-mile losses) and whose states are
+    {!Utc_model.Mstate.equal} share one simulation per step: the first of
+    them in hypothesis order runs it, and each scores its outcomes with
+    its own parameters, observation offset, awaiting deliveries and loss
+    rates ({!Utc_model.Forward.survive_p}). A run does not depend on
+    those rates, so the result is bit-identical to simulating each
+    hypothesis alone. The return-delay grid of {!create}'s [obs_offset]
+    shares runs the same way.
+
     Compaction merges two outcomes of a step when their parameters are
     equal (the same value, or values that marshal to the same bytes),
     their states are {!Utc_model.Mstate.equal}, and their awaiting
-    deliveries are bit-identical. The merged hypothesis is the first
-    such outcome in hypothesis order, carrying the log-sum of all their
-    weights, added in that order.
+    deliveries are bit-identical (time, packet and loss trail). The
+    merged hypothesis is the first such outcome in hypothesis order,
+    carrying the log-sum of all their weights, added in that order.
 
     Cap policies bound the set: [`Top_k] keeps the heaviest hypotheses
     (deterministic; small bias), [`Resample] is a bounded particle filter
@@ -115,9 +126,11 @@ val reseed :
 (** Recovery from belief collapse (model misspecification, §3.5 open
     question): inject [seeds] — fresh configurations, typically a prior
     re-widened around the current MAP estimate — as new hypotheses
-    {e anchored at [now]}: each seed state's clock, pending events and
-    in-service completions are shifted so its history restarts at [now],
-    exactly as {!Utc_model.Mstate.initial} would describe time 0.
+    {e anchored at [now]}: each seed state's clock, the origin of its
+    pinger and periodic-gate clocks (its [origin]),
+    pending events and in-service completions are shifted so its history
+    restarts at [now], exactly as {!Utc_model.Mstate.initial} would
+    describe time 0.
 
     [keep] (default 0) is the posterior mass retained by the current
     hypotheses; the fresh seeds are normalized among themselves and share

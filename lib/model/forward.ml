@@ -14,7 +14,7 @@ let default_config = { loss_mode = `Likelihood; fork_gates = true; epoch = 1.0; 
 type delivery = {
   time : Tb.t;
   packet : Packet.t;
-  survive_p : float;
+  trail : int list;
 }
 
 type outcome = {
@@ -29,6 +29,13 @@ type prepared = {
   queue_free : bool array;
       (* queue_free.(id): no station is reachable from node id (inclusive),
          so a packet dropped here cannot affect any other packet. *)
+  pass : float array;
+      (* pass.(id): the probability that a packet gets through node id if
+         it is a likelihood-mode loss, [1 - rate] (1 for a rate of 0);
+         1 at every other node. [survive_p] multiplies these. *)
+  dynamics : int;
+      (* Hash of everything [shares_dynamics] compares; see
+         [dynamics_hash]. *)
   mutable plan : prepared option;
       (* Memoized [fork_gates = false] variant for certainty-equivalent
          planning; see [plan_variant]. *)
@@ -36,6 +43,132 @@ type prepared = {
 
 let config_of p = p.config
 let compiled_of p = p.compiled
+
+(* A likelihood-mode loss: its rate weights each delivery that crossed
+   it and changes nothing else about a run. *)
+let likelihood_loss config queue_free id = config.loss_mode = `Likelihood && queue_free.(id)
+
+(* --- dynamics identity --- *)
+
+(* Floats compare by their bits: runs must agree exactly. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let mix h x =
+  let h = (h lxor x) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+let same_link (a : Compiled.link) (b : Compiled.link) =
+  match a, b with
+  | To x, To y -> x = y
+  | Deliver, Deliver -> true
+  | To _, Deliver | Deliver, To _ -> false
+
+let same_gate_kind (a : Compiled.gate_kind) (b : Compiled.gate_kind) =
+  match a, b with
+  | Memoryless a, Memoryless b ->
+    same_float a.mean_time_to_switch b.mean_time_to_switch
+    && Bool.equal a.initially_connected b.initially_connected
+  | Periodic a, Periodic b ->
+    same_float a.interval b.interval && Bool.equal a.initially_connected b.initially_connected
+  | Memoryless _, Periodic _ | Periodic _, Memoryless _ -> false
+
+(* [prepare] admits FIFO stations only. *)
+let same_discipline (a : Topology.discipline) (b : Topology.discipline) =
+  match a, b with
+  | Fifo, Fifo -> true
+  | (Fifo | Arq _ | Red | Codel), _ -> false
+
+let same_node ~masked (a : Compiled.node) (b : Compiled.node) =
+  match a, b with
+  | Station a, Station b ->
+    Option.equal Int.equal a.capacity_bits b.capacity_bits
+    && same_float a.rate_bps b.rate_bps
+    && same_discipline a.discipline b.discipline
+    && same_link a.next b.next
+  | Delay a, Delay b -> same_float a.seconds b.seconds && same_link a.next b.next
+  | Loss a, Loss b -> (masked || same_float a.rate b.rate) && same_link a.next b.next
+  | Jitter a, Jitter b ->
+    same_float a.seconds b.seconds
+    && same_float a.probability b.probability
+    && same_link a.next b.next
+  | Gate a, Gate b -> same_gate_kind a.kind b.kind && same_link a.next b.next
+  | Either a, Either b ->
+    same_float a.mean_time_to_switch b.mean_time_to_switch
+    && Bool.equal a.initially_first b.initially_first
+    && same_link a.first b.first
+    && same_link a.second b.second
+  | Divert a, Divert b ->
+    List.equal (fun (f, l) (g, m) -> Flow.equal f g && same_link l m) a.routes b.routes
+    && same_link a.otherwise b.otherwise
+  | Multipath a, Multipath b ->
+    (match a.policy, b.policy with
+    | `Round_robin, `Round_robin -> true
+    | `Random x, `Random y -> same_float x y
+    | (`Round_robin | `Random _), _ -> false)
+    && same_link a.first b.first
+    && same_link a.second b.second
+  | (Station _ | Delay _ | Loss _ | Jitter _ | Gate _ | Either _ | Divert _ | Multipath _), _ -> false
+
+let same_pinger (a : Compiled.pinger) (b : Compiled.pinger) =
+  Flow.equal a.flow b.flow
+  && same_float a.rate_pps b.rate_pps
+  && a.size_bits = b.size_bits
+  && same_link a.entry b.entry
+
+let same_config a b =
+  (match a.loss_mode, b.loss_mode with
+  | `Likelihood, `Likelihood | `Fork, `Fork -> true
+  | (`Likelihood | `Fork), _ -> false)
+  && Bool.equal a.fork_gates b.fork_gates
+  && same_float a.epoch b.epoch
+  && a.max_branches = b.max_branches
+
+let mix_float h x = mix h (Int64.to_int (Int64.bits_of_float x))
+
+(* One node's share of [dynamics_hash]. *)
+let node_hash config queue_free id h (node : Compiled.node) =
+  match node with
+  | Station { capacity_bits; rate_bps; _ } ->
+    mix_float (mix h (Option.value capacity_bits ~default:(-1))) rate_bps
+  | Delay { seconds; _ } -> mix_float (mix h 2) seconds
+  | Loss { rate; _ } -> if likelihood_loss config queue_free id then mix h 3 else mix_float (mix h 4) rate
+  | Jitter { seconds; probability; _ } -> mix_float (mix_float h seconds) probability
+  | Gate { kind = Memoryless { mean_time_to_switch = t; _ } | Periodic { interval = t; _ }; _ } ->
+    mix_float (mix h 5) t
+  | Either { mean_time_to_switch; _ } -> mix_float (mix h 6) mean_time_to_switch
+  | Divert _ -> mix h 7
+  | Multipath _ -> mix h 8
+
+(* A hash of the numbers [shares_dynamics] compares, likelihood-mode loss
+   rates left out (links and flows it leaves to [shares_dynamics]).
+   Arithmetic only, since [prepare] computes it for every model of a
+   prior: a generic hash of the config and graph added 15-20% to the
+   policy and faults workloads' [setup_s]. *)
+let dynamics_hash config compiled queue_free =
+  let nodes = compiled.Compiled.nodes in
+  let h = ref (mix_float (mix (Bool.to_int config.fork_gates) config.max_branches) config.epoch) in
+  for id = 0 to Array.length nodes - 1 do
+    h := node_hash config queue_free id !h nodes.(id)
+  done;
+  List.fold_left (fun h (p : Compiled.pinger) -> mix_float h p.rate_pps) !h compiled.Compiled.pingers
+
+let rec same_nodes p a b id =
+  id >= Array.length a
+  || same_node ~masked:(likelihood_loss p.config p.queue_free id) a.(id) b.(id)
+     && same_nodes p a b (id + 1)
+
+let shares_dynamics p q =
+  p == q
+  || p.dynamics = q.dynamics
+     && same_config p.config q.config
+     && (p.compiled == q.compiled
+        ||
+        let a = p.compiled and b = q.compiled in
+        Array.length a.Compiled.nodes = Array.length b.Compiled.nodes
+        && same_nodes p a.Compiled.nodes b.Compiled.nodes 0
+        && Array.length a.Compiled.entries = Array.length b.Compiled.entries
+        && Array.for_all2 (Option.equal same_link) a.Compiled.entries b.Compiled.entries
+        && List.equal same_pinger a.Compiled.pingers b.Compiled.pingers)
 
 let prepare config compiled =
   let count = Compiled.node_count compiled in
@@ -69,7 +202,19 @@ let prepare config compiled =
       v
   in
   let queue_free = Array.init count node_queue_free in
-  { config; compiled; queue_free; plan = None }
+  let pass id =
+    match Compiled.node compiled id with
+    | Loss { rate; _ } when likelihood_loss config queue_free id && rate > 0.0 -> 1.0 -. rate
+    | Station _ | Delay _ | Loss _ | Jitter _ | Gate _ | Either _ | Divert _ | Multipath _ -> 1.0
+  in
+  {
+    config;
+    compiled;
+    queue_free;
+    pass = Array.init count pass;
+    dynamics = dynamics_hash config compiled queue_free;
+    plan = None;
+  }
 
 (* The planner prices rollouts with gate forking off (certainty-
    equivalent planning) but otherwise the filter's exact model; deriving
@@ -86,16 +231,86 @@ let plan_variant p =
     match p.plan with
     | Some q -> q
     | None ->
+      let config = { p.config with fork_gates = false } in
       let q =
         {
-          config = { p.config with fork_gates = false };
+          config;
           compiled = p.compiled;
           queue_free = p.queue_free;
+          pass = p.pass;
+          dynamics = dynamics_hash config p.compiled p.queue_free;
           plan = None;
         }
       in
       p.plan <- Some q;
       q)
+
+(* The trail is newest first; the product runs oldest first from 1, as
+   the losses were crossed. Multiplying by a pass probability of 1 (a
+   rate of 0) changes no bits, as skipping the loss did. *)
+let rec survival pass = function
+  | [] -> 1.0
+  | id :: older -> survival pass older *. pass.(id)
+
+(* Inlined, so a caller's arithmetic takes the result unboxed. A
+   one-loss trail is the common case: [1.0 *. x] is [x]. *)
+let[@inline] survive_p p (d : delivery) =
+  match d.trail with
+  | [] -> 1.0
+  | [ id ] -> p.pass.(id)
+  | _ :: _ :: _ -> survival p.pass d.trail
+
+(* Two-level open addressing: first count the models in each bucket of
+   equal dynamics hashes, then, only for buckets of two or more, find
+   each index's class by its state hash. Both tables are at most half
+   full and only find slots; the representative of a class is the first
+   index that reached it. *)
+let representatives models states =
+  let n = Array.length models in
+  if Array.length states <> n then invalid_arg "Forward.representatives: arrays differ in length";
+  let first = Array.init n Fun.id in
+  if n >= 2 then begin
+    let size = ref 16 in
+    while !size < 2 * n do
+      size := 2 * !size
+    done;
+    let mask = !size - 1 in
+    let hashes = Array.make !size 0 in
+    let count = Array.make !size 0 in
+    let bucket = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let d = models.(i).dynamics in
+      let j = ref (d land mask) in
+      while count.(!j) > 0 && hashes.(!j) <> d do
+        j := (!j + 1) land mask
+      done;
+      hashes.(!j) <- d;
+      count.(!j) <- count.(!j) + 1;
+      bucket.(i) <- !j
+    done;
+    let classes = Array.make !size 0 (* a class's first index plus one; 0 is empty *) in
+    let keys = Array.make n 0 in
+    for i = 0 to n - 1 do
+      if count.(bucket.(i)) >= 2 then begin
+        let key = mix models.(i).dynamics (Mstate.hash states.(i)) in
+        keys.(i) <- key;
+        let j = ref (key land mask) in
+        while
+          classes.(!j) > 0
+          &&
+          let r = classes.(!j) - 1 in
+          not
+            (keys.(r) = key
+            && shares_dynamics models.(r) models.(i)
+            && Mstate.equal states.(r) states.(i))
+        do
+          j := (!j + 1) land mask
+        done;
+        if classes.(!j) = 0 then classes.(!j) <- i + 1 else first.(i) <- classes.(!j) - 1
+      end
+    done
+  end;
+  first
 
 type branch = {
   state : Mstate.t;
@@ -105,15 +320,24 @@ type branch = {
 
 let log_guarded p = if p <= 0.0 then neg_infinity else log p
 
+(* The trail of a packet whose first likelihood-mode loss is [id]: one
+   shared list per node id, so crossing a last-mile loss allocates
+   nothing. *)
+let first_crossings = Array.init 64 (fun id -> [ id ])
+
+let first_crossing id = if id < Array.length first_crossings then first_crossings.(id) else [ id ]
+
+let delivered branch packet trail =
+  let d = { time = branch.state.Mstate.now; packet; trail } in
+  [ { branch with deliveries_rev = d :: branch.deliveries_rev } ]
+
 (* Process a packet arriving at [link] at the branch's current time,
    chaining synchronously through stateless elements exactly as the
    ground-truth runtime does. Returns the branches this arrival forks
    into. *)
 let rec arrive p branch link (mpkt : Mstate.mpkt) =
   match (link : Compiled.link) with
-  | Deliver ->
-    let d = { time = branch.state.Mstate.now; packet = mpkt.pkt; survive_p = mpkt.survive_p } in
-    [ { branch with deliveries_rev = d :: branch.deliveries_rev } ]
+  | Deliver -> delivered branch mpkt.pkt mpkt.trail
   | To id -> (
     match Compiled.node p.compiled id with
     | Station { capacity_bits; rate_bps; discipline = _; next = _ } -> (
@@ -155,9 +379,19 @@ let rec arrive p branch link (mpkt : Mstate.mpkt) =
       in
       [ { branch with state } ]
     | Loss { rate; next } ->
-      if rate <= 0.0 then arrive p branch next mpkt
-      else if p.config.loss_mode = `Likelihood && p.queue_free.(id) then
-        arrive p branch next { mpkt with survive_p = mpkt.survive_p *. (1.0 -. rate) }
+      if likelihood_loss p.config p.queue_free id then begin
+        (* Whatever the rate: [survive_p] reads it off the trail. *)
+        let trail =
+          match mpkt.trail with
+          | [] -> first_crossing id
+          | _ :: _ -> id :: mpkt.trail
+        in
+        (* A loss right before delivery delivers, without a new [mpkt]. *)
+        match next with
+        | Deliver -> delivered branch mpkt.pkt trail
+        | To _ -> arrive p branch next { mpkt with trail }
+      end
+      else if rate <= 0.0 then arrive p branch next mpkt
       else begin
         (* Fork: lost here, or passed on. *)
         let lost = { branch with logw = branch.logw +. log_guarded rate } in
@@ -258,12 +492,12 @@ let handle_pinger p branch i k =
   let pinger = List.nth p.compiled.Compiled.pingers i in
   let now = branch.state.Mstate.now in
   let pkt = Packet.make ~bits:pinger.size_bits ~flow:pinger.flow ~seq:k ~sent_at:now () in
-  let next_at = float_of_int (k + 1) /. pinger.rate_pps in
+  let next_at = branch.state.Mstate.origin +. (float_of_int (k + 1) /. pinger.rate_pps) in
   let state =
     Mstate.insert branch.state ~at:next_at ~prio:(Evprio.arrival pinger.flow)
       (Mstate.Pinger_emit (i, k + 1))
   in
-  arrive p { branch with state } pinger.entry { Mstate.pkt; survive_p = 1.0 }
+  arrive p { branch with state } pinger.entry { Mstate.pkt; trail = [] }
 
 let handle_toggle p branch id k =
   let interval =
@@ -277,7 +511,7 @@ let handle_toggle p branch id k =
   let state = Mstate.set_node branch.state id (Mstate.MGate { connected = not connected }) in
   let state =
     Mstate.insert state
-      ~at:(float_of_int (k + 1) *. interval)
+      ~at:(state.Mstate.origin +. (float_of_int (k + 1) *. interval))
       ~prio:Evprio.gate_toggle
       (Mstate.Gate_toggle (id, k + 1))
   in
@@ -365,7 +599,7 @@ let rec inject p ~until st = function
       let entry = Compiled.entry p.compiled pkt.Packet.flow in
       let st =
         Mstate.insert st ~at ~prio:(Evprio.arrival pkt.Packet.flow)
-          (Mstate.Arrive (entry, { Mstate.pkt; survive_p = 1.0 }))
+          (Mstate.Arrive (entry, { Mstate.pkt; trail = [] }))
       in
       inject p ~until st sends
     end
@@ -448,9 +682,6 @@ type trace = {
 
 let trace_deliveries t = t.t_deliveries
 let trace_logw t = t.t_logw
-
-(* Floats compare by their bits: a rejoin must be exact. *)
-let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Handle the branch's next event if it is due by [until]: [None] when
    the branch is done, a list of two or more when it forks. *)
@@ -569,7 +800,7 @@ let resume t (at, pkt) =
   let entry = Compiled.entry p.compiled pkt.Packet.flow in
   let state =
     Mstate.insert_reserved from.before.state ~seq:t.reserved ~at ~prio
-      (Mstate.Arrive (entry, { Mstate.pkt; survive_p = 1.0 }))
+      (Mstate.Arrive (entry, { Mstate.pkt; trail = [] }))
   in
   let start = { state; logw = from.before.logw; deliveries_rev = [] } in
   (* The send itself comes first; the states cannot converge before it. *)

@@ -10,10 +10,13 @@
 
     Nondeterminism policy:
     - [Loss] whose downstream contains no queue ("last mile", as the paper
-      recommends) multiplies each delivery's [survive_p] instead of
-      forking — mathematically identical, exponentially cheaper. A [Loss]
-      in front of a queue always forks, whatever [loss_mode] says, because
-      its consequences linger.
+      recommends) does not fork: a packet crossing it records the loss's
+      node id on its trail, whatever the rate, and {!survive_p} weights
+      each delivery by the model's own rates over that trail —
+      mathematically identical, exponentially cheaper. A run is then the
+      same for every rate such losses have (see {!shares_dynamics}). A
+      [Loss] in front of a queue always forks, whatever [loss_mode] says,
+      because its consequences linger.
     - Memoryless gates and [Either]s fork at decision epochs of [epoch]
       seconds with the exact two-state Markov flip probability
       [(1 - exp (-2 epoch / mtts)) / 2]; with [fork_gates = false] they
@@ -40,9 +43,10 @@ val default_config : config
 type delivery = {
   time : Utc_sim.Timebase.t;
   packet : Utc_net.Packet.t;
-  survive_p : float;
-      (** Probability the delivery really happened, given last-mile
-          losses. 1 for fork-mode branches. *)
+  trail : int list;
+      (** Node ids of the likelihood-mode losses the packet crossed,
+          newest first; empty for fork-mode branches. {!survive_p} turns
+          it into the probability the delivery really happened. *)
 }
 
 type outcome = {
@@ -61,6 +65,33 @@ val prepare : config -> Utc_net.Compiled.t -> prepared
 
 val config_of : prepared -> config
 val compiled_of : prepared -> Utc_net.Compiled.t
+
+val survive_p : prepared -> delivery -> float
+(** The probability that a delivery of a run under this model really
+    happened: [1.0 *. (1.0 -. r1) *. (1.0 -. r2) ...] over the rates of
+    the model's losses on the delivery's trail, in crossing order; a rate
+    of 0 multiplies nothing. The trail must come from a run under a model
+    that shares this one's dynamics. *)
+
+val shares_dynamics : prepared -> prepared -> bool
+(** The two models run alike: their configs and compiled graphs agree
+    bit for bit, except for the rates of likelihood-mode losses. Then
+    {!run}, {!trace} and {!resume} from {!Mstate.equal} states give
+    outcomes with equal states, the same log-weight bits and the same
+    deliveries (time, packet and trail) under either model; only
+    {!survive_p} tells them apart. Compares a hash of the dynamics,
+    computed by {!prepare}, first, so models that do not share dynamics
+    are usually told apart at once. *)
+
+val representatives : prepared array -> Mstate.t array -> int array
+(** [representatives models states] finds the indices that can share a
+    run: it maps each index [i] to the first index [j <= i] whose model
+    shares dynamics with [models.(i)] and whose state is
+    {!Mstate.equal} to [states.(i)], so a run from [j] serves [i]; the
+    identity when nothing is shared. States are hashed only for models
+    whose dynamics hash some other model shares, so a belief whose
+    models all differ pays for one pass over their hashes.
+    @raise Invalid_argument if the arrays differ in length. *)
 
 val plan_variant : prepared -> prepared
 (** The [fork_gates = false] variant of this model (certainty-equivalent

@@ -2,7 +2,7 @@ open Utc_net
 module Tb = Utc_sim.Timebase
 module Fqueue = Utc_sim.Fqueue
 
-type mpkt = { pkt : Packet.t; survive_p : float }
+type mpkt = { pkt : Packet.t; trail : int list }
 
 type station = {
   queue : mpkt Fqueue.t;
@@ -28,6 +28,7 @@ type event = { time : Tb.t; prio : int; seq : int; ev : pev }
 
 type t = {
   now : Tb.t;
+  origin : Tb.t;
   nodes : nstate array;
   pending : event list;
   next_seq : int;
@@ -91,7 +92,7 @@ let initial ?(prefill = []) ~epoch compiled =
         | Multipath _ -> MMultipath { next_first = true }
         | Delay _ | Loss _ | Jitter _ | Divert _ -> MStateless)
   in
-  let t = { now = Tb.zero; nodes; pending = []; next_seq = 0 } in
+  let t = { now = Tb.zero; origin = Tb.zero; nodes; pending = []; next_seq = 0 } in
   (* Pingers: first emission at time 0. *)
   let t, _ =
     List.fold_left
@@ -121,9 +122,9 @@ let initial ?(prefill = []) ~epoch compiled =
         | Delay _ | Loss _ | Jitter _ | Gate _ | Either _ | Divert _ | Multipath _ ->
           invalid_arg "Mstate.initial: prefill target is not a station"
       in
-      let head_mpkt = { pkt = head; survive_p = 1.0 } in
+      let head_mpkt = { pkt = head; trail = [] } in
       let completion = float_of_int head.Packet.bits /. rate in
-      let rest_mpkts = List.map (fun pkt -> { pkt; survive_p = 1.0 }) rest in
+      let rest_mpkts = List.map (fun pkt -> { pkt; trail = [] }) rest in
       let queued_bits = List.fold_left (fun acc m -> acc + m.pkt.Packet.bits) 0 rest_mpkts in
       let s =
         {
@@ -149,7 +150,15 @@ let same_packet (a : Packet.t) (b : Packet.t) =
      && a.Packet.bits = b.Packet.bits
      && same_float a.Packet.sent_at b.Packet.sent_at
 
-let same_mpkt a b = a == b || (same_packet a.pkt b.pkt && same_float a.survive_p b.survive_p)
+let rec same_trail a b =
+  a == b
+  ||
+  match a, b with
+  | x :: a, y :: b -> x = y && same_trail a b
+  | [], _ :: _ | _ :: _, [] -> false
+  | [], [] -> true
+
+let same_mpkt a b = a == b || (same_packet a.pkt b.pkt && same_trail a.trail b.trail)
 
 let same_link (a : Compiled.link) (b : Compiled.link) =
   match a, b with
@@ -185,19 +194,25 @@ let same_nstate a b =
   | MStateless, MStateless -> true
   | (MStation _ | MGate _ | MEither _ | MMultipath _ | MStateless), _ -> false
 
+(* Top-level recursions, so a comparison allocates no closure: the
+   planner's resume compares states at every time boundary. *)
+let rec same_pending xs ys =
+  xs == ys
+  ||
+  match xs, ys with
+  | [], [] -> true
+  | x :: xs, y :: ys ->
+    same_float x.time y.time && x.prio = y.prio && same_pev x.ev y.ev && same_pending xs ys
+  | [], _ :: _ | _ :: _, [] -> false
+
+let rec same_nodes a b i = i >= Array.length a || (same_nstate a.(i) b.(i) && same_nodes a b (i + 1))
+
+(* lint:hotpath -- the planner's resume calls it at every time boundary *)
 let converged a b =
-  let rec same_pending xs ys =
-    xs == ys
-    ||
-    match xs, ys with
-    | [], [] -> true
-    | x :: xs, y :: ys ->
-      same_float x.time y.time && x.prio = y.prio && same_pev x.ev y.ev && same_pending xs ys
-    | [], _ :: _ | _ :: _, [] -> false
-  in
-  let n = Array.length a.nodes in
-  let rec same_nodes i = i >= n || (same_nstate a.nodes.(i) b.nodes.(i) && same_nodes (i + 1)) in
-  Array.length b.nodes = n && same_pending a.pending b.pending && same_nodes 0
+  same_float a.origin b.origin
+  && Array.length a.nodes = Array.length b.nodes
+  && same_pending a.pending b.pending
+  && same_nodes a.nodes b.nodes 0
 
 let equal a b = same_float a.now b.now && converged a b
 
@@ -263,6 +278,7 @@ type canon_nstate =
 
 type canon = {
   c_now : Tb.t;
+  c_origin : Tb.t;
   c_nodes : canon_nstate list;
   c_pending : (Tb.t * int * int * pev) list; (* seq renumbered in order *)
 }
@@ -282,11 +298,16 @@ let canonical t =
     | MStateless -> CStateless
   in
   let c_pending = List.mapi (fun i e -> (e.time, e.prio, i, e.ev)) t.pending in
-  let canon = { c_now = t.now; c_nodes = Array.to_list (Array.map canon_node t.nodes); c_pending } in
+  let canon =
+    { c_now = t.now; c_origin = t.origin; c_nodes = Array.to_list (Array.map canon_node t.nodes); c_pending }
+  in
   Marshal.to_string canon []
 
+(* The likelihood-mode losses a packet crossed, in crossing order. *)
+let pp_trail ppf trail = List.iter (fun id -> Format.fprintf ppf " via loss@@%d" id) (List.rev trail)
+
 let pp_pev ppf = function
-  | Arrive (_, mpkt) -> Format.fprintf ppf "arrive %a (p=%.3g)" Packet.pp mpkt.pkt mpkt.survive_p
+  | Arrive (_, mpkt) -> Format.fprintf ppf "arrive %a%a" Packet.pp mpkt.pkt pp_trail mpkt.trail
   | Complete id -> Format.fprintf ppf "complete@@%d" id
   | Pinger_emit (i, k) -> Format.fprintf ppf "pinger%d emit#%d" i k
   | Gate_epoch id -> Format.fprintf ppf "epoch@@%d" id

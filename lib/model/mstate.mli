@@ -8,9 +8,12 @@
     configurations that have converged back to the same state compact
     into one (paper §3.2). *)
 
-type mpkt = { pkt : Utc_net.Packet.t; survive_p : float }
-(** A packet in flight, carrying the probability that it survived the
-    likelihood-mode [Loss] elements crossed so far. *)
+type mpkt = { pkt : Utc_net.Packet.t; trail : int list }
+(** A packet in flight, carrying the node ids of the likelihood-mode
+    [Loss] elements it crossed so far, newest first. Its survival
+    probability is not stored: {!Forward.survive_p} folds the rates of
+    the model that runs it over the trail, so models that differ only in
+    those rates run the same states. *)
 
 type station = {
   queue : mpkt Utc_sim.Fqueue.t;
@@ -38,6 +41,11 @@ type event = { time : Utc_sim.Timebase.t; prio : int; seq : int; ev : pev }
 
 type t = {
   now : Utc_sim.Timebase.t;
+  origin : Utc_sim.Timebase.t;
+      (** Time zero of the pinger and periodic-gate clocks: emission [k]
+          of a pinger is due at [origin + k / rate_pps] and toggle [k] of
+          a periodic gate at [origin + k * interval]. [0.] from
+          {!initial}; re-anchoring a state at a later time moves it. *)
   nodes : nstate array;
   pending : event list;  (** Ascending by [(time, prio, seq)]. *)
   next_seq : int;
@@ -74,16 +82,21 @@ val station_bits : t -> int -> int
 val gate_connected : t -> int -> bool
 
 val converged : t -> t -> bool
-(** The two states hold bit-identical node states and the same pending
-    events in the same order, ignoring [now] and event sequence numbers.
-    Every event either state inserts from here on takes a sequence number
-    above all of its pending ones, so two converged states process the
-    same events in the same order from here on. *)
+(** The two states have the same [origin], bit-identical node states and
+    the same pending events in the same order, ignoring [now] and event
+    sequence numbers. Packets compare by flow, sequence number, size,
+    send time and trail, so two packets that crossed different
+    likelihood-mode losses differ even when their survival
+    probabilities are equal. Every event either state inserts from here
+    on takes a sequence number above all of its pending ones, so two
+    converged states process the same events in the same order from
+    here on. Allocates nothing. *)
 
 val equal : t -> t -> bool
 (** [converged] and the same [now], bit for bit: the identity under
     which the belief filter compacts configurations (paper §3.2). Which
-    float boxes the two states happen to share plays no part. *)
+    float boxes the two states happen to share plays no part. Allocates
+    nothing. *)
 
 val hash : t -> int
 (** Agrees with {!equal}: [equal a b] implies [hash a = hash b]. It

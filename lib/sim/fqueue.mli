@@ -36,4 +36,6 @@ val sum : ('a -> int) -> 'a t -> int
 
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 (** Same elements front to back under the given equality, whatever the
-    internal front/back split. *)
+    internal front/back split. Allocates nothing beyond what [eq] does:
+    the back lists are matched in reverse on the stack, whose depth is
+    at most the queue's length. *)

@@ -1,10 +1,12 @@
 (** The explicit utility function the sender maximizes (§3.3).
 
-    [u(delivery) = survive_p * bits * gamma(time - now)] for the sender's
-    own packets; cross-traffic packets count [alpha * survive_p * bits]
-    (optionally discounted too), minus an optional penalty on the latency
-    the cross traffic experiences
-    ([latency_penalty * survive_p * bits * (time - sent_at)]).
+    [u(delivery) = s * bits * gamma(time - now)] for the sender's own
+    packets, where [s] is the delivery's survival probability under the
+    model that predicted it ({!Utc_model.Forward.survive_p}: the product
+    of [1 - rate] over the last-mile losses the packet crossed).
+    Cross-traffic packets count [alpha * s * bits] (optionally
+    discounted too), minus an optional penalty on the latency the cross
+    traffic experiences ([latency_penalty * s * bits * (time - sent_at)]).
 
     The paper's Figure 3 varies [alpha]: below 1 the sender has no reason
     to defer to cross traffic; at 1 it fills the link's residual capacity;
@@ -38,14 +40,29 @@ val make :
   unit ->
   config
 
-val of_delivery : config -> now:Utc_sim.Timebase.t -> Utc_model.Forward.delivery -> float
-(** Instantaneous utility of one (possibly uncertain) delivery, from the
-    vantage point of [now]. Deliveries of [Flow.Primary] count at weight
-    1, all other flows at [alpha] with the latency penalty applied. *)
+val of_delivery :
+  config ->
+  Utc_model.Forward.prepared ->
+  now:Utc_sim.Timebase.t ->
+  Utc_model.Forward.delivery ->
+  float
+(** Instantaneous utility of one (possibly uncertain) delivery of a run
+    under the given model, from the vantage point of [now]. Deliveries of
+    [Flow.Primary] count at weight 1, all other flows at [alpha] with the
+    latency penalty applied. *)
 
 val of_deliveries :
-  config -> now:Utc_sim.Timebase.t -> Utc_model.Forward.delivery list -> float
+  config ->
+  Utc_model.Forward.prepared ->
+  now:Utc_sim.Timebase.t ->
+  Utc_model.Forward.delivery list ->
+  float
 
-val of_outcomes : config -> now:Utc_sim.Timebase.t -> Utc_model.Forward.outcome list -> float
-(** Expected utility across forked outcomes, weighting each by
-    [exp logw]. *)
+val of_outcomes :
+  config ->
+  Utc_model.Forward.prepared ->
+  now:Utc_sim.Timebase.t ->
+  Utc_model.Forward.outcome list ->
+  float
+(** Expected utility across forked outcomes of a run under the given
+    model, weighting each by [exp logw]. *)

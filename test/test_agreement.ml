@@ -132,11 +132,12 @@ let loss_statistical_agreement () =
   let sends = primary_sends (List.init n (fun i -> (0.02 *. float_of_int i, i))) in
   let until = 200.0 in
   let gt = ground_truth ~topology ~sends ~until () in
+  let model = Forward.prepare Forward.default_config (Compiled.compile_exn topology) in
   let expected =
     match model_run ~topology ~sends ~until () with
     | [ outcome ] ->
       List.fold_left
-        (fun acc (d : Forward.delivery) -> acc +. d.Forward.survive_p)
+        (fun acc (d : Forward.delivery) -> acc +. Forward.survive_p model d)
         0.0 outcome.Forward.deliveries
     | _ -> Alcotest.fail "likelihood mode should not fork"
   in
@@ -356,7 +357,7 @@ let same_delivery (a : Forward.delivery) (b : Forward.delivery) =
   && Packet.equal a.Forward.packet b.Forward.packet
   && a.Forward.packet.Packet.bits = b.Forward.packet.Packet.bits
   && same_float a.Forward.packet.Packet.sent_at b.Forward.packet.Packet.sent_at
-  && same_float a.Forward.survive_p b.Forward.survive_p
+  && List.equal Int.equal a.Forward.trail b.Forward.trail
 
 (* An outcome as what pricing reads of it: weight and deliveries. *)
 let results outcomes =
@@ -477,10 +478,65 @@ let trace_resume_prop =
                  (resumed_results trace (Forward.resume trace (send d))))
              delays)
 
-(* The planner's side: every candidate's gross utility off the trace is
-   [Utility.of_outcomes] over the full run, bit for bit; where the
-   baseline forks, [decide] falls back to full runs and still returns
-   the reference evaluations. *)
+(* The planner's side, over a belief of [seeds] (params, prior weight,
+   filter model, state at [pricing_now]) whose planning models share
+   dynamics: [gross_utilities] prices the group off one trace from the
+   first seed's state, and each seed's gross utilities equal
+   [Utility.of_outcomes] over its own full runs, bit for bit; where the
+   baseline forks, [decide] falls back to full runs. Either way [decide]
+   returns the reference evaluations: each hypothesis' weighted
+   differences of full-run utilities, added in the belief's order. *)
+let pricing_matches_full_runs seeds ~pending ~delays =
+  let now = pricing_now in
+  let pending = primary_sends (List.mapi (fun i t -> (now +. t, 100 + i)) pending) in
+  let config =
+    {
+      Planner.default_config with
+      Planner.delays;
+      horizon = 10.0;
+      utility = Utility.make ~alpha:1.5 ~latency_penalty:0.01 ~cross_discounted:true ();
+    }
+  in
+  let t_end = now +. List.fold_left Float.max 0.0 delays +. config.Planner.horizon in
+  let make_packet at = Packet.make ~flow:Flow.Primary ~seq:200 ~sent_at:at () in
+  let sends = Array.of_list (List.map (fun d -> (now +. d, make_packet (now +. d))) delays) in
+  let reference plan state sends =
+    Utility.of_outcomes config.Planner.utility plan ~now (Forward.run plan state ~sends ~until:t_end)
+  in
+  let plans = Array.of_list (List.map (fun (_, _, filter, _) -> Forward.plan_variant filter) seeds) in
+  let states = Array.of_list (List.map (fun (_, _, _, state) -> state) seeds) in
+  let gross_ok =
+    match Planner.gross_utilities config ~now ~until:t_end plans states.(0) ~pending sends with
+    | None -> List.length (Forward.run plans.(0) states.(0) ~sends:pending ~until:t_end) > 1
+    | Some priced ->
+      Array.length priced = Array.length plans
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun j (baseline, utilities) ->
+                let reference = reference plans.(j) states.(j) in
+                same_float baseline (reference pending)
+                && Array.for_all2 (fun send u -> same_float u (reference (pending @ [ send ]))) sends utilities)
+              priced)
+  in
+  let belief = Belief.create seeds in
+  let hyps = Belief.top belief ~n:config.Planner.top_hyps in
+  let z = Utc_inference.Logw.logsumexp (List.map (fun (h : _ Belief.hypothesis) -> h.Belief.logw) hyps) in
+  let expected =
+    Array.to_list
+      (Array.map
+         (fun send ->
+           List.fold_left
+             (fun acc (h : _ Belief.hypothesis) ->
+               let reference = reference (Forward.plan_variant h.Belief.prepared) h.Belief.state in
+               acc +. (exp (h.Belief.logw -. z) *. (reference (pending @ [ send ]) -. reference pending)))
+             0.0 hyps)
+         sends)
+  in
+  let _, evaluations = Planner.decide config ~belief ~now ~pending ~make_packet in
+  gross_ok
+  && List.equal same_float expected
+       (List.map (fun (e : Planner.evaluation) -> e.Planner.net_utility) evaluations)
+
 let planner_gross_prop =
   QCheck.Test.make ~name:"shared-baseline gross utilities equal full runs bit for bit" ~count:120
     arbitrary_pricing_case
@@ -488,40 +544,7 @@ let planner_gross_prop =
       QCheck.assume (Topology.validate topology = Ok ());
       let compiled = Compiled.compile_exn topology in
       let filter = Forward.prepare Forward.default_config compiled in
-      let plan = Forward.plan_variant filter in
-      let state = pricing_state compiled filter warmup in
-      let now = pricing_now in
-      let pending = primary_sends (List.mapi (fun i t -> (now +. t, 100 + i)) pending) in
-      let config =
-        {
-          Planner.default_config with
-          Planner.delays;
-          horizon = 10.0;
-          utility = Utility.make ~alpha:1.5 ~latency_penalty:0.01 ~cross_discounted:true ();
-        }
-      in
-      let t_end = now +. List.fold_left Float.max 0.0 delays +. config.Planner.horizon in
-      let make_packet at = Packet.make ~flow:Flow.Primary ~seq:200 ~sent_at:at () in
-      let sends = Array.of_list (List.map (fun d -> (now +. d, make_packet (now +. d))) delays) in
-      let reference sends =
-        Utility.of_outcomes config.Planner.utility ~now (Forward.run plan state ~sends ~until:t_end)
-      in
-      let gross_ok =
-        match Planner.gross_utilities config ~now ~until:t_end plan state ~pending sends with
-        | None -> List.length (Forward.run plan state ~sends:pending ~until:t_end) > 1
-        | Some (baseline, utilities) ->
-          same_float baseline (reference pending)
-          && Array.for_all2 (fun send u -> same_float u (reference (pending @ [ send ]))) sends utilities
-      in
-      let belief = Belief.create [ ((), 1.0, filter, state) ] in
-      let _, evaluations = Planner.decide config ~belief ~now ~pending ~make_packet in
-      let base = reference pending in
-      let expected =
-        Array.to_list (Array.map (fun send -> 0.0 +. (1.0 *. (reference (pending @ [ send ]) -. base))) sends)
-      in
-      gross_ok
-      && List.equal same_float expected
-           (List.map (fun (e : Planner.evaluation) -> e.Planner.net_utility) evaluations))
+      pricing_matches_full_runs [ ((), 1.0, filter, pricing_state compiled filter warmup) ] ~pending ~delays)
 
 (* The tie the reserved sequence number exists for: a pending packet
    leaves a delay at exactly the candidate's send time, and both reach
@@ -689,63 +712,66 @@ let arbitrary_compaction_case =
         Fmt.(Dump.list float)
         sends)
 
-(* [Belief.advance] keeps one hypothesis per distinct byte key
-   [(Marshal params, canonical state, Marshal awaiting)] among its
-   parents' run outcomes. Seed 0 appears twice, under params equal by
-   value but physically distinct, so its forks merge only by value. *)
+let compaction_seed id (topology, offset) =
+  let compiled = Compiled.compile_exn topology in
+  ( { id; offset },
+    1.0,
+    Forward.prepare Forward.default_config compiled,
+    Mstate.initial ~epoch:Forward.default_config.Forward.epoch compiled )
+
+(* [Belief.advance] over [seeds] keeps one hypothesis per distinct byte
+   key [(Marshal params, canonical state, Marshal awaiting)] among the
+   outcomes of a [Forward.run] of each seed under its own model. *)
+let compaction_keeps_byte_keys seeds sends =
+  let now = 5.0 in
+  let tick = 1e-6 in
+  let sends = primary_sends (List.mapi (fun i t -> (t, i)) sends) in
+  let key params state awaiting =
+    Marshal.to_string params [] ^ Mstate.canonical state ^ Marshal.to_string awaiting []
+  in
+  let expected =
+    List.concat_map
+      (fun (params, _, prepared, state) ->
+        List.filter_map
+          (fun (o : Forward.outcome) ->
+            if o.Forward.logw = neg_infinity then None
+            else begin
+              let awaiting =
+                List.filter
+                  (fun (d : Forward.delivery) ->
+                    Flow.equal d.Forward.packet.Packet.flow Flow.Primary
+                    && d.Forward.time +. params.offset > now +. tick)
+                  o.Forward.deliveries
+              in
+              Some (key params o.Forward.state awaiting)
+            end)
+          (Forward.run prepared state ~sends ~until:now))
+      seeds
+  in
+  let belief =
+    Belief.create ~min_weight:0.0 ~max_hyps:max_int ~obs_offset:(fun p -> p.offset) seeds
+  in
+  let advanced = Belief.advance belief ~sends ~now () in
+  let kept =
+    List.map
+      (fun (h : _ Belief.hypothesis) -> key h.Belief.params h.Belief.state h.Belief.awaiting)
+      (Belief.support advanced)
+  in
+  let expected = List.sort_uniq String.compare expected in
+  List.length kept = List.length expected && List.sort String.compare kept = expected
+
+(* Seed 0 appears twice, under params equal by value but physically
+   distinct, so its forks merge only by value. *)
 let belief_compaction_prop =
   QCheck.Test.make ~name:"belief compaction keeps one hypothesis per byte key" ~count:100
     arbitrary_compaction_case
     (fun (seeds, sends) ->
       QCheck.assume (List.for_all (fun (t, _) -> Topology.validate t = Ok ()) seeds);
-      let now = 5.0 in
-      let tick = 1e-6 in
-      let seed id (topology, offset) =
-        let compiled = Compiled.compile_exn topology in
-        ( { id; offset },
-          1.0,
-          Forward.prepare Forward.default_config compiled,
-          Mstate.initial ~epoch:Forward.default_config.Forward.epoch compiled )
-      in
-      let seeds = List.mapi seed seeds in
+      let seeds = List.mapi compaction_seed seeds in
       let p0, w0, prepared0, state0 = List.hd seeds in
       let twin = { p0 with id = p0.id } in
       assert (twin != p0);
-      let seeds = seeds @ [ (twin, w0, prepared0, state0) ] in
-      let sends = primary_sends (List.mapi (fun i t -> (t, i)) sends) in
-      let key params state awaiting =
-        Marshal.to_string params [] ^ Mstate.canonical state ^ Marshal.to_string awaiting []
-      in
-      let expected =
-        List.concat_map
-          (fun (params, _, prepared, state) ->
-            List.filter_map
-              (fun (o : Forward.outcome) ->
-                if o.Forward.logw = neg_infinity then None
-                else begin
-                  let awaiting =
-                    List.filter
-                      (fun (d : Forward.delivery) ->
-                        Flow.equal d.Forward.packet.Packet.flow Flow.Primary
-                        && d.Forward.time +. params.offset > now +. tick)
-                      o.Forward.deliveries
-                  in
-                  Some (key params o.Forward.state awaiting)
-                end)
-              (Forward.run prepared state ~sends ~until:now))
-          seeds
-      in
-      let belief =
-        Belief.create ~min_weight:0.0 ~max_hyps:max_int ~obs_offset:(fun p -> p.offset) seeds
-      in
-      let advanced = Belief.advance belief ~sends ~now () in
-      let kept =
-        List.map
-          (fun (h : _ Belief.hypothesis) -> key h.Belief.params h.Belief.state h.Belief.awaiting)
-          (Belief.support advanced)
-      in
-      let expected = List.sort_uniq String.compare expected in
-      List.length kept = List.length expected && List.sort String.compare kept = expected)
+      compaction_keeps_byte_keys (seeds @ [ (twin, w0, prepared0, state0) ]) sends)
 
 let compaction_suite =
   [
@@ -754,3 +780,237 @@ let compaction_suite =
   ]
 
 let suite = suite @ compaction_suite
+
+(* --- shared dynamics: models that differ only in last-mile loss rates --- *)
+
+let loss_rates = [ 0.0; 0.05; 0.1; 0.2; 0.5; 1.0 ]
+
+(* Two different loss rates. *)
+let gen_rate_pair =
+  QCheck.Gen.(
+    let* r1 = oneofl loss_rates in
+    let* r2 = oneofl (List.filter (fun r -> not (Float.equal r r1)) loss_rates) in
+    return (r1, r2))
+
+(* What follows the shared station, as a function of its loss rates:
+   every loss is last mile. Each case gives how many rates it takes and
+   how many losses every packet crosses: a loss; a loss then a delay; a
+   loss then jitter; two losses in series; a multipath with a loss on
+   each path. *)
+let gen_lossy_tail =
+  QCheck.Gen.oneofl
+    [
+      (1, 1, fun r -> Topology.loss ~rate:r.(0));
+      (1, 1, fun r -> Topology.series [ Topology.loss ~rate:r.(0); Topology.delay ~seconds:0.3 ]);
+      ( 1,
+        1,
+        fun r ->
+          Topology.series [ Topology.loss ~rate:r.(0); Topology.jitter ~seconds:0.2 ~probability:0.3 ] );
+      (2, 2, fun r -> Topology.series [ Topology.loss ~rate:r.(0); Topology.loss ~rate:r.(1) ]);
+      ( 2,
+        1,
+        fun r ->
+          Topology.multipath ~first:(Topology.loss ~rate:r.(0))
+            ~second:(Topology.series [ Topology.delay ~seconds:0.4; Topology.loss ~rate:r.(1) ])
+            () );
+    ]
+
+(* A topology as a function of its tail's loss rates, two rate vectors,
+   and send times. *)
+let gen_shared_case =
+  QCheck.Gen.(
+    let* prefix = list_size (int_range 0 2) gen_element in
+    let* rate_bps = oneofl [ 6_000.0; 12_000.0 ] in
+    let* losses, crossed, tail = gen_lossy_tail in
+    let* r1 = array_repeat losses (oneofl loss_rates) in
+    let* r2 = array_repeat losses (oneofl loss_rates) in
+    let* with_pinger = bool in
+    let* times = gen_grid ~count:(int_range 1 4) ~below:6.0 in
+    let sources =
+      Topology.endpoint Flow.Primary
+      :: (if with_pinger then [ Topology.pinger ~flow:Flow.Cross ~rate_pps:0.5 () ] else [])
+    in
+    let topology ~front rates =
+      {
+        Topology.sources;
+        shared =
+          Topology.series
+            (prefix
+            @ front
+            @ [ Topology.buffer ~capacity_bits:48_000; Topology.throughput ~rate_bps; tail rates ]);
+      }
+    in
+    return (topology, crossed, r1, r2, times))
+
+let arbitrary_shared_case =
+  QCheck.make gen_shared_case ~print:(fun (topology, _, r1, r2, times) ->
+      Format.asprintf "%a@ and %a, sends at %a" Topology.pp (topology ~front:[] r1) Topology.pp
+        (topology ~front:[] r2)
+        Fmt.(Dump.list float)
+        times)
+
+let shared_model ?(config = Forward.default_config) topology =
+  let compiled = Compiled.compile_exn topology in
+  (Forward.prepare config compiled, Mstate.initial ~epoch:config.Forward.epoch compiled)
+
+(* The survival a delivery had before runs were shared: 1 times
+   [1 - rate] of each loss it crossed, in crossing order. *)
+let running_product model (d : Forward.delivery) =
+  List.fold_left
+    (fun acc id ->
+      match Compiled.node (Forward.compiled_of model) id with
+      | Compiled.Loss { rate; _ } -> acc *. (1.0 -. rate)
+      | _ -> Float.nan)
+    1.0 (List.rev d.Forward.trail)
+
+let shared_dynamics_prop =
+  QCheck.Test.make ~name:"loss-rate variants share dynamics and runs" ~count:150
+    arbitrary_shared_case
+    (fun (topology, crossed, r1, r2, times) ->
+      let t1 = topology ~front:[] r1 and t2 = topology ~front:[] r2 in
+      QCheck.assume (Topology.validate t1 = Ok () && Topology.validate t2 = Ok ());
+      let p1, s1 = shared_model t1 and p2, s2 = shared_model t2 in
+      let sends = primary_sends (List.mapi (fun i t -> (t, i)) times) in
+      let o1 = Forward.run p1 s1 ~sends ~until:10.0 and o2 = Forward.run p2 s2 ~sends ~until:10.0 in
+      let same_outcome (a : Forward.outcome) (b : Forward.outcome) =
+        Mstate.equal a.Forward.state b.Forward.state
+        && same_float a.Forward.logw b.Forward.logw
+        && List.equal same_delivery a.Forward.deliveries b.Forward.deliveries
+      in
+      let survival_ok (d : Forward.delivery) =
+        List.length d.Forward.trail = crossed
+        && same_float (Forward.survive_p p1 d) (running_product p1 d)
+        && same_float (Forward.survive_p p2 d) (running_product p2 d)
+      in
+      Forward.shares_dynamics p1 p2
+      && Forward.shares_dynamics p2 p1
+      && Forward.representatives [| p1; p2 |] [| s1; s2 |] = [| 0; 0 |]
+      && Mstate.equal s1 s2
+      && List.length o1 = List.length o2
+      && List.for_all2 same_outcome o1 o2
+      && List.for_all (fun (o : Forward.outcome) -> List.for_all survival_ok o.Forward.deliveries) o1)
+
+(* Rates that change what happens are part of the dynamics: a loss in
+   front of the station forks, and so does every loss in fork mode. *)
+let unshared_dynamics_prop =
+  QCheck.Test.make ~name:"rates that fork are part of the dynamics" ~count:100
+    arbitrary_shared_case
+    (fun (topology, _, r1, r2, _) ->
+      let t1 = topology ~front:[] r1 and t2 = topology ~front:[] r2 in
+      QCheck.assume (Topology.validate t1 = Ok () && Topology.validate t2 = Ok ());
+      let fork = { Forward.default_config with loss_mode = `Fork } in
+      let f1, _ = shared_model ~config:fork t1 and f2, _ = shared_model ~config:fork t2 in
+      let front rate = topology ~front:[ Topology.loss ~rate ] r1 in
+      let q1, s1 = shared_model (front 0.1) and q2, s2 = shared_model (front 0.3) in
+      let q3, _ = shared_model (front 0.1) in
+      Bool.equal (Forward.shares_dynamics f1 f2) (Array.for_all2 same_float r1 r2)
+      && (not (Forward.shares_dynamics q1 q2))
+      && Forward.representatives [| q1; q2 |] [| s1; s2 |] = [| 0; 1 |]
+      && Forward.shares_dynamics q1 q3)
+
+(* The compaction property with loss-rate twins: every seed ends in a
+   last-mile loss, and seed 0 gains a twin compiled and prepared apart
+   whose loss rate differs, so the belief shares their runs. *)
+let gen_twin_case =
+  QCheck.Gen.(
+    let* seeds, sends = gen_compaction_case in
+    let* rate0, twin_rate = gen_rate_pair in
+    let* rates = list_size (return (List.length seeds - 1)) (oneofl loss_rates) in
+    return (seeds, rate0 :: rates, twin_rate, sends))
+
+let arbitrary_twin_case =
+  QCheck.make gen_twin_case ~print:(fun (seeds, rates, twin_rate, sends) ->
+      Format.asprintf "seeds %a, last-mile rates %a, twin rate %g, sends %a"
+        Fmt.(Dump.list (Dump.pair Topology.pp float))
+        seeds
+        Fmt.(Dump.list float)
+        rates twin_rate
+        Fmt.(Dump.list float)
+        sends)
+
+let with_last_mile rate (topology : Topology.t) =
+  { topology with Topology.shared = Topology.series [ topology.Topology.shared; Topology.loss ~rate ] }
+
+(* Every seed ends in a last-mile loss at its own rate, and seed 0's
+   topology comes once more with [twin_rate], compiled and prepared
+   apart under its own params. *)
+let twin_seeds (seeds, rates, twin_rate, _) =
+  let lossy = List.map2 (fun (t, offset) rate -> (with_last_mile rate t, offset)) seeds rates in
+  let twin =
+    match seeds with
+    | (t, offset) :: _ -> (with_last_mile twin_rate t, offset)
+    | [] -> assert false
+  in
+  List.mapi compaction_seed (lossy @ [ twin ])
+
+let valid_twin_case (seeds, _, _, _) = List.for_all (fun (t, _) -> Topology.validate t = Ok ()) seeds
+
+let belief_twin_prop =
+  QCheck.Test.make ~name:"belief compaction with loss-rate twins keeps one hypothesis per byte key"
+    ~count:100 arbitrary_twin_case
+    (fun ((_, _, _, sends) as case) ->
+      QCheck.assume (valid_twin_case case);
+      compaction_keeps_byte_keys (twin_seeds case) sends)
+
+(* ROADMAP's normalized-posterior invariant on beliefs that share runs:
+   after an update on the ACKs seed 0's first outcome predicts, every
+   log-weight is finite and the posterior mass is 1. *)
+let posterior_normalized_prop =
+  QCheck.Test.make ~name:"updates on shared runs keep the posterior normalized" ~count:100
+    arbitrary_twin_case
+    (fun ((_, _, _, sends) as case) ->
+      QCheck.assume (valid_twin_case case);
+      let seeds = twin_seeds case in
+      let now = 5.0 in
+      let sends = primary_sends (List.mapi (fun i t -> (t, i)) sends) in
+      let acks =
+        match seeds with
+        | (params, _, prepared, state) :: _ -> (
+          match Forward.run prepared state ~sends ~until:now with
+          | o :: _ ->
+            List.filter_map
+              (fun (d : Forward.delivery) ->
+                let time = d.Forward.time +. params.offset in
+                if Flow.equal d.Forward.packet.Packet.flow Flow.Primary && time <= now then
+                  Some { Belief.seq = d.Forward.packet.Packet.seq; time }
+                else None)
+              o.Forward.deliveries
+          | [] -> [])
+        | [] -> []
+      in
+      let belief = Belief.create ~obs_offset:(fun p -> p.offset) seeds in
+      let updated, _ = Belief.update belief ~sends ~acks ~now () in
+      let hyps = Belief.support updated in
+      let mass = List.fold_left (fun acc (h : _ Belief.hypothesis) -> acc +. exp h.Belief.logw) 0.0 hyps in
+      hyps <> []
+      && List.for_all (fun (h : _ Belief.hypothesis) -> Float.is_finite h.Belief.logw) hyps
+      && Float.abs (mass -. 1.0) <= 1e-9)
+
+(* [planner_gross_prop] with a loss-rate twin: the case's topology ends
+   in a last-mile loss, and a second model of it, compiled and prepared
+   apart, has another rate and three times the prior weight, so
+   [decide] prices the two off one trace. *)
+let planner_twin_prop =
+  QCheck.Test.make ~name:"shared pricing of loss-rate twins equals full runs bit for bit" ~count:120
+    QCheck.(
+      pair arbitrary_pricing_case
+        (make gen_rate_pair ~print:(fun (r1, r2) -> Printf.sprintf "last-mile rates %g and %g" r1 r2)))
+    (fun ((topology, warmup, pending, delays, _), (r1, r2)) ->
+      QCheck.assume (Topology.validate topology = Ok ());
+      let seed rate weight =
+        let compiled = Compiled.compile_exn (with_last_mile rate topology) in
+        let filter = Forward.prepare Forward.default_config compiled in
+        (rate, weight, filter, pricing_state compiled filter warmup)
+      in
+      pricing_matches_full_runs [ seed r1 1.0; seed r2 3.0 ] ~pending ~delays)
+
+let shared_dynamics_suite =
+  [
+    QCheck_alcotest.to_alcotest shared_dynamics_prop;
+    QCheck_alcotest.to_alcotest unshared_dynamics_prop;
+    QCheck_alcotest.to_alcotest belief_twin_prop;
+    QCheck_alcotest.to_alcotest posterior_normalized_prop;
+    QCheck_alcotest.to_alcotest planner_twin_prop;
+  ]
+
+let suite = suite @ shared_dynamics_suite

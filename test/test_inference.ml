@@ -567,6 +567,144 @@ let degeneracy_probes () =
   in
   Alcotest.(check (float 1e-9)) "collapsed top weight" 1.0 (Degeneracy.top_weight belief)
 
+(* A reseeded model keeps its pinger and periodic gate on the anchored
+   clock. Stepping the §4 truth model, reseeded at [t0], one pending
+   instant at a time: no event comes before the one processed last, the
+   pinger emits at t0, t0 + 1/r, ... and the squarewave toggles at
+   t0 + 100 s and t0 + 200 s. *)
+let reseed_anchors_clocks () =
+  let compiled = Compiled.compile_exn Priors.paper_truth_topology in
+  let prepared = Forward.prepare Forward.default_config compiled in
+  let seed = ((), 1.0, prepared, Mstate.initial ~epoch:1.0 compiled) in
+  let t0 = 50.0 in
+  let belief = Belief.reseed (Belief.create [ seed ]) ~seeds:[ seed ] ~now:t0 () in
+  let state =
+    match Belief.support belief with
+    | [ h ] -> h.Belief.state
+    | _ -> Alcotest.fail "expected one hypothesis"
+  in
+  let rate =
+    match compiled.Compiled.pingers with
+    | [ p ] -> p.Compiled.rate_pps
+    | _ -> Alcotest.fail "expected one pinger"
+  in
+  let interval = 100.0 in
+  let emissions = ref 0 and toggles = ref 0 in
+  let check (ev : Mstate.event) =
+    match ev.Mstate.ev with
+    | Mstate.Pinger_emit (_, k) ->
+      Alcotest.(check (float 0.0)) "emission time" (t0 +. (float_of_int k /. rate)) ev.Mstate.time;
+      incr emissions
+    | Mstate.Gate_toggle (_, k) ->
+      Alcotest.(check (float 0.0)) "toggle time" (t0 +. (float_of_int k *. interval)) ev.Mstate.time;
+      incr toggles
+    | Mstate.Arrive _ | Mstate.Complete _ | Mstate.Gate_epoch _ -> ()
+  in
+  (* Each run processes the pending events of one instant. *)
+  let rec go (state : Mstate.t) last =
+    match state.Mstate.pending with
+    | ev :: _ when ev.Mstate.time <= 260.0 -> (
+      let now = ev.Mstate.time in
+      if now < last then Alcotest.failf "an event at %g follows one at %g" now last;
+      List.iter
+        (fun (e : Mstate.event) -> if Float.equal e.Mstate.time now then check e)
+        state.Mstate.pending;
+      match Forward.run prepared state ~sends:[] ~until:now with
+      | [ o ] -> go o.Forward.state now
+      | _ -> Alcotest.fail "the truth model does not fork")
+    | [] | _ :: _ -> ()
+  in
+  go state t0;
+  Alcotest.(check int) "emissions" (1 + int_of_float ((260.0 -. t0) *. rate)) !emissions;
+  Alcotest.(check int) "toggles" 2 !toggles
+
+(* The one identity that shared runs change: two packets in flight that
+   crossed different likelihood-mode losses are different packets, even
+   when their survival probabilities are equal bit for bit, so
+   compaction keeps their forks apart. A random multipath sends the
+   packet through one of two losses of equal rate, then a common delay. *)
+let trails_keep_forks_apart () =
+  let topology =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared =
+        Topology.series
+          [
+            Topology.multipath ~policy:(`Random 0.5) ~first:(Topology.loss ~rate:0.1)
+              ~second:(Topology.loss ~rate:0.1) ();
+            Topology.delay ~seconds:1.0;
+          ];
+    }
+  in
+  let compiled = Compiled.compile_exn topology in
+  let prepared = Forward.prepare Forward.default_config compiled in
+  let state = Mstate.initial ~epoch:1.0 compiled in
+  let sends = [ send ~at:0.0 ~seq:0 ] in
+  let in_flight (o : Forward.outcome) =
+    match o.Forward.state.Mstate.pending with
+    | [ { Mstate.ev = Mstate.Arrive (_, m); _ } ] -> m
+    | _ -> Alcotest.fail "expected one packet in flight"
+  in
+  (match Forward.run prepared state ~sends ~until:0.5 with
+  | [ a; b ] ->
+    let ma = in_flight a and mb = in_flight b in
+    let survival (m : Mstate.mpkt) =
+      Forward.survive_p prepared { Forward.time = 1.0; packet = m.Mstate.pkt; trail = m.Mstate.trail }
+    in
+    Alcotest.(check bool) "different losses" false (List.equal Int.equal ma.Mstate.trail mb.Mstate.trail);
+    Alcotest.(check bool) "equal survival bits" true
+      (Int64.equal (Int64.bits_of_float (survival ma)) (Int64.bits_of_float (survival mb)));
+    Alcotest.(check bool) "states differ" false (Mstate.equal a.Forward.state b.Forward.state)
+  | outcomes -> Alcotest.failf "expected two forks, got %d" (List.length outcomes));
+  let belief = Belief.advance (Belief.create [ ((), 1.0, prepared, state) ]) ~sends ~now:0.5 () in
+  Alcotest.(check int) "forks kept apart" 2 (Belief.size belief)
+
+(* Hypotheses that differ only in a last-mile loss rate share one run,
+   but each is weighed by its own rate: one ACK and one missing ACK
+   leave posterior mass proportional to (1 - p) p, as when each rate
+   is the only hypothesis, and as the forking interpreter has it. *)
+let loss_rate_twins_keep_their_likelihoods () =
+  let lossy rate =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared =
+        Topology.series
+          [ Topology.throughput ~rate_bps:12_000.0; Topology.loss ~rate ];
+    }
+  in
+  let rates = [ 0.1; 0.5; 0.2 ] in
+  let posterior config =
+    let seeds =
+      List.map
+        (fun rate ->
+          let compiled = Compiled.compile_exn (lossy rate) in
+          (rate, 1.0, Forward.prepare config compiled, Mstate.initial ~epoch:1.0 compiled))
+        rates
+    in
+    let belief, status =
+      Belief.update (Belief.create seeds)
+        ~sends:[ send ~at:0.0 ~seq:0; send ~at:1.0 ~seq:1 ]
+        ~acks:[ { Belief.seq = 1; time = 2.0 } ]
+        ~now:3.0 ()
+    in
+    Alcotest.(check bool) "consistent" true (status = Belief.Consistent);
+    List.sort (fun (a, _) (b, _) -> Float.compare a b) (Belief.posterior belief)
+  in
+  let total = List.fold_left (fun acc p -> acc +. ((1.0 -. p) *. p)) 0.0 rates in
+  let expected =
+    List.sort (fun (a, _) (b, _) -> Float.compare a b)
+      (List.map (fun p -> (p, (1.0 -. p) *. p /. total)) rates)
+  in
+  let check_posterior name got =
+    List.iter2
+      (fun (ra, wa) (rb, wb) ->
+        Alcotest.(check (float 0.0)) (name ^ " rate") ra rb;
+        Alcotest.(check (float 1e-9)) (name ^ " mass") wa wb)
+      expected got
+  in
+  check_posterior "likelihood" (posterior Forward.default_config);
+  check_posterior "fork" (posterior { Forward.default_config with loss_mode = `Fork })
+
 let robustness_suite =
   [
     ("reseed replaces and anchors", `Quick, reseed_replaces_and_anchors);
@@ -577,6 +715,9 @@ let robustness_suite =
     ("ll_floor validation", `Quick, ll_floor_validation);
     ("degeneracy streaks", `Quick, degeneracy_streaks);
     ("degeneracy probes", `Quick, degeneracy_probes);
+    ("reseed anchors pinger and gate clocks", `Quick, reseed_anchors_clocks);
+    ("trails keep forks apart", `Quick, trails_keep_forks_apart);
+    ("loss-rate twins keep their likelihoods", `Quick, loss_rate_twins_keep_their_likelihoods);
   ]
 
 let suite = suite @ robustness_suite

@@ -75,7 +75,7 @@ let likelihood_loss_scales_survival () =
   let state = Mstate.initial ~epoch:1.0 compiled in
   let outcome = single (Forward.run prepared state ~sends:[ pkt ~seq:0 ~at:0.0 () ] ~until:5.0) in
   match primary_deliveries outcome with
-  | [ d ] -> Alcotest.(check (float 1e-12)) "survive 0.75" 0.75 d.Forward.survive_p
+  | [ d ] -> Alcotest.(check (float 1e-12)) "survive 0.75" 0.75 (Forward.survive_p prepared d)
   | _ -> Alcotest.fail "expected one annotated delivery"
 
 let fork_loss_partitions_weight () =
@@ -324,10 +324,40 @@ let station_bits_accounting () =
     (Invalid_argument "Mstate.gate_connected: node is not a gate") (fun () ->
       ignore (Mstate.gate_connected state 0))
 
+(* [equal] and [converged] run at every time boundary of a resumed
+   candidate and at every compaction probe, so they must allocate
+   nothing. The two fig2 states are built apart, mid-run: a packet in
+   service, a queue whose back list holds a packet, the pinger's and
+   the periodic gate's pending events. *)
+let comparison_allocates_nothing () =
+  let topology =
+    Topology.figure2 ~link_bps:12_000.0 ~buffer_bits:96_000 ~loss_rate:0.2 ~pinger_pps:0.7
+      ~cross_gate:(Topology.squarewave ~interval:100.0 ())
+  in
+  let state () =
+    let prepared, compiled = prepare topology in
+    let sends = [ pkt ~seq:0 ~at:0.5 (); pkt ~seq:1 ~at:0.6 (); pkt ~seq:2 ~at:0.7 () ] in
+    (single (Forward.run prepared (Mstate.initial ~epoch:1.0 compiled) ~sends ~until:1.5)).Forward.state
+  in
+  let a = state () and b = state () in
+  Alcotest.(check bool) "built apart" false (a == b);
+  Alcotest.(check bool) "equal" true (Mstate.equal a b);
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  let empty = words (fun () -> true) in
+  Alcotest.(check (float 0.0)) "equal" empty (words (fun () -> Mstate.equal a b));
+  Alcotest.(check (float 0.0)) "converged" empty (words (fun () -> Mstate.converged a b))
+
 let model_extra_suite =
   [
     ("multipath rr state persists", `Quick, multipath_round_robin_state_persists);
     ("station bits accounting", `Quick, station_bits_accounting);
+    ("state comparison allocates nothing", `Quick, comparison_allocates_nothing);
   ]
 
 let suite = suite @ model_extra_suite

@@ -423,6 +423,30 @@ let fqueue_of_list_order () =
   Alcotest.(check int) "fold front to back" 123
     (Utc_sim.Fqueue.fold (fun acc x -> (acc * 10) + x) 0 q)
 
+(* [equal] compares contents front to back, whatever the front/back
+   split: a queue built from [of_list] of its first [k] elements and
+   pushes of the rest holds its front in order and its back reversed. *)
+let fqueue_equal_prop =
+  let module Fqueue = Utc_sim.Fqueue in
+  let build zs k =
+    let k = k mod (List.length zs + 1) in
+    List.fold_left
+      (fun q z -> Fqueue.push z q)
+      (Fqueue.of_list (List.filteri (fun i _ -> i < k) zs))
+      (List.filteri (fun i _ -> i >= k) zs)
+  in
+  QCheck.Test.make ~name:"fqueue equal ignores the front/back split" ~count:500
+    QCheck.(
+      quad
+        (list_of_size Gen.(0 -- 7) (int_bound 2))
+        (list_of_size Gen.(0 -- 7) (int_bound 2))
+        (pair small_nat small_nat) bool)
+    (fun (xs, ys, (ka, kb), same) ->
+      let ys = if same then xs else ys in
+      let a = build xs ka and b = build ys kb in
+      Bool.equal (Fqueue.equal Int.equal a b) (List.equal Int.equal xs ys)
+      && Bool.equal (Fqueue.equal Int.equal b a) (List.equal Int.equal xs ys))
+
 let extra_suite =
   [
     ("timebase pp", `Quick, timebase_pp);
@@ -433,6 +457,7 @@ let extra_suite =
     ("engine pending counts", `Quick, engine_pending_counts);
     ("pheap negative priorities", `Quick, pheap_negative_priorities);
     ("fqueue of_list order", `Quick, fqueue_of_list_order);
+    QCheck_alcotest.to_alcotest fqueue_equal_prop;
   ]
 
 let suite = suite @ extra_suite

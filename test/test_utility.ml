@@ -35,47 +35,56 @@ let geometric_sum_prop =
       let err k = Float.abs (Discount.geometric_sum ~kappa:k -. Discount.paper_approximation ~kappa:k) in
       err kappa >= err (kappa *. 2.0) -. 1e-12)
 
-let delivery ?(flow = Flow.Primary) ?(survive = 1.0) ~sent_at ~time () =
-  { Forward.time; packet = Packet.make ~flow ~seq:0 ~sent_at (); survive_p = survive }
+(* A model whose one likelihood-mode loss, node 0, passes [survive] of
+   the packets that cross it; every test delivery crossed it. *)
+let model ?(survive = 1.0) () =
+  Forward.prepare Forward.default_config
+    (Compiled.compile_exn
+       { Topology.sources = [ Topology.endpoint Flow.Primary ]; shared = Topology.loss ~rate:(1.0 -. survive) })
+
+let lossless = model ()
+
+let delivery ?(flow = Flow.Primary) ~sent_at ~time () =
+  { Forward.time; packet = Packet.make ~flow ~seq:0 ~sent_at (); trail = [ 0 ] }
 
 let own_packet_discounted () =
   let config = Utility.make ~kappa:10.0 () in
-  let u = Utility.of_delivery config ~now:0.0 (delivery ~sent_at:0.0 ~time:10.0 ()) in
+  let u = Utility.of_delivery config lossless ~now:0.0 (delivery ~sent_at:0.0 ~time:10.0 ()) in
   Alcotest.(check (float 1e-9)) "bits * gamma" (12_000.0 *. exp (-1.0)) u
 
 let survive_scales () =
   let config = Utility.make ~kappa:10.0 () in
-  let full = Utility.of_delivery config ~now:0.0 (delivery ~sent_at:0.0 ~time:5.0 ()) in
-  let half = Utility.of_delivery config ~now:0.0 (delivery ~survive:0.5 ~sent_at:0.0 ~time:5.0 ()) in
+  let full = Utility.of_delivery config lossless ~now:0.0 (delivery ~sent_at:0.0 ~time:5.0 ()) in
+  let half = Utility.of_delivery config (model ~survive:0.5 ()) ~now:0.0 (delivery ~sent_at:0.0 ~time:5.0 ()) in
   Alcotest.(check (float 1e-9)) "linear in survive_p" (full /. 2.0) half
 
 let alpha_weights_cross () =
   let config = Utility.make ~alpha:2.5 () in
-  let u = Utility.of_delivery config ~now:0.0 (delivery ~flow:Flow.Cross ~sent_at:0.0 ~time:3.0 ()) in
+  let u = Utility.of_delivery config lossless ~now:0.0 (delivery ~flow:Flow.Cross ~sent_at:0.0 ~time:3.0 ()) in
   (* Cross traffic undiscounted by default. *)
   Alcotest.(check (float 1e-9)) "alpha * bits" (2.5 *. 12_000.0) u
 
 let cross_discounted_flag () =
   let config = Utility.make ~alpha:1.0 ~kappa:10.0 ~cross_discounted:true () in
-  let u = Utility.of_delivery config ~now:0.0 (delivery ~flow:Flow.Cross ~sent_at:0.0 ~time:10.0 ()) in
+  let u = Utility.of_delivery config lossless ~now:0.0 (delivery ~flow:Flow.Cross ~sent_at:0.0 ~time:10.0 ()) in
   Alcotest.(check (float 1e-9)) "discounted cross" (12_000.0 *. exp (-1.0)) u
 
 let latency_penalty_applies_to_cross () =
   let config = Utility.make ~alpha:0.0 ~latency_penalty:2.0 () in
-  let u = Utility.of_delivery config ~now:0.0 (delivery ~flow:Flow.Cross ~sent_at:1.0 ~time:4.0 ()) in
+  let u = Utility.of_delivery config lossless ~now:0.0 (delivery ~flow:Flow.Cross ~sent_at:1.0 ~time:4.0 ()) in
   (* Delay 3 s, bits 12000: penalty 2 * 12000 * 3. *)
   Alcotest.(check (float 1e-9)) "pure penalty" (-72_000.0) u;
-  let own = Utility.of_delivery config ~now:0.0 (delivery ~sent_at:1.0 ~time:4.0 ()) in
+  let own = Utility.of_delivery config lossless ~now:0.0 (delivery ~sent_at:1.0 ~time:4.0 ()) in
   Alcotest.(check bool) "no penalty on own" true (own > 0.0)
 
 let of_deliveries_sums () =
   let config = Utility.make ~kappa:10.0 () in
   let ds = [ delivery ~sent_at:0.0 ~time:1.0 (); delivery ~sent_at:0.0 ~time:2.0 () ] in
   let expected =
-    Utility.of_delivery config ~now:0.0 (List.nth ds 0)
-    +. Utility.of_delivery config ~now:0.0 (List.nth ds 1)
+    Utility.of_delivery config lossless ~now:0.0 (List.nth ds 0)
+    +. Utility.of_delivery config lossless ~now:0.0 (List.nth ds 1)
   in
-  Alcotest.(check (float 1e-9)) "sum" expected (Utility.of_deliveries config ~now:0.0 ds)
+  Alcotest.(check (float 1e-9)) "sum" expected (Utility.of_deliveries config lossless ~now:0.0 ds)
 
 let of_outcomes_expectation () =
   let config = Utility.make ~kappa:10.0 () in
@@ -91,16 +100,16 @@ let of_outcomes_expectation () =
       { Forward.state; logw = log 0.75; deliveries = [] };
     ]
   in
-  let expected = 0.25 *. Utility.of_delivery config ~now:0.0 d in
-  Alcotest.(check (float 1e-9)) "weighted" expected (Utility.of_outcomes config ~now:0.0 outcomes)
+  let expected = 0.25 *. Utility.of_delivery config lossless ~now:0.0 d in
+  Alcotest.(check (float 1e-9)) "weighted" expected (Utility.of_outcomes config lossless ~now:0.0 outcomes)
 
 let utility_now_shift_prop =
   QCheck.Test.make ~name:"own utility depends only on time - now" ~count:200
     QCheck.(pair (float_bound_exclusive 50.0) (float_bound_exclusive 50.0))
     (fun (now, tau) ->
       let config = Utility.make ~kappa:7.0 () in
-      let a = Utility.of_delivery config ~now (delivery ~sent_at:now ~time:(now +. tau) ()) in
-      let b = Utility.of_delivery config ~now:0.0 (delivery ~sent_at:0.0 ~time:tau ()) in
+      let a = Utility.of_delivery config lossless ~now (delivery ~sent_at:now ~time:(now +. tau) ()) in
+      let b = Utility.of_delivery config lossless ~now:0.0 (delivery ~sent_at:0.0 ~time:tau ()) in
       Float.abs (a -. b) < 1e-6)
 
 let suite =
@@ -124,7 +133,7 @@ let suite =
 let of_outcomes_empty () =
   let config = Utility.make () in
   Alcotest.(check (float 0.0)) "no outcomes, no utility" 0.0
-    (Utility.of_outcomes config ~now:0.0 [])
+    (Utility.of_outcomes config lossless ~now:0.0 [])
 
 let make_defaults () =
   let config = Utility.make () in
@@ -135,7 +144,7 @@ let make_defaults () =
 
 let aux_flow_counts_as_cross () =
   let config = Utility.make ~alpha:2.0 () in
-  let u = Utility.of_delivery config ~now:0.0 (delivery ~flow:(Flow.Aux 3) ~sent_at:0.0 ~time:1.0 ()) in
+  let u = Utility.of_delivery config lossless ~now:0.0 (delivery ~flow:(Flow.Aux 3) ~sent_at:0.0 ~time:1.0 ()) in
   Alcotest.(check (float 1e-9)) "aux weighted by alpha" (2.0 *. 12_000.0) u
 
 let utility_extra_suite =
