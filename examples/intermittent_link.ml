@@ -8,6 +8,7 @@
 
    Run with: dune exec examples/intermittent_link.exe *)
 open Utc_net
+module Testbed = Utc_experiments.Testbed
 
 let truth =
   {
@@ -23,46 +24,29 @@ let truth =
 
 type params = { mtts : float; rate : float }
 
-let hypothesis p =
-  let model =
-    {
-      Topology.sources = [ Topology.endpoint Flow.Primary ];
-      shared =
-        Topology.series
-          [
-            Topology.intermittent ~mean_time_to_switch:p.mtts ();
-            Topology.buffer ~capacity_bits:96_000;
-            Topology.throughput ~rate_bps:p.rate;
-          ];
-    }
-  in
-  let compiled = Compiled.compile_exn model in
-  ( p,
-    1.0,
-    Utc_model.Forward.prepare Utc_model.Forward.default_config compiled,
-    Utc_model.Mstate.initial ~epoch:1.0 compiled )
+let model p =
+  {
+    Topology.sources = [ Topology.endpoint Flow.Primary ];
+    shared =
+      Topology.series
+        [
+          Topology.intermittent ~mean_time_to_switch:p.mtts ();
+          Topology.buffer ~capacity_bits:96_000;
+          Topology.throughput ~rate_bps:p.rate;
+        ];
+  }
 
 let () =
   let prior =
     List.concat_map
-      (fun mtts -> List.map (fun rate -> { mtts; rate }) [ 10_000.0; 12_000.0; 14_000.0 ])
+      (fun mtts -> List.map (fun rate -> ({ mtts; rate }, 1.0)) [ 10_000.0; 12_000.0; 14_000.0 ])
       [ 15.0; 30.0; 60.0 ]
   in
-  let belief = Utc_inference.Belief.create (List.map hypothesis prior) in
-  let engine = Utc_sim.Engine.create ~seed:21 () in
-  let receiver = Utc_core.Receiver.create engine in
-  let runtime =
-    Utc_elements.Runtime.build engine (Compiled.compile_exn truth)
-      (Utc_core.Receiver.callbacks receiver)
-  in
-  let isender =
-    Utc_core.Isender.create engine Utc_core.Isender.default_config ~belief ~inject:(fun pkt ->
-        Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
+  let belief = Utc_inference.Belief.create (Utc_inference.Priors.hypotheses model prior) in
+  let testbed = Testbed.create ~seed:21 truth in
+  let isender = Testbed.isender testbed Utc_core.Isender.default_config ~belief in
   Utc_core.Isender.start isender;
-  Utc_sim.Engine.run ~until:120.0 engine;
+  Utc_sim.Engine.run ~until:120.0 testbed.Testbed.engine;
   let sent = Utc_core.Isender.sent isender in
   let buckets = Array.make 12 0 in
   List.iter (fun (t, _) -> buckets.(min 11 (int_of_float (t /. 10.0))) <- buckets.(min 11 (int_of_float (t /. 10.0))) + 1) sent;
@@ -70,7 +54,7 @@ let () =
   Format.printf "sends per 10 s: ";
   Array.iter (fun n -> Format.printf "%3d" n) buckets;
   Format.printf "@.@.delivered %d of %d sent; rejected updates %d (outage process is@."
-    (Utc_core.Receiver.delivered_count receiver Flow.Primary)
+    (Utc_core.Receiver.delivered_count testbed.Testbed.receiver Flow.Primary)
     (List.length sent)
     (Utc_core.Isender.rejected_updates isender);
   Format.printf "square-wave in truth but memoryless in the model - inference still@.";

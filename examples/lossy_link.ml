@@ -9,61 +9,37 @@
 
    Run with: dune exec examples/lossy_link.exe *)
 open Utc_net
+module Testbed = Utc_experiments.Testbed
 
-let topology =
+type params = { rate : float; loss : float }
+
+(* A 96 kbit buffer into a link, then last-mile loss: the truth and,
+   with the rate and loss rate unknown, the ISender's model family. *)
+let model p =
   {
     Topology.sources = [ Topology.endpoint Flow.Primary ];
     shared =
       Topology.series
         [
           Topology.buffer ~capacity_bits:96_000;
-          Topology.throughput ~rate_bps:12_000.0;
-          Topology.loss ~rate:0.2;
+          Topology.throughput ~rate_bps:p.rate;
+          Topology.loss ~rate:p.loss;
         ];
   }
 
-type params = { rate : float; loss : float }
-
-let hypothesis p =
-  let model =
-    {
-      Topology.sources = [ Topology.endpoint Flow.Primary ];
-      shared =
-        Topology.series
-          [
-            Topology.buffer ~capacity_bits:96_000;
-            Topology.throughput ~rate_bps:p.rate;
-            Topology.loss ~rate:p.loss;
-          ];
-    }
-  in
-  let compiled = Compiled.compile_exn model in
-  ( p,
-    1.0,
-    Utc_model.Forward.prepare Utc_model.Forward.default_config compiled,
-    Utc_model.Mstate.initial ~epoch:1.0 compiled )
+let truth = model { rate = 12_000.0; loss = 0.2 }
 
 let run_isender () =
   let prior =
     List.concat_map
-      (fun rate -> List.map (fun loss -> { rate; loss }) [ 0.0; 0.05; 0.1; 0.15; 0.2 ])
+      (fun rate -> List.map (fun loss -> ({ rate; loss }, 1.0)) [ 0.0; 0.05; 0.1; 0.15; 0.2 ])
       [ 10_000.0; 12_000.0; 14_000.0; 16_000.0 ]
   in
-  let belief = Utc_inference.Belief.create (List.map hypothesis prior) in
-  let engine = Utc_sim.Engine.create ~seed:5 () in
-  let receiver = Utc_core.Receiver.create engine in
-  let runtime =
-    Utc_elements.Runtime.build engine (Compiled.compile_exn topology)
-      (Utc_core.Receiver.callbacks receiver)
-  in
-  let isender =
-    Utc_core.Isender.create engine Utc_core.Isender.default_config ~belief ~inject:(fun pkt ->
-        Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
+  let belief = Utc_inference.Belief.create (Utc_inference.Priors.hypotheses model prior) in
+  let testbed = Testbed.create ~seed:5 truth in
+  let isender = Testbed.isender testbed Utc_core.Isender.default_config ~belief in
   Utc_core.Isender.start isender;
-  Utc_sim.Engine.run ~until:200.0 engine;
+  Utc_sim.Engine.run ~until:200.0 testbed.Testbed.engine;
   let sent = Utc_core.Isender.sent_count isender in
   let best, mass = Utc_inference.Belief.map_estimate (Utc_core.Isender.belief isender) in
   Format.printf "ISender: offered %d pkts in 200 s (link fits 200);@." sent;
@@ -71,21 +47,10 @@ let run_isender () =
     mass
 
 let run_tcp name make_cc =
-  let engine = Utc_sim.Engine.create ~seed:5 () in
-  let receiver = Utc_core.Receiver.create engine in
-  let runtime =
-    Utc_elements.Runtime.build engine (Compiled.compile_exn topology)
-      (Utc_core.Receiver.callbacks receiver)
-  in
-  let sender =
-    Utc_tcp.Sender.create engine
-      { Utc_tcp.Sender.default_config with make_cc }
-      ~inject:(fun pkt -> Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_tcp.Sender.on_delivery sender pkt);
+  let testbed = Testbed.create ~seed:5 truth in
+  let sender = Testbed.tcp testbed { Utc_tcp.Sender.default_config with make_cc } in
   Utc_tcp.Sender.start sender;
-  Utc_sim.Engine.run ~until:200.0 engine;
+  Utc_sim.Engine.run ~until:200.0 testbed.Testbed.engine;
   Format.printf "%s: delivered %d pkts, %d timeouts, %d retransmissions@." name
     (Utc_tcp.Sender.delivered sender)
     (Utc_tcp.Sender.timeouts sender)

@@ -6,6 +6,7 @@
 
    Run with: dune exec examples/multipath.exe *)
 open Utc_net
+module Testbed = Utc_experiments.Testbed
 
 type params = { slow_extra : float }
 
@@ -30,34 +31,14 @@ let () =
     Utc_inference.Priors.uniform
       (List.map (fun slow_extra -> { slow_extra }) [ 0.5; 1.0; 1.5; 2.0; 2.5 ])
   in
-  let seeds =
-    List.map
-      (fun (p, w) ->
-        let compiled = Compiled.compile_exn (model p) in
-        ( p,
-          w,
-          Utc_model.Forward.prepare Utc_model.Forward.default_config compiled,
-          Utc_model.Mstate.initial ~epoch:1.0 compiled ))
-      prior
-  in
-  let belief = Utc_inference.Belief.create seeds in
-  let engine = Utc_sim.Engine.create ~seed:31 () in
-  let receiver = Utc_core.Receiver.create engine in
-  let runtime =
-    Utc_elements.Runtime.build engine (Compiled.compile_exn (model truth))
-      (Utc_core.Receiver.callbacks receiver)
-  in
-  let isender =
-    Utc_core.Isender.create engine Utc_core.Isender.default_config ~belief ~inject:(fun pkt ->
-        Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
+  let belief = Utc_inference.Belief.create (Utc_inference.Priors.hypotheses model prior) in
+  let testbed = Testbed.create ~seed:31 (model truth) in
+  let isender = Testbed.isender testbed Utc_core.Isender.default_config ~belief in
   Utc_core.Isender.start isender;
-  Utc_sim.Engine.run ~until:60.0 engine;
+  Utc_sim.Engine.run ~until:60.0 testbed.Testbed.engine;
   Format.printf "multipath link: even packets direct, odd packets +%.1f s (reordering!)@.@."
     truth.slow_extra;
-  let arrivals = Utc_core.Receiver.deliveries receiver Flow.Primary in
+  let arrivals = Utc_core.Receiver.deliveries testbed.Testbed.receiver Flow.Primary in
   Format.printf "first arrivals (note the out-of-order sequence numbers):@.  ";
   List.iteri
     (fun i (t, pkt) -> if i < 8 then Format.printf "#%d@@%.2fs " pkt.Packet.seq t)

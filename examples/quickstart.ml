@@ -8,6 +8,7 @@
 
    Run with: dune exec examples/quickstart.exe *)
 open Utc_net
+module Testbed = Utc_experiments.Testbed
 
 type params = { link_bps : float; queued : int }
 
@@ -21,43 +22,25 @@ let model p =
         [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:p.link_bps ];
   }
 
-let hypothesis p =
-  let compiled = Compiled.compile_exn (model p) in
-  let prepared = Utc_model.Forward.prepare Utc_model.Forward.default_config compiled in
-  let prefill =
-    if p.queued = 0 then []
-    else
-      [
-        ( List.hd (Compiled.station_ids compiled),
-          List.init p.queued (fun i -> Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:0.0 ()) );
-      ]
-  in
-  (p, 1.0, prepared, Utc_model.Mstate.initial ~prefill ~epoch:1.0 compiled)
-
 let () =
-  (* Prior: 7 link speeds x 5 occupancies, uniform. *)
+  (* Prior: 7 link speeds x 5 occupancies, uniform. Each cell becomes a
+     hypothesis: its model compiled, with [queued] packets in the buffer. *)
   let prior =
     List.concat_map
-      (fun link_bps -> List.map (fun queued -> { link_bps; queued }) [ 0; 2; 4; 6; 8 ])
+      (fun link_bps -> List.map (fun queued -> ({ link_bps; queued }, 1.0)) [ 0; 2; 4; 6; 8 ])
       [ 10_000.0; 11_000.0; 12_000.0; 13_000.0; 14_000.0; 15_000.0; 16_000.0 ]
   in
-  let belief = Utc_inference.Belief.create (List.map hypothesis prior) in
+  let belief =
+    Utc_inference.Belief.create
+      (Utc_inference.Priors.hypotheses ~queued:(fun p -> p.queued) model prior)
+  in
   Format.printf "prior: %d configurations@." (Utc_inference.Belief.size belief);
 
   (* Ground truth the sender cannot see: 12 kbit/s, empty buffer. *)
-  let engine = Utc_sim.Engine.create ~seed:42 () in
-  let receiver = Utc_core.Receiver.create engine in
-  let truth = Compiled.compile_exn (model { link_bps = 12_000.0; queued = 0 }) in
-  let runtime = Utc_elements.Runtime.build engine truth (Utc_core.Receiver.callbacks receiver) in
-
-  let isender =
-    Utc_core.Isender.create engine Utc_core.Isender.default_config ~belief ~inject:(fun pkt ->
-        Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
+  let testbed = Testbed.create ~seed:42 (model { link_bps = 12_000.0; queued = 0 }) in
+  let isender = Testbed.isender testbed Utc_core.Isender.default_config ~belief in
   Utc_core.Isender.start isender;
-  Utc_sim.Engine.run ~until:60.0 engine;
+  Utc_sim.Engine.run ~until:60.0 testbed.Testbed.engine;
 
   let posterior = Utc_inference.Belief.posterior (Utc_core.Isender.belief isender) in
   Format.printf "@.posterior after 60 s:@.";

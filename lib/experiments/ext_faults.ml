@@ -55,16 +55,6 @@ let topology p =
         ];
   }
 
-let seeds prior =
-  let forward_config = Utc_model.Forward.default_config in
-  List.map
-    (fun (p, w) ->
-      let compiled = Compiled.compile_exn (topology p) in
-      let prepared = Utc_model.Forward.prepare forward_config compiled in
-      let state = Utc_model.Mstate.initial ~epoch:1.0 compiled in
-      (p, w, prepared, state))
-    prior
-
 let truth = { link_bps = 12_000.0 }
 
 let prior =
@@ -83,21 +73,18 @@ let reseed_widened ~now belief =
     Utc_inference.Priors.uniform
       (List.map (fun f -> { link_bps = map.link_bps *. f }) widen_factors)
   in
-  Belief.reseed belief ~seeds:(seeds widened) ~now ()
+  Belief.reseed belief ~seeds:(Utc_inference.Priors.hypotheses topology widened) ~now ()
 
 let reseed_oracle truth_after ~now belief =
-  Belief.reseed belief ~seeds:(seeds [ (truth_after, 1.0) ]) ~now ()
+  Belief.reseed belief
+    ~seeds:(Utc_inference.Priors.hypotheses topology [ (truth_after, 1.0) ])
+    ~now ()
 
 let recovery_config = Recovery.default_config
 
 let run_variant ~seed ~duration ~onset ~schedule ~truth_after variant =
-  let belief = Belief.create (seeds prior) in
-  let engine = Utc_sim.Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let compiled_truth = Compiled.compile_exn (topology truth) in
-  let runtime =
-    Utc_elements.Runtime.build engine compiled_truth (Utc_core.Receiver.callbacks receiver)
-  in
+  let belief = Belief.create (Utc_inference.Priors.hypotheses topology prior) in
+  let { Testbed.engine; receiver; runtime; _ } = Testbed.create ~seed (topology truth) in
   let faults = Faults.arm engine runtime ~seed:(seed + 7919) schedule in
   let config =
     match variant with

@@ -14,31 +14,11 @@ type 'p result = {
 
 let run_family ?(seed = 17) ?(duration = 120.0) ~name ~prior ~model ~truth ~truth_params () =
   let wall_start = Utc_obs.Obs_clock.now () in
-  let seeds =
-    List.map
-      (fun (p, w) ->
-        let compiled = Compiled.compile_exn (model p) in
-        ( p,
-          w,
-          Utc_model.Forward.prepare Utc_model.Forward.default_config compiled,
-          Utc_model.Mstate.initial ~epoch:1.0 compiled ))
-      prior
-  in
-  let belief = Belief.create seeds in
-  let engine = Utc_sim.Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let runtime =
-    Utc_elements.Runtime.build engine (Compiled.compile_exn truth)
-      (Utc_core.Receiver.callbacks receiver)
-  in
-  let isender =
-    Utc_core.Isender.create engine Utc_core.Isender.default_config ~belief ~inject:(fun pkt ->
-        Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
+  let belief = Belief.create (Utc_inference.Priors.hypotheses model prior) in
+  let testbed = Testbed.create ~seed truth in
+  let isender = Testbed.isender testbed Utc_core.Isender.default_config ~belief in
   Utc_core.Isender.start isender;
-  Utc_sim.Engine.run ~until:duration engine;
+  Utc_sim.Engine.run ~until:duration testbed.Testbed.engine;
   let posterior = Belief.posterior (Utc_core.Isender.belief isender) in
   let posterior_on_truth =
     List.fold_left (fun acc (p, w) -> if p = truth_params then acc +. w else acc) 0.0 posterior
@@ -55,7 +35,7 @@ let run_family ?(seed = 17) ?(duration = 120.0) ~name ~prior ~model ~truth ~trut
   {
     name;
     sent = Utc_core.Isender.sent_count isender;
-    delivered = Utc_core.Receiver.delivered_count receiver Flow.Primary;
+    delivered = Utc_core.Receiver.delivered_count testbed.Testbed.receiver Flow.Primary;
     posterior_on_truth;
     map_is_truth;
     rejected_updates = Utc_core.Isender.rejected_updates isender;

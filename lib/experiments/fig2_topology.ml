@@ -41,12 +41,15 @@ let run ?(seed = 42) ?(duration = 150.0) () =
   Utc_sim.Engine.run ~until:duration engine;
   let ground_truth = List.rev !ground_truth in
   (* Belief-state interpreter, same configuration and sends. *)
-  let prepared = Utc_model.Forward.prepare Utc_model.Forward.default_config compiled in
-  let state = Utc_model.Mstate.initial ~epoch:1.0 compiled in
   let model_sends =
     List.map (fun (at, seq) -> (at, Packet.make ~flow:Flow.Primary ~seq ~sent_at:at ())) sends
   in
-  let outcomes = Utc_model.Forward.run prepared state ~sends:model_sends ~until:duration in
+  let outcomes =
+    List.concat_map
+      (fun (_, _, prepared, state) ->
+        Utc_model.Forward.run prepared state ~sends:model_sends ~until:duration)
+      (Utc_inference.Priors.hypotheses (Fun.const topology) [ ((), 1.0) ])
+  in
   let model =
     match outcomes with
     | [ outcome ] ->

@@ -102,12 +102,7 @@ let run config =
     Belief.create ~max_hyps:config.max_hyps ~cap_policy:config.cap_policy
       (Priors.seeds ~config:forward_config config.prior)
   in
-  let engine = Utc_sim.Engine.create ~seed:config.seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let compiled_truth = Compiled.compile_exn config.truth in
-  let runtime =
-    Utc_elements.Runtime.build engine compiled_truth (Utc_core.Receiver.callbacks receiver)
-  in
+  let testbed = Testbed.create ~seed:config.seed config.truth in
   let utility =
     Utc_utility.Utility.make ~alpha:config.alpha ~kappa:config.kappa
       ~cross_discounted:config.cross_discounted ~latency_penalty:config.latency_penalty ()
@@ -115,29 +110,27 @@ let run config =
   let planner =
     { Utc_core.Planner.default_config with utility; delays = config.planner_delays }
   in
-  let isender_config = { Utc_core.Isender.default_config with planner } in
   let isender =
-    Utc_core.Isender.create engine isender_config ~belief ~inject:(fun pkt ->
-        Utc_elements.Runtime.inject runtime Flow.Primary pkt)
+    Testbed.isender testbed { Utc_core.Isender.default_config with planner } ~belief
   in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
   let samples = ref [] in
   let truth = truth_cell Priors.paper_truth in
   let truth_params = Priors.paper_truth in
   Utc_core.Isender.on_wakeup isender (fun now s ->
       let belief = Utc_core.Isender.belief s in
       let posterior = Belief.posterior belief in
+      let entropy = Belief.posterior_entropy posterior in
+      let belief_size = Belief.size belief in
       let mass_where pred =
         List.fold_left (fun acc (p, w) -> if pred p then acc +. w else acc) 0.0 posterior
       in
-      Utc_obs.Metrics.set_gauge entropy_g (Belief.entropy belief);
-      Utc_obs.Metrics.set_gauge size_g (float_of_int (Belief.size belief));
+      Utc_obs.Metrics.set_gauge entropy_g entropy;
+      Utc_obs.Metrics.set_gauge size_g (float_of_int belief_size);
       samples :=
         {
           at = now;
-          belief_size = Belief.size belief;
-          entropy = Belief.entropy belief;
+          belief_size;
+          entropy;
           truth_mass = mass_where (fun p -> truth_cell p = truth);
           m_link = mass_where (fun p -> p.Priors.link_bps = truth_params.Priors.link_bps);
           m_rate = mass_where (fun p -> p.Priors.pinger_pps = truth_params.Priors.pinger_pps);
@@ -157,8 +150,9 @@ let run config =
      re-rooting each run's span subtree at its labeled name keeps every
      recorded path — and the aggregated tree — schedule-independent. *)
   Utc_obs.Metrics.span ~name:span_name ~root:true
-    ~now:(fun () -> Utc_sim.Engine.now engine)
-    (fun () -> Utc_sim.Engine.run ~until:config.duration engine);
+    ~now:(fun () -> Utc_sim.Engine.now testbed.Testbed.engine)
+    (fun () -> Utc_sim.Engine.run ~until:config.duration testbed.Testbed.engine);
+  let receiver = testbed.Testbed.receiver in
   let drops = Utc_core.Receiver.drops receiver in
   let tail_drops =
     List.length
@@ -172,7 +166,7 @@ let run config =
          drops)
   in
   let station =
-    match Compiled.station_ids compiled_truth with
+    match Compiled.station_ids testbed.Testbed.compiled with
     | id :: _ -> id
     | [] -> invalid_arg "Harness.run: ground truth has no station"
   in

@@ -326,21 +326,9 @@ let packet_truth ?(seed = 1) ?(duration = 120.0) ?(foreground = 0) ~topo ~backgr
       shared = shared_path ~topo ~total_flows:total;
     }
   in
-  let engine = Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let compiled = Compiled.compile_exn truth_topo in
-  let runtime = Runtime.build engine compiled (Utc_core.Receiver.callbacks receiver) in
+  let { Testbed.engine; receiver; compiled; _ } as testbed = Testbed.create ~seed truth_topo in
   let tcps =
-    List.map
-      (fun flow ->
-        let tcp =
-          Utc_tcp.Sender.create engine
-            { Utc_tcp.Sender.default_config with flow }
-            ~inject:(fun pkt -> Runtime.inject runtime flow pkt)
-        in
-        Utc_core.Receiver.subscribe receiver flow (fun _ pkt -> Utc_tcp.Sender.on_delivery tcp pkt);
-        tcp)
-      flows
+    List.map (fun flow -> Testbed.tcp testbed { Utc_tcp.Sender.default_config with flow }) flows
   in
   List.iter Utc_tcp.Sender.start tcps;
   Engine.run ~until:duration engine;

@@ -71,13 +71,7 @@ let run_sender ?decide ~seed ~duration ~alpha () =
       (Utc_inference.Priors.seeds ~config:Forward.default_config
          (Utc_inference.Priors.paper_prior ()))
   in
-  let engine = Utc_sim.Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let runtime =
-    Utc_elements.Runtime.build engine
-      (Compiled.compile_exn Utc_inference.Priors.paper_truth_topology)
-      (Utc_core.Receiver.callbacks receiver)
-  in
+  let testbed = Testbed.create ~seed Utc_inference.Priors.paper_truth_topology in
   let utility = Utc_utility.Utility.make ~alpha ~cross_discounted:true () in
   let planner = { Planner.default_config with utility; delays = Harness.paper_delays } in
   let config = { Utc_core.Isender.default_config with planner } in
@@ -89,15 +83,10 @@ let run_sender ?decide ~seed ~duration ~alpha () =
     decide_wall := !decide_wall +. Utc_obs.Obs_clock.elapsed_since start;
     decision
   in
-  let isender =
-    Utc_core.Isender.create ~decide:timed engine config
-      ~belief
-      ~inject:(fun pkt -> Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
+  let isender = Testbed.isender ~decide:timed testbed config ~belief in
   Utc_core.Isender.start isender;
-  Utc_sim.Engine.run ~until:duration engine;
+  Utc_sim.Engine.run ~until:duration testbed.Testbed.engine;
+  let receiver = testbed.Testbed.receiver in
   let cross_drops =
     List.length
       (List.filter

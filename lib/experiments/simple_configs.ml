@@ -22,45 +22,25 @@ let topology ~sources p =
 
 let model_sources = [ Topology.endpoint Flow.Primary ]
 
-let seeds prior =
-  let forward_config = Utc_model.Forward.default_config in
-  List.map
-    (fun (p, w) ->
-      let compiled = Compiled.compile_exn (topology ~sources:model_sources p) in
-      let prepared = Utc_model.Forward.prepare forward_config compiled in
-      let prefill =
-        if p.initial_packets = 0 then []
-        else begin
-          let id = List.hd (Compiled.station_ids compiled) in
-          [
-            ( id,
-              List.init p.initial_packets (fun i ->
-                  Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:0.0 ()) );
-          ]
-        end
-      in
-      let state = Utc_model.Mstate.initial ~prefill ~epoch:1.0 compiled in
-      (p, w, prepared, state))
-    prior
-
 let run_scenario ~seed ~duration ~prior ~truth ~latency_penalty ~prefill_truth () =
-  let belief = Belief.create (seeds prior) in
-  let engine = Utc_sim.Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
+  let belief =
+    Belief.create
+      (Utc_inference.Priors.hypotheses
+         ~queued:(fun p -> p.initial_packets)
+         (topology ~sources:model_sources) prior)
+  in
   let truth_sources =
     if prefill_truth > 0 then Topology.endpoint Flow.Cross :: model_sources else model_sources
   in
-  let compiled_truth = Compiled.compile_exn (topology ~sources:truth_sources truth) in
-  let runtime =
-    Utc_elements.Runtime.build engine compiled_truth (Utc_core.Receiver.callbacks receiver)
-  in
+  let testbed = Testbed.create ~seed (topology ~sources:truth_sources truth) in
   (* Pre-existing queue occupancy: someone else's packets at time 0. *)
   let () =
     if prefill_truth > 0 then
       ignore
-        (Utc_sim.Engine.schedule ~prio:(Evprio.arrival Flow.Cross) engine ~at:0.0 (fun () ->
+        (Utc_sim.Engine.schedule ~prio:(Evprio.arrival Flow.Cross) testbed.Testbed.engine ~at:0.0
+           (fun () ->
              for i = 0 to prefill_truth - 1 do
-               Utc_elements.Runtime.inject runtime Flow.Cross
+               Utc_elements.Runtime.inject testbed.Testbed.runtime Flow.Cross
                  (Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:0.0 ())
              done))
   in
@@ -69,14 +49,9 @@ let run_scenario ~seed ~duration ~prior ~truth ~latency_penalty ~prefill_truth (
   in
   let planner = { Utc_core.Planner.default_config with utility } in
   let config = { Utc_core.Isender.default_config with planner } in
-  let isender =
-    Utc_core.Isender.create engine config ~belief ~inject:(fun pkt ->
-        Utc_elements.Runtime.inject runtime Flow.Primary pkt)
-  in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
+  let isender = Testbed.isender testbed config ~belief in
   Utc_core.Isender.start isender;
-  Utc_sim.Engine.run ~until:duration engine;
+  Utc_sim.Engine.run ~until:duration testbed.Testbed.engine;
   let sent = Utc_core.Isender.sent isender in
   let first_send =
     match sent with
@@ -85,9 +60,9 @@ let run_scenario ~seed ~duration ~prior ~truth ~latency_penalty ~prefill_truth (
   in
   let half = duration /. 2.0 in
   let late_sends = List.length (List.filter (fun (t, _) -> t >= half) sent) in
-  let station = List.hd (Compiled.station_ids compiled_truth) in
+  let station = List.hd (Compiled.station_ids testbed.Testbed.compiled) in
   let queue_before_first_send =
-    let trace = Utc_core.Receiver.queue_trace receiver ~node_id:station in
+    let trace = Utc_core.Receiver.queue_trace testbed.Testbed.receiver ~node_id:station in
     List.fold_left (fun acc (t, bits) -> if t <= first_send then bits else acc) 0 trace
   in
   let posterior_on_truth =

@@ -27,27 +27,16 @@ let run ?(seed = 13) ?(duration = 120.0) ?(true_delay = 0.4) () =
   let prior =
     List.concat_map
       (fun link_bps ->
-        List.map (fun return_delay -> { link_bps; return_delay }) [ 0.0; 0.2; 0.4; 0.6; 0.8 ])
+        List.map
+          (fun return_delay -> ({ link_bps; return_delay }, 1.0))
+          [ 0.0; 0.2; 0.4; 0.6; 0.8 ])
       [ 10_000.0; 12_000.0; 14_000.0; 16_000.0 ]
   in
-  let seeds =
-    List.map
-      (fun p ->
-        let compiled = Compiled.compile_exn (topology p.link_bps) in
-        ( p,
-          1.0,
-          Utc_model.Forward.prepare Utc_model.Forward.default_config compiled,
-          Utc_model.Mstate.initial ~epoch:1.0 compiled ))
-      prior
+  let belief =
+    Belief.create ~obs_offset:(fun p -> p.return_delay)
+      (Utc_inference.Priors.hypotheses (fun p -> topology p.link_bps) prior)
   in
-  let belief = Belief.create ~obs_offset:(fun p -> p.return_delay) seeds in
-  let engine = Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let runtime =
-    Utc_elements.Runtime.build engine
-      (Compiled.compile_exn (topology 12_000.0))
-      (Utc_core.Receiver.callbacks receiver)
-  in
+  let { Testbed.engine; receiver; runtime; _ } = Testbed.create ~seed (topology 12_000.0) in
   let isender =
     Utc_core.Isender.create engine Utc_core.Isender.default_config ~belief ~inject:(fun pkt ->
         Utc_elements.Runtime.inject runtime Flow.Primary pkt)

@@ -31,10 +31,7 @@ let isender_vs_tcp ?(seed = 9) ?(duration = 300.0) ?(alpha = 1.0) () =
           [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:12_000.0 ];
     }
   in
-  let engine = Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let compiled = Compiled.compile_exn truth in
-  let runtime = Utc_elements.Runtime.build engine compiled (Utc_core.Receiver.callbacks receiver) in
+  let testbed = Testbed.create ~seed truth in
   (* The ISender keeps its §4 model family: TCP's traffic must be
      explained as an intermittent pinger, i.e. deliberate
      misspecification. *)
@@ -47,23 +44,13 @@ let isender_vs_tcp ?(seed = 9) ?(duration = 300.0) ?(alpha = 1.0) () =
     { Utc_core.Planner.default_config with utility; delays = Harness.paper_delays }
   in
   let isender =
-    Utc_core.Isender.create engine
-      { Utc_core.Isender.default_config with planner }
-      ~belief
-      ~inject:(fun pkt -> Utc_elements.Runtime.inject runtime Flow.Primary pkt)
+    Testbed.isender testbed { Utc_core.Isender.default_config with planner } ~belief
   in
-  Utc_core.Receiver.subscribe receiver Flow.Primary (fun _ pkt ->
-      Utc_core.Isender.on_ack isender pkt);
-  let tcp =
-    Utc_tcp.Sender.create engine
-      { Utc_tcp.Sender.default_config with flow = Flow.Aux 0 }
-      ~inject:(fun pkt -> Utc_elements.Runtime.inject runtime (Flow.Aux 0) pkt)
-  in
-  Utc_core.Receiver.subscribe receiver (Flow.Aux 0) (fun _ pkt ->
-      Utc_tcp.Sender.on_delivery tcp pkt);
+  let tcp = Testbed.tcp testbed { Utc_tcp.Sender.default_config with flow = Flow.Aux 0 } in
   Utc_core.Isender.start isender;
   Utc_tcp.Sender.start tcp;
-  Engine.run ~until:duration engine;
+  Engine.run ~until:duration testbed.Testbed.engine;
+  let receiver = testbed.Testbed.receiver in
   let primary_bps = Utc_core.Receiver.throughput receiver Flow.Primary ~since:0.0 ~until:duration in
   let other_bps = Utc_core.Receiver.throughput receiver (Flow.Aux 0) ~since:0.0 ~until:duration in
   {
@@ -89,10 +76,7 @@ let isender_vs_isender ?(seed = 9) ?(duration = 300.0) ?(alpha = 1.0) () =
           [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:12_000.0 ];
     }
   in
-  let engine = Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let compiled = Compiled.compile_exn truth in
-  let runtime = Utc_elements.Runtime.build engine compiled (Utc_core.Receiver.callbacks receiver) in
+  let { Testbed.engine; receiver; runtime; _ } = Testbed.create ~seed truth in
   let utility = Utc_utility.Utility.make ~alpha ~cross_discounted:true () in
   let planner =
     { Utc_core.Planner.default_config with utility; delays = Harness.paper_delays }
@@ -182,10 +166,7 @@ let many_senders ?(seed = 9) ?(duration = 60.0) ~senders () =
           ];
     }
   in
-  let engine = Engine.create ~seed () in
-  let receiver = Utc_core.Receiver.create engine in
-  let compiled = Compiled.compile_exn truth in
-  let runtime = Utc_elements.Runtime.build engine compiled (Utc_core.Receiver.callbacks receiver) in
+  let { Testbed.engine; receiver; runtime; _ } = Testbed.create ~seed truth in
   let tcps =
     List.map
       (fun flow ->

@@ -462,9 +462,10 @@ let posterior t =
   let groups = List.rev_map (fun k -> Hashtbl.find table k) !order in
   List.sort (fun (_, a) (_, b) -> Float.compare b a) groups
 
-let entropy t =
-  let weights = List.map snd (posterior t) in
-  Logw.entropy (List.map (fun w -> if w <= 0.0 then neg_infinity else log w) weights)
+let posterior_entropy posterior =
+  Logw.entropy (List.map (fun (_, w) -> if w <= 0.0 then neg_infinity else log w) posterior)
+
+let entropy t = posterior_entropy (posterior t)
 
 let ess t =
   let s = t.store in

@@ -170,7 +170,11 @@ val mean : 'p t -> value:('p -> float) -> float
 (** Posterior mean of a scalar function of the parameters. *)
 
 val entropy : 'p t -> float
-(** Entropy (nats) over parameter vectors. *)
+(** Entropy (nats) over parameter vectors: [posterior_entropy (posterior t)]. *)
+
+val posterior_entropy : ('p * float) list -> float
+(** Entropy (nats) of a {!posterior}'s weights, for a caller that already
+    holds the posterior. *)
 
 val ess : 'p t -> float
 (** Effective sample size of the hypothesis weights, [1 / Σ w²]: ranges

@@ -40,7 +40,7 @@ let top_weight belief =
 
 let ess_ratio belief =
   let size = Belief.size belief in
-  if size = 0 then 0.0 else Particle.ess belief /. float_of_int size
+  if size = 0 then 0.0 else Belief.ess belief /. float_of_int size
 
 let signals_c = Utc_obs.Metrics.counter "inference.degeneracy.signals"
 
@@ -62,12 +62,13 @@ let observe t belief (status : Belief.update_status) =
     else signals
   in
   Utc_obs.Metrics.add signals_c (List.length signals);
-  List.iter
-    (fun s ->
-      Utc_obs.Sink.record ~at:(Belief.now belief)
-        (Utc_obs.Event.Degeneracy_signal
-           { signal = Format.asprintf "%a" pp_signal s; streak = t.streak }))
-    signals;
+  if Utc_obs.Sink.enabled () then
+    List.iter
+      (fun s ->
+        Utc_obs.Sink.record ~at:(Belief.now belief)
+          (Utc_obs.Event.Degeneracy_signal
+             { signal = Format.asprintf "%a" pp_signal s; streak = t.streak }))
+      signals;
   signals
 
 let streak t = t.streak

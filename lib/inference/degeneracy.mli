@@ -1,6 +1,6 @@
 (** Belief-collapse detection: a first-class monitor over {!Belief}.
 
-    Promotes the {!Particle} diagnostics into a stateful watchdog the
+    A stateful watchdog over the belief's weight diagnostics that the
     sender can consult every wakeup. Three symptoms are watched:
 
     - {b Rejection streak}: consecutive {!Belief.All_rejected} updates —
@@ -11,7 +11,7 @@
       weight.
     - {b Weight concentration}: the top hypothesis holds essentially all
       the mass. On a discrete grid this is often {e convergence}, not
-      collapse (see {!Particle}); the monitor reports it and leaves the
+      collapse; the monitor reports it and leaves the
       policy to the caller (the ISender's recovery ladder only acts on
       rejection streaks).
 
@@ -43,7 +43,8 @@ val create : ?config:config -> unit -> t
 
 val observe : t -> 'p Belief.t -> Belief.update_status -> signal list
 (** Feed one filtering step's result; returns the symptoms currently
-    present (empty = healthy). Updates the streak counters. *)
+    present (empty = healthy). Updates the streak counters, and journals
+    one [Degeneracy_signal] per symptom while the sink is enabled. *)
 
 val streak : t -> int
 (** Current consecutive-rejection streak. *)
@@ -61,4 +62,4 @@ val top_weight : 'p Belief.t -> float
 (** Weight of the heaviest hypothesis; 0 for an empty belief. *)
 
 val ess_ratio : 'p Belief.t -> float
-(** [Particle.ess / size]; 0 for an empty belief. *)
+(** [Belief.ess / size]; 0 for an empty belief. *)

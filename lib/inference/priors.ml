@@ -22,25 +22,33 @@ let fig2_topology p =
       (Topology.intermittent ~initially_connected:p.gate_on
          ~mean_time_to_switch:p.mean_time_to_switch ())
 
-let fig2_hypothesis ~config p =
-  let compiled = Compiled.compile_exn (fig2_topology p) in
-  let prepared = Utc_model.Forward.prepare config compiled in
-  let prefill =
-    if p.initial_packets = 0 then []
-    else begin
-      let station_id =
-        match Compiled.station_ids compiled with
-        | [ id ] -> id
-        | ids -> invalid_arg (Printf.sprintf "fig2 model has %d stations" (List.length ids))
+let hypotheses ?(config = Utc_model.Forward.default_config) ?(queued = fun _ -> 0) model prior =
+  List.map
+    (fun (p, w) ->
+      let compiled = Compiled.compile_exn (model p) in
+      let prepared = Utc_model.Forward.prepare config compiled in
+      let prefill =
+        match queued p with
+        | 0 -> []
+        | n ->
+          let station =
+            match Compiled.station_ids compiled with
+            | [ id ] -> id
+            | ids ->
+              invalid_arg
+                (Printf.sprintf "Priors.hypotheses: %d queued packets need one station, not %d" n
+                   (List.length ids))
+          in
+          let packet i =
+            Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:Utc_sim.Timebase.zero ()
+          in
+          [ (station, List.init n packet) ]
       in
-      let packet i =
-        Packet.make ~flow:Flow.Cross ~seq:(-1 - i) ~sent_at:Utc_sim.Timebase.zero ()
+      let state =
+        Utc_model.Mstate.initial ~prefill ~epoch:config.Utc_model.Forward.epoch compiled
       in
-      [ (station_id, List.init p.initial_packets packet) ]
-    end
-  in
-  let state = Utc_model.Mstate.initial ~prefill ~epoch:config.Utc_model.Forward.epoch compiled in
-  (prepared, state)
+      (p, w, prepared, state))
+    prior
 
 let grid_float ~lo ~hi ~step =
   assert (step > 0.0 && hi >= lo);
@@ -110,8 +118,4 @@ let paper_truth_topology =
     ~cross_gate:(Topology.squarewave ~interval:100.0 ())
 
 let seeds ~config prior =
-  List.map
-    (fun (p, w) ->
-      let prepared, state = fig2_hypothesis ~config p in
-      (p, w, prepared, state))
-    prior
+  hypotheses ~config ~queued:(fun p -> p.initial_packets) fig2_topology prior

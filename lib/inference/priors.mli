@@ -28,14 +28,6 @@ val fig2_topology : fig2_params -> Utc_net.Topology.t
 (** The sender's model of Figure 2: pinger through an [Intermittent] gate,
     shared buffer and link, last-mile loss. *)
 
-val fig2_hypothesis :
-  config:Utc_model.Forward.config ->
-  fig2_params ->
-  Utc_model.Forward.prepared * Utc_model.Mstate.t
-(** Compile the model and build its initial state, seeding the buffer with
-    [initial_packets] cross-flow packets (sequence numbers from -1 down,
-    so they never collide with real pinger traffic). *)
-
 (** {1 Grid helpers} *)
 
 val grid_float : lo:float -> hi:float -> step:float -> float list
@@ -59,8 +51,26 @@ val paper_truth_topology : Utc_net.Topology.t
 (** Ground truth of §4: same shape but the cross traffic is gated by a
     deterministic 100 s [Squarewave]. *)
 
+(** {1 Hypotheses} *)
+
+val hypotheses :
+  ?config:Utc_model.Forward.config ->
+  ?queued:('p -> int) ->
+  ('p -> Utc_net.Topology.t) ->
+  ('p * float) list ->
+  ('p * float * Utc_model.Forward.prepared * Utc_model.Mstate.t) list
+(** {!Belief.create} input from a prior over a model family: each cell's
+    [model] compiled, prepared under [config] (default
+    {!Utc_model.Forward.default_config}) and started at time 0 with the
+    config's gate epoch. [queued p] (default 0) cross-flow packets start
+    in the model's one station, the first in service; their sequence
+    numbers run from -1 down, so they never collide with real traffic.
+    @raise Invalid_argument if [queued p] is negative, or positive for a
+    model that does not have exactly one station. *)
+
 val seeds :
   config:Utc_model.Forward.config ->
   (fig2_params * float) list ->
   (fig2_params * float * Utc_model.Forward.prepared * Utc_model.Mstate.t) list
-(** Build {!Belief.create} input from a prior. *)
+(** {!hypotheses} of the Figure 2 family ({!fig2_topology}), each with
+    [initial_packets] queued. *)

@@ -129,9 +129,42 @@ let aqm_rows () =
     true
     (codel.E.Versus.mean_rtt < taildrop.E.Versus.mean_rtt)
 
+(* The testbed schedules nothing of its own: after creating it and
+   attaching an ISender and a Reno sender, the engine holds what
+   Runtime.build scheduled and its RNG has not moved. *)
+let testbed_schedules_nothing () =
+  let open Utc_net in
+  let truth = Utc_inference.Priors.paper_truth_topology in
+  let truth =
+    { truth with Topology.sources = Topology.endpoint (Flow.Aux 0) :: truth.Topology.sources }
+  in
+  let reference = Utc_sim.Engine.create ~seed:4 () in
+  let receiver = Utc_core.Receiver.create reference in
+  ignore
+    (Utc_elements.Runtime.build reference (Compiled.compile_exn truth)
+       (Utc_core.Receiver.callbacks receiver));
+  let testbed = E.Testbed.create ~seed:4 truth in
+  let engine = testbed.E.Testbed.engine in
+  let scheduled = Utc_sim.Engine.pending reference in
+  Alcotest.(check bool) "the truth schedules its pinger" true (scheduled > 0);
+  Alcotest.(check int) "create schedules what Runtime.build does" scheduled
+    (Utc_sim.Engine.pending engine);
+  let belief =
+    Utc_inference.Belief.create
+      (Utc_inference.Priors.seeds ~config:Utc_model.Forward.default_config
+         [ (Utc_inference.Priors.paper_truth, 1.0) ])
+  in
+  ignore (E.Testbed.isender testbed Utc_core.Isender.default_config ~belief);
+  ignore (E.Testbed.tcp testbed { Utc_tcp.Sender.default_config with flow = Flow.Aux 0 });
+  Alcotest.(check int) "attaching schedules nothing" scheduled (Utc_sim.Engine.pending engine);
+  Alcotest.(check int64) "and draws nothing"
+    (Utc_sim.Rng.bits64 (Utc_sim.Engine.rng reference))
+    (Utc_sim.Rng.bits64 (Utc_sim.Engine.rng engine))
+
 let suite =
   [
     ("fig2 agreement", `Quick, fig2_agreement);
+    ("testbed schedules nothing", `Quick, testbed_schedules_nothing);
     ("simple unknown link", `Slow, simple_unknown_link);
     ("simple drain first", `Slow, simple_drain_first);
     ("fig3 alpha shape", `Slow, fig3_alpha_shape);

@@ -304,19 +304,59 @@ let paper_truth_values () =
   Alcotest.(check int) "buffer" 96_000 t.Priors.buffer_bits
 
 let fig2_hypothesis_prefill () =
-  let config = Forward.default_config in
   let params = { Priors.paper_truth with Priors.initial_packets = 3 } in
-  let _, state = Priors.fig2_hypothesis ~config params in
-  let station = 0 in
-  (* The fig2 model compiles station first? find it. *)
-  ignore station;
-  let bits =
-    Array.to_list state.Mstate.nodes
-    |> List.filter_map (function
-         | Mstate.MStation _ -> Some ()
-         | Mstate.MGate _ | Mstate.MEither _ | Mstate.MMultipath _ | Mstate.MStateless -> None)
+  match Priors.seeds ~config:Forward.default_config [ (params, 1.0) ] with
+  | [ (_, _, prepared, state) ] ->
+    let station =
+      match Compiled.station_ids (Forward.compiled_of prepared) with
+      | [ id ] -> id
+      | ids -> Alcotest.failf "expected one station, got %d" (List.length ids)
+    in
+    Alcotest.(check int) "three packets in the station" (3 * Packet.default_bits)
+      (Mstate.station_bits state station)
+  | seeds -> Alcotest.failf "expected one hypothesis, got %d" (List.length seeds)
+
+(* The first decision epoch of a memoryless gate comes from the config
+   the hypothesis is prepared under. *)
+let hypotheses_read_config_epoch () =
+  let config = { Forward.default_config with Forward.epoch = 2.5 } in
+  match Priors.hypotheses ~config Priors.fig2_topology [ (Priors.paper_truth, 1.0) ] with
+  | [ (_, _, _, state) ] ->
+    let epochs =
+      List.filter_map
+        (fun (e : Mstate.event) ->
+          match e.Mstate.ev with
+          | Mstate.Gate_epoch _ -> Some e.Mstate.time
+          | Mstate.Arrive _ | Mstate.Complete _ | Mstate.Pinger_emit _ | Mstate.Gate_toggle _ ->
+            None)
+        state.Mstate.pending
+    in
+    Alcotest.(check (list (float 0.0))) "first epoch at the config's" [ 2.5 ] epochs
+  | seeds -> Alcotest.failf "expected one hypothesis, got %d" (List.length seeds)
+
+let hypotheses_queue_needs_one_station () =
+  let model stations =
+    {
+      Topology.sources = [ Topology.endpoint Flow.Primary ];
+      shared =
+        Topology.series
+          (List.concat
+             (List.init stations (fun _ ->
+                  [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:12_000.0 ])));
+    }
   in
-  Alcotest.(check int) "one station" 1 (List.length bits)
+  let build stations queued =
+    ignore (Priors.hypotheses ~queued:(fun _ -> queued) model [ (stations, 1.0) ])
+  in
+  build 0 0;
+  build 2 0;
+  build 1 2;
+  List.iter
+    (fun stations ->
+      match build stations 2 with
+      | () -> Alcotest.failf "queued packets accepted with %d stations" stations
+      | exception Invalid_argument _ -> ())
+    [ 0; 2 ]
 
 let suite =
   [
@@ -340,6 +380,8 @@ let suite =
     ("paper prior shape", `Quick, paper_prior_shape);
     ("paper truth values", `Quick, paper_truth_values);
     ("fig2 hypothesis prefill", `Quick, fig2_hypothesis_prefill);
+    ("hypotheses read the config's epoch", `Quick, hypotheses_read_config_epoch);
+    ("hypotheses queue needs one station", `Quick, hypotheses_queue_needs_one_station);
   ]
 
 (* --- observation offset (return-path delay / clock skew) --- *)
@@ -416,13 +458,12 @@ let offset_suite =
 
 let suite = suite @ offset_suite
 
-(* --- Particle diagnostics --- *)
+(* --- Particle-filter diagnostics: ESS, support, the resampling cap --- *)
 
 let particle_ess_uniform () =
   let belief = Belief.create (small_family ()) in
-  Alcotest.(check (float 1e-6)) "uniform ESS = n" 4.0 (Utc_inference.Particle.ess belief);
-  Alcotest.(check bool) "not degenerate" false (Utc_inference.Particle.degenerate belief);
-  Alcotest.(check int) "diversity" 4 (Utc_inference.Particle.diversity belief)
+  Alcotest.(check (float 1e-6)) "uniform ESS = n" 4.0 (Belief.ess belief);
+  Alcotest.(check int) "support size" 4 (List.length (Belief.posterior belief))
 
 let particle_ess_after_collapse () =
   let belief = Belief.create (small_family ()) in
@@ -431,19 +472,18 @@ let particle_ess_after_collapse () =
       ~acks:[ { Belief.seq = 0; time = 1.0 } ]
       ~now:1.0 ()
   in
-  (* Posterior collapsed to one cell: ESS = size = 1; degenerate is false
-     because ESS/size = 1. *)
-  Alcotest.(check (float 1e-6)) "ESS 1" 1.0 (Utc_inference.Particle.ess belief);
-  Alcotest.(check bool) "full-collapse is fine on a grid" false
-    (Utc_inference.Particle.degenerate belief)
+  (* Posterior collapsed to one cell: ESS = size = 1. *)
+  Alcotest.(check (float 1e-6)) "ESS 1" 1.0 (Belief.ess belief)
 
 let particle_create_bounded () =
   let seeds = List.init 40 (fun i -> seed_of { rate = 500.0 *. float_of_int (i + 1); fill = 0 } 1.0) in
-  let belief = Utc_inference.Particle.create ~particles:8 ~seed:3 seeds in
+  let belief =
+    Belief.create ~max_hyps:8 ~cap_policy:(`Resample (Utc_sim.Rng.create ~seed:3)) seeds
+  in
   let belief = Belief.advance belief ~sends:[] ~now:0.5 () in
   Alcotest.(check bool) "bounded by particle count" true (Belief.size belief <= 8);
   Alcotest.(check bool) "ess within bounds" true
-    (Utc_inference.Particle.ess belief <= float_of_int (Belief.size belief) +. 1e-9)
+    (Belief.ess belief <= float_of_int (Belief.size belief) +. 1e-9)
 
 let particle_suite =
   [
@@ -566,6 +606,64 @@ let degeneracy_probes () =
       ~now:1.0 ()
   in
   Alcotest.(check (float 1e-9)) "collapsed top weight" 1.0 (Degeneracy.top_weight belief)
+
+(* Signals are journaled only while the sink is on, and with it off a
+   signal costs its list cell but no payload; the monitor's answer does
+   not depend on the sink. *)
+let degeneracy_journal_follows_the_sink () =
+  let module Sink = Utc_obs.Sink in
+  let collapsed, _ =
+    Belief.update (Belief.create (small_family ())) ~sends:[ send ~at:0.0 ~seq:0 ]
+      ~acks:[ { Belief.seq = 0; time = 1.0 } ]
+      ~now:1.0 ()
+  in
+  let signalling = { Degeneracy.default_config with streak_limit = 1 } in
+  let with_sink ~enabled f =
+    let was_enabled = Sink.enabled () in
+    if enabled then Sink.enable () else Sink.disable ();
+    Fun.protect ~finally:(fun () -> if was_enabled then Sink.enable () else Sink.disable ()) f
+  in
+  let observe ~enabled =
+    let handle = Sink.create () in
+    let monitor = Degeneracy.create ~config:signalling () in
+    let signals =
+      with_sink ~enabled (fun () ->
+          Sink.with_run ~run:"degeneracy" handle (fun () ->
+              Degeneracy.observe monitor collapsed Belief.All_rejected))
+    in
+    let journaled =
+      List.filter_map
+        (fun (r : Sink.recorded) ->
+          match r.Sink.event with
+          | Utc_obs.Event.Degeneracy_signal { signal; streak } -> Some (signal, streak)
+          | _ -> None)
+        (Sink.events_of handle)
+    in
+    (signals, journaled)
+  in
+  let signals, journaled = observe ~enabled:true in
+  let quiet, silent = observe ~enabled:false in
+  Alcotest.(check (list string)) "journaled while on"
+    [ "weight_concentration"; "rejection_streak" ]
+    (List.map fst journaled);
+  Alcotest.(check (list int)) "with the streak" [ 1; 1 ] (List.map snd journaled);
+  Alcotest.(check int) "nothing while off" 0 (List.length silent);
+  Alcotest.(check bool) "same signals either way" true (signals = quiet);
+  Alcotest.(check int) "two signals" 2 (List.length signals);
+  let words_per_observe config =
+    let monitor = Degeneracy.create ~config () in
+    with_sink ~enabled:false (fun () ->
+        let before = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Degeneracy.observe monitor collapsed Belief.All_rejected))
+        done;
+        (Gc.minor_words () -. before) /. 1_000.0)
+  in
+  let none = { signalling with streak_limit = max_int; top_weight_ceiling = infinity } in
+  let extra = words_per_observe signalling -. words_per_observe none in
+  Alcotest.(check bool)
+    (Printf.sprintf "two signals cost their list cells only (%.0f words)" extra)
+    true (extra < 16.0)
 
 (* A reseeded model keeps its pinger and periodic gate on the anchored
    clock. Stepping the §4 truth model, reseeded at [t0], one pending
@@ -715,6 +813,7 @@ let robustness_suite =
     ("ll_floor validation", `Quick, ll_floor_validation);
     ("degeneracy streaks", `Quick, degeneracy_streaks);
     ("degeneracy probes", `Quick, degeneracy_probes);
+    ("degeneracy journal follows the sink", `Quick, degeneracy_journal_follows_the_sink);
     ("reseed anchors pinger and gate clocks", `Quick, reseed_anchors_clocks);
     ("trails keep forks apart", `Quick, trails_keep_forks_apart);
     ("loss-rate twins keep their likelihoods", `Quick, loss_rate_twins_keep_their_likelihoods);

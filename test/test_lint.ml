@@ -330,6 +330,39 @@ let r9_direct_and_local () =
         \    xs\n" );
     ]
 
+(* A wrapper that builds a value, wires it and returns it from a [let]
+   hands its caller a fresh value; one that returns a let-bound global
+   does not. *)
+let r9_let_bound_results () =
+  let box = ("lib/exp/box.ml", "let create () = { v = 0 }\nlet bump b = b.v <- b.v + 1\n") in
+  let job =
+    ( "bin/j.ml",
+      "let run pool xs =\n\
+      \  Utc_parallel.Pool.map_list pool ~f:(fun _ -> let b = Wrap.make () in Box.bump b) xs\n" )
+  in
+  check_rules "pool job mutates a wrapper's let-bound fresh result" []
+    [
+      box; ("lib/exp/box.mli", "");
+      ( "lib/exp/wrap.ml",
+        "let make () =\n\
+        \  let b = Box.create () in\n\
+        \  Box.bump b;\n\
+        \  b\n" );
+      ("lib/exp/wrap.mli", "");
+      job;
+    ];
+  check_rules "pool job mutates a wrapper's let-bound global" [ "R9" ]
+    [
+      box; ("lib/exp/box.mli", "");
+      ( "lib/exp/wrap.ml",
+        "let shared = Box.create ()\n\
+         let make () =\n\
+        \  let b = shared in\n\
+        \  b\n" );
+      ("lib/exp/wrap.mli", "");
+      job;
+    ]
+
 let r9_suppression () =
   let racy =
     "let total = ref 0.0\n\
@@ -618,6 +651,7 @@ let suite =
     ("R9 registry handle race", `Quick, r9_registry_handle);
     ("R9 atomic vs plain counter", `Quick, r9_atomic_vs_plain);
     ("R9 direct and job-local state", `Quick, r9_direct_and_local);
+    ("R9 let-bound wrapper results", `Quick, r9_let_bound_results);
     ("R9 suppression", `Quick, r9_suppression);
     ("R10 detects impurity", `Quick, r10_detects);
     ("R10 negatives", `Quick, r10_negatives);

@@ -227,6 +227,13 @@ let rec target_name ctx env e =
     base ^ "." ^ String.concat "." (flatten_longident f.Asttypes.txt)
   | _ -> ignore env; "<expr>"
 
+let bind_all env ~cls names = List.fold_left (fun env n -> SMap.add n cls env) env names
+
+let class_of_freshness = function
+  | Some [] -> B_fresh
+  | Some [ p ] -> B_call p
+  | Some _ | None -> B_derived
+
 (* Syntactic freshness of an expression: [Some []] definitely fresh,
    [Some deps] fresh iff the named callees return fresh, [None] not. *)
 let rec freshness ctx env e : freshness =
@@ -242,8 +249,8 @@ let rec freshness ctx env e : freshness =
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt = lid; _ }; _ }, _) ->
     let path = path_of ctx lid in
     if mem_suffix fresh_ctor_names path then Some [] else Some [ path ]
-  | Pexp_let (_, _, body) | Pexp_sequence (_, body) | Pexp_open (_, body) ->
-    freshness ctx env body
+  | Pexp_let (_, bindings, body) -> freshness ctx (bind_let ctx env bindings) body
+  | Pexp_sequence (_, body) | Pexp_open (_, body) -> freshness ctx env body
   | Pexp_constraint (inner, _) | Pexp_coerce (inner, _, _) -> freshness ctx env inner
   | Pexp_ifthenelse (_, a, Some b) -> combine [ freshness ctx env a; freshness ctx env b ]
   | Pexp_match (_, cases) | Pexp_try (_, cases) ->
@@ -258,10 +265,16 @@ and combine branches =
       | Some a, Some b -> Some (a @ b))
     (Some []) branches
 
-let class_of_freshness = function
-  | Some [] -> B_fresh
-  | Some [ p ] -> B_call p
-  | Some _ | None -> B_derived
+(* A single-name binding takes the freshness class of its right-hand
+   side, so [let s = make () in ...; s] is as fresh as [make ()]; any
+   other pattern binds its names as derived. *)
+and bind_let ctx env bindings =
+  List.fold_left
+    (fun env vb ->
+      match pattern_vars [] vb.pvb_pat with
+      | [ name ] -> SMap.add name (class_of_freshness (freshness ctx env vb.pvb_expr)) env
+      | many -> bind_all env ~cls:B_derived many)
+    env bindings
 
 (* Pre-scan: local function names passed by name to iterator HOFs (their
    bodies run per element, so they count as loop context). *)
@@ -390,8 +403,6 @@ let rec walk ctx env ~in_loop e =
   | Pexp_override fields -> List.iter (fun (_, v) -> walk ctx env ~in_loop v) fields
   | Pexp_object _ | Pexp_pack _ -> ()
 
-and bind_all env ~cls names = List.fold_left (fun env n -> SMap.add n cls env) env names
-
 and walk_cases ctx env ~in_loop cases =
   List.iter
     (fun c ->
@@ -401,15 +412,7 @@ and walk_cases ctx env ~in_loop cases =
     cases
 
 and walk_local_let ctx env ~in_loop rec_flag bindings =
-  let names = List.concat_map (fun vb -> pattern_vars [] vb.pvb_pat) bindings in
-  let env_after =
-    List.fold_left
-      (fun env vb ->
-        match pattern_vars [] vb.pvb_pat with
-        | [ name ] -> SMap.add name (class_of_freshness (freshness ctx env vb.pvb_expr)) env
-        | many -> bind_all env ~cls:B_derived many)
-      env bindings
-  in
+  let env_after = bind_let ctx env bindings in
   let env_body = if rec_flag = Asttypes.Recursive then env_after else env in
   List.iter
     (fun vb ->
@@ -439,7 +442,6 @@ and walk_local_let ctx env ~in_loop rec_flag bindings =
       end
       else walk ctx env_body ~in_loop:(in_loop || iterated) vb.pvb_expr)
     bindings;
-  ignore names;
   env_after
 
 and walk_apply ctx env ~in_loop ~line path args =
