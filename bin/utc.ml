@@ -11,13 +11,50 @@ let setup_logs level =
 
 let logs_term = Term.(const setup_logs $ Logs_cli.level ())
 
+(* A flag value out of range is a usage error (exit 124), caught where
+   the flag is parsed rather than raised from inside a run. *)
+let checked ~docv of_string pp ~expected ok =
+  let parse s =
+    match of_string s with
+    | Some x when ok x -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv ~docv (parse, pp)
+
+let int_range lo hi =
+  checked ~docv:"N" int_of_string_opt Format.pp_print_int
+    ~expected:(Printf.sprintf "an integer in %d..%d" lo hi)
+    (fun n -> lo <= n && n <= hi)
+
+let positive_int =
+  checked ~docv:"N" int_of_string_opt Format.pp_print_int ~expected:"a positive integer" (fun n ->
+      n >= 1)
+
+let positive_float =
+  checked ~docv:"X" float_of_string_opt Format.pp_print_float ~expected:"a positive number"
+    (fun x -> x > 0.0 && Float.is_finite x)
+
+(* Packet-accurate senders share one bottleneck up to this many; the
+   fluid backend takes background populations up to its own cap. *)
+let max_senders = 256
+let max_background = Utc_elements.Fluid.max_total_flows
+
+(* Flag values that are each in range but not together: a usage error
+   all the same. *)
+let usage_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "utc: %s@." msg;
+      exit Cmd.Exit.cli_error)
+    fmt
+
 let seed =
   let doc = "Random seed for the ground-truth simulation." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
 let duration default =
   let doc = "Simulated seconds." in
-  Arg.(value & opt float default & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float default & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let out_file =
   let doc = "Also write gnuplot-ready rows ($(i,time value) per line) to this file." in
@@ -30,14 +67,6 @@ let domains_opt =
      count). Commands that run one simulation ignore it. The pool's partition/merge is \
      deterministic, so every result is bit-identical to serial."
   in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-  in
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 (* [--domains] resizes the process-wide pool that [Harness.run_many]
@@ -48,12 +77,22 @@ let resolve_pool domains =
   | None -> ());
   Utc_parallel.Pool.default ()
 
+(* An output path that cannot be written is reported on one [utc:]
+   line, not as an uncaught exception. *)
+let write_file path write =
+  match write ~path with
+  | () -> ()
+  | exception Sys_error msg ->
+    Format.eprintf "utc: %s@." msg;
+    exit Cmd.Exit.some_error
+
 let dump_rows path rows =
   match path with
   | None -> ()
   | Some path ->
-    Utc_stats.Dataio.write_series ~path
-      (List.map (fun (label, points) -> { Utc_stats.Dataio.label; points }) rows);
+    write_file path
+      (Utc_stats.Dataio.write_series
+         (List.map (fun (label, points) -> { Utc_stats.Dataio.label; points }) rows));
     Format.printf "wrote %s@." path
 
 (* --- fig1 --- *)
@@ -170,7 +209,8 @@ let senders_opt =
      bottleneck whose rate and buffer scale with N, with per-flow accounting in the \
      $(b,versus.flow.*) metric families."
   in
-  Arg.(value & opt int 0 & info [ "senders" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some (int_range 1 max_senders)) None & info [ "senders" ] ~docv:"N" ~doc)
 
 let background_opt =
   let doc =
@@ -178,7 +218,7 @@ let background_opt =
      mean-field population (any N up to ~4M); on the $(b,packet) backend they are real Reno \
      senders and count against the 256-sender cap."
   in
-  Arg.(value & opt int 0 & info [ "background" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_range 0 max_background) 0 & info [ "background" ] ~docv:"N" ~doc)
 
 let backend_opt =
   let doc = "Background backend: $(b,packet) (direct runtime) or $(b,fluid) (mean-field)." in
@@ -188,26 +228,27 @@ let backend_opt =
 
 let versus_cmd =
   let run () seed duration senders background backend =
-    match backend with
-    | `Fluid ->
-      let foreground = if senders > 0 then senders else 2 in
+    let many senders =
+      Format.printf "Extension: %d Reno senders contending for one bottleneck@.@." senders;
+      E.Versus.pp_many Format.std_formatter (E.Versus.many_senders ~seed ~duration ~senders ())
+    in
+    match (backend, senders) with
+    | `Fluid, _ ->
+      let foreground = Option.value senders ~default:2 in
       Format.printf "Extension: %d fluid background flows + %d packet-accurate Reno senders@.@."
         background foreground;
       let config = { E.Meanfield.default_config with seed; duration; background; foreground } in
       Format.printf "@[<v>%a@]@." E.Meanfield.pp_summary (E.Meanfield.run ~config ())
-    | `Packet when background > 0 ->
-      let senders = (if senders > 0 then senders else 2) + background in
-      Format.printf "Extension: %d Reno senders contending for one bottleneck@.@." senders;
-      E.Versus.pp_many Format.std_formatter (E.Versus.many_senders ~seed ~duration ~senders ())
-    | `Packet ->
-      if senders > 0 then begin
-        Format.printf "Extension: %d Reno senders contending for one bottleneck@.@." senders;
-        E.Versus.pp_many Format.std_formatter (E.Versus.many_senders ~seed ~duration ~senders ())
-      end
-      else begin
-        Format.printf "Extension (S3.5 open question): ISender sharing a bottleneck with TCP@.@.";
-        E.Versus.pp_share Format.std_formatter (E.Versus.isender_vs_tcp ~seed ~duration ())
-      end
+    | `Packet, _ when background > 0 ->
+      let senders = Option.value senders ~default:2 + background in
+      if senders > max_senders then
+        usage_error "%d packet senders exceed the cap of %d; use --backend fluid" senders
+          max_senders;
+      many senders
+    | `Packet, Some senders -> many senders
+    | `Packet, None ->
+      Format.printf "Extension (S3.5 open question): ISender sharing a bottleneck with TCP@.@.";
+      E.Versus.pp_share Format.std_formatter (E.Versus.isender_vs_tcp ~seed ~duration ())
   in
   let info =
     Cmd.info "versus"
@@ -235,15 +276,18 @@ let versus2_cmd =
 let meanfield_cmd =
   let classes_opt =
     let doc = "Population classes the background is chunked into." in
-    Arg.(value & opt int 8 & info [ "classes" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (int_range 1 Utc_elements.Fluid.max_classes) 8
+      & info [ "classes" ] ~docv:"N" ~doc)
   in
   let bg_opt =
     let doc = "Fluid background flows." in
-    Arg.(value & opt int 5_000 & info [ "background" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_range 0 max_background) 5_000 & info [ "background" ] ~docv:"N" ~doc)
   in
   let fg_opt =
     let doc = "Packet-accurate foreground Reno senders." in
-    Arg.(value & opt int 2 & info [ "foreground" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_range 0 max_senders) 2 & info [ "foreground" ] ~docv:"N" ~doc)
   in
   let topo_opt =
     let doc = "Topology: $(b,single) bottleneck or $(b,parking_lot) (two bottlenecks)." in
@@ -255,18 +299,21 @@ let meanfield_cmd =
   in
   let dt_opt =
     let doc = "Integrator step, seconds." in
-    Arg.(value & opt float 0.01 & info [ "dt" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt positive_float 0.01 & info [ "dt" ] ~docv:"SECONDS" ~doc)
   in
   let validate_opt =
     let doc =
-      "Cross-validate instead: run the fluid backend and the packet-level truth (background \
-       capped at 256) on the same topology and print the agreement."
+      "Cross-validate instead: run the fluid backend and the packet-level truth on the same \
+       topology and print the agreement. Every background flow is then also a packet sender, \
+       so $(b,--background) must be at most 256."
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
   let run () seed duration background classes foreground topo dt domains validate =
     ignore (resolve_pool domains : Utc_parallel.Pool.t);
     if validate then begin
+      if background > max_senders then
+        usage_error "--validate runs at most %d background flows, got %d" max_senders background;
       let a = E.Meanfield.validate ~seed ~duration ~topo ~n:background () in
       Format.printf "%a@." E.Meanfield.pp_agreement a
     end
@@ -315,8 +362,14 @@ let skew_cmd =
 
 (* --- faults --- *)
 
+let check_faults_duration duration =
+  if duration <= E.Ext_faults.onset then
+    usage_error "the faults start at %g s, so --duration must exceed it, got %g"
+      E.Ext_faults.onset duration
+
 let faults_cmd =
   let run () seed duration =
+    check_faults_duration duration;
     E.Ext_faults.pp_report Format.std_formatter (E.Ext_faults.run_all ~seed ~duration ())
   in
   let info =
@@ -385,9 +438,10 @@ let sweep_cmd =
           ])
         cases
     in
-    Utc_stats.Dataio.write_csv ~path:csv
-      ~header:[ "seed"; "alpha"; "on_rate"; "off_rate"; "cross_drops"; "sent" ]
-      rows;
+    write_file csv
+      (Utc_stats.Dataio.write_csv
+         ~header:[ "seed"; "alpha"; "on_rate"; "off_rate"; "cross_drops"; "sent" ]
+         rows);
     Format.printf "wrote %s (%d rows)@." csv (List.length rows)
   in
   let info =
@@ -405,7 +459,7 @@ let parallel_cmd =
   let run () seed duration domains out =
     let report = E.Par_bench.run ?domains ~seed ~duration () in
     E.Par_bench.pp_report Format.std_formatter report;
-    E.Par_bench.write_json ~path:out report;
+    write_file out (E.Par_bench.write_json report);
     Format.printf "wrote %s@." out;
     let regressed =
       match E.Par_bench.regressions report with
@@ -467,7 +521,9 @@ let run_traced experiment ~seed ~duration ~senders =
         : E.Fig1_bufferbloat.result)
   | `Fig3 -> ignore (E.Fig3_alpha.run_one ~seed ~duration ~alpha:1.0 () : E.Fig3_alpha.run)
   | `Paper -> ignore (E.Harness.run { E.Harness.default with seed; duration } : E.Harness.result)
-  | `Faults -> ignore (E.Ext_faults.run_rate_flap ~seed ~duration () : E.Ext_faults.scenario)
+  | `Faults ->
+    check_faults_duration duration;
+    ignore (E.Ext_faults.run_rate_flap ~seed ~duration () : E.Ext_faults.scenario)
   | `Sweep ->
     let prior = E.Scalability.thin 32 (Utc_inference.Priors.paper_prior ()) in
     let configs =
@@ -477,10 +533,10 @@ let run_traced experiment ~seed ~duration ~senders =
     in
     ignore (E.Harness.run_many configs : E.Harness.result list)
   | `Versus ->
-    let senders = if senders > 0 then senders else 8 in
+    let senders = Option.value senders ~default:8 in
     ignore (E.Versus.many_senders ~seed ~duration ~senders () : E.Versus.many)
   | `Meanfield ->
-    let foreground = if senders > 0 then senders else 2 in
+    let foreground = Option.value senders ~default:2 in
     ignore
       (E.Meanfield.run ~config:{ E.Meanfield.default_config with seed; duration; foreground } ()
         : E.Meanfield.summary)
@@ -500,7 +556,10 @@ let trace_cmd =
   in
   let trace_capacity =
     let doc = "Journal ring capacity (oldest events drop beyond it)." in
-    Arg.(value & opt int Utc_obs.Sink.default_capacity & info [ "trace-capacity" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt positive_int Utc_obs.Sink.default_capacity
+      & info [ "trace-capacity" ] ~docv:"N" ~doc)
   in
   let head =
     let doc = "Also print the first N journal lines (always JSONL) to stdout." in
@@ -526,7 +585,7 @@ let trace_cmd =
     Format.printf "events=%d dropped=%d@." (List.length events) dropped;
     (match trace_out with
     | Some path ->
-      Utc_obs.Export.write ~path (Utc_obs.Export.render fmt events);
+      write_file path (Utc_obs.Export.write (Utc_obs.Export.render fmt events));
       Format.printf "wrote %s@." path
     | None -> ());
     let rec take n = function
@@ -624,7 +683,7 @@ let profile_cmd =
     ignore (resolve_pool domains : Utc_parallel.Pool.t);
     Utc_obs.Metrics.enable ();
     Utc_obs.Metrics.reset ();
-    run_traced experiment ~seed ~duration ~senders:0;
+    run_traced experiment ~seed ~duration ~senders:None;
     Utc_obs.Metrics.disable ();
     let snapshot = Utc_obs.Metrics.snapshot ~at:duration in
     let tree = Utc_obs.Profile.of_spans snapshot.Utc_obs.Metrics.spans in
@@ -737,12 +796,12 @@ let obsbench_cmd =
   in
   let repeats =
     let doc = "Wall-time repetitions per configuration (best is kept)." in
-    Arg.(value & opt int 3 & info [ "repeats" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 3 & info [ "repeats" ] ~docv:"N" ~doc)
   in
   let run () seed duration repeats out =
     let report = E.Obs_bench.run ~seed ~duration ~repeats () in
     E.Obs_bench.pp_report Format.std_formatter report;
-    E.Obs_bench.write_json ~path:out report;
+    write_file out (E.Obs_bench.write_json report);
     Format.printf "wrote %s@." out
   in
   let info =
@@ -752,6 +811,26 @@ let obsbench_cmd =
          per-call cost of the disabled recording guard."
   in
   Cmd.v info Term.(const run $ logs_term $ seed $ duration 60.0 $ repeats $ out)
+
+let fluidbench_cmd =
+  let out =
+    let doc = "Write the machine-readable report to this file." in
+    Arg.(value & opt string "BENCH_meanfield.json" & info [ "out" ] ~docv:"FILE" ~doc)
+  in
+  let run () out =
+    Format.printf "Mean-field fluid backend: wall time vs background population@.@.";
+    let rows = E.Meanfield.bench () in
+    E.Meanfield.pp_bench Format.std_formatter rows;
+    write_file out (E.Meanfield.write_bench_json rows);
+    Format.printf "wrote %s@." out
+  in
+  let info =
+    Cmd.info "fluidbench"
+      ~doc:
+        "Time the mean-field fluid backend on a ladder of background populations (10^3 to \
+         10^6 flows, 60 simulated seconds each, single bottleneck)."
+  in
+  Cmd.v info Term.(const run $ logs_term $ out)
 
 let main_cmd =
   let info =
@@ -764,7 +843,8 @@ let main_cmd =
     [ fig1_cmd; fig2_cmd; fig3_cmd; prior_cmd; simple_cmd; util_cmd; ablate_cmd; aqm_cmd;
       versus_cmd; versus2_cmd; meanfield_cmd; skew_cmd; faults_cmd; pomdp_cmd; families_cmd;
       sweep_cmd;
-      scale_cmd; parallel_cmd; trace_cmd; metrics_cmd; profile_cmd; top_cmd; obsbench_cmd ]
+      scale_cmd; parallel_cmd; trace_cmd; metrics_cmd; profile_cmd; top_cmd; obsbench_cmd;
+      fluidbench_cmd ]
 
 (* A bad UTC_DOMAINS is a usage error, like a bad --domains. *)
 let () =

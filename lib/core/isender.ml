@@ -62,7 +62,6 @@ type 'p t = {
   mutable transitions : (Tb.t * Recovery.phase * Recovery.phase) list; (* newest first *)
   mutable last_evaluations : Planner.evaluation list;
   mutable hooks : (Tb.t -> 'p t -> unit) list;
-  mutable transition_hooks : (Tb.t -> Recovery.phase -> Recovery.phase -> unit) list;
   mutable running : bool;
 }
 
@@ -102,7 +101,6 @@ let create ?decide ?reseed engine config ~belief ~inject =
     transitions = [];
     last_evaluations = [];
     hooks = [];
-    transition_hooks = [];
     running = false;
   }
 
@@ -168,7 +166,6 @@ let drive_recovery t now status =
     let after = Recovery.phase ladder in
     if not (Recovery.phase_equal before after) then begin
       t.transitions <- (now, before, after) :: t.transitions;
-      List.iter (fun f -> f now before after) t.transition_hooks;
       Log.info (fun m ->
           m "t=%a recovery %a -> %a" Tb.pp now Recovery.pp_phase before Recovery.pp_phase after)
     end
@@ -309,11 +306,8 @@ let acked_count t = t.acked_n
 let rejected_updates t = t.rejected
 let stale_acks t = t.stale_acks
 let last_update_status t = t.last_status
-let recovery_phase t = Recovery.phase t.ladder
 let reseeds t = Recovery.reseeds t.ladder
-let rejection_streak t = Degeneracy.streak t.monitor
 let max_rejection_streak t = Degeneracy.worst_streak t.monitor
 let transitions t = List.rev t.transitions
 let last_evaluations t = t.last_evaluations
 let on_wakeup t f = t.hooks <- f :: t.hooks
-let on_transition t f = t.transition_hooks <- f :: t.transition_hooks

@@ -103,15 +103,8 @@ val stale_acks : 'p t -> int
 
 val last_update_status : 'p t -> Utc_inference.Belief.update_status
 
-val recovery_phase : 'p t -> Recovery.phase
-(** [Healthy] when no recovery ladder is configured. *)
-
 val reseeds : 'p t -> int
 (** Reseeds fired so far. *)
-
-val rejection_streak : 'p t -> int
-(** Current consecutive-rejection streak (reset by a consistent update
-    or a reseed). *)
 
 val max_rejection_streak : 'p t -> int
 (** Longest consecutive-rejection streak observed. With recovery enabled
@@ -127,8 +120,3 @@ val last_evaluations : 'p t -> Planner.evaluation list
 val on_wakeup : 'p t -> (Utc_sim.Timebase.t -> 'p t -> unit) -> unit
 (** Hook run after each wakeup's belief update and actions (for
     experiment traces; [t] is passed back for queries). *)
-
-val on_transition :
-  'p t -> (Utc_sim.Timebase.t -> Recovery.phase -> Recovery.phase -> unit) -> unit
-(** Hook run on every recovery-ladder phase transition, with the time,
-    the previous phase and the new phase. *)

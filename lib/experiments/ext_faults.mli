@@ -51,6 +51,10 @@ type scenario = {
   runs : run list;  (** In order: no-recovery, recovery, oracle. *)
 }
 
+val onset : float
+(** Every scenario's fault starts at this simulated time (40 s); a run
+    must last longer. *)
+
 val run_rate_flap : ?seed:int -> ?duration:float -> unit -> scenario
 (** Link rate multiplied by 3 from t = 40 onward (permanent shift,
     outside the prior grid). *)

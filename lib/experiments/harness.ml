@@ -212,20 +212,6 @@ let run_many ?pool configs =
   List.iter (fun (_, _, sink) -> Utc_obs.Sink.absorb sink) jobs;
   results
 
-let throughput result ~flow ~since ~until =
-  let deliveries =
-    match flow with
-    | Flow.Primary -> result.primary_deliveries
-    | Flow.Cross | Flow.Aux _ -> result.cross_deliveries
-  in
-  let bits =
-    List.fold_left
-      (fun acc (t, pkt) ->
-        if Tb.( >=. ) t since && Tb.( <=. ) t until then acc + pkt.Packet.bits else acc)
-      0 deliveries
-  in
-  if until > since then float_of_int bits /. (until -. since) else 0.0
-
 let sends_in result ~since ~until =
   List.fold_left
     (fun acc (t, _) -> if Tb.( >=. ) t since && Tb.( <. ) t until then acc + 1 else acc)

@@ -67,7 +67,4 @@ val run_many : ?pool:Utc_parallel.Pool.t -> config list -> result list
     bit-identical to mapping {!run} serially — only [wall_seconds]
     depends on the schedule. *)
 
-val throughput : result -> flow:Utc_net.Flow.t -> since:float -> until:float -> float
-(** Delivered bits per second within a window. *)
-
 val sends_in : result -> since:float -> until:float -> int

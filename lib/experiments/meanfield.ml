@@ -13,11 +13,6 @@ let topo_to_string = function
   | Single -> "single"
   | Parking_lot -> "parking_lot"
 
-let topo_of_string = function
-  | "single" -> Ok Single
-  | "parking_lot" | "parking-lot" -> Ok Parking_lot
-  | s -> Error (Printf.sprintf "unknown topology %S (expected single or parking_lot)" s)
-
 type config = {
   seed : int;
   duration : float;

@@ -20,7 +20,6 @@ type topo =
           has 80% of the first's rate and is the binding constraint. *)
 
 val topo_to_string : topo -> string
-val topo_of_string : string -> (topo, string) result
 
 type config = {
   seed : int;

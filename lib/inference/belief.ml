@@ -301,14 +301,18 @@ type 'p slots = {
   mutable index : int array;
 }
 
-(* Sized from the parent store: a step usually keeps about as many
-   hypotheses as it started with. *)
-let slots_create n =
+(* An open-addressing index for [n] entries: a power of two, at least
+   16 and at least [2 n], so it starts at most half full. *)
+let index_size n =
   let size = ref 16 in
   while !size < 2 * n do
     size := 2 * !size
   done;
-  { forks = [||]; logw = [||]; count = 0; index = Array.make !size 0 }
+  !size
+
+(* Sized from the parent store: a step usually keeps about as many
+   hypotheses as it started with. *)
+let slots_create n = { forks = [||]; logw = [||]; count = 0; index = Array.make (index_size n) 0 }
 
 let slots_grow slots (f : _ fork) =
   let capacity = max (Array.length slots.index / 2) (2 * slots.count) in
@@ -447,20 +451,43 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
       let st = normalize_store (cap t st) in
       { t with store = sort_store st; now })
 
+(* Groups by compaction's params identity: [structural_hash] picks a
+   probe slot in an open-addressing index of group numbers plus one (0
+   is empty), and [same_params] settles each candidate. Groups keep
+   their first member's params, in first-seen order, and sum in store
+   order; heaviest first, ties in first-seen order. *)
 let posterior t =
   let s = t.store in
-  let table = Hashtbl.create 64 in
-  let order = ref [] in
-  for i = 0 to store_size s - 1 do
-    let k = Marshal.to_string s.params.(i) [] in
-    match Hashtbl.find_opt table k with
-    | None ->
-      Hashtbl.replace table k (s.params.(i), exp s.logw.(i));
-      order := k :: !order
-    | Some (params, w) -> Hashtbl.replace table k (params, w +. exp s.logw.(i))
+  let n = store_size s in
+  let index = Array.make (index_size n) 0 in
+  let mask = Array.length index - 1 in
+  let first = Array.make n 0 in
+  let mass = Array.make n 0.0 in
+  let groups = ref 0 in
+  for i = 0 to n - 1 do
+    let p = s.params.(i) in
+    let j = ref (structural_hash p land mask) in
+    while index.(!j) > 0 && not (same_params s.params.(first.(index.(!j) - 1)) p) do
+      j := (!j + 1) land mask
+    done;
+    let g = index.(!j) - 1 in
+    if g >= 0 then mass.(g) <- mass.(g) +. exp s.logw.(i)
+    else begin
+      let g = !groups in
+      index.(!j) <- g + 1;
+      first.(g) <- i;
+      mass.(g) <- exp s.logw.(i);
+      incr groups
+    end
   done;
-  let groups = List.rev_map (fun k -> Hashtbl.find table k) !order in
-  List.sort (fun (_, a) (_, b) -> Float.compare b a) groups
+  let order = Array.init !groups Fun.id in
+  Array.sort
+    (fun a b ->
+      match Float.compare mass.(b) mass.(a) with
+      | 0 -> Int.compare a b
+      | c -> c)
+    order;
+  Array.fold_right (fun g acc -> (s.params.(first.(g)), mass.(g)) :: acc) order []
 
 let posterior_entropy posterior =
   Logw.entropy (List.map (fun (_, w) -> if w <= 0.0 then neg_infinity else log w) posterior)

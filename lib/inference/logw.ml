@@ -36,12 +36,6 @@ let logsumexp_arr xs =
     m +. log !sum
   end
 
-let normalize_arr_inplace xs =
-  let z = logsumexp_arr xs in
-  for i = 0 to Array.length xs - 1 do
-    xs.(i) <- xs.(i) -. z
-  done
-
 let logsumexp2 a b =
   let m = Float.max a b in
   if m = neg_infinity then neg_infinity else m +. log (exp (a -. m) +. exp (b -. m))

@@ -18,8 +18,5 @@ val entropy : float list -> float
 
 val logsumexp_arr : float array -> float
 
-val normalize_arr_inplace : float array -> unit
-(** Shift in place so the weights sum to 1 in linear space. *)
-
 val logsumexp2 : float -> float -> float
 (** [logsumexp [a; b]], without the list. *)

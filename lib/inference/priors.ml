@@ -10,11 +10,6 @@ type fig2_params = {
   gate_on : bool;
 }
 
-let pp_fig2 ppf p =
-  Format.fprintf ppf "c=%g r=%g p=%g buf=%d fill=%dpkt mtts=%g gate=%s" p.link_bps p.pinger_pps
-    p.loss_rate p.buffer_bits p.initial_packets p.mean_time_to_switch
-    (if p.gate_on then "on" else "off")
-
 let fig2_topology p =
   Topology.figure2 ~link_bps:p.link_bps ~buffer_bits:p.buffer_bits ~loss_rate:p.loss_rate
     ~pinger_pps:p.pinger_pps

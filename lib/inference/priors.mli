@@ -22,8 +22,6 @@ type fig2_params = {
   gate_on : bool;  (** Cross traffic initially connected. *)
 }
 
-val pp_fig2 : Format.formatter -> fig2_params -> unit
-
 val fig2_topology : fig2_params -> Utc_net.Topology.t
 (** The sender's model of Figure 2: pinger through an [Intermittent] gate,
     shared buffer and link, last-mile loss. *)

@@ -41,7 +41,6 @@ type prepared = {
          planning; see [plan_variant]. *)
 }
 
-let config_of p = p.config
 let compiled_of p = p.compiled
 
 (* A likelihood-mode loss: its rate weights each delivery that crossed

@@ -63,7 +63,6 @@ val prepare : config -> Utc_net.Compiled.t -> prepared
     whose discipline is not [Fifo]: ARQ, RED and CoDel run only in the
     ground-truth runtime. *)
 
-val config_of : prepared -> config
 val compiled_of : prepared -> Utc_net.Compiled.t
 
 val survive_p : prepared -> delivery -> float

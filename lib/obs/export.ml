@@ -1,14 +1,5 @@
 type format = Jsonl | Chrome
 
-let format_of_string = function
-  | "jsonl" -> Some Jsonl
-  | "chrome" -> Some Chrome
-  | _ -> None
-
-let format_to_string = function
-  | Jsonl -> "jsonl"
-  | Chrome -> "chrome"
-
 let jsonl_line (r : Sink.recorded) =
   let open Obs_json in
   let flow =

@@ -6,9 +6,6 @@
 
 type format = Jsonl | Chrome
 
-val format_of_string : string -> format option
-val format_to_string : format -> string
-
 val jsonl_line : Sink.recorded -> string
 (** One JSON object: [{"t":…,"n":…,"event":"…","flow":"…","run":"…",…payload}]
     where ["n"] is the journal sequence number and ["flow"] / ["run"]

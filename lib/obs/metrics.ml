@@ -5,10 +5,9 @@
    order-independent sums at any domain count. *)
 type counter = { c_name : string; count : int Atomic.t }
 
-type gauge = { g_name : string; mutable value : float; mutable set : bool }
+type gauge = { mutable value : float; mutable set : bool }
 
 type histogram = {
-  h_name : string;
   bounds : float array; (* strictly increasing upper bounds *)
   counts : int array; (* length = Array.length bounds + 1; last is overflow *)
   mutable total : int;
@@ -65,9 +64,8 @@ let count c = Atomic.get c.count
 let add c n = if !enabled_flag then ignore (Atomic.fetch_and_add c.count n)
 let incr c = add c 1
 
-let make_gauge name () = { g_name = name; value = 0.0; set = false }
-let gauge name = register gauges name (make_gauge name)
-let gauge_name g = g.g_name
+let make_gauge () = { value = 0.0; set = false }
+let gauge name = register gauges name make_gauge
 let gauge_value g = if g.set then Some g.value else None
 
 let set_gauge g v =
@@ -80,22 +78,20 @@ let set_gauge g v =
 
 let default_buckets = [ 1e-3; 1e-2; 1e-1; 1.0; 10.0; 100.0; 1e3; 1e4; 1e5; 1e6; 1e7 ]
 
-let make_histogram ?(buckets = default_buckets) name () =
+let make_histogram ?(buckets = default_buckets) () =
   let sorted = List.sort_uniq Float.compare buckets in
   (match sorted with
   | [] -> invalid_arg "Metrics.histogram: no buckets"
   | _ :: _ -> ());
   let bounds = Array.of_list sorted in
   {
-    h_name = name;
     bounds;
     counts = Array.make (Array.length bounds + 1) 0;
     total = 0;
     sum = 0.0;
   }
 
-let histogram ?buckets name = register histograms name (make_histogram ?buckets name)
-let histogram_name h = h.h_name
+let histogram ?buckets name = register histograms name (make_histogram ?buckets)
 
 (* O(#buckets) with a small fixed bucket list: constant in the number of
    samples, which is the cost that matters on the hot paths. *)
@@ -259,15 +255,15 @@ let family ~table ~make ?(max_children = default_max_children) name =
 let counter_family ?max_children name =
   family ~table:counters ~make:make_counter ?max_children name
 
-let gauge_family ?max_children name = family ~table:gauges ~make:make_gauge ?max_children name
+let gauge_family ?max_children name =
+  family ~table:gauges ~make:(fun _ -> make_gauge) ?max_children name
 
 let histogram_family ?buckets ?max_children name =
   (match List.sort_uniq Float.compare (Option.value buckets ~default:default_buckets) with
   | [] -> invalid_arg "Metrics.histogram_family: no buckets"
   | _ :: _ -> ());
-  family ~table:histograms ~make:(fun full -> make_histogram ?buckets full) ?max_children name
+  family ~table:histograms ~make:(fun _ -> make_histogram ?buckets) ?max_children name
 
-let family_name f = f.f_name
 let family_children f = f.f_count
 
 (* Resolution is a locked lookup on the steady state; a child is built

@@ -42,8 +42,6 @@ val add : counter -> int -> unit
 (** {1 Gauges} *)
 
 val gauge : string -> gauge
-val gauge_name : gauge -> string
-
 val gauge_value : gauge -> float option
 (** [None] until the gauge has been set while enabled. *)
 
@@ -58,8 +56,6 @@ val histogram : ?buckets:float list -> string -> histogram
 (** Fixed upper-bound buckets (sorted, deduplicated) plus an implicit
     overflow bucket. [buckets] is only consulted on first registration.
     Raises [Invalid_argument] on an empty bucket list. *)
-
-val histogram_name : histogram -> string
 
 val observe : histogram -> float -> unit
 (** O(#buckets) — constant per sample. *)
@@ -107,8 +103,6 @@ val labeled : 'a family -> labels -> 'a
     should resolve once and cache the child. [labeled fam []] is the
     family's unlabeled child, sharing the registry entry a plain
     [counter name] would use. *)
-
-val family_name : 'a family -> string
 
 val family_children : 'a family -> int
 (** Distinct label sets resolved so far — never exceeds the cap; the

@@ -1,8 +1,8 @@
-(** Terminal plots for the benchmark harness.
+(** Terminal plots for the figure reports.
 
     Every figure of the paper is a 2-D series; these render them as ASCII
-    so `dune exec bench/main.exe` shows the shape directly, alongside the
-    gnuplot-ready data rows. *)
+    so `utc fig1` or `utc fig3` shows the shape directly, alongside the
+    gnuplot-ready data rows its [--out] writes. *)
 
 type series = {
   label : string;

@@ -18,19 +18,19 @@ type config = {
   latency_penalty : float;
       (** Penalty per bit-second of cross-traffic delay (utility units). *)
   cross_discounted : bool;
-      (** Apply the temporal discount to cross traffic too. The paper's §4
-          utility is "our own instantaneous throughput [discounted], plus
-          alpha times the throughput achieved by the cross traffic"
-          [undiscounted] — with it undiscounted, harming cross traffic
-          means dropping its packets, which is what produces the sharp
-          alpha = 1 boundary of Figure 3. Discounting cross traffic is the
+      (** Apply the temporal discount to cross traffic too. Read literally,
+          the paper's §4 utility is "our own instantaneous throughput
+          [discounted], plus alpha times the throughput achieved by the
+          cross traffic" [undiscounted]. Discounting cross traffic is the
           optional "penalty for creating latency for other users" of
-          §3.3. *)
+          §3.3. [Harness.default] (and so Figure 3), [Versus] and
+          [Policy_bridge] discount it. *)
 }
 
 val default : config
 (** [alpha = 1], [kappa = 60 s], no latency penalty, cross traffic
-    undiscounted (the §4 experiment's utility). *)
+    undiscounted: the literal reading of §4's utility. The §4 experiments
+    do not run it as is: [Harness.default] sets [cross_discounted = true]. *)
 
 val make :
   ?alpha:float ->

@@ -244,6 +244,53 @@ let compaction_ignores_float_sharing () =
   let belief = Belief.advance belief ~sends:[] ~now:0.5 () in
   Alcotest.(check int) "merged" 1 (Belief.size belief)
 
+(* Oracle for [Belief.posterior]: params grouped by their marshalled
+   bytes, groups in first-seen store order, weights summed in store
+   order, heaviest group first. *)
+let marshal_posterior belief =
+  let table = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun (h : _ Belief.hypothesis) ->
+      let k = Marshal.to_string h.params [] in
+      match Hashtbl.find_opt table k with
+      | None ->
+        Hashtbl.replace table k (h.params, exp h.logw);
+        order := k :: !order
+      | Some (p, w) -> Hashtbl.replace table k (p, w +. exp h.logw))
+    (Belief.support belief);
+  List.sort (fun (_, a) (_, b) -> Float.compare b a) (List.rev_map (Hashtbl.find table) !order)
+
+(* Params built afresh on each call, so equal ones are not physically
+   equal, and whose structural hashes collide: [Hashtbl.hash] reads ten
+   floats of the list and stops before the last, where they differ. *)
+let colliding_params k = List.init 16 (fun _ -> 0.5) @ [ float_of_int k /. 4.0 ]
+
+let posterior_matches_marshal_prop =
+  QCheck.Test.make ~name:"posterior groups params as their marshalled bytes do" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 24) (triple (int_bound 5) bool (float_range 0.01 1.0)))
+    (fun cells ->
+      let compiled = Compiled.compile_exn (topology { rate = 12_000.0; fill = 0 }) in
+      let prepared = Forward.prepare Forward.default_config compiled in
+      let state = Mstate.initial ~epoch:1.0 compiled in
+      (* [share] reuses the last params built for [k], so groups mix
+         physically equal and separately built members. *)
+      let built = Hashtbl.create 8 in
+      let seed (k, share, weight) =
+        let params =
+          match Hashtbl.find_opt built k with
+          | Some p when share -> p
+          | Some _ | None ->
+            let p = colliding_params k in
+            Hashtbl.replace built k p;
+            p
+        in
+        (params, weight, prepared, state)
+      in
+      let belief = Belief.create (List.map seed cells) in
+      let same (p, w) (q, v) = p = q && Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float v) in
+      List.equal same (Belief.posterior belief) (marshal_posterior belief))
+
 let top_k_cap () =
   let seeds = List.init 20 (fun i -> seed_of { rate = 1_000.0 *. float_of_int (i + 1); fill = 0 } 1.0) in
   let belief = Belief.create ~max_hyps:5 seeds in
@@ -372,6 +419,7 @@ let suite =
     ("fork and likelihood agree", `Quick, fork_and_likelihood_agree);
     ("compaction merges forks", `Quick, compaction_merges_forks);
     ("compaction ignores float sharing", `Quick, compaction_ignores_float_sharing);
+    QCheck_alcotest.to_alcotest posterior_matches_marshal_prop;
     ("top-k cap", `Quick, top_k_cap);
     ("resample cap", `Quick, resample_cap);
     ("marginal and mean", `Quick, marginal_and_mean);

@@ -9,7 +9,7 @@ let usage () =
     "usage: utc_lint_main [--allowlist FILE] [--format text|json|sarif]\n\
     \                     [--timing-out FILE] [--list-rules] [DIR-OR-FILE...]\n\
      \n\
-     Scans every .ml/.mli under the given roots (default: lib bin bench\n\
+     Scans every .ml/.mli under the given roots (default: lib bin\n\
      examples) and reports violations of the determinism rules: the\n\
      lexical pass R1-R8 and the semantic (AST) pass R9-R12.\n\
      Suppress a finding inline with (* lint:allow <rule> -- reason *) or\n\
@@ -76,7 +76,7 @@ let () =
     usage ();
     exit 2
   | Ok opts -> (
-    let roots = if opts.roots = [] then [ "lib"; "bin"; "bench"; "examples" ] else opts.roots in
+    let roots = if opts.roots = [] then [ "lib"; "bin"; "examples" ] else opts.roots in
     try
       let allowlist =
         match opts.allowlist_file with
