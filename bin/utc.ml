@@ -30,6 +30,10 @@ let positive_int =
   checked ~docv:"N" int_of_string_opt Format.pp_print_int ~expected:"a positive integer" (fun n ->
       n >= 1)
 
+let non_negative_int =
+  checked ~docv:"N" int_of_string_opt Format.pp_print_int ~expected:"a non-negative integer"
+    (fun n -> n >= 0)
+
 let positive_float =
   checked ~docv:"X" float_of_string_opt Format.pp_print_float ~expected:"a positive number"
     (fun x -> x > 0.0 && Float.is_finite x)
@@ -77,14 +81,16 @@ let resolve_pool domains =
   | None -> ());
   Utc_parallel.Pool.default ()
 
-(* An output path that cannot be written is reported on one [utc:]
+(* A path that cannot be written or read is reported on one [utc:]
    line, not as an uncaught exception. *)
+let file_error msg =
+  Format.eprintf "utc: %s@." msg;
+  exit Cmd.Exit.some_error
+
 let write_file path write =
   match write ~path with
   | () -> ()
-  | exception Sys_error msg ->
-    Format.eprintf "utc: %s@." msg;
-    exit Cmd.Exit.some_error
+  | exception Sys_error msg -> file_error msg
 
 let dump_rows path rows =
   match path with
@@ -563,7 +569,7 @@ let trace_cmd =
   in
   let head =
     let doc = "Also print the first N journal lines (always JSONL) to stdout." in
-    Arg.(value & opt int 0 & info [ "head" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 0 & info [ "head" ] ~docv:"N" ~doc)
   in
   let series_out =
     let doc =
@@ -665,7 +671,7 @@ let profile_cmd =
   in
   let top =
     let doc = "Rows in the self-time top table." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 10 & info [ "top" ] ~docv:"N" ~doc)
   in
   let format =
     let doc = "Output format: $(b,text) (tree + top table) or $(b,json)." in
@@ -707,27 +713,24 @@ let profile_cmd =
 
 (* --- top --- *)
 
+(* Both raise [Sys_error] on a file that cannot be opened. *)
 let read_lines path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line -> go (line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
 
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let top_cmd =
   let journal_arg =
@@ -746,11 +749,11 @@ let top_cmd =
   in
   let window =
     let doc = "Trailing goodput window, simulated seconds." in
-    Arg.(value & opt float 5.0 & info [ "window" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt positive_float 5.0 & info [ "window" ] ~docv:"SECONDS" ~doc)
   in
   let interval =
     let doc = "Refresh interval under $(b,--follow), wall seconds." in
-    Arg.(value & opt float 1.0 & info [ "interval" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt positive_float 1.0 & info [ "interval" ] ~docv:"SECONDS" ~doc)
   in
   let follow =
     let doc = "Keep refreshing (clearing the screen each frame) until interrupted." in
@@ -758,13 +761,20 @@ let top_cmd =
   in
   let width =
     let doc = "Frame width in columns." in
-    Arg.(value & opt int 72 & info [ "width" ] ~docv:"COLS" ~doc)
+    Arg.(value & opt positive_int 72 & info [ "width" ] ~docv:"COLS" ~doc)
   in
   let run () journal metrics window interval follow width =
+    (* Under --follow a file may not exist yet and reads as absent;
+       otherwise a file that cannot be read is an error. *)
+    let read f path =
+      match f path with
+      | contents -> Some contents
+      | exception Sys_error msg -> if follow then None else file_error msg
+    in
     let frame () =
-      let metrics_json = Option.bind metrics read_file in
-      Utc_stats.Dashboard.render_frame ~width ~window ?metrics_json
-        ~journal_lines:(read_lines journal) ()
+      let metrics_json = Option.bind metrics (read read_file) in
+      let journal_lines = Option.value (read read_lines journal) ~default:[] in
+      Utc_stats.Dashboard.render_frame ~width ~window ?metrics_json ~journal_lines ()
     in
     if follow then
       (* Read-only tail loop: the dashboard renders from files on disk,

@@ -9,25 +9,18 @@ let src = Logs.Src.create "utc.isender" ~doc:"Model-based transmission controlle
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type config = {
-  flow : Flow.t;
-  bits : int;
   planner : Planner.config;
-  min_sleep : float;
-  max_sleep : float;
-  burst_cap : int;
   recovery : Recovery.config option;
 }
 
-let default_config =
-  {
-    flow = Flow.Primary;
-    bits = Packet.default_bits;
-    planner = Planner.default_config;
-    min_sleep = 0.001;
-    max_sleep = 60.0;
-    burst_cap = 64;
-    recovery = None;
-  }
+let default_config = { planner = Planner.default_config; recovery = None }
+
+(* Planned sleeps are clamped to [min_sleep, max_sleep]; one wakeup
+   instant sends at most [burst_cap] packets, a safety valve against a
+   degenerate plan loop, then sleeps [min_sleep]. *)
+let min_sleep = 0.001
+let max_sleep = 60.0
+let burst_cap = 64
 
 type 'p decider =
   'p Belief.t ->
@@ -74,7 +67,6 @@ let default_decider config =
     Planner.decide ~cache config.planner ~belief ~now ~pending ~make_packet
 
 let create ?decide ?reseed engine config ~belief ~inject =
-  let ladder = Recovery.initial (Option.value config.recovery ~default:Recovery.default_config) in
   {
     engine;
     config;
@@ -82,7 +74,7 @@ let create ?decide ?reseed engine config ~belief ~inject =
     inject;
     reseed_fn = reseed;
     monitor = Degeneracy.create ();
-    ladder;
+    ladder = Recovery.initial ();
     belief;
     pending_sends = [];
     pending_acks = [];
@@ -116,7 +108,7 @@ let acks_c = Utc_obs.Metrics.counter "core.isender.acks"
 let wakeups_c = Utc_obs.Metrics.counter "core.isender.wakeups"
 
 let transmit t now =
-  let pkt = Packet.make ~bits:t.config.bits ~flow:t.config.flow ~seq:t.next_seq ~sent_at:now () in
+  let pkt = Packet.make ~flow:Flow.Primary ~seq:t.next_seq ~sent_at:now () in
   t.next_seq <- t.next_seq + 1;
   t.pending_sends <- (now, pkt) :: t.pending_sends;
   t.sent <- (now, pkt.Packet.seq) :: t.sent;
@@ -136,14 +128,14 @@ let transmit t now =
 let drive_recovery t now status =
   match t.config.recovery with
   | None -> ()
-  | Some rc ->
+  | Some _ ->
     let event =
       match status with
       | Belief.All_rejected -> Recovery.Rejected
       | Belief.Consistent -> Recovery.Accepted { top_weight = Degeneracy.top_weight t.belief }
     in
     let before = Recovery.phase t.ladder in
-    let ladder, action = Recovery.step ~at:now rc t.ladder event in
+    let ladder, action = Recovery.step ~at:now t.ladder event in
     t.ladder <- ladder;
     (match action with
     | Recovery.No_action -> ()
@@ -233,12 +225,10 @@ let rec wakeup t () =
      burst, then sleep. While Probing the planner is not trusted: pace
      conservatively, one packet per probe interval. *)
   let rec act burst =
-    if burst >= t.config.burst_cap then schedule_sleep t now t.config.min_sleep
+    if burst >= burst_cap then schedule_sleep t now min_sleep
     else begin
       let pending = List.rev t.pending_sends in
-      let make_packet at =
-        Packet.make ~bits:t.config.bits ~flow:t.config.flow ~seq:t.next_seq ~sent_at:at ()
-      in
+      let make_packet at = Packet.make ~flow:Flow.Primary ~seq:t.next_seq ~sent_at:at () in
       let decision, evaluations = t.decide t.belief ~now ~pending ~make_packet in
       t.last_evaluations <- evaluations;
       match decision with
@@ -261,7 +251,7 @@ let rec wakeup t () =
   end
 
 and schedule_sleep t now d =
-  let d = Float.max t.config.min_sleep (Float.min d t.config.max_sleep) in
+  let d = Float.max min_sleep (Float.min d max_sleep) in
   let at = Tb.add now d in
   cancel_timer t;
   t.timer <- Some (Engine.schedule ~prio:Evprio.endpoint_wakeup t.engine ~at (wakeup t))

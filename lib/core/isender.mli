@@ -8,32 +8,32 @@
     wakes the sender per packet, §3.4) and on timer expiry; a pending
     timer is superseded when an ACK wakes the sender early.
 
-    A third, optional job is robustness: with [config.recovery] set, a
-    {!Recovery} ladder watches the filtering status. After [reseed_after]
-    consecutive rejected updates it replaces the collapsed posterior via
-    the [reseed] callback (see {!Utc_inference.Belief.reseed}), watermarks
-    pre-reseed ACKs out of future updates, and paces conservatively
-    (Probing) until the fresh posterior re-concentrates.
+    The sender sends on {!Utc_net.Flow.Primary}, the one flow the belief
+    scores and the utility counts as its own, in packets of
+    {!Utc_net.Packet.default_bits} (§3.2's uniform length). A planned
+    sleep is clamped to between 1 ms and 60 s, so the sender re-plans at
+    least once a minute. One wakeup instant sends at most 64 packets, a
+    safety valve against a degenerate plan loop, and then sleeps 1 ms.
+
+    A third, optional job is robustness: with [recovery] set, a
+    {!Recovery} ladder watches the filtering status. After
+    {!Recovery.reseed_after} consecutive rejected updates it replaces the
+    collapsed posterior via the [reseed] callback (see
+    {!Utc_inference.Belief.reseed}), watermarks pre-reseed ACKs out of
+    future updates, and paces conservatively (Probing) until the fresh
+    posterior re-concentrates. Without it (the default) rejected updates
+    are only counted and logged.
 
     All wakeup work runs at the {!Utc_net.Evprio.endpoint_wakeup} priority
     class so the belief window cuts exactly where the engine stood. *)
 
 type config = {
-  flow : Utc_net.Flow.t;
-  bits : int;  (** Uniform packet length (§3.2). *)
   planner : Planner.config;
-  min_sleep : float;  (** Lower clamp on planned sleeps (default 1 ms). *)
-  max_sleep : float;  (** Re-plan at least this often (default 60 s). *)
-  burst_cap : int;
-      (** Max transmissions in one wakeup instant (safety valve against a
-          degenerate plan loop; default 64). *)
   recovery : Recovery.config option;
-      (** Enable the misspecification recovery ladder (default [None]:
-          rejected updates are only counted and logged, the pre-existing
-          behaviour). *)
 }
 
 val default_config : config
+(** The default planner, without recovery. *)
 
 type 'p t
 
@@ -108,8 +108,7 @@ val reseeds : 'p t -> int
 
 val max_rejection_streak : 'p t -> int
 (** Longest consecutive-rejection streak observed. With recovery enabled
-    and reseeds remaining this is bounded by
-    {!Recovery.config.reseed_after}. *)
+    this is bounded by {!Recovery.reseed_after}. *)
 
 val transitions : 'p t -> (Utc_sim.Timebase.t * Recovery.phase * Recovery.phase) list
 (** Recovery-ladder phase transitions, (time, from, to), oldest first. *)

@@ -5,19 +5,20 @@ module Utility = Utc_utility.Utility
 type config = {
   delays : float list;
   horizon : float;
-  top_hyps : int;
   utility : Utility.config;
-  tie_epsilon : float;
 }
 
 let default_config =
   {
     delays = [ 0.0; 0.25; 0.5; 1.0; 1.5; 2.0; 3.0; 5.0; 8.0; 12.0; 20.0; 32.0 ];
     horizon = 15.0;
-    top_hyps = 64;
     utility = Utility.default;
-    tie_epsilon = 1e-3;
   }
+
+let top_hyps = 64
+
+(* The tie band, relative to the best net utility. *)
+let tie_epsilon = 1e-3
 
 type decision =
   | Send_now
@@ -246,7 +247,7 @@ let decide ?cache config ~belief ~now ~pending ~make_packet =
   Utc_obs.Metrics.span ~name:"planner.decide"
     ~now:(fun () -> now)
     (fun () ->
-  let hyps = Belief.top belief ~n:config.top_hyps in
+  let hyps = Belief.top belief ~n:top_hyps in
   let max_delay = List.fold_left Float.max 0.0 config.delays in
   match hyps with
   | [] ->
@@ -319,7 +320,7 @@ let decide ?cache config ~belief ~now ~pending ~make_packet =
       if best <= 0.0 then Sleep max_delay
       else begin
         (* Latest candidate within the tie band of the best. *)
-        let threshold = best -. (config.tie_epsilon *. best) in
+        let threshold = best -. (tie_epsilon *. best) in
         let chosen = ref 0 in
         Array.iteri (fun i _ -> if net.(i) >= threshold then chosen := i) candidates;
         let d = candidates.(!chosen) in

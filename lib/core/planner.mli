@@ -34,26 +34,27 @@
     with none is a group of one. Only the members' contributions outlive
     the group's trace, so one trace is alive at a time.
 
-    Tie-breaking prefers the {e latest} candidate within [tie_epsilon] of
-    the best, which is what makes the sender fill residual capacity rather
-    than stand in the queue: delaying until the queue drains costs
-    [O(d/kappa)] while queue-standing harms cross traffic by the same
-    order, so at [alpha = 1] the two cancel and the tie resolves to
-    deference (§4). *)
+    Tie-breaking prefers the {e latest} candidate within a relative
+    [1e-3] of the best, which is what makes the sender fill residual
+    capacity rather than stand in the queue: delaying until the queue
+    drains costs [O(d/kappa)] while queue-standing harms cross traffic by
+    the same order, so at [alpha = 1] the two cancel and the tie resolves
+    to deference (§4). *)
 
 type config = {
   delays : float list;
       (** Candidate extra delays, ascending, first must be [0.]. *)
   horizon : float;  (** Simulated seconds past the last candidate. *)
-  top_hyps : int;  (** Hypotheses used (heaviest first, renormalized). *)
   utility : Utc_utility.Utility.config;
-  tie_epsilon : float;
-      (** Relative to the best net utility; see tie-breaking above. *)
 }
 
 val default_config : config
-(** Delays 0..32 s on a rough geometric grid, 15 s horizon, 64
-    hypotheses, default utility, [tie_epsilon = 1e-3]. *)
+(** Delays 0..32 s on a rough geometric grid, 15 s horizon, default
+    utility. *)
+
+val top_hyps : int
+(** The planner prices the belief's 64 heaviest hypotheses,
+    renormalized. *)
 
 type decision =
   | Send_now

@@ -17,30 +17,26 @@ let pp_phase ppf p =
   in
   Format.pp_print_string ppf text
 
-type config = {
-  suspect_after : int;
-  reseed_after : int;
-  probe_interval : float;
-  probe_backoff : float;
-  probe_decay : float;
-  probe_interval_max : float;
-  reconcentrate_mass : float;
-  healthy_after : int;
-  max_reseeds : int option;
-}
+type config = unit
 
-let default_config =
-  {
-    suspect_after = 2;
-    reseed_after = 4;
-    probe_interval = 1.0;
-    probe_backoff = 2.0;
-    probe_decay = 0.8;
-    probe_interval_max = 16.0;
-    reconcentrate_mass = 0.5;
-    healthy_after = 5;
-    max_reseeds = None;
-  }
+let default_config = ()
+
+(* Rejections in a row before Suspect, and before a reseed fires. *)
+let suspect_after = 2
+let reseed_after = 4
+
+(* Probing pace: it starts at [probe_interval], each rejection multiplies
+   it by [probe_backoff] up to [probe_interval_max], and each consistent
+   update multiplies it by [probe_decay]. *)
+let probe_interval = 1.0
+let probe_backoff = 2.0
+let probe_decay = 0.8
+let probe_interval_max = 16.0
+
+(* Probing ends after [healthy_after] consistent updates in a row with
+   the top hypothesis at [reconcentrate_mass] or more. *)
+let reconcentrate_mass = 0.5
+let healthy_after = 5
 
 type event =
   | Rejected
@@ -58,31 +54,7 @@ type t = {
   reseeds : int;
 }
 
-let validate config =
-  if config.suspect_after < 1 then invalid_arg "Recovery: suspect_after must be >= 1";
-  if config.reseed_after < config.suspect_after then
-    invalid_arg "Recovery: reseed_after must be >= suspect_after";
-  if config.probe_interval <= 0.0 then invalid_arg "Recovery: probe_interval must be positive";
-  if config.probe_backoff < 1.0 then invalid_arg "Recovery: probe_backoff must be >= 1";
-  if not (0.0 < config.probe_decay && config.probe_decay <= 1.0) then
-    invalid_arg "Recovery: probe_decay must be in (0, 1]";
-  if config.probe_interval_max < config.probe_interval then
-    invalid_arg "Recovery: probe_interval_max must be >= probe_interval";
-  if not (0.0 < config.reconcentrate_mass && config.reconcentrate_mass <= 1.0) then
-    invalid_arg "Recovery: reconcentrate_mass must be in (0, 1]";
-  if config.healthy_after < 1 then invalid_arg "Recovery: healthy_after must be >= 1";
-  match config.max_reseeds with
-  | Some n when n < 0 -> invalid_arg "Recovery: max_reseeds must be non-negative"
-  | Some _ | None -> ()
-
-let initial config =
-  validate config;
-  { phase = Healthy; streak = 0; calm = 0; interval = config.probe_interval; reseeds = 0 }
-
-let reseed_allowed config t =
-  match config.max_reseeds with
-  | None -> true
-  | Some n -> t.reseeds < n
+let initial () = { phase = Healthy; streak = 0; calm = 0; interval = probe_interval; reseeds = 0 }
 
 let transitions_c = Utc_obs.Metrics.counter "core.recovery.transitions"
 
@@ -99,7 +71,7 @@ let record_transition ~at ~from_ ~to_ ~reseeds =
          reseeds;
        })
 
-let step ?at config t event =
+let step ?at t event =
   Utc_obs.Metrics.span
     ?now:(Option.map (fun a () -> a) at)
     ~name:"recovery.step"
@@ -108,14 +80,14 @@ let step ?at config t event =
     match event with
   | Rejected ->
     let streak = t.streak + 1 in
-    if streak >= config.reseed_after && reseed_allowed config t then begin
+    if streak >= reseed_after then begin
       (* The ladder's bound: the streak never exceeds [reseed_after]
-         before a reseed fires (as long as reseeds remain). Re-entering
-         Probing from Probing backs the pace off multiplicatively. *)
+         before a reseed fires. Re-entering Probing from Probing backs
+         the pace off multiplicatively. *)
       let interval =
         match t.phase with
-        | Probing -> Float.min (t.interval *. config.probe_backoff) config.probe_interval_max
-        | Healthy | Suspect -> config.probe_interval
+        | Probing -> Float.min (t.interval *. probe_backoff) probe_interval_max
+        | Healthy | Suspect -> probe_interval
       in
       ({ phase = Probing; streak = 0; calm = 0; interval; reseeds = t.reseeds + 1 }, Fire_reseed)
     end
@@ -123,11 +95,11 @@ let step ?at config t event =
       let phase =
         match t.phase with
         | Probing -> Probing
-        | Healthy | Suspect -> if streak >= config.suspect_after then Suspect else t.phase
+        | Healthy | Suspect -> if streak >= suspect_after then Suspect else t.phase
       in
       let interval =
         match t.phase with
-        | Probing -> Float.min (t.interval *. config.probe_backoff) config.probe_interval_max
+        | Probing -> Float.min (t.interval *. probe_backoff) probe_interval_max
         | Healthy | Suspect -> t.interval
       in
       ({ t with phase; streak; calm = 0; interval }, No_action)
@@ -141,13 +113,13 @@ let step ?at config t event =
       ({ t with phase = Healthy; streak = 0; calm = 0 }, No_action)
     | Probing ->
       let calm = t.calm + 1 in
-      let interval = Float.max (t.interval *. config.probe_decay) 1e-3 in
-      if calm >= config.healthy_after && top_weight >= config.reconcentrate_mass then
+      let interval = Float.max (t.interval *. probe_decay) 1e-3 in
+      if calm >= healthy_after && top_weight >= reconcentrate_mass then
         ( {
             phase = Healthy;
             streak = 0;
             calm = 0;
-            interval = config.probe_interval;
+            interval = probe_interval;
             reseeds = t.reseeds;
           },
           No_action )

@@ -14,22 +14,21 @@
 
     - {b Healthy}: the filter explains reality; the planner runs
       normally.
-    - {b Suspect}: [suspect_after] consecutive {!Belief.All_rejected}
-      updates. Still planning normally — a single consistent update
-      clears the suspicion — but the ladder is armed.
-    - {b Reseed}: at [reseed_after] consecutive rejections the ladder
+    - {b Suspect}: 2 consecutive {!Belief.All_rejected} updates. Still
+      planning normally — a single consistent update clears the
+      suspicion — but the ladder is armed.
+    - {b Reseed}: at {!reseed_after} consecutive rejections the ladder
       fires {!Fire_reseed}: the caller replaces the collapsed posterior
       (see {!Utc_inference.Belief.reseed}) and the ladder enters
       Probing. The rejection streak therefore never exceeds
-      [reseed_after] while reseeds remain.
+      {!reseed_after}.
     - {b Probing}: the sender ignores the (not-yet-trusted) planner and
-      paces conservatively, one packet per [interval] — AIMD-style:
-      each further rejection multiplies the interval by [probe_backoff]
-      (capped), each consistent update multiplies it by [probe_decay].
-      After [healthy_after] consecutive consistent updates {e and} a
-      top-hypothesis weight of at least [reconcentrate_mass], the
-      posterior is considered re-concentrated and the ladder returns to
-      Healthy. *)
+      paces conservatively, one packet per [interval], starting at 1 s —
+      AIMD-style: each further rejection doubles the interval (capped at
+      16 s), each consistent update multiplies it by 0.8. After 5
+      consecutive consistent updates {e and} a top-hypothesis weight of
+      at least 0.5, the posterior is considered re-concentrated and the
+      ladder returns to Healthy. *)
 
 type phase =
   | Healthy
@@ -39,31 +38,15 @@ type phase =
 val phase_equal : phase -> phase -> bool
 val pp_phase : Format.formatter -> phase -> unit
 
-type config = {
-  suspect_after : int;  (** Consecutive rejections before Suspect (default 2). *)
-  reseed_after : int;
-      (** Consecutive rejections before a reseed fires — the bound [k]
-          on the rejection streak (default 4). *)
-  probe_interval : float;  (** Initial conservative pace, seconds (default 1.0). *)
-  probe_backoff : float;
-      (** Multiplicative backoff on a rejection while probing (default 2.0). *)
-  probe_decay : float;
-      (** Multiplicative decay on a consistent update while probing
-          (default 0.8). *)
-  probe_interval_max : float;  (** Backoff cap, seconds (default 16.0). *)
-  reconcentrate_mass : float;
-      (** Top-hypothesis weight at which the posterior counts as
-          re-concentrated (default 0.5). *)
-  healthy_after : int;
-      (** Consecutive consistent updates required to leave Probing
-          (default 5). *)
-  max_reseeds : int option;
-      (** Cap on reseeds; [None] (default) is unlimited. When exhausted
-          the ladder stays in its current phase and the streak may grow
-          without bound. *)
-}
+type config
+(** The ladder has no settings: [Isender]'s [recovery = Some
+    default_config] says that it runs. *)
 
 val default_config : config
+
+val reseed_after : int
+(** Consecutive rejections before a reseed fires: 4, the bound [k] on
+    the rejection streak. *)
 
 type event =
   | Rejected  (** The filtering step returned {!Belief.All_rejected}. *)
@@ -79,10 +62,9 @@ type action =
 
 type t
 
-val initial : config -> t
-(** @raise Invalid_argument on an out-of-range configuration. *)
+val initial : unit -> t
 
-val step : ?at:float -> config -> t -> event -> t * action
+val step : ?at:float -> t -> event -> t * action
 (** Pure: returns the successor state and the action to take. With
     [?at] (the current sim-time) a phase change is additionally
     journaled as a [Recovery_transition] telemetry event — the returned

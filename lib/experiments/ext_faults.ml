@@ -80,8 +80,6 @@ let reseed_oracle truth_after ~now belief =
     ~seeds:(Utc_inference.Priors.hypotheses topology [ (truth_after, 1.0) ])
     ~now ()
 
-let recovery_config = Recovery.default_config
-
 let run_variant ~seed ~duration ~onset ~schedule ~truth_after variant =
   let belief = Belief.create (Utc_inference.Priors.hypotheses topology prior) in
   let { Testbed.engine; receiver; runtime; _ } = Testbed.create ~seed (topology truth) in
@@ -89,7 +87,8 @@ let run_variant ~seed ~duration ~onset ~schedule ~truth_after variant =
   let config =
     match variant with
     | No_recovery -> Isender.default_config
-    | With_recovery | Oracle -> { Isender.default_config with recovery = Some recovery_config }
+    | With_recovery | Oracle ->
+      { Isender.default_config with recovery = Some Recovery.default_config }
   in
   let reseed =
     match variant with
@@ -150,7 +149,7 @@ let run_scenario ~seed ~duration ~onset ~name ~description ~schedule ~truth_afte
       (run_variant ~seed ~duration ~onset ~schedule ~truth_after)
       [ No_recovery; With_recovery; Oracle ]
   in
-  { name; description; onset; reseed_after = recovery_config.Recovery.reseed_after; runs }
+  { name; description; onset; reseed_after = Recovery.reseed_after; runs }
 
 let onset = 40.0
 

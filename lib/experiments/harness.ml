@@ -10,7 +10,6 @@ type config = {
   kappa : float;
   cross_discounted : bool;
   latency_penalty : float;
-  planner_delays : float list;
   duration : float;
   seed : int;
   max_hyps : int;
@@ -31,7 +30,6 @@ let default =
     kappa = 60.0;
     cross_discounted = true;
     latency_penalty = 0.0;
-    planner_delays = paper_delays;
     duration = 300.0;
     seed = 1;
     max_hyps = 20_000;
@@ -108,7 +106,7 @@ let run config =
       ~cross_discounted:config.cross_discounted ~latency_penalty:config.latency_penalty ()
   in
   let planner =
-    { Utc_core.Planner.default_config with utility; delays = config.planner_delays }
+    { Utc_core.Planner.default_config with utility; delays = paper_delays }
   in
   let isender =
     Testbed.isender testbed { Utc_core.Isender.default_config with planner } ~belief

@@ -11,7 +11,6 @@ type config = {
   kappa : float;
   cross_discounted : bool;
   latency_penalty : float;
-  planner_delays : float list;
   duration : float;
   seed : int;
   max_hyps : int;
@@ -22,11 +21,12 @@ type config = {
 
 val default : config
 (** The paper's §4 experiment: square-wave truth, full paper prior,
-    [alpha = 1], 300 s, link-scaled candidate delays. *)
+    [alpha = 1], 300 s. *)
 
 val paper_delays : float list
 (** Candidate delays scaled to the §4 link (service time 1 s; residual
-    pace against a 0.7c pinger is 3.33 s). *)
+    pace against a 0.7c pinger is 3.33 s): the planner's delays in
+    {!run}. *)
 
 type sample = {
   at : Utc_sim.Timebase.t;

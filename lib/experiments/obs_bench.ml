@@ -80,7 +80,9 @@ let enabled_incr_ns () =
    aggregation path without journaling 10^6 begin/end events. The time
    bound is generous — spans wrap phases (a belief update, a planner
    decision), not single instructions — but pins the order of magnitude
-   so a regression (say an accidental snapshot per entry) fails loudly. *)
+   so a regression (say an accidental snapshot per entry) fails CI's
+   "Telemetry overhead benchmark" step, which checks all four bounds in
+   the written report. *)
 let enabled_span_ns () =
   assert (Metrics.enabled ());
   let iters = 1_000_000 in

@@ -21,6 +21,9 @@
       rather than instructions, but loud on order-of-magnitude
       regressions.
 
+    {!pp_report} marks a broken bound EXCEEDS without failing; CI's
+    "Telemetry overhead benchmark" step fails on any of the four.
+
     Leaves both the metrics registry and the sink disabled and reset. *)
 
 type report = {

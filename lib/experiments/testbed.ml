@@ -17,7 +17,7 @@ let create ~seed truth =
   { engine; receiver; compiled; runtime }
 
 let isender ?decide ?reseed t config ~belief =
-  let flow = config.Isender.flow in
+  let flow = Utc_net.Flow.Primary in
   let sender =
     Isender.create ?decide ?reseed t.engine config ~belief ~inject:(fun pkt ->
         Runtime.inject t.runtime flow pkt)

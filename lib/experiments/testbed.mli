@@ -34,8 +34,8 @@ val isender :
   Utc_core.Isender.config ->
   belief:'p Utc_inference.Belief.t ->
   'p Utc_core.Isender.t
-(** {!Utc_core.Isender.create} injecting on [config.flow], subscribed to
-    that flow's deliveries. *)
+(** {!Utc_core.Isender.create} injecting on {!Utc_net.Flow.Primary}, the
+    ISender's flow, subscribed to that flow's deliveries. *)
 
 val tcp : t -> Utc_tcp.Sender.config -> Utc_tcp.Sender.t
 (** {!Utc_tcp.Sender.create} injecting on [config.flow], subscribed to

@@ -41,14 +41,16 @@ type 'p store = {
 
 type 'p t = {
   store : 'p store;
-  tick : float;
   min_weight : float;
   max_hyps : int;
   cap_policy : cap_policy;
   obs_offset : 'p -> float;
-  ll_floor : float option;
   now : Tb.t;
 }
+
+(* Tolerance, in seconds, when matching a predicted delivery time to an
+   observed ACK time. *)
+let tick = 1e-6
 
 type update_status =
   | Consistent
@@ -106,12 +108,8 @@ let sort_store s =
     idx;
   permute s idx
 
-let create ?(tick = 1e-6) ?(min_weight = 1e-9) ?(max_hyps = 20_000) ?(cap_policy = `Top_k)
-    ?(obs_offset = fun _ -> 0.0) ?ll_floor seeds =
-  (match ll_floor with
-  | Some f when not (0.0 < f && f < 1.0) ->
-    invalid_arg "Belief.create: ll_floor must be in (0, 1)"
-  | Some _ | None -> ());
+let create ?(min_weight = 1e-9) ?(max_hyps = 20_000) ?(cap_policy = `Top_k)
+    ?(obs_offset = fun _ -> 0.0) seeds =
   let hyp (params, weight, prepared, state) =
     {
       params;
@@ -122,57 +120,32 @@ let create ?(tick = 1e-6) ?(min_weight = 1e-9) ?(max_hyps = 20_000) ?(cap_policy
     }
   in
   let store = normalize_store (store_of_array (Array.of_list (List.map hyp seeds))) in
-  {
-    store = sort_store store;
-    tick;
-    min_weight;
-    max_hyps;
-    cap_policy;
-    obs_offset;
-    ll_floor;
-    now = Tb.zero;
-  }
+  { store = sort_store store; min_weight; max_hyps; cap_policy; obs_offset; now = Tb.zero }
 
 (* Log-likelihood of the observed ACK set under one simulated outcome, or
    None if the outcome is inconsistent: wrong delivery time, an ACK the
    outcome cannot explain, or a missing ACK with no loss to blame.
    [offset] shifts predicted delivery times into the sender's observation
    clock: a hypothesized return-path delay plus receiver clock skew
-   (paper S3.4/S3.5).
-
-   With a likelihood floor [floor = Some f], each violation contributes
-   [log f] instead of killing the outcome: one impossible ACK dents the
-   posterior rather than zeroing it, so a transiently misspecified belief
-   degrades gracefully instead of collapsing. Survival probabilities are
-   the hypothesis' own, read off each delivery's trail by [model]. *)
-let score ~tick ~floor ~offset ~acks model (deliveries : Forward.delivery list) =
+   (paper S3.4/S3.5). Survival probabilities are the hypothesis' own,
+   read off each delivery's trail by [model]. *)
+let score ~offset ~acks model (deliveries : Forward.delivery list) =
   let exception Rejected in
-  let penalize acc =
-    match floor with
-    | Some f -> acc +. log f
-    | None -> raise Rejected
-  in
+  let log_positive p = if p <= 0.0 then raise Rejected else log p in
   try
     let delivery_ll acc (d : Forward.delivery) =
       match List.find_opt (fun a -> a.seq = d.packet.Packet.seq) acks with
       | Some a ->
-        (* Even at the wrong time, the delivery accounts for the ACK's
-           existence; a floored mismatch is one violation, not two. *)
-        if Tb.close ~tol:tick a.time (d.time +. offset) then begin
-          let survive_p = Forward.survive_p model d in
-          if survive_p <= 0.0 then penalize acc else acc +. log survive_p
-        end
-        else penalize acc
+        if not (Tb.close ~tol:tick a.time (d.time +. offset)) then raise Rejected;
+        acc +. log_positive (Forward.survive_p model d)
       | None ->
         (* Acknowledgment was due by now but never arrived: the packet
            must have been lost at a last-mile loss element. *)
-        let loss_p = 1.0 -. Forward.survive_p model d in
-        if loss_p <= 0.0 then penalize acc else acc +. log loss_p
+        acc +. log_positive (1.0 -. Forward.survive_p model d)
     in
     let ll = List.fold_left delivery_ll 0.0 deliveries in
     let delivered a = List.exists (fun (d : Forward.delivery) -> d.packet.Packet.seq = a.seq) deliveries in
-    let ll = List.fold_left (fun acc a -> if delivered a then acc else penalize acc) ll acks in
-    Some ll
+    if List.for_all delivered acks then Some ll else None
   with Rejected -> None
 
 let prune_store ~min_weight s =
@@ -269,16 +242,10 @@ let fork_hash ~params_hash state awaiting =
    seeds built apart with equal values. *)
 let same_params a b = a == b || String.equal (Marshal.to_string a []) (Marshal.to_string b [])
 
-let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let same_delivery (a : Forward.delivery) (b : Forward.delivery) =
-  same_float a.time b.time
-  && List.equal Int.equal a.trail b.trail
-  && (a.packet == b.packet
-     || a.packet.Packet.seq = b.packet.Packet.seq
-        && Flow.equal a.packet.Packet.flow b.packet.Packet.flow
-        && a.packet.Packet.bits = b.packet.Packet.bits
-        && same_float a.packet.Packet.sent_at b.packet.Packet.sent_at)
+  Mstate.same_float a.time b.time
+  && Mstate.same_trail a.trail b.trail
+  && Mstate.same_packet a.packet b.packet
 
 (* The compaction identity: equal params, [Mstate.equal] states and
    bit-identical awaiting deliveries, cheapest test first. *)
@@ -411,11 +378,11 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
       in
       let due, awaiting =
         List.partition
-          (fun (d : Forward.delivery) -> Tb.( <=. ) (d.time +. offset) (now +. t.tick)) (* lint:allow R11 -- per-outcome due/awaiting split *)
+          (fun (d : Forward.delivery) -> Tb.( <=. ) (d.time +. offset) (now +. tick)) (* lint:allow R11 -- per-outcome due/awaiting split *)
           (hyp_awaiting @ observable)
       in
       let ll =
-        if condition then score ~tick:t.tick ~floor:t.ll_floor ~offset ~acks hyp_prepared due
+        if condition then score ~offset ~acks hyp_prepared due
         else Some 0.0
       in
       match ll with

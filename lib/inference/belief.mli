@@ -55,34 +55,22 @@ type cap_policy =
   ]
 
 val create :
-  ?tick:float ->
   ?min_weight:float ->
   ?max_hyps:int ->
   ?cap_policy:cap_policy ->
   ?obs_offset:('p -> float) ->
-  ?ll_floor:float ->
   ('p * float * Utc_model.Forward.prepared * Utc_model.Mstate.t) list ->
   'p t
-(** [tick] (default 1e-6 s) is the tolerance when matching predicted to
-    observed ACK times; [min_weight] (default 1e-9) prunes hypotheses
-    lighter than [min_weight * heaviest]; [max_hyps] (default 20_000)
-    triggers the cap policy (default [`Top_k]). Initial weights are
-    normalized.
+(** [min_weight] (default 1e-9) prunes hypotheses lighter than
+    [min_weight * heaviest]; [max_hyps] (default 20_000) triggers the cap
+    policy (default [`Top_k]). Initial weights are normalized.
 
     [obs_offset] (default 0) maps a hypothesis to the shift between a
     packet's delivery time and the moment its acknowledgment reaches the
     sender's clock: a hypothesized return-path delay plus receiver clock
     skew, the §3.4/§3.5 future-work parameters. Deliveries whose shifted
     acknowledgment is not yet due are held in {!hypothesis.awaiting} and
-    scored in a later window.
-
-    [ll_floor] (default off; must be in (0, 1)) is the misspecification
-    guard: instead of removing an outcome on an inconsistency (wrong ACK
-    time, unexplained ACK, missing ACK with no loss to blame), each
-    violation contributes [log ll_floor] to its log-likelihood. A single
-    impossible observation then dents the posterior instead of zeroing
-    it, at the cost of strict rejection's sharpness.
-    @raise Invalid_argument on an out-of-range [ll_floor]. *)
+    scored in a later window. *)
 
 type update_status =
   | Consistent
@@ -102,7 +90,7 @@ val update :
 (** Advance every hypothesis to [(now, now_prio)] (see
     {!Utc_model.Forward.run}) with the sender's [sends] injected, then
     condition on [acks]: a predicted delivery matching an ACK within
-    [tick] contributes its survival likelihood, a predicted delivery with
+    1 µs contributes its survival likelihood, a predicted delivery with
     no ACK contributes its loss likelihood, and an outcome that predicts a
     wrong time — or misses an observed ACK, or has no loss to blame a
     missing ACK on — is removed. *)

@@ -1,10 +1,9 @@
-type config = {
-  ess_ratio_floor : float;
-  top_weight_ceiling : float;
-  streak_limit : int;
-}
-
-let default_config = { ess_ratio_floor = 0.1; top_weight_ceiling = 0.999; streak_limit = 3 }
+(* A symptom is present when [ess / size] is below [ess_ratio_floor],
+   when the heaviest hypothesis holds [top_weight_ceiling] or more, or
+   after [streak_limit] consecutive rejected updates. *)
+let ess_ratio_floor = 0.1
+let top_weight_ceiling = 0.999
+let streak_limit = 3
 
 type signal =
   | Rejection_streak
@@ -21,14 +20,11 @@ let pp_signal ppf s =
   Format.pp_print_string ppf text
 
 type t = {
-  config : config;
   mutable streak : int;
   mutable worst_streak : int;
 }
 
-let create ?(config = default_config) () =
-  if config.streak_limit < 1 then invalid_arg "Degeneracy.create: streak_limit must be >= 1";
-  { config; streak = 0; worst_streak = 0 }
+let create () = { streak = 0; worst_streak = 0 }
 
 (* [top ~n:1], not [support]: the store keeps hypotheses heaviest-first,
    and this runs on every informative wakeup — no reason to materialize
@@ -50,14 +46,14 @@ let observe t belief (status : Belief.update_status) =
     t.streak <- t.streak + 1;
     if t.streak > t.worst_streak then t.worst_streak <- t.streak
   | Belief.Consistent -> t.streak <- 0);
-  let signals = if t.streak >= t.config.streak_limit then [ Rejection_streak ] else [] in
+  let signals = if t.streak >= streak_limit then [ Rejection_streak ] else [] in
   let signals =
-    if Belief.size belief > 1 && ess_ratio belief < t.config.ess_ratio_floor then
+    if Belief.size belief > 1 && ess_ratio belief < ess_ratio_floor then
       Ess_collapse :: signals
     else signals
   in
   let signals =
-    if Belief.size belief > 0 && top_weight belief >= t.config.top_weight_ceiling then
+    if Belief.size belief > 0 && top_weight belief >= top_weight_ceiling then
       Weight_concentration :: signals
     else signals
   in

@@ -3,31 +3,20 @@
     A stateful watchdog over the belief's weight diagnostics that the
     sender can consult every wakeup. Three symptoms are watched:
 
-    - {b Rejection streak}: consecutive {!Belief.All_rejected} updates —
-      the filter can no longer explain reality at all, the §3.2
-      misspecification case.
-    - {b ESS collapse}: effective sample size far below the support size —
-      a handful of hypotheses carry all the mass while the rest are dead
-      weight.
-    - {b Weight concentration}: the top hypothesis holds essentially all
-      the mass. On a discrete grid this is often {e convergence}, not
+    - {b Rejection streak}: 3 or more consecutive {!Belief.All_rejected}
+      updates — the filter can no longer explain reality at all, the
+      §3.2 misspecification case.
+    - {b ESS collapse}: effective sample size below a tenth of the
+      support size — a handful of hypotheses carry all the mass while
+      the rest are dead weight.
+    - {b Weight concentration}: the top hypothesis holds at least 0.999
+      of the mass. On a discrete grid this is often {e convergence}, not
       collapse; the monitor reports it and leaves the
       policy to the caller (the ISender's recovery ladder only acts on
       rejection streaks).
 
     The monitor holds only the streak counters; everything else is
     computed from the belief at {!observe} time. *)
-
-type config = {
-  ess_ratio_floor : float;  (** Signal when [ess / size] drops below (default 0.1). *)
-  top_weight_ceiling : float;
-      (** Signal when the heaviest hypothesis' weight reaches this
-          (default 0.999). *)
-  streak_limit : int;
-      (** Signal after this many consecutive rejected updates (default 3). *)
-}
-
-val default_config : config
 
 type signal =
   | Rejection_streak
@@ -38,8 +27,7 @@ val pp_signal : Format.formatter -> signal -> unit
 
 type t
 
-val create : ?config:config -> unit -> t
-(** @raise Invalid_argument if [streak_limit < 1]. *)
+val create : unit -> t
 
 val observe : t -> 'p Belief.t -> Belief.update_status -> signal list
 (** Feed one filtering step's result; returns the symptoms currently

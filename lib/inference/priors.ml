@@ -63,7 +63,9 @@ let uniform values =
 
 let packet_bits = float_of_int Packet.default_bits
 
-let paper_prior ?(rate_ratios = [ 0.4; 0.5; 0.6; 0.7 ]) () =
+let rate_ratios = [ 0.4; 0.5; 0.6; 0.7 ]
+
+let paper_prior () =
   let speeds = grid_float ~lo:10_000.0 ~hi:16_000.0 ~step:1_000.0 in
   let losses = grid_float ~lo:0.0 ~hi:0.2 ~step:0.05 in
   let buffers = grid_int ~lo:72_000 ~hi:108_000 ~step:12_000 in

@@ -36,10 +36,10 @@ val grid_int : lo:int -> hi:int -> step:int -> int list
 val uniform : 'a list -> ('a * float) list
 (** Equal weights summing to 1. *)
 
-val paper_prior : ?rate_ratios:float list -> unit -> (fig2_params * float) list
+val paper_prior : unit -> (fig2_params * float) list
 (** The table above, discretized: c at 1,000 bit/s steps, rate ratios
-    (default [0.4..0.7] at 0.1), p at 0.05 steps, capacity at 12,000-bit
-    steps, fullness at whole packets. Uniform over the grid. *)
+    0.4 to 0.7 at 0.1, p at 0.05 steps, capacity at 12,000-bit steps,
+    fullness at whole packets. Uniform over the grid. *)
 
 val paper_truth : fig2_params
 (** The actual values of §4 (with the true square-wave period in

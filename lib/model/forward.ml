@@ -49,26 +49,16 @@ let likelihood_loss config queue_free id = config.loss_mode = `Likelihood && que
 
 (* --- dynamics identity --- *)
 
-(* Floats compare by their bits: runs must agree exactly. *)
-let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let mix h x =
-  let h = (h lxor x) * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 29)
-
-let same_link (a : Compiled.link) (b : Compiled.link) =
-  match a, b with
-  | To x, To y -> x = y
-  | Deliver, Deliver -> true
-  | To _, Deliver | Deliver, To _ -> false
-
+(* Floats compare by their bits ([Mstate.same_float]): runs must agree
+   exactly. *)
 let same_gate_kind (a : Compiled.gate_kind) (b : Compiled.gate_kind) =
   match a, b with
   | Memoryless a, Memoryless b ->
-    same_float a.mean_time_to_switch b.mean_time_to_switch
+    Mstate.same_float a.mean_time_to_switch b.mean_time_to_switch
     && Bool.equal a.initially_connected b.initially_connected
   | Periodic a, Periodic b ->
-    same_float a.interval b.interval && Bool.equal a.initially_connected b.initially_connected
+    Mstate.same_float a.interval b.interval
+    && Bool.equal a.initially_connected b.initially_connected
   | Memoryless _, Periodic _ | Periodic _, Memoryless _ -> false
 
 (* [prepare] admits FIFO stations only. *)
@@ -81,62 +71,63 @@ let same_node ~masked (a : Compiled.node) (b : Compiled.node) =
   match a, b with
   | Station a, Station b ->
     Option.equal Int.equal a.capacity_bits b.capacity_bits
-    && same_float a.rate_bps b.rate_bps
+    && Mstate.same_float a.rate_bps b.rate_bps
     && same_discipline a.discipline b.discipline
-    && same_link a.next b.next
-  | Delay a, Delay b -> same_float a.seconds b.seconds && same_link a.next b.next
-  | Loss a, Loss b -> (masked || same_float a.rate b.rate) && same_link a.next b.next
+    && Mstate.same_link a.next b.next
+  | Delay a, Delay b -> Mstate.same_float a.seconds b.seconds && Mstate.same_link a.next b.next
+  | Loss a, Loss b -> (masked || Mstate.same_float a.rate b.rate) && Mstate.same_link a.next b.next
   | Jitter a, Jitter b ->
-    same_float a.seconds b.seconds
-    && same_float a.probability b.probability
-    && same_link a.next b.next
-  | Gate a, Gate b -> same_gate_kind a.kind b.kind && same_link a.next b.next
+    Mstate.same_float a.seconds b.seconds
+    && Mstate.same_float a.probability b.probability
+    && Mstate.same_link a.next b.next
+  | Gate a, Gate b -> same_gate_kind a.kind b.kind && Mstate.same_link a.next b.next
   | Either a, Either b ->
-    same_float a.mean_time_to_switch b.mean_time_to_switch
+    Mstate.same_float a.mean_time_to_switch b.mean_time_to_switch
     && Bool.equal a.initially_first b.initially_first
-    && same_link a.first b.first
-    && same_link a.second b.second
+    && Mstate.same_link a.first b.first
+    && Mstate.same_link a.second b.second
   | Divert a, Divert b ->
-    List.equal (fun (f, l) (g, m) -> Flow.equal f g && same_link l m) a.routes b.routes
-    && same_link a.otherwise b.otherwise
+    List.equal (fun (f, l) (g, m) -> Flow.equal f g && Mstate.same_link l m) a.routes b.routes
+    && Mstate.same_link a.otherwise b.otherwise
   | Multipath a, Multipath b ->
     (match a.policy, b.policy with
     | `Round_robin, `Round_robin -> true
-    | `Random x, `Random y -> same_float x y
+    | `Random x, `Random y -> Mstate.same_float x y
     | (`Round_robin | `Random _), _ -> false)
-    && same_link a.first b.first
-    && same_link a.second b.second
+    && Mstate.same_link a.first b.first
+    && Mstate.same_link a.second b.second
   | (Station _ | Delay _ | Loss _ | Jitter _ | Gate _ | Either _ | Divert _ | Multipath _), _ -> false
 
 let same_pinger (a : Compiled.pinger) (b : Compiled.pinger) =
   Flow.equal a.flow b.flow
-  && same_float a.rate_pps b.rate_pps
+  && Mstate.same_float a.rate_pps b.rate_pps
   && a.size_bits = b.size_bits
-  && same_link a.entry b.entry
+  && Mstate.same_link a.entry b.entry
 
 let same_config a b =
   (match a.loss_mode, b.loss_mode with
   | `Likelihood, `Likelihood | `Fork, `Fork -> true
   | (`Likelihood | `Fork), _ -> false)
   && Bool.equal a.fork_gates b.fork_gates
-  && same_float a.epoch b.epoch
+  && Mstate.same_float a.epoch b.epoch
   && a.max_branches = b.max_branches
 
-let mix_float h x = mix h (Int64.to_int (Int64.bits_of_float x))
+let mix_float h x = Mstate.mix h (Int64.to_int (Int64.bits_of_float x))
 
 (* One node's share of [dynamics_hash]. *)
 let node_hash config queue_free id h (node : Compiled.node) =
   match node with
   | Station { capacity_bits; rate_bps; _ } ->
-    mix_float (mix h (Option.value capacity_bits ~default:(-1))) rate_bps
-  | Delay { seconds; _ } -> mix_float (mix h 2) seconds
-  | Loss { rate; _ } -> if likelihood_loss config queue_free id then mix h 3 else mix_float (mix h 4) rate
+    mix_float (Mstate.mix h (Option.value capacity_bits ~default:(-1))) rate_bps
+  | Delay { seconds; _ } -> mix_float (Mstate.mix h 2) seconds
+  | Loss { rate; _ } ->
+    if likelihood_loss config queue_free id then Mstate.mix h 3 else mix_float (Mstate.mix h 4) rate
   | Jitter { seconds; probability; _ } -> mix_float (mix_float h seconds) probability
   | Gate { kind = Memoryless { mean_time_to_switch = t; _ } | Periodic { interval = t; _ }; _ } ->
-    mix_float (mix h 5) t
-  | Either { mean_time_to_switch; _ } -> mix_float (mix h 6) mean_time_to_switch
-  | Divert _ -> mix h 7
-  | Multipath _ -> mix h 8
+    mix_float (Mstate.mix h 5) t
+  | Either { mean_time_to_switch; _ } -> mix_float (Mstate.mix h 6) mean_time_to_switch
+  | Divert _ -> Mstate.mix h 7
+  | Multipath _ -> Mstate.mix h 8
 
 (* A hash of the numbers [shares_dynamics] compares, likelihood-mode loss
    rates left out (links and flows it leaves to [shares_dynamics]).
@@ -145,7 +136,9 @@ let node_hash config queue_free id h (node : Compiled.node) =
    policy and faults workloads' [setup_s]. *)
 let dynamics_hash config compiled queue_free =
   let nodes = compiled.Compiled.nodes in
-  let h = ref (mix_float (mix (Bool.to_int config.fork_gates) config.max_branches) config.epoch) in
+  let h =
+    ref (mix_float (Mstate.mix (Bool.to_int config.fork_gates) config.max_branches) config.epoch)
+  in
   for id = 0 to Array.length nodes - 1 do
     h := node_hash config queue_free id !h nodes.(id)
   done;
@@ -166,7 +159,7 @@ let shares_dynamics p q =
         Array.length a.Compiled.nodes = Array.length b.Compiled.nodes
         && same_nodes p a.Compiled.nodes b.Compiled.nodes 0
         && Array.length a.Compiled.entries = Array.length b.Compiled.entries
-        && Array.for_all2 (Option.equal same_link) a.Compiled.entries b.Compiled.entries
+        && Array.for_all2 (Option.equal Mstate.same_link) a.Compiled.entries b.Compiled.entries
         && List.equal same_pinger a.Compiled.pingers b.Compiled.pingers)
 
 let prepare config compiled =
@@ -291,7 +284,7 @@ let representatives models states =
     let keys = Array.make n 0 in
     for i = 0 to n - 1 do
       if count.(bucket.(i)) >= 2 then begin
-        let key = mix models.(i).dynamics (Mstate.hash states.(i)) in
+        let key = Mstate.mix models.(i).dynamics (Mstate.hash states.(i)) in
         keys.(i) <- key;
         let j = ref (key land mask) in
         while
@@ -787,7 +780,7 @@ let resume t (at, pkt) =
       match steps with
       | step :: _
         when boundary
-             && same_float branch.logw step.before.logw
+             && Mstate.same_float branch.logw step.before.logw
              && Mstate.converged branch.state step.before.state ->
         single branch ~logw:t.t_logw ~suffix:step.delivered
       | [] | _ :: _ -> (

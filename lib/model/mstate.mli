@@ -107,6 +107,27 @@ val hash : t -> int
     same packets hash equal whatever their push/pop histories.
     Allocates nothing. *)
 
+(** {1 Bit identity}
+
+    The comparisons {!converged} and {!hash} are built from, shared with
+    the dynamics identity of {!Forward} and the belief's compaction. *)
+
+val same_float : float -> float -> bool
+(** Equal bits. Unlike [Float.equal], [0.] and [-0.] differ. *)
+
+val same_packet : Utc_net.Packet.t -> Utc_net.Packet.t -> bool
+(** Same sequence number, flow, size and send time (bits). *)
+
+val same_trail : int list -> int list -> bool
+(** Same likelihood-mode losses, in the same order. *)
+
+val same_link : Utc_net.Compiled.link -> Utc_net.Compiled.link -> bool
+
+val mix : int -> int -> int
+(** One step of the hash fold: mixes [x] into [h], folding the high bits
+    down so that a power-of-two table indexed by the low bits sees
+    them. *)
+
 val canonical : t -> string
 (** A byte string equal for two states when they are observationally
     identical: event sequence numbers are renumbered in order and queues

@@ -491,7 +491,6 @@ let pricing_matches_full_runs seeds ~pending ~delays =
   let pending = primary_sends (List.mapi (fun i t -> (now +. t, 100 + i)) pending) in
   let config =
     {
-      Planner.default_config with
       Planner.delays;
       horizon = 10.0;
       utility = Utility.make ~alpha:1.5 ~latency_penalty:0.01 ~cross_discounted:true ();
@@ -519,7 +518,7 @@ let pricing_matches_full_runs seeds ~pending ~delays =
               priced)
   in
   let belief = Belief.create seeds in
-  let hyps = Belief.top belief ~n:config.Planner.top_hyps in
+  let hyps = Belief.top belief ~n:Planner.top_hyps in
   let z = Utc_inference.Logw.logsumexp (List.map (fun (h : _ Belief.hypothesis) -> h.Belief.logw) hyps) in
   let expected =
     Array.to_list

@@ -417,34 +417,74 @@ let suite =
     ("isender under loss", `Quick, isender_under_loss_keeps_consistency);
   ]
 
+(* --- ISender's fixed clamps --- *)
+
+(* An ISender whose decider always answers [decision], sending into
+   nothing: its sends and the times of its wakeups up to [until]. *)
+let clamped_run decision ~until =
+  let engine = Engine.create ~seed:8 () in
+  let belief = Belief.create [ seed_of { rate = 12_000.0; fill = 0 } 1.0 ] in
+  let decide _ ~now:_ ~pending:_ ~make_packet:_ = (decision, []) in
+  let isender = Isender.create ~decide engine Isender.default_config ~belief ~inject:ignore in
+  let wakeups = ref [] in
+  Isender.on_wakeup isender (fun now _ -> wakeups := now :: !wakeups);
+  Isender.start isender;
+  Engine.run ~until engine;
+  (Isender.sent isender, List.rev !wakeups)
+
+let isender_burst_cap () =
+  let sent, wakeups = clamped_run Planner.Send_now ~until:0.0015 in
+  Alcotest.(check int) "64 sends at t = 0" 64
+    (List.length (List.filter (fun (t, _) -> t = 0.0) sent));
+  Alcotest.(check (list (float 0.0))) "next wakeup 1 ms later" [ 0.0; 0.001 ] wakeups
+
+let isender_sleep_clamps () =
+  let sent, wakeups = clamped_run (Planner.Sleep 1000.0) ~until:150.0 in
+  Alcotest.(check int) "no sends" 0 (List.length sent);
+  Alcotest.(check (list (float 0.0))) "re-plans every 60 s" [ 0.0; 60.0; 120.0 ] wakeups;
+  let _, wakeups = clamped_run (Planner.Sleep 1e-6) ~until:0.0035 in
+  Alcotest.(check (list (float 1e-12))) "sleeps at least 1 ms" [ 0.0; 0.001; 0.002; 0.003 ] wakeups
+
+let suite =
+  suite
+  @ [
+      ("isender burst cap", `Quick, isender_burst_cap);
+      ("isender sleep clamps", `Quick, isender_sleep_clamps);
+    ]
+
 (* --- Recovery ladder (pure transitions) --- *)
 
 module Recovery = Utc_core.Recovery
 
-let rc = Recovery.default_config
+(* The ladder's pace and healing constants, as DESIGN.md lists them. *)
+let probe_interval = 1.0
+let probe_decay = 0.8
+let probe_interval_max = 16.0
+let healthy_after = 5
+
 let accepted ?(top_weight = 1.0) () = Recovery.Accepted { top_weight }
 
 (* Feed a list of events, returning the final state and every action. *)
-let drive config t events =
+let drive t events =
   List.fold_left
     (fun (t, actions) event ->
-      let t, action = Recovery.step config t event in
+      let t, action = Recovery.step t event in
       (t, action :: actions))
     (t, []) events
   |> fun (t, actions) -> (t, List.rev actions)
 
 let ladder_escalates_and_fires () =
-  let t = Recovery.initial rc in
+  let t = Recovery.initial () in
   Alcotest.(check bool) "starts healthy" true (Recovery.phase_equal Recovery.Healthy (Recovery.phase t));
-  let t, a = Recovery.step rc t Recovery.Rejected in
+  let t, a = Recovery.step t Recovery.Rejected in
   Alcotest.(check bool) "one rejection stays healthy" true
     (Recovery.phase_equal Recovery.Healthy (Recovery.phase t) && a = Recovery.No_action);
-  let t, a = Recovery.step rc t Recovery.Rejected in
-  Alcotest.(check bool) "suspect_after reached" true
+  let t, a = Recovery.step t Recovery.Rejected in
+  Alcotest.(check bool) "two rejections make it suspect" true
     (Recovery.phase_equal Recovery.Suspect (Recovery.phase t) && a = Recovery.No_action);
-  let t, _ = Recovery.step rc t Recovery.Rejected in
+  let t, _ = Recovery.step t Recovery.Rejected in
   Alcotest.(check int) "streak counts" 3 (Recovery.streak t);
-  let t, a = Recovery.step rc t Recovery.Rejected in
+  let t, a = Recovery.step t Recovery.Rejected in
   Alcotest.(check bool) "reseed_after fires" true (a = Recovery.Fire_reseed);
   Alcotest.(check bool) "probing after reseed" true
     (Recovery.phase_equal Recovery.Probing (Recovery.phase t));
@@ -452,10 +492,10 @@ let ladder_escalates_and_fires () =
   Alcotest.(check int) "one reseed" 1 (Recovery.reseeds t)
 
 let ladder_suspect_clears_on_accept () =
-  let t = Recovery.initial rc in
-  let t, _ = drive rc t [ Recovery.Rejected; Recovery.Rejected; Recovery.Rejected ] in
+  let t = Recovery.initial () in
+  let t, _ = drive t [ Recovery.Rejected; Recovery.Rejected; Recovery.Rejected ] in
   Alcotest.(check bool) "suspect" true (Recovery.phase_equal Recovery.Suspect (Recovery.phase t));
-  let t, a = Recovery.step rc t (accepted ()) in
+  let t, a = Recovery.step t (accepted ()) in
   Alcotest.(check bool) "one consistent update clears suspicion" true
     (Recovery.phase_equal Recovery.Healthy (Recovery.phase t) && a = Recovery.No_action);
   Alcotest.(check int) "streak cleared" 0 (Recovery.streak t)
@@ -463,71 +503,40 @@ let ladder_suspect_clears_on_accept () =
 let reject n = List.init n (fun _ -> Recovery.Rejected)
 
 let ladder_probe_backoff_and_decay () =
-  let t = Recovery.initial rc in
-  let t, _ = drive rc t (reject rc.Recovery.reseed_after) in
-  Alcotest.(check (float 1e-9)) "probe starts at base interval" rc.Recovery.probe_interval
+  let t = Recovery.initial () in
+  let t, _ = drive t (reject Recovery.reseed_after) in
+  Alcotest.(check (float 1e-9)) "probe starts at base interval" probe_interval
     (Recovery.interval t);
   (* A second full streak while probing fires again and backs off. *)
-  let t, actions = drive rc t (reject rc.Recovery.reseed_after) in
+  let t, actions = drive t (reject Recovery.reseed_after) in
   Alcotest.(check bool) "second reseed fired" true (List.mem Recovery.Fire_reseed actions);
   Alcotest.(check int) "two reseeds" 2 (Recovery.reseeds t);
-  Alcotest.(check bool) "interval backed off" true
-    (Recovery.interval t > rc.Recovery.probe_interval);
+  Alcotest.(check bool) "interval backed off" true (Recovery.interval t > probe_interval);
   let widened = Recovery.interval t in
   (* Consistency decays the interval multiplicatively. *)
-  let t, _ = Recovery.step rc t (accepted ~top_weight:0.1 ()) in
-  Alcotest.(check (float 1e-9)) "decay" (widened *. rc.Recovery.probe_decay) (Recovery.interval t);
+  let t, _ = Recovery.step t (accepted ~top_weight:0.1 ()) in
+  Alcotest.(check (float 1e-9)) "decay" (widened *. probe_decay) (Recovery.interval t);
   (* Backoff is capped. *)
-  let t, _ = drive rc t (reject (20 * rc.Recovery.reseed_after)) in
-  Alcotest.(check bool) "backoff capped" true
-    (Recovery.interval t <= rc.Recovery.probe_interval_max +. 1e-9)
+  let t, _ = drive t (reject (20 * Recovery.reseed_after)) in
+  Alcotest.(check bool) "backoff capped" true (Recovery.interval t <= probe_interval_max +. 1e-9)
 
 let ladder_reheals_when_reconcentrated () =
-  let t = Recovery.initial rc in
-  let t, _ = drive rc t (reject rc.Recovery.reseed_after) in
+  let t = Recovery.initial () in
+  let t, _ = drive t (reject Recovery.reseed_after) in
   (* Calm updates with a still-diffuse posterior do not re-heal... *)
-  let diffuse = List.init (2 * rc.Recovery.healthy_after) (fun _ -> accepted ~top_weight:0.2 ()) in
-  let t, _ = drive rc t diffuse in
+  let diffuse = List.init (2 * healthy_after) (fun _ -> accepted ~top_weight:0.2 ()) in
+  let t, _ = drive t diffuse in
   Alcotest.(check bool) "diffuse posterior keeps probing" true
     (Recovery.phase_equal Recovery.Probing (Recovery.phase t));
   (* ...and a rejection resets the calm streak. *)
-  let t, _ = Recovery.step rc t Recovery.Rejected in
-  let concentrated = List.init rc.Recovery.healthy_after (fun _ -> accepted ~top_weight:0.9 ()) in
-  let t, _ = drive rc t (List.tl concentrated) in
+  let t, _ = Recovery.step t Recovery.Rejected in
+  let concentrated = List.init healthy_after (fun _ -> accepted ~top_weight:0.9 ()) in
+  let t, _ = drive t (List.tl concentrated) in
   Alcotest.(check bool) "calm streak not yet long enough" true
     (Recovery.phase_equal Recovery.Probing (Recovery.phase t));
-  let t, _ = Recovery.step rc t (accepted ~top_weight:0.9 ()) in
+  let t, _ = Recovery.step t (accepted ~top_weight:0.9 ()) in
   Alcotest.(check bool) "re-healed" true (Recovery.phase_equal Recovery.Healthy (Recovery.phase t));
-  Alcotest.(check (float 1e-9)) "interval reset on heal" rc.Recovery.probe_interval
-    (Recovery.interval t)
-
-let ladder_max_reseeds_exhausts () =
-  let config = { rc with Recovery.max_reseeds = Some 1 } in
-  let t = Recovery.initial config in
-  let t, actions = drive config t (reject (3 * config.Recovery.reseed_after)) in
-  let fired = List.length (List.filter (fun a -> a = Recovery.Fire_reseed) actions) in
-  Alcotest.(check int) "only one reseed allowed" 1 fired;
-  Alcotest.(check int) "reseed count matches" 1 (Recovery.reseeds t);
-  (* With the budget exhausted the streak grows without bound. *)
-  Alcotest.(check bool) "streak unbounded" true
-    (Recovery.streak t > config.Recovery.reseed_after)
-
-let ladder_validates_config () =
-  let check name config =
-    Alcotest.(check bool) name true
-      (try
-         ignore (Recovery.initial config);
-         false
-       with Invalid_argument _ -> true)
-  in
-  check "suspect_after < 1" { rc with Recovery.suspect_after = 0 };
-  check "reseed_after < suspect_after"
-    { rc with Recovery.reseed_after = rc.Recovery.suspect_after - 1 };
-  check "probe_interval <= 0" { rc with Recovery.probe_interval = 0.0 };
-  check "backoff < 1" { rc with Recovery.probe_backoff = 0.5 };
-  check "decay out of range" { rc with Recovery.probe_decay = 1.5 };
-  check "reconcentrate_mass out of range" { rc with Recovery.reconcentrate_mass = 1.5 };
-  check "healthy_after < 1" { rc with Recovery.healthy_after = 0 }
+  Alcotest.(check (float 1e-9)) "interval reset on heal" probe_interval (Recovery.interval t)
 
 let recovery_suite =
   [
@@ -535,8 +544,6 @@ let recovery_suite =
     ("ladder suspect clears on accept", `Quick, ladder_suspect_clears_on_accept);
     ("ladder probe backoff and decay", `Quick, ladder_probe_backoff_and_decay);
     ("ladder reheals when reconcentrated", `Quick, ladder_reheals_when_reconcentrated);
-    ("ladder max reseeds exhausts", `Quick, ladder_max_reseeds_exhausts);
-    ("ladder validates config", `Quick, ladder_validates_config);
   ]
 
 let suite = suite @ recovery_suite

@@ -594,39 +594,6 @@ let reseed_raises () =
     (Invalid_argument "Belief.reseed: no fresh seeds with positive weight") (fun () ->
       ignore (Belief.reseed belief ~seeds:[ seed_of { rate = 6_000.0; fill = 0 } 0.0 ] ~now:5.0 ()))
 
-let ll_floor_survives_impossible_ack () =
-  (* Same impossible observation as all_rejected_falls_back, but with a
-     likelihood floor the hypothesis is dented, not removed. *)
-  let seeds = [ seed_of { rate = 12_000.0; fill = 0 } 1.0 ] in
-  let belief = Belief.create ~ll_floor:0.01 seeds in
-  let belief, status =
-    Belief.update belief ~sends:[ send ~at:0.0 ~seq:0 ]
-      ~acks:[ { Belief.seq = 0; time = 0.123 } ]
-      ~now:0.2 ()
-  in
-  Alcotest.(check bool) "floored, not rejected" true (status = Belief.Consistent);
-  Alcotest.(check int) "hypothesis survives" 1 (Belief.size belief)
-
-let ll_floor_still_discriminates () =
-  (* With a floor, consistent hypotheses must still dominate violating
-     ones after normalization. *)
-  let seeds = [ seed_of { rate = 6_000.0; fill = 0 } 1.0; seed_of { rate = 12_000.0; fill = 0 } 1.0 ] in
-  let belief = Belief.create ~ll_floor:0.01 seeds in
-  let belief, status =
-    Belief.update belief ~sends:[ send ~at:0.0 ~seq:0 ]
-      ~acks:[ { Belief.seq = 0; time = 1.0 } ]
-      ~now:1.0 ()
-  in
-  Alcotest.(check bool) "consistent" true (status = Belief.Consistent);
-  let best, mass = Belief.map_estimate belief in
-  Alcotest.(check (float 0.0)) "truth on top" 12_000.0 best.rate;
-  Alcotest.(check bool) "dominates the floored one" true (mass > 0.95)
-
-let ll_floor_validation () =
-  Alcotest.check_raises "floor must be in (0, 1)"
-    (Invalid_argument "Belief.create: ll_floor must be in (0, 1)") (fun () ->
-      ignore (Belief.create ~ll_floor:1.0 [ seed_of { rate = 12_000.0; fill = 0 } 1.0 ]))
-
 module Degeneracy = Utc_inference.Degeneracy
 
 let degeneracy_streaks () =
@@ -657,15 +624,15 @@ let degeneracy_probes () =
 
 (* Signals are journaled only while the sink is on, and with it off a
    signal costs its list cell but no payload; the monitor's answer does
-   not depend on the sink. *)
+   not depend on the sink. The concentrated belief's top hypothesis holds
+   0.9995 of the mass, so each observation of it signals, and the third
+   rejection in a row reaches the streak limit of 3. *)
 let degeneracy_journal_follows_the_sink () =
   let module Sink = Utc_obs.Sink in
-  let collapsed, _ =
-    Belief.update (Belief.create (small_family ())) ~sends:[ send ~at:0.0 ~seq:0 ]
-      ~acks:[ { Belief.seq = 0; time = 1.0 } ]
-      ~now:1.0 ()
+  let concentrated =
+    Belief.create
+      [ seed_of { rate = 12_000.0; fill = 0 } 0.9995; seed_of { rate = 6_000.0; fill = 0 } 0.0005 ]
   in
-  let signalling = { Degeneracy.default_config with streak_limit = 1 } in
   let with_sink ~enabled f =
     let was_enabled = Sink.enabled () in
     if enabled then Sink.enable () else Sink.disable ();
@@ -673,11 +640,13 @@ let degeneracy_journal_follows_the_sink () =
   in
   let observe ~enabled =
     let handle = Sink.create () in
-    let monitor = Degeneracy.create ~config:signalling () in
+    let monitor = Degeneracy.create () in
     let signals =
       with_sink ~enabled (fun () ->
           Sink.with_run ~run:"degeneracy" handle (fun () ->
-              Degeneracy.observe monitor collapsed Belief.All_rejected))
+              List.map
+                (fun _ -> Degeneracy.observe monitor concentrated Belief.All_rejected)
+                [ 1; 2; 3 ]))
     in
     let journaled =
       List.filter_map
@@ -691,24 +660,36 @@ let degeneracy_journal_follows_the_sink () =
   in
   let signals, journaled = observe ~enabled:true in
   let quiet, silent = observe ~enabled:false in
-  Alcotest.(check (list string)) "journaled while on"
-    [ "weight_concentration"; "rejection_streak" ]
-    (List.map fst journaled);
-  Alcotest.(check (list int)) "with the streak" [ 1; 1 ] (List.map snd journaled);
+  Alcotest.(check (list (pair string int)))
+    "journaled while on, with the streak"
+    [
+      ("weight_concentration", 1);
+      ("weight_concentration", 2);
+      ("weight_concentration", 3);
+      ("rejection_streak", 3);
+    ]
+    journaled;
   Alcotest.(check int) "nothing while off" 0 (List.length silent);
   Alcotest.(check bool) "same signals either way" true (signals = quiet);
-  Alcotest.(check int) "two signals" 2 (List.length signals);
-  let words_per_observe config =
-    let monitor = Degeneracy.create ~config () in
+  Alcotest.(check (list int)) "two signals at the limit" [ 1; 1; 2 ] (List.map List.length signals);
+  (* Both beliefs hold more than one hypothesis, so both observations
+     compute the same diagnostics; only the signals differ. *)
+  let words_per_observe belief status =
+    let monitor = Degeneracy.create () in
     with_sink ~enabled:false (fun () ->
         let before = Gc.minor_words () in
         for _ = 1 to 1_000 do
-          ignore (Sys.opaque_identity (Degeneracy.observe monitor collapsed Belief.All_rejected))
+          ignore (Sys.opaque_identity (Degeneracy.observe monitor belief status))
         done;
         (Gc.minor_words () -. before) /. 1_000.0)
   in
-  let none = { signalling with streak_limit = max_int; top_weight_ceiling = infinity } in
-  let extra = words_per_observe signalling -. words_per_observe none in
+  let diffuse = Belief.create (small_family ()) in
+  Alcotest.(check int) "a diffuse belief signals nothing" 0
+    (List.length (Degeneracy.observe (Degeneracy.create ()) diffuse Belief.Consistent));
+  let extra =
+    words_per_observe concentrated Belief.All_rejected
+    -. words_per_observe diffuse Belief.Consistent
+  in
   Alcotest.(check bool)
     (Printf.sprintf "two signals cost their list cells only (%.0f words)" extra)
     true (extra < 16.0)
@@ -856,9 +837,6 @@ let robustness_suite =
     ("reseed replaces and anchors", `Quick, reseed_replaces_and_anchors);
     ("reseed keep splits mass", `Quick, reseed_keep_splits_mass);
     ("reseed raises", `Quick, reseed_raises);
-    ("ll_floor survives impossible ack", `Quick, ll_floor_survives_impossible_ack);
-    ("ll_floor still discriminates", `Quick, ll_floor_still_discriminates);
-    ("ll_floor validation", `Quick, ll_floor_validation);
     ("degeneracy streaks", `Quick, degeneracy_streaks);
     ("degeneracy probes", `Quick, degeneracy_probes);
     ("degeneracy journal follows the sink", `Quick, degeneracy_journal_follows_the_sink);

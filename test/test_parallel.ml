@@ -103,12 +103,7 @@ let default_pool_capped () =
 (* --- planner gross-utility cache --- *)
 
 let planner_config =
-  {
-    Planner.default_config with
-    Planner.delays = [ 0.0; 0.4; 1.2; 2.4 ];
-    horizon = 5.0;
-    top_hyps = 12;
-  }
+  { Planner.default_config with Planner.delays = [ 0.0; 0.4; 1.2; 2.4 ]; horizon = 5.0 }
 
 (* A single-queue family: its planning runs never fork. *)
 type params = { rate : float; fill : int }
