@@ -292,7 +292,9 @@ let decide ?cache config ~belief ~now ~pending ~make_packet =
       ~now:(fun () -> now)
       (fun () ->
         let first =
-          Forward.representatives plans (Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.state) hyps)
+          Forward.representatives plans
+            (Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.state) hyps)
+            ~hashes:(Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.hash) hyps)
         in
         (* [groups.(r)]: the members of the group whose first member is
            [r], in index order; empty for every other index. *)

@@ -10,6 +10,7 @@ type 'p hypothesis = {
   params : 'p;
   prepared : Forward.prepared;
   state : Mstate.t;
+  hash : int;
   logw : float;
   awaiting : Forward.delivery list;
       (* Primary deliveries whose acknowledgment, shifted by the
@@ -28,13 +29,15 @@ type cap_policy =
    ride in parallel arrays permuted together. Every fold below iterates
    in ascending index order, which is exactly the order the former
    [hypothesis list] pipeline summed in, so the stored bits are
-   unchanged. Index [i] across all five arrays is one hypothesis;
-   [sort_store]'s comparator falls back to the index, emulating the
-   stable sort the list code relied on. *)
+   unchanged. Index [i] across all six arrays is one hypothesis;
+   [sorted_order] is the stable sort the list code relied on.
+   [hashes.(i)] is [Mstate.hash states.(i)], computed once when the
+   state is stored. *)
 type 'p store = {
   params : 'p array;
   prepared : Forward.prepared array;
   states : Mstate.t array;
+  hashes : int array;
   logw : float array;
   awaiting : Forward.delivery list array;
 }
@@ -59,15 +62,20 @@ type update_status =
 let store_size s = Array.length s.logw
 
 let empty_store () =
-  { params = [||]; prepared = [||]; states = [||]; logw = [||]; awaiting = [||] }
+  { params = [||]; prepared = [||]; states = [||]; hashes = [||]; logw = [||]; awaiting = [||] }
 
-let store_of_array (arr : 'p hypothesis array) =
+(* A store of fresh seeds, [state] applied to each seed's state before
+   it is hashed; unnormalized, in seed order. *)
+let store_of_seeds ~state seeds =
+  let seeds = Array.of_list seeds in
+  let states = Array.map (fun (_, _, _, st) -> state st) seeds in
   {
-    params = Array.map (fun (h : 'p hypothesis) -> h.params) arr;
-    prepared = Array.map (fun (h : 'p hypothesis) -> h.prepared) arr;
-    states = Array.map (fun (h : 'p hypothesis) -> h.state) arr;
-    logw = Array.map (fun (h : 'p hypothesis) -> h.logw) arr;
-    awaiting = Array.map (fun (h : 'p hypothesis) -> h.awaiting) arr;
+    params = Array.map (fun (params, _, _, _) -> params) seeds;
+    prepared = Array.map (fun (_, _, prepared, _) -> prepared) seeds;
+    states;
+    hashes = Array.map Mstate.hash states;
+    logw = Array.map (fun (_, weight, _, _) -> if weight <= 0.0 then neg_infinity else log weight) seeds;
+    awaiting = Array.map (fun _ -> []) seeds;
   }
 
 let hyp_at s i =
@@ -75,52 +83,51 @@ let hyp_at s i =
     params = s.params.(i);
     prepared = s.prepared.(i);
     state = s.states.(i);
+    hash = s.hashes.(i);
     logw = s.logw.(i);
     awaiting = s.awaiting.(i);
   }
 
 (* Reorder every column by the index array (which may also select a
-   subset). The result's arrays are fresh, so callers may overwrite
-   the new [logw] in place. *)
+   subset). The result's arrays are fresh. *)
 let permute s idx =
   {
     params = Array.map (fun i -> s.params.(i)) idx;
     prepared = Array.map (fun i -> s.prepared.(i)) idx;
     states = Array.map (fun i -> s.states.(i)) idx;
+    hashes = Array.map (fun i -> s.hashes.(i)) idx;
     logw = Array.map (fun i -> s.logw.(i)) idx;
     awaiting = Array.map (fun i -> s.awaiting.(i)) idx;
   }
 
-let normalize_store s =
-  let z = Logw.logsumexp_arr s.logw in
-  if z = neg_infinity then empty_store ()
-  else { s with logw = Array.map (fun x -> x -. z) s.logw }
+(* [x -. logsumexp w] for every [x], the sum folded in index order;
+   [None] when every weight is zero. *)
+let normalized w =
+  let z = Logw.logsumexp_arr w in
+  if z = neg_infinity then None else Some (Array.map (fun x -> x -. z) w)
 
-(* Heaviest first; ties keep their prior relative order (the index
-   tie-break makes this the stable descending sort the list pipeline
-   used). *)
-let sort_store s =
-  let idx = Array.init (store_size s) Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Float.compare s.logw.(j) s.logw.(i) in
-      if c <> 0 then c else Int.compare i j)
-    idx;
-  permute s idx
+let normalize_store s =
+  match normalized s.logw with
+  | None -> empty_store ()
+  | Some logw -> { s with logw }
+
+(* The indices of [w], heaviest first; a stable merge sort, so ties
+   keep ascending index order, as the list pipeline's stable sort did.
+   The one sort of [create], [reseed], the cap and compaction. *)
+let sorted_order w =
+  let idx = Array.init (Array.length w) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare w.(j) w.(i)) idx;
+  idx
+
+let sort_store s = permute s (sorted_order s.logw)
 
 let create ?(min_weight = 1e-9) ?(max_hyps = 20_000) ?(cap_policy = `Top_k)
     ?(obs_offset = fun _ -> 0.0) seeds =
-  let hyp (params, weight, prepared, state) =
-    {
-      params;
-      prepared;
-      state;
-      logw = (if weight <= 0.0 then neg_infinity else log weight);
-      awaiting = [];
-    }
-  in
-  let store = normalize_store (store_of_array (Array.of_list (List.map hyp seeds))) in
-  { store = sort_store store; min_weight; max_hyps; cap_policy; obs_offset; now = Tb.zero }
+  if not (min_weight >= 0.0 && min_weight <= 1.0) then
+    invalid_arg "Belief.create: min_weight must be in [0, 1]";
+  if max_hyps < 1 then invalid_arg "Belief.create: max_hyps must be at least 1";
+  let store = sort_store (normalize_store (store_of_seeds ~state:Fun.id seeds)) in
+  { store; min_weight; max_hyps; cap_policy; obs_offset; now = Tb.zero }
 
 (* Log-likelihood of the observed ACK set under one simulated outcome, or
    None if the outcome is inconsistent: wrong delivery time, an ACK the
@@ -148,36 +155,28 @@ let score ~offset ~acks model (deliveries : Forward.delivery list) =
     if List.for_all delivered acks then Some ll else None
   with Rejected -> None
 
-let prune_store ~min_weight s =
-  let n = store_size s in
-  let heaviest = ref neg_infinity in
+(* The indices [i < n] with [p i], ascending. *)
+let select n p =
+  let kept = ref 0 in
   for i = 0 to n - 1 do
-    heaviest := Float.max !heaviest s.logw.(i)
+    if p i then incr kept
   done;
-  if !heaviest = neg_infinity then empty_store ()
-  else begin
-    let threshold = !heaviest +. log min_weight in
-    let kept = ref 0 in
-    for i = 0 to n - 1 do
-      if s.logw.(i) >= threshold then incr kept
-    done;
-    if !kept = n then s
-    else begin
-      let idx = Array.make !kept 0 in
-      let j = ref 0 in
-      for i = 0 to n - 1 do
-        if s.logw.(i) >= threshold then begin
-          idx.(!j) <- i;
-          incr j
-        end
-      done;
-      permute s idx
+  let idx = Array.make !kept 0 in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if p i then begin
+      idx.(!j) <- i;
+      incr j
     end
-  end
+  done;
+  idx
 
-let systematic_resample rng ~n s =
-  let len = store_size s in
-  let weights = Array.map exp s.logw in
+(* [n] systematic draws over the normalized log-weights [logw]: the
+   positions drawn at least once, ascending, and the log of each one's
+   share of the draws. *)
+let systematic_resample rng ~n logw =
+  let len = Array.length logw in
+  let weights = Array.map exp logw in
   let total = Array.fold_left ( +. ) 0.0 weights in
   let counts = Array.make len 0 in
   let step = total /. float_of_int n in
@@ -192,41 +191,28 @@ let systematic_resample rng ~n s =
     done;
     counts.(!cursor) <- counts.(!cursor) + 1
   done;
-  let kept = ref 0 in
-  Array.iter (fun c -> if c > 0 then incr kept) counts;
-  let idx = Array.make !kept 0 in
-  let j = ref 0 in
-  for i = 0 to len - 1 do
-    if counts.(i) > 0 then begin
-      idx.(!j) <- i;
-      incr j
-    end
-  done;
-  let resampled = permute s idx in
-  for k = 0 to !kept - 1 do
-    resampled.logw.(k) <- log (float_of_int counts.(idx.(k)) /. float_of_int n)
-  done;
-  resampled
+  let drawn = select len (fun i -> counts.(i) > 0) in
+  (drawn, Array.map (fun i -> log (float_of_int counts.(i) /. float_of_int n)) drawn)
 
-let take_store s k =
-  if k >= store_size s then s else permute s (Array.init k Fun.id)
-
-let cap t s =
-  if store_size s <= t.max_hyps then s
-  else begin
-    match t.cap_policy with
-    | `Top_k -> take_store (sort_store s) t.max_hyps
-    | `Resample rng -> systematic_resample rng ~n:t.max_hyps s
-  end
+(* The positions in [logw] the cap policy keeps, with their new
+   log-weights: [`Top_k] the [max_hyps] heaviest, heaviest first;
+   [`Resample] a systematic resample, in position order. *)
+let cap t logw =
+  match t.cap_policy with
+  | `Top_k ->
+    let top = Array.sub (sorted_order logw) 0 t.max_hyps in
+    (top, Array.map (fun i -> logw.(i)) top)
+  | `Resample rng -> systematic_resample rng ~n:t.max_hyps logw
 
 (* --- compaction --- *)
 
-(* A surviving fork of one parent, with the hash its compaction slot is
-   found by. *)
+(* A surviving fork of one parent: its state's [Mstate.hash], and the
+   hash its compaction slot is found by. *)
 type 'p fork = {
   params : 'p;
   prepared : Forward.prepared;
   state : Mstate.t;
+  state_hash : int;
   logw : float;
   awaiting : Forward.delivery list;
   hash : int;
@@ -234,8 +220,8 @@ type 'p fork = {
 
 let structural_hash x = Hashtbl.hash x (* lint:allow R4 -- the hash only picks a probe slot; slots keep first-seen order *)
 
-let fork_hash ~params_hash state awaiting =
-  Mstate.hash state + (params_hash * 31) + (structural_hash awaiting * 961)
+let fork_hash ~params_hash state_hash awaiting =
+  state_hash + (params_hash * 31) + (structural_hash awaiting * 961)
 
 (* Every fork of a parent shares its params, so physical identity
    settles nearly every comparison; the bytes are compared only for
@@ -321,16 +307,64 @@ let absorb slots (f : _ fork) =
     if 2 * slots.count > Array.length index then reindex slots
   end
 
-let store_of_slots slots =
-  let n = slots.count in
-  let forks = slots.forks in
-  {
-    params = Array.init n (fun k -> forks.(k).params);
-    prepared = Array.init n (fun k -> forks.(k).prepared);
-    states = Array.init n (fun k -> forks.(k).state);
-    logw = Array.sub slots.logw 0 n;
-    awaiting = Array.init n (fun k -> forks.(k).awaiting);
-  }
+(* Prune forks lighter than [min_weight] times the heaviest, normalize,
+   cap, normalize again and sort heaviest first: the former pipeline
+   over whole stores, with its sums in its order, run over the slots'
+   log-weights alone, so the store is built once, in its final order.
+   The second normalization runs even when nothing was capped: its
+   [x -. z] can change bits. *)
+let compact t slots =
+  let lw = slots.logw in
+  let heaviest = ref neg_infinity in
+  for k = 0 to slots.count - 1 do
+    heaviest := Float.max !heaviest lw.(k)
+  done;
+  let threshold = !heaviest +. log t.min_weight in
+  let kept = select slots.count (fun k -> lw.(k) >= threshold) in
+  match normalized (Array.map (fun k -> lw.(k)) kept) with
+  | None -> empty_store ()
+  | Some w -> (
+    let kept, w =
+      if Array.length w <= t.max_hyps then (kept, w)
+      else begin
+        let capped, w = cap t w in
+        (Array.map (fun i -> kept.(i)) capped, w)
+      end
+    in
+    match normalized w with
+    | None -> empty_store ()
+    | Some w ->
+      let order = sorted_order w in
+      let forks = Array.map (fun i -> slots.forks.(kept.(i))) order in
+      {
+        params = Array.map (fun (f : _ fork) -> f.params) forks;
+        prepared = Array.map (fun (f : _ fork) -> f.prepared) forks;
+        states = Array.map (fun (f : _ fork) -> f.state) forks;
+        hashes = Array.map (fun (f : _ fork) -> f.state_hash) forks;
+        logw = Array.map (fun i -> w.(i)) order;
+        awaiting = Array.map (fun (f : _ fork) -> f.awaiting) forks;
+      })
+
+(* One outcome of a run, reduced once for every hypothesis sharing the
+   run: its primary deliveries, the only observable ones, and its
+   state's hash, computed when a first sharer keeps the outcome. *)
+type reduced = {
+  outcome : Forward.outcome;
+  primary : Forward.delivery list;
+  mutable state_hash : int;
+  mutable hashed : bool;
+}
+
+let reduce (o : Forward.outcome) =
+  let primary (d : Forward.delivery) = Flow.equal d.packet.Packet.flow Flow.Primary in
+  { outcome = o; primary = List.filter primary o.deliveries; state_hash = 0; hashed = false }
+
+let state_hash r =
+  if not r.hashed then begin
+    r.state_hash <- Mstate.hash r.outcome.state;
+    r.hashed <- true
+  end;
+  r.state_hash
 
 (* lint:hotpath -- expand/score/compact runs per hypothesis per tick;
    ROADMAP hot-path program tracks its allocations *)
@@ -338,10 +372,12 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
   let s = t.store in
   let n = store_size s in
   (* Hypotheses whose models share dynamics and whose states are equal
-     share one run: [first.(i)] runs it, and keeps its outcomes until
-     [last.(first.(i))] has scored them. *)
-  let run i = Forward.run ?until_prio:now_prio s.prepared.(i) s.states.(i) ~sends ~until:now in
-  let first = Forward.representatives s.prepared s.states in
+     share one run: [first.(i)] runs it, and keeps its reduced outcomes
+     until [last.(first.(i))] has scored them. *)
+  let run i =
+    List.map reduce (Forward.run ?until_prio:now_prio s.prepared.(i) s.states.(i) ~sends ~until:now)
+  in
+  let first = Forward.representatives s.prepared s.states ~hashes:s.hashes in
   let last = Array.init n Fun.id in
   for i = 0 to n - 1 do
     last.(first.(i)) <- i
@@ -360,6 +396,12 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
       outcomes
     end
   in
+  (* Compact on the fly: expanding thousands of hypotheses that each may
+     fork hundreds of ways must not materialize the whole product before
+     merging (under model misspecification the forking is at its worst
+     exactly when every branch survives unconditioned). Absorbing a
+     duplicate fork is a float write into its slot. *)
+  let slots = slots_create n in
   let expand i =
     let hyp_params = s.params.(i) in
     let hyp_prepared = s.prepared.(i) in
@@ -367,56 +409,40 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
     let hyp_awaiting = s.awaiting.(i) in
     let offset = t.obs_offset hyp_params in
     let params_hash = structural_hash hyp_params in
-    let outcomes = outcomes_of i in
-    let keep (o : Forward.outcome) = (* lint:allow R11 -- per-hypothesis outcome scorer closes over offset and acks *)
+    let is_due (d : Forward.delivery) = Tb.( <=. ) (d.time +. offset) (now +. tick) in
+    let keep r = (* lint:allow R11 -- per-hypothesis outcome scorer closes over offset and acks *)
       (* Only primary deliveries are observable; those whose (offset)
          acknowledgment is due by now are scored, the rest carry over. *)
-      let observable =
-        List.filter
-          (fun (d : Forward.delivery) -> Flow.equal d.packet.Packet.flow Flow.Primary) (* lint:allow R11 -- per-outcome observability filter; delivery lists are short *)
-          o.Forward.deliveries
-      in
+      let observable = hyp_awaiting @ r.primary (* lint:allow R11 -- copies only the carried-over deliveries, none without an obs_offset *) in
       let due, awaiting =
-        List.partition
-          (fun (d : Forward.delivery) -> Tb.( <=. ) (d.time +. offset) (now +. tick)) (* lint:allow R11 -- per-outcome due/awaiting split *)
-          (hyp_awaiting @ observable)
+        if List.for_all is_due observable then (observable, []) else List.partition is_due observable
       in
       let ll =
         if condition then score ~offset ~acks hyp_prepared due
         else Some 0.0
       in
       match ll with
-      | None -> None
+      | None -> ()
       | Some ll ->
+        let o = r.outcome in
         let logw = hyp_logw +. o.logw +. ll in
-        if logw = neg_infinity then None
-        else begin
-          let hash = fork_hash ~params_hash o.state awaiting in
-          Some { params = hyp_params; prepared = hyp_prepared; state = o.state; logw; awaiting; hash } (* lint:allow R11 -- the surviving fork IS the posterior hypothesis record *)
+        if logw <> neg_infinity then begin
+          let state_hash = state_hash r in
+          let hash = fork_hash ~params_hash state_hash awaiting in
+          absorb slots { params = hyp_params; prepared = hyp_prepared; state = o.state; state_hash; logw; awaiting; hash } (* lint:allow R11 -- the surviving fork IS the posterior hypothesis record *)
         end
     in
-    List.filter_map keep outcomes
+    List.iter keep (outcomes_of i)
   in
-  (* Compact on the fly: expanding thousands of hypotheses that each may
-     fork hundreds of ways must not materialize the whole product before
-     merging (under model misspecification the forking is at its worst
-     exactly when every branch survives unconditioned). Absorbing a
-     duplicate fork is a float write into its slot. *)
-  let slots = slots_create n in
-  let absorb f = absorb slots f in
   Utc_obs.Metrics.span ~name:"expand"
     ~now:(fun () -> now)
     (fun () ->
       for i = 0 to n - 1 do
-        List.iter absorb (expand i)
+        expand i
       done);
   Utc_obs.Metrics.span ~name:"compact"
     ~now:(fun () -> now)
-    (fun () ->
-      let st = prune_store ~min_weight:t.min_weight (store_of_slots slots) in
-      let st = normalize_store st in
-      let st = normalize_store (cap t st) in
-      { t with store = sort_store st; now })
+    (fun () -> { t with store = compact t slots; now })
 
 (* Groups by compaction's params identity: [structural_hash] picks a
    probe slot in an open-addressing index of group numbers plus one (0
@@ -546,21 +572,7 @@ let anchor now (state : Mstate.t) =
 let reseed t ~seeds ?(keep = 0.0) ~now () =
   if keep < 0.0 || keep >= 1.0 then invalid_arg "Belief.reseed: keep must be in [0, 1)";
   if Tb.compare now t.now < 0 then invalid_arg "Belief.reseed: now is before the belief's time";
-  let fresh =
-    normalize_store
-      (store_of_array
-         (Array.of_list
-            (List.map
-               (fun (params, weight, prepared, state) ->
-                 {
-                   params;
-                   prepared;
-                   state = anchor now state;
-                   logw = (if weight <= 0.0 then neg_infinity else log weight);
-                   awaiting = [];
-                 })
-               seeds)))
-  in
+  let fresh = normalize_store (store_of_seeds ~state:(anchor now) seeds) in
   if store_size fresh = 0 then invalid_arg "Belief.reseed: no fresh seeds with positive weight";
   let kept =
     if keep <= 0.0 then empty_store ()
@@ -582,6 +594,7 @@ let reseed t ~seeds ?(keep = 0.0) ~now () =
       params = Array.append kept.params fresh.params;
       prepared = Array.append kept.prepared fresh.prepared;
       states = Array.append kept.states fresh.states;
+      hashes = Array.append kept.hashes fresh.hashes;
       logw = Array.append kept.logw fresh.logw;
       awaiting = Array.append kept.awaiting fresh.awaiting;
     }

@@ -16,7 +16,9 @@
     {!Utc_model.Mstate.equal} share one simulation per step: the first of
     them in hypothesis order runs it, and each scores its outcomes with
     its own parameters, observation offset, awaiting deliveries and loss
-    rates ({!Utc_model.Forward.survive_p}). A run does not depend on
+    rates ({!Utc_model.Forward.survive_p}). An outcome's primary
+    deliveries are picked out, and its state hashed, once for all the
+    hypotheses sharing its run. A run does not depend on
     those rates, so the result is bit-identical to simulating each
     hypothesis alone. The return-delay grid of {!create}'s [obs_offset]
     shares runs the same way.
@@ -27,6 +29,10 @@
     deliveries are bit-identical (time, packet and loss trail). The
     merged hypothesis is the first such outcome in hypothesis order,
     carrying the log-sum of all their weights, added in that order.
+    Then hypotheses lighter than [min_weight] times the heaviest are
+    pruned, the weights normalized, the cap policy applied, the weights
+    normalized again, and the set sorted heaviest first, ties in
+    hypothesis order.
 
     Cap policies bound the set: [`Top_k] keeps the heaviest hypotheses
     (deterministic; small bias), [`Resample] is a bounded particle filter
@@ -41,6 +47,9 @@ type 'p hypothesis = {
   params : 'p;
   prepared : Utc_model.Forward.prepared;
   state : Utc_model.Mstate.t;
+  hash : int;
+      (** [Utc_model.Mstate.hash state], computed once when the state
+          was stored, for {!Utc_model.Forward.representatives}. *)
   logw : float;  (** Normalized: [logsumexp] over the belief is 0. *)
   awaiting : Utc_model.Forward.delivery list;
       (** Deliveries whose acknowledgment (shifted by the observation
@@ -62,15 +71,20 @@ val create :
   ('p * float * Utc_model.Forward.prepared * Utc_model.Mstate.t) list ->
   'p t
 (** [min_weight] (default 1e-9) prunes hypotheses lighter than
-    [min_weight * heaviest]; [max_hyps] (default 20_000) triggers the cap
-    policy (default [`Top_k]). Initial weights are normalized.
+    [min_weight * heaviest], and 0 prunes none; [max_hyps] (default
+    20_000) triggers the cap policy (default [`Top_k]). Initial weights
+    are normalized.
 
     [obs_offset] (default 0) maps a hypothesis to the shift between a
     packet's delivery time and the moment its acknowledgment reaches the
     sender's clock: a hypothesized return-path delay plus receiver clock
     skew, the §3.4/§3.5 future-work parameters. Deliveries whose shifted
     acknowledgment is not yet due are held in {!hypothesis.awaiting} and
-    scored in a later window. *)
+    scored in a later window.
+
+    @raise Invalid_argument if [min_weight] is outside [0, 1] (or NaN),
+    or [max_hyps < 1]: either would empty the belief at its first
+    update. *)
 
 type update_status =
   | Consistent

@@ -257,9 +257,10 @@ let[@inline] survive_p p (d : delivery) =
    each index's class by its state hash. Both tables are at most half
    full and only find slots; the representative of a class is the first
    index that reached it. *)
-let representatives models states =
+let representatives models states ~hashes =
   let n = Array.length models in
-  if Array.length states <> n then invalid_arg "Forward.representatives: arrays differ in length";
+  if Array.length states <> n || Array.length hashes <> n then
+    invalid_arg "Forward.representatives: arrays differ in length";
   let first = Array.init n Fun.id in
   if n >= 2 then begin
     let size = ref 16 in
@@ -267,16 +268,16 @@ let representatives models states =
       size := 2 * !size
     done;
     let mask = !size - 1 in
-    let hashes = Array.make !size 0 in
+    let dynamics = Array.make !size 0 in
     let count = Array.make !size 0 in
     let bucket = Array.make n 0 in
     for i = 0 to n - 1 do
       let d = models.(i).dynamics in
       let j = ref (d land mask) in
-      while count.(!j) > 0 && hashes.(!j) <> d do
+      while count.(!j) > 0 && dynamics.(!j) <> d do
         j := (!j + 1) land mask
       done;
-      hashes.(!j) <- d;
+      dynamics.(!j) <- d;
       count.(!j) <- count.(!j) + 1;
       bucket.(i) <- !j
     done;
@@ -284,7 +285,7 @@ let representatives models states =
     let keys = Array.make n 0 in
     for i = 0 to n - 1 do
       if count.(bucket.(i)) >= 2 then begin
-        let key = Mstate.mix models.(i).dynamics (Mstate.hash states.(i)) in
+        let key = Mstate.mix models.(i).dynamics hashes.(i) in
         keys.(i) <- key;
         let j = ref (key land mask) in
         while
@@ -564,6 +565,8 @@ let handle p branch (ev : Mstate.pev) =
   | Mstate.Gate_toggle (id, k) -> handle_toggle p branch id k
   | Mstate.Gate_epoch id -> handle_epoch p branch id
 
+let dropped_c = Utc_obs.Metrics.counter "model.forward.branches_dropped"
+
 (* Drop the lightest work branch when the total (in-flight plus finished)
    exceeds the cap. Linear scan: the cap is large and rarely hit. *)
 let drop_lightest work =
@@ -640,7 +643,8 @@ let explore p ~until_prio ~until work =
             work_count := !work_count + List.length conts;
             while !work_count > 0 && !work_count + !finished_count > p.config.max_branches do
               work := drop_lightest !work;
-              decr work_count
+              decr work_count;
+              Utc_obs.Metrics.incr dropped_c
             done
           end
       in

@@ -34,7 +34,8 @@ type config = {
   epoch : float;  (** Gate decision-epoch length, seconds. *)
   max_branches : int;
       (** Soft cap on simultaneous branches; beyond it the lightest branch
-          is discarded (its mass is lost; callers renormalize). *)
+          is discarded (its mass is lost; callers renormalize). The
+          [model.forward.branches_dropped] counter counts the discards. *)
 }
 
 val default_config : config
@@ -82,14 +83,16 @@ val shares_dynamics : prepared -> prepared -> bool
     computed by {!prepare}, first, so models that do not share dynamics
     are usually told apart at once. *)
 
-val representatives : prepared array -> Mstate.t array -> int array
-(** [representatives models states] finds the indices that can share a
-    run: it maps each index [i] to the first index [j <= i] whose model
-    shares dynamics with [models.(i)] and whose state is
+val representatives : prepared array -> Mstate.t array -> hashes:int array -> int array
+(** [representatives models states ~hashes] finds the indices that can
+    share a run: it maps each index [i] to the first index [j <= i]
+    whose model shares dynamics with [models.(i)] and whose state is
     {!Mstate.equal} to [states.(i)], so a run from [j] serves [i]; the
-    identity when nothing is shared. States are hashed only for models
-    whose dynamics hash some other model shares, so a belief whose
-    models all differ pays for one pass over their hashes.
+    identity when nothing is shared. [hashes.(i)] must be
+    [Mstate.hash states.(i)]: it hashes nothing itself, so callers that
+    keep their states' hashes (the belief does) pay for none. States
+    are compared only for models whose dynamics hash some other model
+    shares.
     @raise Invalid_argument if the arrays differ in length. *)
 
 val plan_variant : prepared -> prepared

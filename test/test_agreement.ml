@@ -703,13 +703,12 @@ let gen_compaction_case =
     let* sends = gen_grid ~count:(int_range 1 5) ~below:4.0 in
     return (List.combine topologies offsets, sends))
 
-let arbitrary_compaction_case =
-  QCheck.make gen_compaction_case ~print:(fun (seeds, sends) ->
-      Format.asprintf "seeds %a, sends %a"
-        Fmt.(Dump.list (Dump.pair Topology.pp float))
-        seeds
-        Fmt.(Dump.list float)
-        sends)
+let print_compaction_case (seeds, sends) =
+  Format.asprintf "seeds %a, sends %a"
+    Fmt.(Dump.list (Dump.pair Topology.pp float))
+    seeds
+    Fmt.(Dump.list float)
+    sends
 
 let compaction_seed id (topology, offset) =
   let compiled = Compiled.compile_exn topology in
@@ -718,59 +717,92 @@ let compaction_seed id (topology, offset) =
     Forward.prepare Forward.default_config compiled,
     Mstate.initial ~epoch:Forward.default_config.Forward.epoch compiled )
 
-(* [Belief.advance] over [seeds] keeps one hypothesis per distinct byte
-   key [(Marshal params, canonical state, Marshal awaiting)] among the
-   outcomes of a [Forward.run] of each seed under its own model. *)
-let compaction_keeps_byte_keys seeds sends =
+(* [Belief.advance] over [seeds], under [min_weight] and a [`Top_k] cap
+   of [max_hyps], against a reference built from lists. The outcomes of
+   a [Forward.run] of each hypothesis under its own model, in hypothesis
+   order, fold into one entry per distinct byte key [(Marshal params,
+   canonical state, Marshal awaiting)] with [Logw.logsumexp2]; the
+   entries are pruned, normalized, capped to the heaviest, normalized
+   again and sorted heaviest first, ties in first-seen order. The belief
+   must keep these keys in this order, with these log-weight bits, and
+   each hypothesis' [hash] must be its state's. *)
+let compaction_matches_reference ?(min_weight = 0.0) ?(max_hyps = max_int) seeds sends =
   let now = 5.0 in
   let tick = 1e-6 in
   let sends = primary_sends (List.mapi (fun i t -> (t, i)) sends) in
   let key params state awaiting =
     Marshal.to_string params [] ^ Mstate.canonical state ^ Marshal.to_string awaiting []
   in
-  let expected =
-    List.concat_map
-      (fun (params, _, prepared, state) ->
-        List.filter_map
-          (fun (o : Forward.outcome) ->
-            if o.Forward.logw = neg_infinity then None
-            else begin
-              let awaiting =
-                List.filter
-                  (fun (d : Forward.delivery) ->
-                    Flow.equal d.Forward.packet.Packet.flow Flow.Primary
-                    && d.Forward.time +. params.offset > now +. tick)
-                  o.Forward.deliveries
-              in
-              Some (key params o.Forward.state awaiting)
-            end)
-          (Forward.run prepared state ~sends ~until:now))
-      seeds
+  let belief = Belief.create ~min_weight ~max_hyps ~obs_offset:(fun p -> p.offset) seeds in
+  let table = Hashtbl.create 64 and first_seen = ref [] in
+  let absorb k logw =
+    match Hashtbl.find_opt table k with
+    | Some acc -> acc := Utc_inference.Logw.logsumexp2 !acc logw
+    | None ->
+      let acc = ref logw in
+      Hashtbl.add table k acc;
+      first_seen := (k, acc) :: !first_seen
   in
-  let belief =
-    Belief.create ~min_weight:0.0 ~max_hyps:max_int ~obs_offset:(fun p -> p.offset) seeds
+  List.iter
+    (fun (h : _ Belief.hypothesis) ->
+      List.iter
+        (fun (o : Forward.outcome) ->
+          let logw = h.Belief.logw +. o.Forward.logw +. 0.0 in
+          if logw <> neg_infinity then begin
+            let awaiting =
+              List.filter
+                (fun (d : Forward.delivery) -> d.Forward.time +. h.Belief.params.offset > now +. tick)
+                (h.Belief.awaiting
+                @ List.filter
+                    (fun (d : Forward.delivery) -> Flow.equal d.Forward.packet.Packet.flow Flow.Primary)
+                    o.Forward.deliveries)
+            in
+            absorb (key h.Belief.params o.Forward.state awaiting) logw
+          end)
+        (Forward.run h.Belief.prepared h.Belief.state ~sends ~until:now))
+    (Belief.support belief);
+  let normalize entries =
+    let z = Utc_inference.Logw.logsumexp (List.map snd entries) in
+    if z = neg_infinity then [] else List.map (fun (k, lw) -> (k, lw -. z)) entries
   in
-  let advanced = Belief.advance belief ~sends ~now () in
-  let kept =
-    List.map
-      (fun (h : _ Belief.hypothesis) -> key h.Belief.params h.Belief.state h.Belief.awaiting)
-      (Belief.support advanced)
+  let heaviest_first = List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) in
+  let entries = List.rev_map (fun (k, acc) -> (k, !acc)) !first_seen in
+  let heaviest = List.fold_left (fun m (_, lw) -> Float.max m lw) neg_infinity entries in
+  let pruned = List.filter (fun (_, lw) -> lw >= heaviest +. log min_weight) entries in
+  let normalized = normalize pruned in
+  let capped =
+    if List.length normalized <= max_hyps then normalized
+    else List.filteri (fun i _ -> i < max_hyps) (heaviest_first normalized)
   in
-  let expected = List.sort_uniq String.compare expected in
-  List.length kept = List.length expected && List.sort String.compare kept = expected
+  let expected = heaviest_first (normalize capped) in
+  let kept = Belief.support (Belief.advance belief ~sends ~now ()) in
+  let bits (k, lw) = (k, Int64.bits_of_float lw) in
+  let hashed (h : _ Belief.hypothesis) = h.Belief.hash = Mstate.hash h.Belief.state in
+  List.map
+    (fun (h : _ Belief.hypothesis) -> bits (key h.Belief.params h.Belief.state h.Belief.awaiting, h.Belief.logw))
+    kept
+  = List.map bits expected
+  && List.for_all hashed (Belief.support belief)
+  && List.for_all hashed kept
 
 (* Seed 0 appears twice, under params equal by value but physically
    distinct, so its forks merge only by value. *)
 let belief_compaction_prop =
-  QCheck.Test.make ~name:"belief compaction keeps one hypothesis per byte key" ~count:100
-    arbitrary_compaction_case
-    (fun (seeds, sends) ->
+  QCheck.Test.make
+    ~name:"belief compaction keeps one hypothesis per byte key, pruned, capped and sorted bit for bit"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(triple gen_compaction_case (oneofl [ 0.0; 1e-3; 0.2 ]) (oneofl [ 1; 3; max_int ]))
+       ~print:(fun (case, min_weight, max_hyps) ->
+         Printf.sprintf "%s, min_weight %g, max_hyps %d" (print_compaction_case case) min_weight
+           max_hyps))
+    (fun ((seeds, sends), min_weight, max_hyps) ->
       QCheck.assume (List.for_all (fun (t, _) -> Topology.validate t = Ok ()) seeds);
       let seeds = List.mapi compaction_seed seeds in
       let p0, w0, prepared0, state0 = List.hd seeds in
       let twin = { p0 with id = p0.id } in
       assert (twin != p0);
-      compaction_keeps_byte_keys (seeds @ [ (twin, w0, prepared0, state0) ]) sends)
+      compaction_matches_reference ~min_weight ~max_hyps (seeds @ [ (twin, w0, prepared0, state0) ]) sends)
 
 let compaction_suite =
   [
@@ -883,7 +915,8 @@ let shared_dynamics_prop =
       in
       Forward.shares_dynamics p1 p2
       && Forward.shares_dynamics p2 p1
-      && Forward.representatives [| p1; p2 |] [| s1; s2 |] = [| 0; 0 |]
+      && Forward.representatives [| p1; p2 |] [| s1; s2 |] ~hashes:[| Mstate.hash s1; Mstate.hash s2 |]
+         = [| 0; 0 |]
       && Mstate.equal s1 s2
       && List.length o1 = List.length o2
       && List.for_all2 same_outcome o1 o2
@@ -904,7 +937,8 @@ let unshared_dynamics_prop =
       let q3, _ = shared_model (front 0.1) in
       Bool.equal (Forward.shares_dynamics f1 f2) (Array.for_all2 same_float r1 r2)
       && (not (Forward.shares_dynamics q1 q2))
-      && Forward.representatives [| q1; q2 |] [| s1; s2 |] = [| 0; 1 |]
+      && Forward.representatives [| q1; q2 |] [| s1; s2 |] ~hashes:[| Mstate.hash s1; Mstate.hash s2 |]
+         = [| 0; 1 |]
       && Forward.shares_dynamics q1 q3)
 
 (* The compaction property with loss-rate twins: every seed ends in a
@@ -949,7 +983,7 @@ let belief_twin_prop =
     ~count:100 arbitrary_twin_case
     (fun ((_, _, _, sends) as case) ->
       QCheck.assume (valid_twin_case case);
-      compaction_keeps_byte_keys (twin_seeds case) sends)
+      compaction_matches_reference (twin_seeds case) sends)
 
 (* ROADMAP's normalized-posterior invariant on beliefs that share runs:
    after an update on the ACKs seed 0's first outcome predicts, every

@@ -291,6 +291,11 @@ let posterior_matches_marshal_prop =
       let same (p, w) (q, v) = p = q && Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float v) in
       List.equal same (Belief.posterior belief) (marshal_posterior belief))
 
+(* Every hypothesis carries its own state's hash. *)
+let check_hashes belief =
+  Belief.fold belief ~init:() ~f:(fun () (h : _ Belief.hypothesis) ->
+      Alcotest.(check int) "stored hash" (Mstate.hash h.Belief.state) h.Belief.hash)
+
 let top_k_cap () =
   let seeds = List.init 20 (fun i -> seed_of { rate = 1_000.0 *. float_of_int (i + 1); fill = 0 } 1.0) in
   let belief = Belief.create ~max_hyps:5 seeds in
@@ -306,6 +311,7 @@ let resample_cap () =
   let belief = Belief.create ~max_hyps:10 ~cap_policy:(`Resample rng) seeds in
   let belief = Belief.advance belief ~sends:[] ~now:0.5 () in
   Alcotest.(check bool) "bounded" true (Belief.size belief <= 10);
+  check_hashes belief;
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 (Belief.posterior belief) in
   Alcotest.(check (float 1e-9)) "weights sum to 1" 1.0 total
 
@@ -594,6 +600,23 @@ let reseed_raises () =
     (Invalid_argument "Belief.reseed: no fresh seeds with positive weight") (fun () ->
       ignore (Belief.reseed belief ~seeds:[ seed_of { rate = 6_000.0; fill = 0 } 0.0 ] ~now:5.0 ()))
 
+(* A [min_weight] outside [0, 1] or a [max_hyps] below 1 would prune or
+   cap every hypothesis away at the first update, which would then
+   report [All_rejected] and blame the model. *)
+let create_rejects ?min_weight ?max_hyps message () =
+  Alcotest.check_raises "rejected" (Invalid_argument message) (fun () ->
+      ignore (Belief.create ?min_weight ?max_hyps [ seed_of { rate = 12_000.0; fill = 0 } 1.0 ]))
+
+let min_weight_message = "Belief.create: min_weight must be in [0, 1]"
+
+(* 0 disables pruning and 1 keeps only the heaviest: both are legal. *)
+let create_accepts_min_weight_bounds () =
+  List.iter
+    (fun min_weight ->
+      let belief = Belief.create ~min_weight (small_family ()) in
+      Alcotest.(check int) "all four cells" 4 (Belief.size belief))
+    [ 0.0; 1.0 ]
+
 module Degeneracy = Utc_inference.Degeneracy
 
 let degeneracy_streaks () =
@@ -705,6 +728,7 @@ let reseed_anchors_clocks () =
   let seed = ((), 1.0, prepared, Mstate.initial ~epoch:1.0 compiled) in
   let t0 = 50.0 in
   let belief = Belief.reseed (Belief.create [ seed ]) ~seeds:[ seed ] ~now:t0 () in
+  check_hashes belief;
   let state =
     match Belief.support belief with
     | [ h ] -> h.Belief.state
@@ -837,6 +861,13 @@ let robustness_suite =
     ("reseed replaces and anchors", `Quick, reseed_replaces_and_anchors);
     ("reseed keep splits mass", `Quick, reseed_keep_splits_mass);
     ("reseed raises", `Quick, reseed_raises);
+    ("create rejects min_weight above 1", `Quick, create_rejects ~min_weight:2.0 min_weight_message);
+    ("create rejects NaN min_weight", `Quick, create_rejects ~min_weight:Float.nan min_weight_message);
+    ("create rejects negative min_weight", `Quick, create_rejects ~min_weight:(-1e-3) min_weight_message);
+    ( "create rejects max_hyps 0",
+      `Quick,
+      create_rejects ~max_hyps:0 "Belief.create: max_hyps must be at least 1" );
+    ("create accepts min_weight 0 and 1", `Quick, create_accepts_min_weight_bounds);
     ("degeneracy streaks", `Quick, degeneracy_streaks);
     ("degeneracy probes", `Quick, degeneracy_probes);
     ("degeneracy journal follows the sink", `Quick, degeneracy_journal_follows_the_sink);

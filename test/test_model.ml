@@ -265,6 +265,34 @@ let branch_cap_enforced () =
   let outcomes = Forward.run prepared state ~sends:[ pkt ~seq:0 ~at:0.0 () ] ~until:1.0 in
   Alcotest.(check bool) "bounded" true (List.length outcomes <= 128)
 
+(* Five memoryless-gate epochs fork 32 ways. Under a cap of 4 branches
+   the search discards the lightest beyond it and counts each discard in
+   [model.forward.branches_dropped]; under the default cap it discards
+   none. *)
+let branch_drops_counted () =
+  let module Metrics = Utc_obs.Metrics in
+  let dropped = Metrics.counter "model.forward.branches_dropped" in
+  let run max_branches =
+    let config = { Forward.default_config with max_branches } in
+    let prepared, compiled = prepare ~config (net (Topology.intermittent ~mean_time_to_switch:10.0 ())) in
+    let state = Mstate.initial ~epoch:1.0 compiled in
+    Metrics.enable ();
+    Metrics.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.disable ();
+        Metrics.reset ())
+      (fun () ->
+        let outcomes = Forward.run prepared state ~sends:[] ~until:5.5 in
+        (List.length outcomes, Metrics.count dropped))
+  in
+  let outcomes, drops = run 4 in
+  Alcotest.(check bool) "at most 4 outcomes" true (outcomes <= 4);
+  Alcotest.(check bool) "drops counted" true (drops > 0);
+  let outcomes, drops = run Forward.default_config.Forward.max_branches in
+  Alcotest.(check int) "every fork under the default cap" 32 outcomes;
+  Alcotest.(check int) "no drops under the default cap" 0 drops
+
 let mstate_pp_smoke () =
   let _, compiled = prepare (station 12_000.0 96_000) in
   let state = Mstate.initial ~epoch:1.0 compiled in
@@ -288,6 +316,7 @@ let suite =
     ("canonical compaction", `Quick, canonical_compaction_after_convergence);
     ("canonical distinguishes state", `Quick, canonical_distinguishes_live_state);
     ("queue history does not change the hash", `Quick, queue_history_hash);
+    ("branch drops are counted", `Quick, branch_drops_counted);
     ("branch cap", `Quick, branch_cap_enforced);
     ("mstate pp", `Quick, mstate_pp_smoke);
   ]
