@@ -32,8 +32,7 @@ let max_class_flows = 1 lsl 20
 let max_classes = 4096
 let max_total_flows = 1 lsl 22
 
-let population ?(pkt_bits = Packet.default_bits) ?(classes = 1) ?(init_window_pkts = 1.0) ~flow
-    ~flows () =
+let population ?(classes = 1) ~flow ~flows () =
   if classes < 1 then invalid_arg "Fluid.population: classes must be positive";
   if flows < 0 then invalid_arg "Fluid.population: flows must be non-negative";
   (* Balanced partition: the first [flows mod classes] classes get one
@@ -44,19 +43,20 @@ let population ?(pkt_bits = Packet.default_bits) ?(classes = 1) ?(init_window_pk
   let base = flows / classes and extra = flows mod classes in
   let pop_classes =
     List.init classes (fun i ->
-        { flows = (base + if i < extra then 1 else 0); init_window_pkts })
+        { flows = (base + if i < extra then 1 else 0); init_window_pkts = 1.0 })
   in
-  { pop_flow = flow; pkt_bits; pop_classes }
+  { pop_flow = flow; pkt_bits = Packet.default_bits; pop_classes }
 
-type config = {
-  dt : float;
-  max_window_pkts : float;
-  rtt_floor : float;
-  fg_smoothing : float;
-}
+(* Per-flow window clamp, in packets. *)
+let max_window_pkts = 4096.0
 
-let default_config =
-  { dt = 0.01; max_window_pkts = 4096.0; rtt_floor = 1e-3; fg_smoothing = 0.25 }
+(* Lower bound on the population RTT, so rate stays finite on delay-free
+   paths. *)
+let rtt_floor = 1e-3
+
+(* EWMA weight of the newest per-station foreground arrival-rate
+   sample. *)
+let fg_smoothing = 0.25
 
 (* --- per-hop state ---
 
@@ -79,7 +79,7 @@ type class_state = { n_flows : int; mutable w_fix : int }
 type t = {
   engine : Engine.t;
   runtime : Runtime.t;
-  config : config;
+  dt : float;
   (* background *)
   pkt_bits : int;
   total_flows : int;
@@ -187,8 +187,7 @@ let tick t =
   (* The integrator phase of the hybrid backend, attributed separately
      from the packet phase (see [inject]). *)
   Utc_obs.Metrics.span ~name:"fluid.tick" ~now:(fun () -> Engine.now t.engine) @@ fun () ->
-  let cfg = t.config in
-  let dt = cfg.dt in
+  let dt = t.dt in
   (* foreground arrival rates *)
   List.iter
     (fun hop ->
@@ -196,7 +195,7 @@ let tick t =
       hop.fg_bits_acc <- 0;
       hop.fg_rate_bps <-
         (if t.steps = 0 then sample
-         else ((1.0 -. cfg.fg_smoothing) *. hop.fg_rate_bps) +. (cfg.fg_smoothing *. sample)))
+         else ((1.0 -. fg_smoothing) *. hop.fg_rate_bps) +. (fg_smoothing *. sample)))
     t.hops;
   (* population RTT: propagation + queueing (fluid and foreground bits)
      + per-hop transmission time *)
@@ -206,7 +205,7 @@ let tick t =
         acc
         +. ((hop.fq_bits +. float_of_int (fg_queue_bits t hop) +. float_of_int t.pkt_bits)
             /. hop.hop_rate_bps))
-      (cfg.rtt_floor +. t.base_delay)
+      (rtt_floor +. t.base_delay)
       t.hops
   in
   (* aggregate offered rate: exact integer sum of flows * per-flow rate *)
@@ -254,7 +253,7 @@ let tick t =
         let w = float_of_fix c.w_fix in
         let x = Float.min (w /. rtt) (float_of_fix max_rate_fix) in
         let dw = dt *. ((1.0 /. rtt) -. (0.5 *. w *. x *. loss_prob)) in
-        let w' = Float.max 1.0 (Float.min cfg.max_window_pkts (w +. dw)) in
+        let w' = Float.max 1.0 (Float.min max_window_pkts (w +. dw)) in
         c.w_fix <- fix_of_float w'
       end)
     t.classes;
@@ -266,7 +265,7 @@ let tick t =
   t.last_goodput_bps <- goodput_bps
 
 let start_ticks t =
-  let dt = t.config.dt in
+  let dt = t.dt in
   let rec step k () =
     tick t;
     schedule_next (k + 1)
@@ -279,11 +278,8 @@ let start_ticks t =
 
 (* --- construction --- *)
 
-let build ?(config = default_config) engine compiled cb ~(background : population) =
-  if config.dt <= 0.0 then invalid_arg "Fluid.build: dt must be positive";
-  if config.fg_smoothing <= 0.0 || config.fg_smoothing > 1.0 then
-    invalid_arg "Fluid.build: fg_smoothing must be in (0, 1]";
-  if config.rtt_floor <= 0.0 then invalid_arg "Fluid.build: rtt_floor must be positive";
+let build ?(dt = 0.01) engine compiled cb ~(background : population) =
+  if dt <= 0.0 then invalid_arg "Fluid.build: dt must be positive";
   if background.pkt_bits <= 0 then invalid_arg "Fluid.build: pkt_bits must be positive";
   if List.length background.pop_classes > max_classes then
     invalid_arg "Fluid.build: too many population classes";
@@ -292,7 +288,7 @@ let build ?(config = default_config) engine compiled cb ~(background : populatio
       (fun acc (c : pop_class) ->
         if c.flows < 0 || c.flows > max_class_flows then
           invalid_arg "Fluid.build: class flow count out of range";
-        if c.init_window_pkts < 1.0 || c.init_window_pkts > config.max_window_pkts then
+        if c.init_window_pkts < 1.0 || c.init_window_pkts > max_window_pkts then
           invalid_arg "Fluid.build: init window out of range";
         acc + c.flows)
       0 background.pop_classes
@@ -318,7 +314,7 @@ let build ?(config = default_config) engine compiled cb ~(background : populatio
     {
       engine;
       runtime;
-      config;
+      dt;
       pkt_bits = background.pkt_bits;
       total_flows;
       classes;
@@ -327,7 +323,7 @@ let build ?(config = default_config) engine compiled cb ~(background : populatio
       survive;
       steps = 0;
       delivered_bits = 0.0;
-      last_rtt = config.rtt_floor +. base_delay;
+      last_rtt = rtt_floor +. base_delay;
       last_loss_prob = 0.0;
       last_offered_pps = 0.0;
       last_goodput_bps = 0.0;
@@ -346,9 +342,7 @@ let inject t flow pkt =
     (fun () -> Runtime.inject t.runtime flow pkt)
 
 let runtime t = t.runtime
-let background_flows t = t.total_flows
 let steps t = t.steps
-let path_stations t = List.map (fun hop -> hop.hop_id) t.hops
 
 type agg = {
   at : float;
@@ -371,7 +365,7 @@ let sample t =
       float_of_fix sum_fix /. float_of_int t.total_flows
   in
   {
-    at = float_of_int t.steps *. t.config.dt;
+    at = float_of_int t.steps *. t.dt;
     mean_window_pkts = mean_window;
     offered_pps = t.last_offered_pps;
     goodput_bps = t.last_goodput_bps;

@@ -76,39 +76,17 @@ val max_classes : int
 val max_total_flows : int
 (** 4_194_304 flows per population. *)
 
-val population :
-  ?pkt_bits:int ->
-  ?classes:int ->
-  ?init_window_pkts:float ->
-  flow:Utc_net.Flow.t ->
-  flows:int ->
-  unit ->
-  population
+val population : ?classes:int -> flow:Utc_net.Flow.t -> flows:int -> unit -> population
 (** Homogeneous population of [flows] flows balanced over [classes]
     (default 1) equal classes, packet size {!Utc_net.Packet.default_bits},
     initial window 1 packet. *)
-
-(** {1 Integrator configuration} *)
-
-type config = {
-  dt : float;  (** Integrator step, seconds. Default 0.01. *)
-  max_window_pkts : float;  (** Per-flow window clamp. Default 4096. *)
-  rtt_floor : float;
-      (** Lower bound on the population RTT, so rate stays finite on
-          delay-free paths. Default 1 ms. *)
-  fg_smoothing : float;
-      (** EWMA weight of the newest per-station foreground arrival-rate
-          sample, in (0, 1]. Default 0.25. *)
-}
-
-val default_config : config
 
 (** {1 Build and drive} *)
 
 type t
 
 val build :
-  ?config:config ->
+  ?dt:float ->
   Utc_sim.Engine.t ->
   Utc_net.Compiled.t ->
   Runtime.callbacks ->
@@ -116,11 +94,15 @@ val build :
   t
 (** Walks the background path from the population's entry, builds the
     {!Runtime} for the foreground, couples each background-path station
-    to the integrator, seeds the integrator and schedules its ticks (none
-    when the population is empty). Raises [Invalid_argument] if the
-    population flow has no [Endpoint] entry, a population bound is
-    exceeded, [dt <= 0], or the background path crosses an unsupported
-    element (the message names a non-FIFO station's node). *)
+    to the integrator, seeds the integrator and schedules its ticks
+    every [dt] seconds (default 0.01; none when the population is
+    empty). The integrator clamps each flow's window at 4096 packets,
+    floors the population RTT at 1 ms and smooths each station's
+    foreground arrival rate with an EWMA of weight 0.25 on the newest
+    sample. Raises [Invalid_argument] if the population flow has no
+    [Endpoint] entry, a population bound is exceeded, [dt <= 0], or the
+    background path crosses an unsupported element (the message names a
+    non-FIFO station's node). *)
 
 val inject : t -> Utc_net.Flow.t -> Utc_net.Packet.t -> unit
 (** {!Runtime.inject} on the foreground runtime, under the
@@ -147,11 +129,7 @@ type agg = {
 
 val sample : t -> agg
 
-val background_flows : t -> int
 val steps : t -> int  (** Integrator ticks executed so far. *)
-
-val path_stations : t -> int list
-(** Node ids of the stations on the background path, in path order. *)
 
 (** {1 Fixed-point introspection (tests)} *)
 

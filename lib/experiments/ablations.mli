@@ -20,8 +20,6 @@ type row = {
   wall_seconds : float;
 }
 
-val row_of_harness : label:string -> Harness.result -> row
-
 val cap_policy : ?seed:int -> ?duration:float -> unit -> row list
 (** Top-K at 20k (reference), top-K at 256, resampling at 256. *)
 

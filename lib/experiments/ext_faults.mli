@@ -59,16 +59,10 @@ val run_rate_flap : ?seed:int -> ?duration:float -> unit -> scenario
 (** Link rate multiplied by 3 from t = 40 onward (permanent shift,
     outside the prior grid). *)
 
-val run_loss_burst : ?seed:int -> ?duration:float -> unit -> scenario
-(** Last-mile loss probability 0 -> 0.3 over [40, 70). *)
-
-val run_ack_delay : ?seed:int -> ?duration:float -> unit -> scenario
-(** Every acknowledgment deferred 0.5 s over [40, 70). *)
-
-val run_ack_drop : ?seed:int -> ?duration:float -> unit -> scenario
-(** Each acknowledgment eaten with probability 0.5 over [40, 70). *)
-
 val run_all : ?seed:int -> ?duration:float -> unit -> scenario list
+(** {!run_rate_flap}, then three faults over [40, 70): last-mile loss
+    probability 0 -> 0.3, every acknowledgment deferred 0.5 s, and each
+    acknowledgment eaten with probability 0.5. *)
 
 val find_run : scenario -> variant -> run
 

@@ -20,19 +20,6 @@ type 'p result = {
   wall_seconds : float;
 }
 
-val run_family :
-  ?seed:int ->
-  ?duration:float ->
-  name:string ->
-  prior:('p * float) list ->
-  model:('p -> Utc_net.Topology.t) ->
-  truth:Utc_net.Topology.t ->
-  truth_params:'p ->
-  unit ->
-  'p result
-(** Generic driver: belief from [prior]/[model], ISender against [truth],
-    posterior mass on [truth_params] at the end. *)
-
 type two_hop = {
   first_bps : float;
   second_bps : float;

@@ -143,10 +143,10 @@ let run config =
     | None -> "harness.run"
     | Some r -> Printf.sprintf "harness.run{run=%S}" r
   in
-  (* [~root:true]: a domain draining the pool's queue during a sweep can
-     execute another run's whole job inside one of its own spans;
-     re-rooting each run's span subtree at its labeled name keeps every
-     recorded path — and the aggregated tree — schedule-independent. *)
+  (* [~root:true]: in a sweep the caller runs its own chunk of runs inside
+     whatever spans it has open, while a spawned domain starts at the
+     root; re-rooting each run's span subtree at its labeled name keeps
+     every recorded path — and the aggregated tree — schedule-independent. *)
   Utc_obs.Metrics.span ~name:span_name ~root:true
     ~now:(fun () -> Utc_sim.Engine.now testbed.Testbed.engine)
     (fun () -> Utc_sim.Engine.run ~until:config.duration testbed.Testbed.engine);

@@ -150,11 +150,7 @@ let run ?(config = default_config) () =
   in
   let background = Fluid.population ~flow:Flow.Cross ~flows:config.background ~classes:config.classes () in
   let fluid =
-    Fluid.build
-      ~config:{ Fluid.default_config with dt = config.dt }
-      engine compiled
-      (Runtime.callbacks ~deliver ~on_drop ())
-      ~background
+    Fluid.build ~dt:config.dt engine compiled (Runtime.callbacks ~deliver ~on_drop ()) ~background
   in
   List.iteri
     (fun i flow ->

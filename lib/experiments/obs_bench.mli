@@ -48,6 +48,5 @@ type report = {
 val run : ?seed:int -> ?duration:float -> ?repeats:int -> unit -> report
 (** Defaults: seed 7, 60 simulated seconds, best of 3. *)
 
-val to_json : report -> string
 val write_json : path:string -> report -> unit
 val pp_report : Format.formatter -> report -> unit

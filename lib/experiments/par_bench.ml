@@ -42,7 +42,7 @@ let sweep_entry pool ~seed ~duration =
       [ seed; seed + 1 ]
   in
   let sweep pool () = List.map strip (Harness.run_many ~pool configs) in
-  let serial, serial_seconds = Pool.with_pool ~domains:1 (fun serial -> timed (sweep serial)) in
+  let serial, serial_seconds = timed (sweep (Pool.create ~domains:1 ())) in
   let pooled, pooled_seconds = timed (sweep pool) in
   let speedup =
     if Pool.domains pool = 1 then 1.0

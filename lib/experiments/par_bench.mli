@@ -41,8 +41,6 @@ val regressions : report -> entry list
 (** Entries where the pool lost to serial ([speedup < 1.0]) or changed
     the result ([bit_identical = false]). Empty on a healthy machine. *)
 
-val to_json : report -> string
-
 val write_json : path:string -> report -> unit
 
 val pp_report : Format.formatter -> report -> unit

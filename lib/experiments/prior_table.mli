@@ -23,9 +23,7 @@ type result = {
 }
 
 val run : ?seed:int -> ?duration:float -> ?alpha:float -> unit -> result
-
-val of_harness : Harness.result -> result
-(** Compute the final marginals (and a coarse trace from the harness'
-    belief samples) of an existing run. *)
+(** Runs the §4 harness and computes the final marginals, and a coarse
+    trace from its belief samples. *)
 
 val pp_report : Format.formatter -> result -> unit

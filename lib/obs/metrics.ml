@@ -123,12 +123,12 @@ let span_entry path =
    Per Dls's contract it only decides *where* a recording lands — which
    path-keyed tree node accumulates — never a computed result.
 
-   Pool caveat: a caller participating in [Pool.map_*] drains the shared
-   job queue, so a whole *other* top-level job can execute while one of
-   this domain's spans is open. Spans that wrap a pooled top-level job
-   (harness / mean-field runs) must therefore pass [~root:true], which
-   re-roots the subtree at the span's own name and keeps every path —
-   hence the aggregated tree — independent of the pool schedule. *)
+   Pool caveat: [Pool.map_list] runs its last chunk on the caller, under
+   whatever spans the caller has open, while a spawned domain starts at
+   the root. Spans that wrap a pooled top-level job (harness / mean-field
+   runs) must therefore pass [~root:true], which re-roots the subtree at
+   the span's own name and keeps every path — hence the aggregated tree —
+   independent of which domain ran the job. *)
 let path_key : string Utc_parallel.Dls.key = Utc_parallel.Dls.new_key (fun () -> "")
 
 let span ?now ?(root = false) ~name f =

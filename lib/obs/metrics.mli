@@ -49,12 +49,10 @@ val set_gauge : gauge -> float -> unit
 
 (** {1 Histograms} *)
 
-val default_buckets : float list
-(** Decades from [1e-3] to [1e7]. *)
-
 val histogram : ?buckets:float list -> string -> histogram
-(** Fixed upper-bound buckets (sorted, deduplicated) plus an implicit
-    overflow bucket. [buckets] is only consulted on first registration.
+(** Fixed upper-bound buckets (sorted, deduplicated; default the decades
+    from [1e-3] to [1e7]) plus an implicit overflow bucket. [buckets] is
+    only consulted on first registration.
     Raises [Invalid_argument] on an empty bucket list. *)
 
 val observe : histogram -> float -> unit
@@ -72,9 +70,9 @@ val observe : histogram -> float -> unit
     rendered name (name-then-label sorted) and recording through one
     costs exactly what the unlabeled handle costs.
 
-    Cardinality is hard-capped (default {!default_max_children} children
-    per family): once a family is full, every new label set resolves to
-    the reserved [name{other="true"}] catch-all child and bumps the
+    Cardinality is hard-capped (default 1024 children per family): once
+    a family is full, every new label set resolves to the reserved
+    [name{other="true"}] catch-all child and bumps the
     [utc_obs_family_overflow] counter, so an unbounded label source
     (e.g. one label per sender at 10⁶ senders) degrades to aggregation
     instead of unbounded memory. *)
@@ -84,9 +82,6 @@ type labels = (string * string) list
     within a set. Values are arbitrary and JSON-escaped on rendering. *)
 
 type 'a family
-
-val default_max_children : int
-(** 1024. *)
 
 val counter_family : ?max_children:int -> string -> counter family
 val gauge_family : ?max_children:int -> string -> gauge family
@@ -139,9 +134,10 @@ val span : ?now:(unit -> float) -> ?root:bool -> name:string -> (unit -> 'a) -> 
 
     [~root:true] ignores the ambient stack and starts a fresh subtree at
     [name]. Required for spans that wrap a pooled top-level job (harness
-    or mean-field runs): a domain draining the pool's shared queue can
-    execute another job while one of its own spans is open, and re-rooting
-    keeps the recorded paths independent of that schedule. *)
+    or mean-field runs): the pool runs one chunk of jobs on the caller,
+    under the caller's open spans, and the others on fresh domains at the
+    root, and re-rooting keeps the recorded paths independent of which
+    domain ran a job. *)
 
 (** {1 Snapshots} *)
 

@@ -55,10 +55,19 @@ let reset_handle h =
 
 let reset () = reset_handle global
 
+(* Discards the oldest events, counting each as dropped, until at most
+   [room] remain. Call with [h.lock] held. *)
+let trim h ~room =
+  while Queue.length h.queue > room do
+    ignore (Queue.pop h.queue);
+    h.dropped <- h.dropped + 1
+  done
+
 let enable ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Sink.enable: capacity must be positive";
   Mutex.lock global.lock;
   global.capacity <- capacity;
+  trim global ~room:capacity;
   Mutex.unlock global.lock;
   enabled_flag := true
 
@@ -68,10 +77,7 @@ let push h ?flow ?run ~at event =
   Mutex.lock h.lock;
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
-  if Queue.length h.queue >= h.capacity then begin
-    ignore (Queue.pop h.queue);
-    h.dropped <- h.dropped + 1
-  end;
+  trim h ~room:(h.capacity - 1);
   Queue.push { at; seq; flow; run; event } h.queue;
   Mutex.unlock h.lock
 
@@ -123,10 +129,7 @@ let absorb h =
     (fun r ->
       let seq = global.next_seq in
       global.next_seq <- seq + 1;
-      if Queue.length global.queue >= global.capacity then begin
-        ignore (Queue.pop global.queue);
-        global.dropped <- global.dropped + 1
-      end;
+      trim global ~room:(global.capacity - 1);
       Queue.push { r with seq } global.queue)
     es;
   Mutex.unlock global.lock

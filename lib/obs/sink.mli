@@ -7,8 +7,8 @@
     (the default) {!record} is a single flag test, so instrumented hot
     paths stay free.
 
-    {b Per-run sinks.} A sweep ([Harness.run_many], [utc sweep]) fans
-    whole runs across the domain pool, so recording straight into the
+    {b Per-run sinks.} A sweep ([Harness.run_many], [utc trace sweep])
+    fans whole runs across the domain pool, so recording straight into the
     process journal would interleave runs in pool-completion order.
     Instead the sweep's serial prologue {!create}s one private handle per
     run, each pooled job executes under {!with_run} — which routes every
@@ -47,8 +47,10 @@ val default_capacity : int
 
 val enable : ?capacity:int -> unit -> unit
 (** Starts recording (journal contents are preserved; call {!reset}
-    first for a fresh run). The flag gates every handle, private ones
-    included. Raises [Invalid_argument] if [capacity <= 0]. *)
+    first for a fresh run). A [capacity] below the journal's length
+    discards its oldest events at once, counting them in {!dropped}.
+    The flag gates every handle, private ones included. Raises
+    [Invalid_argument] if [capacity <= 0]. *)
 
 val disable : unit -> unit
 val enabled : unit -> bool
@@ -89,8 +91,8 @@ val with_run : run:string -> t -> (unit -> 'a) -> 'a
 (** [with_run ~run handle f] routes every {!record} in [f]'s dynamic
     extent into [handle] and exposes [run] via {!run_label}. The binding
     is domain-local and restored on exit (exceptions included), so it
-    travels with a pooled job even when a nested pool drain executes
-    other jobs on the same domain. *)
+    holds on whichever domain runs a pooled job, and a caller that runs
+    several jobs of its own chunk binds each job's handle in turn. *)
 
 val run_label : unit -> string option
 (** The [~run] label of the innermost active {!with_run}, if any. Used

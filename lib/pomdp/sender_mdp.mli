@@ -28,9 +28,6 @@ val default : config
 val make : config -> Mdp.t
 (** States: occupancy [0..capacity]; actions: 0 = idle, 1 = send. *)
 
-val action_send : int
-val action_idle : int
-
 val solve : ?discount:float -> config -> Mdp.solution
 
 val send_threshold : Mdp.solution -> int

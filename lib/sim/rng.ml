@@ -43,30 +43,6 @@ let split t =
 
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
-(* Child stream keyed by (parent state, index): a digest of the parent's
-   four words, offset by the index on the SplitMix64 Weyl sequence, then
-   expanded through SplitMix64 like [create]. Pure — the parent is not
-   advanced — so deriving stream [i] commutes with deriving stream [j]:
-   exactly what a domain pool needs to hand stream [i] to work item [i]
-   no matter which domain runs it. *)
-let stream t ~index =
-  if index < 0 then invalid_arg "Rng.stream: index must be >= 0";
-  let digest =
-    Int64.logxor
-      (Int64.logxor t.s0 (rotl t.s1 19))
-      (Int64.logxor (rotl t.s2 37) (rotl t.s3 53))
-  in
-  let state = ref (Int64.add digest (Int64.mul (Int64.of_int (index + 1)) 0x9E3779B97F4A7C15L)) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
-
-let streams t ~n =
-  if n < 0 then invalid_arg "Rng.streams: n must be >= 0";
-  Array.init n (fun index -> stream t ~index)
-
 let float t =
   (* 53 high bits, as recommended for double generation. *)
   let x = Int64.shift_right_logical (bits64 t) 11 in
@@ -87,8 +63,6 @@ let int t ~bound =
     else Int64.to_int v
   in
   loop ()
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t ~p =
   assert (p >= 0.0 && p <= 1.0);

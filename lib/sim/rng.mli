@@ -19,21 +19,6 @@ val split : t -> t
 
 val copy : t -> t
 
-val stream : t -> index:int -> t
-(** Explicit split stream [index] of [t]: an independent child generator
-    keyed by the parent's {e current} state and the index. Unlike
-    {!split}, the parent is not advanced, and the derivation depends only
-    on [(state, index)] — never on the order streams are taken in — so a
-    work item can be given stream [i] regardless of which domain runs it,
-    and the draw sequence is identical under any domain count.
-    @raise Invalid_argument on a negative index. *)
-
-val streams : t -> n:int -> t array
-(** [streams t ~n] is [|stream t ~index:0; ...; stream t ~index:(n-1)|].
-    Pure: the parent is not advanced, and [streams t ~n] is a prefix of
-    [streams t ~n'] for [n <= n'].
-    @raise Invalid_argument on a negative [n]. *)
-
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 
@@ -45,8 +30,6 @@ val uniform : t -> lo:float -> hi:float -> float
 
 val int : t -> bound:int -> int
 (** Uniform in [\[0, bound)]. Requires [bound > 0]. Unbiased. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> p:float -> bool
 (** [true] with probability [p]. Requires [0 <= p <= 1]. *)

@@ -547,9 +547,7 @@ let fluid_build_validation () =
       };
   let engine = Engine.create ~seed:1 () in
   match
-    Fluid.build
-      ~config:{ Fluid.default_config with dt = 0.0 }
-      engine
+    Fluid.build ~dt:0.0 engine
       (Compiled.compile_exn plain)
       (Utc_elements.Runtime.callbacks ())
       ~background:(Fluid.population ~flow:Flow.Cross ~flows:10 ())

@@ -227,6 +227,13 @@ let sink_ring_drops_oldest () =
         (Sink.stats ());
       Alcotest.(check (list int)) "newest survive, sequence numbering global" [ 6; 7; 8; 9 ]
         (List.map (fun (r : Sink.recorded) -> r.Sink.seq) (Sink.events ()));
+      Sink.enable ~capacity:2 ();
+      Alcotest.(check (pair int int)) "shrinking the capacity drops the oldest at once" (2, 8)
+        (Sink.stats ());
+      Sink.record ~at:10.0 (Event.Timeout { seq = 10 });
+      Alcotest.(check (pair int int)) "then one drop per record" (2, 9) (Sink.stats ());
+      Alcotest.(check (list int)) "newest survive the shrink" [ 9; 10 ]
+        (List.map (fun (r : Sink.recorded) -> r.Sink.seq) (Sink.events ()));
       Alcotest.check_raises "capacity must be positive"
         (Invalid_argument "Sink.enable: capacity must be positive") (fun () ->
           Sink.enable ~capacity:0 ()))

@@ -11,7 +11,6 @@ module Mstate = Utc_model.Mstate
 module Planner = Utc_core.Planner
 module Harness = Utc_experiments.Harness
 module Scalability = Utc_experiments.Scalability
-module Rng = Utc_sim.Rng
 module Obs_clock = Utc_obs.Obs_clock
 
 let pool_sizes = [ 1; 2; 4 ]
@@ -27,7 +26,7 @@ let golden_harness_sweep () =
       [ 1.0; 2.5 ]
   in
   let run ~domains =
-    Pool.with_pool ~domains (fun pool -> List.map strip (Harness.run_many ~pool configs))
+    List.map strip (Harness.run_many ~pool:(Pool.create ~domains ()) configs)
   in
   let serial = run ~domains:1 in
   Alcotest.(check bool) "runs sent something" true
@@ -43,54 +42,74 @@ let golden_harness_sweep () =
 (* --- pool mechanics --- *)
 
 let pool_basics () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check int) "domains" 3 (Pool.domains pool);
-      Alcotest.(check (list int)) "empty list" [] (Pool.map_list pool ~f:succ []);
-      Alcotest.(check (list int)) "singleton" [ 2 ] (Pool.map_list pool ~f:succ [ 1 ]);
-      let arr = Array.init 13 (fun i -> i) in
-      Alcotest.(check (array int)) "map_array" (Array.map (fun i -> i * i) arr)
-        (Pool.map_array ~chunk:2 pool ~f:(fun i -> i * i) arr);
-      (* Nested maps on the same pool must not deadlock. *)
-      let nested =
-        Pool.map_list pool
-          ~f:(fun i -> List.fold_left ( + ) 0 (Pool.map_list pool ~f:succ (List.init i Fun.id)))
-          (List.init 6 Fun.id)
-      in
-      Alcotest.(check (list int)) "nested maps"
-        (List.init 6 (fun i -> List.fold_left ( + ) 0 (List.init i succ)))
-        nested);
+  let pool = Pool.create ~domains:3 () in
+  Alcotest.(check int) "domains" 3 (Pool.domains pool);
+  Alcotest.(check (list int)) "empty list" [] (Pool.map_list pool ~f:succ []);
+  Alcotest.(check (list int)) "singleton" [ 2 ] (Pool.map_list pool ~f:succ [ 1 ]);
+  Alcotest.(check (list int)) "uneven chunks"
+    (List.init 13 (fun i -> i * i))
+    (Pool.map_list pool ~f:(fun i -> i * i) (List.init 13 Fun.id));
+  (* A job may itself map on the same pool. *)
+  let nested =
+    Pool.map_list pool
+      ~f:(fun i -> List.fold_left ( + ) 0 (Pool.map_list pool ~f:succ (List.init i Fun.id)))
+      (List.init 6 Fun.id)
+  in
+  Alcotest.(check (list int)) "nested maps"
+    (List.init 6 (fun i -> List.fold_left ( + ) 0 (List.init i succ)))
+    nested;
   Alcotest.check_raises "domains must be positive" (Invalid_argument "Pool.create: domains must be >= 1")
     (fun () -> ignore (Pool.create ~domains:0 ()))
 
 let pool_exception_propagation () =
-  (* The lowest-indexed failing chunk's exception wins, deterministically,
-     and the pool survives to run more work. *)
-  Pool.with_pool ~domains:4 (fun pool ->
-      Alcotest.check_raises "lowest failure reported" (Failure "item 2") (fun () ->
+  (* Ten items on four domains are the chunks 0-2, 3-5, 6-8 (spawned)
+     and 9 (the caller's). Whichever chunks fail, the lowest-indexed
+     failing item's exception wins, as in the serial map. *)
+  let pool = Pool.create ~domains:4 () in
+  List.iter
+    (fun first ->
+      let expected = Printf.sprintf "item %d" first in
+      Alcotest.check_raises ("lowest failure reported: " ^ expected) (Failure expected) (fun () ->
           ignore
-            (Pool.map_list ~chunk:1 pool
-               ~f:(fun i -> if i >= 2 then failwith (Printf.sprintf "item %d" i) else i)
-               (List.init 10 Fun.id)));
-      Alcotest.(check (list int)) "pool still works after a failure"
-        (List.init 10 succ)
-        (Pool.map_list pool ~f:succ (List.init 10 Fun.id)))
+            (Pool.map_list pool
+               ~f:(fun i -> if i >= first then failwith (Printf.sprintf "item %d" i) else i)
+               (List.init 10 Fun.id))))
+    [ 2; 4; 9 ];
+  (* The failure in chunk 0 surfaces only after the slow item 8, in a
+     later spawned chunk, has finished: every spawned domain is joined. *)
+  let finished = Atomic.make false in
+  let f i =
+    if i = 0 then failwith "item 0";
+    if i = 8 then begin
+      let until = Obs_clock.now () +. 0.05 in
+      while Obs_clock.now () < until do
+        ()
+      done;
+      Atomic.set finished true
+    end
+  in
+  Alcotest.check_raises "early failure" (Failure "item 0") (fun () ->
+      ignore (Pool.map_list pool ~f (List.init 10 Fun.id)));
+  Alcotest.(check bool) "the slow later chunk was joined first" true (Atomic.get finished);
+  Alcotest.(check (list int)) "pool still works after a failure"
+    (List.init 10 succ)
+    (Pool.map_list pool ~f:succ (List.init 10 Fun.id))
 
 (* Every equivalence test passes on a pool that silently runs serial;
    this one needs both items of a two-item map in flight at once. The
    deadline only keeps a serial pool from hanging the suite. *)
 let pool_runs_items_concurrently () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let arrived = Atomic.make 0 in
-      let deadline = Obs_clock.now () +. 5.0 in
-      let meet () =
-        Atomic.incr arrived;
-        while Atomic.get arrived < 2 && Obs_clock.now () < deadline do
-          ()
-        done;
-        Atomic.get arrived
-      in
-      Alcotest.(check (list int)) "each item saw the other arrive" [ 2; 2 ]
-        (Pool.map_list pool ~f:meet [ (); () ]))
+  let arrived = Atomic.make 0 in
+  let deadline = Obs_clock.now () +. 5.0 in
+  let meet () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 && Obs_clock.now () < deadline do
+      ()
+    done;
+    Atomic.get arrived
+  in
+  Alcotest.(check (list int)) "each item saw the other arrive" [ 2; 2 ]
+    (Pool.map_list (Pool.create ~domains:2 ()) ~f:meet [ (); () ])
 
 let default_pool_capped () =
   Fun.protect
@@ -202,55 +221,11 @@ let planner_single_branch_skips_cache () =
 (* --- qcheck: the pool is List.map, bit for bit --- *)
 
 let map_list_prop =
-  QCheck.Test.make ~name:"map_list equals List.map for any domains and chunk" ~count:30
-    QCheck.(triple (list small_int) (int_range 1 4) (int_range 1 7))
-    (fun (xs, domains, chunk) ->
+  QCheck.Test.make ~name:"map_list equals List.map for any domains" ~count:30
+    QCheck.(pair (list small_int) (int_range 1 4))
+    (fun (xs, domains) ->
       let f x = (x * 7919) lxor (x lsl 3) in
-      Pool.with_pool ~domains (fun pool -> Pool.map_list ~chunk pool ~f xs) = List.map f xs)
-
-(* --- Rng split streams --- *)
-
-let rng_stream_determinism () =
-  let parent = Rng.create ~seed:42 in
-  (* Pure: deriving does not advance the parent, so re-deriving the same
-     index replays the same stream. *)
-  let a = Rng.stream parent ~index:3 in
-  let b = Rng.stream parent ~index:3 in
-  Alcotest.(check bool) "same index, same stream" true
-    (List.init 8 (fun _ -> Rng.bits64 a) = List.init 8 (fun _ -> Rng.bits64 b));
-  (* Index-keyed: derivation order is irrelevant. *)
-  let early_1 = Rng.bits64 (Rng.stream parent ~index:1) in
-  let _ = Rng.stream parent ~index:9 in
-  let late_1 = Rng.bits64 (Rng.stream parent ~index:1) in
-  Alcotest.(check bool) "order of derivation is irrelevant" true (early_1 = late_1);
-  (* Distinct indices give distinct streams. *)
-  let first = List.init 16 (fun i -> Rng.bits64 (Rng.stream parent ~index:i)) in
-  Alcotest.(check int) "16 distinct streams" 16
-    (List.length (List.sort_uniq Int64.compare first));
-  (* streams ~n is a prefix of streams ~n'. *)
-  let draw rng = Rng.bits64 rng in
-  let four = Array.map draw (Rng.streams parent ~n:4) in
-  let eight = Array.map draw (Rng.streams parent ~n:8) in
-  Alcotest.(check bool) "prefix property" true (four = Array.sub eight 0 4)
-
-let rng_streams_pool_invariant () =
-  (* Drawing from per-item streams through the pool replays the serial
-     draws exactly: stream identity is the item index, never the domain. *)
-  let parent = Rng.create ~seed:1234 in
-  let indices = List.init 32 Fun.id in
-  let draw i =
-    let rng = Rng.stream parent ~index:i in
-    List.init 4 (fun _ -> Rng.bits64 rng)
-  in
-  let serial = List.map draw indices in
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "pooled draws @ %d domains" domains)
-        true
-        (Pool.with_pool ~domains (fun pool -> Pool.map_list ~chunk:3 pool ~f:draw indices)
-        = serial))
-    pool_sizes
+      Pool.map_list (Pool.create ~domains ()) ~f xs = List.map f xs)
 
 let suite =
   [
@@ -261,7 +236,5 @@ let suite =
     ("default pool capped at recommended", `Quick, default_pool_capped);
     ("planner cache identity", `Quick, planner_cache_identity);
     ("planner single-branch skips cache", `Quick, planner_single_branch_skips_cache);
-    ("rng stream determinism", `Quick, rng_stream_determinism);
-    ("rng streams pool-invariant", `Quick, rng_streams_pool_invariant);
     QCheck_alcotest.to_alcotest map_list_prop;
   ]

@@ -48,10 +48,10 @@ let hof_names =
     "Hashtbl.iter"; "Hashtbl.fold"; "Hashtbl.filter_map_inplace";
     "Queue.iter"; "Queue.fold"; "Stack.iter";
     "String.iter"; "String.map"; "String.fold_left"; "String.init"; "String.concat_map";
-    "Pool.map_list"; "Pool.map_array";
+    "Pool.map_list";
   ]
 
-let pool_entry_names = [ "Pool.map_list"; "Pool.map_array"; "Harness.run_many" ]
+let pool_entry_names = [ "Pool.map_list"; "Harness.run_many" ]
 
 (* Serialisers build a fresh byte image of their argument per call. *)
 let serialisers =

@@ -16,8 +16,8 @@
       each argument, so the {!Callgraph} can link summaries and
       propagate parameter writes one level;
     - {b pool jobs}: the [~f] closures handed to
-      [Utc_parallel.Pool.map_list]/[map_array] — the entry points of the
-      [R9] race detector;
+      [Utc_parallel.Pool.map_list] — the entry point of the [R9] race
+      detector;
     - {b allocation shapes} occurring in loop context (a [for]/[while]
       body, the body of a local [let rec], a recursive top-level
       binding, or a closure passed to a known iterator like [List.map])

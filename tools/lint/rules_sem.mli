@@ -6,7 +6,7 @@
 
     - [R9] no-unsynchronized-shared-mutation: a static race detector.
       Any function transitively reachable from a
-      [Utc_parallel.Pool.map_list]/[map_array] job closure (including
+      [Utc_parallel.Pool.map_list] job closure (including
       [Harness.run_many]'s) that writes escaping mutable state — a
       module-level binding, a handle resolved out of a registry, or a
       value of unknown provenance — without holding a [Mutex] is
