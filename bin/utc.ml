@@ -218,41 +218,13 @@ let senders_opt =
   Arg.(
     value & opt (some (int_range 1 max_senders)) None & info [ "senders" ] ~docv:"N" ~doc)
 
-let background_opt =
-  let doc =
-    "Add N background flows to the workload. On the $(b,fluid) backend they are integrated as a \
-     mean-field population (any N up to ~4M); on the $(b,packet) backend they are real Reno \
-     senders and count against the 256-sender cap."
-  in
-  Arg.(value & opt (int_range 0 max_background) 0 & info [ "background" ] ~docv:"N" ~doc)
-
-let backend_opt =
-  let doc = "Background backend: $(b,packet) (direct runtime) or $(b,fluid) (mean-field)." in
-  Arg.(
-    value & opt (enum [ ("packet", `Packet); ("fluid", `Fluid) ]) `Packet
-    & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
 let versus_cmd =
-  let run () seed duration senders background backend =
-    let many senders =
+  let run () seed duration senders =
+    match senders with
+    | Some senders ->
       Format.printf "Extension: %d Reno senders contending for one bottleneck@.@." senders;
       E.Versus.pp_many Format.std_formatter (E.Versus.many_senders ~seed ~duration ~senders ())
-    in
-    match (backend, senders) with
-    | `Fluid, _ ->
-      let foreground = Option.value senders ~default:2 in
-      Format.printf "Extension: %d fluid background flows + %d packet-accurate Reno senders@.@."
-        background foreground;
-      let config = { E.Meanfield.default_config with seed; duration; background; foreground } in
-      Format.printf "@[<v>%a@]@." E.Meanfield.pp_summary (E.Meanfield.run ~config ())
-    | `Packet, _ when background > 0 ->
-      let senders = Option.value senders ~default:2 + background in
-      if senders > max_senders then
-        usage_error "%d packet senders exceed the cap of %d; use --backend fluid" senders
-          max_senders;
-      many senders
-    | `Packet, Some senders -> many senders
-    | `Packet, None ->
+    | None ->
       Format.printf "Extension (S3.5 open question): ISender sharing a bottleneck with TCP@.@.";
       E.Versus.pp_share Format.std_formatter (E.Versus.isender_vs_tcp ~seed ~duration ())
   in
@@ -260,12 +232,10 @@ let versus_cmd =
     Cmd.info "versus"
       ~doc:
         "Extension: ISender vs TCP on one bottleneck; with $(b,--senders) N, a scaled \
-         many-sender Reno contention workload with per-flow metric families. \
-         $(b,--background) N $(b,--backend) fluid swaps the background population onto the \
-         mean-field backend, lifting the 256-sender cap."
+         many-sender Reno contention workload with per-flow metric families. Populations \
+         beyond the 256-sender cap run on the mean-field backend: $(b,utc meanfield)."
   in
-  Cmd.v info
-    Term.(const run $ logs_term $ seed $ duration 300.0 $ senders_opt $ background_opt $ backend_opt)
+  Cmd.v info Term.(const run $ logs_term $ seed $ duration 300.0 $ senders_opt)
 
 (* --- versus2 --- *)
 
@@ -280,13 +250,6 @@ let versus2_cmd =
 (* --- meanfield --- *)
 
 let meanfield_cmd =
-  let classes_opt =
-    let doc = "Population classes the background is chunked into." in
-    Arg.(
-      value
-      & opt (int_range 1 Utc_elements.Fluid.max_classes) 8
-      & info [ "classes" ] ~docv:"N" ~doc)
-  in
   let bg_opt =
     let doc = "Fluid background flows." in
     Arg.(value & opt (int_range 0 max_background) 5_000 & info [ "background" ] ~docv:"N" ~doc)
@@ -315,8 +278,7 @@ let meanfield_cmd =
     in
     Arg.(value & flag & info [ "validate" ] ~doc)
   in
-  let run () seed duration background classes foreground topo dt domains validate =
-    ignore (resolve_pool domains : Utc_parallel.Pool.t);
+  let run () seed duration background foreground topo dt validate =
     if validate then begin
       if background > max_senders then
         usage_error "--validate runs at most %d background flows, got %d" max_senders background;
@@ -327,7 +289,7 @@ let meanfield_cmd =
       Utc_obs.Metrics.enable ();
       Utc_obs.Metrics.reset ();
       let config =
-        { E.Meanfield.default_config with seed; duration; background; classes; foreground; topo; dt }
+        { E.Meanfield.default_config with seed; duration; background; foreground; topo; dt }
       in
       let summary = E.Meanfield.run ~config () in
       Utc_obs.Metrics.disable ();
@@ -354,8 +316,8 @@ let meanfield_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ logs_term $ seed $ duration 120.0 $ bg_opt $ classes_opt $ fg_opt $ topo_opt
-      $ dt_opt $ domains_opt $ validate_opt)
+      const run $ logs_term $ seed $ duration 120.0 $ bg_opt $ fg_opt $ topo_opt $ dt_opt
+      $ validate_opt)
 
 (* --- skew --- *)
 
@@ -659,16 +621,6 @@ let metrics_cmd =
 (* --- profile --- *)
 
 let profile_cmd =
-  let profileable =
-    [ ("fig1", `Fig1); ("fig3", `Fig3); ("faults", `Faults); ("meanfield", `Meanfield) ]
-  in
-  let experiment =
-    let doc =
-      Printf.sprintf "Experiment to profile: %s."
-        (String.concat ", " (List.map fst profileable))
-    in
-    Arg.(required & pos 0 (some (enum profileable)) None & info [] ~docv:"EXPERIMENT" ~doc)
-  in
   let top =
     let doc = "Rows in the self-time top table." in
     Arg.(value & opt non_negative_int 10 & info [ "top" ] ~docv:"N" ~doc)
@@ -708,8 +660,8 @@ let profile_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ logs_term $ experiment $ seed $ duration 120.0 $ domains_opt $ top $ format
-      $ sim_only)
+      const run $ logs_term $ experiment_arg $ seed $ duration 120.0 $ domains_opt $ top
+      $ format $ sim_only)
 
 (* --- top --- *)
 

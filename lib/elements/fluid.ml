@@ -1,51 +1,32 @@
 open Utc_net
 module Engine = Utc_sim.Engine
 
-(* --- fixed-point class state ---
+(* --- fixed-point population state ---
 
-   Class windows and per-flow rate contributions are Q43.20 integers.
-   Aggregation over classes is an exact integer sum of [flows * rate]
-   terms, which is what makes the integrator bitwise invariant to
-   population chunking and class order; the nonlinear parts of each step
-   run in float on (identical) fixed-point inputs and round back, so
-   equal classes stay bitwise equal forever. *)
+   Exchangeable flows share one state, so the population is a flow count
+   and one per-flow window. The window and the per-flow rate are Q43.20
+   integers, rounded back after every step, and the aggregates are
+   [flows * rate] and [flows * window]. The integrator is serial, so the
+   rounding buys no determinism; it stays because the committed numbers
+   (the goldens and BENCH_meanfield.json) were produced with it. *)
 
 let fix_bits = 20
 let fix_scale = 1 lsl fix_bits
 let fix_of_float x = int_of_float (Float.round (x *. float_of_int fix_scale))
 let float_of_fix x = float_of_int x /. float_of_int fix_scale
 
-(* Per-flow rate clamp keeping [flows * rate] well under 2^62:
-   2^20 flows * 2^48 < 2^62 even summed over 4096 classes. 2^28 in Q.20
-   is 256 packets per second per background flow. *)
+(* Per-flow rate clamp: 2^28 in Q.20 is 256 packets per second per
+   background flow. With at most 2^22 flows, [flows * rate] stays under
+   2^50, and [flows * window] (windows clamp at 4096 packets, 2^32 in
+   Q.20) under 2^55. *)
 let max_rate_fix = 1 lsl 28
 
-type pop_class = { flows : int; init_window_pkts : float }
-
-type population = {
-  pop_flow : Flow.t;
-  pkt_bits : int;
-  pop_classes : pop_class list;
-}
-
-let max_class_flows = 1 lsl 20
-let max_classes = 4096
 let max_total_flows = 1 lsl 22
 
-let population ?(classes = 1) ~flow ~flows () =
-  if classes < 1 then invalid_arg "Fluid.population: classes must be positive";
-  if flows < 0 then invalid_arg "Fluid.population: flows must be non-negative";
-  (* Balanced partition: the first [flows mod classes] classes get one
-     extra flow. Classes are identical in state, so any partition of the
-     same total yields the same aggregates (exactly — see fixed-point
-     note above). *)
-  let classes = if flows = 0 then 1 else min classes flows in
-  let base = flows / classes and extra = flows mod classes in
-  let pop_classes =
-    List.init classes (fun i ->
-        { flows = (base + if i < extra then 1 else 0); init_window_pkts = 1.0 })
-  in
-  { pop_flow = flow; pkt_bits = Packet.default_bits; pop_classes }
+(* Every background flow sends full-size segments and starts at a window
+   of one packet. *)
+let pkt_bits = Packet.default_bits
+let init_window_pkts = 1.0
 
 (* Per-flow window clamp, in packets. *)
 let max_window_pkts = 4096.0
@@ -74,16 +55,13 @@ type hop = {
   mutable fg_rate_bps : float;  (** EWMA foreground arrival rate *)
 }
 
-type class_state = { n_flows : int; mutable w_fix : int }
-
 type t = {
   engine : Engine.t;
   runtime : Runtime.t;
   dt : float;
   (* background *)
-  pkt_bits : int;
-  total_flows : int;
-  classes : class_state array;
+  flows : int;
+  mutable w_fix : int;  (** per-flow window, Q43.20 packets *)
   hops : hop list;  (** stations on the background path, path order *)
   base_delay : float;  (** propagation + mean jitter on the path *)
   survive : float;  (** product of (1 - loss) over path Loss elements *)
@@ -177,9 +155,9 @@ let coupling hop =
 let fg_queue_bits t hop = Runtime.queue_bits t.runtime ~node_id:hop.hop_id
 
 (* One fixed step: EWMA the foreground rates, read the population RTT off
-   the queues, form the exact aggregate offered rate, thin it hop by hop
-   against residual capacities and tail-drop headroom, then advance each
-   class's AIMD window (Misra-Gong-Towsley fluid Reno:
+   the queues, form the aggregate offered rate, thin it hop by hop
+   against residual capacities and tail-drop headroom, then advance the
+   per-flow AIMD window (Misra-Gong-Towsley fluid Reno:
    dw/dt = 1/R - (w/2) x p). *)
 (* lint:hotpath -- runs every dt (default 10ms of sim time) for the
    whole run; the per-hop iterator closures must stay allocation-free. *)
@@ -203,27 +181,18 @@ let tick t =
     List.fold_left
       (fun acc hop ->
         acc
-        +. ((hop.fq_bits +. float_of_int (fg_queue_bits t hop) +. float_of_int t.pkt_bits)
+        +. ((hop.fq_bits +. float_of_int (fg_queue_bits t hop) +. float_of_int pkt_bits)
             /. hop.hop_rate_bps))
       (rtt_floor +. t.base_delay)
       t.hops
   in
-  (* aggregate offered rate: exact integer sum of flows * per-flow rate *)
-  let offered_fix =
-    Array.fold_left
-      (fun acc c ->
-        let x_fix =
-          if c.n_flows = 0 then 0
-          else
-            let x = float_of_fix c.w_fix /. rtt in
-            let x_fix = fix_of_float x in
-            if x_fix < 0 then 0 else min x_fix max_rate_fix
-        in
-        acc + (c.n_flows * x_fix))
-      0 t.classes
+  (* aggregate offered rate: flows * the rounded per-flow rate *)
+  let x_fix =
+    let x_fix = fix_of_float (float_of_fix t.w_fix /. rtt) in
+    if x_fix < 0 then 0 else min x_fix max_rate_fix
   in
-  let offered_pps = float_of_fix offered_fix in
-  let offered_bps = offered_pps *. float_of_int t.pkt_bits in
+  let offered_pps = float_of_fix (t.flows * x_fix) in
+  let offered_bps = offered_pps *. float_of_int pkt_bits in
   (* thin hop by hop *)
   let rate_in = ref offered_bps in
   List.iter
@@ -246,17 +215,11 @@ let tick t =
     if offered_bps > 1e-9 then Float.max 0.0 (Float.min 1.0 (1.0 -. (goodput_bps /. offered_bps)))
     else 0.0
   in
-  (* per-class AIMD step (float on identical inputs, rounded back) *)
-  Array.iter
-    (fun c ->
-      if c.n_flows > 0 then begin
-        let w = float_of_fix c.w_fix in
-        let x = Float.min (w /. rtt) (float_of_fix max_rate_fix) in
-        let dw = dt *. ((1.0 /. rtt) -. (0.5 *. w *. x *. loss_prob)) in
-        let w' = Float.max 1.0 (Float.min max_window_pkts (w +. dw)) in
-        c.w_fix <- fix_of_float w'
-      end)
-    t.classes;
+  (* per-flow AIMD step, in float and rounded back *)
+  let w = float_of_fix t.w_fix in
+  let x = Float.min (w /. rtt) (float_of_fix max_rate_fix) in
+  let dw = dt *. ((1.0 /. rtt) -. (0.5 *. w *. x *. loss_prob)) in
+  t.w_fix <- fix_of_float (Float.max 1.0 (Float.min max_window_pkts (w +. dw)));
   t.delivered_bits <- t.delivered_bits +. (goodput_bps *. dt);
   t.steps <- t.steps + 1;
   t.last_rtt <- rtt;
@@ -278,46 +241,26 @@ let start_ticks t =
 
 (* --- construction --- *)
 
-let build ?(dt = 0.01) engine compiled cb ~(background : population) =
+let build ?(dt = 0.01) engine compiled cb ~flow ~flows =
   if dt <= 0.0 then invalid_arg "Fluid.build: dt must be positive";
-  if background.pkt_bits <= 0 then invalid_arg "Fluid.build: pkt_bits must be positive";
-  if List.length background.pop_classes > max_classes then
-    invalid_arg "Fluid.build: too many population classes";
-  let total_flows =
-    List.fold_left
-      (fun acc (c : pop_class) ->
-        if c.flows < 0 || c.flows > max_class_flows then
-          invalid_arg "Fluid.build: class flow count out of range";
-        if c.init_window_pkts < 1.0 || c.init_window_pkts > max_window_pkts then
-          invalid_arg "Fluid.build: init window out of range";
-        acc + c.flows)
-      0 background.pop_classes
-  in
-  if total_flows > max_total_flows then invalid_arg "Fluid.build: too many background flows";
+  if flows < 0 || flows > max_total_flows then
+    invalid_arg "Fluid.build: background flows out of range";
   let entry =
-    match Compiled.entry compiled background.pop_flow with
+    match Compiled.entry compiled flow with
     | link -> link
     | exception Not_found ->
       invalid_arg "Fluid.build: background population flow has no Endpoint source"
   in
-  let hops, base_delay, survive = trace_path compiled ~flow:background.pop_flow ~entry in
+  let hops, base_delay, survive = trace_path compiled ~flow ~entry in
   let runtime = Runtime.build engine compiled cb in
   List.iter (fun hop -> Runtime.couple runtime ~node_id:hop.hop_id (coupling hop)) hops;
-  let classes =
-    Array.of_list
-      (List.map
-         (fun (c : pop_class) ->
-           { n_flows = c.flows; w_fix = fix_of_float c.init_window_pkts })
-         background.pop_classes)
-  in
   let t =
     {
       engine;
       runtime;
       dt;
-      pkt_bits = background.pkt_bits;
-      total_flows;
-      classes;
+      flows;
+      w_fix = fix_of_float init_window_pkts;
       hops;
       base_delay;
       survive;
@@ -331,7 +274,7 @@ let build ?(dt = 0.01) engine compiled cb ~(background : population) =
   in
   (* An empty population schedules no ticks: the engine's event stream is
      then exactly the direct runtime's. *)
-  if total_flows > 0 then start_ticks t;
+  if flows > 0 then start_ticks t;
   t
 
 let inject t flow pkt =
@@ -357,12 +300,7 @@ type agg = {
 
 let sample t =
   let mean_window =
-    if t.total_flows = 0 then 0.0
-    else
-      (* Exact integer sum of flows * window, same invariance argument as
-         the offered-rate aggregate. *)
-      let sum_fix = Array.fold_left (fun acc c -> acc + (c.n_flows * c.w_fix)) 0 t.classes in
-      float_of_fix sum_fix /. float_of_int t.total_flows
+    if t.flows = 0 then 0.0 else float_of_fix (t.flows * t.w_fix) /. float_of_int t.flows
   in
   {
     at = float_of_int t.steps *. t.dt;
@@ -374,5 +312,3 @@ let sample t =
     rtt = t.last_rtt;
     queue_bits = List.map (fun hop -> (hop.hop_id, hop.fq_bits)) t.hops;
   }
-
-let class_states t = Array.to_list (Array.map (fun c -> (c.n_flows, c.w_fix)) t.classes)

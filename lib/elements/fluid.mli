@@ -5,9 +5,9 @@
     the belief-state interpreter ([Utc_model]) forks on nondeterminism.
     Both cap out at hundreds of senders. This backend follows the
     mean-field limit of interacting TCP populations (McDonald & Reynier;
-    Graham, Robert & Verloop): a large {e background} population of AIMD
-    flows evolves as per-class aggregate window/rate state driven by a
-    fixed-step deterministic integrator, while a handful of
+    Graham, Robert & Verloop): a large {e background} population of
+    exchangeable AIMD flows shares one per-flow window/rate state, driven
+    by a fixed-step deterministic integrator, while a handful of
     {e foreground} sources stay packet-accurate: their packets run
     through {!Runtime}, over the same compiled network.
 
@@ -35,14 +35,11 @@
 
     {2 Determinism}
 
-    Per-class state is fixed-point ({!fix_scale}-scaled integers) and
-    every class-to-aggregate reduction is an exact integer sum of
-    [flows * contribution] terms, so integrator output is byte-identical
-    at any domain count and {e exactly} invariant to how the population
-    is chunked into classes (splitting a class, merging equal classes,
-    or permuting the class list). Nonlinear per-class updates may use
-    float internally but are rounded back to fixed point, so equal
-    classes stay bitwise equal forever.
+    The integrator is serial, so its output is byte-identical at any
+    domain count. The population's per-flow window and per-flow rate are
+    rounded to Q43.20 fixed point after every step, and the aggregates
+    are the flow count times those integers. The rounding is kept because
+    the committed numbers were produced with it.
 
     {2 Scope (v1)}
 
@@ -53,33 +50,8 @@
     support the full element language, exactly as the direct runtime
     does. *)
 
-(** {1 The background population} *)
-
-type pop_class = {
-  flows : int;  (** Flows in this class; [0 <= flows <= ]{!max_class_flows}. *)
-  init_window_pkts : float;  (** Initial per-flow congestion window. *)
-}
-
-type population = {
-  pop_flow : Utc_net.Flow.t;
-      (** Endpoint whose compiled entry the population traverses. *)
-  pkt_bits : int;  (** Background segment size. *)
-  pop_classes : pop_class list;
-}
-
-val max_class_flows : int
-(** 1_048_576 flows per class. *)
-
-val max_classes : int
-(** 4_096 classes. *)
-
 val max_total_flows : int
 (** 4_194_304 flows per population. *)
-
-val population : ?classes:int -> flow:Utc_net.Flow.t -> flows:int -> unit -> population
-(** Homogeneous population of [flows] flows balanced over [classes]
-    (default 1) equal classes, packet size {!Utc_net.Packet.default_bits},
-    initial window 1 packet. *)
 
 (** {1 Build and drive} *)
 
@@ -90,17 +62,20 @@ val build :
   Utc_sim.Engine.t ->
   Utc_net.Compiled.t ->
   Runtime.callbacks ->
-  background:population ->
+  flow:Utc_net.Flow.t ->
+  flows:int ->
   t
-(** Walks the background path from the population's entry, builds the
-    {!Runtime} for the foreground, couples each background-path station
-    to the integrator, seeds the integrator and schedules its ticks
+(** A population of [flows] background flows entering at [flow]'s
+    [Endpoint], each sending {!Utc_net.Packet.default_bits}-bit segments
+    from an initial window of one packet. Walks the background path from
+    that entry, builds the {!Runtime} for the foreground, couples each
+    background-path station to the integrator and schedules its ticks
     every [dt] seconds (default 0.01; none when the population is
     empty). The integrator clamps each flow's window at 4096 packets,
     floors the population RTT at 1 ms and smooths each station's
     foreground arrival rate with an EWMA of weight 0.25 on the newest
-    sample. Raises [Invalid_argument] if the population flow has no
-    [Endpoint] entry, a population bound is exceeded, [dt <= 0], or the
+    sample. Raises [Invalid_argument] if [flow] has no [Endpoint] entry,
+    [flows] is outside [0..]{!max_total_flows}, [dt <= 0], or the
     background path crosses an unsupported element (the message names a
     non-FIFO station's node). *)
 
@@ -130,13 +105,3 @@ type agg = {
 val sample : t -> agg
 
 val steps : t -> int  (** Integrator ticks executed so far. *)
-
-(** {1 Fixed-point introspection (tests)} *)
-
-val fix_scale : int
-(** Scale of the fixed-point class state: 2{^20}. *)
-
-val class_states : t -> (int * int) list
-(** [(flows, window)] per class in class order, windows in raw
-    {!fix_scale} fixed point — the byte-level state the chunking
-    invariance property quantifies over. *)

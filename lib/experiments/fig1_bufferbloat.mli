@@ -8,22 +8,20 @@
     download through one ARQ station (an [Arq] {!Utc_net.Topology.discipline}
     run by {!Utc_elements.Runtime}) with a deep tail-drop buffer and a
     propagation delay, and plot the sender's per-ACK RTT samples over
-    time. *)
+    time. The station is always 1 Mbit/s with a 3 Mbit buffer (3 s of
+    queue), 30 ms of one-way propagation behind it; {!Versus.tcp_under_aqm}
+    runs the same path with other disciplines. *)
 
 type config = {
-  rate_bps : float;  (** Link bottleneck rate. *)
-  try_loss : float;  (** Per-attempt radio loss hidden by ARQ. *)
-  per_try_overhead : float;  (** Extra seconds per transmission attempt. *)
-  buffer_bits : int;  (** Bufferbloat: many seconds at [rate_bps]. *)
-  prop_delay : float;  (** One-way propagation, seconds. *)
+  discipline : Utc_net.Topology.discipline;  (** The station's queue discipline. *)
   duration : float;
   seed : int;
   make_cc : unit -> Utc_tcp.Cc.t;
 }
 
 val default : config
-(** 1 Mbit/s, 15 % radio loss, 10 ms per-try overhead, 3 Mbit buffer
-    (3 s of queue), 30 ms propagation, 250 s Reno download. *)
+(** ARQ with 15 % radio loss and 10 ms per-try overhead, 250 s Reno
+    download. *)
 
 type result = {
   config : config;
@@ -34,6 +32,7 @@ type result = {
   timeouts : int;
   link_transmissions : int;  (** Radio attempts, including ARQ retries. *)
   queue_max_bits : int;
+  drops : int;  (** Packets the station dropped. *)
 }
 
 val run : config -> result

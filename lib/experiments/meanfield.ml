@@ -17,7 +17,6 @@ type config = {
   seed : int;
   duration : float;
   background : int;
-  classes : int;
   foreground : int;
   topo : topo;
   dt : float;
@@ -29,7 +28,6 @@ let default_config =
     seed = 1;
     duration = 120.0;
     background = 5_000;
-    classes = 8;
     foreground = 2;
     topo = Single;
     dt = 0.01;
@@ -96,7 +94,6 @@ type fg_row = {
 type summary = {
   m_topo : topo;
   m_background : int;
-  m_classes : int;
   m_foreground : int;
   m_duration : float;
   final : Fluid.agg;
@@ -148,9 +145,10 @@ let run ?(config = default_config) () =
     | Flow.Aux i when i >= 0 && i < n -> drop_counts.(i) <- drop_counts.(i) + 1
     | Flow.Primary | Flow.Cross | Flow.Aux _ -> ()
   in
-  let background = Fluid.population ~flow:Flow.Cross ~flows:config.background ~classes:config.classes () in
   let fluid =
-    Fluid.build ~dt:config.dt engine compiled (Runtime.callbacks ~deliver ~on_drop ()) ~background
+    Fluid.build ~dt:config.dt engine compiled
+      (Runtime.callbacks ~deliver ~on_drop ())
+      ~flow:Flow.Cross ~flows:config.background
   in
   List.iteri
     (fun i flow ->
@@ -209,9 +207,7 @@ let run ?(config = default_config) () =
              sample_at (k + 1)))
   in
   sample_at 1;
-  (* Root span for the same reason as [Harness.run]'s: mean-field runs
-     may execute as pooled jobs, so the subtree re-roots here. *)
-  Metrics.span ~name:"meanfield.run" ~root:true
+  Metrics.span ~name:"meanfield.run"
     ~now:(fun () -> Engine.now engine)
     (fun () -> Engine.run ~until:config.duration engine);
   let final = Fluid.sample fluid in
@@ -250,7 +246,6 @@ let run ?(config = default_config) () =
   {
     m_topo = config.topo;
     m_background = config.background;
-    m_classes = config.classes;
     m_foreground = config.foreground;
     m_duration = config.duration;
     final;
@@ -261,8 +256,8 @@ let run ?(config = default_config) () =
   }
 
 let pp_summary ppf s =
-  Format.fprintf ppf "meanfield: topo=%s background=%d classes=%d foreground=%d duration=%gs@,"
-    (topo_to_string s.m_topo) s.m_background s.m_classes s.m_foreground s.m_duration;
+  Format.fprintf ppf "meanfield: topo=%s background=%d foreground=%d duration=%gs@,"
+    (topo_to_string s.m_topo) s.m_background s.m_foreground s.m_duration;
   Format.fprintf ppf "  integrator: %d ticks@," s.ticks;
   Format.fprintf ppf
     "  aggregate(final): goodput=%.4g bps offered=%.4g pps window=%.4g pkts loss=%.4g rtt=%.4g s@,"
@@ -277,12 +272,6 @@ let pp_summary ppf s =
     s.fg_rows
 
 (* --- packet-level truth --- *)
-
-type truth = {
-  t_n : int;
-  t_goodput_bps : float;
-  t_queue_bits : float;
-}
 
 (* Time-weighted mean of a step trace (oldest first, each value holding
    until the next point) over [since, until]. *)
@@ -305,16 +294,17 @@ let mean_of_trace trace ~since ~until =
     !area /. (until -. since)
   end
 
-let packet_truth ?(seed = 1) ?(duration = 120.0) ?(foreground = 0) ~topo ~background () =
-  if background < 0 then invalid_arg "Meanfield.packet_truth: background must be non-negative";
-  if foreground < 0 || background + foreground > 256 then
-    invalid_arg "Meanfield.packet_truth: background + foreground must be in 0..256";
-  let total = background + foreground in
-  let flows = List.init total (fun i -> Flow.Aux i) in
+(* Every background flow as a real Reno sender on the direct runtime,
+   feasible up to 256 flows: the steady-state aggregate goodput and the
+   time-weighted mean of the total queue over the second half. *)
+let packet_truth ~seed ~duration ~topo ~background =
+  if background < 0 || background > 256 then
+    invalid_arg "Meanfield.packet_truth: background must be in 0..256";
+  let flows = List.init background (fun i -> Flow.Aux i) in
   let truth_topo =
     {
       Topology.sources = List.map Topology.endpoint flows;
-      shared = shared_path ~topo ~total_flows:total;
+      shared = shared_path ~topo ~total_flows:background;
     }
   in
   let { Testbed.engine; receiver; compiled; _ } as testbed = Testbed.create ~seed truth_topo in
@@ -324,13 +314,10 @@ let packet_truth ?(seed = 1) ?(duration = 120.0) ?(foreground = 0) ~topo ~backgr
   List.iter Utc_tcp.Sender.start tcps;
   Engine.run ~until:duration engine;
   let since = duration /. 2.0 in
-  (* Background flows are Aux foreground..foreground+background-1, so the
-     foreground flows (if any) occupy the same Aux 0.. ids as in [run]. *)
-  let bg_flows = List.filteri (fun i _ -> i >= foreground) flows in
   let goodput =
     List.fold_left
       (fun acc flow -> acc +. Utc_core.Receiver.throughput receiver flow ~since ~until:duration)
-      0.0 bg_flows
+      0.0 flows
   in
   let queue =
     List.fold_left
@@ -340,7 +327,7 @@ let packet_truth ?(seed = 1) ?(duration = 120.0) ?(foreground = 0) ~topo ~backgr
       0.0
       (Compiled.station_ids compiled)
   in
-  { t_n = background; t_goodput_bps = goodput; t_queue_bits = queue }
+  (goodput, queue)
 
 type agreement = {
   a_topo : topo;
@@ -359,11 +346,10 @@ let validate ?(seed = 1) ?(duration = 120.0) ~topo ~n () =
       ~config:{ default_config with seed; duration; background = n; foreground = 0; topo }
       ()
   in
-  let packet = packet_truth ~seed ~duration ~topo ~background:n () in
+  let packet_goodput, packet_queue = packet_truth ~seed ~duration ~topo ~background:n in
   let fluid_goodput = fluid_summary.bg_goodput_bps in
   let goodput_rel_err =
-    if packet.t_goodput_bps > 0.0 then
-      Float.abs (fluid_goodput -. packet.t_goodput_bps) /. packet.t_goodput_bps
+    if packet_goodput > 0.0 then Float.abs (fluid_goodput -. packet_goodput) /. packet_goodput
     else Float.abs fluid_goodput
   in
   let cap = float_of_int (buffer_capacity ~topo ~total_flows:n) in
@@ -371,11 +357,11 @@ let validate ?(seed = 1) ?(duration = 120.0) ~topo ~n () =
     a_topo = topo;
     a_n = n;
     fluid_goodput_bps = fluid_goodput;
-    packet_goodput_bps = packet.t_goodput_bps;
+    packet_goodput_bps = packet_goodput;
     goodput_rel_err;
     fluid_queue_bits = fluid_summary.bg_queue_bits;
-    packet_queue_bits = packet.t_queue_bits;
-    queue_frac_of_buffer = Float.abs (fluid_summary.bg_queue_bits -. packet.t_queue_bits) /. cap;
+    packet_queue_bits = packet_queue;
+    queue_frac_of_buffer = Float.abs (fluid_summary.bg_queue_bits -. packet_queue) /. cap;
   }
 
 let pp_agreement ppf a =
@@ -394,14 +380,20 @@ type bench_row = {
   b_goodput_bps : float;
 }
 
-let bench ?(duration = 60.0) ?(ns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
+let bench () =
   List.map
     (fun n ->
       let started = Utc_obs.Obs_clock.now () in
       let s =
         run
           ~config:
-            { default_config with background = n; foreground = 2; duration; sample_every = 10.0 }
+            {
+              default_config with
+              background = n;
+              foreground = 2;
+              duration = 60.0;
+              sample_every = 10.0;
+            }
           ()
       in
       {
@@ -410,7 +402,7 @@ let bench ?(duration = 60.0) ?(ns = [ 1_000; 10_000; 100_000; 1_000_000 ]) () =
         b_ticks = s.ticks;
         b_goodput_bps = s.bg_goodput_bps;
       })
-    ns
+    [ 1_000; 10_000; 100_000; 1_000_000 ]
 
 let bench_to_json rows =
   let row r =

@@ -2,16 +2,16 @@
     its referee.
 
     [run] drives {!Utc_elements.Fluid}: a background population of AIMD flows
-    integrated as aggregate per-class window state, with a handful of
+    integrated as one shared per-flow window state, with a handful of
     packet-accurate foreground Reno senders coupled through the shared
     queues. Per-flow foreground accounting is published through the same
     [versus.flow.*] labeled families as {!Versus.many_senders}; the
     population publishes new [meanfield.agg.*] entries and journal marks.
 
-    [packet_truth] runs the same topology with every background flow as a
+    [validate] runs the same topology with every background flow as a
     real {!Utc_tcp.Sender} on the direct runtime — feasible up to 256
-    flows — and [validate] compares the two, yielding the agreement
-    numbers the cross-validation suite asserts. *)
+    flows — and compares the two, yielding the agreement numbers the
+    cross-validation suite asserts. *)
 
 type topo =
   | Single  (** One scaled §4 bottleneck. *)
@@ -25,7 +25,6 @@ type config = {
   seed : int;
   duration : float;
   background : int;  (** Fluid background flows (0 allowed). *)
-  classes : int;  (** Population classes the background is chunked into. *)
   foreground : int;  (** Packet-accurate Reno senders, flows [Aux 0..]. *)
   topo : topo;
   dt : float;  (** Integrator step. *)
@@ -33,7 +32,7 @@ type config = {
 }
 
 val default_config : config
-(** seed 1, 120 s, 5,000 background flows in 8 classes, 2 foreground
+(** seed 1, 120 s, 5,000 background flows, 2 foreground
     senders, single bottleneck, dt 10 ms, 1 s samples. *)
 
 type fg_row = {
@@ -48,7 +47,6 @@ type fg_row = {
 type summary = {
   m_topo : topo;
   m_background : int;
-  m_classes : int;
   m_foreground : int;
   m_duration : float;
   final : Utc_elements.Fluid.agg;  (** Aggregate state at the end of the run. *)
@@ -69,19 +67,7 @@ val run : ?config:config -> unit -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
-(** {1 Packet-level truth and cross-validation} *)
-
-type truth = {
-  t_n : int;  (** Background senders actually simulated. *)
-  t_goodput_bps : float;  (** Steady-state aggregate background goodput. *)
-  t_queue_bits : float;
-      (** Time-weighted mean of total queued bits over the second half. *)
-}
-
-val packet_truth :
-  ?seed:int -> ?duration:float -> ?foreground:int -> topo:topo -> background:int -> unit -> truth
-(** Every background flow is a real Reno sender on the direct runtime.
-    Raises [Invalid_argument] if [background + foreground] exceeds 256. *)
+(** {1 Cross-validation against packet-level truth} *)
 
 type agreement = {
   a_topo : topo;
@@ -112,9 +98,9 @@ type bench_row = {
   b_goodput_bps : float;
 }
 
-val bench : ?duration:float -> ?ns:int list -> unit -> bench_row list
-(** Wall-time of [run] across a background-population ladder (default
-    10^3..10^6, 60 simulated seconds each). *)
+val bench : unit -> bench_row list
+(** Wall-time of [run] across a background-population ladder: 10^3 to
+    10^6 flows, 2 foreground senders, 60 simulated seconds each. *)
 
 val pp_bench : Format.formatter -> bench_row list -> unit
 

@@ -1,49 +1,13 @@
-type marginals = {
-  at : float;
-  link_speed : float;
-  pinger_rate : float;
-  loss_rate : float;
-  buffer : float;
-  fullness : float;
-  hypotheses : int;
-}
-
 type result = {
-  trace : marginals list;
-  final : marginals;
+  trace : Harness.sample list;
+  final : Harness.sample;
 }
 
-let of_sample (s : Harness.sample) =
-  {
-    at = s.Harness.at;
-    link_speed = s.Harness.m_link;
-    pinger_rate = s.Harness.m_rate;
-    loss_rate = s.Harness.m_loss;
-    buffer = s.Harness.m_buffer;
-    fullness = s.Harness.m_fullness;
-    hypotheses = s.Harness.belief_size;
-  }
-
-let of_harness (result : Harness.result) =
-  let trace = List.map of_sample result.Harness.samples in
-  let final =
-    match List.rev trace with
-    | last :: _ -> last
-    | [] ->
-      {
-        at = 0.0;
-        link_speed = 0.0;
-        pinger_rate = 0.0;
-        loss_rate = 0.0;
-        buffer = 0.0;
-        fullness = 0.0;
-        hypotheses = 0;
-      }
-  in
-  { trace; final }
-
-let run ?(seed = 1) ?(duration = 300.0) ?(alpha = 1.0) () =
-  of_harness (Harness.run { Harness.default with seed; duration; alpha })
+let run ?(seed = 1) ?(duration = 300.0) () =
+  let trace = (Harness.run { Harness.default with seed; duration }).Harness.samples in
+  match List.rev trace with
+  | final :: _ -> { trace; final }
+  | [] -> invalid_arg "Prior_table.run: the run took no belief sample"
 
 let pp_report ppf result =
   Format.fprintf ppf "Prior table (S4): posterior mass on the true parameter values@.";
@@ -52,15 +16,15 @@ let pp_report ppf result =
   Format.fprintf ppf "%8s %8s %8s %8s %8s %8s %8s@." "t(s)" "P(c)" "P(r)" "P(p)" "P(buf)"
     "P(fill)" "hyps";
   let step = Stdlib.max 1 (List.length result.trace / 20) in
+  let pp_masses ppf (m : Harness.sample) =
+    Format.fprintf ppf "%8.3f %8.3f %8.3f %8.3f %8.3f %8d" m.m_link m.m_rate m.m_loss m.m_buffer
+      m.m_fullness m.belief_size
+  in
   List.iteri
-    (fun i m ->
-      if i mod step = 0 then
-        Format.fprintf ppf "%8.1f %8.3f %8.3f %8.3f %8.3f %8.3f %8d@." m.at m.link_speed
-          m.pinger_rate m.loss_rate m.buffer m.fullness m.hypotheses)
+    (fun i (m : Harness.sample) ->
+      if i mod step = 0 then Format.fprintf ppf "%8.1f %a@." m.at pp_masses m)
     result.trace;
-  let m = result.final in
-  Format.fprintf ppf "%8s %8.3f %8.3f %8.3f %8.3f %8.3f %8d  (final)@." "" m.link_speed
-    m.pinger_rate m.loss_rate m.buffer m.fullness m.hypotheses;
+  Format.fprintf ppf "%8s %a  (final)@." "" pp_masses result.final;
   Format.fprintf ppf
     "@.(paper: the sender quickly pares the prior down and \"figures out all the@.";
   Format.fprintf ppf

@@ -7,23 +7,19 @@
     the §4 experiment and reports, per parameter of the table, the
     posterior mass on the true value over time. *)
 
-type marginals = {
-  at : float;
-  link_speed : float;  (** P(c = 12,000). *)
-  pinger_rate : float;  (** P(r = 0.7c). *)
-  loss_rate : float;  (** P(p = 0.2). *)
-  buffer : float;  (** P(capacity = 96,000). *)
-  fullness : float;  (** P(initial fullness = 0). *)
-  hypotheses : int;
-}
-
 type result = {
-  trace : marginals list;  (** Sampled over the run, oldest first. *)
-  final : marginals;
+  trace : Harness.sample list;
+      (** The belief sample of every wakeup, oldest first: per-parameter
+          posterior mass on the true value ([m_link] for c = 12,000,
+          [m_rate] for r = 0.7c, [m_loss] for p = 0.2, [m_buffer] for a
+          96,000-bit capacity, [m_fullness] for an empty initial queue)
+          and the number of hypotheses. *)
+  final : Harness.sample;  (** The last sample. *)
 }
 
-val run : ?seed:int -> ?duration:float -> ?alpha:float -> unit -> result
-(** Runs the §4 harness and computes the final marginals, and a coarse
-    trace from its belief samples. *)
+val run : ?seed:int -> ?duration:float -> unit -> result
+(** Runs the §4 harness ({!Harness.default}, alpha 1) and keeps its
+    belief samples. The sender's first wakeup, at time 0, always takes
+    one; raises [Invalid_argument] if the run took none. *)
 
 val pp_report : Format.formatter -> result -> unit

@@ -8,7 +8,6 @@ type params = {
 }
 
 type result = {
-  true_delay : float;
   posterior_on_delay : float;
   posterior_on_link : float;
   sent : int;
@@ -23,7 +22,10 @@ let topology link_bps =
         [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:link_bps ];
   }
 
-let run ?(seed = 13) ?(duration = 120.0) ?(true_delay = 0.4) () =
+(* The hidden return delay, on the prior's grid. *)
+let true_delay = 0.4
+
+let run ?(seed = 13) ?(duration = 120.0) () =
   let prior =
     List.concat_map
       (fun link_bps ->
@@ -52,7 +54,6 @@ let run ?(seed = 13) ?(duration = 120.0) ?(true_delay = 0.4) () =
   let posterior = Belief.posterior (Utc_core.Isender.belief isender) in
   let mass pred = List.fold_left (fun acc (p, w) -> if pred p then acc +. w else acc) 0.0 posterior in
   {
-    true_delay;
     posterior_on_delay = mass (fun p -> p.return_delay = true_delay);
     posterior_on_link = mass (fun p -> p.link_bps = 12_000.0);
     sent = Utc_core.Isender.sent_count isender;
@@ -61,7 +62,7 @@ let run ?(seed = 13) ?(duration = 120.0) ?(true_delay = 0.4) () =
 
 let pp_report ppf r =
   Format.fprintf ppf "Return-path delay as an inferred parameter (S3.4/S3.5 future work)@.@.";
-  Format.fprintf ppf "hidden return delay: %.1f s (grid 0..0.8 at 0.2)@." r.true_delay;
+  Format.fprintf ppf "hidden return delay: %.1f s (grid 0..0.8 at 0.2)@." true_delay;
   Format.fprintf ppf "P(return delay = truth) = %.3f@." r.posterior_on_delay;
   Format.fprintf ppf "P(link speed  = truth) = %.3f@." r.posterior_on_link;
   Format.fprintf ppf "sent %d packets; rejected updates %d@." r.sent r.rejected_updates

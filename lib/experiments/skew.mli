@@ -16,15 +16,14 @@ type params = {
 }
 
 type result = {
-  true_delay : float;
   posterior_on_delay : float;  (** Final P(return_delay = truth). *)
   posterior_on_link : float;
   sent : int;
   rejected_updates : int;
 }
 
-val run : ?seed:int -> ?duration:float -> ?true_delay:float -> unit -> result
+val run : ?seed:int -> ?duration:float -> unit -> result
 (** Grid: link in 10..16 kbit/s, return delay in 0..0.8 s at 0.2 s steps;
-    default truth 12 kbit/s and 0.4 s. *)
+    truth 12 kbit/s and 0.4 s. *)
 
 val pp_report : Format.formatter -> result -> unit

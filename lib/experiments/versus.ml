@@ -22,7 +22,11 @@ let thinned_prior () =
 
 let versus_forward_config = { Utc_model.Forward.default_config with max_branches = 64 }
 
-let isender_vs_tcp ?(seed = 9) ?(duration = 300.0) ?(alpha = 1.0) () =
+(* Every ISender in these probes weights cross traffic as the paper's
+   default sender does. *)
+let alpha = 1.0
+
+let isender_vs_tcp ?(seed = 9) ?(duration = 300.0) () =
   let truth =
     {
       Topology.sources = [ Topology.endpoint Flow.Primary; Topology.endpoint (Flow.Aux 0) ];
@@ -67,7 +71,7 @@ let isender_vs_tcp ?(seed = 9) ?(duration = 300.0) ?(alpha = 1.0) () =
    pinger. Internally each sender works in its own frame (it is Primary
    in its own model); only egress packets are rewritten to the real
    flow. *)
-let isender_vs_isender ?(seed = 9) ?(duration = 300.0) ?(alpha = 1.0) () =
+let isender_vs_isender ?(seed = 9) ?(duration = 300.0) () =
   let truth =
     {
       Topology.sources = [ Topology.endpoint Flow.Primary; Topology.endpoint (Flow.Aux 0) ];
@@ -243,56 +247,26 @@ type aqm_row = {
   aqm_drops : int;
 }
 
-(* Reno through one station of the given discipline at the Figure 1
-   bottleneck, with the propagation delay in the delivery callback as in
-   [Fig1_bufferbloat.run]. *)
-let tcp_through ~seed ~duration ~discipline =
-  let engine = Engine.create ~seed () in
-  let sender_cell = ref None in
-  let prop_delay = 0.03 in
-  let truth =
-    {
-      Topology.sources = [ Topology.endpoint Flow.Primary ];
-      shared = Topology.station ~capacity_bits:3_000_000 ~discipline ~rate_bps:1_000_000.0 ();
-    }
-  in
-  let deliver _ pkt =
-    ignore
-      (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine ~delay:prop_delay
-         (fun () ->
-           match !sender_cell with
-           | Some sender -> Utc_tcp.Sender.on_delivery sender pkt
-           | None -> ()))
-  in
-  let drops = ref 0 in
-  let on_drop ~node_id:_ ~reason:_ _ = incr drops in
-  let runtime =
-    Utc_elements.Runtime.build engine (Compiled.compile_exn truth)
-      (Utc_elements.Runtime.callbacks ~deliver ~on_drop ())
-  in
-  let sender =
-    Utc_tcp.Sender.create engine Utc_tcp.Sender.default_config
-      ~inject:(Utc_elements.Runtime.inject runtime Flow.Primary)
-  in
-  sender_cell := Some sender;
-  Utc_tcp.Sender.start sender;
-  Engine.run ~until:duration engine;
-  let rtts = List.map snd (Utc_tcp.Sender.rtt_trace sender) in
-  let mean_rtt, p95_rtt =
-    match Utc_stats.Summary.of_list rtts with
-    | Some s -> (s.Utc_stats.Summary.mean, Utc_stats.Summary.percentile rtts ~q:0.95)
-    | None -> (0.0, 0.0)
-  in
-  ( float_of_int (Utc_tcp.Sender.delivered sender * Packet.default_bits) /. duration,
-    mean_rtt,
-    p95_rtt,
-    !drops )
-
+(* Reno through the Figure 1 path with the station's discipline
+   swapped. *)
 let tcp_under_aqm ?(seed = 9) ?(duration = 200.0) () =
   List.map
     (fun (label, discipline) ->
-      let throughput_bps, mean_rtt, p95_rtt, aqm_drops = tcp_through ~seed ~duration ~discipline in
-      { discipline = label; throughput_bps; mean_rtt; p95_rtt; aqm_drops })
+      let r = Fig1_bufferbloat.run { Fig1_bufferbloat.default with seed; duration; discipline } in
+      let rtts = List.map snd r.Fig1_bufferbloat.rtt in
+      let mean_rtt, p95_rtt =
+        match Utc_stats.Summary.of_list rtts with
+        | Some s -> (s.Utc_stats.Summary.mean, Utc_stats.Summary.percentile rtts ~q:0.95)
+        | None -> (0.0, 0.0)
+      in
+      {
+        discipline = label;
+        throughput_bps =
+          float_of_int (r.Fig1_bufferbloat.delivered * Packet.default_bits) /. duration;
+        mean_rtt;
+        p95_rtt;
+        aqm_drops = r.Fig1_bufferbloat.drops;
+      })
     [ ("tail-drop", Topology.Fifo); ("RED", Topology.Red); ("CoDel", Topology.Codel) ]
 
 let pp_share ppf share =

@@ -18,16 +18,16 @@ type share = {
   rejected_updates : int;  (** Model-misspecification fallbacks. *)
 }
 
-val isender_vs_tcp : ?seed:int -> ?duration:float -> ?alpha:float -> unit -> share
-(** ISender (Primary) and a Reno download (Aux 0) into the §4 bottleneck
-    (no stochastic loss, no pinger in the ground truth; the ISender keeps
-    its usual model family). *)
+val isender_vs_tcp : ?seed:int -> ?duration:float -> unit -> share
+(** ISender (Primary, alpha 1) and a Reno download (Aux 0) into the §4
+    bottleneck (no stochastic loss, no pinger in the ground truth; the
+    ISender keeps its usual model family). *)
 
-val isender_vs_isender : ?seed:int -> ?duration:float -> ?alpha:float -> unit -> share
-(** Two ISenders with the paper's model family sharing the §4 bottleneck,
-    each explaining the other as an intermittent pinger. Reports the
-    throughput split and how often each belief rejected every
-    configuration. *)
+val isender_vs_isender : ?seed:int -> ?duration:float -> unit -> share
+(** Two ISenders (alpha 1 each) with the paper's model family sharing the
+    §4 bottleneck, each explaining the other as an intermittent pinger.
+    Reports the throughput split and how often each belief rejected
+    every configuration. *)
 
 type flow_row = {
   sender : int;
@@ -66,9 +66,9 @@ type aqm_row = {
 }
 
 val tcp_under_aqm : ?seed:int -> ?duration:float -> unit -> aqm_row list
-(** Reno through tail-drop / RED / CoDel at the Figure 1 bottleneck: one
-    1 Mbit/s, 3 Mbit station with the [Fifo], [Red] or [Codel]
-    discipline, run by {!Utc_elements.Runtime}. *)
+(** Reno through tail-drop / RED / CoDel at the Figure 1 bottleneck:
+    {!Fig1_bufferbloat.run} with its station's discipline set to [Fifo],
+    [Red] or [Codel]. *)
 
 val pp_share : Format.formatter -> share -> unit
 val pp_many : Format.formatter -> many -> unit

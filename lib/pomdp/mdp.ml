@@ -44,6 +44,18 @@ let q_value t ~discount ~values s a =
   in
   t.reward s a +. (discount *. future)
 
+let greedy ?(discount = 0.95) t ~values =
+  Array.init t.states (fun s ->
+      let best_a = ref 0 and best_q = ref neg_infinity in
+      for a = 0 to t.actions - 1 do
+        let q = q_value t ~discount ~values s a in
+        if q > !best_q then begin
+          best_q := q;
+          best_a := a
+        end
+      done;
+      !best_a)
+
 let value_iteration ?(discount = 0.95) ?(epsilon = 1e-9) ?(max_iterations = 100_000) t =
   let () =
     match validate t with
@@ -67,18 +79,7 @@ let value_iteration ?(discount = 0.95) ?(epsilon = 1e-9) ?(max_iterations = 100_
     done;
     incr iterations
   done;
-  let policy =
-    Array.init t.states (fun s ->
-        let best_a = ref 0 and best_q = ref neg_infinity in
-        for a = 0 to t.actions - 1 do
-          let q = q_value t ~discount ~values s a in
-          if q > !best_q then begin
-            best_q := q;
-            best_a := a
-          end
-        done;
-        !best_a)
-  in
+  let policy = greedy ~discount t ~values in
   { values; policy; iterations = !iterations; residual = !residual }
 
 let evaluate_policy ?(discount = 0.95) ?(epsilon = 1e-9) t ~policy =
@@ -93,15 +94,3 @@ let evaluate_policy ?(discount = 0.95) ?(epsilon = 1e-9) t ~policy =
     done
   done;
   values
-
-let greedy ?(discount = 0.95) t ~values =
-  Array.init t.states (fun s ->
-      let best_a = ref 0 and best_q = ref neg_infinity in
-      for a = 0 to t.actions - 1 do
-        let q = q_value t ~discount ~values s a in
-        if q > !best_q then begin
-          best_q := q;
-          best_a := a
-        end
-      done;
-      !best_a)

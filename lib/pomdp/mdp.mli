@@ -5,7 +5,7 @@
     states, there will be a policy that can be computed in advance that
     prescribes the utility-maximizing behavior." This module provides the
     machinery: finite MDPs with value iteration and policy extraction.
-    {!Belief_mdp} discretizes the transmission problem onto it. *)
+    {!Sender_mdp} discretizes the transmission problem onto it. *)
 
 type t = {
   states : int;  (** States are [0 .. states-1]. *)

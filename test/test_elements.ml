@@ -374,7 +374,7 @@ let non_fifo_rejected () =
   expect_node "Fluid.build" (fun () ->
       ignore
         (Utc_elements.Fluid.build (Engine.create ()) compiled (Runtime.callbacks ())
-           ~background:(Utc_elements.Fluid.population ~flow:Flow.Cross ~flows:10 ())));
+           ~flow:Flow.Cross ~flows:10));
   let runtime = Runtime.build (Engine.create ()) compiled (Runtime.callbacks ()) in
   Alcotest.check_raises "couple refuses a RED station"
     (Invalid_argument "Runtime.couple: station is not FIFO") (fun () ->

@@ -78,9 +78,9 @@ let prior_table_trace () =
   let result = E.Prior_table.run ~duration:60.0 () in
   Alcotest.(check bool) "trace sampled" true (List.length result.E.Prior_table.trace > 10);
   let final = result.E.Prior_table.final in
-  Alcotest.(check bool) "link mass grows to certainty" true (final.E.Prior_table.link_speed > 0.95);
+  Alcotest.(check bool) "link mass grows to certainty" true (final.E.Harness.m_link > 0.95);
   let first = List.hd result.E.Prior_table.trace in
-  Alcotest.(check bool) "starts uncertain" true (first.E.Prior_table.link_speed < 0.5)
+  Alcotest.(check bool) "starts uncertain" true (first.E.Harness.m_link < 0.5)
 
 let ablation_loss_modes_agree () =
   (* Exact likelihood/fork equivalence holds without caps (asserted in

@@ -1,17 +1,12 @@
 (* Cross-validation and determinism tests for the mean-field fluid
    backend: the fluid aggregates must track packet-level truth within
-   stated, asserted tolerances where both backends can run, and the
-   integrator must be byte-deterministic at any pool size and exactly
-   invariant to how the background population is chunked into classes. *)
+   stated, asserted tolerances where both backends can run, and a
+   repeated run must reproduce its journal and metrics byte for byte. *)
 
-open Utc_net
-module Engine = Utc_sim.Engine
-module Fluid = Utc_elements.Fluid
 module Meanfield = Utc_experiments.Meanfield
 module Metrics = Utc_obs.Metrics
 module Sink = Utc_obs.Sink
 module Export = Utc_obs.Export
-module Pool = Utc_parallel.Pool
 
 (* The stated tolerances the suite enforces (EXPERIMENTS.md quotes the
    measured agreement, well inside these):
@@ -55,7 +50,12 @@ let cross_validation_seeds =
       check_agreement a;
       true)
 
-(* --- determinism: domains 1 vs 4 byte identity --- *)
+(* --- determinism: repeat-run byte identity ---
+
+   A mean-field run is serial and fans nothing out, so there is no pool
+   to vary; what is checked is that the same seed gives the same journal
+   and metrics snapshot twice in one process, with the registry and the
+   sink reset in between. *)
 
 let with_telemetry f =
   Metrics.enable ();
@@ -69,8 +69,7 @@ let with_telemetry f =
       Sink.reset ())
     f
 
-let meanfield_run_outputs domains seed =
-  Pool.set_default_domains domains;
+let meanfield_run_outputs seed =
   with_telemetry (fun () ->
       Sink.enable ();
       let config =
@@ -81,100 +80,17 @@ let meanfield_run_outputs domains seed =
       let metrics = Metrics.snapshot_json ~profile:false (Metrics.snapshot ~at:30.0) in
       (journal, metrics))
 
-let domain_invariance =
-  QCheck.Test.make ~name:"meanfield journal and metrics are pool-size invariant" ~count:2
+let repeat_run_identity =
+  QCheck.Test.make ~name:"meanfield journal and metrics repeat byte for byte" ~count:2
     QCheck.(int_range 1 1000)
     (fun seed ->
-      Fun.protect
-        ~finally:(fun () -> Pool.set_default_domains 1)
-        (fun () ->
-          let serial_journal, serial_metrics = meanfield_run_outputs 1 seed in
-          let pooled_journal, pooled_metrics = meanfield_run_outputs 4 seed in
-          if not (String.equal serial_journal pooled_journal) then
-            QCheck.Test.fail_reportf "journal differs between 1 and 4 domains (seed %d)" seed;
-          if not (String.equal serial_metrics pooled_metrics) then
-            QCheck.Test.fail_reportf "metrics differ between 1 and 4 domains (seed %d)" seed;
-          String.length serial_journal > 0))
-
-(* --- determinism: chunking invariance ---
-
-   The per-class state is fixed point and every class-to-aggregate
-   reduction is an exact integer sum, so any partition of the same
-   homogeneous population into classes — and any order of the parts —
-   must produce byte-identical aggregates and per-class windows. *)
-
-let bottleneck n =
-  {
-    Topology.sources = [ Topology.endpoint Flow.Cross ];
-    shared =
-      Topology.series
-        [
-          Topology.buffer ~capacity_bits:(48_000 * n);
-          Topology.throughput ~rate_bps:(12_000.0 *. float_of_int n);
-        ];
-  }
-
-let fluid_fingerprint ~n ~partition =
-  let engine = Engine.create ~seed:1 () in
-  let compiled = Compiled.compile_exn (bottleneck n) in
-  let background =
-    {
-      Fluid.pop_flow = Flow.Cross;
-      pkt_bits = Packet.default_bits;
-      pop_classes = List.map (fun flows -> { Fluid.flows; init_window_pkts = 1.0 }) partition;
-    }
-  in
-  let fluid = Fluid.build engine compiled (Utc_elements.Runtime.callbacks ()) ~background in
-  Engine.run ~until:20.0 engine;
-  let agg = Fluid.sample fluid in
-  let bits = Int64.bits_of_float in
-  ( List.map
-      (fun v -> bits v)
-      [
-        agg.Fluid.mean_window_pkts;
-        agg.Fluid.offered_pps;
-        agg.Fluid.goodput_bps;
-        agg.Fluid.delivered_bits;
-        agg.Fluid.loss_prob;
-        agg.Fluid.rtt;
-      ]
-    @ List.map (fun (_, q) -> bits q) agg.Fluid.queue_bits,
-    (* windows must be identical across all classes of a homogeneous
-       population, so dedup: every partition should reduce to one raw
-       fixed-point window value. *)
-    List.sort_uniq Int.compare (List.map snd (Fluid.class_states fluid)) )
-
-(* Random partition of n into 1..8 positive parts. *)
-let partition_gen =
-  QCheck.Gen.(
-    int_range 8 5_000 >>= fun n ->
-    int_range 1 8 >>= fun parts ->
-    let rec split n parts acc =
-      if parts = 1 then return (n :: acc)
-      else
-        int_range 1 (n - parts + 1) >>= fun take ->
-        split (n - take) (parts - 1) (take :: acc)
-    in
-    split n parts [] >>= fun partition -> return (n, partition))
-
-let chunking_invariance =
-  QCheck.Test.make
-    ~name:"integrator is invariant to background chunking and class order" ~count:20
-    (QCheck.make partition_gen ~print:(fun (n, p) ->
-         Printf.sprintf "n=%d partition=[%s]" n (String.concat ";" (List.map string_of_int p))))
-    (fun (n, partition) ->
-      let whole_agg, whole_windows = fluid_fingerprint ~n ~partition:[ n ] in
-      let split_agg, split_windows = fluid_fingerprint ~n ~partition in
-      let shuffled_agg, shuffled_windows = fluid_fingerprint ~n ~partition:(List.rev partition) in
-      if not (List.equal Int64.equal whole_agg split_agg) then
-        QCheck.Test.fail_reportf "aggregates differ: one class vs %d-way split"
-          (List.length partition);
-      if not (List.equal Int64.equal whole_agg shuffled_agg) then
-        QCheck.Test.fail_reportf "aggregates differ under class-order permutation";
-      if not (List.equal Int.equal whole_windows split_windows)
-         || not (List.equal Int.equal whole_windows shuffled_windows)
-      then QCheck.Test.fail_reportf "per-class fixed-point windows diverged across chunkings";
-      List.length whole_windows = 1)
+      let first_journal, first_metrics = meanfield_run_outputs seed in
+      let second_journal, second_metrics = meanfield_run_outputs seed in
+      if not (String.equal first_journal second_journal) then
+        QCheck.Test.fail_reportf "journal differs between two runs (seed %d)" seed;
+      if not (String.equal first_metrics second_metrics) then
+        QCheck.Test.fail_reportf "metrics differ between two runs (seed %d)" seed;
+      String.length first_journal > 0)
 
 (* --- hybrid sanity at population scale --- *)
 
@@ -215,8 +131,7 @@ let suite =
     Alcotest.test_case "cross-validation grid (N=32..256, both topologies)" `Slow
       cross_validation_grid;
     QCheck_alcotest.to_alcotest cross_validation_seeds;
-    QCheck_alcotest.to_alcotest domain_invariance;
-    QCheck_alcotest.to_alcotest chunking_invariance;
+    QCheck_alcotest.to_alcotest repeat_run_identity;
     Alcotest.test_case "hybrid run at 100k background flows" `Quick hybrid_run_completes;
     Alcotest.test_case "zero background skips the integrator" `Quick
       zero_background_runs_no_integrator;

@@ -442,8 +442,7 @@ let run_fluid_boundary ~seed ~until ~background_flows =
           :: log.drops)
       ()
   in
-  let background = Fluid.population ~flow:Flow.Cross ~flows:background_flows () in
-  let fluid = Fluid.build engine compiled cb ~background in
+  let fluid = Fluid.build engine compiled cb ~flow:Flow.Cross ~flows:background_flows in
   Engine.run ~until engine;
   (log, fluid)
 
@@ -498,7 +497,7 @@ let fluid_survives_tiny_rate_links () =
     Fluid.build engine
       (Compiled.compile_exn topo)
       (Utc_elements.Runtime.callbacks ())
-      ~background:(Fluid.population ~flow:Flow.Cross ~flows:100 ())
+      ~flow:Flow.Cross ~flows:100
   in
   Engine.run ~until:5.0 engine;
   let agg = Fluid.sample fluid in
@@ -510,9 +509,11 @@ let fluid_survives_tiny_rate_links () =
   if agg.Fluid.loss_prob < 0.0 || agg.Fluid.loss_prob > 1.0 then
     Alcotest.failf "loss probability %g out of [0,1]" agg.Fluid.loss_prob
 
-let expect_invalid_build name topo ~background =
+let expect_invalid_build name topo ~flow ~flows =
   let engine = Engine.create ~seed:1 () in
-  match Fluid.build engine (Compiled.compile_exn topo) (Utc_elements.Runtime.callbacks ()) ~background with
+  match
+    Fluid.build engine (Compiled.compile_exn topo) (Utc_elements.Runtime.callbacks ()) ~flow ~flows
+  with
   | (_ : Fluid.t) -> Alcotest.failf "%s should be rejected" name
   | exception Invalid_argument _ -> ()
 
@@ -528,29 +529,23 @@ let fluid_build_validation () =
           ];
     }
   in
-  expect_invalid_build "gate on the background path" gateful
-    ~background:(Fluid.population ~flow:Flow.Cross ~flows:10 ());
+  expect_invalid_build "gate on the background path" gateful ~flow:Flow.Cross ~flows:10;
   let plain =
     {
       Topology.sources = [ Topology.endpoint Flow.Cross ];
       shared = Topology.throughput ~rate_bps:50_000.0;
     }
   in
-  expect_invalid_build "population flow without an endpoint" plain
-    ~background:(Fluid.population ~flow:Flow.Primary ~flows:10 ());
-  expect_invalid_build "class flow count over the bound" plain
-    ~background:
-      {
-        Fluid.pop_flow = Flow.Cross;
-        pkt_bits = Packet.default_bits;
-        pop_classes = [ { Fluid.flows = Fluid.max_class_flows + 1; init_window_pkts = 1.0 } ];
-      };
+  expect_invalid_build "population flow without an endpoint" plain ~flow:Flow.Primary ~flows:10;
+  expect_invalid_build "flow count over the bound" plain ~flow:Flow.Cross
+    ~flows:(Fluid.max_total_flows + 1);
+  expect_invalid_build "negative flow count" plain ~flow:Flow.Cross ~flows:(-1);
   let engine = Engine.create ~seed:1 () in
   match
     Fluid.build ~dt:0.0 engine
       (Compiled.compile_exn plain)
       (Utc_elements.Runtime.callbacks ())
-      ~background:(Fluid.population ~flow:Flow.Cross ~flows:10 ())
+      ~flow:Flow.Cross ~flows:10
   with
   | (_ : Fluid.t) -> Alcotest.fail "dt = 0 should be rejected"
   | exception Invalid_argument _ -> ()
