@@ -66,10 +66,11 @@ let out_file =
 
 let domains_opt =
   let doc =
-    "Fan whole runs ($(b,sweep), $(b,trace sweep), $(b,parallel)) across N >= 1 domains, capped \
-     at the machine's recommended domain count (default: $(b,UTC_DOMAINS) if set, else that \
-     count). Commands that run one simulation ignore it. The pool's partition/merge is \
-     deterministic, so every result is bit-identical to serial."
+    "Fan whole runs ($(b,sweep), $(b,parallel), and the $(b,sweep) experiment of $(b,trace), \
+     $(b,metrics) and $(b,profile)) across N >= 1 domains, capped at the machine's recommended \
+     domain count (default: $(b,UTC_DOMAINS) if set, else that count). Commands that run one \
+     simulation ignore it. The pool's partition/merge is deterministic, so every result is \
+     bit-identical to serial."
   in
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
 
