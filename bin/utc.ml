@@ -190,12 +190,9 @@ let ablate_cmd =
     Format.printf "Ablation: inference cap policy@.";
     E.Ablations.pp_rows Format.std_formatter (E.Ablations.cap_policy ~seed ~duration ());
     Format.printf "@.Ablation: gate fork epoch@.";
-    E.Ablations.pp_rows Format.std_formatter (E.Ablations.epoch ~seed ~duration ());
-    Format.printf "@.Ablation: loss handling (shortened run)@.";
-    E.Ablations.pp_rows Format.std_formatter
-      (E.Ablations.loss_mode ~seed ~duration:(Float.min duration 60.0) ())
+    E.Ablations.pp_rows Format.std_formatter (E.Ablations.epoch ~seed ~duration ())
   in
-  let info = Cmd.info "ablate" ~doc:"Ablations: cap policy, gate epoch, loss handling." in
+  let info = Cmd.info "ablate" ~doc:"Ablations: cap policy, gate epoch." in
   Cmd.v info Term.(const run $ logs_term $ seed $ duration 200.0)
 
 (* --- aqm --- *)
@@ -781,7 +778,7 @@ let fluidbench_cmd =
     Arg.(value & opt string "BENCH_meanfield.json" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let run () out =
-    Format.printf "Mean-field fluid backend: wall time vs background population@.@.";
+    Format.printf "Mean-field fluid backend: integrator wall time vs background population@.@.";
     let rows = E.Meanfield.bench () in
     E.Meanfield.pp_bench Format.std_formatter rows;
     write_file out (E.Meanfield.write_bench_json rows);
@@ -790,8 +787,8 @@ let fluidbench_cmd =
   let info =
     Cmd.info "fluidbench"
       ~doc:
-        "Time the mean-field fluid backend on a ladder of background populations (10^3 to \
-         10^6 flows, 60 simulated seconds each, single bottleneck)."
+        "Time the mean-field fluid integrator on a ladder of background populations (10^3 to \
+         10^6 flows, 60 simulated seconds each, single bottleneck, no foreground senders)."
   in
   Cmd.v info Term.(const run $ logs_term $ out)
 

@@ -13,11 +13,12 @@ type t = {
   mutable logs : (Utc_sim.Timebase.t * Packet.t) list array; (* newest first *)
   mutable counts : int array;
   mutable drops : (Utc_sim.Timebase.t * int * Runtime.drop_reason * Packet.t) list;
-  mutable queue_traces : (int * (Utc_sim.Timebase.t * int)) list; (* newest first *)
+  mutable queue_watchers : (int * (Utc_sim.Timebase.t -> int -> unit)) list;
+      (* (station, observer), registration order *)
 }
 
 let create engine =
-  { engine; subscribers = [||]; logs = [||]; counts = [||]; drops = []; queue_traces = [] }
+  { engine; subscribers = [||]; logs = [||]; counts = [||]; drops = []; queue_watchers = [] }
 
 (* The rank of [flow], with the arrays grown to hold it. *)
 let slot t flow =
@@ -47,11 +48,19 @@ let subscribe t flow f =
   let rank = slot t flow in
   t.subscribers.(rank) <- t.subscribers.(rank) @ [ f ]
 
+let watch_queue t ~node_id f = t.queue_watchers <- t.queue_watchers @ [ (node_id, f) ]
+
 let rec notify now pkt = function
   | [] -> ()
   | f :: rest ->
     f now pkt;
     notify now pkt rest
+
+let rec notify_queue now node_id bits = function
+  | [] -> ()
+  | (id, f) :: rest ->
+    if id = node_id then f now bits;
+    notify_queue now node_id bits rest
 
 let callbacks t =
   let deliver flow pkt =
@@ -65,8 +74,12 @@ let callbacks t =
   let on_drop ~node_id ~reason pkt =
     t.drops <- (Engine.now t.engine, node_id, reason, pkt) :: t.drops
   in
+  (* With no observer, a queue change reads no clock and allocates
+     nothing: it runs at every enqueue and dequeue. *)
   let on_queue ~node_id ~bits ~packets:_ =
-    t.queue_traces <- (node_id, (Engine.now t.engine, bits)) :: t.queue_traces
+    match t.queue_watchers with
+    | [] -> ()
+    | watchers -> notify_queue (Engine.now t.engine) node_id bits watchers
   in
   Runtime.callbacks ~deliver ~on_drop ~on_queue ()
 
@@ -81,12 +94,6 @@ let delivered_count t flow =
   if rank < 0 then 0 else t.counts.(rank)
 
 let drops t = List.rev t.drops
-
-let queue_trace t ~node_id =
-  List.rev
-    (List.filter_map
-       (fun (id, sample) -> if id = node_id then Some sample else None)
-       t.queue_traces)
 
 let throughput t flow ~since ~until =
   let span = until -. since in

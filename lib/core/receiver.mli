@@ -1,11 +1,13 @@
-(** Instrumentation hub: receivers, drop log, queue trace.
+(** Instrumentation hub: receivers and drop log.
 
     The paper's RECEIVER "accumulates packets and wakes up the SENDER for
     each one" (§3.4). This hub plays every flow's receiver at once: it
     produces the {!Utc_elements.Runtime.callbacks} for a ground-truth
-    network, records all deliveries, drops and queue-occupancy changes,
-    and lets senders subscribe to their flow's deliveries — the instant,
-    lossless acknowledgment path of the paper's preliminary setup.
+    network, records all deliveries and drops, and lets senders subscribe
+    to their flow's deliveries — the instant, lossless acknowledgment
+    path of the paper's preliminary setup. It keeps no queue history: a
+    report that needs a station's occupancy registers an observer for
+    that station with {!watch_queue} before the run.
 
     Subscribers, delivery logs and delivery counts are kept per flow, in
     arrays indexed by {!Utc_net.Flow.rank}. A delivery costs one index
@@ -38,8 +40,12 @@ val drops :
   (Utc_sim.Timebase.t * int * Utc_elements.Runtime.drop_reason * Utc_net.Packet.t) list
 (** Oldest first: time, node id, reason, packet. *)
 
-val queue_trace : t -> node_id:int -> (Utc_sim.Timebase.t * int) list
-(** Queued bits over time at a station, oldest first. *)
+val watch_queue : t -> node_id:int -> (Utc_sim.Timebase.t -> int -> unit) -> unit
+(** [watch_queue t ~node_id f] calls [f now bits] at each later change of
+    the station's queue occupancy, with the engine's time and the queued
+    bits (excluding the packet in service). Several observers run in
+    registration order. With none registered, a queue change costs
+    nothing and the hub keeps no per-station state. *)
 
 val throughput : t -> Utc_net.Flow.t -> since:Utc_sim.Timebase.t -> until:Utc_sim.Timebase.t -> float
 (** Delivered bits per second of the flow over the closed window

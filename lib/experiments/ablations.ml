@@ -20,7 +20,7 @@ let row_of_harness ~label (result : Harness.result) =
   {
     label;
     sent = result.Harness.sent_count;
-    delivered = List.length result.Harness.primary_deliveries;
+    delivered = result.Harness.delivered;
     truth_mass;
     mean_hyps =
       (match sizes with
@@ -52,13 +52,6 @@ let epoch ?(seed = 5) ?(duration = 200.0) () =
   List.map
     (fun epoch -> run ~label:(Printf.sprintf "gate epoch %.1f s" epoch) { base with epoch })
     [ 0.5; 1.0; 2.0; 5.0 ]
-
-let loss_mode ?(seed = 5) ?(duration = 60.0) () =
-  let base = { Harness.default with seed; duration } in
-  [
-    run ~label:"loss: likelihood weighting" { base with loss_mode = `Likelihood };
-    run ~label:"loss: 2-way forking" { base with loss_mode = `Fork };
-  ]
 
 let pp_rows ppf rows =
   Format.fprintf ppf "%-32s %6s %6s %8s %10s %9s %5s %8s@." "variant" "sent" "dlvd"

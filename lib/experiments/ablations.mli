@@ -4,10 +4,7 @@
       the bounded systematic-resampling particle filter (§5 notes
       rejection sampling "is not as scalable as other approaches").
     - Gate fork epoch: coarser epochs fork less but track the square wave
-      more loosely.
-    - Loss handling: exact per-packet likelihood weighting vs literal
-      2-way forking (they must agree; forking is exponentially more
-      states). *)
+      more loosely. *)
 
 type row = {
   label : string;
@@ -25,8 +22,5 @@ val cap_policy : ?seed:int -> ?duration:float -> unit -> row list
 
 val epoch : ?seed:int -> ?duration:float -> unit -> row list
 (** Gate fork epochs 0.5 s, 1 s, 2 s, 5 s. *)
-
-val loss_mode : ?seed:int -> ?duration:float -> unit -> row list
-(** Likelihood weighting vs 2-way forking on a shortened run. *)
 
 val pp_rows : Format.formatter -> row list -> unit

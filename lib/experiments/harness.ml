@@ -54,13 +54,8 @@ type result = {
   config : config;
   sent : (Tb.t * int) list;
   sent_count : int;
-  acked : (Tb.t * int) list;
-  acked_count : int;
-  primary_deliveries : (Tb.t * Packet.t) list;
-  cross_deliveries : (Tb.t * Packet.t) list;
-  tail_drops : int;
+  delivered : int;
   tail_drops_cross : int;
-  queue_trace : (Tb.t * int) list;
   samples : sample list;
   final_posterior : (Priors.fig2_params * float) list;
   rejected_updates : int;
@@ -151,34 +146,19 @@ let run config =
     ~now:(fun () -> Utc_sim.Engine.now testbed.Testbed.engine)
     (fun () -> Utc_sim.Engine.run ~until:config.duration testbed.Testbed.engine);
   let receiver = testbed.Testbed.receiver in
-  let drops = Utc_core.Receiver.drops receiver in
-  let tail_drops =
-    List.length
-      (List.filter (fun (_, _, r, _) -> r = Utc_elements.Runtime.Tail_drop) drops)
-  in
   let tail_drops_cross =
     List.length
       (List.filter
          (fun (_, _, r, pkt) ->
            r = Utc_elements.Runtime.Tail_drop && Flow.equal pkt.Packet.flow Flow.Cross)
-         drops)
-  in
-  let station =
-    match Compiled.station_ids testbed.Testbed.compiled with
-    | id :: _ -> id
-    | [] -> invalid_arg "Harness.run: ground truth has no station"
+         (Utc_core.Receiver.drops receiver))
   in
   {
     config;
     sent = Utc_core.Isender.sent isender;
     sent_count = Utc_core.Isender.sent_count isender;
-    acked = Utc_core.Isender.acked isender;
-    acked_count = Utc_core.Isender.acked_count isender;
-    primary_deliveries = Utc_core.Receiver.deliveries receiver Flow.Primary;
-    cross_deliveries = Utc_core.Receiver.deliveries receiver Flow.Cross;
-    tail_drops;
+    delivered = Utc_core.Receiver.delivered_count receiver Flow.Primary;
     tail_drops_cross;
-    queue_trace = Utc_core.Receiver.queue_trace receiver ~node_id:station;
     samples = List.rev !samples;
     final_posterior = Belief.posterior (Utc_core.Isender.belief isender);
     rejected_updates = Utc_core.Isender.rejected_updates isender;

@@ -17,6 +17,8 @@ type config = {
   cap_policy : Utc_inference.Belief.cap_policy;
   epoch : float;  (** Gate fork epoch (s). *)
   loss_mode : [ `Likelihood | `Fork ];
+      (** The model's last-mile loss handling ({!Utc_model.Forward.config});
+          every report runs [`Likelihood]. *)
 }
 
 val default : config
@@ -45,13 +47,8 @@ type result = {
   config : config;
   sent : (Utc_sim.Timebase.t * int) list;  (** Figure 3's series. *)
   sent_count : int;  (** [List.length sent], carried O(1). *)
-  acked : (Utc_sim.Timebase.t * int) list;
-  acked_count : int;  (** [List.length acked], carried O(1). *)
-  primary_deliveries : (Utc_sim.Timebase.t * Utc_net.Packet.t) list;
-  cross_deliveries : (Utc_sim.Timebase.t * Utc_net.Packet.t) list;
-  tail_drops : int;
-  tail_drops_cross : int;
-  queue_trace : (Utc_sim.Timebase.t * int) list;  (** Bits at the bottleneck. *)
+  delivered : int;  (** The sender's packets the receiver got. *)
+  tail_drops_cross : int;  (** Tail drops of cross-traffic packets. *)
   samples : sample list;  (** Belief-convergence trace, oldest first. *)
   final_posterior : (Utc_inference.Priors.fig2_params * float) list;
   rejected_updates : int;

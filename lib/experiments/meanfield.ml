@@ -308,6 +308,15 @@ let packet_truth ~seed ~duration ~topo ~background =
     }
   in
   let { Testbed.engine; receiver; compiled; _ } as testbed = Testbed.create ~seed truth_topo in
+  let traces =
+    List.map
+      (fun id ->
+        let trace = ref [] in
+        Utc_core.Receiver.watch_queue receiver ~node_id:id (fun t bits ->
+            trace := (t, bits) :: !trace);
+        trace)
+      (Compiled.station_ids compiled)
+  in
   let tcps =
     List.map (fun flow -> Testbed.tcp testbed { Utc_tcp.Sender.default_config with flow }) flows
   in
@@ -321,11 +330,8 @@ let packet_truth ~seed ~duration ~topo ~background =
   in
   let queue =
     List.fold_left
-      (fun acc id ->
-        acc
-        +. mean_of_trace (Utc_core.Receiver.queue_trace receiver ~node_id:id) ~since ~until:duration)
-      0.0
-      (Compiled.station_ids compiled)
+      (fun acc trace -> acc +. mean_of_trace (List.rev !trace) ~since ~until:duration)
+      0.0 traces
   in
   (goodput, queue)
 
@@ -390,7 +396,7 @@ let bench () =
             {
               default_config with
               background = n;
-              foreground = 2;
+              foreground = 0;
               duration = 60.0;
               sample_every = 10.0;
             }

@@ -100,7 +100,8 @@ type bench_row = {
 
 val bench : unit -> bench_row list
 (** Wall-time of [run] across a background-population ladder: 10^3 to
-    10^6 flows, 2 foreground senders, 60 simulated seconds each. *)
+    10^6 flows, 60 simulated seconds each, with no foreground senders,
+    so each rung times the integrator alone. *)
 
 val pp_bench : Format.formatter -> bench_row list -> unit
 

@@ -50,6 +50,10 @@ let run_scenario ~seed ~duration ~prior ~truth ~latency_penalty ~prefill_truth (
   let planner = { Utc_core.Planner.default_config with utility } in
   let config = { Utc_core.Isender.default_config with planner } in
   let isender = Testbed.isender testbed config ~belief in
+  let station = List.hd (Compiled.station_ids testbed.Testbed.compiled) in
+  let queue_trace = ref [] in
+  Utc_core.Receiver.watch_queue testbed.Testbed.receiver ~node_id:station (fun t bits ->
+      queue_trace := (t, bits) :: !queue_trace);
   Utc_core.Isender.start isender;
   Utc_sim.Engine.run ~until:duration testbed.Testbed.engine;
   let sent = Utc_core.Isender.sent isender in
@@ -60,10 +64,10 @@ let run_scenario ~seed ~duration ~prior ~truth ~latency_penalty ~prefill_truth (
   in
   let half = duration /. 2.0 in
   let late_sends = List.length (List.filter (fun (t, _) -> t >= half) sent) in
-  let station = List.hd (Compiled.station_ids testbed.Testbed.compiled) in
   let queue_before_first_send =
-    let trace = Utc_core.Receiver.queue_trace testbed.Testbed.receiver ~node_id:station in
-    List.fold_left (fun acc (t, bits) -> if t <= first_send then bits else acc) 0 trace
+    List.fold_left
+      (fun acc (t, bits) -> if t <= first_send then bits else acc)
+      0 (List.rev !queue_trace)
   in
   let posterior_on_truth =
     List.fold_left

@@ -2,10 +2,10 @@
     attached to it.
 
     Every experiment and example runs the same wiring: a seeded engine,
-    a {!Utc_core.Receiver} that logs deliveries, drops and queue
-    occupancy, the ground truth compiled and built into a
-    {!Utc_elements.Runtime} that reports to it, and senders that inject
-    into the runtime on their flow and hear their flow's deliveries.
+    a {!Utc_core.Receiver} that logs deliveries and drops, the ground
+    truth compiled and built into a {!Utc_elements.Runtime} that reports
+    to it, and senders that inject into the runtime on their flow and
+    hear their flow's deliveries.
     {!create} builds the network; {!isender} and {!tcp} attach a sender.
 
     Neither schedules an event nor draws from the engine's RNG: after

@@ -13,45 +13,6 @@ let write_series ~path list =
   (try List.iter write_one list with e -> close_out oc; raise e);
   close_out oc
 
-let read_series ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let rec loop acc current label blanks =
-      match input_line ic with
-      | exception End_of_file ->
-        let acc =
-          match current with
-          | [] -> acc
-          | _ :: _ -> { label = Option.value label ~default:""; points = List.rev current } :: acc
-        in
-        close_in ic;
-        Ok (List.rev acc)
-      | line ->
-        let line = String.trim line in
-        if line = "" then begin
-          (* Two consecutive blank lines end a block. *)
-          if blanks >= 1 && not (List.is_empty current) then
-            loop ({ label = Option.value label ~default:""; points = List.rev current } :: acc) [] None 0
-          else loop acc current label (blanks + 1)
-        end
-        else if String.length line > 0 && line.[0] = '#' then
-          loop acc current (Some (String.trim (String.sub line 1 (String.length line - 1)))) 0
-        else begin
-          match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-          | [ x; y ] -> (
-            match float_of_string_opt x, float_of_string_opt y with
-            | Some x, Some y -> loop acc ((x, y) :: current) label 0
-            | _ ->
-              close_in ic;
-              Error (Printf.sprintf "unparsable row: %s" line))
-          | _ ->
-            close_in ic;
-            Error (Printf.sprintf "expected two columns: %s" line)
-        end
-    in
-    loop [] [] None 0
-
 let write_csv ~path ~header rows =
   let width = List.length header in
   List.iter
@@ -64,34 +25,3 @@ let write_csv ~path ~header rows =
     (fun row -> Printf.fprintf oc "%s\n" (String.concat "," (List.map (Printf.sprintf "%.9g") row)))
     rows;
   close_out oc
-
-let read_csv ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic -> (
-    match input_line ic with
-    | exception End_of_file ->
-      close_in ic;
-      Error "empty file"
-    | header_line ->
-      let header = String.split_on_char ',' header_line in
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file ->
-          close_in ic;
-          Ok (header, List.rev acc)
-        | line when String.trim line = "" -> loop acc
-        | line -> (
-          let cells = String.split_on_char ',' line in
-          match List.map float_of_string_opt cells with
-          | parsed when List.for_all Option.is_some parsed ->
-            loop (List.map Option.get parsed :: acc)
-          | _ ->
-            close_in ic;
-            Error (Printf.sprintf "unparsable row: %s" line))
-      in
-      loop [])
-
-let with_temp ~prefix f =
-  let path = Filename.temp_file prefix ".dat" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)

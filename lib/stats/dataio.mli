@@ -1,4 +1,4 @@
-(** Series and table files: gnuplot-ready output, simple input.
+(** Series and table files: gnuplot-ready output.
 
     The experiment drivers print human-readable reports; this module
     persists the underlying numbers so figures can be re-plotted without
@@ -14,16 +14,6 @@ type series = {
 val write_series : path:string -> series list -> unit
 (** Overwrites [path]. *)
 
-val read_series : path:string -> (series list, string) result
-(** Parses files produced by {!write_series} (and tolerates plain
-    two-column files, which load as a single unlabeled series). *)
-
 val write_csv : path:string -> header:string list -> float list list -> unit
 (** Rows must match the header's width.
     @raise Invalid_argument on a ragged row. *)
-
-val read_csv : path:string -> (string list * float list list, string) result
-
-val with_temp : prefix:string -> (string -> 'a) -> 'a
-(** Run with a fresh temporary file path; the file is removed
-    afterwards. For tests. *)

@@ -49,7 +49,6 @@ type t = {
   mutable timeouts : int;
   mutable rtt_trace : (Tb.t * float) list; (* newest first *)
   mutable cwnd_trace : (Tb.t * float) list;
-  mutable sent_log : (Tb.t * int) list;
 }
 
 let create engine config ~inject =
@@ -74,7 +73,6 @@ let create engine config ~inject =
     timeouts = 0;
     rtt_trace = [];
     cwnd_trace = [];
-    sent_log = [];
   }
 
 let cwnd t = t.cc.Cc.cwnd ()
@@ -85,7 +83,6 @@ let retransmissions t = t.retransmissions
 let timeouts t = t.timeouts
 let rtt_trace t = List.rev t.rtt_trace
 let cwnd_trace t = List.rev t.cwnd_trace
-let sent t = List.rev t.sent_log
 
 let backlog_exhausted t =
   match t.config.backlog with
@@ -108,7 +105,6 @@ let transmit t seq ~retransmission =
     t.retransmissions <- t.retransmissions + 1;
     Utc_obs.Metrics.incr retransmissions_c
   end;
-  t.sent_log <- (now, seq) :: t.sent_log;
   let pkt = Packet.make ~bits:t.config.bits ~flow:t.config.flow ~seq ~sent_at:now () in
   Utc_obs.Metrics.incr sends_c;
   if Utc_obs.Sink.enabled () then

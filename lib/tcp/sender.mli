@@ -51,6 +51,3 @@ val rtt_trace : t -> (Utc_sim.Timebase.t * float) list
 (** Per-ACK RTT samples (time, seconds), oldest first — Figure 1's data. *)
 
 val cwnd_trace : t -> (Utc_sim.Timebase.t * float) list
-
-val sent : t -> (Utc_sim.Timebase.t * int) list
-(** Transmission log (time, seq), oldest first. *)

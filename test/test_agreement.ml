@@ -1037,6 +1037,63 @@ let planner_twin_prop =
       in
       pricing_matches_full_runs [ seed r1 1.0; seed r2 3.0 ] ~pending ~delays)
 
+(* DESIGN.md's decision 4: at a last-mile loss, weighting each packet by
+   its survival likelihood and forking on it are one filter. A belief
+   over a shared case's two rate vectors, the first the truth, advances
+   on the case's sends and on the ACKs a [Runtime] run of the truth
+   produced, once per loss mode, with no [min_weight] pruning. Where no
+   cap fires (no [max_branches] drop counted in
+   [model.forward.branches_dropped], and the belief smaller than
+   [max_hyps]) the two posteriors hold the same cells with masses equal
+   to 1e-9, relative. [now] is off the 0.05 s grid every event time is
+   on, so no ACK is due at the boundary. *)
+let loss_mode_posteriors_prop =
+  let module Metrics = Utc_obs.Metrics in
+  let dropped = Metrics.counter "model.forward.branches_dropped" in
+  let max_hyps = 20_000 in
+  QCheck.Test.make ~name:"fork and likelihood loss give one posterior where no cap fires"
+    ~count:150
+    QCheck.(pair arbitrary_shared_case (int_range 1 1000))
+    (fun ((topology, _, r1, r2, times), seed) ->
+      let truth = topology ~front:[] r1 and other = topology ~front:[] r2 in
+      QCheck.assume (Topology.validate truth = Ok () && Topology.validate other = Ok ());
+      let now = 9.97 in
+      let sends = primary_sends (List.mapi (fun i t -> (t, i)) times) in
+      let acks =
+        List.filter_map
+          (fun (time, flow, seq) ->
+            if Flow.equal flow Flow.Primary then Some { Belief.seq; time } else None)
+          (ground_truth ~seed ~topology:truth ~sends ~until:now ())
+      in
+      let posterior loss_mode =
+        let config = { Forward.default_config with loss_mode } in
+        let seeds =
+          List.mapi
+            (fun cell t ->
+              let prepared, state = shared_model ~config t in
+              (cell, 1.0, prepared, state))
+            [ truth; other ]
+        in
+        Metrics.enable ();
+        Metrics.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Metrics.disable ();
+            Metrics.reset ())
+          (fun () ->
+            let belief, _ =
+              Belief.update (Belief.create ~min_weight:0.0 ~max_hyps seeds) ~sends ~acks ~now ()
+            in
+            let capped = Metrics.count dropped > 0 || Belief.size belief >= max_hyps in
+            (List.sort (fun (a, _) (b, _) -> Int.compare a b) (Belief.posterior belief), capped))
+      in
+      let weighted, weighted_capped = posterior `Likelihood in
+      let forked, forked_capped = posterior `Fork in
+      QCheck.assume (not (weighted_capped || forked_capped));
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b) in
+      List.exists (fun (cell, _) -> cell = 0) weighted
+      && List.equal (fun (a, wa) (b, wb) -> a = b && close wa wb) weighted forked)
+
 let shared_dynamics_suite =
   [
     QCheck_alcotest.to_alcotest shared_dynamics_prop;
@@ -1044,6 +1101,7 @@ let shared_dynamics_suite =
     QCheck_alcotest.to_alcotest belief_twin_prop;
     QCheck_alcotest.to_alcotest posterior_normalized_prop;
     QCheck_alcotest.to_alcotest planner_twin_prop;
+    QCheck_alcotest.to_alcotest loss_mode_posteriors_prop;
   ]
 
 let suite = suite @ shared_dynamics_suite

@@ -112,6 +112,10 @@ let receiver_routes_and_counts () =
   let bps = Receiver.throughput receiver Flow.Cross ~since:0.0 ~until:3.2 in
   Alcotest.(check bool) "cross throughput positive" true (bps > 0.0)
 
+(* Two stations in series: the first holds one packet and drops two of
+   four, the second queues one behind the one it serves. A wrapping
+   [on_queue] records every change the runtime reports; each station's
+   observer must see exactly that station's changes, in order. *)
 let receiver_queue_and_drops () =
   let engine = Engine.create () in
   let receiver = Receiver.create engine in
@@ -120,10 +124,31 @@ let receiver_queue_and_drops () =
       Topology.sources = [ Topology.endpoint Flow.Primary ];
       shared =
         Topology.series
-          [ Topology.buffer ~capacity_bits:12_000; Topology.throughput ~rate_bps:12_000.0 ];
+          [
+            Topology.station ~capacity_bits:12_000 ~rate_bps:12_000.0 ();
+            Topology.station ~capacity_bits:24_000 ~rate_bps:6_000.0 ();
+          ];
     }
   in
-  let runtime = Utc_elements.Runtime.build engine (Compiled.compile_exn topology) (Receiver.callbacks receiver) in
+  let compiled = Compiled.compile_exn topology in
+  let reported = ref [] in
+  let cb = Receiver.callbacks receiver in
+  let on_queue ~node_id ~bits ~packets =
+    reported := (node_id, (Engine.now engine, bits)) :: !reported;
+    cb.Utc_elements.Runtime.on_queue ~node_id ~bits ~packets
+  in
+  let runtime =
+    Utc_elements.Runtime.build engine compiled { cb with Utc_elements.Runtime.on_queue }
+  in
+  let stations = Compiled.station_ids compiled in
+  let observed =
+    List.map
+      (fun id ->
+        let seen = ref [] in
+        Receiver.watch_queue receiver ~node_id:id (fun t bits -> seen := (t, bits) :: !seen);
+        (id, seen))
+      stations
+  in
   for i = 0 to 3 do
     ignore
       (Engine.schedule ~prio:1 engine ~at:(0.01 *. float_of_int i) (fun () ->
@@ -132,8 +157,16 @@ let receiver_queue_and_drops () =
   done;
   Engine.run engine;
   Alcotest.(check int) "two tail drops" 2 (List.length (Receiver.drops receiver));
-  Alcotest.(check bool) "queue trace nonempty" true
-    (Receiver.queue_trace receiver ~node_id:0 <> [])
+  Alcotest.(check int) "two stations" 2 (List.length stations);
+  let reported = List.rev !reported in
+  List.iter
+    (fun (id, seen) ->
+      let expected = List.filter_map (fun (n, sample) -> if n = id then Some sample else None) reported in
+      Alcotest.(check bool) (Printf.sprintf "station %d changed" id) true (expected <> []);
+      Alcotest.(check (list (pair (float 0.0) int)))
+        (Printf.sprintf "station %d observer sees its changes in order" id)
+        expected (List.rev !seen))
+    observed
 
 (* A multi-flow run with tail drops: four endpoints and a pinger share a
    three-packet station. A wrapping [deliver] records every delivery;

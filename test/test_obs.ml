@@ -465,12 +465,13 @@ let series_extraction () =
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "margin series" [ (2.0, 0.5) ]
     (List.assoc "planner.margin" series)
 
-(* --- cross-domain byte-identity ---
+(* --- repeat-run byte identity ---
 
-   The journal and the deterministic snapshot for a harness run must be
-   byte-identical whatever the default pool size, because every record
-   site sits in a serial section. This is the observability analogue of
-   test_parallel's golden fingerprints. *)
+   A single harness run is serial and fans nothing out (the pool fans
+   whole runs only), so there is no pool to vary; what is checked is
+   that the same seed gives the same journal, deterministic snapshot and
+   sim-only span tree twice in one process, with the registry and the
+   sink reset in between. The pooled check is [run_many]'s, below. *)
 
 let short_config seed =
   {
@@ -480,8 +481,7 @@ let short_config seed =
     prior = Scalability.thin 32 (Priors.paper_prior ());
   }
 
-let journal_of_run domains config =
-  Pool.set_default_domains domains;
+let journal_of_run config =
   with_telemetry (fun () ->
       Sink.enable ();
       ignore (Harness.run config);
@@ -493,22 +493,18 @@ let journal_of_run domains config =
       let profile = Profile.render_text ~sim_only:true (Profile.of_spans snap.Metrics.spans) in
       (journal, metrics ^ "\n" ^ profile))
 
-let journal_domain_invariance =
-  QCheck.Test.make ~name:"jsonl journal and metrics are pool-size invariant" ~count:2
+let repeat_run_identity =
+  QCheck.Test.make ~name:"jsonl journal and metrics repeat byte for byte" ~count:2
     QCheck.(int_range 1 1000)
     (fun seed ->
       let config = short_config seed in
-      Fun.protect
-        ~finally:(fun () -> Pool.set_default_domains 1)
-        (fun () ->
-          let serial_journal, serial_metrics = journal_of_run 1 config in
-          let pooled_journal, pooled_metrics = journal_of_run 4 config in
-          if serial_journal <> pooled_journal then
-            QCheck.Test.fail_reportf "journal differs between 1 and 4 domains (seed %d)" seed;
-          if serial_metrics <> pooled_metrics then
-            QCheck.Test.fail_reportf
-              "metrics snapshot differs between 1 and 4 domains (seed %d)" seed;
-          serial_journal <> ""))
+      let first_journal, first_metrics = journal_of_run config in
+      let second_journal, second_metrics = journal_of_run config in
+      if not (String.equal first_journal second_journal) then
+        QCheck.Test.fail_reportf "journal differs between two runs (seed %d)" seed;
+      if not (String.equal first_metrics second_metrics) then
+        QCheck.Test.fail_reportf "metrics snapshot differs between two runs (seed %d)" seed;
+      first_journal <> "")
 
 (* --- sweep byte-identity ---
 
@@ -584,6 +580,6 @@ let suite =
     ("chrome span slices and orphans", `Quick, chrome_span_slices_and_orphans);
     ("chrome run tracks", `Quick, chrome_run_tracks);
     ("series extraction", `Quick, series_extraction);
-    QCheck_alcotest.to_alcotest ~long:false journal_domain_invariance;
+    QCheck_alcotest.to_alcotest ~long:false repeat_run_identity;
     QCheck_alcotest.to_alcotest ~long:false sweep_domain_invariance;
   ]

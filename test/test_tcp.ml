@@ -126,11 +126,15 @@ let clean_path engine ~rate_bps ~capacity_bits ~prop ~sender_cell =
   in
   Utc_elements.Runtime.inject runtime Flow.Primary
 
-let run_sender ?(duration = 60.0) ?(config = Sender.default_config) ~rate_bps ~capacity_bits
-    ~prop () =
+let run_sender ?(duration = 60.0) ?(config = Sender.default_config) ?(on_send = ignore) ~rate_bps
+    ~capacity_bits ~prop () =
   let engine = Engine.create ~seed:6 () in
   let sender_cell = ref None in
   let inject = clean_path engine ~rate_bps ~capacity_bits ~prop ~sender_cell in
+  let inject pkt =
+    on_send (Engine.now engine);
+    inject pkt
+  in
   let sender = Sender.create engine config ~inject in
   sender_cell := Some sender;
   Sender.start sender;
@@ -270,11 +274,17 @@ let newreno_backlog_exact () =
   Alcotest.(check int) "exactly the backlog" 40 (Sender.delivered sender)
 
 let sender_traces_nonempty () =
-  let sender = run_sender ~rate_bps:120_000.0 ~capacity_bits:240_000 ~prop:0.02 ~duration:20.0 () in
+  let sends = ref [] in
+  let sender =
+    run_sender ~rate_bps:120_000.0 ~capacity_bits:240_000 ~prop:0.02 ~duration:20.0
+      ~on_send:(fun now -> sends := now :: !sends)
+      ()
+  in
   Alcotest.(check bool) "cwnd trace" true (List.length (Sender.cwnd_trace sender) > 10);
+  Alcotest.(check int) "one inject per transmission" (Sender.sent_count sender) (List.length !sends);
   Alcotest.(check bool) "send log monotone in time" true
-    (let times = List.map fst (Sender.sent sender) in
-     List.sort compare times = times)
+    (let times = List.rev !sends in
+     List.sort Float.compare times = times)
 
 module Sink = Utc_obs.Sink
 module Event = Utc_obs.Event
