@@ -640,6 +640,128 @@ let shared_pricing_suite =
 
 let suite = suite @ shared_pricing_suite
 
+(* --- forking runs, pinned by digest --- *)
+
+(* What a run, a trace and a resume return, as bytes: each outcome's
+   log-weight bits, its state's [Mstate.hash], [origin] and [next_seq],
+   and each delivery's time bits, flow, sequence number and trail.
+   [Mstate.canonical] is left out, because its bytes also record which
+   float boxes a state shares. *)
+let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+let add_bits buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
+
+let add_deliveries buf deliveries =
+  add_int buf (List.length deliveries);
+  List.iter
+    (fun (d : Forward.delivery) ->
+      add_bits buf d.Forward.time;
+      add_int buf (Flow.hash d.Forward.packet.Packet.flow);
+      add_int buf d.Forward.packet.Packet.seq;
+      add_int buf (List.length d.Forward.trail);
+      List.iter (add_int buf) d.Forward.trail)
+    deliveries
+
+let add_outcomes buf outcomes =
+  add_int buf (List.length outcomes);
+  List.iter
+    (fun (o : Forward.outcome) ->
+      add_bits buf o.Forward.logw;
+      add_int buf (Mstate.hash o.Forward.state);
+      add_bits buf o.Forward.state.Mstate.origin;
+      add_int buf o.Forward.state.Mstate.next_seq;
+      add_deliveries buf o.Forward.deliveries)
+    outcomes
+
+(* [run] of the baseline and of each candidate, then [trace] of the
+   baseline and [resume] of each candidate, from [state] under
+   [prepared]. *)
+let add_pricing buf prepared state ~pending ~sends ~until =
+  add_outcomes buf (Forward.run prepared state ~sends:pending ~until);
+  List.iter (fun send -> add_outcomes buf (Forward.run prepared state ~sends:(pending @ [ send ]) ~until)) sends;
+  match Forward.trace prepared state ~sends:pending ~until with
+  | None -> add_int buf 0
+  | Some trace ->
+    add_int buf 1;
+    add_bits buf (Forward.trace_logw trace);
+    add_deliveries buf (Array.to_list (Forward.trace_deliveries trace));
+    List.iter
+      (fun send ->
+        match Forward.resume trace send with
+        | Forward.Single { logw; prefix; fresh; suffix } ->
+          add_int buf 2;
+          add_bits buf logw;
+          add_int buf prefix;
+          add_deliveries buf fresh;
+          add_int buf suffix
+        | Forward.Forked outcomes ->
+          add_int buf 3;
+          add_outcomes buf outcomes)
+      sends
+
+(* One [gen_pricing_case], as [trace_resume_prop] runs it. *)
+let add_pricing_case buf (topology, warmup, pending, delays, plan) =
+  let compiled = Compiled.compile_exn topology in
+  let filter = Forward.prepare Forward.default_config compiled in
+  let prepared = if plan then Forward.plan_variant filter else filter in
+  let state = pricing_state compiled filter warmup in
+  let pending = primary_sends (List.mapi (fun i t -> (pricing_now +. t, 100 + i)) pending) in
+  let sends =
+    List.map
+      (fun d ->
+        let at = pricing_now +. d in
+        (at, Packet.make ~flow:Flow.Primary ~seq:200 ~sent_at:at ()))
+      delays
+  in
+  add_pricing buf prepared state ~pending ~sends ~until:(pricing_now +. 16.0)
+
+(* Elements no generator draws: a memoryless [Either] and a random
+   [Multipath], each in front of a queue and with a pinger, under the
+   filter's model (forking) and its plan variant. *)
+let add_hand_built buf shared =
+  let topology =
+    {
+      Topology.sources =
+        [ Topology.endpoint Flow.Primary; Topology.pinger ~flow:Flow.Cross ~rate_pps:0.5 () ];
+      shared =
+        Topology.series [ shared; Topology.buffer ~capacity_bits:48_000; Topology.throughput ~rate_bps:12_000.0 ];
+    }
+  in
+  let compiled = Compiled.compile_exn topology in
+  let filter = Forward.prepare Forward.default_config compiled in
+  let state = Mstate.initial ~epoch:1.0 compiled in
+  let pending = primary_sends [ (0.5, 0); (1.0, 1); (2.5, 2) ] in
+  let sends =
+    List.map (fun at -> (at, Packet.make ~flow:Flow.Primary ~seq:3 ~sent_at:at ())) [ 0.0; 1.0; 3.0; 6.0 ]
+  in
+  List.iter
+    (fun prepared -> add_pricing buf prepared state ~pending ~sends ~until:12.0)
+    [ filter; Forward.plan_variant filter ]
+
+(* The digest of 50 seeded pricing cases (the invalid ones skipped) and
+   the two hand-built ones, as the interpreter that pinned it computed
+   them. The cases come from QCheck's generators, so a QCheck release
+   that draws differently from the same seed changes the digest. *)
+let forking_runs_pinned () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun ((topology, _, _, _, _) as case) ->
+      if Topology.validate topology = Ok () then add_pricing_case buf case)
+    (QCheck.Gen.generate ~rand:(Random.State.make [| 27 |]) ~n:50 gen_pricing_case);
+  add_hand_built buf
+    (Topology.Either
+       {
+         first = Topology.delay ~seconds:0.5;
+         second = Topology.series [];
+         mean_time_to_switch = 4.0;
+         initially_first = true;
+       });
+  add_hand_built buf
+    (Topology.multipath ~policy:(`Random 0.3) ~first:(Topology.delay ~seconds:0.5)
+       ~second:(Topology.series []) ());
+  Alcotest.(check string) "digest" "a78b63bd0980478d583e26850b813e3c" (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let suite = suite @ [ ("forking runs pinned by digest", `Quick, forking_runs_pinned) ]
+
 (* --- compaction identity --- *)
 
 (* On the outcomes of several runs from one warm state, [Mstate.equal]
