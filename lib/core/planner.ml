@@ -111,10 +111,17 @@ let cache_store c key utility =
   Hashtbl.replace c.table key utility;
   Mutex.unlock c.lock
 
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a < b && ascending rest
+  | [] | [ _ ] -> true
+
+(* The tie rule in [decide] takes the highest index in the band as the
+   latest candidate, so the delays must ascend strictly. *)
 let validate config =
   match config.delays with
   | 0.0 :: rest when List.for_all (fun d -> d > 0.0) rest ->
-    if config.horizon <= 0.0 then invalid_arg "Planner: horizon must be positive"
+    if not (ascending config.delays) then invalid_arg "Planner: delays must ascend strictly"
+    else if config.horizon <= 0.0 then invalid_arg "Planner: horizon must be positive"
   | [] | _ :: _ -> invalid_arg "Planner: delays must start with 0 and be positive afterwards"
 
 let decisions_c = Utc_obs.Metrics.counter "core.planner.decisions"
@@ -155,8 +162,18 @@ let single_outcome ~logw sum = 0.0 +. (exp logw *. sum)
    whose planning model does not fork *)
 let gross config ~now model (terms, partial) = function
   | Forward.Single { logw; prefix; fresh; suffix } ->
-    let acc = ref partial.(prefix) in
-    List.iter (fun d -> acc := !acc +. Utility.of_delivery config.utility model ~now d) fresh; (* lint:allow R11 -- fold over this candidate's fresh deliveries *)
+    (* Local refs that no closure captures, so the sum stays unboxed. *)
+    let acc = ref partial.(prefix) and rest = ref fresh in
+    while
+      match !rest with
+      | d :: tail ->
+        acc := !acc +. Utility.of_delivery config.utility model ~now d;
+        rest := tail;
+        true
+      | [] -> false
+    do
+      ()
+    done;
     for k = suffix to Array.length terms - 1 do
       acc := !acc +. terms.(k)
     done;
@@ -172,9 +189,9 @@ let gross_utilities config ~now ~until models state ~pending sends =
     let deliveries = Forward.trace_deliveries trace in
     let m = Array.length deliveries in
     let baseline_terms model =
-      let terms = Array.map (Utility.of_delivery config.utility model ~now) deliveries in
-      let partial = Array.make (m + 1) 0.0 in
+      let terms = Array.make m 0.0 and partial = Array.make (m + 1) 0.0 in
       for k = 0 to m - 1 do
+        terms.(k) <- Utility.of_delivery config.utility model ~now deliveries.(k);
         partial.(k + 1) <- partial.(k) +. terms.(k)
       done;
       (terms, partial)

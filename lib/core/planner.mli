@@ -43,7 +43,8 @@
 
 type config = {
   delays : float list;
-      (** Candidate extra delays, ascending, first must be [0.]. *)
+      (** Candidate extra delays, strictly ascending, first must be
+          [0.]. *)
   horizon : float;  (** Simulated seconds past the last candidate. *)
   utility : Utc_utility.Utility.config;
 }
@@ -128,4 +129,6 @@ val decide :
     into the per-candidate sums in that order (a group that shares a
     baseline is priced at its first member); the decision and
     evaluations are bit-identical with or without [cache], and to
-    pricing every hypothesis alone. *)
+    pricing every hypothesis alone.
+    @raise Invalid_argument if [delays] does not start at [0.] and
+    ascend strictly, or [horizon] is not positive. *)

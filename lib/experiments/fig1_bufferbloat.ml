@@ -71,12 +71,14 @@ let run config =
   let sender_config = { Utc_tcp.Sender.default_config with make_cc = config.make_cc } in
   let sender = Utc_tcp.Sender.create engine sender_config ~inject in
   sender_cell := Some sender;
+  let cwnd = ref [] in
+  Utc_tcp.Sender.watch_cwnd sender (fun now w -> cwnd := (now, w) :: !cwnd);
   Utc_tcp.Sender.start sender;
   Engine.run ~until:config.duration engine;
   {
     config;
     rtt = Utc_tcp.Sender.rtt_trace sender;
-    cwnd = Utc_tcp.Sender.cwnd_trace sender;
+    cwnd = List.rev !cwnd;
     delivered = Utc_tcp.Sender.delivered sender;
     retransmissions = Utc_tcp.Sender.retransmissions sender;
     timeouts = Utc_tcp.Sender.timeouts sender;

@@ -27,6 +27,8 @@ type result = {
   config : config;
   rtt : (float * float) list;  (** The figure's series: (time, RTT s). *)
   cwnd : (float * float) list;
+      (** (time, window in packets) at each new ACK, fast-recovery entry
+          and timeout, from {!Utc_tcp.Sender.watch_cwnd}. *)
   delivered : int;
   retransmissions : int;  (** End-to-end (TCP) retransmissions. *)
   timeouts : int;

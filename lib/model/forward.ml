@@ -320,32 +320,35 @@ let first_crossings = Array.init 64 (fun id -> [ id ])
 
 let first_crossing id = if id < Array.length first_crossings then first_crossings.(id) else [ id ]
 
-let delivered branch packet trail =
-  let d = { time = branch.state.Mstate.now; packet; trail } in
-  [ { branch with deliveries_rev = d :: branch.deliveries_rev } ]
+(* A step's branches are built where the step ends: the handlers take
+   the branch's state, log-weight and reversed deliveries apart, so a
+   single-branch step builds one branch record. *)
+let delivered state logw deliveries_rev packet trail =
+  let d = { time = state.Mstate.now; packet; trail } in
+  [ { state; logw; deliveries_rev = d :: deliveries_rev } ]
 
-(* Process a packet arriving at [link] at the branch's current time,
+(* Process a packet arriving at [link] at the state's current time,
    chaining synchronously through stateless elements exactly as the
    ground-truth runtime does. Returns the branches this arrival forks
    into. *)
-let rec arrive p branch link (mpkt : Mstate.mpkt) =
+let rec arrive p state logw deliveries_rev link (mpkt : Mstate.mpkt) =
   match (link : Compiled.link) with
-  | Deliver -> delivered branch mpkt.pkt mpkt.trail
+  | Deliver -> delivered state logw deliveries_rev mpkt.pkt mpkt.trail
   | To id -> (
     match Compiled.node p.compiled id with
     | Station { capacity_bits; rate_bps; discipline = _; next = _ } -> (
-      let s = Mstate.station branch.state id in
+      let s = Mstate.station state id in
       match s.in_service with
       | None when Fqueue.is_empty s.queue ->
         let completion =
-          Tb.add branch.state.Mstate.now (float_of_int mpkt.pkt.Packet.bits /. rate_bps)
+          Tb.add state.Mstate.now (float_of_int mpkt.pkt.Packet.bits /. rate_bps)
         in
         let s = { s with in_service = Some (mpkt, completion) } in
-        let state = Mstate.set_node branch.state id (Mstate.MStation s) in
         let state =
-          Mstate.insert state ~at:completion ~prio:Evprio.service_complete (Mstate.Complete id)
+          Mstate.set_node_insert state id (Mstate.MStation s) ~at:completion
+            ~prio:Evprio.service_complete (Mstate.Complete id)
         in
-        [ { branch with state } ]
+        [ { state; logw; deliveries_rev } ]
       | Some _ | None ->
         let fits =
           match capacity_bits with
@@ -360,17 +363,17 @@ let rec arrive p branch link (mpkt : Mstate.mpkt) =
               queued_bits = s.queued_bits + mpkt.pkt.Packet.bits;
             }
           in
-          [ { branch with state = Mstate.set_node branch.state id (Mstate.MStation s) } ]
+          [ { state = Mstate.set_node state id (Mstate.MStation s); logw; deliveries_rev } ]
         end
-        else [ branch ] (* tail drop *))
+        else [ { state; logw; deliveries_rev } ] (* tail drop *))
     | Delay { seconds; next } ->
       let state =
-        Mstate.insert branch.state
-          ~at:(Tb.add branch.state.Mstate.now seconds)
+        Mstate.insert state
+          ~at:(Tb.add state.Mstate.now seconds)
           ~prio:(Evprio.arrival mpkt.pkt.Packet.flow)
           (Mstate.Arrive (next, mpkt))
       in
-      [ { branch with state } ]
+      [ { state; logw; deliveries_rev } ]
     | Loss { rate; next } ->
       if likelihood_loss p.config p.queue_free id then begin
         (* Whatever the rate: [survive_p] reads it off the trail. *)
@@ -381,118 +384,112 @@ let rec arrive p branch link (mpkt : Mstate.mpkt) =
         in
         (* A loss right before delivery delivers, without a new [mpkt]. *)
         match next with
-        | Deliver -> delivered branch mpkt.pkt trail
-        | To _ -> arrive p branch next { mpkt with trail }
+        | Deliver -> delivered state logw deliveries_rev mpkt.pkt trail
+        | To _ -> arrive p state logw deliveries_rev next { mpkt with trail }
       end
-      else if rate <= 0.0 then arrive p branch next mpkt
+      else if rate <= 0.0 then arrive p state logw deliveries_rev next mpkt
       else begin
         (* Fork: lost here, or passed on. *)
-        let lost = { branch with logw = branch.logw +. log_guarded rate } in
+        let lost = { state; logw = logw +. log_guarded rate; deliveries_rev } in
         if rate >= 1.0 then [ lost ]
-        else begin
-          let passed = { branch with logw = branch.logw +. log_guarded (1.0 -. rate) } in
-          lost :: arrive p passed next mpkt
-        end
+        else lost :: arrive p state (logw +. log_guarded (1.0 -. rate)) deliveries_rev next mpkt
       end
     | Jitter { seconds; probability; next } ->
-      if probability <= 0.0 || seconds = 0.0 then arrive p branch next mpkt
+      if probability <= 0.0 || seconds = 0.0 then arrive p state logw deliveries_rev next mpkt
       else begin
         let delayed_state =
-          Mstate.insert branch.state
-            ~at:(Tb.add branch.state.Mstate.now seconds)
+          Mstate.insert state
+            ~at:(Tb.add state.Mstate.now seconds)
             ~prio:(Evprio.arrival mpkt.pkt.Packet.flow)
             (Mstate.Arrive (next, mpkt))
         in
         let delayed =
-          { branch with state = delayed_state; logw = branch.logw +. log_guarded probability }
+          { state = delayed_state; logw = logw +. log_guarded probability; deliveries_rev }
         in
         if probability >= 1.0 then [ delayed ]
-        else begin
-          let straight = { branch with logw = branch.logw +. log_guarded (1.0 -. probability) } in
-          delayed :: arrive p straight next mpkt
-        end
+        else
+          delayed
+          :: arrive p state (logw +. log_guarded (1.0 -. probability)) deliveries_rev next mpkt
       end
     | Gate { next; _ } ->
-      if Mstate.gate_connected branch.state id then arrive p branch next mpkt
-      else [ branch ] (* dropped at closed gate *)
+      if Mstate.gate_connected state id then arrive p state logw deliveries_rev next mpkt
+      else [ { state; logw; deliveries_rev } ] (* dropped at closed gate *)
     | Either { first; second; _ } -> (
-      match branch.state.Mstate.nodes.(id) with
-      | Mstate.MEither e -> arrive p branch (if e.on_first then first else second) mpkt
+      match state.Mstate.nodes.(id) with
+      | Mstate.MEither e ->
+        arrive p state logw deliveries_rev (if e.on_first then first else second) mpkt
       | Mstate.MStation _ | Mstate.MGate _ | Mstate.MMultipath _ | Mstate.MStateless ->
         assert false)
-    | Divert { routes; otherwise } ->
-      let rec route = function
-        | [] -> arrive p branch otherwise mpkt
-        | (flow, target) :: rest ->
-          if Flow.equal flow mpkt.pkt.Packet.flow then arrive p branch target mpkt else route rest
-      in
-      route routes
+    | Divert { routes; otherwise } -> divert p state logw deliveries_rev otherwise mpkt routes
     | Multipath { policy; first; second } -> (
-      match policy, branch.state.Mstate.nodes.(id) with
+      match policy, state.Mstate.nodes.(id) with
       | `Round_robin, Mstate.MMultipath m ->
         let target = if m.next_first then first else second in
-        let state =
-          Mstate.set_node branch.state id (Mstate.MMultipath { next_first = not m.next_first })
-        in
-        arrive p { branch with state } target mpkt
+        let state = Mstate.set_node state id (Mstate.MMultipath { next_first = not m.next_first }) in
+        arrive p state logw deliveries_rev target mpkt
       | `Random prob, Mstate.MMultipath _ ->
         (* Fork: the packet takes the first path with probability prob. *)
-        if prob >= 1.0 then arrive p branch first mpkt
-        else if prob <= 0.0 then arrive p branch second mpkt
-        else begin
-          let to_first = { branch with logw = branch.logw +. log_guarded prob } in
-          let to_second = { branch with logw = branch.logw +. log_guarded (1.0 -. prob) } in
-          arrive p to_first first mpkt @ arrive p to_second second mpkt
-        end
+        if prob >= 1.0 then arrive p state logw deliveries_rev first mpkt
+        else if prob <= 0.0 then arrive p state logw deliveries_rev second mpkt
+        else
+          arrive p state (logw +. log_guarded prob) deliveries_rev first mpkt
+          @ arrive p state (logw +. log_guarded (1.0 -. prob)) deliveries_rev second mpkt
       | _, (Mstate.MStation _ | Mstate.MGate _ | Mstate.MEither _ | Mstate.MStateless) ->
         assert false))
 
-let handle_complete p branch id =
-  let s = Mstate.station branch.state id in
+and divert p state logw deliveries_rev otherwise (mpkt : Mstate.mpkt) = function
+  | [] -> arrive p state logw deliveries_rev otherwise mpkt
+  | (flow, target) :: rest ->
+    if Flow.equal flow mpkt.pkt.Packet.flow then arrive p state logw deliveries_rev target mpkt
+    else divert p state logw deliveries_rev otherwise mpkt rest
+
+(* [complete] is the popped [Complete id] event, queued again for the
+   next service. *)
+let handle_complete p state logw deliveries_rev id complete =
+  let s = Mstate.station state id in
   let served =
     match s.in_service with
     | Some (mpkt, _) -> mpkt
     | None -> assert false
   in
-  let rate_bps, next =
-    match Compiled.node p.compiled id with
-    | Station { rate_bps; next; _ } -> (rate_bps, next)
-    | Delay _ | Loss _ | Jitter _ | Gate _ | Either _ | Divert _ | Multipath _ -> assert false
-  in
-  (* Start the next service before forwarding the served packet, mirroring
-     the ground-truth runtime's reentrancy-safe order. *)
-  let state =
-    match Fqueue.pop s.queue with
-    | None ->
-      Mstate.set_node branch.state id (Mstate.MStation { s with in_service = None })
-    | Some (head, queue) ->
-      let completion =
-        Tb.add branch.state.Mstate.now (float_of_int head.Mstate.pkt.Packet.bits /. rate_bps)
-      in
-      let s =
-        {
-          Mstate.queue;
-          queued_bits = s.queued_bits - head.Mstate.pkt.Packet.bits;
-          in_service = Some (head, completion);
-        }
-      in
-      let state = Mstate.set_node branch.state id (Mstate.MStation s) in
-      Mstate.insert state ~at:completion ~prio:Evprio.service_complete (Mstate.Complete id)
-  in
-  arrive p { branch with state } next served
+  match Compiled.node p.compiled id with
+  | Station { rate_bps; next; _ } ->
+    (* Start the next service before forwarding the served packet,
+       mirroring the ground-truth runtime's reentrancy-safe order. *)
+    let state =
+      if Fqueue.is_empty s.queue then
+        Mstate.set_node state id (Mstate.MStation { s with in_service = None })
+      else begin
+        let head = Fqueue.head s.queue and queue = Fqueue.drop s.queue in
+        let completion =
+          Tb.add state.Mstate.now (float_of_int head.Mstate.pkt.Packet.bits /. rate_bps)
+        in
+        let s =
+          {
+            Mstate.queue;
+            queued_bits = s.queued_bits - head.Mstate.pkt.Packet.bits;
+            in_service = Some (head, completion);
+          }
+        in
+        Mstate.set_node_insert state id (Mstate.MStation s) ~at:completion
+          ~prio:Evprio.service_complete complete
+      end
+    in
+    arrive p state logw deliveries_rev next served
+  | Delay _ | Loss _ | Jitter _ | Gate _ | Either _ | Divert _ | Multipath _ -> assert false
 
-let handle_pinger p branch i k =
+let handle_pinger p state logw deliveries_rev i k =
   let pinger = List.nth p.compiled.Compiled.pingers i in
-  let now = branch.state.Mstate.now in
-  let pkt = Packet.make ~bits:pinger.size_bits ~flow:pinger.flow ~seq:k ~sent_at:now () in
-  let next_at = branch.state.Mstate.origin +. (float_of_int (k + 1) /. pinger.rate_pps) in
+  let now = state.Mstate.now in
+  let pkt = { Packet.seq = k; flow = pinger.flow; bits = pinger.size_bits; sent_at = now } in
+  let next_at = state.Mstate.origin +. (float_of_int (k + 1) /. pinger.rate_pps) in
   let state =
-    Mstate.insert branch.state ~at:next_at ~prio:(Evprio.arrival pinger.flow)
+    Mstate.insert state ~at:next_at ~prio:(Evprio.arrival pinger.flow)
       (Mstate.Pinger_emit (i, k + 1))
   in
-  arrive p { branch with state } pinger.entry { Mstate.pkt; trail = [] }
+  arrive p state logw deliveries_rev pinger.entry { Mstate.pkt; trail = [] }
 
-let handle_toggle p branch id k =
+let handle_toggle p state logw deliveries_rev id k =
   let interval =
     match Compiled.node p.compiled id with
     | Gate { kind = Periodic { interval; _ }; _ } -> interval
@@ -500,15 +497,15 @@ let handle_toggle p branch id k =
     | Divert _ | Multipath _ ->
       assert false
   in
-  let connected = Mstate.gate_connected branch.state id in
-  let state = Mstate.set_node branch.state id (Mstate.MGate { connected = not connected }) in
+  let connected = Mstate.gate_connected state id in
   let state =
-    Mstate.insert state
+    Mstate.set_node_insert state id
+      (Mstate.MGate { connected = not connected })
       ~at:(state.Mstate.origin +. (float_of_int (k + 1) *. interval))
       ~prio:Evprio.gate_toggle
       (Mstate.Gate_toggle (id, k + 1))
   in
-  [ { branch with state } ]
+  [ { state; logw; deliveries_rev } ]
 
 let flip_node state id =
   match state.Mstate.nodes.(id) with
@@ -516,7 +513,8 @@ let flip_node state id =
   | Mstate.MEither e -> Mstate.set_node state id (Mstate.MEither { on_first = not e.on_first })
   | Mstate.MStation _ | Mstate.MMultipath _ | Mstate.MStateless -> assert false
 
-let handle_epoch p branch id =
+(* [epoch] is the popped [Gate_epoch id] event, rescheduled. *)
+let handle_epoch p state logw deliveries_rev id epoch =
   let mtts =
     match Compiled.node p.compiled id with
     | Gate { kind = Memoryless { mean_time_to_switch; _ }; _ } -> mean_time_to_switch
@@ -525,45 +523,35 @@ let handle_epoch p branch id =
     | Multipath _ ->
       assert false
   in
-  let reschedule state =
-    Mstate.insert state
-      ~at:(Tb.add state.Mstate.now p.config.epoch)
-      ~prio:Evprio.gate_toggle (Mstate.Gate_epoch id)
-  in
   (* A frozen gate consumes its epoch: rescheduling a no-op would only
      shift later sequence numbers, which never reorders other events. *)
-  if not p.config.fork_gates then [ branch ]
+  if not p.config.fork_gates then [ { state; logw; deliveries_rev } ]
   else begin
     (* Exact two-state Markov marginal over one epoch: the state differs
        with probability (1 - e^{-2 epoch / mtts}) / 2. *)
     let p_flip = 0.5 *. (1.0 -. exp (-2.0 *. p.config.epoch /. mtts)) in
-    if p_flip <= 0.0 then [ { branch with state = reschedule branch.state } ]
-    else begin
-      let stay =
-        {
-          branch with
-          state = reschedule branch.state;
-          logw = branch.logw +. log_guarded (1.0 -. p_flip);
-        }
-      in
-      let flipped =
-        {
-          branch with
-          state = reschedule (flip_node branch.state id);
-          logw = branch.logw +. log_guarded p_flip;
-        }
-      in
-      [ stay; flipped ]
-    end
+    let stay =
+      Mstate.insert state
+        ~at:(Tb.add state.Mstate.now p.config.epoch)
+        ~prio:Evprio.gate_toggle epoch
+    in
+    if p_flip <= 0.0 then [ { state = stay; logw; deliveries_rev } ]
+    else
+      (* Flipping the node commutes with the insert, so the flipped
+         branch shares the stay branch's pending events. *)
+      [
+        { state = stay; logw = logw +. log_guarded (1.0 -. p_flip); deliveries_rev };
+        { state = flip_node stay id; logw = logw +. log_guarded p_flip; deliveries_rev };
+      ]
   end
 
-let handle p branch (ev : Mstate.pev) =
+let handle p state logw deliveries_rev (ev : Mstate.pev) =
   match ev with
-  | Mstate.Arrive (link, mpkt) -> arrive p branch link mpkt
-  | Mstate.Complete id -> handle_complete p branch id
-  | Mstate.Pinger_emit (i, k) -> handle_pinger p branch i k
-  | Mstate.Gate_toggle (id, k) -> handle_toggle p branch id k
-  | Mstate.Gate_epoch id -> handle_epoch p branch id
+  | Mstate.Arrive (link, mpkt) -> arrive p state logw deliveries_rev link mpkt
+  | Mstate.Complete id -> handle_complete p state logw deliveries_rev id ev
+  | Mstate.Pinger_emit (i, k) -> handle_pinger p state logw deliveries_rev i k
+  | Mstate.Gate_toggle (id, k) -> handle_toggle p state logw deliveries_rev id k
+  | Mstate.Gate_epoch id -> handle_epoch p state logw deliveries_rev id ev
 
 let dropped_c = Utc_obs.Metrics.counter "model.forward.branches_dropped"
 
@@ -603,10 +591,12 @@ let rec inject p ~until st = function
    pending events, whose tail is [remaining]. *)
 let handle_next p branch (ev : Mstate.event) remaining =
   handle p
-    { branch with state = { branch.state with Mstate.pending = remaining; now = ev.Mstate.time } }
-    ev.Mstate.ev
+    { branch.state with Mstate.pending = remaining; now = ev.Mstate.time }
+    branch.logw branch.deliveries_rev ev.Mstate.ev
 
 (* Depth-first over the branches in [work], in order. *)
+(* lint:hotpath -- runs once per simulated event of every filter window
+   and of every candidate that forks *)
 let explore p ~until_prio ~until work =
   let finished = ref [] in
   let finish branch =
@@ -638,9 +628,13 @@ let explore p ~until_prio ~until work =
             incr finished_count
           end
           else begin
-            let conts = handle_next p branch ev remaining in
-            work := conts @ !work;
-            work_count := !work_count + List.length conts;
+            (match handle_next p branch ev remaining with
+            | [ next ] ->
+              work := next :: !work; (* lint:allow R11 -- the work list holds the run's live branches *)
+              incr work_count
+            | conts ->
+              work := conts @ !work; (* lint:allow R11 -- a fork's branches join the work list *)
+              work_count := !work_count + List.length conts);
             while !work_count > 0 && !work_count + !finished_count > p.config.max_branches do
               work := drop_lightest !work;
               decr work_count;
@@ -679,13 +673,6 @@ type trace = {
 let trace_deliveries t = t.t_deliveries
 let trace_logw t = t.t_logw
 
-(* Handle the branch's next event if it is due by [until]: [None] when
-   the branch is done, a list of two or more when it forks. *)
-let advance p ~until branch =
-  match branch.state.Mstate.pending with
-  | ev :: remaining when not (beyond ~until_prio:max_int ~until ev) ->
-    Some (handle_next p branch ev remaining)
-  | [] | _ :: _ -> None
 
 (* Deliveries [later] holds on top of [earlier], its own tail. *)
 let rec added ~earlier later =
@@ -695,6 +682,8 @@ let rec added ~earlier later =
     | _ :: tail -> 1 + added ~earlier tail
     | [] -> 0
 
+(* lint:hotpath -- runs once per simulated event of every planner
+   baseline *)
 let trace p state ~sends ~until =
   let state = inject p ~until state sends in
   (* Reserve the sequence number [pending @ [candidate]] gives the
@@ -702,12 +691,14 @@ let trace p state ~sends ~until =
   let reserved = state.Mstate.next_seq in
   let state = { state with Mstate.next_seq = reserved + 1 } in
   let rec go branch delivered steps =
-    let steps = { before = branch; delivered } :: steps in
-    match advance p ~until branch with
-    | None -> Some (branch, steps)
-    | Some [ next ] ->
-      go next (delivered + added ~earlier:branch.deliveries_rev next.deliveries_rev) steps
-    | Some ([] | _ :: _ :: _) -> None
+    let steps = { before = branch; delivered } :: steps (* lint:allow R11 -- the trace keeps one step per event *) in
+    match branch.state.Mstate.pending with
+    | ev :: remaining when not (beyond ~until_prio:max_int ~until ev) -> (
+      match handle_next p branch ev remaining with
+      | [ next ] ->
+        go next (delivered + added ~earlier:branch.deliveries_rev next.deliveries_rev) steps
+      | [] | _ :: _ :: _ -> None)
+    | [] | _ :: _ -> Some (branch, steps)
   in
   match go { state; logw = 0.0; deliveries_rev = [] } 0 [] with
   | None -> None
@@ -755,6 +746,8 @@ let rec catch_up ~now steps =
     | [] | _ :: _ -> steps)
   | [ _ ] | [] -> steps
 
+(* lint:hotpath -- runs once per simulated event of every candidate
+   the planner prices off a trace *)
 let resume t (at, pkt) =
   let p = t.t_prepared and until = t.t_until in
   if Tb.( <. ) at t.start then invalid_arg "Forward.resume: send before state time"
@@ -769,7 +762,10 @@ let resume t (at, pkt) =
   (* On a fork, rerun the forking event under [explore] with the whole
      delivery history: from here on this is exactly [run]'s search. *)
   let fork branch =
-    let rec history i acc = if i = prefix then acc else history (i + 1) (t.t_deliveries.(i) :: acc) in
+    let rec history i acc =
+      if i = prefix then acc
+      else history (i + 1) (t.t_deliveries.(i) :: acc) (* lint:allow R11 -- once per forking candidate: its prefix's deliveries *)
+    in
     let deliveries_rev = branch.deliveries_rev @ history 0 [] in
     Forked (explore p ~until_prio:max_int ~until [ { branch with deliveries_rev } ])
   in
@@ -799,7 +795,11 @@ let resume t (at, pkt) =
       (Mstate.Arrive (entry, { Mstate.pkt; trail = [] }))
   in
   let start = { state; logw = from.before.logw; deliveries_rev = [] } in
-  (* The send itself comes first; the states cannot converge before it. *)
-  match advance p ~until start with
-  | Some [ next ] -> go next steps
-  | Some ([] | _ :: _ :: _) | None -> fork start
+  (* The send itself comes first, due by [until]; the states cannot
+     converge before it. *)
+  match state.Mstate.pending with
+  | ev :: remaining when not (beyond ~until_prio:max_int ~until ev) -> (
+    match handle_next p start ev remaining with
+    | [ next ] -> go next steps
+    | [] | _ :: _ :: _ -> fork start)
+  | [] | _ :: _ -> fork start

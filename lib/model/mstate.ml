@@ -42,12 +42,12 @@ let event_le a b =
     if c <> 0 then c < 0 else a.seq <= b.seq
   end
 
-let place event pending =
-  let rec go = function
-    | [] -> [ event ]
-    | head :: tail -> if event_le head event then head :: go tail else event :: head :: tail
-  in
-  go pending
+(* A top-level recursion, so placing an event allocates only the cells
+   in front of it. *)
+let rec place event = function
+  | [] -> [ event ]
+  | head :: tail as pending ->
+    if event_le head event then head :: place event tail else event :: pending
 
 let insert t ~at ~prio ev =
   let event = { time = at; prio; seq = t.next_seq; ev } in
@@ -56,10 +56,21 @@ let insert t ~at ~prio ev =
 let insert_reserved t ~seq ~at ~prio ev =
   { t with pending = place { time = at; prio; seq; ev } t.pending }
 
-let set_node t id nstate =
-  let nodes = Array.copy t.nodes in
+let with_node nodes id nstate =
+  let nodes = Array.copy nodes in
   nodes.(id) <- nstate;
-  { t with nodes }
+  nodes
+
+let set_node t id nstate = { t with nodes = with_node t.nodes id nstate }
+
+let set_node_insert t id nstate ~at ~prio ev =
+  let event = { time = at; prio; seq = t.next_seq; ev } in
+  {
+    t with
+    nodes = with_node t.nodes id nstate;
+    pending = place event t.pending;
+    next_seq = t.next_seq + 1;
+  }
 
 let station t id =
   match t.nodes.(id) with
@@ -133,8 +144,7 @@ let initial ?(prefill = []) ~epoch compiled =
           in_service = Some (head_mpkt, completion);
         }
       in
-      insert (set_node t id (MStation s)) ~at:completion ~prio:Evprio.service_complete
-        (Complete id)
+      set_node_insert t id (MStation s) ~at:completion ~prio:Evprio.service_complete (Complete id)
   in
   List.fold_left prefill_station !t prefill
 

@@ -72,6 +72,11 @@ val insert_reserved : t -> seq:int -> at:Utc_sim.Timebase.t -> prio:int -> pev -
 
 val set_node : t -> int -> nstate -> t
 
+val set_node_insert : t -> int -> nstate -> at:Utc_sim.Timebase.t -> prio:int -> pev -> t
+(** [set_node_insert t id nstate ~at ~prio ev] is
+    [insert (set_node t id nstate) ~at ~prio ev], built as one state
+    record. *)
+
 val station : t -> int -> station
 (** @raise Invalid_argument if the node is not a station. *)
 

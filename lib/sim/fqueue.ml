@@ -1,25 +1,25 @@
+(* [front] is empty only when the queue is, so the head is [front]'s. *)
 type 'a t = { front : 'a list; back : 'a list; length : int }
 
 let empty = { front = []; back = []; length = 0 }
 let is_empty t = t.length = 0
 let length t = t.length
-let push x t = { t with back = x :: t.back; length = t.length + 1 }
 
-let pop t =
+let push x t =
   match t.front with
-  | x :: front -> Some (x, { t with front; length = t.length - 1 })
-  | [] -> (
-    match List.rev t.back with
-    | [] -> None
-    | x :: front -> Some (x, { front; back = []; length = t.length - 1 }))
+  | [] -> { front = [ x ]; back = []; length = 1 }
+  | _ :: _ -> { t with back = x :: t.back; length = t.length + 1 }
 
-let peek t =
+let head t =
   match t.front with
-  | x :: _ -> Some x
-  | [] -> (
-    match List.rev t.back with
-    | [] -> None
-    | x :: _ -> Some x)
+  | x :: _ -> x
+  | [] -> invalid_arg "Fqueue.head: empty queue"
+
+let drop t =
+  match t.front with
+  | [ _ ] -> { front = List.rev t.back; back = []; length = t.length - 1 }
+  | _ :: front -> { t with front; length = t.length - 1 }
+  | [] -> invalid_arg "Fqueue.drop: empty queue"
 
 let of_list xs = { front = xs; back = []; length = List.length xs }
 let to_list t = t.front @ List.rev t.back

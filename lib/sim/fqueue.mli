@@ -15,10 +15,13 @@ val length : 'a t -> int
 val push : 'a -> 'a t -> 'a t
 (** Enqueue at the back. *)
 
-val pop : 'a t -> ('a * 'a t) option
-(** Dequeue from the front. *)
+val head : 'a t -> 'a
+(** The front element. Allocates nothing.
+    @raise Invalid_argument on the empty queue. *)
 
-val peek : 'a t -> 'a option
+val drop : 'a t -> 'a t
+(** Dequeue from the front: the queue without its {!head}.
+    @raise Invalid_argument on the empty queue. *)
 
 val of_list : 'a list -> 'a t
 (** Front of the queue is the head of the list. *)

@@ -48,7 +48,7 @@ type t = {
   mutable retransmissions : int;
   mutable timeouts : int;
   mutable rtt_trace : (Tb.t * float) list; (* newest first *)
-  mutable cwnd_trace : (Tb.t * float) list;
+  mutable cwnd_watchers : (Tb.t -> float -> unit) list; (* registration order *)
 }
 
 let create engine config ~inject =
@@ -72,7 +72,7 @@ let create engine config ~inject =
     retransmissions = 0;
     timeouts = 0;
     rtt_trace = [];
-    cwnd_trace = [];
+    cwnd_watchers = [];
   }
 
 let cwnd t = t.cc.Cc.cwnd ()
@@ -82,7 +82,19 @@ let sent_count t = t.sent_total
 let retransmissions t = t.retransmissions
 let timeouts t = t.timeouts
 let rtt_trace t = List.rev t.rtt_trace
-let cwnd_trace t = List.rev t.cwnd_trace
+let watch_cwnd t f = t.cwnd_watchers <- t.cwnd_watchers @ [ f ]
+
+let rec notify_cwnd now cwnd = function
+  | [] -> ()
+  | f :: rest ->
+    f now cwnd;
+    notify_cwnd now cwnd rest
+
+(* A window sample for the observers; with none, nothing is read. *)
+let sample_cwnd t now =
+  match t.cwnd_watchers with
+  | [] -> ()
+  | watchers -> notify_cwnd now (cwnd t) watchers
 
 let backlog_exhausted t =
   match t.config.backlog with
@@ -148,7 +160,7 @@ and on_timeout t =
        forward; cumulative ACKs jump over runs the receiver already
        holds. *)
     t.snd_nxt <- t.high_ack;
-    t.cwnd_trace <- (Engine.now t.engine, cwnd t) :: t.cwnd_trace;
+    sample_cwnd t (Engine.now t.engine);
     transmit t t.snd_nxt ~retransmission:true;
     t.snd_nxt <- t.snd_nxt + 1;
     arm_timer t
@@ -210,7 +222,7 @@ let on_ack t ack =
     end
     else t.dupacks <- 0;
     t.cc.Cc.on_ack ~newly_acked ~rtt:(Option.value rtt_sample ~default:0.0) ~now;
-    t.cwnd_trace <- (now, cwnd t) :: t.cwnd_trace;
+    sample_cwnd t now;
     arm_timer t;
     fill_window t
   end
@@ -220,7 +232,7 @@ let on_ack t ack =
       t.in_recovery <- true;
       t.recovery_point <- t.snd_max;
       t.cc.Cc.on_loss_event ~now;
-      t.cwnd_trace <- (now, cwnd t) :: t.cwnd_trace;
+      sample_cwnd t now;
       transmit t t.high_ack ~retransmission:true;
       arm_timer t
     end

@@ -50,4 +50,9 @@ val timeouts : t -> int
 val rtt_trace : t -> (Utc_sim.Timebase.t * float) list
 (** Per-ACK RTT samples (time, seconds), oldest first — Figure 1's data. *)
 
-val cwnd_trace : t -> (Utc_sim.Timebase.t * float) list
+val watch_cwnd : t -> (Utc_sim.Timebase.t -> float -> unit) -> unit
+(** [watch_cwnd t f] calls [f now cwnd] with the engine's time and the
+    window, in packets, at each later new ACK, fast-recovery entry and
+    timeout. Several observers run in registration order. The sender
+    keeps no window log: register before {!start} to see every
+    sample. *)

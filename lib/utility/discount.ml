@@ -1,4 +1,5 @@
-let gamma ~kappa tau =
+(* Inlined, so a caller's arithmetic takes the factor unboxed. *)
+let[@inline] gamma ~kappa tau =
   assert (kappa > 0.0);
   exp (-.tau /. kappa)
 

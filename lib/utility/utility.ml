@@ -13,7 +13,8 @@ let make ?(alpha = default.alpha) ?(kappa = default.kappa)
     ?(latency_penalty = default.latency_penalty) ?(cross_discounted = default.cross_discounted) () =
   { alpha; kappa; latency_penalty; cross_discounted }
 
-let of_delivery config model ~now (d : Utc_model.Forward.delivery) =
+(* Inlined, so a caller's sum takes the term unboxed. *)
+let[@inline] of_delivery config model ~now (d : Utc_model.Forward.delivery) =
   let tau = d.time -. now in
   let bits = Utc_model.Forward.survive_p model d *. float_of_int d.packet.Packet.bits in
   match d.packet.Packet.flow with

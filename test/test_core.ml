@@ -41,7 +41,13 @@ let planner_rejects_bad_delays () =
   let bad = { Planner.default_config with delays = [ 1.0; 2.0 ] } in
   Alcotest.check_raises "must start at 0"
     (Invalid_argument "Planner: delays must start with 0 and be positive afterwards") (fun () ->
-      ignore (Planner.decide bad ~belief ~now:0.0 ~pending:[] ~make_packet))
+      ignore (Planner.decide bad ~belief ~now:0.0 ~pending:[] ~make_packet));
+  List.iter
+    (fun (name, delays) ->
+      let bad = { Planner.default_config with delays } in
+      Alcotest.check_raises name (Invalid_argument "Planner: delays must ascend strictly") (fun () ->
+          ignore (Planner.decide bad ~belief ~now:0.0 ~pending:[] ~make_packet)))
+    [ ("unsorted", [ 0.0; 2.0; 1.0 ]); ("repeated", [ 0.0; 1.0; 1.0; 2.0 ]) ]
 
 let planner_sends_on_known_empty_net () =
   let belief = Belief.create [ seed_of { rate = 12_000.0; fill = 0 } 1.0 ] in

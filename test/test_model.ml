@@ -234,14 +234,10 @@ let queue_history_hash () =
   let queued = Fqueue.to_list s.Mstate.queue in
   let with_queue queue = Mstate.set_node prefilled 0 (Mstate.MStation { s with Mstate.queue }) in
   let push_all q ms = List.fold_left (fun q m -> Fqueue.push m q) q ms in
-  let first = List.hd queued in
-  let popped =
-    match Fqueue.pop (Fqueue.of_list [ first; first ]) with
-    | Some (_, q) -> q
-    | None -> Alcotest.fail "queue is empty"
-  in
+  let first = List.hd queued and second = List.nth queued 1 and third = List.nth queued 2 in
+  let popped = Fqueue.drop (Fqueue.of_list [ first; first; second ]) in
   let states =
-    [ prefilled; with_queue (push_all Fqueue.empty queued); with_queue (push_all popped (List.tl queued)) ]
+    [ prefilled; with_queue (push_all Fqueue.empty queued); with_queue (push_all popped [ third ]) ]
   in
   List.iter
     (fun a ->

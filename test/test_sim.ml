@@ -301,15 +301,19 @@ let engine_step () =
 let fqueue_fifo () =
   let q = Utc_sim.Fqueue.(push 3 (push 2 (push 1 empty))) in
   Alcotest.(check (list int)) "to_list" [ 1; 2; 3 ] (Utc_sim.Fqueue.to_list q);
-  match Utc_sim.Fqueue.pop q with
-  | Some (1, q') -> Alcotest.(check (list int)) "after pop" [ 2; 3 ] (Utc_sim.Fqueue.to_list q')
-  | Some _ | None -> Alcotest.fail "wrong pop"
+  Alcotest.(check int) "head" 1 (Utc_sim.Fqueue.head q);
+  Alcotest.(check (list int)) "after drop" [ 2; 3 ] (Utc_sim.Fqueue.to_list (Utc_sim.Fqueue.drop q));
+  Alcotest.check_raises "head of empty" (Invalid_argument "Fqueue.head: empty queue") (fun () ->
+      ignore (Utc_sim.Fqueue.head Utc_sim.Fqueue.empty));
+  Alcotest.check_raises "drop of empty" (Invalid_argument "Fqueue.drop: empty queue") (fun () ->
+      ignore (Utc_sim.Fqueue.drop Utc_sim.Fqueue.empty))
 
 let fqueue_model_prop =
   QCheck.Test.make ~name:"fqueue behaves like a list queue" ~count:300
     QCheck.(list (option small_int))
     (fun ops ->
-      (* Some n = push n; None = pop. Compare against a list model. *)
+      (* Some n = push n; None = head and drop. Compare against a list
+         model. *)
       let q = ref Utc_sim.Fqueue.empty in
       let model = ref [] in
       List.iter
@@ -319,16 +323,18 @@ let fqueue_model_prop =
             q := Utc_sim.Fqueue.push n !q;
             model := !model @ [ n ]
           | None -> (
-            match Utc_sim.Fqueue.pop !q, !model with
-            | None, [] -> ()
-            | Some (x, q'), m :: rest when x = m ->
-              q := q';
+            match Utc_sim.Fqueue.is_empty !q, !model with
+            | true, [] -> ()
+            | false, m :: rest when Utc_sim.Fqueue.head !q = m ->
+              q := Utc_sim.Fqueue.drop !q;
               model := rest
             | _ -> raise Exit))
         ops;
       Utc_sim.Fqueue.to_list !q = !model
       && Utc_sim.Fqueue.length !q = List.length !model
-      && Utc_sim.Fqueue.peek !q = (match !model with [] -> None | m :: _ -> Some m))
+      && (match !model with
+         | [] -> Utc_sim.Fqueue.is_empty !q
+         | m :: _ -> Utc_sim.Fqueue.head !q = m))
 
 let suite =
   [
@@ -419,7 +425,7 @@ let pheap_negative_priorities () =
 
 let fqueue_of_list_order () =
   let q = Utc_sim.Fqueue.of_list [ 1; 2; 3 ] in
-  Alcotest.(check bool) "head is front" true (Utc_sim.Fqueue.peek q = Some 1);
+  Alcotest.(check int) "head is front" 1 (Utc_sim.Fqueue.head q);
   Alcotest.(check int) "fold front to back" 123
     (Utc_sim.Fqueue.fold (fun acc x -> (acc * 10) + x) 0 q)
 

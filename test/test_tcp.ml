@@ -126,8 +126,8 @@ let clean_path engine ~rate_bps ~capacity_bits ~prop ~sender_cell =
   in
   Utc_elements.Runtime.inject runtime Flow.Primary
 
-let run_sender ?(duration = 60.0) ?(config = Sender.default_config) ?(on_send = ignore) ~rate_bps
-    ~capacity_bits ~prop () =
+let run_sender ?(duration = 60.0) ?(config = Sender.default_config) ?(on_send = ignore)
+    ?(watch = ignore) ~rate_bps ~capacity_bits ~prop () =
   let engine = Engine.create ~seed:6 () in
   let sender_cell = ref None in
   let inject = clean_path engine ~rate_bps ~capacity_bits ~prop ~sender_cell in
@@ -137,6 +137,7 @@ let run_sender ?(duration = 60.0) ?(config = Sender.default_config) ?(on_send = 
   in
   let sender = Sender.create engine config ~inject in
   sender_cell := Some sender;
+  watch sender;
   Sender.start sender;
   Engine.run ~until:duration engine;
   sender
@@ -274,13 +275,34 @@ let newreno_backlog_exact () =
   Alcotest.(check int) "exactly the backlog" 40 (Sender.delivered sender)
 
 let sender_traces_nonempty () =
-  let sends = ref [] in
+  let sends = ref [] and samples = ref [] in
+  (* Two window observers, tagged, log into one list. *)
+  let watch sender =
+    List.iter
+      (fun tag -> Sender.watch_cwnd sender (fun now w -> samples := (tag, now, w) :: !samples))
+      [ 1; 2 ]
+  in
   let sender =
     run_sender ~rate_bps:120_000.0 ~capacity_bits:240_000 ~prop:0.02 ~duration:20.0
       ~on_send:(fun now -> sends := now :: !sends)
-      ()
+      ~watch ()
   in
-  Alcotest.(check bool) "cwnd trace" true (List.length (Sender.cwnd_trace sender) > 10);
+  let rec paired = function
+    | (1, t1, w1) :: (2, t2, w2) :: rest -> Float.equal t1 t2 && Float.equal w1 w2 && paired rest
+    | [] -> true
+    | _ :: _ -> false
+  in
+  let samples = List.rev !samples in
+  let firsts = List.filter (fun (tag, _, _) -> tag = 1) samples in
+  Alcotest.(check bool) "window samples" true (List.length firsts > 10);
+  Alcotest.(check bool) "observers see each sample in registration order" true (paired samples);
+  Alcotest.(check bool) "window samples monotone in time" true
+    (let times = List.map (fun (_, t, _) -> t) firsts in
+     List.sort Float.compare times = times);
+  Alcotest.(check (float 0.0)) "the last sample is the final window" (Sender.cwnd sender)
+    (match List.rev firsts with
+    | (_, _, w) :: _ -> w
+    | [] -> nan);
   Alcotest.(check int) "one inject per transmission" (Sender.sent_count sender) (List.length !sends);
   Alcotest.(check bool) "send log monotone in time" true
     (let times = List.rev !sends in
