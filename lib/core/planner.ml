@@ -309,9 +309,10 @@ let decide ?cache config ~belief ~now ~pending ~make_packet =
       ~now:(fun () -> now)
       (fun () ->
         let first =
-          Forward.representatives plans
-            (Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.state) hyps)
+          Belief.shared_runs
+            ~labels:(Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.label) hyps)
             ~hashes:(Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.hash) hyps)
+            (Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.state) hyps)
         in
         (* [groups.(r)]: the members of the group whose first member is
            [r], in index order; empty for every other index. *)

@@ -23,11 +23,15 @@
     to pricing each candidate with a full {!Utc_model.Forward.run}. A
     hypothesis whose baseline forks is priced with full runs.
 
-    Hypotheses whose planning models share dynamics
-    ({!Utc_model.Forward.shares_dynamics}: they differ at most in the
-    rates of last-mile losses) and whose states are
-    {!Utc_model.Mstate.equal} share that work too: the first of them in
-    index order traces the baseline and resumes each candidate once, and
+    Hypotheses with one dynamics label ({!Utc_inference.Belief.hypothesis},
+    whose models share dynamics: they differ at most in the rates of
+    last-mile losses) and {!Utc_model.Mstate.equal} states share that
+    work too, grouped by the filter's own rule
+    ({!Utc_inference.Belief.shared_runs}). Models that share dynamics
+    still do after {!Utc_model.Forward.plan_variant} turns gate forking
+    off, so no group mixes planning models that run apart. The first
+    member in index order traces the baseline and resumes each candidate
+    once, and
     every member prices each resumed run with its own loss rates
     ({!Utc_utility.Utility.of_delivery}) and weight before the next
     candidate is resumed ({!gross_utilities}). A hypothesis that shares

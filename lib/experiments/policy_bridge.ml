@@ -18,19 +18,19 @@ let rec first_station compiled id =
 (* Expected bottleneck occupancy (packets) under the belief: queue plus
    in-service bits of the first station of each hypothesis, weighted. *)
 let expected_occupancy belief =
-  Belief.fold belief ~init:0.0 ~f:(fun acc (h : _ Belief.hypothesis) ->
-      let station = first_station (Forward.compiled_of h.Belief.prepared) 0 in
+  Belief.fold belief ~init:0.0 ~f:(fun acc ~params:_ ~prepared ~state ~logw ->
+      let station = first_station (Forward.compiled_of prepared) 0 in
       if station < 0 then acc
       else begin
-        let bits = Mstate.station_bits h.Belief.state station in
-        acc +. (exp h.Belief.logw *. (float_of_int bits /. float_of_int Packet.default_bits))
+        let bits = Mstate.station_bits state station in
+        acc +. (exp logw *. (float_of_int bits /. float_of_int Packet.default_bits))
       end)
 
 (* Belief-mean service time of one packet at the bottleneck. *)
 let expected_service belief =
   let rate =
-    Belief.fold belief ~init:0.0 ~f:(fun acc (h : _ Belief.hypothesis) ->
-        let compiled = Forward.compiled_of h.Belief.prepared in
+    Belief.fold belief ~init:0.0 ~f:(fun acc ~params:_ ~prepared ~state:_ ~logw ->
+        let compiled = Forward.compiled_of prepared in
         let station = first_station compiled 0 in
         let station_rate =
           if station < 0 then 0.0
@@ -41,7 +41,7 @@ let expected_service belief =
             | Compiled.Either _ | Compiled.Divert _ | Compiled.Multipath _ ->
               0.0
         in
-        acc +. (exp h.Belief.logw *. station_rate))
+        acc +. (exp logw *. station_rate))
   in
   if rate > 0.0 then float_of_int Packet.default_bits /. rate else 1.0
 

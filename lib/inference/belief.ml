@@ -10,6 +10,7 @@ type 'p hypothesis = {
   params : 'p;
   prepared : Forward.prepared;
   state : Mstate.t;
+  label : int;
   hash : int;
   logw : float;
   awaiting : Forward.delivery list;
@@ -29,13 +30,16 @@ type cap_policy =
    ride in parallel arrays permuted together. Every fold below iterates
    in ascending index order, which is exactly the order the former
    [hypothesis list] pipeline summed in, so the stored bits are
-   unchanged. Index [i] across all six arrays is one hypothesis;
+   unchanged. Index [i] across all seven arrays is one hypothesis;
    [sorted_order] is the stable sort the list code relied on.
-   [hashes.(i)] is [Mstate.hash states.(i)], computed once when the
-   state is stored. *)
+   [labels.(i)] is the model's dynamics class
+   ([Forward.dynamics_labels]), set by [create] and [reseed] and
+   inherited by forks; [hashes.(i)] is [Mstate.hash states.(i)],
+   computed once when the state is stored. *)
 type 'p store = {
   params : 'p array;
   prepared : Forward.prepared array;
+  labels : int array;
   states : Mstate.t array;
   hashes : int array;
   logw : float array;
@@ -62,16 +66,35 @@ type update_status =
 let store_size s = Array.length s.logw
 
 let empty_store () =
-  { params = [||]; prepared = [||]; states = [||]; hashes = [||]; logw = [||]; awaiting = [||] }
+  {
+    params = [||];
+    prepared = [||];
+    labels = [||];
+    states = [||];
+    hashes = [||];
+    logw = [||];
+    awaiting = [||];
+  }
+
+(* A constant, so it is allocated statically and is never young: the
+   value a step's unfilled state cells start from. [Array.make] of more
+   than 256 words runs a whole minor collection first when its initial
+   value is young, and so do [Array.map], [init] and [of_list], which
+   start from the first element. A step's columns of young values
+   (states, awaiting deliveries) are therefore made from [no_state] or
+   [[]] and filled; [create] and [reseed] map their seeds as they are. *)
+let no_state : Mstate.t = { now = 0.0; origin = 0.0; nodes = [||]; pending = []; next_seq = 0 }
 
 (* A store of fresh seeds, [state] applied to each seed's state before
-   it is hashed; unnormalized, in seed order. *)
+   it is hashed; unnormalized, in seed order, labelled among themselves. *)
 let store_of_seeds ~state seeds =
   let seeds = Array.of_list seeds in
+  let prepared = Array.map (fun (_, _, prepared, _) -> prepared) seeds in
   let states = Array.map (fun (_, _, _, st) -> state st) seeds in
   {
     params = Array.map (fun (params, _, _, _) -> params) seeds;
-    prepared = Array.map (fun (_, _, prepared, _) -> prepared) seeds;
+    prepared;
+    labels = Forward.dynamics_labels prepared;
     states;
     hashes = Array.map Mstate.hash states;
     logw = Array.map (fun (_, weight, _, _) -> if weight <= 0.0 then neg_infinity else log weight) seeds;
@@ -82,6 +105,7 @@ let hyp_at s i =
   {
     params = s.params.(i);
     prepared = s.prepared.(i);
+    label = s.labels.(i);
     state = s.states.(i);
     hash = s.hashes.(i);
     logw = s.logw.(i);
@@ -94,6 +118,7 @@ let permute s idx =
   {
     params = Array.map (fun i -> s.params.(i)) idx;
     prepared = Array.map (fun i -> s.prepared.(i)) idx;
+    labels = Array.map (fun i -> s.labels.(i)) idx;
     states = Array.map (fun i -> s.states.(i)) idx;
     hashes = Array.map (fun i -> s.hashes.(i)) idx;
     logw = Array.map (fun i -> s.logw.(i)) idx;
@@ -104,19 +129,64 @@ let permute s idx =
    [None] when every weight is zero. *)
 let normalized w =
   let z = Logw.logsumexp_arr w in
-  if z = neg_infinity then None else Some (Array.map (fun x -> x -. z) w)
+  if z = neg_infinity then None
+  else begin
+    let out = Array.make (Array.length w) 0.0 in
+    for i = 0 to Array.length w - 1 do
+      out.(i) <- w.(i) -. z
+    done;
+    Some out
+  end
 
 let normalize_store s =
   match normalized s.logw with
   | None -> empty_store ()
   | Some logw -> { s with logw }
 
-(* The indices of [w], heaviest first; a stable merge sort, so ties
-   keep ascending index order, as the list pipeline's stable sort did.
-   The one sort of [create], [reseed], the cap and compaction. *)
+(* Sorts [idx.(lo)] to [idx.(hi - 1)] heaviest first by [w], ties in
+   their present order, with [tmp] as scratch over the same range: a
+   top-down merge sort, by insertion below nine elements. Comparing
+   [Float.compare] inline instead of through a closure, it gives the
+   permutation [Array.stable_sort] gives under
+   [fun i j -> Float.compare w.(j) w.(i)]: a stable sort's result is
+   unique. *)
+(* lint:hotpath -- compaction sorts every kept slot once per step *)
+let rec sort_range w idx tmp lo hi =
+  if hi - lo <= 8 then
+    for k = lo + 1 to hi - 1 do
+      let x = idx.(k) in
+      let j = ref (k - 1) in
+      while !j >= lo && Float.compare w.(idx.(!j)) w.(x) < 0 do
+        idx.(!j + 1) <- idx.(!j);
+        decr j
+      done;
+      idx.(!j + 1) <- x
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_range w idx tmp lo mid;
+    sort_range w idx tmp mid hi;
+    Array.blit idx lo tmp lo (hi - lo);
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      if !j >= hi || (!i < mid && Float.compare w.(tmp.(!i)) w.(tmp.(!j)) >= 0) then begin
+        idx.(k) <- tmp.(!i);
+        incr i
+      end
+      else begin
+        idx.(k) <- tmp.(!j);
+        incr j
+      end
+    done
+  end
+
+(* The indices of [w], heaviest first; a stable sort, so ties keep
+   ascending index order, as the list pipeline's stable sort did. The
+   one sort of [create], [reseed], the cap and compaction. *)
 let sorted_order w =
-  let idx = Array.init (Array.length w) Fun.id in
-  Array.stable_sort (fun i j -> Float.compare w.(j) w.(i)) idx;
+  let n = Array.length w in
+  let idx = Array.init n Fun.id in
+  sort_range w idx (Array.make n 0) 0 n;
   idx
 
 let sort_store s = permute s (sorted_order s.logw)
@@ -129,31 +199,150 @@ let create ?(min_weight = 1e-9) ?(max_hyps = 20_000) ?(cap_policy = `Top_k)
   let store = sort_store (normalize_store (store_of_seeds ~state:Fun.id seeds)) in
   { store; min_weight; max_hyps; cap_policy; obs_offset; now = Tb.zero }
 
-(* Log-likelihood of the observed ACK set under one simulated outcome, or
-   None if the outcome is inconsistent: wrong delivery time, an ACK the
-   outcome cannot explain, or a missing ACK with no loss to blame.
-   [offset] shifts predicted delivery times into the sender's observation
-   clock: a hypothesized return-path delay plus receiver clock skew
-   (paper S3.4/S3.5). Survival probabilities are the hypothesis' own,
-   read off each delivery's trail by [model]. *)
-let score ~offset ~acks model (deliveries : Forward.delivery list) =
-  let exception Rejected in
-  let log_positive p = if p <= 0.0 then raise Rejected else log p in
-  try
-    let delivery_ll acc (d : Forward.delivery) =
-      match List.find_opt (fun a -> a.seq = d.packet.Packet.seq) acks with
+(* An open-addressing index for [n] entries: a power of two, at least
+   16 and at least [2 n], so it starts at most half full. *)
+let index_size n =
+  let size = ref 16 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  !size
+
+(* [first.(i)] is the first index [j <= i] with the same dynamics label
+   and an [Mstate.equal] state, so a run from [j] serves [i]: an
+   open-addressing index of first indices plus one (0 is empty), probed
+   from the label mixed with the stored state hash, settled by the label,
+   the hash and then the state. *)
+let shared_runs ~labels ~hashes states =
+  let n = Array.length states in
+  if Array.length labels <> n || Array.length hashes <> n then
+    invalid_arg "Belief.shared_runs: arrays differ in length";
+  let first = Array.init n Fun.id in
+  if n >= 2 then begin
+    let index = Array.make (index_size n) 0 in
+    let mask = Array.length index - 1 in
+    for i = 0 to n - 1 do
+      let label = labels.(i) and hash = hashes.(i) in
+      let j = ref (Mstate.mix label hash land mask) in
+      while
+        index.(!j) > 0
+        &&
+        let r = index.(!j) - 1 in
+        not
+          (labels.(r) = label
+          && hashes.(r) = hash
+          && (states.(r) == states.(i) || Mstate.equal states.(r) states.(i)))
+      do
+        j := (!j + 1) land mask
+      done;
+      if index.(!j) = 0 then index.(!j) <- i + 1 else first.(i) <- index.(!j) - 1
+    done
+  end;
+  first
+
+(* --- scoring --- *)
+
+(* A due delivery, matched against the ACKs: acknowledged, so its
+   likelihood is its survival, or not, so it must have been lost. *)
+type term =
+  | Acked of Forward.delivery
+  | Lost of Forward.delivery
+
+(* The member-independent part of scoring one outcome's observable
+   deliveries for one observation offset: which deliveries are due and
+   which carry over, whether the ACKs rule the outcome out (a due
+   delivery at the wrong time, or an ACK no due delivery explains), and
+   otherwise each due delivery's term, in delivery order. *)
+type matched = {
+  offset : float;
+  carried : Forward.delivery list;
+  carried_hash : int;
+  consistent : bool;
+  terms : term list;
+}
+
+let structural_hash x = Hashtbl.hash x (* lint:allow R4 -- the hash only picks a probe slot; slots keep first-seen order *)
+
+let rec find_ack seq = function
+  | [] -> None
+  | (a : ack) :: rest -> if a.seq = seq then Some a else find_ack seq rest
+
+let rec delivers seq = function
+  | [] -> false
+  | (d : Forward.delivery) :: rest -> d.packet.Packet.seq = seq || delivers seq rest
+
+(* Match [observable] against [acks] at [offset]: deliveries whose
+   shifted acknowledgment is due by [now] are scored, the rest carry
+   over. Without [condition] nothing is scored. [offset] shifts predicted
+   delivery times into the sender's observation clock: a hypothesized
+   return-path delay plus receiver clock skew (paper S3.4/S3.5). *)
+(* lint:hotpath -- once per shared outcome and observation offset *)
+let match_acks ~acks ~now ~condition ~offset observable =
+  let is_due (d : Forward.delivery) = Tb.( <=. ) (d.time +. offset) (now +. tick) in
+  let due, carried =
+    if List.for_all is_due observable then (observable, []) else List.partition is_due observable
+  in
+  (* Each due delivery's term, newest first, until one contradicts its
+     ACK's time. *)
+  let consistent = ref true and terms = ref [] and rest = ref (if condition then due else []) in
+  while !consistent && not (List.is_empty !rest) do
+    match !rest with
+    | [] -> ()
+    | d :: tail -> (
+      rest := tail;
+      match find_ack d.packet.Packet.seq acks with
       | Some a ->
-        if not (Tb.close ~tol:tick a.time (d.time +. offset)) then raise Rejected;
-        acc +. log_positive (Forward.survive_p model d)
-      | None ->
-        (* Acknowledgment was due by now but never arrived: the packet
-           must have been lost at a last-mile loss element. *)
-        acc +. log_positive (1.0 -. Forward.survive_p model d)
-    in
-    let ll = List.fold_left delivery_ll 0.0 deliveries in
-    let delivered a = List.exists (fun (d : Forward.delivery) -> d.packet.Packet.seq = a.seq) deliveries in
-    if List.for_all delivered acks then Some ll else None
-  with Rejected -> None
+        if Tb.close ~tol:tick a.time (d.time +. offset) then terms := Acked d :: !terms (* lint:allow R11 -- one term per due delivery, once per shared outcome and offset *)
+        else consistent := false
+      | None -> terms := Lost d :: !terms (* lint:allow R11 -- as above *))
+  done;
+  let consistent =
+    !consistent && ((not condition) || List.for_all (fun (a : ack) -> delivers a.seq due) acks)
+  in
+  {
+    offset;
+    carried;
+    carried_hash = structural_hash carried;
+    consistent;
+    terms = (if consistent then List.rev !terms else []);
+  }
+
+(* Log-likelihood of the observed ACKs under one matched outcome and a
+   member's model, or [neg_infinity] if the outcome is inconsistent: the
+   match ruled it out, or it blames a missing ACK on a loss the model
+   cannot have. Each term adds [log (survive_p model d)] for an
+   acknowledged delivery and [log (1 - survive_p model d)] for a lost
+   one, from 0, in delivery order; survival is the member's own, read off
+   the delivery's trail. Inlined, with local refs no closure captures, so
+   the sum stays unboxed. *)
+(* lint:hotpath -- once per outcome per hypothesis sharing its run *)
+let[@inline] score model m =
+  if not m.consistent then neg_infinity
+  else begin
+    let ll = ref 0.0 and rest = ref m.terms in
+    while
+      match !rest with
+      | [] -> false
+      | term :: tail ->
+        let p =
+          match term with
+          | Acked d -> Forward.survive_p model d
+          | Lost d -> 1.0 -. Forward.survive_p model d
+        in
+        if p <= 0.0 then begin
+          ll := neg_infinity;
+          false
+        end
+        else begin
+          ll := !ll +. log p;
+          rest := tail;
+          true
+        end
+    do
+      ()
+    done;
+    !ll
+  end
 
 (* The indices [i < n] with [p i], ascending. *)
 let select n p =
@@ -206,23 +395,6 @@ let cap t logw =
 
 (* --- compaction --- *)
 
-(* A surviving fork of one parent: its state's [Mstate.hash], and the
-   hash its compaction slot is found by. *)
-type 'p fork = {
-  params : 'p;
-  prepared : Forward.prepared;
-  state : Mstate.t;
-  state_hash : int;
-  logw : float;
-  awaiting : Forward.delivery list;
-  hash : int;
-}
-
-let structural_hash x = Hashtbl.hash x (* lint:allow R4 -- the hash only picks a probe slot; slots keep first-seen order *)
-
-let fork_hash ~params_hash state_hash awaiting =
-  state_hash + (params_hash * 31) + (structural_hash awaiting * 961)
-
 (* Every fork of a parent shares its params, so physical identity
    settles nearly every comparison; the bytes are compared only for
    seeds built apart with equal values. *)
@@ -233,54 +405,63 @@ let same_delivery (a : Forward.delivery) (b : Forward.delivery) =
   && Mstate.same_trail a.trail b.trail
   && Mstate.same_packet a.packet b.packet
 
-(* The compaction identity: equal params, [Mstate.equal] states and
-   bit-identical awaiting deliveries, cheapest test first. *)
-let same_fork (a : _ fork) (b : _ fork) =
-  a.hash = b.hash
-  && same_params a.params b.params
-  && Mstate.equal a.state b.state
-  && List.equal same_delivery a.awaiting b.awaiting
-
-(* One step's compaction table. Slot [k] holds the first-seen fork of
-   its class in [forks.(k)] and, in [logw.(k)], the log-weights of every
-   fork absorbed into it, folded in absorption order. [index] is an
+(* One step's compaction table, as columns. Slot [k] holds the first-seen
+   fork of its class: the store index of the hypothesis it forked from
+   ([parents.(k)], through which its params, model and label are read),
+   its state and that state's hash, its awaiting deliveries, the hash its
+   slot is found by, and in [weights.(k)] the log-weights of every fork
+   absorbed into it, folded in absorption order. Forks merge when their
+   params are equal, their states [Mstate.equal] and their awaiting
+   deliveries bit-identical, cheapest test first. [index] is an
    open-addressing table of slot numbers plus one (0 is empty), probed
    linearly from a fork's hash and kept at most half full; it only finds
-   slots, so its layout never reaches a posterior. *)
-type 'p slots = {
-  mutable forks : 'p fork array;
-  mutable logw : float array;
+   slots, so its layout never reaches a posterior. Columns start from
+   immediates or [no_state], never from a fork. *)
+type slots = {
+  mutable parents : int array;
+  mutable fork_states : Mstate.t array;
+  mutable state_hashes : int array;
+  mutable probes : int array;
+  mutable carried : Forward.delivery list array;
+  mutable weights : float array;
   mutable count : int;
   mutable index : int array;
 }
 
-(* An open-addressing index for [n] entries: a power of two, at least
-   16 and at least [2 n], so it starts at most half full. *)
-let index_size n =
-  let size = ref 16 in
-  while !size < 2 * n do
-    size := 2 * !size
-  done;
-  !size
-
 (* Sized from the parent store: a step usually keeps about as many
    hypotheses as it started with. *)
-let slots_create n = { forks = [||]; logw = [||]; count = 0; index = Array.make (index_size n) 0 }
+let slots_create n =
+  let index = Array.make (index_size n) 0 in
+  let capacity = Array.length index / 2 in
+  {
+    parents = Array.make capacity 0;
+    fork_states = Array.make capacity no_state;
+    state_hashes = Array.make capacity 0;
+    probes = Array.make capacity 0;
+    carried = Array.make capacity [];
+    weights = Array.make capacity 0.0;
+    count = 0;
+    index;
+  }
 
-let slots_grow slots (f : _ fork) =
-  let capacity = max (Array.length slots.index / 2) (2 * slots.count) in
-  let forks = Array.make capacity f in
-  Array.blit slots.forks 0 forks 0 slots.count;
-  let logw = Array.make capacity 0.0 in
-  Array.blit slots.logw 0 logw 0 slots.count;
-  slots.forks <- forks;
-  slots.logw <- logw
+let grown a init =
+  let b = Array.make (2 * Array.length a) init in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let slots_grow slots =
+  slots.parents <- grown slots.parents 0;
+  slots.fork_states <- grown slots.fork_states no_state;
+  slots.state_hashes <- grown slots.state_hashes 0;
+  slots.probes <- grown slots.probes 0;
+  slots.carried <- grown slots.carried [];
+  slots.weights <- grown slots.weights 0.0
 
 let reindex slots =
   let index = Array.make (2 * Array.length slots.index) 0 in
   let mask = Array.length index - 1 in
   for k = 0 to slots.count - 1 do
-    let j = ref (slots.forks.(k).hash land mask) in
+    let j = ref (slots.probes.(k) land mask) in
     while index.(!j) > 0 do
       j := (!j + 1) land mask
     done;
@@ -288,40 +469,59 @@ let reindex slots =
   done;
   slots.index <- index
 
+let same_fork (s : _ store) slots k ~params ~state ~carried ~probe =
+  slots.probes.(k) = probe
+  && same_params s.params.(slots.parents.(k)) params
+  && Mstate.equal slots.fork_states.(k) state
+  && List.equal same_delivery slots.carried.(k) carried
+
 (* lint:hotpath -- runs once per surviving fork *)
-let absorb slots (f : _ fork) =
+let absorb (s : _ store) slots ~parent ~state ~state_hash ~carried ~probe logw =
+  let params = s.params.(parent) in
   let index = slots.index in
   let mask = Array.length index - 1 in
-  let j = ref (f.hash land mask) in
-  while index.(!j) > 0 && not (same_fork slots.forks.(index.(!j) - 1) f) do
+  let j = ref (probe land mask) in
+  while index.(!j) > 0 && not (same_fork s slots (index.(!j) - 1) ~params ~state ~carried ~probe) do
     j := (!j + 1) land mask
   done;
   let k = index.(!j) - 1 in
-  if k >= 0 then slots.logw.(k) <- Logw.logsumexp2 slots.logw.(k) f.logw
+  if k >= 0 then slots.weights.(k) <- Logw.logsumexp2 slots.weights.(k) logw
   else begin
-    if slots.count = Array.length slots.forks then slots_grow slots f;
-    slots.forks.(slots.count) <- f;
-    slots.logw.(slots.count) <- f.logw;
-    slots.count <- slots.count + 1;
-    index.(!j) <- slots.count;
+    if slots.count = Array.length slots.parents then slots_grow slots;
+    let k = slots.count in
+    slots.parents.(k) <- parent;
+    slots.fork_states.(k) <- state;
+    slots.state_hashes.(k) <- state_hash;
+    slots.probes.(k) <- probe;
+    slots.carried.(k) <- carried;
+    slots.weights.(k) <- logw;
+    slots.count <- k + 1;
+    index.(!j) <- k + 1;
     if 2 * slots.count > Array.length index then reindex slots
   end
 
 (* Prune forks lighter than [min_weight] times the heaviest, normalize,
    cap, normalize again and sort heaviest first: the former pipeline
    over whole stores, with its sums in its order, run over the slots'
-   log-weights alone, so the store is built once, in its final order.
-   The second normalization runs even when nothing was capped: its
-   [x -. z] can change bits. *)
-let compact t slots =
-  let lw = slots.logw in
+   log-weights alone, so the store is built once, in its final order:
+   its columns are made from immediates or [no_state] and filled, and
+   params, models and labels are read from the parent store through the
+   slots' parents. The second normalization runs even when nothing was
+   capped: its [x -. z] can change bits. *)
+(* lint:hotpath -- once per step, over every slot *)
+let compact t (s : _ store) slots =
+  let lw = slots.weights in
   let heaviest = ref neg_infinity in
   for k = 0 to slots.count - 1 do
     heaviest := Float.max !heaviest lw.(k)
   done;
   let threshold = !heaviest +. log t.min_weight in
   let kept = select slots.count (fun k -> lw.(k) >= threshold) in
-  match normalized (Array.map (fun k -> lw.(k)) kept) with
+  let w = Array.make (Array.length kept) 0.0 in
+  for r = 0 to Array.length kept - 1 do
+    w.(r) <- lw.(kept.(r))
+  done;
+  match normalized w with
   | None -> empty_store ()
   | Some w -> (
     let kept, w =
@@ -335,29 +535,46 @@ let compact t slots =
     | None -> empty_store ()
     | Some w ->
       let order = sorted_order w in
-      let forks = Array.map (fun i -> slots.forks.(kept.(i))) order in
+      let m = Array.length order in
+      let parents = Array.make m 0 in
+      let states = Array.make m no_state in
+      let hashes = Array.make m 0 in
+      let logw = Array.make m 0.0 in
+      let awaiting = Array.make m [] in
+      for r = 0 to m - 1 do
+        let k = kept.(order.(r)) in
+        parents.(r) <- slots.parents.(k);
+        states.(r) <- slots.fork_states.(k);
+        hashes.(r) <- slots.state_hashes.(k);
+        logw.(r) <- w.(order.(r));
+        awaiting.(r) <- slots.carried.(k)
+      done;
       {
-        params = Array.map (fun (f : _ fork) -> f.params) forks;
-        prepared = Array.map (fun (f : _ fork) -> f.prepared) forks;
-        states = Array.map (fun (f : _ fork) -> f.state) forks;
-        hashes = Array.map (fun (f : _ fork) -> f.state_hash) forks;
-        logw = Array.map (fun i -> w.(i)) order;
-        awaiting = Array.map (fun (f : _ fork) -> f.awaiting) forks;
+        params = Array.map (fun i -> s.params.(i)) parents;
+        prepared = Array.map (fun i -> s.prepared.(i)) parents;
+        labels = Array.map (fun i -> s.labels.(i)) parents;
+        states;
+        hashes;
+        logw;
+        awaiting;
       })
 
 (* One outcome of a run, reduced once for every hypothesis sharing the
-   run: its primary deliveries, the only observable ones, and its
-   state's hash, computed when a first sharer keeps the outcome. *)
+   run: its primary deliveries, the only observable ones; its state's
+   hash, computed when a first sharer keeps the outcome; and its ACK
+   matches, one per observation offset of a sharer with no awaiting
+   deliveries, made when the first such sharer scores it. *)
 type reduced = {
   outcome : Forward.outcome;
   primary : Forward.delivery list;
   mutable state_hash : int;
   mutable hashed : bool;
+  mutable matches : matched list;
 }
 
 let reduce (o : Forward.outcome) =
   let primary (d : Forward.delivery) = Flow.equal d.packet.Packet.flow Flow.Primary in
-  { outcome = o; primary = List.filter primary o.deliveries; state_hash = 0; hashed = false }
+  { outcome = o; primary = List.filter primary o.deliveries; state_hash = 0; hashed = false; matches = [] }
 
 let state_hash r =
   if not r.hashed then begin
@@ -365,6 +582,24 @@ let state_hash r =
     r.hashed <- true
   end;
   r.state_hash
+
+let rec find_match offset = function
+  | [] -> None
+  | m :: rest -> if Mstate.same_float m.offset offset then Some m else find_match offset rest
+
+(* The match of [r] for a sharer at [offset] carrying [awaiting]: made
+   once per offset and kept on [r] when [awaiting] is empty, since it
+   then depends only on the outcome, the ACKs and the offset. *)
+let matched_of ~acks ~now ~condition ~offset awaiting r =
+  match awaiting with
+  | _ :: _ -> match_acks ~acks ~now ~condition ~offset (awaiting @ r.primary)
+  | [] -> (
+    match find_match offset r.matches with
+    | Some m -> m
+    | None ->
+      let m = match_acks ~acks ~now ~condition ~offset r.primary in
+      r.matches <- m :: r.matches;
+      m)
 
 (* lint:hotpath -- expand/score/compact runs per hypothesis per tick;
    ROADMAP hot-path program tracks its allocations *)
@@ -377,7 +612,7 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
   let run i =
     List.map reduce (Forward.run ?until_prio:now_prio s.prepared.(i) s.states.(i) ~sends ~until:now)
   in
-  let first = Forward.representatives s.prepared s.states ~hashes:s.hashes in
+  let first = shared_runs ~labels:s.labels ~hashes:s.hashes s.states in
   let last = Array.init n Fun.id in
   for i = 0 to n - 1 do
     last.(first.(i)) <- i
@@ -400,49 +635,43 @@ let step t ~sends ~acks ~now ~now_prio ~condition =
      fork hundreds of ways must not materialize the whole product before
      merging (under model misspecification the forking is at its worst
      exactly when every branch survives unconditioned). Absorbing a
-     duplicate fork is a float write into its slot. *)
+     duplicate fork is a float write into its slot. Each hypothesis
+     scores its run's outcomes in run order with its own model, offset
+     and awaiting deliveries, hypotheses in index order. *)
   let slots = slots_create n in
-  let expand i =
-    let hyp_params = s.params.(i) in
-    let hyp_prepared = s.prepared.(i) in
-    let hyp_logw = s.logw.(i) in
-    let hyp_awaiting = s.awaiting.(i) in
-    let offset = t.obs_offset hyp_params in
-    let params_hash = structural_hash hyp_params in
-    let is_due (d : Forward.delivery) = Tb.( <=. ) (d.time +. offset) (now +. tick) in
-    let keep r = (* lint:allow R11 -- per-hypothesis outcome scorer closes over offset and acks *)
-      (* Only primary deliveries are observable; those whose (offset)
-         acknowledgment is due by now are scored, the rest carry over. *)
-      let observable = hyp_awaiting @ r.primary (* lint:allow R11 -- copies only the carried-over deliveries, none without an obs_offset *) in
-      let due, awaiting =
-        if List.for_all is_due observable then (observable, []) else List.partition is_due observable
-      in
-      let ll =
-        if condition then score ~offset ~acks hyp_prepared due
-        else Some 0.0
-      in
-      match ll with
-      | None -> ()
-      | Some ll ->
-        let o = r.outcome in
-        let logw = hyp_logw +. o.logw +. ll in
-        if logw <> neg_infinity then begin
-          let state_hash = state_hash r in
-          let hash = fork_hash ~params_hash state_hash awaiting in
-          absorb slots { params = hyp_params; prepared = hyp_prepared; state = o.state; state_hash; logw; awaiting; hash } (* lint:allow R11 -- the surviving fork IS the posterior hypothesis record *)
-        end
-    in
-    List.iter keep (outcomes_of i)
-  in
   Utc_obs.Metrics.span ~name:"expand"
     ~now:(fun () -> now)
     (fun () ->
       for i = 0 to n - 1 do
-        expand i
+        let model = s.prepared.(i) and awaiting = s.awaiting.(i) in
+        let offset = t.obs_offset s.params.(i) in
+        let params_hash = structural_hash s.params.(i) * 31 in
+        let rest = ref (outcomes_of i) in
+        while
+          match !rest with
+          | [] -> false
+          | r :: tail ->
+            rest := tail;
+            let m = matched_of ~acks ~now ~condition ~offset awaiting r in
+            let ll = score model m in
+            if ll <> neg_infinity then begin
+              let o = r.outcome in
+              let logw = s.logw.(i) +. o.logw +. ll in
+              if logw <> neg_infinity then begin
+                let state_hash = state_hash r in
+                absorb s slots ~parent:i ~state:o.state ~state_hash ~carried:m.carried
+                  ~probe:(state_hash + params_hash + (m.carried_hash * 961))
+                  logw
+              end
+            end;
+            true
+        do
+          ()
+        done
       done);
   Utc_obs.Metrics.span ~name:"compact"
     ~now:(fun () -> now)
-    (fun () -> { t with store = compact t slots; now })
+    (fun () -> { t with store = compact t s slots; now })
 
 (* Groups by compaction's params identity: [structural_hash] picks a
    probe slot in an open-addressing index of group numbers plus one (0
@@ -589,15 +818,22 @@ let reseed t ~seeds ?(keep = 0.0) ~now () =
   in
   let fresh_scale = if store_size kept = 0 then 0.0 else log1p (-.keep) in
   let fresh = { fresh with logw = Array.map (fun lw -> lw +. fresh_scale) fresh.logw } in
+  (* Kept and fresh hypotheses are labelled together, so a fresh seed
+     that shares dynamics with a kept hypothesis shares its label. *)
   let combined =
-    {
-      params = Array.append kept.params fresh.params;
-      prepared = Array.append kept.prepared fresh.prepared;
-      states = Array.append kept.states fresh.states;
-      hashes = Array.append kept.hashes fresh.hashes;
-      logw = Array.append kept.logw fresh.logw;
-      awaiting = Array.append kept.awaiting fresh.awaiting;
-    }
+    if store_size kept = 0 then fresh
+    else begin
+      let prepared = Array.append kept.prepared fresh.prepared in
+      {
+        params = Array.append kept.params fresh.params;
+        prepared;
+        labels = Forward.dynamics_labels prepared;
+        states = Array.append kept.states fresh.states;
+        hashes = Array.append kept.hashes fresh.hashes;
+        logw = Array.append kept.logw fresh.logw;
+        awaiting = Array.append kept.awaiting fresh.awaiting;
+      }
+    end
   in
   let result = { t with store = sort_store (normalize_store combined); now } in
   Utc_obs.Metrics.incr reseeds_c;
@@ -609,9 +845,10 @@ let reseed t ~seeds ?(keep = 0.0) ~now () =
 let support t = List.init (store_size t.store) (hyp_at t.store)
 
 let fold t ~init ~f =
+  let s = t.store in
   let acc = ref init in
-  for i = 0 to store_size t.store - 1 do
-    acc := f !acc (hyp_at t.store i)
+  for i = 0 to store_size s - 1 do
+    acc := f !acc ~params:s.params.(i) ~prepared:s.prepared.(i) ~state:s.states.(i) ~logw:s.logw.(i)
   done;
   !acc
 

@@ -10,18 +10,26 @@
     renormalized, and configurations that converged to identical states
     are compacted back into one.
 
-    Hypotheses whose models share dynamics
-    ({!Utc_model.Forward.shares_dynamics}: they differ at most in the
-    rates of last-mile losses) and whose states are
-    {!Utc_model.Mstate.equal} share one simulation per step: the first of
-    them in hypothesis order runs it, and each scores its outcomes with
-    its own parameters, observation offset, awaiting deliveries and loss
-    rates ({!Utc_model.Forward.survive_p}). An outcome's primary
-    deliveries are picked out, and its state hashed, once for all the
-    hypotheses sharing its run. A run does not depend on
-    those rates, so the result is bit-identical to simulating each
-    hypothesis alone. The return-delay grid of {!create}'s [obs_offset]
-    shares runs the same way.
+    Every hypothesis carries a dynamics label: {!create} and {!reseed}
+    label their hypotheses with {!Utc_model.Forward.dynamics_labels}, so
+    two hypotheses share a label exactly when their models share
+    dynamics ({!Utc_model.Forward.shares_dynamics}: they differ at most
+    in the rates of last-mile losses), and a hypothesis forked by a step
+    keeps its parent's label. Hypotheses with one label and
+    {!Utc_model.Mstate.equal} states ({!shared_runs}) share one
+    simulation per step: the first of them in hypothesis order runs it,
+    and each scores its outcomes with its own parameters, observation
+    offset, awaiting deliveries and loss rates
+    ({!Utc_model.Forward.survive_p}). An outcome's primary deliveries are
+    picked out, and its state hashed, once for all the hypotheses
+    sharing its run. Its match against the ACKs (which deliveries are
+    due, whether their times and the set of ACKs fit, and which due
+    deliveries were acknowledged) is made once per observation offset
+    for the sharers that carry no awaiting deliveries; each sharer then
+    adds its own survival or loss terms. A run and a match do not
+    depend on those rates, so the result is bit-identical to simulating
+    and scoring each hypothesis alone. The return-delay grid of
+    {!create}'s [obs_offset] shares runs the same way.
 
     Compaction merges two outcomes of a step when their parameters are
     equal (the same value, or values that marshal to the same bytes),
@@ -47,9 +55,13 @@ type 'p hypothesis = {
   params : 'p;
   prepared : Utc_model.Forward.prepared;
   state : Utc_model.Mstate.t;
+  label : int;
+      (** The model's dynamics class: two hypotheses of one belief share
+          a label exactly when their models share dynamics
+          ({!Utc_model.Forward.shares_dynamics}). *)
   hash : int;
       (** [Utc_model.Mstate.hash state], computed once when the state
-          was stored, for {!Utc_model.Forward.representatives}. *)
+          was stored, for {!shared_runs}. *)
   logw : float;  (** Normalized: [logsumexp] over the belief is 0. *)
   awaiting : Utc_model.Forward.delivery list;
       (** Deliveries whose acknowledgment (shifted by the observation
@@ -147,13 +159,27 @@ val reseed :
 val support : 'p t -> 'p hypothesis list
 (** Heaviest first. *)
 
-val fold : 'p t -> init:'a -> f:('a -> 'p hypothesis -> 'a) -> 'a
-(** Folds [f] over the hypotheses in {!support}'s order without building
-    the list. *)
+val fold :
+  'p t ->
+  init:'a ->
+  f:('a -> params:'p -> prepared:Utc_model.Forward.prepared -> state:Utc_model.Mstate.t -> logw:float -> 'a) ->
+  'a
+(** Folds [f] over the hypotheses in {!support}'s order, passing each
+    one's columns without building a {!hypothesis}. *)
 
 val top : 'p t -> n:int -> 'p hypothesis list
 
 val size : 'p t -> int
+
+val shared_runs : labels:int array -> hashes:int array -> Utc_model.Mstate.t array -> int array
+(** [shared_runs ~labels ~hashes states] maps each index [i] to the
+    first index [j <= i] with the same dynamics label and a
+    {!Utc_model.Mstate.equal} state, so a run from [j] serves [i]; the
+    identity when nothing is shared. [hashes.(i)] must be
+    [Utc_model.Mstate.hash states.(i)], as {!hypothesis.hash} is: it
+    hashes nothing itself. The one grouping rule of the filter and the
+    planner.
+    @raise Invalid_argument if the arrays differ in length. *)
 
 val now : 'p t -> Utc_sim.Timebase.t
 

@@ -252,58 +252,35 @@ let[@inline] survive_p p (d : delivery) =
   | [ id ] -> p.pass.(id)
   | _ :: _ :: _ -> survival p.pass d.trail
 
-(* Two-level open addressing: first count the models in each bucket of
-   equal dynamics hashes, then, only for buckets of two or more, find
-   each index's class by its state hash. Both tables are at most half
-   full and only find slots; the representative of a class is the first
-   index that reached it. *)
-let representatives models states ~hashes =
+(* Open addressing over the dynamics hashes: a slot holds a label plus
+   one (0 is empty), and [first.(l)] is the first model labelled [l].
+   The table is at most half full and only finds slots; labels count up
+   in order of first appearance. *)
+let dynamics_labels models =
   let n = Array.length models in
-  if Array.length states <> n || Array.length hashes <> n then
-    invalid_arg "Forward.representatives: arrays differ in length";
-  let first = Array.init n Fun.id in
-  if n >= 2 then begin
-    let size = ref 16 in
-    while !size < 2 * n do
-      size := 2 * !size
+  let size = ref 16 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  let slots = Array.make !size 0 in
+  let first = Array.make n 0 in
+  let labels = Array.make n 0 in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    let m = models.(i) in
+    let j = ref (m.dynamics land mask) in
+    while slots.(!j) > 0 && not (shares_dynamics models.(first.(slots.(!j) - 1)) m) do
+      j := (!j + 1) land mask
     done;
-    let mask = !size - 1 in
-    let dynamics = Array.make !size 0 in
-    let count = Array.make !size 0 in
-    let bucket = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let d = models.(i).dynamics in
-      let j = ref (d land mask) in
-      while count.(!j) > 0 && dynamics.(!j) <> d do
-        j := (!j + 1) land mask
-      done;
-      dynamics.(!j) <- d;
-      count.(!j) <- count.(!j) + 1;
-      bucket.(i) <- !j
-    done;
-    let classes = Array.make !size 0 (* a class's first index plus one; 0 is empty *) in
-    let keys = Array.make n 0 in
-    for i = 0 to n - 1 do
-      if count.(bucket.(i)) >= 2 then begin
-        let key = Mstate.mix models.(i).dynamics hashes.(i) in
-        keys.(i) <- key;
-        let j = ref (key land mask) in
-        while
-          classes.(!j) > 0
-          &&
-          let r = classes.(!j) - 1 in
-          not
-            (keys.(r) = key
-            && shares_dynamics models.(r) models.(i)
-            && Mstate.equal states.(r) states.(i))
-        do
-          j := (!j + 1) land mask
-        done;
-        if classes.(!j) = 0 then classes.(!j) <- i + 1 else first.(i) <- classes.(!j) - 1
-      end
-    done
-  end;
-  first
+    if slots.(!j) = 0 then begin
+      first.(!count) <- i;
+      incr count;
+      slots.(!j) <- !count
+    end;
+    labels.(i) <- slots.(!j) - 1
+  done;
+  labels
 
 type branch = {
   state : Mstate.t;

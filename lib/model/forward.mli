@@ -83,17 +83,14 @@ val shares_dynamics : prepared -> prepared -> bool
     computed by {!prepare}, first, so models that do not share dynamics
     are usually told apart at once. *)
 
-val representatives : prepared array -> Mstate.t array -> hashes:int array -> int array
-(** [representatives models states ~hashes] finds the indices that can
-    share a run: it maps each index [i] to the first index [j <= i]
-    whose model shares dynamics with [models.(i)] and whose state is
-    {!Mstate.equal} to [states.(i)], so a run from [j] serves [i]; the
-    identity when nothing is shared. [hashes.(i)] must be
-    [Mstate.hash states.(i)]: it hashes nothing itself, so callers that
-    keep their states' hashes (the belief does) pay for none. States
-    are compared only for models whose dynamics hash some other model
-    shares.
-    @raise Invalid_argument if the arrays differ in length. *)
+val dynamics_labels : prepared array -> int array
+(** [dynamics_labels models] labels each model with its class under
+    {!shares_dynamics}: [labels.(i) = labels.(j)] exactly when
+    [shares_dynamics models.(i) models.(j)]. Labels count up from 0 in
+    order of first appearance. Models are bucketed by the dynamics hash
+    {!prepare} computed, and graphs are compared only within a bucket.
+    Callers that run models from {!Mstate.equal} states share a run
+    among models of one label (the belief filter and the planner do). *)
 
 val plan_variant : prepared -> prepared
 (** The [fork_gates = false] variant of this model (certainty-equivalent

@@ -138,7 +138,11 @@ let span ?now ?(root = false) ~name f =
     let path = if root || String.length parent = 0 then name else parent ^ "/" ^ name in
     let s = span_entry path in
     Utc_parallel.Dls.set path_key path;
+    (* [Gc.quick_stat]'s [minor_words] moves only at minor collections
+       (OCaml 5.1), so minor words are read from [Gc.minor_words], which
+       counts the current minor heap's allocations too. *)
     let gc0 = Gc.quick_stat () in
+    let minor0 = Gc.minor_words () in
     let wall0 = Obs_clock.now () in
     let sim0 =
       match now with
@@ -150,6 +154,7 @@ let span ?now ?(root = false) ~name f =
     | None -> ());
     Fun.protect
       ~finally:(fun () ->
+        let minor1 = Gc.minor_words () in
         let wall = Obs_clock.elapsed_since wall0 in
         let gc1 = Gc.quick_stat () in
         let sim1 =
@@ -161,7 +166,7 @@ let span ?now ?(root = false) ~name f =
         s.calls <- s.calls + 1;
         s.wall_seconds <- s.wall_seconds +. wall;
         s.sim_seconds <- s.sim_seconds +. (sim1 -. sim0);
-        s.minor_words <- s.minor_words +. (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+        s.minor_words <- s.minor_words +. (minor1 -. minor0);
         s.major_words <- s.major_words +. (gc1.Gc.major_words -. gc0.Gc.major_words);
         Mutex.unlock lock;
         Utc_parallel.Dls.set path_key parent;

@@ -1006,6 +1006,20 @@ let shared_model ?(config = Forward.default_config) topology =
   let compiled = Compiled.compile_exn topology in
   (Forward.prepare config compiled, Mstate.initial ~epoch:config.Forward.epoch compiled)
 
+(* How a belief over [models], one weight each, shares runs:
+   [Belief.shared_runs] over its hypotheses, which equal weights keep in
+   seed order. *)
+let belief_runs models =
+  let hyps =
+    Array.of_list
+      (Belief.support
+         (Belief.create (List.mapi (fun i (prepared, state) -> (i, 1.0, prepared, state)) models)))
+  in
+  Belief.shared_runs
+    ~labels:(Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.label) hyps)
+    ~hashes:(Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.hash) hyps)
+    (Array.map (fun (h : _ Belief.hypothesis) -> h.Belief.state) hyps)
+
 (* The survival a delivery had before runs were shared: 1 times
    [1 - rate] of each loss it crossed, in crossing order. *)
 let running_product model (d : Forward.delivery) =
@@ -1037,8 +1051,7 @@ let shared_dynamics_prop =
       in
       Forward.shares_dynamics p1 p2
       && Forward.shares_dynamics p2 p1
-      && Forward.representatives [| p1; p2 |] [| s1; s2 |] ~hashes:[| Mstate.hash s1; Mstate.hash s2 |]
-         = [| 0; 0 |]
+      && belief_runs [ (p1, s1); (p2, s2) ] = [| 0; 0 |]
       && Mstate.equal s1 s2
       && List.length o1 = List.length o2
       && List.for_all2 same_outcome o1 o2
@@ -1059,8 +1072,7 @@ let unshared_dynamics_prop =
       let q3, _ = shared_model (front 0.1) in
       Bool.equal (Forward.shares_dynamics f1 f2) (Array.for_all2 same_float r1 r2)
       && (not (Forward.shares_dynamics q1 q2))
-      && Forward.representatives [| q1; q2 |] [| s1; s2 |] ~hashes:[| Mstate.hash s1; Mstate.hash s2 |]
-         = [| 0; 1 |]
+      && belief_runs [ (q1, s1); (q2, s2) ] = [| 0; 1 |]
       && Forward.shares_dynamics q1 q3)
 
 (* The compaction property with loss-rate twins: every seed ends in a
@@ -1107,6 +1119,23 @@ let belief_twin_prop =
       QCheck.assume (valid_twin_case case);
       compaction_matches_reference (twin_seeds case) sends)
 
+(* The ACKs by [now] that seed 0's first outcome predicts, shifted by
+   its offset. *)
+let seed0_acks seeds ~sends ~now =
+  match seeds with
+  | (params, _, prepared, state) :: _ -> (
+    match Forward.run prepared state ~sends ~until:now with
+    | o :: _ ->
+      List.filter_map
+        (fun (d : Forward.delivery) ->
+          let time = d.Forward.time +. params.offset in
+          if Flow.equal d.Forward.packet.Packet.flow Flow.Primary && time <= now then
+            Some { Belief.seq = d.Forward.packet.Packet.seq; time }
+          else None)
+        o.Forward.deliveries
+    | [] -> [])
+  | [] -> []
+
 (* ROADMAP's normalized-posterior invariant on beliefs that share runs:
    after an update on the ACKs seed 0's first outcome predicts, every
    log-weight is finite and the posterior mass is 1. *)
@@ -1118,21 +1147,7 @@ let posterior_normalized_prop =
       let seeds = twin_seeds case in
       let now = 5.0 in
       let sends = primary_sends (List.mapi (fun i t -> (t, i)) sends) in
-      let acks =
-        match seeds with
-        | (params, _, prepared, state) :: _ -> (
-          match Forward.run prepared state ~sends ~until:now with
-          | o :: _ ->
-            List.filter_map
-              (fun (d : Forward.delivery) ->
-                let time = d.Forward.time +. params.offset in
-                if Flow.equal d.Forward.packet.Packet.flow Flow.Primary && time <= now then
-                  Some { Belief.seq = d.Forward.packet.Packet.seq; time }
-                else None)
-              o.Forward.deliveries
-          | [] -> [])
-        | [] -> []
-      in
+      let acks = seed0_acks seeds ~sends ~now in
       let belief = Belief.create ~obs_offset:(fun p -> p.offset) seeds in
       let updated, _ = Belief.update belief ~sends ~acks ~now () in
       let hyps = Belief.support updated in
@@ -1140,6 +1155,47 @@ let posterior_normalized_prop =
       hyps <> []
       && List.for_all (fun (h : _ Belief.hypothesis) -> Float.is_finite h.Belief.logw) hyps
       && Float.abs (mass -. 1.0) <= 1e-9)
+
+(* Two hypotheses share a dynamics label exactly when their models
+   share dynamics: after [create], after an update on the ACKs seed 0's
+   first outcome predicts and an advance, and after a reseed that keeps
+   half the mass and adds the case's seeds again in reverse order,
+   compiled and prepared anew, so that fresh hypotheses share dynamics
+   with kept ones without sharing their order. *)
+let labels_are_classes belief =
+  let hyps = Belief.support belief in
+  List.for_all
+    (fun (a : _ Belief.hypothesis) ->
+      List.for_all
+        (fun (b : _ Belief.hypothesis) ->
+          Bool.equal (a.Belief.label = b.Belief.label)
+            (Forward.shares_dynamics a.Belief.prepared b.Belief.prepared))
+        hyps)
+    hyps
+
+let dynamics_labels_prop =
+  QCheck.Test.make ~name:"dynamics labels are exactly the shares_dynamics classes" ~count:100
+    arbitrary_twin_case
+    (fun ((_, _, _, sends) as case) ->
+      QCheck.assume (valid_twin_case case);
+      let seeds = twin_seeds case in
+      let now = 5.0 and later = 7.0 in
+      let sends = primary_sends (List.mapi (fun i t -> (t, i)) sends) in
+      let belief = Belief.create ~obs_offset:(fun p -> p.offset) seeds in
+      let updated, _ = Belief.update belief ~sends ~acks:(seed0_acks seeds ~sends ~now) ~now () in
+      let advanced = Belief.advance updated ~sends:[] ~now:later () in
+      let reseeded = Belief.reseed advanced ~seeds:(List.rev (twin_seeds case)) ~keep:0.5 ~now:later () in
+      let kept_models = List.map (fun (_, _, prepared, _) -> prepared) seeds in
+      let kept (h : _ Belief.hypothesis) = List.memq h.Belief.prepared kept_models in
+      let hyps = Belief.support reseeded in
+      List.for_all labels_are_classes [ belief; updated; advanced; reseeded ]
+      && List.exists
+           (fun (a : _ Belief.hypothesis) ->
+             kept a
+             && List.exists
+                  (fun (b : _ Belief.hypothesis) -> (not (kept b)) && a.Belief.label = b.Belief.label)
+                  hyps)
+           hyps)
 
 (* [planner_gross_prop] with a loss-rate twin: the case's topology ends
    in a last-mile loss, and a second model of it, compiled and prepared
@@ -1222,6 +1278,7 @@ let shared_dynamics_suite =
     QCheck_alcotest.to_alcotest unshared_dynamics_prop;
     QCheck_alcotest.to_alcotest belief_twin_prop;
     QCheck_alcotest.to_alcotest posterior_normalized_prop;
+    QCheck_alcotest.to_alcotest dynamics_labels_prop;
     QCheck_alcotest.to_alcotest planner_twin_prop;
     QCheck_alcotest.to_alcotest loss_mode_posteriors_prop;
   ]

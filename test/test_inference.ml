@@ -293,8 +293,35 @@ let posterior_matches_marshal_prop =
 
 (* Every hypothesis carries its own state's hash. *)
 let check_hashes belief =
-  Belief.fold belief ~init:() ~f:(fun () (h : _ Belief.hypothesis) ->
+  List.iter
+    (fun (h : _ Belief.hypothesis) ->
       Alcotest.(check int) "stored hash" (Mstate.hash h.Belief.state) h.Belief.hash)
+    (Belief.support belief)
+
+(* A step builds no array over 256 words from a young value, which would
+   make [Array.make] run a whole minor collection first: the slot and
+   store columns start from immediates or a static placeholder state.
+   With a minor heap larger than one update of the §4 prior allocates,
+   no collection falls inside the update. *)
+let step_forces_no_minor_collection () =
+  let belief = Belief.create (Priors.seeds ~config:Forward.default_config (Priors.paper_prior ())) in
+  Alcotest.(check bool) "at least 1,000 hypotheses" true (Belief.size belief >= 1_000);
+  let saved = Gc.get () in
+  let minor_heap = 4 * 1024 * 1024 in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.minor_heap_size = minor_heap };
+      let collections0 = (Gc.quick_stat ()).Gc.minor_collections in
+      let words0 = Gc.minor_words () in
+      let updated, _ =
+        Belief.update belief ~sends:[ send ~at:0.0 ~seq:0; send ~at:0.2 ~seq:1 ] ~acks:[] ~now:1.0 ()
+      in
+      let words = Gc.minor_words () -. words0 in
+      let collections = (Gc.quick_stat ()).Gc.minor_collections - collections0 in
+      Alcotest.(check bool) "the update fits in the minor heap" true (words < float_of_int minor_heap);
+      Alcotest.(check bool) "the update keeps over 256 hypotheses" true (Belief.size updated > 256);
+      Alcotest.(check int) "minor collections during the update" 0 collections)
 
 let top_k_cap () =
   let seeds = List.init 20 (fun i -> seed_of { rate = 1_000.0 *. float_of_int (i + 1); fill = 0 } 1.0) in
@@ -329,6 +356,23 @@ let support_is_sorted () =
   match Belief.support belief with
   | first :: _ -> Alcotest.(check (float 0.0)) "heaviest first" 2_000.0 first.Belief.params.rate
   | [] -> Alcotest.fail "empty support"
+
+(* [create]'s sort against [List.stable_sort]: heaviest first, ties in
+   seed order, over beliefs large enough for the merge passes. Weights
+   are 0 or powers of two, so ties are common and distinct weights stay
+   distinct after normalization. *)
+let create_sort_prop =
+  let _, _, prepared, state = seed_of { rate = 12_000.0; fill = 0 } 1.0 in
+  QCheck.Test.make ~name:"create sorts heaviest first, ties in seed order" ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 300) (oneofl [ 0.0; 1.0; 2.0; 4.0; 8.0 ]))
+    (fun weights ->
+      QCheck.assume (List.exists (fun w -> w > 0.0) weights);
+      let belief = Belief.create (List.mapi (fun i w -> (i, w, prepared, state)) weights) in
+      let expected =
+        List.map fst
+          (List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) (List.mapi (fun i w -> (i, w)) weights))
+      in
+      List.map (fun (h : _ Belief.hypothesis) -> h.Belief.params) (Belief.support belief) = expected)
 
 (* --- Priors --- *)
 
@@ -426,10 +470,12 @@ let suite =
     ("compaction merges forks", `Quick, compaction_merges_forks);
     ("compaction ignores float sharing", `Quick, compaction_ignores_float_sharing);
     QCheck_alcotest.to_alcotest posterior_matches_marshal_prop;
+    ("step forces no minor collection", `Quick, step_forces_no_minor_collection);
     ("top-k cap", `Quick, top_k_cap);
     ("resample cap", `Quick, resample_cap);
     ("marginal and mean", `Quick, marginal_and_mean);
     ("support sorted", `Quick, support_is_sorted);
+    QCheck_alcotest.to_alcotest create_sort_prop;
     ("grid helpers", `Quick, grid_helpers);
     ("paper prior shape", `Quick, paper_prior_shape);
     ("paper truth values", `Quick, paper_truth_values);

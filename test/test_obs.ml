@@ -79,6 +79,20 @@ let spans_accumulate () =
         Alcotest.(check int) "two calls" 2 sv.Metrics.sv_calls;
         Alcotest.(check (float 1e-9)) "sim seconds accumulate" 5.0 sv.Metrics.sv_sim_seconds)
 
+(* A span counts what it allocates, not the minor collections that fell
+   inside it: 1,000 list cells are 3,000 words, whether or not a
+   collection runs meanwhile. *)
+let span_counts_minor_words () =
+  with_telemetry (fun () ->
+      let cells = Metrics.span ~name:"test.alloc" (fun () -> Sys.opaque_identity (List.init 1_000 Fun.id)) in
+      Alcotest.(check int) "the list is built" 1_000 (List.length cells);
+      let snap = Metrics.snapshot ~at:0.0 in
+      match List.assoc_opt "test.alloc" snap.Metrics.spans with
+      | None -> Alcotest.fail "span missing from snapshot"
+      | Some sv ->
+        if sv.Metrics.sv_minor_words < 3_000.0 then
+          Alcotest.failf "span counted %.0f minor words for 1,000 list cells" sv.Metrics.sv_minor_words)
+
 (* --- nested span tree --- *)
 
 let span_paths_nest () =
@@ -566,6 +580,7 @@ let suite =
     ("gauges", `Quick, gauges_hold_last_value);
     ("histogram buckets", `Quick, histogram_buckets);
     ("spans", `Quick, spans_accumulate);
+    ("span minor words", `Quick, span_counts_minor_words);
     ("span paths nest", `Quick, span_paths_nest);
     ("span re-entrancy self within cumulative", `Quick, span_reentrancy_self_within_cumulative);
     ("span journal begin/end pairs", `Quick, span_journal_pairs);
