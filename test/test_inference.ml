@@ -470,12 +470,10 @@ let suite =
     ("compaction merges forks", `Quick, compaction_merges_forks);
     ("compaction ignores float sharing", `Quick, compaction_ignores_float_sharing);
     QCheck_alcotest.to_alcotest posterior_matches_marshal_prop;
-    ("step forces no minor collection", `Quick, step_forces_no_minor_collection);
     ("top-k cap", `Quick, top_k_cap);
     ("resample cap", `Quick, resample_cap);
     ("marginal and mean", `Quick, marginal_and_mean);
     ("support sorted", `Quick, support_is_sorted);
-    QCheck_alcotest.to_alcotest create_sort_prop;
     ("grid helpers", `Quick, grid_helpers);
     ("paper prior shape", `Quick, paper_prior_shape);
     ("paper truth values", `Quick, paper_truth_values);
@@ -923,3 +921,10 @@ let robustness_suite =
   ]
 
 let suite = suite @ robustness_suite
+
+let suite =
+  suite
+  @ [
+      ("step forces no minor collection", `Quick, step_forces_no_minor_collection);
+      QCheck_alcotest.to_alcotest create_sort_prop;
+    ]
