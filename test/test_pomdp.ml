@@ -93,6 +93,20 @@ let policy_pp_smoke () =
   let text = Format.asprintf "%a" Sender_mdp.pp_policy (Sender_mdp.solve Sender_mdp.default) in
   Alcotest.(check bool) "prints" true (String.length text > 50)
 
+(* The threshold and the iteration count of the default problem at the
+   priorities examples/precomputed_policy prints: they pin the queue
+   size, the delay discount and value iteration's discount and stopping
+   rule together. *)
+let solve_pins_thresholds_and_iterations () =
+  List.iter
+    (fun (alpha, threshold, iterations) ->
+      let solution = Sender_mdp.solve { Sender_mdp.default with Sender_mdp.alpha } in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "alpha=%g" alpha)
+        (threshold, iterations)
+        (Sender_mdp.send_threshold solution, solution.Mdp.iterations))
+    [ (0.0, 8, 403); (0.5, 8, 403); (1.0, 8, 394); (2.5, 7, 336); (5.0, 1, 346) ]
+
 let suite =
   [
     ("value iteration tiny", `Quick, value_iteration_tiny);
@@ -105,4 +119,5 @@ let suite =
     ("threshold monotone in alpha", `Quick, threshold_monotone_in_alpha);
     ("no cross no deference", `Quick, no_cross_traffic_means_no_deference);
     ("policy pp", `Quick, policy_pp_smoke);
+    ("solve pins thresholds and iterations", `Quick, solve_pins_thresholds_and_iterations);
   ]

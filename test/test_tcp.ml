@@ -356,12 +356,45 @@ let sender_journal_follows_the_sink () =
       (List.sort_uniq Int.compare ascending)
       ascending
 
+(* A pure 50 ms delay path that loses the first transmission of [lost]
+   and nothing else. The window opens 1, 2, 3, 4 in slow start, one ACK
+   per packet, so when the hole at [lost] opens, [lost - 1] later
+   segments are in flight: 2 for segment 2, 3 for segment 3, and no
+   new data goes out on a duplicate ACK. *)
+let run_losing ~lost =
+  let engine = Engine.create ~seed:6 () in
+  let sender_cell = ref None and dropped = ref false in
+  let inject pkt =
+    if pkt.Packet.seq = lost && not !dropped then dropped := true
+    else
+      ignore
+        (Engine.schedule_after ~prio:(Evprio.arrival pkt.Packet.flow) engine ~delay:0.05 (fun () ->
+             Option.iter (fun sender -> Sender.on_delivery sender pkt) !sender_cell))
+  in
+  let sender = Sender.create engine Sender.default_config ~inject in
+  sender_cell := Some sender;
+  Sender.start sender;
+  Engine.run ~until:2.0 engine;
+  sender
+
+(* Fast retransmit fires on the third duplicate ACK, not the second. *)
+let fast_retransmit_at_three_dupacks () =
+  let three = run_losing ~lost:3 in
+  Alcotest.(check int) "three dupacks: one retransmission" 1 (Sender.retransmissions three);
+  Alcotest.(check int) "three dupacks: no timeout" 0 (Sender.timeouts three);
+  let two = run_losing ~lost:2 in
+  Alcotest.(check int) "two dupacks: one retransmission" 1 (Sender.retransmissions two);
+  Alcotest.(check int) "two dupacks: the timer repairs it" 1 (Sender.timeouts two);
+  Alcotest.(check bool) "both runs move past the hole" true
+    (Sender.delivered three > 10 && Sender.delivered two > 10)
+
 let tcp_extra_suite =
   [
     ("cubic timeout", `Quick, cubic_timeout_collapses);
     ("newreno backlog", `Quick, newreno_backlog_exact);
     ("sender traces", `Quick, sender_traces_nonempty);
     ("sender journal follows the sink", `Quick, sender_journal_follows_the_sink);
+    ("fast retransmit at three dupacks", `Quick, fast_retransmit_at_three_dupacks);
   ]
 
 let suite = suite @ tcp_extra_suite
