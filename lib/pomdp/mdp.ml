@@ -31,6 +31,12 @@ let validate t =
     loop 0 0
   end
 
+(* Every solve discounts by 0.95 per step and stops once the Bellman
+   residual is at most 1e-9, or after 100,000 sweeps. *)
+let discount = 0.95
+let epsilon = 1e-9
+let max_iterations = 100_000
+
 type solution = {
   values : float array;
   policy : int array;
@@ -38,17 +44,17 @@ type solution = {
   residual : float;
 }
 
-let q_value t ~discount ~values s a =
+let q_value t ~values s a =
   let future =
     List.fold_left (fun acc (s', p) -> acc +. (p *. values.(s'))) 0.0 (t.transition s a)
   in
   t.reward s a +. (discount *. future)
 
-let greedy ?(discount = 0.95) t ~values =
+let greedy t ~values =
   Array.init t.states (fun s ->
       let best_a = ref 0 and best_q = ref neg_infinity in
       for a = 0 to t.actions - 1 do
-        let q = q_value t ~discount ~values s a in
+        let q = q_value t ~values s a in
         if q > !best_q then begin
           best_q := q;
           best_a := a
@@ -56,14 +62,12 @@ let greedy ?(discount = 0.95) t ~values =
       done;
       !best_a)
 
-let value_iteration ?(discount = 0.95) ?(epsilon = 1e-9) ?(max_iterations = 100_000) t =
+let value_iteration t =
   let () =
     match validate t with
     | Ok () -> ()
     | Error msg -> invalid_arg ("Mdp.value_iteration: " ^ msg)
   in
-  if discount < 0.0 || discount >= 1.0 then
-    invalid_arg "Mdp.value_iteration: discount must be in [0, 1)";
   let values = Array.make t.states 0.0 in
   let residual = ref infinity in
   let iterations = ref 0 in
@@ -72,23 +76,23 @@ let value_iteration ?(discount = 0.95) ?(epsilon = 1e-9) ?(max_iterations = 100_
     for s = 0 to t.states - 1 do
       let best = ref neg_infinity in
       for a = 0 to t.actions - 1 do
-        best := Float.max !best (q_value t ~discount ~values s a)
+        best := Float.max !best (q_value t ~values s a)
       done;
       residual := Float.max !residual (Float.abs (!best -. values.(s)));
       values.(s) <- !best
     done;
     incr iterations
   done;
-  let policy = greedy ~discount t ~values in
+  let policy = greedy t ~values in
   { values; policy; iterations = !iterations; residual = !residual }
 
-let evaluate_policy ?(discount = 0.95) ?(epsilon = 1e-9) t ~policy =
+let evaluate_policy t ~policy =
   let values = Array.make t.states 0.0 in
   let residual = ref infinity in
   while !residual > epsilon do
     residual := 0.0;
     for s = 0 to t.states - 1 do
-      let v = q_value t ~discount ~values s policy.(s) in
+      let v = q_value t ~values s policy.(s) in
       residual := Float.max !residual (Float.abs (v -. values.(s)));
       values.(s) <- v
     done

@@ -5,7 +5,10 @@
     states, there will be a policy that can be computed in advance that
     prescribes the utility-maximizing behavior." This module provides the
     machinery: finite MDPs with value iteration and policy extraction.
-    {!Sender_mdp} discretizes the transmission problem onto it. *)
+    {!Sender_mdp} discretizes the transmission problem onto it, and is
+    the one problem solved here, so the solvers fix their constants: a
+    discount of 0.95 per step, and a stop once the Bellman residual is
+    at most 1e-9 (value iteration also stops after 100,000 sweeps). *)
 
 type t = {
   states : int;  (** States are [0 .. states-1]. *)
@@ -25,15 +28,12 @@ type solution = {
   residual : float;  (** Final Bellman residual (sup norm). *)
 }
 
-val value_iteration : ?discount:float -> ?epsilon:float -> ?max_iterations:int -> t -> solution
-(** Standard value iteration. [discount] defaults to 0.95, [epsilon]
-    (stop when the residual drops below it) to 1e-9, [max_iterations] to
-    100_000.
-    @raise Invalid_argument if the MDP fails {!validate} or
-    [discount] is outside [0, 1). *)
+val value_iteration : t -> solution
+(** Standard value iteration.
+    @raise Invalid_argument if the MDP fails {!validate}. *)
 
-val evaluate_policy : ?discount:float -> ?epsilon:float -> t -> policy:int array -> float array
+val evaluate_policy : t -> policy:int array -> float array
 (** Iterative policy evaluation: the value of following [policy]. *)
 
-val greedy : ?discount:float -> t -> values:float array -> int array
+val greedy : t -> values:float array -> int array
 (** One-step lookahead policy with respect to [values]. *)

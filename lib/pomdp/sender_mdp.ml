@@ -1,11 +1,15 @@
 type config = {
-  capacity : int;
   cross_prob : float;
   alpha : float;
-  delay_discount : float;
 }
 
-let default = { capacity = 8; cross_prob = 0.7; alpha = 1.0; delay_discount = 0.98 }
+let default = { cross_prob = 0.7; alpha = 1.0 }
+
+(* The queue holds 8 packets; a packet admitted behind [s] others is
+   worth [delay_discount ** s]. *)
+let capacity = 8
+let delay_discount = 0.98
+
 let action_idle = 0
 let action_send = 1
 
@@ -17,38 +21,30 @@ let action_send = 1
    Rewards are credited at admission, discounted by the occupancy the
    packet queues behind. *)
 let make config =
-  if config.capacity < 1 then invalid_arg "Sender_mdp.make: capacity must be >= 1";
   if config.cross_prob < 0.0 || config.cross_prob > 1.0 then
     invalid_arg "Sender_mdp.make: cross_prob must be in [0, 1]";
-  if config.delay_discount <= 0.0 || config.delay_discount > 1.0 then
-    invalid_arg "Sender_mdp.make: delay_discount must be in (0, 1]";
-  let states = config.capacity + 1 in
-  let after_send s send = if send && s < config.capacity then s + 1 else s in
+  let states = capacity + 1 in
+  let after_send s send = if send && s < capacity then s + 1 else s in
   let transition s a =
     let s1 = after_send s (a = action_send) in
     let depart occupancy = Stdlib.max 0 (occupancy - 1) in
-    let with_cross = depart (Stdlib.min config.capacity (s1 + 1)) in
+    let with_cross = depart (Stdlib.min capacity (s1 + 1)) in
     let without_cross = depart s1 in
     if with_cross = without_cross then [ (with_cross, 1.0) ]
     else [ (with_cross, config.cross_prob); (without_cross, 1.0 -. config.cross_prob) ]
   in
   let reward s a =
-    let own =
-      if a = action_send && s < config.capacity then
-        config.delay_discount ** float_of_int s
-      else 0.0
-    in
+    let own = if a = action_send && s < capacity then delay_discount ** float_of_int s else 0.0 in
     let s1 = after_send s (a = action_send) in
     let cross =
-      if s1 < config.capacity then
-        config.cross_prob *. config.alpha *. (config.delay_discount ** float_of_int s1)
+      if s1 < capacity then config.cross_prob *. config.alpha *. (delay_discount ** float_of_int s1)
       else 0.0 (* arriving cross packet would be tail-dropped *)
     in
     own +. cross
   in
   { Mdp.states; actions = 2; transition; reward }
 
-let solve ?discount config = Mdp.value_iteration ?discount (make config)
+let solve config = Mdp.value_iteration (make config)
 
 let send_threshold (solution : Mdp.solution) =
   let policy = solution.Mdp.policy in

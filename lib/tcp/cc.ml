@@ -2,12 +2,18 @@ type t = {
   name : string;
   cwnd : unit -> float;
   ssthresh : unit -> float;
-  on_ack : newly_acked:int -> rtt:float -> now:float -> unit;
-  on_loss_event : now:float -> unit;
-  on_timeout : now:float -> unit;
+  on_ack : newly_acked:int -> rtt:float -> unit;
+  on_loss_event : unit -> unit;
+  on_timeout : unit -> unit;
 }
 
+(* Every variant starts at one packet and never drops below it. *)
+let initial_cwnd = 1.0
 let min_cwnd = 1.0
+
+(* Vegas's target queue: between 2 and 4 packets. *)
+let vegas_alpha = 2.0
+let vegas_beta = 4.0
 
 (* Shared AIMD core: slow start below ssthresh (+1 per acked packet),
    congestion avoidance above (+1/cwnd per acked packet). *)
@@ -16,7 +22,7 @@ let aimd_growth cwnd ssthresh ~newly_acked =
   if !cwnd < !ssthresh then cwnd := !cwnd +. n
   else cwnd := !cwnd +. (n /. !cwnd)
 
-let tahoe ?(initial_cwnd = 1.0) () =
+let tahoe () =
   let cwnd = ref initial_cwnd in
   let ssthresh = ref infinity in
   let collapse () =
@@ -27,82 +33,34 @@ let tahoe ?(initial_cwnd = 1.0) () =
     name = "tahoe";
     cwnd = (fun () -> !cwnd);
     ssthresh = (fun () -> !ssthresh);
-    on_ack = (fun ~newly_acked ~rtt:_ ~now:_ -> aimd_growth cwnd ssthresh ~newly_acked);
-    on_loss_event = (fun ~now:_ -> collapse ());
-    on_timeout = (fun ~now:_ -> collapse ());
+    on_ack = (fun ~newly_acked ~rtt:_ -> aimd_growth cwnd ssthresh ~newly_acked);
+    on_loss_event = collapse;
+    on_timeout = collapse;
   }
 
-let reno ?(initial_cwnd = 1.0) () =
+let reno () =
   let cwnd = ref initial_cwnd in
   let ssthresh = ref infinity in
   {
     name = "reno";
     cwnd = (fun () -> !cwnd);
     ssthresh = (fun () -> !ssthresh);
-    on_ack = (fun ~newly_acked ~rtt:_ ~now:_ -> aimd_growth cwnd ssthresh ~newly_acked);
+    on_ack = (fun ~newly_acked ~rtt:_ -> aimd_growth cwnd ssthresh ~newly_acked);
     on_loss_event =
-      (fun ~now:_ ->
+      (fun () ->
         ssthresh := Float.max (!cwnd /. 2.0) 2.0;
         cwnd := !ssthresh);
     on_timeout =
-      (fun ~now:_ ->
+      (fun () ->
         ssthresh := Float.max (!cwnd /. 2.0) 2.0;
         cwnd := min_cwnd);
   }
 
-let cubic ?(initial_cwnd = 1.0) () =
-  let beta = 0.7 and c = 0.4 in
-  let cwnd = ref initial_cwnd in
-  let ssthresh = ref infinity in
-  let w_max = ref initial_cwnd in
-  let epoch_start = ref None in
-  let k = ref 0.0 in
-  let enter_epoch now =
-    epoch_start := Some now;
-    k := Float.cbrt (!w_max *. (1.0 -. beta) /. c)
-  in
-  let on_ack ~newly_acked ~rtt:_ ~now =
-    if !cwnd < !ssthresh then cwnd := !cwnd +. float_of_int newly_acked
-    else begin
-      let () = if !epoch_start = None then enter_epoch now in
-      let t0 =
-        match !epoch_start with
-        | Some t0 -> t0
-        | None -> assert false
-      in
-      let t = now -. t0 in
-      let target = (c *. ((t -. !k) ** 3.0)) +. !w_max in
-      (* Approach the cubic target over roughly one RTT worth of ACKs. *)
-      if target > !cwnd then cwnd := !cwnd +. ((target -. !cwnd) /. !cwnd *. float_of_int newly_acked)
-      else cwnd := !cwnd +. (0.01 *. float_of_int newly_acked /. !cwnd)
-    end
-  in
-  let on_loss_event ~now:_ =
-    w_max := !cwnd;
-    cwnd := Float.max min_cwnd (!cwnd *. beta);
-    ssthresh := !cwnd;
-    epoch_start := None
-  in
-  let on_timeout ~now:_ =
-    w_max := !cwnd;
-    ssthresh := Float.max (!cwnd *. beta) 2.0;
-    cwnd := min_cwnd;
-    epoch_start := None
-  in
-  {
-    name = "cubic";
-    cwnd = (fun () -> !cwnd);
-    ssthresh = (fun () -> !ssthresh);
-    on_ack;
-    on_loss_event;
-    on_timeout;
-  }
-
-let vegas ?(initial_cwnd = 1.0) ?(alpha = 2.0) ?(beta = 4.0) () =
+let vegas () =
   let cwnd = ref initial_cwnd in
   let ssthresh = ref infinity in
   let base_rtt = ref infinity in
-  let on_ack ~newly_acked ~rtt ~now:_ =
+  let on_ack ~newly_acked ~rtt =
     if rtt > 0.0 then base_rtt := Float.min !base_rtt rtt;
     let n = float_of_int newly_acked in
     if !base_rtt = infinity || rtt <= 0.0 then aimd_growth cwnd ssthresh ~newly_acked
@@ -110,8 +68,8 @@ let vegas ?(initial_cwnd = 1.0) ?(alpha = 2.0) ?(beta = 4.0) () =
       (* diff: packets held in queues = cwnd * (1 - baseRTT/rtt). *)
       let diff = !cwnd *. (1.0 -. (!base_rtt /. rtt)) in
       if !cwnd < !ssthresh && diff < 1.0 then cwnd := !cwnd +. n
-      else if diff < alpha then cwnd := !cwnd +. (n /. !cwnd)
-      else if diff > beta then cwnd := Float.max min_cwnd (!cwnd -. (n /. !cwnd))
+      else if diff < vegas_alpha then cwnd := !cwnd +. (n /. !cwnd)
+      else if diff > vegas_beta then cwnd := Float.max min_cwnd (!cwnd -. (n /. !cwnd))
     end
   in
   {
@@ -120,11 +78,11 @@ let vegas ?(initial_cwnd = 1.0) ?(alpha = 2.0) ?(beta = 4.0) () =
     ssthresh = (fun () -> !ssthresh);
     on_ack;
     on_loss_event =
-      (fun ~now:_ ->
+      (fun () ->
         ssthresh := Float.max (!cwnd /. 2.0) 2.0;
         cwnd := !ssthresh);
     on_timeout =
-      (fun ~now:_ ->
+      (fun () ->
         ssthresh := Float.max (!cwnd /. 2.0) 2.0;
         cwnd := min_cwnd);
   }

@@ -1,15 +1,16 @@
+(* Initial timeout, floor and ceiling, in seconds. *)
+let initial_rto = 1.0
+let min_rto = 0.2
+let max_rto = 60.0
+
 type t = {
-  min_rto : float;
-  max_rto : float;
   mutable srtt : float option;
   mutable rttvar : float;
   mutable rto : float;
 }
 
-let create ?(initial_rto = 1.0) ?(min_rto = 0.2) ?(max_rto = 60.0) () =
-  { min_rto; max_rto; srtt = None; rttvar = 0.0; rto = initial_rto }
-
-let clamp t value = Float.max t.min_rto (Float.min t.max_rto value)
+let create () = { srtt = None; rttvar = 0.0; rto = initial_rto }
+let clamp value = Float.max min_rto (Float.min max_rto value)
 
 let observe t ~rtt =
   let () =
@@ -23,10 +24,10 @@ let observe t ~rtt =
       t.srtt <- Some ((0.875 *. srtt) +. (0.125 *. rtt))
   in
   match t.srtt with
-  | Some srtt -> t.rto <- clamp t (srtt +. Float.max 0.001 (4.0 *. t.rttvar))
+  | Some srtt -> t.rto <- clamp (srtt +. Float.max 0.001 (4.0 *. t.rttvar))
   | None -> ()
 
-let on_timeout t = t.rto <- clamp t (t.rto *. 2.0)
+let on_timeout t = t.rto <- clamp (t.rto *. 2.0)
 let rto t = t.rto
 let srtt t = t.srtt
 let rttvar t = if t.srtt = None then None else Some t.rttvar

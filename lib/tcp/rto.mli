@@ -3,20 +3,19 @@
     srtt and rttvar are the smoothed round-trip time and its linear
     deviation — exactly the "average estimates ... without attempting to
     quantify their uncertainty" that the paper contrasts its approach
-    with (§3). *)
+    with (§3). The timeout starts at 1 s and stays between 0.2 s (common
+    practice; the RFC floor is 1 s) and 60 s. *)
 
 type t
 
-val create : ?initial_rto:float -> ?min_rto:float -> ?max_rto:float -> unit -> t
-(** Defaults: initial 1 s, min 0.2 s (common practice; RFC floor is 1 s),
-    max 60 s. *)
+val create : unit -> t
 
 val observe : t -> rtt:float -> unit
 (** Feed a round-trip sample from a non-retransmitted segment (Karn's
     algorithm: never sample retransmissions). *)
 
 val on_timeout : t -> unit
-(** Exponential backoff: doubles the timeout (clamped to max). *)
+(** Exponential backoff: doubles the timeout (clamped to 60 s). *)
 
 val rto : t -> float
 

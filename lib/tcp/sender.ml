@@ -4,22 +4,15 @@ module Tb = Utc_sim.Timebase
 
 type config = {
   flow : Flow.t;
-  bits : int;
   make_cc : unit -> Cc.t;
-  dupack_threshold : int;
-  newreno : bool;
-  backlog : int option;
 }
 
-let default_config =
-  {
-    flow = Flow.Primary;
-    bits = Packet.default_bits;
-    make_cc = (fun () -> Cc.reno ());
-    dupack_threshold = 3;
-    newreno = false;
-    backlog = None;
-  }
+let default_config = { flow = Flow.Primary; make_cc = (fun () -> Cc.reno ()) }
+
+(* Every segment is the 1,500-byte packet of the §4 experiment; the third
+   duplicate ACK signals a loss. *)
+let segment_bits = Packet.default_bits
+let dupack_threshold = 3
 
 type seg_state = {
   mutable first_sent : Tb.t;
@@ -42,7 +35,6 @@ type t = {
   mutable high_ack : int; (* highest cumulative ACK seen *)
   mutable dupacks : int;
   mutable in_recovery : bool;
-  mutable recovery_point : int;
   mutable timer : Engine.handle option;
   mutable sent_total : int;
   mutable retransmissions : int;
@@ -66,7 +58,6 @@ let create engine config ~inject =
     high_ack = 0;
     dupacks = 0;
     in_recovery = false;
-    recovery_point = 0;
     timer = None;
     sent_total = 0;
     retransmissions = 0;
@@ -96,11 +87,6 @@ let sample_cwnd t now =
   | [] -> ()
   | watchers -> notify_cwnd now (cwnd t) watchers
 
-let backlog_exhausted t =
-  match t.config.backlog with
-  | None -> false
-  | Some n -> t.snd_nxt >= n
-
 let sends_c = Utc_obs.Metrics.counter "tcp.sender.sends"
 let retransmissions_c = Utc_obs.Metrics.counter "tcp.sender.retransmissions"
 let timeouts_c = Utc_obs.Metrics.counter "tcp.sender.timeouts"
@@ -117,13 +103,13 @@ let transmit t seq ~retransmission =
     t.retransmissions <- t.retransmissions + 1;
     Utc_obs.Metrics.incr retransmissions_c
   end;
-  let pkt = Packet.make ~bits:t.config.bits ~flow:t.config.flow ~seq ~sent_at:now () in
+  let pkt = Packet.make ~bits:segment_bits ~flow:t.config.flow ~seq ~sent_at:now () in
   Utc_obs.Metrics.incr sends_c;
   if Utc_obs.Sink.enabled () then
     Utc_obs.Sink.record
       ~flow:(Flow.to_string t.config.flow)
       ~at:now
-      (Utc_obs.Event.Packet_send { seq; bits = t.config.bits });
+      (Utc_obs.Event.Packet_send { seq; bits = segment_bits });
   t.inject pkt
 
 let cancel_timer t =
@@ -153,7 +139,7 @@ and on_timeout t =
         ~at:(Engine.now t.engine)
         (Utc_obs.Event.Timeout { seq = t.high_ack });
     Rto.on_timeout t.rto;
-    t.cc.Cc.on_timeout ~now:(Engine.now t.engine);
+    t.cc.Cc.on_timeout ();
     t.in_recovery <- false;
     t.dupacks <- 0;
     (* Go-back-N: rewind the send pointer to the hole and retransmit
@@ -168,7 +154,7 @@ and on_timeout t =
 
 let rec fill_window t =
   let allowance = cwnd t +. float_of_int (if t.in_recovery then t.dupacks else 0) in
-  if (not (backlog_exhausted t)) && float_of_int (in_flight t) +. 1.0 <= allowance then begin
+  if float_of_int (in_flight t) +. 1.0 <= allowance then begin
     transmit t t.snd_nxt ~retransmission:(t.snd_nxt < t.snd_max);
     t.snd_nxt <- t.snd_nxt + 1;
     t.snd_max <- Stdlib.max t.snd_max t.snd_nxt;
@@ -200,38 +186,20 @@ let on_ack t ack =
     done;
     t.high_ack <- ack;
     t.snd_nxt <- Stdlib.max t.snd_nxt ack;
-    if t.in_recovery then begin
-      if ack >= t.recovery_point then begin
-        t.in_recovery <- false;
-        t.dupacks <- 0
-      end
-      else if t.config.newreno then begin
-        (* NewReno partial ACK: the next hole was also lost; retransmit
-           it immediately, deflate the dupack inflation, stay in
-           recovery (RFC 6582). *)
-        t.dupacks <- 0;
-        transmit t ack ~retransmission:true
-      end
-      else begin
-        (* Classic Reno leaves fast recovery on the first new ACK
-           (RFC 5681); remaining holes cost further dupack episodes or a
-           timeout. *)
-        t.in_recovery <- false;
-        t.dupacks <- 0
-      end
-    end
-    else t.dupacks <- 0;
-    t.cc.Cc.on_ack ~newly_acked ~rtt:(Option.value rtt_sample ~default:0.0) ~now;
+    (* Classic Reno leaves fast recovery on the first new ACK (RFC 5681);
+       remaining holes cost further dupack episodes or a timeout. *)
+    t.in_recovery <- false;
+    t.dupacks <- 0;
+    t.cc.Cc.on_ack ~newly_acked ~rtt:(Option.value rtt_sample ~default:0.0);
     sample_cwnd t now;
     arm_timer t;
     fill_window t
   end
   else if in_flight t > 0 then begin
     t.dupacks <- t.dupacks + 1;
-    if (not t.in_recovery) && t.dupacks >= t.config.dupack_threshold then begin
+    if (not t.in_recovery) && t.dupacks >= dupack_threshold then begin
       t.in_recovery <- true;
-      t.recovery_point <- t.snd_max;
-      t.cc.Cc.on_loss_event ~now;
+      t.cc.Cc.on_loss_event ();
       sample_cwnd t now;
       transmit t t.high_ack ~retransmission:true;
       arm_timer t

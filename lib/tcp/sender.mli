@@ -1,27 +1,24 @@
 (** A classic TCP-style reliable sender over the simulated network.
 
-    Window-based transmission with cumulative ACKs, fast retransmit on
-    three duplicate ACKs (optionally NewReno partial-ACK recovery), and a
-    Jacobson/Karn retransmission timer — the architecture the paper uses
-    as its baseline and foil. The receiver half lives here too: wire
-    {!on_delivery} to the flow's deliveries and the receiver acknowledges
-    instantly over the lossless return path, mirroring the ISender's
-    setup so comparisons are apples-to-apples.
+    An unbounded download of 1,500-byte segments, window-based with
+    cumulative ACKs, fast retransmit on the third duplicate ACK, fast
+    recovery that ends on the first new ACK (classic Reno, RFC 5681),
+    and a Jacobson/Karn retransmission timer ({!Rto}) — the architecture
+    the paper uses as its baseline and foil. The receiver half lives
+    here too: wire {!on_delivery} to the flow's deliveries and the
+    receiver acknowledges instantly over the lossless return path,
+    mirroring the ISender's setup so comparisons are apples-to-apples.
 
     Packets carry the stream sequence number in [Packet.seq]; a
     retransmission reuses the sequence number. *)
 
 type config = {
   flow : Utc_net.Flow.t;
-  bits : int;  (** Segment size. *)
-  make_cc : unit -> Cc.t;
-  dupack_threshold : int;  (** Default 3. *)
-  newreno : bool;  (** Partial-ACK retransmission during recovery. *)
-  backlog : int option;  (** Packets to send; [None] = unbounded download. *)
+  make_cc : unit -> Cc.t;  (** The window rule. *)
 }
 
 val default_config : config
-(** Reno, unbounded download, 1500-byte segments. *)
+(** The primary flow, {!Cc.reno}. *)
 
 type t
 

@@ -5,7 +5,7 @@ module Sender_mdp = Utc_pomdp.Sender_mdp
 (* A 2-state chain with a known closed-form solution: action 0 stays
    (reward 0), action 1 moves to the absorbing state 1 (reward 1 once);
    state 1 is absorbing with reward 0. Optimal: move immediately;
-   V(0) = 1, V(1) = 0. *)
+   V(0) = 1, V(1) = 0, whatever the discount. *)
 let tiny =
   {
     Mdp.states = 2;
@@ -21,22 +21,22 @@ let tiny =
   }
 
 let value_iteration_tiny () =
-  let solution = Mdp.value_iteration ~discount:0.9 tiny in
+  let solution = Mdp.value_iteration tiny in
   Alcotest.(check (float 1e-6)) "V(0)" 1.0 solution.Mdp.values.(0);
   Alcotest.(check (float 1e-6)) "V(1)" 0.0 solution.Mdp.values.(1);
   Alcotest.(check int) "policy moves" 1 solution.Mdp.policy.(0);
   Alcotest.(check bool) "converged" true (solution.Mdp.residual < 1e-8)
 
 let policy_evaluation_matches () =
-  let solution = Mdp.value_iteration ~discount:0.9 tiny in
-  let values = Mdp.evaluate_policy ~discount:0.9 tiny ~policy:solution.Mdp.policy in
+  let solution = Mdp.value_iteration tiny in
+  let values = Mdp.evaluate_policy tiny ~policy:solution.Mdp.policy in
   Array.iteri
     (fun s v -> Alcotest.(check (float 1e-6)) (Printf.sprintf "V(%d)" s) solution.Mdp.values.(s) v)
     values
 
 let greedy_of_optimal_is_optimal () =
-  let solution = Mdp.value_iteration ~discount:0.9 tiny in
-  let policy = Mdp.greedy ~discount:0.9 tiny ~values:solution.Mdp.values in
+  let solution = Mdp.value_iteration tiny in
+  let policy = Mdp.greedy tiny ~values:solution.Mdp.values in
   Alcotest.(check bool) "greedy = optimal" true (policy = solution.Mdp.policy)
 
 let validate_catches_bad_mdp () =
@@ -47,7 +47,7 @@ let validate_catches_bad_mdp () =
 
 let suboptimal_policy_is_worse () =
   let stay = [| 0; 0 |] in
-  let values = Mdp.evaluate_policy ~discount:0.9 tiny ~policy:stay in
+  let values = Mdp.evaluate_policy tiny ~policy:stay in
   Alcotest.(check (float 1e-6)) "staying earns nothing" 0.0 values.(0)
 
 (* --- the transmission MDP --- *)
@@ -61,10 +61,12 @@ let sender_mdp_valid () =
       | Error msg -> Alcotest.failf "invalid MDP at alpha=%g: %s" alpha msg)
     [ 0.0; 1.0; 5.0 ]
 
+(* The queue's capacity: its largest occupancy. *)
+let capacity = (Sender_mdp.make Sender_mdp.default).Mdp.states - 1
+
 let selfish_policy_always_sends () =
   let solution = Sender_mdp.solve { Sender_mdp.default with Sender_mdp.alpha = 0.0 } in
-  Alcotest.(check int) "sends at every occupancy below capacity"
-    Sender_mdp.default.Sender_mdp.capacity
+  Alcotest.(check int) "sends at every occupancy below capacity" capacity
     (Sender_mdp.send_threshold solution)
 
 let threshold_monotone_in_alpha () =
@@ -84,10 +86,9 @@ let threshold_monotone_in_alpha () =
     (List.nth ts 4 < List.nth ts 0)
 
 let no_cross_traffic_means_no_deference () =
-  let config = { Sender_mdp.default with Sender_mdp.cross_prob = 0.0; alpha = 10.0 } in
-  let solution = Sender_mdp.solve config in
-  Alcotest.(check int) "alpha irrelevant without cross traffic"
-    config.Sender_mdp.capacity (Sender_mdp.send_threshold solution)
+  let solution = Sender_mdp.solve { Sender_mdp.cross_prob = 0.0; alpha = 10.0 } in
+  Alcotest.(check int) "alpha irrelevant without cross traffic" capacity
+    (Sender_mdp.send_threshold solution)
 
 let policy_pp_smoke () =
   let text = Format.asprintf "%a" Sender_mdp.pp_policy (Sender_mdp.solve Sender_mdp.default) in
