@@ -384,14 +384,17 @@ let systematic_resample rng ~n logw =
   (drawn, Array.map (fun i -> log (float_of_int counts.(i) /. float_of_int n)) drawn)
 
 (* The positions in [logw] the cap policy keeps, with their new
-   log-weights: [`Top_k] the [max_hyps] heaviest, heaviest first;
+   log-weights and whether they are already heaviest first: [`Top_k]
+   the [max_hyps] heaviest, heaviest first with ties in position order;
    [`Resample] a systematic resample, in position order. *)
 let cap t logw =
   match t.cap_policy with
   | `Top_k ->
     let top = Array.sub (sorted_order logw) 0 t.max_hyps in
-    (top, Array.map (fun i -> logw.(i)) top)
-  | `Resample rng -> systematic_resample rng ~n:t.max_hyps logw
+    (top, Array.map (fun i -> logw.(i)) top, true)
+  | `Resample rng ->
+    let drawn, w = systematic_resample rng ~n:t.max_hyps logw in
+    (drawn, w, false)
 
 (* --- compaction --- *)
 
@@ -507,7 +510,9 @@ let absorb (s : _ store) slots ~parent ~state ~state_hash ~carried ~probe logw =
    its columns are made from immediates or [no_state] and filled, and
    params, models and labels are read from the parent store through the
    slots' parents. The second normalization runs even when nothing was
-   capped: its [x -. z] can change bits. *)
+   capped: its [x -. z] can change bits. It is monotone, so a [`Top_k]
+   cap's order, heaviest first with ties in position order, is already
+   the final order, and only an uncapped or resampled store is sorted. *)
 (* lint:hotpath -- once per step, over every slot *)
 let compact t (s : _ store) slots =
   let lw = slots.weights in
@@ -524,17 +529,17 @@ let compact t (s : _ store) slots =
   match normalized w with
   | None -> empty_store ()
   | Some w -> (
-    let kept, w =
-      if Array.length w <= t.max_hyps then (kept, w)
+    let kept, w, heaviest_first =
+      if Array.length w <= t.max_hyps then (kept, w, false)
       else begin
-        let capped, w = cap t w in
-        (Array.map (fun i -> kept.(i)) capped, w)
+        let capped, w, heaviest_first = cap t w in
+        (Array.map (fun i -> kept.(i)) capped, w, heaviest_first)
       end
     in
     match normalized w with
     | None -> empty_store ()
     | Some w ->
-      let order = sorted_order w in
+      let order = if heaviest_first then Array.init (Array.length w) Fun.id else sorted_order w in
       let m = Array.length order in
       let parents = Array.make m 0 in
       let states = Array.make m no_state in

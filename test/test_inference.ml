@@ -922,9 +922,28 @@ let robustness_suite =
 
 let suite = suite @ robustness_suite
 
+(* A resampled cap keeps its draw in position order, so compaction must
+   sort it: with these weights a lighter hypothesis can draw more copies
+   than a heavier one, as it does at some of these resampling seeds. *)
+let resample_cap_sorted () =
+  let weights = [ 0.3; 0.29; 0.2; 0.11; 0.09; 0.01 ] in
+  let seeds =
+    List.mapi (fun i w -> seed_of { rate = 1_000.0 *. float_of_int (i + 1); fill = 0 } w) weights
+  in
+  for seed = 1 to 20 do
+    let belief =
+      Belief.create ~max_hyps:5 ~cap_policy:(`Resample (Utc_sim.Rng.create ~seed)) seeds
+    in
+    let kept = Belief.support (Belief.advance belief ~sends:[] ~now:0.5 ()) in
+    let logw = List.map (fun h -> h.Belief.logw) kept in
+    if List.stable_sort (fun a b -> Float.compare b a) logw <> logw then
+      Alcotest.failf "seed %d: resampled support not heaviest first" seed
+  done
+
 let suite =
   suite
   @ [
       ("step forces no minor collection", `Quick, step_forces_no_minor_collection);
       QCheck_alcotest.to_alcotest create_sort_prop;
+      ("compaction sorts a resampled cap", `Quick, resample_cap_sorted);
     ]
