@@ -180,7 +180,6 @@ let sender_cumulative_ack_monotone () =
     (Sender.delivered sender <= Sender.sent_count sender);
   Alcotest.(check bool) "in flight non-negative" true (Sender.in_flight sender >= 0)
 
-(* The name predates CUBIC's removal; it runs Vegas and Tahoe. *)
 let cubic_and_vegas_run () =
   List.iter
     (fun make_cc ->
