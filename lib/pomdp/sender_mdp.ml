@@ -19,9 +19,11 @@ let action_send = 1
       admitted when there is still room, else dropped;
    3. one packet departs if the queue is non-empty.
    Rewards are credited at admission, discounted by the occupancy the
-   packet queues behind. *)
-let make config =
-  if config.cross_prob < 0.0 || config.cross_prob > 1.0 then
+   packet queues behind. The fields are read once: [config] is an
+   all-float record, stored unboxed, so reading [cross_prob] into
+   [transition]'s list would box it on every call. *)
+let make { cross_prob; alpha } =
+  if cross_prob < 0.0 || cross_prob > 1.0 then
     invalid_arg "Sender_mdp.make: cross_prob must be in [0, 1]";
   let states = capacity + 1 in
   let after_send s send = if send && s < capacity then s + 1 else s in
@@ -31,13 +33,13 @@ let make config =
     let with_cross = depart (Stdlib.min capacity (s1 + 1)) in
     let without_cross = depart s1 in
     if with_cross = without_cross then [ (with_cross, 1.0) ]
-    else [ (with_cross, config.cross_prob); (without_cross, 1.0 -. config.cross_prob) ]
+    else [ (with_cross, cross_prob); (without_cross, 1.0 -. cross_prob) ]
   in
   let reward s a =
     let own = if a = action_send && s < capacity then delay_discount ** float_of_int s else 0.0 in
     let s1 = after_send s (a = action_send) in
     let cross =
-      if s1 < capacity then config.cross_prob *. config.alpha *. (delay_discount ** float_of_int s1)
+      if s1 < capacity then cross_prob *. alpha *. (delay_discount ** float_of_int s1)
       else 0.0 (* arriving cross packet would be tail-dropped *)
     in
     own +. cross
