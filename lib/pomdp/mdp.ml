@@ -31,8 +31,6 @@ let validate t =
     loop 0 0
   end
 
-(* Every solve discounts by 0.95 per step and stops once the Bellman
-   residual is at most 1e-9, or after 100,000 sweeps. *)
 let discount = 0.95
 let epsilon = 1e-9
 let max_iterations = 100_000

@@ -7,7 +7,6 @@ type t = {
   on_timeout : unit -> unit;
 }
 
-(* Every variant starts at one packet and never drops below it. *)
 let initial_cwnd = 1.0
 let min_cwnd = 1.0
 

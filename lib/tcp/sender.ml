@@ -9,8 +9,7 @@ type config = {
 
 let default_config = { flow = Flow.Primary; make_cc = (fun () -> Cc.reno ()) }
 
-(* Every segment is the 1,500-byte packet of the §4 experiment; the third
-   duplicate ACK signals a loss. *)
+(* The 1,500-byte packet of the §4 experiment. *)
 let segment_bits = Packet.default_bits
 let dupack_threshold = 3
 
