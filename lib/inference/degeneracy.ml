@@ -38,8 +38,6 @@ let ess_ratio belief =
   let size = Belief.size belief in
   if size = 0 then 0.0 else Belief.ess belief /. float_of_int size
 
-let signals_c = Utc_obs.Metrics.counter "inference.degeneracy.signals"
-
 let observe t belief (status : Belief.update_status) =
   (match status with
   | Belief.All_rejected ->
@@ -57,7 +55,6 @@ let observe t belief (status : Belief.update_status) =
       Weight_concentration :: signals
     else signals
   in
-  Utc_obs.Metrics.add signals_c (List.length signals);
   if Utc_obs.Sink.enabled () then
     List.iter
       (fun s ->
