@@ -132,3 +132,114 @@ let dataio_suite =
   ]
 
 let suite = suite @ dataio_suite
+
+(* --- Dashboard --- *)
+
+module Dashboard = Utc_stats.Dashboard
+
+(* A journal that fills every panel of a [utc top] frame: two flows'
+   sends, ACKs and a drop, two belief updates for the sparkline, a
+   recovery transition, and one line that is not JSON. *)
+let dashboard_journal =
+  [
+    {|{"t":0,"n":0,"event":"span_begin","path":"engine.run"}|};
+    {|{"t":0,"n":1,"event":"packet_send","flow":"primary","seq":0,"bits":12000}|};
+    {|{"t":0.5,"n":2,"event":"packet_send","flow":"aux0","seq":0,"bits":8000}|};
+    {|{"t":1,"n":3,"event":"packet_ack","flow":"primary","seq":0}|};
+    {|{"t":1,"n":4,"event":"belief_update","size":64,"entropy":2.5,"ess":40.5,"status":"consistent"}|};
+    {|{"t":2,"n":5,"event":"packet_drop","flow":"aux0","node":"2","reason":"tail_drop","seq":0}|};
+    {|{"t":3,"n":6,"event":"belief_update","size":12,"entropy":1.25,"ess":6.75,"status":"consistent"}|};
+    {|{"t":4,"n":7,"event":"recovery_transition","from":"healthy","to":"suspect","reseeds":0}|};
+    "not a journal line";
+    {|{"t":6,"n":8,"event":"packet_ack","flow":"primary","seq":1}|};
+  ]
+
+(* Everything above the phase-cost panel. The trailing 5 s window holds
+   both primary ACKs: 2 x 12,000 bits / 5 s. *)
+let dashboard_head =
+  String.concat ""
+    [
+      "utc top — 9 journal events, t=[0.000, 6.000]s, window 5.0s\n";
+      "\n";
+      "flow                  sends       acks      drops   goodput(bps)\n";
+      "primary                   1          2          0           4800\n";
+      "aux0                      1          0          1              0\n";
+      "\n";
+      "belief: 12 hypotheses, ess 6.75, entropy 1.250 nats\n";
+      Ascii_plot.render_one ~width:40 ~height:8 ~x_label:"t (s)" ~y_label:"entropy"
+        ~label:"belief.entropy"
+        [ (1.0, 2.5); (3.0, 1.25) ];
+      "\n";
+      "recovery: healthy -> suspect at t=4.000s (reseeds=0)\n";
+    ]
+
+(* A profiled snapshot: self wall cost is a span's wall time less its
+   direct children's (engine.run: 2 - (0.25 + 0.01 + 1.5) = 0.24), and
+   only the 8 costliest of its 9 spans are drawn. *)
+let dashboard_wall_snapshot =
+  {|{"at":6,"counters":{},"gauges":{},"histograms":{},"spans":{|}
+  ^ {|"engine.run":{"calls":1,"sim_seconds":6,"wall_seconds":2,"minor_words":900,"major_words":0},|}
+  ^ {|"engine.run/tcp.on_delivery":{"calls":12,"sim_seconds":0,"wall_seconds":0.25,"minor_words":40,"major_words":0},|}
+  ^ {|"engine.run/tcp.on_timeout":{"calls":1,"sim_seconds":0,"wall_seconds":0.01,"minor_words":2,"major_words":0},|}
+  ^ {|"engine.run/wakeup":{"calls":40,"sim_seconds":0,"wall_seconds":1.5,"minor_words":700,"major_words":0},|}
+  ^ {|"engine.run/wakeup/belief.update":{"calls":40,"sim_seconds":0,"wall_seconds":0.9,"minor_words":400,"major_words":0},|}
+  ^ {|"engine.run/wakeup/belief.update/expand":{"calls":40,"sim_seconds":0,"wall_seconds":0.6,"minor_words":300,"major_words":0},|}
+  ^ {|"engine.run/wakeup/planner.decide":{"calls":55,"sim_seconds":0,"wall_seconds":0.4,"minor_words":200,"major_words":0},|}
+  ^ {|"engine.run/wakeup/planner.decide/price":{"calls":55,"sim_seconds":0,"wall_seconds":0.3,"minor_words":150,"major_words":0},|}
+  ^ {|"engine.run/wakeup/recovery.step":{"calls":3,"sim_seconds":0,"wall_seconds":0.05,"minor_words":5,"major_words":0}}}|}
+
+(* The spans of a snapshot without profile fields (those of `utc metrics
+   paper --seed 1 --duration 30 --json`): self cost falls back to sim
+   time, and ties at 0 are drawn in path order. *)
+let dashboard_sim_snapshot =
+  {|{"at":30,"counters":{"core.isender.wakeups":31},"gauges":{},"histograms":{},"spans":{|}
+  ^ {|"harness.run":{"calls":1,"sim_seconds":30},|}
+  ^ {|"harness.run/engine.run":{"calls":1,"sim_seconds":30},|}
+  ^ {|"harness.run/engine.run/wakeup":{"calls":31,"sim_seconds":0},|}
+  ^ {|"harness.run/engine.run/wakeup/belief.update":{"calls":31,"sim_seconds":0},|}
+  ^ {|"harness.run/engine.run/wakeup/belief.update/compact":{"calls":31,"sim_seconds":0},|}
+  ^ {|"harness.run/engine.run/wakeup/belief.update/expand":{"calls":31,"sim_seconds":0},|}
+  ^ {|"harness.run/engine.run/wakeup/planner.decide":{"calls":40,"sim_seconds":0},|}
+  ^ {|"harness.run/engine.run/wakeup/planner.decide/price":{"calls":40,"sim_seconds":0}}}|}
+
+let dashboard_frame () =
+  let frame ?metrics_json () =
+    Dashboard.render_frame ~width:48 ?metrics_json ~journal_lines:dashboard_journal ()
+  in
+  Alcotest.(check string) "journal only" dashboard_head (frame ());
+  Alcotest.(check string) "wall-clock phase costs"
+    (dashboard_head
+    ^ String.concat "\n"
+        [
+          "";
+          "phase costs (self wall s):";
+          "  engine.run/wakeup/belief.update/expand           0.600000 ################ (40 calls)";
+          "  engine.run/wakeup/belief.update                  0.300000 ######## (40 calls)";
+          "  engine.run/wakeup/planner.decide/price           0.300000 ######## (55 calls)";
+          "  engine.run/tcp.on_delivery                       0.250000 ####### (12 calls)";
+          "  engine.run                                       0.240000 ###### (1 calls)";
+          "  engine.run/wakeup                                0.150000 #### (40 calls)";
+          "  engine.run/wakeup/planner.decide                 0.100000 ### (55 calls)";
+          "  engine.run/wakeup/recovery.step                  0.050000 # (3 calls)";
+          "";
+        ])
+    (frame ~metrics_json:dashboard_wall_snapshot ());
+  Alcotest.(check string) "sim-time phase costs"
+    (dashboard_head
+    ^ String.concat "\n"
+        [
+          "";
+          "phase costs (self sim s):";
+          "  harness.run/engine.run                          30.000000 ################ (1 calls)";
+          "  harness.run                                      0.000000  (1 calls)";
+          "  harness.run/engine.run/wakeup                    0.000000  (31 calls)";
+          "  harness.run/engine.run/wakeup/belief.update      0.000000  (31 calls)";
+          "  harness.run/engine.run/wakeup/belief.update/compact     0.000000  (31 calls)";
+          "  harness.run/engine.run/wakeup/belief.update/expand     0.000000  (31 calls)";
+          "  harness.run/engine.run/wakeup/planner.decide     0.000000  (40 calls)";
+          "  harness.run/engine.run/wakeup/planner.decide/price     0.000000  (40 calls)";
+          "";
+        ])
+    (frame ~metrics_json:dashboard_sim_snapshot ())
+
+let suite = suite @ [ ("dashboard frame", `Quick, dashboard_frame) ]
