@@ -2,7 +2,6 @@ open Utc_net
 module Engine = Utc_sim.Engine
 module Tb = Utc_sim.Timebase
 module Belief = Utc_inference.Belief
-module Degeneracy = Utc_inference.Degeneracy
 
 let src = Logs.Src.create "utc.isender" ~doc:"Model-based transmission controller"
 
@@ -35,7 +34,6 @@ type 'p t = {
   decide : 'p decider;
   inject : Packet.t -> unit;
   reseed_fn : (now:Tb.t -> 'p Belief.t -> 'p Belief.t) option;
-  monitor : Degeneracy.t;
   mutable ladder : Recovery.t;
   mutable belief : 'p Belief.t;
   mutable pending_sends : (Tb.t * Packet.t) list; (* newest first *)
@@ -48,6 +46,8 @@ type 'p t = {
   mutable sent_n : int;
   mutable acked_n : int;
   mutable rejected : int;
+  mutable streak : int; (* consecutive informative rejections; a fired reseed clears it *)
+  mutable worst_streak : int;
   mutable stale_acks : int;
   mutable ack_floor : int; (* ACKs below this seq predate the last reseed *)
   mutable next_probe_at : Tb.t;
@@ -73,7 +73,6 @@ let create ?decide ?reseed engine config ~belief ~inject =
     decide = Option.value decide ~default:(default_decider config);
     inject;
     reseed_fn = reseed;
-    monitor = Degeneracy.create ();
     ladder = Recovery.initial ();
     belief;
     pending_sends = [];
@@ -86,6 +85,8 @@ let create ?decide ?reseed engine config ~belief ~inject =
     sent_n = 0;
     acked_n = 0;
     rejected = 0;
+    streak = 0;
+    worst_streak = 0;
     stale_acks = 0;
     ack_floor = 0;
     next_probe_at = Tb.zero;
@@ -132,7 +133,13 @@ let drive_recovery t now status =
     let event =
       match status with
       | Belief.All_rejected -> Recovery.Rejected
-      | Belief.Consistent -> Recovery.Accepted { top_weight = Degeneracy.top_weight t.belief }
+      | Belief.Consistent ->
+        let top_weight =
+          match Belief.top t.belief ~n:1 with
+          | [] -> 0.0
+          | h :: _ -> exp h.Belief.logw
+        in
+        Recovery.Accepted { top_weight }
     in
     let before = Recovery.phase t.ladder in
     let ladder, action = Recovery.step ~at:now t.ladder event in
@@ -140,7 +147,7 @@ let drive_recovery t now status =
     (match action with
     | Recovery.No_action -> ()
     | Recovery.Fire_reseed ->
-      Degeneracy.reset t.monitor;
+      t.streak <- 0;
       (match t.reseed_fn with
       | None -> Log.warn (fun m -> m "t=%a reseed fired but no reseed callback" Tb.pp now)
       | Some f ->
@@ -218,7 +225,11 @@ let rec wakeup t () =
     | Belief.Consistent -> false
   in
   if informative then begin
-    ignore (Degeneracy.observe t.monitor belief status : Degeneracy.signal list);
+    (match status with
+    | Belief.All_rejected ->
+      t.streak <- t.streak + 1;
+      if t.streak > t.worst_streak then t.worst_streak <- t.streak
+    | Belief.Consistent -> t.streak <- 0);
     drive_recovery t now status
   end;
   (* Job 2: act to maximize expected utility, possibly several sends in a
@@ -297,7 +308,7 @@ let rejected_updates t = t.rejected
 let stale_acks t = t.stale_acks
 let last_update_status t = t.last_status
 let reseeds t = Recovery.reseeds t.ladder
-let max_rejection_streak t = Degeneracy.worst_streak t.monitor
+let max_rejection_streak t = t.worst_streak
 let transitions t = List.rev t.transitions
 let last_evaluations t = t.last_evaluations
 let on_wakeup t f = t.hooks <- f :: t.hooks

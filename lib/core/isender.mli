@@ -107,7 +107,9 @@ val reseeds : 'p t -> int
 (** Reseeds fired so far. *)
 
 val max_rejection_streak : 'p t -> int
-(** Longest consecutive-rejection streak observed. With recovery enabled
+(** Longest run of consecutive rejected updates. Only wakeups with
+    evidence count: a timer wakeup with no ACKs neither extends nor
+    clears the run, and a fired reseed clears it. With recovery enabled
     this is bounded by {!Recovery.reseed_after}. *)
 
 val transitions : 'p t -> (Utc_sim.Timebase.t * Recovery.phase * Recovery.phase) list

@@ -52,7 +52,8 @@ type event =
   | Rejected  (** The filtering step returned {!Belief.All_rejected}. *)
   | Accepted of { top_weight : float }
       (** A consistent update; [top_weight] is the heaviest hypothesis'
-          posterior mass (see {!Utc_inference.Degeneracy.top_weight}). *)
+          posterior mass (the weight of {!Utc_inference.Belief.top}
+          [~n:1]). *)
 
 type action =
   | No_action

@@ -206,5 +206,5 @@ val posterior_entropy : ('p * float) list -> float
 
 val ess : 'p t -> float
 (** Effective sample size of the hypothesis weights, [1 / Σ w²]: ranges
-    from 1 (all mass on one hypothesis) to {!size} (uniform). The
-    degeneracy monitor and the telemetry journal both report it. *)
+    from 1 (all mass on one hypothesis) to {!size} (uniform). Every
+    [belief_update] journal event reports it. *)

@@ -5,7 +5,6 @@ type t =
   | Timeout of { seq : int }
   | Belief_update of { size : int; entropy : float; ess : float; status : string }
   | Belief_reseed of { size : int; keep : int }
-  | Degeneracy_signal of { signal : string; streak : int }
   | Planner_decide of { action : string; delay : float; margin : float; candidates : int }
   | Recovery_transition of { from_ : string; to_ : string; reseeds : int }
   | Fault of { fault : string; active : bool }
@@ -20,7 +19,6 @@ let kind = function
   | Timeout _ -> "timeout"
   | Belief_update _ -> "belief_update"
   | Belief_reseed _ -> "belief_reseed"
-  | Degeneracy_signal _ -> "degeneracy_signal"
   | Planner_decide _ -> "planner_decide"
   | Recovery_transition _ -> "recovery_transition"
   | Fault _ -> "fault"
@@ -39,7 +37,6 @@ let fields t : (string * Obs_json.value) list =
   | Belief_update { size; entropy; ess; status } ->
     [ ("size", Int size); ("entropy", Float entropy); ("ess", Float ess); ("status", Str status) ]
   | Belief_reseed { size; keep } -> [ ("size", Int size); ("keep", Int keep) ]
-  | Degeneracy_signal { signal; streak } -> [ ("signal", Str signal); ("streak", Int streak) ]
   | Planner_decide { action; delay; margin; candidates } ->
     [
       ("action", Str action);

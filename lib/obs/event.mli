@@ -18,7 +18,6 @@ type t =
   | Belief_update of { size : int; entropy : float; ess : float; status : string }
       (** [ess] is the effective sample size [1 / Σ w²] of the posterior. *)
   | Belief_reseed of { size : int; keep : int }
-  | Degeneracy_signal of { signal : string; streak : int }
   | Planner_decide of { action : string; delay : float; margin : float; candidates : int }
       (** [margin] is the expected-utility gap between the chosen action
           and the runner-up (0 when there is a single candidate). *)

@@ -592,7 +592,7 @@ let particle_suite =
 
 let suite = suite @ particle_suite
 
-(* --- Reseed, likelihood floor, degeneracy monitor --- *)
+(* --- Reseed, likelihood floor --- *)
 
 let reseed_replaces_and_anchors () =
   let belief = Belief.create (small_family ()) in
@@ -660,106 +660,6 @@ let create_accepts_min_weight_bounds () =
       let belief = Belief.create ~min_weight (small_family ()) in
       Alcotest.(check int) "all four cells" 4 (Belief.size belief))
     [ 0.0; 1.0 ]
-
-module Degeneracy = Utc_inference.Degeneracy
-
-let degeneracy_streaks () =
-  let monitor = Degeneracy.create () in
-  let belief = Belief.create (small_family ()) in
-  ignore (Degeneracy.observe monitor belief Belief.All_rejected);
-  ignore (Degeneracy.observe monitor belief Belief.All_rejected);
-  Alcotest.(check int) "streak counts" 2 (Degeneracy.streak monitor);
-  let signals = Degeneracy.observe monitor belief Belief.All_rejected in
-  Alcotest.(check bool) "limit reached -> signal" true
-    (List.mem Degeneracy.Rejection_streak signals);
-  ignore (Degeneracy.observe monitor belief Belief.Consistent);
-  Alcotest.(check int) "consistent clears" 0 (Degeneracy.streak monitor);
-  Alcotest.(check int) "worst preserved" 3 (Degeneracy.worst_streak monitor);
-  Degeneracy.reset monitor;
-  Alcotest.(check int) "reset keeps high-water mark" 3 (Degeneracy.worst_streak monitor)
-
-let degeneracy_probes () =
-  let belief = Belief.create (small_family ()) in
-  Alcotest.(check (float 1e-9)) "uniform top weight" 0.25 (Degeneracy.top_weight belief);
-  Alcotest.(check (float 1e-9)) "uniform ess ratio" 1.0 (Degeneracy.ess_ratio belief);
-  let belief, _ =
-    Belief.update belief ~sends:[ send ~at:0.0 ~seq:0 ]
-      ~acks:[ { Belief.seq = 0; time = 1.0 } ]
-      ~now:1.0 ()
-  in
-  Alcotest.(check (float 1e-9)) "collapsed top weight" 1.0 (Degeneracy.top_weight belief)
-
-(* Signals are journaled only while the sink is on, and with it off a
-   signal costs its list cell but no payload; the monitor's answer does
-   not depend on the sink. The concentrated belief's top hypothesis holds
-   0.9995 of the mass, so each observation of it signals, and the third
-   rejection in a row reaches the streak limit of 3. *)
-let degeneracy_journal_follows_the_sink () =
-  let module Sink = Utc_obs.Sink in
-  let concentrated =
-    Belief.create
-      [ seed_of { rate = 12_000.0; fill = 0 } 0.9995; seed_of { rate = 6_000.0; fill = 0 } 0.0005 ]
-  in
-  let with_sink ~enabled f =
-    let was_enabled = Sink.enabled () in
-    if enabled then Sink.enable () else Sink.disable ();
-    Fun.protect ~finally:(fun () -> if was_enabled then Sink.enable () else Sink.disable ()) f
-  in
-  let observe ~enabled =
-    let handle = Sink.create () in
-    let monitor = Degeneracy.create () in
-    let signals =
-      with_sink ~enabled (fun () ->
-          Sink.with_run ~run:"degeneracy" handle (fun () ->
-              List.map
-                (fun _ -> Degeneracy.observe monitor concentrated Belief.All_rejected)
-                [ 1; 2; 3 ]))
-    in
-    let journaled =
-      List.filter_map
-        (fun (r : Sink.recorded) ->
-          match r.Sink.event with
-          | Utc_obs.Event.Degeneracy_signal { signal; streak } -> Some (signal, streak)
-          | _ -> None)
-        (Sink.events_of handle)
-    in
-    (signals, journaled)
-  in
-  let signals, journaled = observe ~enabled:true in
-  let quiet, silent = observe ~enabled:false in
-  Alcotest.(check (list (pair string int)))
-    "journaled while on, with the streak"
-    [
-      ("weight_concentration", 1);
-      ("weight_concentration", 2);
-      ("weight_concentration", 3);
-      ("rejection_streak", 3);
-    ]
-    journaled;
-  Alcotest.(check int) "nothing while off" 0 (List.length silent);
-  Alcotest.(check bool) "same signals either way" true (signals = quiet);
-  Alcotest.(check (list int)) "two signals at the limit" [ 1; 1; 2 ] (List.map List.length signals);
-  (* Both beliefs hold more than one hypothesis, so both observations
-     compute the same diagnostics; only the signals differ. *)
-  let words_per_observe belief status =
-    let monitor = Degeneracy.create () in
-    with_sink ~enabled:false (fun () ->
-        let before = Gc.minor_words () in
-        for _ = 1 to 1_000 do
-          ignore (Sys.opaque_identity (Degeneracy.observe monitor belief status))
-        done;
-        (Gc.minor_words () -. before) /. 1_000.0)
-  in
-  let diffuse = Belief.create (small_family ()) in
-  Alcotest.(check int) "a diffuse belief signals nothing" 0
-    (List.length (Degeneracy.observe (Degeneracy.create ()) diffuse Belief.Consistent));
-  let extra =
-    words_per_observe concentrated Belief.All_rejected
-    -. words_per_observe diffuse Belief.Consistent
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "two signals cost their list cells only (%.0f words)" extra)
-    true (extra < 16.0)
 
 (* A reseeded model keeps its pinger and periodic gate on the anchored
    clock. Stepping the §4 truth model, reseeded at [t0], one pending
@@ -912,9 +812,6 @@ let robustness_suite =
       `Quick,
       create_rejects ~max_hyps:0 "Belief.create: max_hyps must be at least 1" );
     ("create accepts min_weight 0 and 1", `Quick, create_accepts_min_weight_bounds);
-    ("degeneracy streaks", `Quick, degeneracy_streaks);
-    ("degeneracy probes", `Quick, degeneracy_probes);
-    ("degeneracy journal follows the sink", `Quick, degeneracy_journal_follows_the_sink);
     ("reseed anchors pinger and gate clocks", `Quick, reseed_anchors_clocks);
     ("trails keep forks apart", `Quick, trails_keep_forks_apart);
     ("loss-rate twins keep their likelihoods", `Quick, loss_rate_twins_keep_their_likelihoods);
