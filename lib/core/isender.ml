@@ -44,7 +44,6 @@ type 'p t = {
   mutable sent : (Tb.t * int) list; (* newest first *)
   mutable acked : (Tb.t * int) list; (* newest first *)
   mutable sent_n : int;
-  mutable acked_n : int;
   mutable rejected : int;
   mutable streak : int; (* consecutive informative rejections; a fired reseed clears it *)
   mutable worst_streak : int;
@@ -53,7 +52,6 @@ type 'p t = {
   mutable next_probe_at : Tb.t;
   mutable last_status : Belief.update_status;
   mutable transitions : (Tb.t * Recovery.phase * Recovery.phase) list; (* newest first *)
-  mutable last_evaluations : Planner.evaluation list;
   mutable hooks : (Tb.t -> 'p t -> unit) list;
   mutable running : bool;
 }
@@ -83,7 +81,6 @@ let create ?decide ?reseed engine config ~belief ~inject =
     sent = [];
     acked = [];
     sent_n = 0;
-    acked_n = 0;
     rejected = 0;
     streak = 0;
     worst_streak = 0;
@@ -92,7 +89,6 @@ let create ?decide ?reseed engine config ~belief ~inject =
     next_probe_at = Tb.zero;
     last_status = Belief.Consistent;
     transitions = [];
-    last_evaluations = [];
     hooks = [];
     running = false;
   }
@@ -240,9 +236,7 @@ let rec wakeup t () =
     else begin
       let pending = List.rev t.pending_sends in
       let make_packet at = Packet.make ~flow:Flow.Primary ~seq:t.next_seq ~sent_at:at () in
-      let decision, evaluations = t.decide t.belief ~now ~pending ~make_packet in
-      t.last_evaluations <- evaluations;
-      match decision with
+      match fst (t.decide t.belief ~now ~pending ~make_packet) with
       | Planner.Send_now ->
         transmit t now;
         act (burst + 1)
@@ -278,7 +272,6 @@ let on_ack t pkt =
     let now = Engine.now t.engine in
     t.pending_acks <- { Belief.seq = pkt.Packet.seq; time = now } :: t.pending_acks;
     t.acked <- (now, pkt.Packet.seq) :: t.acked;
-    t.acked_n <- t.acked_n + 1;
     Utc_obs.Metrics.incr acks_c;
     if Utc_obs.Sink.enabled () then
       Utc_obs.Sink.record
@@ -303,12 +296,10 @@ let belief t = t.belief
 let sent t = List.rev t.sent
 let acked t = List.rev t.acked
 let sent_count t = t.sent_n
-let acked_count t = t.acked_n
 let rejected_updates t = t.rejected
 let stale_acks t = t.stale_acks
 let last_update_status t = t.last_status
 let reseeds t = Recovery.reseeds t.ladder
 let max_rejection_streak t = t.worst_streak
 let transitions t = List.rev t.transitions
-let last_evaluations t = t.last_evaluations
 let on_wakeup t f = t.hooks <- f :: t.hooks

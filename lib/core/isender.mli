@@ -90,9 +90,6 @@ val acked : 'p t -> (Utc_sim.Timebase.t * int) list
 val sent_count : 'p t -> int
 (** O(1). *)
 
-val acked_count : 'p t -> int
-(** O(1). *)
-
 val rejected_updates : 'p t -> int
 (** Wakeups where every configuration was inconsistent (model
     misspecification; the belief advanced unconditioned). *)
@@ -114,9 +111,6 @@ val max_rejection_streak : 'p t -> int
 
 val transitions : 'p t -> (Utc_sim.Timebase.t * Recovery.phase * Recovery.phase) list
 (** Recovery-ladder phase transitions, (time, from, to), oldest first. *)
-
-val last_evaluations : 'p t -> Planner.evaluation list
-(** Candidate pricing from the most recent planning step. *)
 
 val on_wakeup : 'p t -> (Utc_sim.Timebase.t -> 'p t -> unit) -> unit
 (** Hook run after each wakeup's belief update and actions (for
