@@ -862,30 +862,7 @@ let top t ~n = List.init (min n (store_size t.store)) (hyp_at t.store)
 let size t = store_size t.store
 let now t = t.now
 
-let marginal t ~project =
-  let s = t.store in
-  let table = Hashtbl.create 64 in
-  let order = ref [] in
-  for i = 0 to store_size s - 1 do
-    let k = project s.params.(i) in
-    match Hashtbl.find_opt table k with
-    | None ->
-      Hashtbl.replace table k (exp s.logw.(i));
-      order := k :: !order
-    | Some w -> Hashtbl.replace table k (w +. exp s.logw.(i))
-  done;
-  let groups = List.rev_map (fun k -> (k, Hashtbl.find table k)) !order in
-  List.sort (fun (_, a) (_, b) -> Float.compare b a) groups
-
 let map_estimate t =
   match posterior t with
   | [] -> invalid_arg "Belief.map_estimate: empty belief"
   | best :: _ -> best
-
-let mean t ~value =
-  let s = t.store in
-  let acc = ref 0.0 in
-  for i = 0 to store_size s - 1 do
-    acc := !acc +. (exp s.logw.(i) *. value s.params.(i))
-  done;
-  !acc

@@ -187,15 +187,9 @@ val posterior : 'p t -> ('p * float) list
 (** Marginal over parameter vectors (summing the states within each),
     heaviest first. Weights sum to 1. *)
 
-val marginal : 'p t -> project:('p -> 'k) -> ('k * float) list
-(** Marginal over any projection of the parameters, heaviest first. *)
-
 val map_estimate : 'p t -> 'p * float
 (** Heaviest parameter vector and its posterior mass.
     @raise Invalid_argument on an empty belief. *)
-
-val mean : 'p t -> value:('p -> float) -> float
-(** Posterior mean of a scalar function of the parameters. *)
 
 val entropy : 'p t -> float
 (** Entropy (nats) over parameter vectors: [posterior_entropy (posterior t)]. *)

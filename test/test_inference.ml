@@ -344,10 +344,14 @@ let resample_cap () =
 
 let marginal_and_mean () =
   let belief = Belief.create (small_family ()) in
-  let by_rate = Belief.marginal belief ~project:(fun p -> p.rate) in
-  let mass_12k = List.assoc 12_000.0 by_rate in
+  let posterior = Belief.posterior belief in
+  let mass_12k =
+    List.fold_left
+      (fun acc ((p : params), w) -> if Float.equal p.rate 12_000.0 then acc +. w else acc)
+      0.0 posterior
+  in
   Alcotest.(check (float 1e-9)) "two of four cells" 0.5 mass_12k;
-  let mean_rate = Belief.mean belief ~value:(fun p -> p.rate) in
+  let mean_rate = List.fold_left (fun acc ((p : params), w) -> acc +. (w *. p.rate)) 0.0 posterior in
   Alcotest.(check (float 1e-6)) "prior mean" 13_500.0 mean_rate;
   Alcotest.(check bool) "entropy of 4 cells" true (Belief.entropy belief > log 3.9)
 
