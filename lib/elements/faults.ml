@@ -1,6 +1,5 @@
 module Engine = Utc_sim.Engine
 module Rng = Utc_sim.Rng
-module Tb = Utc_sim.Timebase
 open Utc_net
 
 type spec =
@@ -17,10 +16,7 @@ type t = {
   runtime : Runtime.t;
   rng : Rng.t;
   mutable ack_active : spec list; (* activation order *)
-  mutable events : (Tb.t * string) list; (* newest first *)
   mutable dropped_acks : int;
-  mutable delayed_acks : int;
-  mutable duplicated_acks : int;
 }
 
 let describe = function
@@ -98,9 +94,6 @@ let validate compiled schedule =
 
 let injections_c = Utc_obs.Metrics.counter "elements.faults.injections"
 
-let record t text =
-  t.events <- (Engine.now t.engine, text) :: t.events
-
 (* Fault windows toggle from engine events (serial), so journaling here
    is deterministic. *)
 let record_fault t spec ~active =
@@ -111,7 +104,6 @@ let record_fault t spec ~active =
 
 let apply t f =
   let compiled = Runtime.compiled t.runtime in
-  record t (describe f.spec ^ " on");
   record_fault t f.spec ~active:true;
   match f.spec with
   | Rate_flap { station; factor } ->
@@ -130,7 +122,6 @@ let apply t f =
 
 let revert t f =
   let compiled = Runtime.compiled t.runtime in
-  record t (describe f.spec ^ " off");
   record_fault t f.spec ~active:false;
   match f.spec with
   | Rate_flap { station; _ } ->
@@ -152,10 +143,7 @@ let arm engine runtime ~seed schedule =
       runtime;
       rng = Rng.create ~seed;
       ack_active = [];
-      events = [];
       dropped_acks = 0;
-      delayed_acks = 0;
-      duplicated_acks = 0;
     }
   in
   List.iter
@@ -197,17 +185,10 @@ let wrap_ack t inner time pkt =
       (fun spec ->
         match spec with
         | Ack_duplicate { p; delay } ->
-          if Rng.bernoulli t.rng ~p then begin
-            t.duplicated_acks <- t.duplicated_acks + 1;
-            deliver_at (total_delay +. delay)
-          end
+          if Rng.bernoulli t.rng ~p then deliver_at (total_delay +. delay)
         | Rate_flap _ | Loss_burst _ | Ack_drop _ | Ack_delay _ -> ())
       t.ack_active;
-    if total_delay > 0.0 then t.delayed_acks <- t.delayed_acks + 1;
     deliver_at total_delay
   end
 
-let events t = List.rev t.events
 let dropped_acks t = t.dropped_acks
-let delayed_acks t = t.delayed_acks
-let duplicated_acks t = t.duplicated_acks

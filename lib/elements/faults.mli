@@ -51,13 +51,5 @@ val wrap_ack :
     in place of [inner]. Active faults compose as drop, then delay, then
     duplicate. *)
 
-(** {1 Introspection} *)
-
-val events : t -> (Utc_sim.Timebase.t * string) list
-(** Window transitions that have fired, oldest first. *)
-
 val dropped_acks : t -> int
-
-val delayed_acks : t -> int
-
-val duplicated_acks : t -> int
+(** Acknowledgments eaten by {!Ack_drop} so far. *)
