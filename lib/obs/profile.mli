@@ -38,6 +38,10 @@ val of_spans : (string * Metrics.span_view) list -> node list
 val flatten : node list -> node list
 (** Depth-first preorder — flame order. *)
 
+val top_nodes : ?top:int -> key:(node -> float) -> node list -> node list
+(** The [top] (default 10) nodes of the tree with the largest [key],
+    descending; ties break on the path, so the ranking is total. *)
+
 val render_text : ?top:int -> ?sim_only:bool -> node list -> string
 (** Indented flame-ordered tree followed by a top-[N] (default 10) table
     ranked by self wall time (self sim time under [~sim_only:true]; ties

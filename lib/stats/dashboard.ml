@@ -257,53 +257,29 @@ let ingest_window st ~since line =
 
 (* --- span phase costs from a metrics snapshot --- *)
 
-type phase = { path : string; calls : float; cost : float (* self cost, wall or sim *) }
+module Profile = Utc_obs.Profile
 
+(* The snapshot's span tree and the self-cost axis to rank it by: wall
+   time when any span carries it (a [--profile] snapshot), else sim
+   time. None when the snapshot has no span table. *)
 let phases_of_snapshot json =
-  match parse_json json with
-  | None -> ([], "wall s")
-  | Some j -> (
-    match member "spans" j with
-    | Some (Obj spans) ->
-      let wall_present =
-        List.exists
-          (fun (_, v) ->
-            match num_field "wall_seconds" v with
-            | Some _ -> true
-            | None -> false)
-          spans
-      in
-      let cost_of v =
-        if wall_present then Option.value (num_field "wall_seconds" v) ~default:0.0
-        else Option.value (num_field "sim_seconds" v) ~default:0.0
-      in
-      let total = List.map (fun (path, v) -> (path, cost_of v)) spans in
-      let self path cost =
-        let prefix = path ^ "/" in
-        let plen = String.length prefix in
-        let child_sum =
-          List.fold_left
-            (fun acc (p, c) ->
-              if
-                String.length p > plen
-                && String.equal (String.sub p 0 plen) prefix
-                && not (String.contains_from p plen '/')
-              then acc +. c
-              else acc)
-            0.0 total
-        in
-        Float.max 0.0 (cost -. child_sum)
-      in
-      ( List.map
-          (fun (path, v) ->
-            {
-              path;
-              calls = Option.value (num_field "calls" v) ~default:0.0;
-              cost = self path (cost_of v);
-            })
-          spans,
-        if wall_present then "self wall s" else "self sim s" )
-    | _ -> ([], "wall s"))
+  match Option.map (member "spans") (parse_json json) with
+  | Some (Some (Obj spans)) ->
+    let wall_present = List.exists (fun (_, v) -> Option.is_some (num_field "wall_seconds" v)) spans in
+    let field key v = Option.value (num_field key v) ~default:0.0 in
+    let view v =
+      {
+        Utc_obs.Metrics.sv_calls = int_of_float (field "calls" v);
+        sv_sim_seconds = field "sim_seconds" v;
+        sv_wall_seconds = field "wall_seconds" v;
+        sv_minor_words = 0.0;
+        sv_major_words = 0.0;
+      }
+    in
+    let roots = Profile.of_spans (List.map (fun (path, v) -> (path, view v)) spans) in
+    if wall_present then Some (roots, (fun (n : Profile.node) -> n.self_wall), "self wall s")
+    else Some (roots, (fun (n : Profile.node) -> n.self_sim), "self sim s")
+  | Some _ | None -> None
 
 (* --- rendering --- *)
 
@@ -361,32 +337,18 @@ let render_frame ?(width = 72) ?(window = 5.0) ?metrics_json ~journal_lines () =
   | Some (t, from_, to_, reseeds) ->
     add "\nrecovery: %s -> %s at t=%.3fs (reseeds=%.0f)\n" from_ to_ t reseeds
   | None -> ());
-  (match metrics_json with
+  (match Option.bind metrics_json phases_of_snapshot with
   | None -> ()
-  | Some json -> (
-    let phases, unit_label = phases_of_snapshot json in
-    let ranked =
-      List.sort
-        (fun a b ->
-          match Float.compare b.cost a.cost with
-          | 0 -> String.compare a.path b.path
-          | c -> c)
-        phases
-    in
-    let rec take k = function
-      | [] -> []
-      | _ when k <= 0 -> []
-      | x :: rest -> x :: take (k - 1) rest
-    in
-    match take 8 ranked with
+  | Some (roots, cost, unit_label) -> (
+    match Profile.top_nodes ~top:8 ~key:cost roots with
     | [] -> ()
     | top ->
-      let max_cost = List.fold_left (fun acc p -> Float.max acc p.cost) 1e-12 top in
+      let max_cost = List.fold_left (fun acc n -> Float.max acc (cost n)) 1e-12 top in
       add "\nphase costs (%s):\n" unit_label;
       List.iter
-        (fun p ->
-          add "  %-44s %12.6f %s (%.0f calls)\n" p.path p.cost
-            (bar ~width:16 (p.cost /. max_cost))
-            p.calls)
+        (fun (n : Profile.node) ->
+          add "  %-44s %12.6f %s (%d calls)\n" n.path (cost n)
+            (bar ~width:16 (cost n /. max_cost))
+            n.calls)
         top));
   Buffer.contents buf
