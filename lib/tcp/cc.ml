@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   cwnd : unit -> float;
   ssthresh : unit -> float;
   on_ack : newly_acked:int -> rtt:float -> unit;
@@ -29,7 +28,6 @@ let tahoe () =
     cwnd := min_cwnd
   in
   {
-    name = "tahoe";
     cwnd = (fun () -> !cwnd);
     ssthresh = (fun () -> !ssthresh);
     on_ack = (fun ~newly_acked ~rtt:_ -> aimd_growth cwnd ssthresh ~newly_acked);
@@ -41,7 +39,6 @@ let reno () =
   let cwnd = ref initial_cwnd in
   let ssthresh = ref infinity in
   {
-    name = "reno";
     cwnd = (fun () -> !cwnd);
     ssthresh = (fun () -> !ssthresh);
     on_ack = (fun ~newly_acked ~rtt:_ -> aimd_growth cwnd ssthresh ~newly_acked);
@@ -72,7 +69,6 @@ let vegas () =
     end
   in
   {
-    name = "vegas";
     cwnd = (fun () -> !cwnd);
     ssthresh = (fun () -> !ssthresh);
     on_ack;

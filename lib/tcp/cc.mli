@@ -8,7 +8,6 @@
     examples also run Tahoe (lossy_link) and Vegas (bufferbloat). *)
 
 type t = {
-  name : string;
   cwnd : unit -> float;  (** Current window, packets (>= 1). *)
   ssthresh : unit -> float;
   on_ack : newly_acked:int -> rtt:float -> unit;
