@@ -34,15 +34,10 @@ let default_config =
     sample_every = 1.0;
   }
 
-(* The §4 bottleneck scaled with the population, as in
-   [Versus.many_senders]: per-flow fair share stays 12 kbps and per-flow
-   buffer quota 4 packets, so what changes with N is contention dynamics,
-   not starvation. The parking lot chains a second, tighter bottleneck
-   behind a 20 ms hop. *)
+(* The parking lot chains a second, tighter bottleneck behind a 20 ms
+   hop. *)
 let shared_path ~topo ~total_flows =
-  let n = max total_flows 1 in
-  let rate = 12_000.0 *. float_of_int n in
-  let cap = 48_000 * n in
+  let rate, cap = Versus.scaled_bottleneck ~flows:total_flows in
   match topo with
   | Single -> Topology.series [ Topology.buffer ~capacity_bits:cap; Topology.throughput ~rate_bps:rate ]
   | Parking_lot ->
@@ -56,8 +51,7 @@ let shared_path ~topo ~total_flows =
       ]
 
 let buffer_capacity ~topo ~total_flows =
-  let n = max total_flows 1 in
-  let cap = 48_000 * n in
+  let _, cap = Versus.scaled_bottleneck ~flows:total_flows in
   match topo with
   | Single -> cap
   | Parking_lot -> cap + (cap * 3 / 4)

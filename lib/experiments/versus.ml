@@ -151,23 +151,23 @@ let rtt_hf =
   Utc_obs.Metrics.histogram_family "versus.flow.rtt"
     ~buckets:[ 0.01; 0.03; 0.1; 0.3; 1.0; 3.0; 10.0 ]
 
+(* The §4 bottleneck scaled with the population: per-flow fair share
+   stays 12 kbps and per-flow buffer quota 4 packets, so what changes
+   with N is contention dynamics, not starvation. *)
+let scaled_bottleneck ~flows =
+  let n = max flows 1 in
+  (12_000.0 *. float_of_int n, 48_000 * n)
+
 let many_senders ?(seed = 9) ?(duration = 60.0) ~senders () =
   if senders < 1 || senders > 256 then
     invalid_arg "Versus.many_senders: senders must be in 1..256";
   let n = senders in
   let flows = List.init n (fun i -> Flow.Aux i) in
-  (* The §4 bottleneck scaled with the population: per-sender fair share
-     and per-sender buffer quota stay constant, so contention dynamics —
-     not starvation — are what changes with N. *)
+  let rate_bps, capacity_bits = scaled_bottleneck ~flows:n in
   let truth =
     {
       Topology.sources = List.map Topology.endpoint flows;
-      shared =
-        Topology.series
-          [
-            Topology.buffer ~capacity_bits:(48_000 * n);
-            Topology.throughput ~rate_bps:(12_000.0 *. float_of_int n);
-          ];
+      shared = Topology.series [ Topology.buffer ~capacity_bits; Topology.throughput ~rate_bps ];
     }
   in
   let { Testbed.engine; receiver; runtime; _ } = Testbed.create ~seed truth in
@@ -276,7 +276,7 @@ let pp_share ppf share =
 
 let pp_many ppf m =
   Format.fprintf ppf "%d Reno senders sharing a %.0f bps bottleneck for %gs@." m.senders
-    (12_000.0 *. float_of_int m.senders)
+    (fst (scaled_bottleneck ~flows:m.senders))
     m.many_duration;
   Format.fprintf ppf "Jain %.3f, %d queue drops total@." m.many_jain m.total_drops;
   let tps = List.map (fun r -> r.f_throughput_bps) m.rows in

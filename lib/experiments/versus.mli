@@ -47,11 +47,16 @@ type many = {
   total_drops : int;
 }
 
+val scaled_bottleneck : flows:int -> float * int
+(** [(rate_bps, buffer_bits)] of the §4 bottleneck scaled with the
+    population: 12,000 bit/s and 48,000 buffer bits (4 packets) per
+    flow, counting at least one flow. *)
+
 val many_senders : ?seed:int -> ?duration:float -> senders:int -> unit -> many
 (** [senders] Reno senders (flows [Aux 0 .. Aux n-1]) sharing one
-    bottleneck whose rate and buffer scale with the population, so the
-    per-sender fair share stays the §4 12 kbps. Per-flow accounting is
-    published through the [versus.flow.*] labeled metric families
+    {!scaled_bottleneck}, so the per-sender fair share stays the §4
+    12 kbps. Per-flow accounting is published through the
+    [versus.flow.*] labeled metric families
     (sent/delivered/queue-drop counters, goodput gauge, RTT histogram;
     one [flow="auxN"] child per sender) and every packet event in the
     journal carries its flow. Raises [Invalid_argument] unless
