@@ -287,11 +287,6 @@ let on_ack t pkt =
       ignore (Engine.schedule ~prio:Evprio.endpoint_wakeup t.engine ~at:now (wakeup t))
   end
 
-let stop t =
-  t.running <- false;
-  cancel_timer t;
-  t.wakeup_at <- None
-
 let belief t = t.belief
 let sent t = List.rev t.sent
 let acked t = List.rev t.acked

@@ -74,10 +74,6 @@ val on_ack : 'p t -> Utc_net.Packet.t -> unit
     current time and schedules an immediate wakeup (deduplicated, after
     all same-instant network events). Wire via {!Receiver.subscribe}. *)
 
-val stop : 'p t -> unit
-(** Cancel any pending wakeup and ignore further ACKs until {!start} is
-    called again. *)
-
 (** {1 Introspection} *)
 
 val belief : 'p t -> 'p Utc_inference.Belief.t
@@ -85,6 +81,7 @@ val belief : 'p t -> 'p Utc_inference.Belief.t
 val sent : 'p t -> (Utc_sim.Timebase.t * int) list
 (** Transmission log: (time, seq), oldest first. *)
 
+(* lint:allow R13 -- perfbench's ISender workloads read it; ROADMAP item 6 drops it *)
 val acked : 'p t -> (Utc_sim.Timebase.t * int) list
 
 val sent_count : 'p t -> int
@@ -98,6 +95,7 @@ val stale_acks : 'p t -> int
 (** ACKs discarded because they acknowledged pre-reseed sends (below the
     watermark) that the fresh posterior knows nothing about. *)
 
+(* lint:allow R13 -- perfbench's ISender workloads read it; ROADMAP item 6 drops it *)
 val last_update_status : 'p t -> Utc_inference.Belief.update_status
 
 val reseeds : 'p t -> int

@@ -7,12 +7,12 @@
     utility.
 
     Pricing a strategy [d]: inject the next packet at [now + d] into each
-    of the belief's heaviest hypotheses, run the forking simulator to a
-    common horizon, and take the expected utility of all deliveries in the
-    window, minus the no-send baseline. Gates are frozen in their current
-    state during planning (certainty-equivalent over the gate process —
-    the mixture across hypotheses still carries gate uncertainty); loss is
-    handled in expectation.
+    of the belief's 64 heaviest hypotheses (renormalized), run the forking
+    simulator to a common horizon, and take the expected utility of all
+    deliveries in the window, minus the no-send baseline. Gates are frozen
+    in their current state during planning (certainty-equivalent over the
+    gate process — the mixture across hypotheses still carries gate
+    uncertainty); loss is handled in expectation.
 
     A hypothesis whose baseline does not fork is priced off one recorded
     baseline ({!Utc_model.Forward.trace}): each candidate resumes from the
@@ -57,10 +57,6 @@ val default_config : config
 (** Delays 0..32 s on a rough geometric grid, 15 s horizon, default
     utility. *)
 
-val top_hyps : int
-(** The planner prices the belief's 64 heaviest hypotheses,
-    renormalized. *)
-
 type decision =
   | Send_now
   | Sleep of float  (** Re-plan after this many seconds (> 0). *)
@@ -91,9 +87,11 @@ type cache
 val make_cache : ?capacity:int -> unit -> cache
 (** Default capacity 8192 gross utilities. *)
 
+(* lint:allow R13 -- perfbench's fig3 workload reads it; ROADMAP item 6 drops it *)
 val cache_stats : cache -> int * int
 (** [(hits, misses)] since creation. *)
 
+(* lint:allow R13 -- oracle of test_agreement "shared-baseline gross utilities equal full runs" *)
 val gross_utilities :
   config ->
   now:Utc_sim.Timebase.t ->

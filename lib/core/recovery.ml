@@ -132,6 +132,5 @@ let step ?at t event =
   result
 
 let phase t = t.phase
-let streak t = t.streak
 let interval t = t.interval
 let reseeds t = t.reseeds

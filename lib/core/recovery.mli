@@ -73,9 +73,6 @@ val step : ?at:float -> t -> event -> t * action
 
 val phase : t -> phase
 
-val streak : t -> int
-(** Current consecutive-rejection streak. *)
-
 val interval : t -> float
 (** Current probe pacing interval (meaningful while Probing). *)
 

@@ -530,8 +530,3 @@ let queue_bits t ~node_id = (station_state t ~node_id).queued_bits
 let queue_packets t ~node_id = Queue.length (station_state t ~node_id).queue
 let in_service t ~node_id = (station_state t ~node_id).busy
 let transmissions t ~node_id = (station_state t ~node_id).transmissions
-
-let gate_connected t ~node_id =
-  match t.states.(node_id) with
-  | SGate g -> g.connected
-  | SStation _ | SEither _ | SMultipath _ | SStateless -> invalid_arg "Runtime: node is not a gate"

@@ -23,6 +23,7 @@ type drop_reason =
           after its last retransmission failed. *)
   | Gate_closed  (** Arrived at a disconnected gate. *)
 
+(* lint:allow R13 -- perfbench's faults workload reads it; ROADMAP item 6 drops it *)
 val pp_drop_reason : Format.formatter -> drop_reason -> unit
 
 type callbacks = {
@@ -99,13 +100,12 @@ val queue_bits : t -> node_id:int -> int
 (** Queued bits at a station (excluding the packet in service).
     @raise Invalid_argument if the node is not a station. *)
 
+(* lint:allow R13 -- test_elements' "station conserves packets" properties count held packets *)
 val queue_packets : t -> node_id:int -> int
 
+(* lint:allow R13 -- test_elements' "station conserves packets" properties count held packets *)
 val in_service : t -> node_id:int -> bool
 
 val transmissions : t -> node_id:int -> int
 (** Transmission attempts a station has started: one per packet served,
     plus every ARQ retry. *)
-
-val gate_connected : t -> node_id:int -> bool
-(** @raise Invalid_argument if the node is not a gate. *)

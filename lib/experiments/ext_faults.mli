@@ -23,6 +23,7 @@ type variant =
   | With_recovery
   | Oracle
 
+(* lint:allow R13 -- perfbench's faults workload reads it; ROADMAP item 6 drops it *)
 val variant_name : variant -> string
 
 type run = {
@@ -64,12 +65,9 @@ val run_all : ?seed:int -> ?duration:float -> unit -> scenario list
     probability 0 -> 0.3, every acknowledgment deferred 0.5 s, and each
     acknowledgment eaten with probability 0.5. *)
 
-val find_run : scenario -> variant -> run
-
-val rate_flap_acceptance : scenario -> bool * bool
-(** [(streak_bounded, throughput_improved)]: the recovering sender's
-    longest rejection streak is at most the ladder's [reseed_after], and
-    its post-fault delivered throughput strictly exceeds the
-    no-recovery baseline. *)
-
 val pp_report : Format.formatter -> scenario list -> unit
+(** One table row per run. Under the rate flap it also states the
+    acceptance criterion: whether the recovering sender's longest
+    rejection streak is at most the ladder's [reseed_after], and whether
+    its post-fault delivered throughput strictly exceeds the
+    no-recovery baseline's. *)

@@ -19,8 +19,6 @@ type topo =
       (** Two bottlenecks in series separated by a 20 ms hop; the second
           has 80% of the first's rate and is the binding constraint. *)
 
-val topo_to_string : topo -> string
-
 type config = {
   seed : int;
   duration : float;

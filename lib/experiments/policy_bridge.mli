@@ -13,6 +13,7 @@
     seed and reports their throughput, drops and deference side by
     side. *)
 
+(* lint:allow R13 -- perfbench's policy workload reads it; ROADMAP item 6 drops it *)
 val decider :
   threshold:int ->
   'p Utc_core.Isender.decider

@@ -847,8 +847,6 @@ let reseed t ~seeds ?(keep = 0.0) ~now () =
        { size = store_size result.store; keep = store_size kept });
   result
 
-let support t = List.init (store_size t.store) (hyp_at t.store)
-
 let fold t ~init ~f =
   let s = t.store in
   let acc = ref init in
@@ -860,7 +858,6 @@ let fold t ~init ~f =
 let top t ~n = List.init (min n (store_size t.store)) (hyp_at t.store)
 
 let size t = store_size t.store
-let now t = t.now
 
 let map_estimate t =
   match posterior t with

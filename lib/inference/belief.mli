@@ -121,6 +121,7 @@ val update :
     wrong time — or misses an observed ACK, or has no loss to blame a
     missing ACK on — is removed. *)
 
+(* lint:allow R13 -- perfbench's belief kernel reads it; ROADMAP item 6 drops it *)
 val advance :
   'p t ->
   sends:(Utc_sim.Timebase.t * Utc_net.Packet.t) list ->
@@ -156,18 +157,16 @@ val reseed :
 
 (** {1 Queries} *)
 
-val support : 'p t -> 'p hypothesis list
-(** Heaviest first. *)
-
 val fold :
   'p t ->
   init:'a ->
   f:('a -> params:'p -> prepared:Utc_model.Forward.prepared -> state:Utc_model.Mstate.t -> logw:float -> 'a) ->
   'a
-(** Folds [f] over the hypotheses in {!support}'s order, passing each
-    one's columns without building a {!hypothesis}. *)
+(** Folds [f] over the hypotheses, heaviest first, passing each one's
+    columns without building a {!hypothesis}. *)
 
 val top : 'p t -> n:int -> 'p hypothesis list
+(** The [n] heaviest hypotheses, heaviest first. *)
 
 val size : 'p t -> int
 
@@ -181,8 +180,6 @@ val shared_runs : labels:int array -> hashes:int array -> Utc_model.Mstate.t arr
     planner.
     @raise Invalid_argument if the arrays differ in length. *)
 
-val now : 'p t -> Utc_sim.Timebase.t
-
 val posterior : 'p t -> ('p * float) list
 (** Marginal over parameter vectors (summing the states within each),
     heaviest first. Weights sum to 1. *)
@@ -191,14 +188,8 @@ val map_estimate : 'p t -> 'p * float
 (** Heaviest parameter vector and its posterior mass.
     @raise Invalid_argument on an empty belief. *)
 
-val entropy : 'p t -> float
-(** Entropy (nats) over parameter vectors: [posterior_entropy (posterior t)]. *)
-
 val posterior_entropy : ('p * float) list -> float
-(** Entropy (nats) of a {!posterior}'s weights, for a caller that already
-    holds the posterior. *)
-
-val ess : 'p t -> float
-(** Effective sample size of the hypothesis weights, [1 / Σ w²]: ranges
-    from 1 (all mass on one hypothesis) to {!size} (uniform). Every
-    [belief_update] journal event reports it. *)
+(** Entropy (nats) of a {!posterior}'s weights over parameter vectors.
+    Every [belief_update] journal event reports the belief's, with the
+    effective sample size of its hypothesis weights, [1 / Σ w²]: from 1
+    (all mass on one hypothesis) to {!size} (uniform). *)

@@ -4,11 +4,9 @@ val logsumexp : float list -> float
 (** [log (sum_i (exp x_i))], stable; [neg_infinity] for an empty or
     all-[neg_infinity] list. *)
 
-val normalize : float list -> float list
-(** Shift so the weights sum to 1 in linear space. *)
-
 val entropy : float list -> float
-(** Shannon entropy (nats) of normalized log-weights. *)
+(** Shannon entropy (nats) of log-weights, normalized first so they sum
+    to 1 in linear space. *)
 
 (** {1 Flat-array variants}
 

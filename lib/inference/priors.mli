@@ -22,16 +22,10 @@ type fig2_params = {
   gate_on : bool;  (** Cross traffic initially connected. *)
 }
 
-val fig2_topology : fig2_params -> Utc_net.Topology.t
-(** The sender's model of Figure 2: pinger through an [Intermittent] gate,
-    shared buffer and link, last-mile loss. *)
-
 (** {1 Grid helpers} *)
 
 val grid_float : lo:float -> hi:float -> step:float -> float list
 (** Inclusive endpoints (within float tolerance). *)
-
-val grid_int : lo:int -> hi:int -> step:int -> int list
 
 val uniform : 'a list -> ('a * float) list
 (** Equal weights summing to 1. *)
@@ -70,5 +64,6 @@ val seeds :
   config:Utc_model.Forward.config ->
   (fig2_params * float) list ->
   (fig2_params * float * Utc_model.Forward.prepared * Utc_model.Mstate.t) list
-(** {!hypotheses} of the Figure 2 family ({!fig2_topology}), each with
-    [initial_packets] queued. *)
+(** {!hypotheses} of the sender's model of Figure 2 — pinger through an
+    [Intermittent] gate, shared buffer and link, last-mile loss — each
+    with [initial_packets] queued. *)

@@ -73,6 +73,7 @@ val survive_p : prepared -> delivery -> float
     of 0 multiplies nothing. The trail must come from a run under a model
     that shares this one's dynamics. *)
 
+(* lint:allow R13 -- oracle of test_agreement "dynamics labels are exactly the shares_dynamics classes" *)
 val shares_dynamics : prepared -> prepared -> bool
 (** The two models run alike: their configs and compiled graphs agree
     bit for bit, except for the rates of likelihood-mode losses. Then

@@ -312,34 +312,3 @@ let canonical t =
     { c_now = t.now; c_origin = t.origin; c_nodes = Array.to_list (Array.map canon_node t.nodes); c_pending }
   in
   Marshal.to_string canon []
-
-(* The likelihood-mode losses a packet crossed, in crossing order. *)
-let pp_trail ppf trail = List.iter (fun id -> Format.fprintf ppf " via loss@@%d" id) (List.rev trail)
-
-let pp_pev ppf = function
-  | Arrive (_, mpkt) -> Format.fprintf ppf "arrive %a%a" Packet.pp mpkt.pkt pp_trail mpkt.trail
-  | Complete id -> Format.fprintf ppf "complete@@%d" id
-  | Pinger_emit (i, k) -> Format.fprintf ppf "pinger%d emit#%d" i k
-  | Gate_epoch id -> Format.fprintf ppf "epoch@@%d" id
-  | Gate_toggle (id, k) -> Format.fprintf ppf "toggle#%d@@%d" k id
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>t=%a@," Tb.pp t.now;
-  Array.iteri
-    (fun id n ->
-      match n with
-      | MStation s ->
-        let in_service ppf = function
-          | None -> Format.fprintf ppf "idle"
-          | Some (m, tc) -> Format.fprintf ppf "%a until %a" Packet.pp m.pkt Tb.pp tc
-        in
-        Format.fprintf ppf "%d: station q=%d pkts (%d bits), %a@," id
-          (Utc_sim.Fqueue.length s.queue) s.queued_bits in_service s.in_service
-      | MGate g -> Format.fprintf ppf "%d: gate %s@," id (if g.connected then "on" else "off")
-      | MEither e -> Format.fprintf ppf "%d: either %s@," id (if e.on_first then "first" else "second")
-      | MMultipath m ->
-        Format.fprintf ppf "%d: multipath next=%s@," id (if m.next_first then "first" else "second")
-      | MStateless -> ())
-    t.nodes;
-  let pp_event ppf e = Format.fprintf ppf "%a p%d %a" Tb.pp e.time e.prio pp_pev e.ev in
-  Format.fprintf ppf "pending: @[<v>%a@]@]" (Format.pp_print_list pp_event) t.pending

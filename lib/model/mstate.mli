@@ -142,5 +142,3 @@ val canonical : t -> string
     two states can satisfy {!equal} with different strings. It serves as
     the planner cache's digest, as the parallel benchmark's fingerprint
     and in tests; compaction uses {!equal} and {!hash}. *)
-
-val pp : Format.formatter -> t -> unit

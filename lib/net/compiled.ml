@@ -129,59 +129,3 @@ let station_ids t =
       | Delay _ | Loss _ | Jitter _ | Gate _ | Either _ | Divert _ | Multipath _ -> ())
     t.nodes;
   List.rev !ids
-
-let pp_link ppf = function
-  | To id -> Format.fprintf ppf "->%d" id
-  | Deliver -> Format.fprintf ppf "->deliver"
-
-let pp_node ppf = function
-  | Station { capacity_bits; rate_bps; discipline; next } ->
-    let cap ppf = function
-      | None -> Format.fprintf ppf "inf"
-      | Some c -> Format.fprintf ppf "%db" c
-    in
-    Format.fprintf ppf "Station(%a,%gbps%a)%a" cap capacity_bits rate_bps
-      Topology.pp_station_discipline discipline pp_link next
-  | Delay { seconds; next } -> Format.fprintf ppf "Delay(%gs)%a" seconds pp_link next
-  | Loss { rate; next } -> Format.fprintf ppf "Loss(%g)%a" rate pp_link next
-  | Jitter { seconds; probability; next } ->
-    Format.fprintf ppf "Jitter(%gs,p=%g)%a" seconds probability pp_link next
-  | Gate { kind = Memoryless { mean_time_to_switch; initially_connected }; next } ->
-    Format.fprintf ppf "Gate(memoryless,%gs,%s)%a" mean_time_to_switch
-      (if initially_connected then "on" else "off")
-      pp_link next
-  | Gate { kind = Periodic { interval; initially_connected }; next } ->
-    Format.fprintf ppf "Gate(periodic,%gs,%s)%a" interval
-      (if initially_connected then "on" else "off")
-      pp_link next
-  | Either { mean_time_to_switch; initially_first; first; second } ->
-    Format.fprintf ppf "Either(%gs,%s)%a|%a" mean_time_to_switch
-      (if initially_first then "first" else "second")
-      pp_link first pp_link second
-  | Divert { routes; otherwise } ->
-    let pp_route ppf (flow, link) = Format.fprintf ppf "%a%a" Flow.pp flow pp_link link in
-    let sep ppf () = Format.fprintf ppf ";" in
-    Format.fprintf ppf "Divert{%a;else%a}"
-      (Format.pp_print_list ~pp_sep:sep pp_route)
-      routes pp_link otherwise
-  | Multipath { policy; first; second } ->
-    let pp_policy ppf = function
-      | `Round_robin -> Format.fprintf ppf "rr"
-      | `Random p -> Format.fprintf ppf "p=%g" p
-    in
-    Format.fprintf ppf "Multipath(%a)%a|%a" pp_policy policy pp_link first pp_link second
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri (fun id n -> Format.fprintf ppf "%d: %a@," id pp_node n) t.nodes;
-  let pp_entry rank = function
-    | Some link -> Format.fprintf ppf "entry %a %a@," Flow.pp (Flow.of_rank rank) pp_link link
-    | None -> ()
-  in
-  Array.iteri pp_entry t.entries;
-  let pp_pinger ppf (p : pinger) =
-    Format.fprintf ppf "pinger %a %gpps %db %a@," Flow.pp p.flow p.rate_pps p.size_bits pp_link
-      p.entry
-  in
-  List.iter (pp_pinger ppf) t.pingers;
-  Format.fprintf ppf "@]"

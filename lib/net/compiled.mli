@@ -40,11 +40,9 @@ type t = private {
   pingers : pinger list;
 }
 
-val compile : Topology.t -> (t, string) result
-(** Validates, normalizes and lowers. *)
-
 val compile_exn : Topology.t -> t
-(** @raise Invalid_argument on a validation error. *)
+(** Validates, normalizes and lowers.
+    @raise Invalid_argument on a validation error. *)
 
 val entry : t -> Flow.t -> link
 (** Entry link for an endpoint flow: one {!Flow.rank} and one array read,
@@ -58,7 +56,3 @@ val node_count : t -> int
 
 val station_ids : t -> int list
 (** Ids of all [Station] nodes, in id order; instrumentation targets. *)
-
-val pp : Format.formatter -> t -> unit
-(** Nodes in id order, then endpoint entries in rank order, then
-    pingers in source order. *)

@@ -7,14 +7,3 @@ type t = {
 
 let default_bits = 12_000
 let make ?(bits = default_bits) ~flow ~seq ~sent_at () = { seq; flow; bits; sent_at }
-
-let equal a b =
-  a.seq = b.seq && Flow.equal a.flow b.flow && a.bits = b.bits
-  && Float.equal a.sent_at b.sent_at
-
-let compare a b =
-  let c = Flow.compare a.flow b.flow in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let pp ppf t =
-  Format.fprintf ppf "%a#%d(%db@@%a)" Flow.pp t.flow t.seq t.bits Utc_sim.Timebase.pp t.sent_at

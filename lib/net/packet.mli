@@ -15,9 +15,3 @@ val default_bits : int
 (** 12,000 bits = 1,500 bytes. *)
 
 val make : ?bits:int -> flow:Flow.t -> seq:int -> sent_at:Utc_sim.Timebase.t -> unit -> t
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Orders by flow, then sequence number. *)
-
-val pp : Format.formatter -> t -> unit

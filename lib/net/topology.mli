@@ -145,9 +145,4 @@ val normalize : t -> t
 
 val pp_discipline : Format.formatter -> discipline -> unit
 
-val pp_station_discipline : Format.formatter -> discipline -> unit
-(** The suffix a station's rendering carries: nothing for [Fifo],
-    [",red"] and the like otherwise. *)
-
-val pp_element : Format.formatter -> element -> unit
 val pp : Format.formatter -> t -> unit

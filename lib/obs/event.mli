@@ -29,7 +29,7 @@ type t =
       (** Entry into a {!Metrics.span} scope that was given a sim clock;
           [path] is the full [/]-separated span path. Begin/end pairs nest
           properly within one run, so exporters can reconstruct duration
-          slices ({!Export.chrome} emits Chrome [X] events from them). *)
+          slices ({!Export.render}'s Chrome format emits [X] events from them). *)
   | Span_end of { path : string }  (** Exit from the matching {!Span_begin}. *)
 
 val kind : t -> string

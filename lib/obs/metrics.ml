@@ -59,14 +59,11 @@ let register table name make =
 
 let make_counter name () = { c_name = name; count = Atomic.make 0 }
 let counter name = register counters name (make_counter name)
-let counter_name c = c.c_name
-let count c = Atomic.get c.count
 let add c n = if !enabled_flag then ignore (Atomic.fetch_and_add c.count n)
 let incr c = add c 1
 
 let make_gauge () = { value = 0.0; set = false }
 let gauge name = register gauges name make_gauge
-let gauge_value g = if g.set then Some g.value else None
 
 let set_gauge g v =
   if !enabled_flag then begin
@@ -269,8 +266,6 @@ let histogram_family ?buckets ?max_children name =
   | _ :: _ -> ());
   family ~table:histograms ~make:(fun _ -> make_histogram ?buckets) ?max_children name
 
-let family_children f = f.f_count
-
 (* Resolution is a locked lookup on the steady state; a child is built
    at most once per (family, label set). Callers on hot paths should
    resolve once and cache the child — recording through a child is
@@ -304,8 +299,6 @@ let labeled fam labels =
   in
   Mutex.unlock lock;
   child
-
-let family_overflows () = count overflow_counter
 
 let reset () =
   Mutex.lock lock;

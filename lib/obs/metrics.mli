@@ -31,9 +31,6 @@ val disable : unit -> unit
 val counter : string -> counter
 (** Registers (or retrieves) the counter with this name. *)
 
-val counter_name : counter -> string
-val count : counter -> int
-
 val incr : counter -> unit
 (** No-op while the registry is disabled (same for every recording op). *)
 
@@ -42,8 +39,7 @@ val add : counter -> int -> unit
 (** {1 Gauges} *)
 
 val gauge : string -> gauge
-val gauge_value : gauge -> float option
-(** [None] until the gauge has been set while enabled. *)
+(** A gauge enters {!snapshot} once it has been set while enabled. *)
 
 val set_gauge : gauge -> float -> unit
 
@@ -75,7 +71,9 @@ val observe : histogram -> float -> unit
     [name{other="true"}] catch-all child and bumps the
     [utc_obs_family_overflow] counter, so an unbounded label source
     (e.g. one label per sender at 10⁶ senders) degrades to aggregation
-    instead of unbounded memory. *)
+    instead of unbounded memory. That counter counts even while
+    recording is disabled: cap overflow is a registration-shape fact,
+    not a sample. *)
 
 type labels = (string * string) list
 (** Label pairs; keys must be non-empty [[A-Za-z0-9_.-]]+ and unique
@@ -98,15 +96,6 @@ val labeled : 'a family -> labels -> 'a
     should resolve once and cache the child. [labeled fam []] is the
     family's unlabeled child, sharing the registry entry a plain
     [counter name] would use. *)
-
-val family_children : 'a family -> int
-(** Distinct label sets resolved so far — never exceeds the cap; the
-    [other] child is not counted. *)
-
-val family_overflows : unit -> int
-(** Total over-cap resolutions process-wide (the
-    [utc_obs_family_overflow] counter). Counted even while recording is
-    disabled: cap overflow is a registration-shape fact, not a sample. *)
 
 (** {1 Spans}
 

@@ -14,11 +14,9 @@ val number : float -> string
 (** Fixed [%.12g] rendering; [nan] becomes [null], infinities clamp to
     [±1e308] so output stays parseable. *)
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control chars). *)
-
 val quote : string -> string
-(** [escape] wrapped in double quotes. *)
+(** A JSON string literal: the body escaped (quotes, backslashes,
+    control chars) and wrapped in double quotes. *)
 
 val render : value -> string
 

@@ -35,6 +35,7 @@ val of_spans : (string * Metrics.span_view) list -> node list
     only if a reset races the snapshot) are synthesized as zero nodes so
     the tree always connects. *)
 
+(* lint:allow R13 -- perfbench's span report reads it; ROADMAP item 6 drops it *)
 val flatten : node list -> node list
 (** Depth-first preorder — flame order. *)
 

@@ -106,8 +106,6 @@ let stats_of h =
   s
 
 let stats () = stats_of global
-let length () = fst (stats ())
-let dropped () = snd (stats ())
 
 let capacity () =
   Mutex.lock global.lock;

@@ -48,7 +48,7 @@ val default_capacity : int
 val enable : ?capacity:int -> unit -> unit
 (** Starts recording (journal contents are preserved; call {!reset}
     first for a fresh run). A [capacity] below the journal's length
-    discards its oldest events at once, counting them in {!dropped}.
+    discards its oldest events at once, counting them as dropped ({!stats}).
     The flag gates every handle, private ones included. Raises
     [Invalid_argument] if [capacity <= 0]. *)
 
@@ -68,13 +68,9 @@ val record : ?flow:string -> at:float -> Event.t -> unit
 val events : unit -> recorded list
 (** Oldest first. *)
 
-val length : unit -> int
-val dropped : unit -> int
-
 val stats : unit -> int * int
-(** [(length, dropped)] read under one lock — consistent with each
-    other, unlike separate {!length}/{!dropped} calls racing a
-    recorder. *)
+(** [(length, dropped)]: the events held and the events the ring has
+    dropped, read under one lock so the pair is consistent. *)
 
 val capacity : unit -> int
 
@@ -97,9 +93,6 @@ val with_run : run:string -> t -> (unit -> 'a) -> 'a
 val run_label : unit -> string option
 (** The [~run] label of the innermost active {!with_run}, if any. Used
     by instrumentation that labels per-run metric-family children. *)
-
-val events_of : t -> recorded list
-val stats_of : t -> int * int
 
 val absorb : t -> unit
 (** Drains [t]'s events into the process journal in order, renumbering

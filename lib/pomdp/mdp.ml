@@ -83,16 +83,3 @@ let value_iteration t =
   done;
   let policy = greedy t ~values in
   { values; policy; iterations = !iterations; residual = !residual }
-
-let evaluate_policy t ~policy =
-  let values = Array.make t.states 0.0 in
-  let residual = ref infinity in
-  while !residual > epsilon do
-    residual := 0.0;
-    for s = 0 to t.states - 1 do
-      let v = q_value t ~values s policy.(s) in
-      residual := Float.max !residual (Float.abs (v -. values.(s)));
-      values.(s) <- v
-    done
-  done;
-  values

@@ -4,7 +4,8 @@
     real time. For a particular model and distribution of possible
     states, there will be a policy that can be computed in advance that
     prescribes the utility-maximizing behavior." This module provides the
-    machinery: finite MDPs with value iteration and policy extraction.
+    machinery: finite MDPs with value iteration and greedy policy
+    extraction.
     {!Sender_mdp} discretizes the transmission problem onto it, and is
     the one problem solved here, so the solvers fix their constants: a
     discount of 0.95 per step, and a stop once the Bellman residual is
@@ -18,9 +19,6 @@ type t = {
   reward : int -> int -> float;  (** Expected immediate reward of [(s, a)]. *)
 }
 
-val validate : t -> (unit, string) result
-(** Checks dimensions, probability ranges and per-(s,a) normalization. *)
-
 type solution = {
   values : float array;  (** Optimal value per state. *)
   policy : int array;  (** Maximizing action per state. *)
@@ -29,11 +27,7 @@ type solution = {
 }
 
 val value_iteration : t -> solution
-(** Standard value iteration.
-    @raise Invalid_argument if the MDP fails {!validate}. *)
-
-val evaluate_policy : t -> policy:int array -> float array
-(** Iterative policy evaluation: the value of following [policy]. *)
-
-val greedy : t -> values:float array -> int array
-(** One-step lookahead policy with respect to [values]. *)
+(** Standard value iteration; the policy is the one-step lookahead
+    (greedy) policy with respect to the final values.
+    @raise Invalid_argument if the MDP's dimensions, probability ranges
+    or per-(s,a) normalization are wrong. *)

@@ -23,11 +23,10 @@ type config = {
 val default : config
 (** cross 0.7, alpha 1. *)
 
-val make : config -> Mdp.t
-(** States: occupancy [0..8]; actions: 0 = idle, 1 = send.
-    @raise Invalid_argument if [cross_prob] is outside [0, 1]. *)
-
 val solve : config -> Mdp.solution
+(** The optimal policy of the discretized problem. States: occupancy
+    [0..8]; actions: 0 = idle, 1 = send.
+    @raise Invalid_argument if [cross_prob] is outside [0, 1]. *)
 
 val send_threshold : Mdp.solution -> int
 (** Largest occupancy at which the policy still sends, plus one — i.e.

@@ -31,7 +31,6 @@ let schedule_after ?prio t ~delay thunk =
 let cancel handle =
   if handle.live then Utc_obs.Metrics.incr cancelled_c;
   handle.live <- false
-let is_cancelled handle = not handle.live
 
 (* lint:hotpath -- one iteration per simulated event; peeks the heap top
    in place instead of popping an option/tuple box *)

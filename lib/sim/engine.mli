@@ -34,17 +34,17 @@ val schedule_after : ?prio:int -> t -> delay:float -> (unit -> unit) -> handle
 val cancel : handle -> unit
 (** Idempotent; cancelling an already-run event has no effect. *)
 
-val is_cancelled : handle -> bool
-
 val run : ?until:Timebase.t -> t -> unit
 (** Execute events in order until the queue is empty or the next event is
     strictly later than [until] (default: run to exhaustion). The clock
     finishes at the last executed event's time, or at [until] if the queue
     still holds later events. *)
 
+(* lint:allow R13 -- perfbench's timed loop steps with it; ROADMAP item 6 drops it *)
 val step : t -> bool
 (** Execute the single next live event. Returns [false] when the queue is
     exhausted. *)
 
+(* lint:allow R13 -- test_experiments "testbed schedules nothing" counts what Testbed.create schedules *)
 val pending : t -> int
 (** Number of queued events, including cancelled ones not yet skipped. *)

@@ -3,7 +3,6 @@ type 'a t = { front : 'a list; back : 'a list; length : int }
 
 let empty = { front = []; back = []; length = 0 }
 let is_empty t = t.length = 0
-let length t = t.length
 
 let push x t =
   match t.front with
@@ -23,10 +22,6 @@ let drop t =
 
 let of_list xs = { front = xs; back = []; length = List.length xs }
 let to_list t = t.front @ List.rev t.back
-
-let fold f acc t =
-  let acc = List.fold_left f acc t.front in
-  List.fold_left f acc (List.rev t.back)
 
 let rec sum_list f acc = function
   | [] -> acc

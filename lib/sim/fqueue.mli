@@ -10,7 +10,6 @@ type 'a t
 
 val empty : 'a t
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val push : 'a -> 'a t -> 'a t
 (** Enqueue at the back. *)
@@ -28,9 +27,6 @@ val of_list : 'a list -> 'a t
 
 val to_list : 'a t -> 'a list
 (** Front first. Canonical. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Front-to-back fold. *)
 
 val sum : ('a -> int) -> 'a t -> int
 (** [sum f q] adds [f x] over the elements. A sum does not depend on

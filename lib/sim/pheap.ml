@@ -127,8 +127,6 @@ let drop_top t =
   t.payloads.(t.size) <- t.payloads.(0);
   if t.size > 0 then sift_down t 0
 
-let min_time t = if t.size = 0 then None else Some t.times.(0)
-
 (* lint:hotpath *)
 let pop t =
   if t.size = 0 then None
@@ -138,25 +136,3 @@ let pop t =
     drop_top t;
     Some (time, payload)
   end
-
-let clear t =
-  t.payloads <- [||];
-  t.size <- 0
-
-let to_list t =
-  let copy =
-    {
-      times = Array.copy t.times;
-      prios = Array.copy t.prios;
-      ties = Array.copy t.ties;
-      payloads = Array.copy t.payloads;
-      size = t.size;
-      next_tie = t.next_tie;
-    }
-  in
-  let rec drain acc =
-    match pop copy with
-    | None -> List.rev acc
-    | Some pair -> drain (pair :: acc)
-  in
-  drain []

@@ -17,9 +17,6 @@ val add : ?prio:int -> 'a t -> time:Timebase.t -> 'a -> unit
 (** Insert with the next tie-break sequence number. [prio] defaults to 0;
     lower priorities run earlier among equal times. *)
 
-val min_time : 'a t -> Timebase.t option
-(** Earliest key, without removing it. *)
-
 val top_time : 'a t -> Timebase.t
 (** Earliest key, without removing it. Raises [Invalid_argument] when the
     heap is empty; with {!top_payload} and {!drop_top} this is the
@@ -32,10 +29,6 @@ val drop_top : 'a t -> unit
 (** Remove the element at the earliest key without returning it. Raises
     [Invalid_argument] when empty. *)
 
+(* lint:allow R13 -- perfbench's heap kernel reads it; ROADMAP item 6 drops it *)
 val pop : 'a t -> (Timebase.t * 'a) option
 (** Remove and return the element with the smallest [(time, tie)] key. *)
-
-val clear : 'a t -> unit
-
-val to_list : 'a t -> (Timebase.t * 'a) list
-(** All elements in key order; O(n log n). For tests and debugging. *)

@@ -41,8 +41,6 @@ let split t =
   let s3 = splitmix64 state in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let float t =
   (* 53 high bits, as recommended for double generation. *)
   let x = Int64.shift_right_logical (bits64 t) 11 in
@@ -52,18 +50,6 @@ let uniform t ~lo ~hi =
   assert (lo <= hi);
   lo +. ((hi -. lo) *. float t)
 
-let int t ~bound =
-  assert (bound > 0);
-  (* Rejection to avoid modulo bias. *)
-  let bound64 = Int64.of_int bound in
-  let rec loop () =
-    let raw = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem raw bound64 in
-    if Int64.sub raw v > Int64.sub (Int64.sub Int64.max_int bound64) 1L then loop ()
-    else Int64.to_int v
-  in
-  loop ()
-
 let bernoulli t ~p =
   assert (p >= 0.0 && p <= 1.0);
   float t < p
@@ -72,15 +58,3 @@ let exponential t ~mean =
   assert (mean > 0.0);
   let u = 1.0 -. float t in
   -.mean *. log u
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t ~bound:(Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -17,28 +17,15 @@ val split : t -> t
 (** A new generator seeded from (and advancing) [t], statistically
     independent of the parent's subsequent output. *)
 
-val copy : t -> t
-
+(* lint:allow R13 -- perfbench's RNG kernel reads it; ROADMAP item 6 drops it *)
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 
-val float : t -> float
-(** Uniform in [\[0, 1)]. *)
-
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. Requires [lo <= hi]. *)
-
-val int : t -> bound:int -> int
-(** Uniform in [\[0, bound)]. Requires [bound > 0]. Unbiased. *)
 
 val bernoulli : t -> p:float -> bool
 (** [true] with probability [p]. Requires [0 <= p <= 1]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. Requires [mean > 0]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly chosen element. Requires a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -2,10 +2,6 @@ type t = float
 
 let zero = 0.0
 let infinity = Stdlib.infinity
-let of_ms ms = ms /. 1000.0
-let to_ms t = t *. 1000.0
-let of_us us = us /. 1_000_000.0
-let to_us t = t *. 1_000_000.0
 let add = ( +. )
 let sub = ( -. )
 let compare = Float.compare
@@ -13,12 +9,5 @@ let ( <. ) a b = Float.compare a b < 0
 let ( <=. ) a b = Float.compare a b <= 0
 let ( >. ) a b = Float.compare a b > 0
 let ( >=. ) a b = Float.compare a b >= 0
-let min = Float.min
-let max = Float.max
-
-let quantize ~tick t =
-  assert (tick > 0.0);
-  int_of_float (Float.floor ((t /. tick) +. 0.5))
-
 let close ~tol a b = Float.abs (a -. b) <= tol
 let pp ppf t = Format.fprintf ppf "%.3fs" t

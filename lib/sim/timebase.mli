@@ -2,8 +2,8 @@
 
     Time is a [float] count of seconds since the start of the simulation.
     All modules in this project use this one representation; helpers here
-    centralize quantization (used when comparing predicted and observed
-    packet arrival times) and formatting. *)
+    centralize comparison, closeness (used when comparing predicted and
+    observed packet arrival times) and formatting. *)
 
 type t = float
 
@@ -11,12 +11,6 @@ val zero : t
 
 val infinity : t
 (** A time later than every event; used as a sentinel horizon. *)
-
-val of_ms : float -> t
-val to_ms : t -> float
-
-val of_us : float -> t
-val to_us : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -27,14 +21,6 @@ val ( <. ) : t -> t -> bool
 val ( <=. ) : t -> t -> bool
 val ( >. ) : t -> t -> bool
 val ( >=. ) : t -> t -> bool
-
-val min : t -> t -> t
-val max : t -> t -> t
-
-val quantize : tick:float -> t -> int
-(** [quantize ~tick t] is the index of the tick containing [t]; two times in
-    the same tick are considered observationally identical. [tick] must be
-    positive. *)
 
 val close : tol:float -> t -> t -> bool
 (** [close ~tol a b] holds when [|a - b| <= tol]. *)

@@ -1,7 +1,7 @@
 (** Terminal dashboard frames for [utc top].
 
     A read-only consumer of the telemetry the observability layer already
-    writes: JSONL journal lines (as produced by {!Utc_obs.Export.jsonl})
+    writes: JSONL journal lines (as produced by {!Utc_obs.Export.render})
     and an optional metrics snapshot ({!Utc_obs.Metrics.snapshot_json}).
     Everything is pure — strings in, one frame string out — so the
     refresh/tail loop lives in the CLI and the dashboard cannot perturb a
@@ -15,6 +15,7 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
+(* lint:allow R13 -- perfbench's JSON reader reads it; ROADMAP item 6 drops it *)
 val parse_json : string -> json option
 (** Small recursive-descent JSON reader (numbers as floats); [None] on
     malformed input or trailing garbage. *)

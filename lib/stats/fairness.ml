@@ -5,9 +5,3 @@ let jain allocations =
   let total = List.fold_left ( +. ) 0.0 allocations in
   let squares = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 allocations in
   if squares = 0.0 then 0.0 else total *. total /. (n *. squares)
-
-let max_min_ratio allocations =
-  if List.is_empty allocations then invalid_arg "Fairness.max_min_ratio: empty list";
-  let max = List.fold_left Float.max neg_infinity allocations in
-  let min = List.fold_left Float.min infinity allocations in
-  if max <= 0.0 then 0.0 else min /. max

@@ -5,6 +5,3 @@ val jain : float list -> float
     one flow takes everything. Allocations must be non-negative; 0 if the
     total is 0.
     @raise Invalid_argument on an empty list. *)
-
-val max_min_ratio : float list -> float
-(** [min / max] of the allocations; 1 when equal. 0 if max is 0. *)

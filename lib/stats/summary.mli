@@ -19,7 +19,4 @@ val percentile : float list -> q:float -> float
 (** Nearest-rank percentile, [0 <= q <= 1].
     @raise Invalid_argument on an empty list or out-of-range [q]. *)
 
-val mean : float list -> float
-(** @raise Invalid_argument on an empty list. *)
-
 val pp : Format.formatter -> t -> unit

@@ -19,7 +19,9 @@ val on_timeout : t -> unit
 
 val rto : t -> float
 
+(* lint:allow R13 -- test_tcp's "rto" tests pin the RFC 6298 arithmetic through it *)
 val srtt : t -> float option
 (** [None] before the first sample. *)
 
+(* lint:allow R13 -- test_tcp "rto first sample" pins the RFC 6298 arithmetic through it *)
 val rttvar : t -> float option

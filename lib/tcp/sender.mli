@@ -32,8 +32,8 @@ val on_delivery : t -> Utc_net.Packet.t -> unit
 
 (** {1 Introspection} *)
 
+(* lint:allow R13 -- test_tcp "sender traces" checks the last window sample against it *)
 val cwnd : t -> float
-val in_flight : t -> int
 
 val delivered : t -> int
 (** Cumulatively acknowledged packets. *)

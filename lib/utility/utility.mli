@@ -51,13 +51,6 @@ val of_delivery :
     [Flow.Primary] count at weight 1, all other flows at [alpha] with the
     latency penalty applied. *)
 
-val of_deliveries :
-  config ->
-  Utc_model.Forward.prepared ->
-  now:Utc_sim.Timebase.t ->
-  Utc_model.Forward.delivery list ->
-  float
-
 val of_outcomes :
   config ->
   Utc_model.Forward.prepared ->
@@ -65,4 +58,5 @@ val of_outcomes :
   Utc_model.Forward.outcome list ->
   float
 (** Expected utility across forked outcomes of a run under the given
-    model, weighting each by [exp logw]. *)
+    model: each outcome's deliveries sum their {!of_delivery}, weighted
+    by [exp logw]. *)

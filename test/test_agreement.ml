@@ -350,11 +350,15 @@ module Planner = Utc_core.Planner
 module Belief = Utc_inference.Belief
 module Utility = Utc_utility.Utility
 
+(* Every hypothesis, heaviest first. *)
+let support belief = Belief.top belief ~n:(Belief.size belief)
+
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let same_delivery (a : Forward.delivery) (b : Forward.delivery) =
   same_float a.Forward.time b.Forward.time
-  && Packet.equal a.Forward.packet b.Forward.packet
+  && a.Forward.packet.Packet.seq = b.Forward.packet.Packet.seq
+  && Flow.equal a.Forward.packet.Packet.flow b.Forward.packet.Packet.flow
   && a.Forward.packet.Packet.bits = b.Forward.packet.Packet.bits
   && same_float a.Forward.packet.Packet.sent_at b.Forward.packet.Packet.sent_at
   && List.equal Int.equal a.Forward.trail b.Forward.trail
@@ -518,7 +522,8 @@ let pricing_matches_full_runs seeds ~pending ~delays =
               priced)
   in
   let belief = Belief.create seeds in
-  let hyps = Belief.top belief ~n:Planner.top_hyps in
+  (* One or two hypotheses, far below the planner's cap: it prices them all. *)
+  let hyps = support belief in
   let z = Utc_inference.Logw.logsumexp (List.map (fun (h : _ Belief.hypothesis) -> h.Belief.logw) hyps) in
   let expected =
     Array.to_list
@@ -882,7 +887,7 @@ let compaction_matches_reference ?(min_weight = 0.0) ?(max_hyps = max_int) seeds
             absorb (key h.Belief.params o.Forward.state awaiting) logw
           end)
         (Forward.run h.Belief.prepared h.Belief.state ~sends ~until:now))
-    (Belief.support belief);
+    (support belief);
   let normalize entries =
     let z = Utc_inference.Logw.logsumexp (List.map snd entries) in
     if z = neg_infinity then [] else List.map (fun (k, lw) -> (k, lw -. z)) entries
@@ -897,14 +902,14 @@ let compaction_matches_reference ?(min_weight = 0.0) ?(max_hyps = max_int) seeds
     else List.filteri (fun i _ -> i < max_hyps) (heaviest_first normalized)
   in
   let expected = heaviest_first (normalize capped) in
-  let kept = Belief.support (Belief.advance belief ~sends ~now ()) in
+  let kept = support (Belief.advance belief ~sends ~now ()) in
   let bits (k, lw) = (k, Int64.bits_of_float lw) in
   let hashed (h : _ Belief.hypothesis) = h.Belief.hash = Mstate.hash h.Belief.state in
   List.map
     (fun (h : _ Belief.hypothesis) -> bits (key h.Belief.params h.Belief.state h.Belief.awaiting, h.Belief.logw))
     kept
   = List.map bits expected
-  && List.for_all hashed (Belief.support belief)
+  && List.for_all hashed (support belief)
   && List.for_all hashed kept
 
 (* Seed 0 appears twice, under params equal by value but physically
@@ -1012,7 +1017,7 @@ let shared_model ?(config = Forward.default_config) topology =
 let belief_runs models =
   let hyps =
     Array.of_list
-      (Belief.support
+      (support
          (Belief.create (List.mapi (fun i (prepared, state) -> (i, 1.0, prepared, state)) models)))
   in
   Belief.shared_runs
@@ -1150,7 +1155,7 @@ let posterior_normalized_prop =
       let acks = seed0_acks seeds ~sends ~now in
       let belief = Belief.create ~obs_offset:(fun p -> p.offset) seeds in
       let updated, _ = Belief.update belief ~sends ~acks ~now () in
-      let hyps = Belief.support updated in
+      let hyps = support updated in
       let mass = List.fold_left (fun acc (h : _ Belief.hypothesis) -> acc +. exp h.Belief.logw) 0.0 hyps in
       hyps <> []
       && List.for_all (fun (h : _ Belief.hypothesis) -> Float.is_finite h.Belief.logw) hyps
@@ -1163,7 +1168,7 @@ let posterior_normalized_prop =
    compiled and prepared anew, so that fresh hypotheses share dynamics
    with kept ones without sharing their order. *)
 let labels_are_classes belief =
-  let hyps = Belief.support belief in
+  let hyps = support belief in
   List.for_all
     (fun (a : _ Belief.hypothesis) ->
       List.for_all
@@ -1187,7 +1192,7 @@ let dynamics_labels_prop =
       let reseeded = Belief.reseed advanced ~seeds:(List.rev (twin_seeds case)) ~keep:0.5 ~now:later () in
       let kept_models = List.map (fun (_, _, prepared, _) -> prepared) seeds in
       let kept (h : _ Belief.hypothesis) = List.memq h.Belief.prepared kept_models in
-      let hyps = Belief.support reseeded in
+      let hyps = support reseeded in
       List.for_all labels_are_classes [ belief; updated; advanced; reseeded ]
       && List.exists
            (fun (a : _ Belief.hypothesis) ->
@@ -1227,7 +1232,6 @@ let planner_twin_prop =
    on, so no ACK is due at the boundary. *)
 let loss_mode_posteriors_prop =
   let module Metrics = Utc_obs.Metrics in
-  let dropped = Metrics.counter "model.forward.branches_dropped" in
   let max_hyps = 20_000 in
   QCheck.Test.make ~name:"fork and likelihood loss give one posterior where no cap fires"
     ~count:150
@@ -1262,7 +1266,11 @@ let loss_mode_posteriors_prop =
             let belief, _ =
               Belief.update (Belief.create ~min_weight:0.0 ~max_hyps seeds) ~sends ~acks ~now ()
             in
-            let capped = Metrics.count dropped > 0 || Belief.size belief >= max_hyps in
+            let dropped =
+              List.assoc "model.forward.branches_dropped"
+                (Metrics.snapshot ~at:0.0).Metrics.counters
+            in
+            let capped = dropped > 0 || Belief.size belief >= max_hyps in
             (List.sort (fun (a, _) (b, _) -> Int.compare a b) (Belief.posterior belief), capped))
       in
       let weighted, weighted_capped = posterior `Likelihood in

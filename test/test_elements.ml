@@ -205,14 +205,6 @@ let either_switches () =
   let fraction = float_of_int direct /. float_of_int n in
   if Float.abs (fraction -. 0.5) > 0.2 then Alcotest.failf "either split off: %g" fraction
 
-let gate_introspection () =
-  let topology = net (Topology.squarewave ~interval:10.0 ()) in
-  let engine = Engine.create () in
-  let runtime = Runtime.build engine (Compiled.compile_exn topology) (Runtime.callbacks ()) in
-  Alcotest.(check bool) "initially on" true (Runtime.gate_connected runtime ~node_id:0);
-  Engine.run ~until:15.0 engine;
-  Alcotest.(check bool) "off after toggle" false (Runtime.gate_connected runtime ~node_id:0)
-
 let queue_introspection () =
   let topology =
     net (Topology.series [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:12_000.0 ])
@@ -428,7 +420,6 @@ let suite =
     ("pinger cadence", `Quick, pinger_cadence);
     ("diverter routes", `Quick, diverter_routes_by_flow);
     ("either switches", `Quick, either_switches);
-    ("gate introspection", `Quick, gate_introspection);
     ("queue introspection", `Quick, queue_introspection);
     ("red drops under load", `Quick, red_drops_under_load);
     ("red light load", `Quick, red_no_drops_light_load);

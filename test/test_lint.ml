@@ -138,7 +138,10 @@ let r4_suppression () =
 let r5_detects () =
   check_rules "lib module without interface" [ "R5" ] [ ("lib/net/orphan.ml", "let x = 1\n") ];
   check_rules "interface present" []
-    [ ("lib/net/ok.ml", "let x = 1\n"); ("lib/net/ok.mli", "val x : int\n") ];
+    [
+      ("lib/net/ok.ml", "let x = 1\n"); ("lib/net/ok.mli", "val x : int\n");
+      ("bin/main.ml", "let () = ignore Ok.x\n");
+    ];
   check_rules "bin and examples are exempt" []
     [ ("bin/tool.ml", "let x = 1\n"); ("examples/demo.ml", "let x = 1\n") ]
 
@@ -487,6 +490,67 @@ let r12_detects () =
   check_rules "inline suppression" []
     [ ("bin/t.ml", "let guard f = try f () with _ -> 0 (* lint:allow R12 -- test: default *)\n") ]
 
+(* --- R13 exported-value-has-reader --- *)
+
+(* [Lonely] exports [x], [twice] and a record with a [mean] field beside
+   a [mean] function; its own [twice] reads [x]. *)
+let lonely
+    ?(mli = "val x : int\nval twice : int\ntype r = { mean : float }\nval mean : r -> float\n")
+    readers =
+  ( "lib/net/lonely.ml",
+    "let x = 1\nlet twice = x + x\ntype r = { mean : float }\nlet mean r = r.mean\n" )
+  :: ("lib/net/lonely.mli", mli)
+  :: readers
+
+(* Every export but [x] read from bin/, so a case shows whether [x]'s
+   reader counts. *)
+let others = ("bin/others.ml", "let t = Lonely.twice\nlet m = Lonely.mean\n")
+
+let r13_detects () =
+  (* [Lonely.twice] reads [x], but from [x]'s own module. *)
+  (match run (lonely [ others ]) with
+  | [ d ] ->
+    Alcotest.(check (pair string int)) "on the val's line" ("lib/net/lonely.mli", 1)
+      (d.L.Diagnostic.path, d.L.Diagnostic.line);
+    Alcotest.(check string) "rule" "R13" d.L.Diagnostic.rule
+  | ds -> Alcotest.failf "expected one finding, got %d" (List.length ds));
+  check_rules "every export unread" [ "R13"; "R13"; "R13" ] (lonely [])
+
+let r13_readers () =
+  let reads name code = check_rules name [] (lonely [ others; ("bin/use.ml", code) ]) in
+  check_rules "a reader in bin/" [] (lonely [ others; ("bin/use.ml", "let y = Lonely.x\n") ]);
+  check_rules "a reader in examples/" []
+    (lonely [ others; ("examples/demo.ml", "let y = Utc_net.Lonely.x\n") ]);
+  check_rules "a reader elsewhere in lib/" []
+    (lonely [ others; ("lib/core/user.ml", "let y = Lonely.x\n"); ("lib/core/user.mli", "") ]);
+  reads "a local open" "let y = Lonely.(x + 1)\n";
+  reads "a let-open" "let y = let open Lonely in x\n";
+  reads "a let () body" "let () = ignore (Lonely.x + 1)\n";
+  reads "an optional-argument default" "let f ?(n = Lonely.x) () = n\n";
+  reads "a module alias" "module L = Utc_net.Lonely\nlet y = L.x\n"
+
+let r13_non_readers () =
+  check_rules "a reference from test/" [ "R13" ]
+    (lonely [ others; ("test/test_x.ml", "let y = Lonely.x\n") ]);
+  check_rules "a reference from perfbench/" [ "R13" ]
+    (lonely [ others; ("perfbench/w.ml", "let y = Lonely.x\n") ]);
+  check_rules "a record field is not the function" [ "R13" ]
+    (lonely
+       [
+         ("bin/others.ml", "let t = Lonely.twice + Lonely.x\n");
+         ("bin/use.ml", "let f (r : Utc_net.Lonely.r) = r.Utc_net.Lonely.mean\n");
+       ])
+
+let r13_allow () =
+  let mli =
+    "(* lint:allow R13 -- test oracle *)\n\
+     val x : int\n\
+     val twice : int\n\
+     type r = { mean : float }\n\
+     val mean : r -> float\n"
+  in
+  check_rules "an allow comment above the val" [] (lonely ~mli [ others ])
+
 (* --- call graph unit tests --- *)
 
 let graph_of files =
@@ -659,6 +723,10 @@ let suite =
     ("R11 negatives", `Quick, r11_negatives);
     ("R11 justification", `Quick, r11_justification);
     ("R12 swallowed exceptions", `Quick, r12_detects);
+    ("R13 detects exports with no reader", `Quick, r13_detects);
+    ("R13 readers", `Quick, r13_readers);
+    ("R13 non-readers", `Quick, r13_non_readers);
+    ("R13 allow comment", `Quick, r13_allow);
     ("callgraph cycles", `Quick, callgraph_cycles);
     ("callgraph freshness", `Quick, callgraph_freshness);
     ("callgraph shadowed names", `Quick, callgraph_shadowed_names);

@@ -17,15 +17,19 @@ module Export = Utc_obs.Export
 let goodput_tolerance = 0.05
 let queue_tolerance = 0.25
 
+let topo_name = function
+  | Meanfield.Single -> "single"
+  | Meanfield.Parking_lot -> "parking_lot"
+
 let check_agreement (a : Meanfield.agreement) =
   if a.Meanfield.goodput_rel_err > goodput_tolerance then
     Alcotest.failf "%s N=%d: goodput rel err %.4f exceeds %.2f (fluid %.4g vs packet %.4g)"
-      (Meanfield.topo_to_string a.Meanfield.a_topo)
+      (topo_name a.Meanfield.a_topo)
       a.Meanfield.a_n a.Meanfield.goodput_rel_err goodput_tolerance a.Meanfield.fluid_goodput_bps
       a.Meanfield.packet_goodput_bps;
   if a.Meanfield.queue_frac_of_buffer > queue_tolerance then
     Alcotest.failf "%s N=%d: queue error %.4f of buffer exceeds %.2f (fluid %.4g vs packet %.4g)"
-      (Meanfield.topo_to_string a.Meanfield.a_topo)
+      (topo_name a.Meanfield.a_topo)
       a.Meanfield.a_n a.Meanfield.queue_frac_of_buffer queue_tolerance
       a.Meanfield.fluid_queue_bits a.Meanfield.packet_queue_bits
 
@@ -76,7 +80,7 @@ let meanfield_run_outputs seed =
         { Meanfield.default_config with seed; duration = 30.0; background = 2_000 }
       in
       ignore (Meanfield.run ~config () : Meanfield.summary);
-      let journal = Export.jsonl (Sink.events ()) in
+      let journal = Export.render Export.Jsonl (Sink.events ()) in
       let metrics = Metrics.snapshot_json ~profile:false (Metrics.snapshot ~at:30.0) in
       (journal, metrics))
 

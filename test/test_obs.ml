@@ -28,27 +28,40 @@ let with_telemetry f =
 
 (* --- metrics registry --- *)
 
+(* Registered values, read from a snapshot. *)
+let counter_value name = List.assoc_opt name (Metrics.snapshot ~at:0.0).Metrics.counters
+let gauge_value name = List.assoc_opt name (Metrics.snapshot ~at:0.0).Metrics.gauges
+
+(* The names a family's label sets registered, in snapshot order. *)
+let family_children family =
+  let prefix = family ^ "{" in
+  List.filter
+    (String.starts_with ~prefix)
+    (List.map fst (Metrics.snapshot ~at:0.0).Metrics.counters)
+
 let counters_count_when_enabled () =
   with_telemetry (fun () ->
       let c = Metrics.counter "test.counter" in
       Metrics.incr c;
       Metrics.add c 4;
-      Alcotest.(check int) "incr + add" 5 (Metrics.count c);
+      Alcotest.(check (option int)) "incr + add" (Some 5) (counter_value "test.counter");
       Metrics.disable ();
       Metrics.incr c;
-      Alcotest.(check int) "disabled incr is a no-op" 5 (Metrics.count c);
+      Alcotest.(check (option int)) "disabled incr is a no-op" (Some 5)
+        (counter_value "test.counter");
       Metrics.enable ();
       let again = Metrics.counter "test.counter" in
       Metrics.incr again;
-      Alcotest.(check int) "same name is the same counter" 6 (Metrics.count c))
+      Alcotest.(check bool) "same name is the same counter" true (c == again);
+      Alcotest.(check (option int)) "one entry counts both" (Some 6) (counter_value "test.counter"))
 
 let gauges_hold_last_value () =
   with_telemetry (fun () ->
       let g = Metrics.gauge "test.gauge" in
-      Alcotest.(check (option (float 0.0))) "unset" None (Metrics.gauge_value g);
+      Alcotest.(check (option (float 0.0))) "unset" None (gauge_value "test.gauge");
       Metrics.set_gauge g 2.5;
       Metrics.set_gauge g 7.25;
-      Alcotest.(check (option (float 0.0))) "last write wins" (Some 7.25) (Metrics.gauge_value g))
+      Alcotest.(check (option (float 0.0))) "last write wins" (Some 7.25) (gauge_value "test.gauge"))
 
 let histogram_buckets () =
   with_telemetry (fun () ->
@@ -218,7 +231,7 @@ let sink_records_in_order () =
       Sink.enable ();
       Sink.record ~at:1.0 (Event.Mark { name = "a"; value = 1.0 });
       Sink.record ~at:2.0 (Event.Mark { name = "b"; value = 2.0 });
-      Alcotest.(check int) "two events" 2 (Sink.length ());
+      Alcotest.(check int) "two events" 2 (fst (Sink.stats ()));
       (match Sink.events () with
       | [ a; b ] ->
         Alcotest.(check int) "sequence numbers" 0 a.Sink.seq;
@@ -227,7 +240,7 @@ let sink_records_in_order () =
       | es -> Alcotest.failf "expected 2 events, got %d" (List.length es));
       Sink.disable ();
       Sink.record ~at:3.0 (Event.Mark { name = "c"; value = 3.0 });
-      Alcotest.(check int) "disabled record is a no-op" 2 (Sink.length ()))
+      Alcotest.(check int) "disabled record is a no-op" 2 (fst (Sink.stats ())))
 
 let sink_ring_drops_oldest () =
   with_telemetry (fun () ->
@@ -235,10 +248,7 @@ let sink_ring_drops_oldest () =
       for i = 0 to 9 do
         Sink.record ~at:(float_of_int i) (Event.Timeout { seq = i })
       done;
-      Alcotest.(check int) "bounded length" 4 (Sink.length ());
-      Alcotest.(check int) "drop count" 6 (Sink.dropped ());
-      Alcotest.(check (pair int int)) "stats is a consistent (length, dropped) pair" (4, 6)
-        (Sink.stats ());
+      Alcotest.(check (pair int int)) "bounded length and drop count" (4, 6) (Sink.stats ());
       Alcotest.(check (list int)) "newest survive, sequence numbering global" [ 6; 7; 8; 9 ]
         (List.map (fun (r : Sink.recorded) -> r.Sink.seq) (Sink.events ()));
       Sink.enable ~capacity:2 ();
@@ -275,9 +285,9 @@ let per_run_sinks () =
       Sink.with_run ~run:"0" a (fun () ->
           Sink.record ~at:3.0 (Event.Mark { name = "a2"; value = 3.0 }));
       Alcotest.(check (option string)) "run label restored" None (Sink.run_label ());
-      Alcotest.(check int) "private records stay out of the journal" 1 (Sink.length ());
-      Alcotest.(check (pair int int)) "handle stats" (2, 0) (Sink.stats_of a);
+      Alcotest.(check int) "private records stay out of the journal" 1 (fst (Sink.stats ()));
       Sink.absorb a;
+      Alcotest.(check (pair int int)) "the handle held both its records" (3, 0) (Sink.stats ());
       Sink.absorb b;
       let events = Sink.events () in
       Alcotest.(check (list string)) "concatenated in absorb order"
@@ -289,7 +299,8 @@ let per_run_sinks () =
       | last :: _ ->
         Alcotest.(check (option string)) "flow survives absorption" (Some "aux0") last.Sink.flow
       | [] -> Alcotest.fail "journal empty");
-      Alcotest.(check (pair int int)) "absorbed handle is left empty" (0, 0) (Sink.stats_of a))
+      Sink.absorb a;
+      Alcotest.(check (pair int int)) "absorbed handle is left empty" (4, 0) (Sink.stats ()))
 
 (* --- labeled metric families --- *)
 
@@ -300,17 +311,19 @@ let family_resolution () =
       let c2 = Metrics.labeled fam [ ("flow", "primary"); ("run", "1") ] in
       Metrics.incr c1;
       Metrics.incr c2;
-      Alcotest.(check int) "label order is canonicalized to one child" 2 (Metrics.count c1);
-      Alcotest.(check string) "rendered name sorts keys"
-        "test.family.requests{flow=\"primary\",run=\"1\"}" (Metrics.counter_name c1);
-      Alcotest.(check int) "one child registered" 1 (Metrics.family_children fam);
+      Alcotest.(check bool) "label order is canonicalized to one child" true (c1 == c2);
+      Alcotest.(check (list string)) "one child registered, its rendered name sorting keys"
+        [ "test.family.requests{flow=\"primary\",run=\"1\"}" ]
+        (family_children "test.family.requests");
       let bare = Metrics.labeled fam [] in
       Metrics.add bare 3;
-      Alcotest.(check int) "empty label set is the plain counter" 3
-        (Metrics.count (Metrics.counter "test.family.requests"));
+      Alcotest.(check bool) "empty label set is the plain counter" true
+        (bare == Metrics.counter "test.family.requests");
       let snap = Metrics.snapshot ~at:0.0 in
       Alcotest.(check (option int)) "child appears under its rendered name" (Some 2)
         (List.assoc_opt "test.family.requests{flow=\"primary\",run=\"1\"}" snap.Metrics.counters);
+      Alcotest.(check (option int)) "and the plain counter under the family name" (Some 3)
+        (List.assoc_opt "test.family.requests" snap.Metrics.counters);
       let names = List.map fst snap.Metrics.counters in
       Alcotest.(check (list string)) "family children keep the snapshot name-sorted"
         (List.sort String.compare names) names;
@@ -323,27 +336,30 @@ let family_resolution () =
 
 let family_cardinality_cap () =
   with_telemetry (fun () ->
-      let base = Metrics.family_overflows () in
+      let overflows () = counter_value "utc_obs_family_overflow" in
+      let base = Option.value ~default:0 (overflows ()) in
       let fam = Metrics.counter_family ~max_children:2 "test.family.capped" in
       let a = Metrics.labeled fam [ ("flow", "a") ] in
       let b = Metrics.labeled fam [ ("flow", "b") ] in
       let c = Metrics.labeled fam [ ("flow", "c") ] in
       let d = Metrics.labeled fam [ ("flow", "d") ] in
-      Alcotest.(check int) "children never exceed the cap" 2 (Metrics.family_children fam);
-      Alcotest.(check int) "each over-cap resolution is counted" (base + 2)
-        (Metrics.family_overflows ());
-      Alcotest.(check string) "over-cap label sets route to the reserved child"
-        "test.family.capped{other=\"true\"}" (Metrics.counter_name c);
+      Alcotest.(check (list string)) "the cap's two children, then the reserved one"
+        [ "test.family.capped{flow=\"a\"}"; "test.family.capped{flow=\"b\"}";
+          "test.family.capped{other=\"true\"}" ]
+        (family_children "test.family.capped");
+      Alcotest.(check (option int)) "each over-cap resolution is counted" (Some (base + 2))
+        (overflows ());
       Alcotest.(check bool) "all overflow traffic shares one child" true (c == d);
       Metrics.incr a;
       Metrics.incr b;
       Metrics.incr c;
       Metrics.incr d;
-      Alcotest.(check int) "the other child aggregates" 2 (Metrics.count c);
+      Alcotest.(check (option int)) "the other child aggregates" (Some 2)
+        (counter_value "test.family.capped{other=\"true\"}");
       Alcotest.(check bool) "known children still resolve after the cap" true
         (a == Metrics.labeled fam [ ("flow", "a") ]);
-      Alcotest.(check int) "known children do not count as overflow" (base + 2)
-        (Metrics.family_overflows ());
+      Alcotest.(check (option int)) "known children do not count as overflow" (Some (base + 2))
+        (overflows ());
       Alcotest.check_raises "cap must be positive"
         (Invalid_argument "Metrics: max_children must be positive") (fun () ->
           ignore (Metrics.counter_family ~max_children:0 "test.family.bad")))
@@ -370,7 +386,7 @@ let jsonl_shape () =
     "{\"t\":1.5,\"n\":7,\"event\":\"packet_send\",\"flow\":\"primary\",\"run\":\"2\",\"seq\":3,\"bits\":8000}"
     (Export.jsonl_line { r with Sink.run = Some "2" });
   Alcotest.(check string) "jsonl is newline-terminated" (Export.jsonl_line r ^ "\n")
-    (Export.jsonl [ r ])
+    (Export.render Export.Jsonl [ r ])
 
 let contains needle hay =
   let n = String.length needle in
@@ -391,7 +407,7 @@ let chrome_shape () =
       { Sink.at = 2.0; seq = 2; flow = Some "aux0"; run = None; event = Event.Timeout { seq = 2 } };
     ]
   in
-  let out = Export.chrome records in
+  let out = Export.render Export.Chrome records in
   Alcotest.(check bool) "JSON array" true (out.[0] = '[');
   Alcotest.(check bool) "instant events" true (contains "\"ph\":\"i\"" out);
   Alcotest.(check bool) "microsecond timestamps" true (contains "\"ts\":500000" out);
@@ -414,7 +430,7 @@ let chrome_shape () =
 let chrome_span_slices_and_orphans () =
   let rec_ at seq event = { Sink.at; seq; flow = None; run = None; event } in
   let out =
-    Export.chrome
+    Export.render Export.Chrome
       [
         rec_ 1.0 0 (Event.Span_end { path = "lost" });
         rec_ 2.0 1 (Event.Span_begin { path = "a" });
@@ -433,7 +449,7 @@ let chrome_span_slices_and_orphans () =
 let chrome_run_tracks () =
   let rec_ at seq run event = { Sink.at; seq; flow = None; run = Some run; event } in
   let out =
-    Export.chrome
+    Export.render Export.Chrome
       [
         rec_ 0.0 0 "0" (Event.Span_begin { path = "harness.run" });
         rec_ 1.0 1 "0" (Event.Span_end { path = "harness.run" });
@@ -499,7 +515,7 @@ let journal_of_run config =
   with_telemetry (fun () ->
       Sink.enable ();
       ignore (Harness.run config);
-      let journal = Export.jsonl (Sink.events ()) in
+      let journal = Export.render Export.Jsonl (Sink.events ()) in
       let snap = Metrics.snapshot ~at:config.Harness.duration in
       let metrics = Metrics.snapshot_json ~profile:false snap in
       (* The rendered sim-only span tree is part of the determinism
@@ -549,7 +565,7 @@ let sweep_of domains configs =
   with_telemetry (fun () ->
       Sink.enable ();
       ignore (Harness.run_many configs);
-      (Export.jsonl (Sink.events ()), sweep_fingerprint 0.0))
+      (Export.render Export.Jsonl (Sink.events ()), sweep_fingerprint 0.0))
 
 let sweep_domain_invariance =
   QCheck.Test.make ~name:"run_many journal and labeled families are pool-size invariant"

@@ -27,42 +27,24 @@ let value_iteration_tiny () =
   Alcotest.(check int) "policy moves" 1 solution.Mdp.policy.(0);
   Alcotest.(check bool) "converged" true (solution.Mdp.residual < 1e-8)
 
-let policy_evaluation_matches () =
-  let solution = Mdp.value_iteration tiny in
-  let values = Mdp.evaluate_policy tiny ~policy:solution.Mdp.policy in
-  Array.iteri
-    (fun s v -> Alcotest.(check (float 1e-6)) (Printf.sprintf "V(%d)" s) solution.Mdp.values.(s) v)
-    values
-
-let greedy_of_optimal_is_optimal () =
-  let solution = Mdp.value_iteration tiny in
-  let policy = Mdp.greedy tiny ~values:solution.Mdp.values in
-  Alcotest.(check bool) "greedy = optimal" true (policy = solution.Mdp.policy)
-
 let validate_catches_bad_mdp () =
   let broken = { tiny with Mdp.transition = (fun _ _ -> [ (0, 0.5) ]) } in
-  match Mdp.validate broken with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "unnormalized transition accepted"
-
-let suboptimal_policy_is_worse () =
-  let stay = [| 0; 0 |] in
-  let values = Mdp.evaluate_policy tiny ~policy:stay in
-  Alcotest.(check (float 1e-6)) "staying earns nothing" 0.0 values.(0)
+  match Mdp.value_iteration broken with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unnormalized transition accepted"
 
 (* --- the transmission MDP --- *)
 
 let sender_mdp_valid () =
   List.iter
     (fun alpha ->
-      let mdp = Sender_mdp.make { Sender_mdp.default with Sender_mdp.alpha } in
-      match Mdp.validate mdp with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "invalid MDP at alpha=%g: %s" alpha msg)
+      match Sender_mdp.solve { Sender_mdp.default with Sender_mdp.alpha } with
+      | _ -> ()
+      | exception Invalid_argument msg -> Alcotest.failf "invalid MDP at alpha=%g: %s" alpha msg)
     [ 0.0; 1.0; 5.0 ]
 
 (* The queue's capacity: its largest occupancy. *)
-let capacity = (Sender_mdp.make Sender_mdp.default).Mdp.states - 1
+let capacity = Array.length (Sender_mdp.solve Sender_mdp.default).Mdp.values - 1
 
 let selfish_policy_always_sends () =
   let solution = Sender_mdp.solve { Sender_mdp.default with Sender_mdp.alpha = 0.0 } in
@@ -111,10 +93,7 @@ let solve_pins_thresholds_and_iterations () =
 let suite =
   [
     ("value iteration tiny", `Quick, value_iteration_tiny);
-    ("policy evaluation matches", `Quick, policy_evaluation_matches);
-    ("greedy of optimal", `Quick, greedy_of_optimal_is_optimal);
     ("validate catches bad mdp", `Quick, validate_catches_bad_mdp);
-    ("suboptimal policy worse", `Quick, suboptimal_policy_is_worse);
     ("sender mdp valid", `Quick, sender_mdp_valid);
     ("selfish always sends", `Quick, selfish_policy_always_sends);
     ("threshold monotone in alpha", `Quick, threshold_monotone_in_alpha);

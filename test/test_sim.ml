@@ -6,24 +6,13 @@ let check_float = Alcotest.(check (float 1e-12))
 
 (* --- Timebase --- *)
 
-let timebase_units () =
-  check_float "ms" 0.25 (Timebase.of_ms 250.0);
-  check_float "to ms" 250.0 (Timebase.to_ms 0.25);
-  check_float "us" 0.0005 (Timebase.of_us 500.0);
-  check_float "to us" 500.0 (Timebase.to_us 0.0005)
-
 let timebase_compare () =
   Alcotest.(check bool) "lt" true Timebase.(1.0 <. 2.0);
   Alcotest.(check bool) "le eq" true Timebase.(2.0 <=. 2.0);
   Alcotest.(check bool) "gt" true Timebase.(3.0 >. 2.0);
-  Alcotest.(check int) "compare" 0 (Timebase.compare 5.0 5.0);
-  check_float "min" 1.0 (Timebase.min 1.0 2.0);
-  check_float "max" 2.0 (Timebase.max 1.0 2.0)
+  Alcotest.(check int) "compare" 0 (Timebase.compare 5.0 5.0)
 
-let timebase_quantize () =
-  Alcotest.(check int) "exact tick" 1000 (Timebase.quantize ~tick:0.001 1.0);
-  Alcotest.(check int) "round down" 999 (Timebase.quantize ~tick:0.001 0.9994);
-  Alcotest.(check int) "round up" 1000 (Timebase.quantize ~tick:0.001 0.9996);
+let timebase_close () =
   Alcotest.(check bool) "close" true (Timebase.close ~tol:1e-6 1.0 (1.0 +. 1e-7));
   Alcotest.(check bool) "not close" false (Timebase.close ~tol:1e-6 1.0 (1.0 +. 1e-5))
 
@@ -42,7 +31,7 @@ let rng_seed_sensitivity () =
 let rng_float_range () =
   let rng = Rng.create ~seed:3 in
   for _ = 1 to 10_000 do
-    let x = Rng.float rng in
+    let x = Rng.uniform rng ~lo:0.0 ~hi:1.0 in
     if x < 0.0 || x >= 1.0 then Alcotest.failf "float out of range: %g" x
   done
 
@@ -55,18 +44,6 @@ let rng_uniform_moments () =
   done;
   let mean = !sum /. float_of_int n in
   if Float.abs (mean -. 3.0) > 0.02 then Alcotest.failf "uniform mean off: %g" mean
-
-let rng_int_bounds () =
-  let rng = Rng.create ~seed:11 in
-  let counts = Array.make 7 0 in
-  for _ = 1 to 70_000 do
-    let k = Rng.int rng ~bound:7 in
-    counts.(k) <- counts.(k) + 1
-  done;
-  Array.iteri
-    (fun i c ->
-      if c < 9_000 || c > 11_000 then Alcotest.failf "bucket %d skewed: %d" i c)
-    counts
 
 let rng_bernoulli_rate () =
   let rng = Rng.create ~seed:13 in
@@ -101,28 +78,26 @@ let rng_split_independence () =
   done;
   Alcotest.(check int) "no collisions" 0 !same
 
-let rng_copy () =
-  let a = Rng.create ~seed:23 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
-
-let rng_shuffle_permutes () =
-  let rng = Rng.create ~seed:29 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
-
 (* --- Pheap --- *)
+
+(* Every element in key order, draining the heap through the peek API. *)
+let drain h =
+  let rec go acc =
+    if Pheap.is_empty h then List.rev acc
+    else begin
+      let pair = (Pheap.top_time h, Pheap.top_payload h) in
+      Pheap.drop_top h;
+      go (pair :: acc)
+    end
+  in
+  go []
 
 let pheap_ordering () =
   let h = Pheap.create () in
   Pheap.add h ~time:3.0 "c";
   Pheap.add h ~time:1.0 "a";
   Pheap.add h ~time:2.0 "b";
-  let order = List.map snd (Pheap.to_list h) in
+  let order = List.map snd (drain h) in
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] order
 
 let pheap_tie_break_insertion () =
@@ -130,7 +105,7 @@ let pheap_tie_break_insertion () =
   Pheap.add h ~time:1.0 "first";
   Pheap.add h ~time:1.0 "second";
   Pheap.add h ~time:1.0 "third";
-  let order = List.map snd (Pheap.to_list h) in
+  let order = List.map snd (drain h) in
   Alcotest.(check (list string)) "insertion order at ties" [ "first"; "second"; "third" ] order
 
 let pheap_priority_classes () =
@@ -139,7 +114,7 @@ let pheap_priority_classes () =
   Pheap.add ~prio:(-10) h ~time:1.0 "complete";
   Pheap.add ~prio:(-20) h ~time:1.0 "gate";
   Pheap.add ~prio:10 h ~time:1.0 "wakeup";
-  let order = List.map snd (Pheap.to_list h) in
+  let order = List.map snd (drain h) in
   Alcotest.(check (list string))
     "canonical same-instant order"
     [ "gate"; "complete"; "arrival"; "wakeup" ]
@@ -152,21 +127,6 @@ let pheap_pop_empties () =
   let _ = Pheap.pop h in
   Alcotest.(check bool) "empty" true (Pheap.is_empty h);
   Alcotest.(check bool) "pop on empty" true (Pheap.pop h = None)
-
-let pheap_min_time () =
-  let h = Pheap.create () in
-  Alcotest.(check bool) "none" true (Pheap.min_time h = None);
-  Pheap.add h ~time:5.0 ();
-  Pheap.add h ~time:2.0 ();
-  Alcotest.(check bool) "min" true (Pheap.min_time h = Some 2.0)
-
-let pheap_clear () =
-  let h = Pheap.create () in
-  for i = 1 to 20 do
-    Pheap.add h ~time:(float_of_int i) i
-  done;
-  Pheap.clear h;
-  Alcotest.(check int) "cleared" 0 (Pheap.length h)
 
 let pheap_peek () =
   let h = Pheap.create () in
@@ -219,7 +179,7 @@ let pheap_sorted_prop =
     (fun entries ->
       let h = Pheap.create () in
       List.iter (fun (time, prio) -> Pheap.add ~prio h ~time ()) entries;
-      let keys = List.map fst (Pheap.to_list h) in
+      let keys = List.map fst (drain h) in
       let rec nondecreasing = function
         | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
         | [ _ ] | [] -> true
@@ -255,7 +215,6 @@ let engine_cancel () =
   let hit = ref false in
   let handle = Engine.schedule engine ~at:1.0 (fun () -> hit := true) in
   Engine.cancel handle;
-  Alcotest.(check bool) "cancelled flag" true (Engine.is_cancelled handle);
   Engine.run engine;
   Alcotest.(check bool) "did not run" false !hit
 
@@ -331,32 +290,25 @@ let fqueue_model_prop =
             | _ -> raise Exit))
         ops;
       Utc_sim.Fqueue.to_list !q = !model
-      && Utc_sim.Fqueue.length !q = List.length !model
       && (match !model with
          | [] -> Utc_sim.Fqueue.is_empty !q
          | m :: _ -> Utc_sim.Fqueue.head !q = m))
 
 let suite =
   [
-    ("timebase units", `Quick, timebase_units);
     ("timebase compare", `Quick, timebase_compare);
-    ("timebase quantize", `Quick, timebase_quantize);
+    ("timebase close", `Quick, timebase_close);
     ("rng deterministic", `Quick, rng_deterministic);
     ("rng seed sensitivity", `Quick, rng_seed_sensitivity);
     ("rng float range", `Quick, rng_float_range);
     ("rng uniform moments", `Quick, rng_uniform_moments);
-    ("rng int bounds", `Quick, rng_int_bounds);
     ("rng bernoulli rate", `Quick, rng_bernoulli_rate);
     ("rng exponential mean", `Quick, rng_exponential_mean);
     ("rng split independence", `Quick, rng_split_independence);
-    ("rng copy", `Quick, rng_copy);
-    ("rng shuffle permutes", `Quick, rng_shuffle_permutes);
     ("pheap ordering", `Quick, pheap_ordering);
     ("pheap tie break", `Quick, pheap_tie_break_insertion);
     ("pheap priority classes", `Quick, pheap_priority_classes);
     ("pheap pop empties", `Quick, pheap_pop_empties);
-    ("pheap min time", `Quick, pheap_min_time);
-    ("pheap clear", `Quick, pheap_clear);
     ("pheap peek api", `Quick, pheap_peek);
     QCheck_alcotest.to_alcotest pheap_peek_equals_pop_prop;
     QCheck_alcotest.to_alcotest pheap_sorted_prop;
@@ -382,24 +334,29 @@ let timebase_sentinel () =
     Timebase.(1e12 <. Timebase.infinity);
   Alcotest.(check (float 0.0)) "add/sub" 1.5 (Timebase.add 1.0 (Timebase.sub 1.0 0.5))
 
-let rng_pick_uniformish () =
-  let rng = Rng.create ~seed:41 in
-  let arr = [| 0; 1; 2 |] in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 30_000 do
-    let k = Rng.pick rng arr in
-    counts.(k) <- counts.(k) + 1
-  done;
-  Array.iter (fun c -> if c < 9_000 || c > 11_000 then Alcotest.failf "pick skew: %d" c) counts
-
+(* Running an event kills its handle: cancelling it afterwards is a
+   harmless no-op that the sim.engine.cancelled counter does not see,
+   while cancelling a live one is counted. *)
 let engine_handle_dead_after_run () =
-  let engine = Engine.create () in
-  let handle = Engine.schedule engine ~at:1.0 (fun () -> ()) in
-  Alcotest.(check bool) "live before" false (Engine.is_cancelled handle);
-  Engine.run engine;
-  Alcotest.(check bool) "dead after running" true (Engine.is_cancelled handle);
-  (* Cancelling an executed event is a harmless no-op. *)
-  Engine.cancel handle
+  let module Metrics = Utc_obs.Metrics in
+  let cancelled () =
+    List.assoc "sim.engine.cancelled" (Metrics.snapshot ~at:0.0).Metrics.counters
+  in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      let engine = Engine.create () in
+      let ran = Engine.schedule engine ~at:1.0 (fun () -> ()) in
+      let live = Engine.schedule engine ~at:2.0 (fun () -> ()) in
+      Engine.run ~until:1.5 engine;
+      Engine.cancel ran;
+      Alcotest.(check int) "dead after running" 0 (cancelled ());
+      Engine.cancel live;
+      Alcotest.(check int) "live before running" 1 (cancelled ()))
 
 let engine_negative_delay_rejected () =
   let engine = Engine.create () in
@@ -421,13 +378,12 @@ let pheap_negative_priorities () =
   Pheap.add ~prio:5 h ~time:1.0 "late";
   Pheap.add ~prio:(-5) h ~time:1.0 "early";
   Alcotest.(check bool) "negative prio first" true
-    (List.map snd (Pheap.to_list h) = [ "early"; "late" ])
+    (List.map snd (drain h) = [ "early"; "late" ])
 
 let fqueue_of_list_order () =
   let q = Utc_sim.Fqueue.of_list [ 1; 2; 3 ] in
   Alcotest.(check int) "head is front" 1 (Utc_sim.Fqueue.head q);
-  Alcotest.(check int) "fold front to back" 123
-    (Utc_sim.Fqueue.fold (fun acc x -> (acc * 10) + x) 0 q)
+  Alcotest.(check (list int)) "to_list front to back" [ 1; 2; 3 ] (Utc_sim.Fqueue.to_list q)
 
 (* [equal] compares contents front to back, whatever the front/back
    split: a queue built from [of_list] of its first [k] elements and
@@ -457,7 +413,6 @@ let extra_suite =
   [
     ("timebase pp", `Quick, timebase_pp);
     ("timebase sentinel", `Quick, timebase_sentinel);
-    ("rng pick", `Quick, rng_pick_uniformish);
     ("engine handle dead after run", `Quick, engine_handle_dead_after_run);
     ("engine negative delay", `Quick, engine_negative_delay_rejected);
     ("engine pending counts", `Quick, engine_pending_counts);

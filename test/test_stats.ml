@@ -43,11 +43,6 @@ let jain_range_prop =
       let n = float_of_int (List.length xs) in
       j >= (1.0 /. n) -. 1e-9 && j <= 1.0 +. 1e-9)
 
-let max_min_ratio_cases () =
-  Alcotest.(check (float 1e-9)) "equal" 1.0 (Fairness.max_min_ratio [ 2.0; 2.0 ]);
-  Alcotest.(check (float 1e-9)) "half" 0.5 (Fairness.max_min_ratio [ 1.0; 2.0 ]);
-  Alcotest.(check (float 1e-9)) "zero max" 0.0 (Fairness.max_min_ratio [ 0.0; 0.0 ])
-
 let plot_contains_markers () =
   let text =
     Ascii_plot.render ~width:40 ~height:10
@@ -84,7 +79,6 @@ let suite =
     QCheck_alcotest.to_alcotest percentile_bounds_prop;
     ("jain known values", `Quick, jain_known_values);
     QCheck_alcotest.to_alcotest jain_range_prop;
-    ("max-min ratio", `Quick, max_min_ratio_cases);
     ("plot markers", `Quick, plot_contains_markers);
     ("plot empty", `Quick, plot_empty_series);
     ("plot log scale", `Quick, plot_log_scale);

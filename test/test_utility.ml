@@ -84,7 +84,13 @@ let of_deliveries_sums () =
     Utility.of_delivery config lossless ~now:0.0 (List.nth ds 0)
     +. Utility.of_delivery config lossless ~now:0.0 (List.nth ds 1)
   in
-  Alcotest.(check (float 1e-9)) "sum" expected (Utility.of_deliveries config lossless ~now:0.0 ds)
+  let state =
+    Utc_model.Mstate.initial ~epoch:1.0
+      (Compiled.compile_exn
+         { Topology.sources = [ Topology.endpoint Flow.Primary ]; shared = Topology.series [] })
+  in
+  Alcotest.(check (float 1e-9)) "sum" expected
+    (Utility.of_outcomes config lossless ~now:0.0 [ { Forward.state; logw = 0.0; deliveries = ds } ])
 
 let of_outcomes_expectation () =
   let config = Utility.make ~kappa:10.0 () in

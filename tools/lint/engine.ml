@@ -28,7 +28,7 @@ let run_sources ~allowlist sources =
   in
   (* Pass 2: the semantic rules, on the parsed file set — built over all
      sources at once so the call graph links across modules. *)
-  let semantic = Rules_sem.check (List.filter_map Ast_source.parse sources) in
+  let semantic = Rules_sem.check sources in
   let coverage = Rules.mli_coverage ~paths:(List.map (fun s -> s.Source.path) sources) in
   (* Inline suppressions and the allowlist apply uniformly to both passes. *)
   let suppressions =

@@ -3,7 +3,7 @@
     The engine walks the requested roots, scans every [.ml]/[.mli]
     (skipping [_build] and dot-directories), and runs two passes: the
     lexical rules from {!Rules.all} (plus the file-set [R5] check) on the
-    blanked text, and the semantic rules from {!Rules_sem} ([R9]-[R12])
+    blanked text, and the semantic rules from {!Rules_sem} ([R9]-[R13])
     on the parsed file set — parsing the whole set at once so the call
     graph links across modules. Findings from both passes are filtered
     identically: an {!Allowlist} entry or an inline {!Suppress} comment

@@ -3,7 +3,7 @@
 
     All three are deterministic byte-for-byte given the same (sorted)
     diagnostic list — no timestamps, no absolute paths, no environment.
-    The SARIF run carries the full rule metadata ([R1]-[R12]) in the tool
+    The SARIF run carries the full rule metadata ([R1]-[R13]) in the tool
     driver so viewers can show rule docs next to each finding. *)
 
 type format = Text | Json | Sarif

@@ -28,6 +28,13 @@ let all =
       name = "no-swallowed-exceptions";
       doc = "reject `try ... with _ ->` that discards the exception";
     };
+    {
+      id = "R13";
+      name = "exported-value-has-reader";
+      doc =
+        "every val in a lib/ interface is read from lib/, bin/ or examples/ \
+         outside its own module";
+    };
   ]
 
 let diag = Diagnostic.make
@@ -147,7 +154,95 @@ let check_r12 (ast : Ast_source.t) =
         ~message:"`with _ ->` swallows the exception; match specific ones or re-raise")
     !found
 
-let check asts =
+(* --- R13: every exported lib value has a reader outside tests --- *)
+
+module SSet = Set.Make (String)
+module SMap = Map.Make (String)
+
+let r13_reader_prefixes = [ "lib/"; "bin/"; "examples/" ]
+
+let flatten lid = match Longident.flatten lid with cs -> cs | exception _ -> []
+
+(* The ["Module.name"] keys an implementation reads outside its own
+   module. A qualified identifier keys by its last two components, after
+   the file's top-level module aliases are expanded; a bare one under a
+   local open of [M] ([M.( ... )] or [let open M in]) keys as [M.name].
+   The walk reaches [let () = ...] bodies and optional-argument defaults
+   like any other expression. Record fields are labels, not identifiers,
+   so [s.Summary.mean] reads no [val Summary.mean]. *)
+let r13_references (ast : Ast_source.t) =
+  let open Parsetree in
+  let aliases =
+    List.fold_left
+      (fun acc item ->
+        match item.pstr_desc with
+        | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr = { pmod_desc = Pmod_ident lid; _ }; _ } ->
+          SMap.add name (flatten lid.Asttypes.txt) acc
+        | _ -> acc)
+      SMap.empty ast.Ast_source.structure
+  in
+  let resolve lid =
+    match flatten lid with
+    | head :: rest when SMap.mem head aliases -> List.rev (SMap.find head aliases @ rest)
+    | components -> List.rev components
+  in
+  let found = ref SSet.empty and opened = ref [] in
+  let add m x =
+    if not (String.equal m ast.Ast_source.module_name) then found := SSet.add (m ^ "." ^ x) !found
+  in
+  let expr iterator e =
+    match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> (
+      match resolve txt with
+      | [ x ] -> List.iter (fun m -> add m x) !opened
+      | x :: m :: _ -> add m x
+      | [] -> ())
+    | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, body) ->
+      let outer = !opened in
+      (match resolve lid.Asttypes.txt with m :: _ -> opened := m :: outer | [] -> ());
+      iterator.Ast_iterator.expr iterator body;
+      opened := outer
+    | _ -> Ast_iterator.default_iterator.Ast_iterator.expr iterator e
+  in
+  let iterator = { Ast_iterator.default_iterator with Ast_iterator.expr } in
+  iterator.Ast_iterator.structure iterator ast.Ast_source.structure;
+  !found
+
+let check_r13 sources asts =
+  let read =
+    List.fold_left
+      (fun acc (ast : Ast_source.t) ->
+        if List.exists (fun p -> has_prefix p ast.Ast_source.source.Source.path) r13_reader_prefixes
+        then SSet.union acc (r13_references ast)
+        else acc)
+      SSet.empty asts
+  in
+  List.concat_map
+    (fun (src : Source.t) ->
+      let path = src.Source.path in
+      match if has_prefix "lib/" path then Ast_source.parse_interface src else None with
+      | None -> []
+      | Some signature ->
+        let m = Ast_source.module_name_of_path path in
+        List.filter_map
+          (fun (item : Parsetree.signature_item) ->
+            match item.Parsetree.psig_desc with
+            | Parsetree.Psig_value { pval_name = { txt = name; _ }; _ }
+              when not (SSet.mem (m ^ "." ^ name) read) ->
+              Some
+                (diag ~path ~line:(Ast_source.line_of item.Parsetree.psig_loc) ~rule:"R13"
+                   ~message:
+                     (Printf.sprintf
+                        "%s.%s has no reader in lib/, bin/ or examples/ outside its module; \
+                         delete it, drop it from the interface, or allow it with a reason"
+                        m name))
+            | _ -> None)
+          signature)
+    sources
+
+let check sources =
+  let asts = List.filter_map Ast_source.parse sources in
   let summaries = List.concat_map Effects.summarize asts in
   let graph = Callgraph.build summaries in
   check_r9 graph @ check_r10 graph @ check_r11 graph @ List.concat_map check_r12 asts
+  @ check_r13 sources asts

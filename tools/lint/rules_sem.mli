@@ -1,8 +1,8 @@
-(** The semantic (AST-pass) rule set, [R9]-[R12].
+(** The semantic (AST-pass) rule set, [R9]-[R13].
 
-    These rules run on parsed structure ({!Ast_source}), per-function
-    effect summaries ({!Effects}) and the cross-module call graph
-    ({!Callgraph}), complementing the lexical rules [R1]-[R8]:
+    These rules run on parsed structure and interfaces ({!Ast_source}),
+    per-function effect summaries ({!Effects}) and the cross-module call
+    graph ({!Callgraph}), complementing the lexical rules [R1]-[R8]:
 
     - [R9] no-unsynchronized-shared-mutation: a static race detector.
       Any function transitively reachable from a
@@ -27,6 +27,15 @@
       recursion, or a closure handed to a known iterator).
     - [R12] no-swallowed-exceptions: [try ... with _ ->] discards the
       exception it catches — match something, or bind and re-raise.
+    - [R13] exported-value-has-reader: every top-level [val] of a
+      [lib/**/*.mli] is read by an [.ml] under [lib/], [bin/] or
+      [examples/] in another module.  A read is an identifier, resolved
+      by its last two components with the file's top-level module
+      aliases expanded, or a bare name under a local open; record
+      fields do not count, and neither does any other path (tests,
+      benchmarks).  The finding sits on the [val]'s line.  The rule
+      needs the whole program in one scan: run on [lib/] alone, it
+      flags every value only [bin/] reads.
 
     Findings are silenced exactly like the lexical rules: inline
     [(* lint:allow R9 -- why *)] or an allowlist entry. *)
@@ -34,10 +43,10 @@
 type t = { id : string; name : string; doc : string }
 
 val all : t list
-(** Metadata for the four semantic rules, in id order. *)
+(** Metadata for the five semantic rules, in id order. *)
 
-val check : Ast_source.t list -> Diagnostic.t list
-(** Run [R9]-[R12] over the parsed file set (summaries and call graph
-    are built internally — the set should be the whole scan so
-    cross-module edges link). Unsorted, unfiltered; the {!Engine}
-    applies suppressions, the allowlist, and the final sort. *)
+val check : Source.t list -> Diagnostic.t list
+(** Run [R9]-[R13] over the scanned file set (parse trees, summaries and
+    the call graph are built internally — the set should be the whole
+    scan so cross-module edges link). Unsorted, unfiltered; the
+    {!Engine} applies suppressions, the allowlist, and the final sort. *)

@@ -11,7 +11,7 @@ let usage () =
      \n\
      Scans every .ml/.mli under the given roots (default: lib bin\n\
      examples) and reports violations of the determinism rules: the\n\
-     lexical pass R1-R8 and the semantic (AST) pass R9-R12.\n\
+     lexical pass R1-R8 and the semantic (AST) pass R9-R13.\n\
      Suppress a finding inline with (* lint:allow <rule> -- reason *) or\n\
      with an allowlist entry (see tools/lint/lint.allow).\n\
      --format json emits a plain array; --format sarif emits SARIF 2.1.0\n\
