@@ -60,9 +60,15 @@ let run ?(until = Timebase.infinity) t =
   Utc_obs.Metrics.span ~name:"engine.run"
     ~now:(fun () -> t.clock)
     (fun () ->
+      (* A cancelled event on top is dropped here, not by [step], which
+         would run the next live event whatever its time. *)
       let rec loop () =
         if Pheap.is_empty t.queue then ()
         else if Timebase.( >. ) (Pheap.top_time t.queue) until then t.clock <- until
+        else if not (Pheap.top_payload t.queue).handle.live then begin
+          Pheap.drop_top t.queue;
+          loop ()
+        end
         else if step t then loop ()
       in
       loop ())

@@ -210,6 +210,39 @@ let engine_until_stops () =
   Engine.run engine;
   Alcotest.(check int) "resumes" 10 !count
 
+(* Over random schedules with random cancellations, [run ~until] runs
+   exactly the live events at or before [until], in (time, prio,
+   insertion) order, and leaves the clock where engine.mli says: at
+   [until] while later events remain queued, else at the last executed
+   event (or 0 when none ran). Times and [until] sit on grids that share
+   points, so ties with [until] occur. *)
+let engine_until_prop =
+  QCheck.Test.make ~name:"engine run ~until runs exactly the live events up to until" ~count:500
+    QCheck.(pair (list (triple (int_bound 12) (int_range (-2) 2) bool)) (int_bound 12))
+    (fun (events, u) ->
+      let until = 0.5 *. float_of_int u in
+      let engine = Engine.create () in
+      let ran = ref [] in
+      let events = List.mapi (fun i (k, prio, cancel) -> (i, float_of_int k, prio, cancel)) events in
+      let handles =
+        List.map
+          (fun (i, time, prio, _) -> Engine.schedule ~prio engine ~at:time (fun () -> ran := i :: !ran))
+          events
+      in
+      List.iter2 (fun (_, _, _, cancel) h -> if cancel then Engine.cancel h) events handles;
+      Engine.run ~until engine;
+      let expected =
+        List.filter (fun (_, time, _, cancel) -> (not cancel) && time <= until) events
+        |> List.stable_sort (fun (_, ta, pa, _) (_, tb, pb, _) ->
+               match Float.compare ta tb with 0 -> Int.compare pa pb | c -> c)
+      in
+      let clock =
+        if List.exists (fun (_, time, _, _) -> time > until) events then until
+        else List.fold_left (fun acc (_, time, _, _) -> Float.max acc time) 0.0 expected
+      in
+      List.rev !ran = List.map (fun (i, _, _, _) -> i) expected
+      && Float.equal (Engine.now engine) clock)
+
 let engine_cancel () =
   let engine = Engine.create () in
   let hit = ref false in
@@ -314,6 +347,7 @@ let suite =
     QCheck_alcotest.to_alcotest pheap_sorted_prop;
     ("engine order", `Quick, engine_runs_in_order);
     ("engine until", `Quick, engine_until_stops);
+    QCheck_alcotest.to_alcotest engine_until_prop;
     ("engine cancel", `Quick, engine_cancel);
     ("engine rejects past", `Quick, engine_schedule_in_past_rejected);
     ("engine schedule_after", `Quick, engine_schedule_after);
