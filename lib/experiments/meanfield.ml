@@ -50,11 +50,14 @@ let shared_path ~topo ~total_flows =
         Topology.throughput ~rate_bps:(0.8 *. rate);
       ]
 
-let buffer_capacity ~topo ~total_flows =
-  let _, cap = Versus.scaled_bottleneck ~flows:total_flows in
-  match topo with
-  | Single -> cap
-  | Parking_lot -> cap + (cap * 3 / 4)
+(* The buffer bits along a path; only [Buffer] hops hold any on the
+   paths [shared_path] builds. *)
+let rec buffer_bits = function
+  | Topology.Buffer { capacity_bits } -> capacity_bits
+  | Topology.Series hops -> List.fold_left (fun bits hop -> bits + buffer_bits hop) 0 hops
+  | _ -> 0
+
+let buffer_capacity ~topo ~total_flows = buffer_bits (shared_path ~topo ~total_flows)
 
 (* Foreground flows share the versus.flow.* families (register-or-retrieve
    by name); the population gets its own meanfield.agg.* entries. Lazy so
