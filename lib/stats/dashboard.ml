@@ -344,10 +344,15 @@ let render_frame ?(width = 72) ?(window = 5.0) ?metrics_json ~journal_lines () =
     | [] -> ()
     | top ->
       let max_cost = List.fold_left (fun acc n -> Float.max acc (cost n)) 1e-12 top in
+      (* The path column fits the longest ranked path, and is never
+         narrower than 44. *)
+      let path_width =
+        List.fold_left (fun acc (n : Profile.node) -> max acc (String.length n.path)) 44 top
+      in
       add "\nphase costs (%s):\n" unit_label;
       List.iter
         (fun (n : Profile.node) ->
-          add "  %-44s %12.6f %s (%d calls)\n" n.path (cost n)
+          add "  %-*s %12.6f %s (%d calls)\n" path_width n.path (cost n)
             (bar ~width:16 (cost n /. max_cost))
             n.calls)
         top));

@@ -224,14 +224,14 @@ let dashboard_frame () =
         [
           "";
           "phase costs (self sim s):";
-          "  harness.run/engine.run                          30.000000 ################ (1 calls)";
-          "  harness.run                                      0.000000  (1 calls)";
-          "  harness.run/engine.run/wakeup                    0.000000  (31 calls)";
-          "  harness.run/engine.run/wakeup/belief.update      0.000000  (31 calls)";
+          "  harness.run/engine.run                                 30.000000 ################ (1 calls)";
+          "  harness.run                                             0.000000  (1 calls)";
+          "  harness.run/engine.run/wakeup                           0.000000  (31 calls)";
+          "  harness.run/engine.run/wakeup/belief.update             0.000000  (31 calls)";
           "  harness.run/engine.run/wakeup/belief.update/compact     0.000000  (31 calls)";
-          "  harness.run/engine.run/wakeup/belief.update/expand     0.000000  (31 calls)";
-          "  harness.run/engine.run/wakeup/planner.decide     0.000000  (40 calls)";
-          "  harness.run/engine.run/wakeup/planner.decide/price     0.000000  (40 calls)";
+          "  harness.run/engine.run/wakeup/belief.update/expand      0.000000  (31 calls)";
+          "  harness.run/engine.run/wakeup/planner.decide            0.000000  (40 calls)";
+          "  harness.run/engine.run/wakeup/planner.decide/price      0.000000  (40 calls)";
           "";
         ])
     (frame ~metrics_json:dashboard_sim_snapshot ())
