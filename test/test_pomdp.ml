@@ -27,6 +27,24 @@ let value_iteration_tiny () =
   Alcotest.(check int) "policy moves" 1 solution.Mdp.policy.(0);
   Alcotest.(check bool) "converged" true (solution.Mdp.residual < 1e-8)
 
+(* The policy is greedy with respect to the values: in every state its
+   action maximizes reward plus the discounted (0.95) expected value. *)
+let greedy_of_optimal_is_optimal () =
+  let solution = Mdp.value_iteration tiny in
+  let q s a =
+    tiny.Mdp.reward s a
+    +. (0.95
+       *. List.fold_left
+            (fun acc (s', p) -> acc +. (p *. solution.Mdp.values.(s')))
+            0.0 (tiny.Mdp.transition s a))
+  in
+  for s = 0 to tiny.Mdp.states - 1 do
+    let chosen = q s solution.Mdp.policy.(s) in
+    for a = 0 to tiny.Mdp.actions - 1 do
+      if q s a > chosen +. 1e-9 then Alcotest.failf "state %d: action %d beats the policy's" s a
+    done
+  done
+
 let validate_catches_bad_mdp () =
   let broken = { tiny with Mdp.transition = (fun _ _ -> [ (0, 0.5) ]) } in
   match Mdp.value_iteration broken with
@@ -93,6 +111,7 @@ let solve_pins_thresholds_and_iterations () =
 let suite =
   [
     ("value iteration tiny", `Quick, value_iteration_tiny);
+    ("greedy of optimal", `Quick, greedy_of_optimal_is_optimal);
     ("validate catches bad mdp", `Quick, validate_catches_bad_mdp);
     ("sender mdp valid", `Quick, sender_mdp_valid);
     ("selfish always sends", `Quick, selfish_policy_always_sends);

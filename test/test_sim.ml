@@ -407,6 +407,13 @@ let engine_pending_counts () =
   Engine.run engine;
   Alcotest.(check int) "drained" 0 (Engine.pending engine)
 
+let pheap_min_time () =
+  let h = Pheap.create () in
+  Alcotest.(check bool) "none" true (Pheap.is_empty h);
+  Pheap.add h ~time:5.0 ();
+  Pheap.add h ~time:2.0 ();
+  Alcotest.(check (float 0.0)) "min" 2.0 (Pheap.top_time h)
+
 let pheap_negative_priorities () =
   let h = Pheap.create () in
   Pheap.add ~prio:5 h ~time:1.0 "late";
@@ -450,6 +457,7 @@ let extra_suite =
     ("engine handle dead after run", `Quick, engine_handle_dead_after_run);
     ("engine negative delay", `Quick, engine_negative_delay_rejected);
     ("engine pending counts", `Quick, engine_pending_counts);
+    ("pheap min time", `Quick, pheap_min_time);
     ("pheap negative priorities", `Quick, pheap_negative_priorities);
     ("fqueue of_list order", `Quick, fqueue_of_list_order);
     QCheck_alcotest.to_alcotest fqueue_equal_prop;
