@@ -518,7 +518,7 @@ let r13_detects () =
 
 let r13_readers () =
   let reads name code = check_rules name [] (lonely [ others; ("bin/use.ml", code) ]) in
-  check_rules "a reader in bin/" [] (lonely [ others; ("bin/use.ml", "let y = Lonely.x\n") ]);
+  reads "a reader in bin/" "let y = Lonely.x\n";
   check_rules "a reader in examples/" []
     (lonely [ others; ("examples/demo.ml", "let y = Utc_net.Lonely.x\n") ]);
   check_rules "a reader elsewhere in lib/" []
